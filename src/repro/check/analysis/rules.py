@@ -24,10 +24,11 @@ the helper lives in.
   purpose: cross-function escapes are the (documented) under-approximation.
 
 * **MOB007 — shared-state race.**  Module-level mutable state written from
-  a function reachable from the process-pool workers
-  (``run_systems_parallel`` / ``_run_cell`` / ``_worker_init``) or from any
-  function touching a registered race registry (``_PARTITION_HINTS``) must
-  go through a documented synchronization seam (``sync_seams``).  Reads
+  a function reachable from the process-pool workers (the suite
+  scheduler's ``_cell_worker`` / ``_worker_init``, the serve daemon's
+  dispatch loop and solver children) or from any function touching a
+  registered race registry (``race_registries``) must go through a
+  documented synchronization seam (``sync_seams``).  Reads
   are fine; writes — including ``next()`` on a shared ``itertools.count``
   and mutating-method calls — are not.
 """
@@ -117,12 +118,9 @@ class AnalysisConfig:
     callback_seams: frozenset[str] = DEFAULT_CALLBACK_SEAMS
     #: MOB007 roots: the process-pool worker surface.
     worker_entry_points: tuple[str, ...] = (
-        "repro.experiments.runner.run_systems_parallel",
-        "repro.experiments.runner._run_cell",
-        "repro.experiments.runner._worker_init",
         # The suite-wide cell scheduler's pool workers: they adopt the
-        # parent cache config and install the shared durable hint store,
-        # so their global writes follow the same seam discipline.
+        # parent cache config, so their global writes follow the same
+        # seam discipline.
         "repro.experiments.schedule._cell_worker",
         "repro.experiments.schedule._worker_init",
         # The serve daemon's dispatch thread and its solver child
@@ -130,31 +128,11 @@ class AnalysisConfig:
         # global they can write must be a documented seam.
         "repro.serve.daemon.PlanService._dispatch_loop",
         "repro.serve.supervisor._process_worker_main",
-        # The portfolio's per-backend racing children: they share the
-        # parent's module namespace at spawn time, so their writes are
-        # held to the same seam discipline.
-        "repro.solver.portfolio._portfolio_worker_main",
     )
     #: Module globals whose *touching* functions join the MOB007 frontier.
-    race_registries: tuple[str, ...] = (
-        "repro.core.api._PARTITION_HINTS",
-        "repro.solver.portfolio._PAIRS",
-        "repro.solver.portfolio._IDLE_PAIRS",
-    )
+    race_registries: tuple[str, ...] = ()
     #: Documented synchronization seams: writes inside these are sanctioned.
-    sync_seams: frozenset[str] = frozenset(
-        {
-            "repro.core.api._get_partition_hint",
-            "repro.core.api._put_partition_hint",
-            "repro.core.api.set_partition_hint_capacity",
-            "repro.core.api.set_partition_hint_store",
-            "repro.sim.tasks._next_task_uid",
-            "repro.solver.portfolio._acquire_pair",
-            "repro.solver.portfolio._release_pair",
-            "repro.solver.portfolio._discard_pair",
-            "repro.solver.portfolio.shutdown_portfolio_pool",
-        }
-    )
+    sync_seams: frozenset[str] = frozenset({"repro.sim.tasks._next_task_uid"})
     clock_allowlist: frozenset[str] = _LINT_DEFAULTS.clock_allowlist
     #: Module whose functions take content-address hashes (MOB006 sources).
     fingerprint_module: str = "repro.perf.fingerprint"

@@ -167,10 +167,6 @@ class LintConfig:
             # work counters only.
             "src/repro/solver/bench.py::_run_mip_rows",
             "src/repro/solver/bench.py::_run_partition_rows",
-            # Portfolio race walls are reporting-only: the race itself is
-            # decided by reply arrival order and backend rank inside
-            # repro/solver/portfolio.py, which reads no clocks at all.
-            "src/repro/solver/bench.py::_run_portfolio_rows",
             "src/repro/sim/bench.py::_run_corpus_rows",
             "src/repro/sim/bench.py::_run_chaos_rows",
             "src/repro/sim/bench.py::_run_large_rows",

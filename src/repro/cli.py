@@ -25,7 +25,7 @@ Subcommands:
   the committed ``BENCH_sim.json`` (any fingerprint divergence fails);
 * ``serve``    — run the planning daemon (:mod:`repro.serve`) over a
   scripted corpus session: admission control, request coalescing,
-  supervised workers and a durable sqlite warm-start/result store;
+  supervised workers and a durable sqlite result store;
 * ``servebench`` — benchmark the daemon: plans/sec cold vs warm vs
   coalesced plus the serve chaos scenarios (worker kill, poison
   quarantine, deadline straggler, store corruption, overload burst);
@@ -91,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--microbatch", type=int, default=None, help="microbatch size")
         p.add_argument(
             "--time-limit", type=float, default=5.0, help="MIP search budget (s)"
-        )
-        p.add_argument(
-            "--solver-mode", default="solo", choices=("solo", "portfolio"),
-            help="solo B&B, or race it against the HiGHS backend "
-            "(bit-identical result, lower latency)",
         )
 
     plan = sub.add_parser("plan", help="run the Mobius planner and print the plan")
@@ -286,7 +281,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         MobiusConfig(
             microbatch_size=args.microbatch,
             partition_time_limit=args.time_limit,
-            solver_mode=args.solver_mode,
         ),
     )
     print(report.plan.describe())
@@ -487,15 +481,6 @@ def _cmd_solvebench(args: argparse.Namespace) -> int:
                 f"partition {row['name']:<18} nodes={row['nodes']:<6} "
                 f"warm={row['warm_nodes']:<6} [{flag}]"
             )
-        for row in document["portfolio"]:
-            flag = "ok" if row["parity"] else "FAIL"
-            print(
-                f"portfolio {row['name']:<18} winner={row['winner']:<6} "
-                f"bnb={row['bnb_wall_seconds']}s "
-                f"highs={row['highs_wall_seconds']}s "
-                f"race={row['race_wall_seconds']}s [{flag}]"
-            )
-        print(f"portfolio wins: {document['portfolio_wins']}")
     failures = [
         f"{section}:{row['name']}: "
         + ("parity failed" if not row.get("parity", True) else "warm != cold")
@@ -503,11 +488,6 @@ def _cmd_solvebench(args: argparse.Namespace) -> int:
         for row in document[section]
         if not (row.get("parity", True) and row.get("warm_identical", True))
     ]
-    failures.extend(
-        f"portfolio:{row['name']}: raced result diverged from solo B&B"
-        for row in document["portfolio"]
-        if not row.get("parity", True)
-    )
     if args.check_against is not None:
         with open(args.check_against) as f:
             baseline = json.load(f)

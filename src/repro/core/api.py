@@ -4,7 +4,9 @@
 similarity-compressed profiling (§3.2), the MIP partition search (§3.2) and
 cross mapping (§3.3) — and returns an :class:`~repro.core.plan.ExecutionPlan`
 plus all planning overheads (Figure 12).  :func:`run_mobius` additionally
-simulates one training step on the given server topology.
+simulates one training step on the given server topology.  Planning is a
+pure function of ``(model, topology, config)``: one solve path, no state
+carried between calls beyond the content-addressed result cache.
 
 Example:
     >>> from repro.hardware import topo_2_2
@@ -17,7 +19,6 @@ Example:
 from __future__ import annotations
 
 import dataclasses
-import threading
 
 from repro.core.mapping import MappingResult, cross_mapping, sequential_mapping
 from repro.core.partition import (
@@ -34,116 +35,14 @@ from repro.models.profiler import ProfileReport, Profiler
 from repro.models.spec import ModelSpec
 from repro.perf.cache import get_cache
 from repro.sim.trace import Trace
-from repro.solver.warmstart import WarmStartContext
-
-#: Last MIP partition per (model, device, microbatch) — warm-start hints
-#: for subsequent related solves (scalability sweeps, fault re-plans).
-#: Hints cannot change results, so this is not a result cache and needs no
-#: invalidation beyond process lifetime.  Access goes through the
-#: lock-guarded ``_get_partition_hint`` / ``_put_partition_hint`` seams:
-#: planner threads (the ``repro.serve`` daemon) share this registry, and
-#: MOB007 requires every write to shared module state to be a documented
-#: synchronization seam.
-#:
-#: The registry is a bounded LRU (CPython dicts iterate in insertion
-#: order; a hit re-inserts its key at the tail, eviction drops the head),
-#: so a long-running planning service cannot leak hints without bound.
-#: Eviction is deterministic — it depends only on the access sequence —
-#: and invisible in results: hints seed the incumbent only.
-_PARTITION_HINTS: dict[tuple, WarmStartContext] = {}
-_PARTITION_HINTS_LOCK = threading.Lock()
-_PARTITION_HINT_CAPACITY = 64
-
-#: Optional durable hint sink/source (``repro.serve.store.DurableStore``
-#: duck-type: ``get_hint(key) -> WarmStartContext | None`` and
-#: ``put_hint(key, hint)``).  Installed by the serve daemon so a restarted
-#: process inherits N±1 solver bases from prior runs; ``None`` outside it.
-_HINT_STORE = None
-
-
-def set_partition_hint_store(store) -> object | None:
-    """Synchronization seam: install a durable hint store (or ``None``).
-
-    The store is consulted on registry misses and written through on every
-    publish; both directions are best-effort (a broken store degrades to
-    cold solves, never to failures).  Returns the previously installed
-    store so callers can restore it.
-    """
-    global _HINT_STORE
-    with _PARTITION_HINTS_LOCK:
-        previous = _HINT_STORE
-        _HINT_STORE = store
-    return previous
-
-
-def set_partition_hint_capacity(capacity: int) -> None:
-    """Synchronization seam: bound the hint registry (MOB007-sanctioned).
-
-    Shrinking evicts least-recently-used entries immediately; eviction can
-    only cost warm-start work, never change a plan.
-    """
-    if capacity < 1:
-        raise ValueError(f"hint capacity must be >= 1, got {capacity}")
-    global _PARTITION_HINT_CAPACITY
-    with _PARTITION_HINTS_LOCK:
-        _PARTITION_HINT_CAPACITY = capacity
-        while len(_PARTITION_HINTS) > _PARTITION_HINT_CAPACITY:
-            del _PARTITION_HINTS[next(iter(_PARTITION_HINTS))]
-
-
-def _get_partition_hint(hint_key: tuple) -> WarmStartContext | None:
-    """Synchronization seam: read a warm-start hint (MOB007-sanctioned).
-
-    A registry hit refreshes the key's LRU position; a miss falls through
-    to the durable store (when installed) and promotes the stored hint
-    into the registry.
-    """
-    with _PARTITION_HINTS_LOCK:
-        hint = _PARTITION_HINTS.pop(hint_key, None)
-        if hint is not None:
-            _PARTITION_HINTS[hint_key] = hint  # re-insert at the LRU tail
-            return hint
-        if _HINT_STORE is not None:
-            try:
-                hint = _HINT_STORE.get_hint(hint_key)
-            except Exception:
-                hint = None  # durable tier is best-effort
-            if hint is not None:
-                _PARTITION_HINTS[hint_key] = hint
-                while len(_PARTITION_HINTS) > _PARTITION_HINT_CAPACITY:
-                    del _PARTITION_HINTS[next(iter(_PARTITION_HINTS))]
-        return hint
-
-
-def _put_partition_hint(hint_key: tuple, hint: WarmStartContext) -> None:
-    """Synchronization seam: publish a warm-start hint (MOB007-sanctioned).
-
-    Last-writer-wins is safe: any stored hint seeds the incumbent only and
-    cannot change the returned partition.  Publishing refreshes the key's
-    LRU position, evicts beyond the capacity bound, and writes through to
-    the durable store when one is installed.
-    """
-    with _PARTITION_HINTS_LOCK:
-        _PARTITION_HINTS.pop(hint_key, None)
-        _PARTITION_HINTS[hint_key] = hint
-        while len(_PARTITION_HINTS) > _PARTITION_HINT_CAPACITY:
-            del _PARTITION_HINTS[next(iter(_PARTITION_HINTS))]
-        if _HINT_STORE is not None:
-            try:
-                _HINT_STORE.put_hint(hint_key, hint)
-            except Exception:
-                pass  # durable tier is best-effort
 
 __all__ = [
     "MobiusConfig",
     "MobiusPlanReport",
     "MobiusReport",
-    "partition_hint_key",
     "partition_solve_key",
     "plan_mobius",
     "run_mobius",
-    "set_partition_hint_capacity",
-    "set_partition_hint_store",
 ]
 
 _PARTITIONERS = {
@@ -151,23 +50,6 @@ _PARTITIONERS = {
     "max-stage": max_stage_partition,
     "min-stage": min_stage_partition,
 }
-
-
-def partition_hint_key(
-    model: ModelSpec, topology: Topology, config: "MobiusConfig"
-) -> tuple | None:
-    """The warm-start registry key a ``plan_mobius`` call will use.
-
-    ``None`` for non-MIP partition methods (they take no hints).  Exposed
-    so the suite's cell scheduler can group sweep cells that feed each
-    other hints — the key must stay byte-for-byte the same tuple
-    ``_plan_mobius_uncached`` reads and publishes, so both sites build it
-    here.
-    """
-    if config.partition_method != "mip":
-        return None
-    microbatch_size = config.microbatch_size or model.default_microbatch_size
-    return (model.name, model.n_layers, topology.gpu_spec.name, microbatch_size)
 
 
 def partition_solve_key(
@@ -225,14 +107,6 @@ class MobiusConfig:
         use_priorities: Prefetch priority streams (§3.3).
         bandwidth: Average bandwidth ``B`` for the MIP; defaults to the
             topology's PCIe link bandwidth.
-        solver_mode: ``"solo"`` (default) solves the MIP partition with
-            the branch-and-bound alone; ``"portfolio"`` races it against
-            the HiGHS backend (:func:`repro.solver.portfolio.
-            race_partition`) and returns the first eligible result.  Both
-            modes return bit-identical plans — portfolio only changes
-            latency — so this knob is *excluded* from the plan and
-            partition memoize keys: a solo cache entry satisfies a
-            portfolio request and vice versa.
     """
 
     microbatch_size: int | None = None
@@ -244,10 +118,12 @@ class MobiusConfig:
     prefetch: bool = True
     use_priorities: bool = True
     bandwidth: float | None = None
-    solver_mode: str = "solo"
 
-
-_SOLVER_MODES = ("solo", "portfolio")
+    #: A field removed from this class, with the one value every config
+    #: held.  :func:`repro.perf.fingerprint.fingerprint` still encodes it,
+    #: so content digests of configs, and of the suite cells carrying
+    #: them, stay what they were before the removal.
+    __mobius_retired_fields__ = (("solver_mode", "solo"),)
 
 
 @dataclasses.dataclass
@@ -297,26 +173,13 @@ def plan_mobius(
     Results are memoized by content through the global
     :mod:`repro.perf` cache: planning the same (model, topology, config)
     triple twice — in this process, or across processes when the disk tier
-    is enabled — returns the stored report without re-solving.  Treat the
-    returned report as immutable.
+    is enabled — returns the stored report without re-solving.  The
+    report depends on ``(model, topology, config)`` only, never on what
+    the process planned before.  Treat the returned report as immutable.
     """
-    if config.solver_mode not in _SOLVER_MODES:
-        raise ValueError(
-            f"unknown solver_mode {config.solver_mode!r}; "
-            f"expected one of {list(_SOLVER_MODES)}"
-        )
-    cache = get_cache()
-    # solver_mode is latency-only (portfolio results are bit-identical to
-    # solo), so the memoize key is normalized to the solo spelling: both
-    # modes share one cache entry.
-    key_config = (
-        config
-        if config.solver_mode == "solo"
-        else dataclasses.replace(config, solver_mode="solo")
-    )
-    return cache.memoize(
+    return get_cache().memoize(
         "plan",
-        ("plan_mobius", model, topology, key_config),
+        ("plan_mobius", model, topology, config),
         lambda: _plan_mobius_uncached(model, topology, config),
     )
 
@@ -340,40 +203,15 @@ def _plan_mobius_uncached(
             f"expected one of {sorted(_PARTITIONERS)}"
         ) from None
     kwargs = {}
-    hint_key = None
     if config.partition_method == "mip":
         kwargs["time_limit"] = config.partition_time_limit
         if config.partition_max_nodes is not None:
             kwargs["max_nodes"] = config.partition_max_nodes
-        if config.solver_mode == "portfolio":
-            # Bit-identical to mip_partition (same signature, same result
-            # contract), just raced across backends — which is why the
-            # "partition" memoize key below stays mode-free.
-            from repro.solver.portfolio import race_partition
-
-            partitioner = race_partition
-        # Warm start from the last MIP solve of the same model on the same
-        # device class (the scalability sweep re-solves for N, N+1, ...;
-        # fault replanning re-solves for N-1).  The hint seeds the
-        # incumbent only — mip_partition's canonical tie-break makes the
-        # result identical with or without it — so it stays out of the
-        # memoize key below.
-        hint_key = partition_hint_key(model, topology, config)
-        hint = _get_partition_hint(hint_key)
-        if hint is not None:
-            kwargs["warm_start"] = hint
     partition_result = get_cache().memoize(
         "partition",
         partition_solve_key(model, topology, config),
         lambda: partitioner(model, cost_model, n_gpus, n_microbatches, bandwidth, **kwargs),
     )
-    if hint_key is not None:
-        _put_partition_hint(
-            hint_key,
-            WarmStartContext(
-                boundaries=partition_result.partition.boundaries, label="previous-solve"
-            ),
-        )
 
     n_stages = partition_result.partition.n_stages
     if config.mapping_method == "cross":

@@ -34,23 +34,11 @@ from repro.models.spec import LayerKind, ModelSpec
 
 __all__ = [
     "PartitionResult",
-    "PartitionSearchCancelled",
     "PlanInfeasibleError",
     "mip_partition",
     "max_stage_partition",
     "min_stage_partition",
 ]
-
-
-class PartitionSearchCancelled(RuntimeError):
-    """A caller-installed ``poll`` callback cancelled the search.
-
-    Only the solver racing portfolio (:mod:`repro.solver.portfolio`)
-    installs polls: the losing backend of a race is cancelled once the
-    winner's result is in hand.  A cancelled search produces no result at
-    all — cancellation can therefore discard work but never change what a
-    completed search returns.
-    """
 
 
 class PlanInfeasibleError(ValueError):
@@ -78,27 +66,8 @@ class PartitionResult:
             stopped on the budget with the best incumbent.
         method: ``"mip"``, ``"max-stage"`` or ``"min-stage"``.
         warm_started: Whether a caller-provided warm-start hint seeded the
-            incumbent (it tightens pruning but never changes the result).
-        shadow_optimal: Certificate that the *shadow* search — the same
-            solve seeded with ``shadow_warm_start`` instead of
-            ``warm_start`` — would also have exhausted within
-            ``max_nodes`` and therefore returned this same canonical
-            partition.  An exhausted search's result is hint-invariant,
-            but a hint tightens pruning, so a hinted search can exhaust
-            within a budget where the shadow-seeded one would have been
-            truncated (and returned a different, non-optimal incumbent).
-            This flag is the sound, conservative answer: ``True`` only
-            when the realized node count plus an upper bound on every
-            hint-dependent prune's unpruned subtree still fits the
-            budget.  For ordinary solves (no explicit shadow) the shadow
-            is the search itself, so ``shadow_optimal == optimal``.  The
-            racing portfolio requires it before accepting a hinted
-            backend's result as the solo answer.
-        solver_backend: Which portfolio backend produced the result —
-            ``"bnb"`` (the boundary branch-and-bound, also every solo
-            solve) or ``"highs"`` (the literal-MIP backend of
-            :mod:`repro.solver.portfolio`).  Metadata only: eligible
-            backends return bit-identical partitions by construction.
+            incumbent (it tightens pruning; an exhausted search returns the
+            same partition with or without it).
     """
 
     partition: Partition
@@ -108,8 +77,6 @@ class PartitionResult:
     optimal: bool
     method: str
     warm_started: bool = False
-    shadow_optimal: bool = True
-    solver_backend: str = "bnb"
 
 
 class _SearchContext:
@@ -133,7 +100,6 @@ class _SearchContext:
         self._stage_cache: dict[tuple[int, int], StageCost] = {}
         self._eval_cache: dict[tuple[int, ...], PipelineTimings] = {}
         self._max_len_cache: dict[int, int] = {}
-        self._subtree_cache: dict[int, list[int]] = {}
         layer_costs = [cost_model.layer_cost(layer) for layer in model.layers]
         # Per-layer aggregate arrays: stage aggregates become running sums,
         # so memory feasibility and the DFS bound never rebuild StageCost
@@ -188,35 +154,6 @@ class _SearchContext:
                 break
         self._max_len_cache[start] = length
         return length
-
-    def subtree_nodes(self, start: int, cap: int) -> int:
-        """DFS calls in an *unpruned* subtree whose last cut is ``start``.
-
-        Counts the subtree's root call plus every descendant call the
-        search would make if no bound ever pruned — exactly the nodes a
-        weaker-incumbent search could at most explore below a prune
-        point.  Saturates at ``cap`` (counts are only ever compared
-        against a node budget) and is computed once per cap as a
-        reverse DP over all starts, so a query is O(1) after the first.
-        """
-        table = self._subtree_cache.get(cap)
-        if table is None:
-            n = self.model.n_layers
-            table = [1] * (n + 1)
-            for pos in range(n - 1, -1, -1):
-                total = 1
-                limit = min(self.max_stage_len(pos), n - pos)
-                for size in range(1, limit + 1):
-                    stop = pos + size
-                    if stop == n:
-                        continue  # leaves are inlined, never a call
-                    total += table[stop]
-                    if total >= cap:
-                        total = cap
-                        break
-                table[pos] = total
-            self._subtree_cache[cap] = table
-        return table[start]
 
     def evaluate(self, boundaries: Sequence[int]) -> PipelineTimings:
         """Exact pipeline timings for a full boundary set, memoized.
@@ -474,11 +411,6 @@ def _warm_start(ctx: _SearchContext) -> tuple[list[int] | None, float]:
     return best, best_time
 
 
-#: Default for ``mip_partition``'s ``shadow_warm_start``: the shadow search
-#: is this search itself, making ``shadow_optimal`` degenerate to ``optimal``.
-_SELF_SHADOW = object()
-
-
 def _warm_start_boundaries(warm_start: object) -> tuple[int, ...] | None:
     """Extract candidate boundaries from a warm-start hint.
 
@@ -506,8 +438,6 @@ def mip_partition(
     time_limit: float = 10.0,
     max_nodes: int = 20_000,
     warm_start: object = None,
-    shadow_warm_start: object = _SELF_SHADOW,
-    poll: object = None,
 ) -> PartitionResult:
     """The MIP partition algorithm (§3.2).
 
@@ -534,21 +464,7 @@ def mip_partition(
             tie-break (smallest boundary tuple among step-time ties) and
             explores tied subtrees, so the returned partition is the same
             canonical optimum with or without the hint.  A *truncated*
-            search's incumbent, however, may depend on the hint — which
-            is what ``shadow_warm_start``/``shadow_optimal`` police.
-        shadow_warm_start: The hint the *reference* search would have
-            been seeded with (the racing portfolio passes the caller's
-            original hint here while ``warm_start`` carries the HiGHS
-            boundaries).  The search then reports ``shadow_optimal``: a
-            conservative certificate that the reference-seeded search
-            would also have exhausted within ``max_nodes`` and returned
-            this same partition.  Defaults to "this search itself", under
-            which ``shadow_optimal`` simply equals ``optimal``.
-        poll: Optional zero-argument callable checked every 64 DFS nodes;
-            returning true abandons the search with
-            :class:`PartitionSearchCancelled`.  The racing portfolio uses
-            it to cancel the losing backend — a cancelled search returns
-            nothing, so cancellation can never alter a returned result.
+            search's incumbent, however, may depend on the hint.
 
     Returns:
         The best partition found; ``optimal`` reports whether the search
@@ -556,7 +472,6 @@ def mip_partition(
 
     Raises:
         PlanInfeasibleError: If no memory-feasible partition exists.
-        PartitionSearchCancelled: If ``poll`` requested cancellation.
     """
     if gpu_memory is None:
         gpu_memory = cost_model.usable_gpu_bytes()
@@ -564,7 +479,6 @@ def mip_partition(
     started = time.perf_counter()
 
     incumbent, incumbent_time = _warm_start(ctx)
-    base_time = incumbent_time
     warm_started = False
     hinted = _warm_start_boundaries(warm_start)
     if hinted is not None and all(0 < b < model.n_layers for b in hinted):
@@ -577,30 +491,6 @@ def mip_partition(
             warm_started = True
             if timings.step_seconds < incumbent_time - 1e-12:
                 incumbent, incumbent_time = hinted_list, timings.step_seconds
-
-    # ``shadow_bound`` is a running upper bound on the incumbent the
-    # *shadow* search (same solve, seeded with ``shadow_warm_start``)
-    # would hold at the corresponding point of its DFS: its own initial
-    # incumbent, tightened by every leaf this search evaluates (the
-    # shadow search either evaluates the same leaf — its incumbent drops
-    # to at most that step — or skipped it only because its incumbent was
-    # already below the leaf's bound).  A prune whose bound clears
-    # ``shadow_bound`` is therefore taken by the shadow search too; one
-    # that does not is *hint-dependent* and charged the full unpruned
-    # subtree below it, the most the shadow search could explore there.
-    if shadow_warm_start is _SELF_SHADOW:
-        shadow_bound = incumbent_time
-    else:
-        shadow_bound = base_time
-        shadow = _warm_start_boundaries(shadow_warm_start)
-        if shadow is not None and all(0 < b < model.n_layers for b in shadow):
-            shadow_timings = ctx.evaluate(sorted(set(shadow)))
-            if (
-                shadow_timings.feasible
-                and shadow_timings.step_seconds < base_time - 1e-12
-            ):
-                shadow_bound = shadow_timings.step_seconds
-    shadow_extra = 0
 
     nodes = 0
     exhausted = True
@@ -623,7 +513,6 @@ def mip_partition(
 
     def dfs(cuts: list[int], bound: float) -> None:
         nonlocal incumbent, incumbent_time, nodes, exhausted
-        nonlocal shadow_bound, shadow_extra
         # The node budget is the primary (deterministic) work limit; the
         # wall-clock check is a safety ceiling that under the default
         # budgets never binds first, keeping results machine-independent.
@@ -633,20 +522,12 @@ def mip_partition(
         if time.perf_counter() - started > time_limit:
             exhausted = False
             return
-        if poll is not None and nodes % 64 == 0 and poll():
-            raise PartitionSearchCancelled(
-                f"partition search of {model.name} cancelled at node {nodes}"
-            )
         nodes += 1
         start = cuts[-1]
         # Tied subtrees (bound within 1e-12 of the incumbent) stay open so
         # the canonical optimum survives regardless of which tie was the
         # incumbent first.
         if bound >= incumbent_time + 1e-12:
-            # The extra 1e-12 over the shadow bound absorbs the tie slack
-            # the shadow search's own incumbent updates may carry.
-            if bound < shadow_bound + 2e-12 and shadow_extra <= max_nodes:
-                shadow_extra += ctx.subtree_nodes(start, max_nodes + 1) - 1
             return
         max_len = ctx.max_stage_len(start)
         remaining = n_layers - start
@@ -670,8 +551,6 @@ def mip_partition(
                 leaf_bound = stack.push(start, stop)
                 if leaf_bound < incumbent_time + 1e-12:
                     step = stack.step_time()
-                    if step < shadow_bound:
-                        shadow_bound = step
                     boundaries = cuts[1:]
                     if better(step, boundaries):
                         incumbent = list(boundaries)
@@ -699,12 +578,6 @@ def mip_partition(
         optimal=exhausted,
         method="mip",
         warm_started=warm_started,
-        # The shadow search explores at most this search's nodes plus the
-        # full subtrees of its hint-dependent prunes; if that still fits
-        # the budget, it too exhausts — and exhausted searches return the
-        # same canonical optimum.  (The wall-clock ceiling is a safety
-        # net that by contract never binds under the default budgets.)
-        shadow_optimal=exhausted and nodes + shadow_extra <= max_nodes,
     )
 
 

@@ -6,10 +6,8 @@ with the GPU count (M = N).  Expected shapes: throughput scales at least
 linearly with even GPU counts; odd counts dip slightly (uneven root-complex
 contention).
 
-The sweep's GPU counts are independent cells, so they fan out per cell
-through :func:`~repro.experiments.runner.run_systems_parallel` (sharing
-the disk result cache across workers); the table is assembled serially in
-sweep order afterwards.
+The sweep's GPU counts are independent cells; ``repro figures fig14 --jobs N``
+computes them in parallel through the suite's cell scheduler.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro.experiments.runner import (
     ExperimentCell,
     ExperimentTable,
     print_tables,
-    run_systems_parallel,
 )
 from repro.hardware.topology import commodity_server
 from repro.models.zoo import gpt_15b
@@ -42,26 +39,22 @@ def _cell(groups: list[int]) -> ExperimentCell:
 
 
 def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
-    """The GPU-count sweep: N and N+1 share a warm-start hint chain."""
+    """The GPU-count sweep, one cell per GPU count."""
     return tuple(_cell(groups) for _, groups in _sweep(fast))
 
 
-def run(fast: bool = False, jobs: int | None = None) -> ExperimentTable:
+def run(fast: bool = False) -> ExperimentTable:
     """Regenerate Figure 14.
 
     Args:
         fast: Sweep only the even GPU counts (the CI subset).
-        jobs: Per-cell worker processes (``None`` =
-            :func:`~repro.experiments.runner.default_jobs`).
     """
     table = ExperimentTable(
         title="Figure 14: Mobius scalability (15B model, samples/second)",
         columns=("gpus", "groups", "step_s", "throughput", "linear_ref", "speedup_vs_linear"),
     )
     sweep = _sweep(fast)
-    results = run_systems_parallel(
-        [_cell(groups) for _, groups in sweep], jobs=jobs
-    )
+    results = [_cell(groups).run() for _, groups in sweep]
 
     baseline_throughput = None
     for (n, groups), result in zip(sweep, results):

@@ -6,10 +6,8 @@ shapes: the DeepSpeed/Mobius contention gap narrows relative to the
 commodity server, but Mobius still sees less contention (fewer simultaneous
 stage transfers).
 
-The (model, system) grid is embarrassingly parallel, so the cells fan out
-through :func:`~repro.experiments.runner.run_systems_parallel` (sharing
-the disk result cache across workers) and the table is assembled serially
-in grid order.
+The (model, system) grid cells are independent; ``repro figures fig16 --jobs N``
+computes them in parallel through the suite's cell scheduler.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro.experiments.runner import (
     ExperimentCell,
     ExperimentTable,
     print_tables,
-    run_systems_parallel,
 )
 from repro.hardware.topology import datacenter_server
 from repro.models.zoo import gpt_8b, gpt_15b
@@ -54,13 +51,11 @@ def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
     )
 
 
-def run(fast: bool = False, jobs: int | None = None) -> ExperimentTable:
+def run(fast: bool = False) -> ExperimentTable:
     """Regenerate Figure 16's summary statistics.
 
     Args:
         fast: Only the 8B model (the CI subset).
-        jobs: Per-cell worker processes (``None`` =
-            :func:`~repro.experiments.runner.default_jobs`).
     """
     models = _models(fast)
     table = ExperimentTable(
@@ -77,7 +72,7 @@ def run(fast: bool = False, jobs: int | None = None) -> ExperimentTable:
         ExperimentCell(system=system, model=model, topology=topology, microbatch_size=2)
         for model, system in grid
     ]
-    results = run_systems_parallel(cells, jobs=jobs)
+    results = [cell.run() for cell in cells]
     for (model, system), result in zip(grid, results):
         assert result.trace is not None
         table.add_row(

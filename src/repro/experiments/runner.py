@@ -15,7 +15,6 @@ import dataclasses
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.baselines.deepspeed import DeepSpeedConfig, run_deepspeed
 from repro.baselines.gpipe import (
@@ -28,7 +27,7 @@ from repro.core.api import MobiusConfig, run_mobius
 from repro.core.partition import PlanInfeasibleError
 from repro.hardware.topology import Topology
 from repro.models.spec import ModelSpec
-from repro.perf.cache import CacheConfig, configure_cache, get_cache
+from repro.perf.cache import get_cache
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "resolve_jobs",
     "run_cell",
     "run_system",
-    "run_systems_parallel",
     "SYSTEMS",
 ]
 
@@ -227,8 +225,7 @@ class ExperimentCell:
     """One ``run_system`` invocation as a picklable, fingerprintable value.
 
     Doubles as the cache key for :func:`run_system` and as the unit of work
-    for :func:`run_systems_parallel` and the suite-wide cell scheduler
-    (:mod:`repro.experiments.schedule`).
+    for the suite-wide cell scheduler (:mod:`repro.experiments.schedule`).
 
     ``plan_only`` cells (``system == "mobius"`` only) run the planning
     pipeline without the simulation step: they exist so figures that only
@@ -259,13 +256,6 @@ class ExperimentCell:
         return run_cell(self)
 
 
-def _worker_init(config: CacheConfig) -> None:
-    """Adopt the parent's cache configuration in a pool worker."""
-    configure_cache(
-        memory=config.memory, disk=config.disk, directory=config.directory
-    )
-
-
 def default_jobs() -> int:
     """Worker count when the caller did not pass ``jobs`` explicitly.
 
@@ -294,9 +284,9 @@ def resolve_jobs(requested: int | None = None, *, ceiling: int | None = None) ->
 
     An explicit ``requested`` wins verbatim (the operator asked for it);
     otherwise :func:`default_jobs` decides, optionally capped at
-    ``ceiling`` (a pool whose useful parallelism is bounded — e.g. the
-    solver portfolio races exactly two backends — should not claim more
-    of the container than it can use).
+    ``ceiling`` (a pool whose useful parallelism is bounded, such as the
+    serve benchmark's worker sweep, should not claim more of the
+    container than it can use).
     """
     if requested is not None:
         if requested < 1:
@@ -306,63 +296,6 @@ def resolve_jobs(requested: int | None = None, *, ceiling: int | None = None) ->
     if ceiling is not None:
         jobs = min(jobs, ceiling)
     return jobs
-
-
-def run_systems_parallel(
-    cells: Sequence[ExperimentCell], *, jobs: int | None = None
-) -> list[SystemResult]:
-    """Run many experiment cells, fanning out across processes.
-
-    Results come back in ``cells`` order regardless of which worker
-    finished first, and OOM outcomes pass through as ordinary
-    ``status == "oom"`` results exactly as in the serial runner.  Workers
-    inherit the parent's cache configuration, so with the disk tier enabled
-    they share results; either way, every computed result is folded back
-    into the parent's cache so later serial code (and later figures) hits.
-
-    Args:
-        cells: Work items, one per (system, configuration) pair.
-        jobs: Worker processes; ``None`` defers to :func:`default_jobs`
-            (the ``REPRO_JOBS`` environment override, else
-            ``os.cpu_count()``).  With one cell or ``jobs <= 1``
-            everything runs serially in-process.
-    """
-    cells = list(cells)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1 or len(cells) <= 1:
-        return [cell.run() for cell in cells]
-
-    cache = get_cache()
-    # Cells already cached locally need no worker round-trip (nor a fresh
-    # solve in a worker whose memory tier starts empty).
-    results: list[SystemResult | None] = []
-    pending: list[tuple[int, ExperimentCell]] = []
-    for index, cell in enumerate(cells):
-        value, found = cache.lookup("system", cell)
-        if found:
-            results.append(value)
-        else:
-            results.append(None)
-            pending.append((index, cell))
-
-    if pending:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending)),
-            initializer=_worker_init,
-            initargs=(cache.config,),
-        ) as pool:
-            for (index, cell), result in zip(
-                pending, pool.map(_run_cell, [cell for _, cell in pending])
-            ):
-                results[index] = result
-                cache.store("system", cell, result)
-    return [dataclasses.replace(r, extras=dict(r.extras)) for r in results]
-
-
-def _run_cell(cell: ExperimentCell) -> SystemResult:
-    """Pool-worker entry point (module-level so it pickles)."""
-    return cell.run()
 
 
 def print_tables(tables: "ExperimentTable | Sequence[ExperimentTable]") -> None:

@@ -17,26 +17,20 @@ inverts the structure:
 3. **Order** — cells whose plans collapse onto one MIP solve (same
    :func:`~repro.core.api.partition_solve_key`) wait for the first such
    cell, so the solve happens once and the rest hit the ``"partition"``
-   cache; sweep cells sharing a :func:`~repro.core.api.partition_hint_key`
-   are chained by stage rank (GPU count), so the N-GPU solve completes —
-   and publishes its warm-start hint — before the (N+1)-GPU solve starts.
+   cache.
 4. **Drain** — one global :class:`~concurrent.futures.ProcessPoolExecutor`
    runs ready cells as dependencies resolve.  Workers share the disk cache
-   tier, a :class:`~repro.serve.store.DurableStore`-backed partition-hint
-   store (so warm starts cross process boundaries), and a
-   :class:`~repro.perf.cache.LeaseTable` (so two *processes* — a second
-   concurrent suite, a daemon — never solve the same cell concurrently:
-   the loser waits and reads the winner's result).
+   tier and a :class:`~repro.perf.cache.LeaseTable` (so two *processes* —
+   a second concurrent suite, a daemon — never solve the same cell
+   concurrently: the loser waits and reads the winner's result).
 
 Figures then run serially afterwards as pure cache-hit assembly passes.
 
-Determinism: completion order, lease waits and warm-start hits affect only
-*when* work happens, never *what* any cell returns — results are
-content-addressed and warm starts are bit-identical by the solver's
-canonical tie-breaks.  :func:`cell_result_fingerprint` pins exactly the
+Determinism: completion order and lease waits affect only *when* work
+happens, never *what* any cell returns — a cell's result is a function of
+the cell alone.  :func:`cell_result_fingerprint` pins exactly the
 deterministic face of a result (status, simulated step time, trace digest,
-execution plan), excluding wall-clock metadata like ``solve_seconds`` and
-hint-dependent metadata like ``nodes_explored``.
+execution plan), excluding wall-clock metadata like ``solve_seconds``.
 """
 
 from __future__ import annotations
@@ -50,7 +44,7 @@ from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 
-from repro.core.api import MobiusConfig, partition_hint_key, partition_solve_key
+from repro.core.api import MobiusConfig, partition_solve_key
 from repro.experiments.runner import ExperimentCell, SystemResult, run_cell
 from repro.perf.cache import (
     CACHE_VERSION,
@@ -75,8 +69,6 @@ __all__ = [
 
 #: Subdirectory of the versioned cache directory holding lease files.
 LEASE_DIRNAME = "leases"
-#: Durable warm-start hint store shared by every drain process.
-HINT_DB_FILENAME = "hints.sqlite"
 
 
 def figure_cells(name: str, *, fast: bool = False) -> tuple[ExperimentCell, ...]:
@@ -116,12 +108,11 @@ class CellNode:
     dependents: list[int] = dataclasses.field(default_factory=list)
 
 
-def _plan_signature(cell: ExperimentCell) -> tuple[tuple, str, int] | None:
-    """``(hint_key, solve_digest, stage_rank)`` for MIP-planned mobius cells.
+def _solve_digest(cell: ExperimentCell) -> str | None:
+    """Digest of the MIP partition solve a mobius cell will run.
 
-    ``None`` for baseline-system cells and non-MIP ablations: they take no
-    warm-start hints and share no partition solves, so they carry no
-    ordering constraints.
+    ``None`` for baseline-system cells and non-MIP ablations: they share
+    no partition solves, so they carry no ordering constraints.
     """
     if cell.system != "mobius":
         return None
@@ -137,21 +128,16 @@ def _plan_signature(cell: ExperimentCell) -> tuple[tuple, str, int] | None:
         )
     if config.partition_method != "mip":
         return None
-    hint_key = partition_hint_key(cell.model, cell.topology, config)
-    if hint_key is None:  # pragma: no cover - mip always has a hint key
-        return None
-    solve_digest = fingerprint(partition_solve_key(cell.model, cell.topology, config))
-    return hint_key, solve_digest, cell.topology.n_gpus
+    return fingerprint(partition_solve_key(cell.model, cell.topology, config))
 
 
 @dataclasses.dataclass
 class Schedule:
-    """The deduplicated, warm-start-ordered cell graph."""
+    """The deduplicated, solve-ordered cell graph."""
 
     nodes: list[CellNode]
     cells_enumerated: int
     ordering_edges: int
-    warm_chains: int
 
     @property
     def cells_unique(self) -> int:
@@ -163,7 +149,7 @@ class Schedule:
 
 
 def build_schedule(pairs: Sequence[tuple[str, ExperimentCell]]) -> Schedule:
-    """Dedup cells by memo digest and add solve-share + warm-start edges."""
+    """Dedup cells by memo digest and add solve-share edges."""
     nodes: list[CellNode] = []
     by_digest: dict[str, CellNode] = {}
     for figure, cell in pairs:
@@ -186,31 +172,10 @@ def build_schedule(pairs: Sequence[tuple[str, ExperimentCell]]) -> Schedule:
     # the first enumerated cell computes it, the rest wait and hit the
     # "partition" cache (zero duplicate solves by construction).
     solve_groups: dict[str, CellNode] = {}
-    # Sweep cells feeding each other warm-start hints, keyed by hint key,
-    # then bucketed by stage rank (GPU count).
-    hint_groups: dict[tuple, dict[int, list[CellNode]]] = {}
     for node in nodes:
-        signature = _plan_signature(node.cell)
-        if signature is None:
-            continue
-        hint_key, solve_digest, rank = signature
-        leader = solve_groups.setdefault(solve_digest, node)
-        add_edge(leader, node)
-        hint_groups.setdefault(hint_key, {}).setdefault(rank, []).append(node)
-
-    # Order stage-count N before N+1 within each hint chain: every cell of
-    # the next rank waits for the previous rank's representative, whose
-    # completion publishes the warm-start hint the next solves consume.
-    warm_chains = 0
-    for ranks in hint_groups.values():
-        if len(ranks) < 2:
-            continue
-        warm_chains += 1
-        ordered = sorted(ranks)
-        for previous, current in zip(ordered, ordered[1:]):
-            representative = ranks[previous][0]
-            for node in ranks[current]:
-                add_edge(representative, node)
+        solve_digest = _solve_digest(node.cell)
+        if solve_digest is not None:
+            add_edge(solve_groups.setdefault(solve_digest, node), node)
 
     for before, after in sorted(edges):
         nodes[after].deps.add(before)
@@ -219,7 +184,6 @@ def build_schedule(pairs: Sequence[tuple[str, ExperimentCell]]) -> Schedule:
         nodes=nodes,
         cells_enumerated=len(pairs),
         ordering_edges=len(edges),
-        warm_chains=warm_chains,
     )
 
 
@@ -228,9 +192,7 @@ def cell_result_fingerprint(result: SystemResult) -> str:
 
     Includes the simulated step time, the trace's columnar digest and the
     execution plan; excludes wall-clock metadata (``solve_seconds``,
-    ``profiling_seconds``) and hint-dependent search metadata
-    (``nodes_explored``, ``warm_started``) — a warm-started solve must
-    fingerprint identically to the cold solve it is bit-identical to.
+    ``profiling_seconds``) and search metadata (``nodes_explored``).
     """
     plan_report = result.extras.get("plan_report")
     return fingerprint(
@@ -258,7 +220,6 @@ class ScheduleReport:
     cells_coalesced: int  # lease lost to another process; read its result
     duplicate_solves: int  # drain-wide "system" misses beyond cells_computed
     ordering_edges: int
-    warm_chains: int
     worker_cache: dict  # per-namespace stats summed over drain processes
     cells_fingerprint: str
 
@@ -266,14 +227,9 @@ class ScheduleReport:
         return dataclasses.asdict(self)
 
 
-def _worker_init(config: CacheConfig, hint_db: str | None) -> None:
-    """Pool entry: adopt the parent cache config and the shared hint store."""
+def _worker_init(config: CacheConfig) -> None:
+    """Pool entry: adopt the parent cache config."""
     configure_cache(memory=config.memory, disk=config.disk, directory=config.directory)
-    if hint_db is not None:
-        from repro.core.api import set_partition_hint_store
-        from repro.serve.store import DurableStore
-
-        set_partition_hint_store(DurableStore(hint_db))
 
 
 def _cell_worker(
@@ -350,19 +306,17 @@ def drain(
 
     Uses the process-global cache as configured by the caller (the suite
     wraps this in ``cache_overridden``).  When the disk tier is enabled,
-    drain processes additionally share a lease table and a durable
-    warm-start hint store under the versioned cache directory.
+    drain processes additionally share a lease table under the versioned
+    cache directory.
     """
     schedule = build_schedule(pairs)
     cache = get_cache()
 
     lease_dir: str | None = None
-    hint_db: str | None = None
     if cache.config.disk:
         base = Path(cache.config.directory) / f"v{CACHE_VERSION}"
         base.mkdir(parents=True, exist_ok=True)
         lease_dir = str(base / LEASE_DIRNAME)
-        hint_db = str(base / HINT_DB_FILENAME)
 
     counters = {"computed": 0, "shared": 0, "coalesced": 0}
     stats_deltas: list[dict] = []
@@ -410,15 +364,6 @@ def drain(
     ready = resolved
     pending_total += len(waiting)
 
-    parent_hint_previous = None
-    parent_hint_store = None
-    if hint_db is not None and pending_total:
-        from repro.core.api import set_partition_hint_store
-        from repro.serve.store import DurableStore
-
-        parent_hint_store = DurableStore(hint_db)
-        parent_hint_previous = set_partition_hint_store(parent_hint_store)
-
     try:
         if pending_total:
             if jobs <= 1:
@@ -437,17 +382,14 @@ def drain(
                         stats_deltas.append(delta)
                     complete(node)
             else:
-                # Spawn, not fork: a forked worker would inherit the
-                # parent's in-memory warm-start registry, silently turning
-                # "cross-process hints flow through the durable store" into
-                # "hints leak through fork".  Spawned workers start with an
-                # empty registry, so the hint store is the only channel —
-                # exactly what the cross-process tests assert.
+                # Spawn, not fork: a forked child of a threaded parent can
+                # inherit locks held mid-operation; a spawned worker starts
+                # clean and takes only the cache config from the parent.
                 with ProcessPoolExecutor(
                     max_workers=min(jobs, pending_total),
                     mp_context=multiprocessing.get_context("spawn"),
                     initializer=_worker_init,
-                    initargs=(cache.config, hint_db),
+                    initargs=(cache.config,),
                 ) as pool:
                     in_flight: dict = {}
 
@@ -475,11 +417,6 @@ def drain(
                             complete(node)
                         submit_ready()
     finally:
-        if parent_hint_store is not None:
-            from repro.core.api import set_partition_hint_store
-
-            set_partition_hint_store(parent_hint_previous)
-            parent_hint_store.close()
         if lease_dir is not None:
             # Crash hygiene: any lease this *drain* leaked is stale now.
             # Live leases of other processes are left alone (their PIDs
@@ -509,7 +446,6 @@ def drain(
         cells_coalesced=counters["coalesced"],
         duplicate_solves=max(0, drain_system_misses - counters["computed"]),
         ordering_edges=schedule.ordering_edges,
-        warm_chains=schedule.warm_chains,
         worker_cache=worker_cache,
         cells_fingerprint=cells_fingerprint,
     )

@@ -7,9 +7,8 @@ any subset of :data:`repro.experiments.ALL_EXPERIMENTS` in two passes:
 1. **Schedule** — every module's ``cells()`` enumeration flattens into one
    suite-wide work graph (:mod:`repro.experiments.schedule`): duplicate
    cells collapse to a single compute, cells sharing a MIP solve queue
-   behind it, sweep cells run in warm-start order, and the whole graph
-   drains through one global process pool (``jobs`` workers) sharing the
-   disk cache, a durable warm-start hint store and a cross-process lease
+   behind it, and the whole graph drains through one global process pool
+   (``jobs`` workers) sharing the disk cache and a cross-process lease
    table.
 2. **Assemble** — the figure modules then run serially in-process; every
    ``run_system`` call they make is a cache hit, so assembly is cheap and
@@ -178,7 +177,7 @@ class SuiteReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema": "mobius-bench-suite/2",
+            "schema": "mobius-bench-suite/3",
             # Full-float precision: rounding to a few decimals can collapse a
             # sub-millisecond warm-cache pass to 0.0, breaking downstream
             # speedup ratios that divide by this value.
@@ -322,8 +321,8 @@ def check_identity(
     * **solo drain** — every cell is re-solved serially in a scratch cache;
       its ``cells_fingerprint`` (deterministic result faces) must equal the
       pool drain's.  This is the cross-process determinism claim: worker
-      count, completion order, lease waits and warm-start hits never change
-      what a cell returns.
+      count, completion order and lease waits never change what a cell
+      returns.
     * **replay assembly** — the figures are re-assembled at ``jobs=1`` over
       the same warm cache as ``report``; the output text must be
       byte-identical.  (Byte-identity *across* caches is deliberately not

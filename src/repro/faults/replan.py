@@ -9,15 +9,9 @@ time-to-recover:
 * ``replan_seconds`` — the planner's search budget.  The MIP runs under a
   deterministic node budget with a wall-clock safety ceiling, so the
   configured budget (not the realized solve time) is the deterministic
-  model of re-planning latency.  The re-solve warm-starts from the
-  pre-fault partition (see :mod:`repro.solver.warmstart`), which shrinks
-  the realized search well below the budget.  With
-  ``config.solver_mode == "portfolio"`` the re-solve flows through the
-  racing portfolio (:mod:`repro.solver.portfolio`) for lower realized
-  latency — the *charged* time-to-recover is unchanged, because it is a
-  function of the budget and ``solver_nodes``, never of wall-clock
-  (MOB002): a faster backend changes when the answer arrives, not what
-  recovery costs in the deterministic model.
+  model of re-planning latency.  The re-solve is an ordinary
+  :func:`~repro.core.api.plan_mobius` call on the survivors, so the
+  recovery plan is the one a fresh process would compute for them.
 * ``migration_seconds`` — restoring the dropped GPU's stage state from the
   DRAM checkpoint.  Mobius keeps parameters in DRAM by design, so only the
   dead GPU's working set (the FP16 parameters of its stages) must be
@@ -134,24 +128,8 @@ class ReplanResult:
 
     @property
     def solver_nodes(self) -> int:
-        """Branch & bound nodes the re-plan's partition solve explored.
-
-        With a warm start from the pre-fault plan this is typically far
-        below a cold solve — the recovery-latency headline of the
-        incremental re-solve path."""
+        """Branch & bound nodes the re-plan's partition solve explored."""
         return self.plan_report.partition_result.nodes_explored
-
-    @property
-    def warm_started(self) -> bool:
-        """Whether the re-plan's partition solve was seeded by a previous
-        solution (see ``repro.solver.warmstart.WarmStartContext``)."""
-        return getattr(self.plan_report.partition_result, "warm_started", False)
-
-    @property
-    def solver_backend(self) -> str:
-        """Which portfolio backend answered the re-plan (``"bnb"`` unless
-        ``config.solver_mode == "portfolio"`` let HiGHS win the race)."""
-        return getattr(self.plan_report.partition_result, "solver_backend", "bnb")
 
 
 def replan_after_dropout(

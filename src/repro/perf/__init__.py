@@ -14,9 +14,8 @@ each cell once:
 
 :func:`repro.core.api.plan_mobius` and
 :func:`repro.experiments.runner.run_system` consult the global cache
-transparently; :func:`repro.experiments.runner.run_systems_parallel` and
-:mod:`repro.experiments.suite` fan work out across processes that share the
-on-disk tier.
+transparently; :mod:`repro.experiments.schedule` fans the suite's cells out
+across processes that share the on-disk tier.
 """
 
 from repro.perf.cache import (

@@ -58,7 +58,10 @@ __all__ = [
 #: v3: Trace moved to columnar span storage — its pickle payload is now
 #: exported column arrays, so v2 entries (list-of-spans layout) cannot be
 #: loaded into the new class.
-CACHE_VERSION = 3
+#: v4: PartitionResult and MobiusConfig lost their racing-portfolio
+#: fields, so v3 pickles of either no longer match the classes they
+#: unpickle into.
+CACHE_VERSION = 4
 
 DEFAULT_CACHE_DIR = ".mobius_cache"
 

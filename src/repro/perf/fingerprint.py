@@ -13,7 +13,10 @@ Supported values: ``None``, ``bool``, ``int``, ``float`` (hex encoding, so
 ``nan``/``inf`` and signed zeros are distinguished exactly), ``str``,
 ``bytes``, ``Enum``, sequences, sets (element-order independent), mappings
 (key-order independent), dataclasses (tagged with their qualified class
-name), and numpy scalars/arrays.  Arbitrary objects can opt in by defining
+name), and numpy scalars/arrays.  A dataclass may list removed fields with
+the one value they always held in ``__mobius_retired_fields__``; they are
+encoded after the live fields, so removing a constant field keeps every
+digest.  Arbitrary objects can opt in by defining
 ``__mobius_fingerprint__()`` returning any supported value — see
 :class:`repro.hardware.topology.Topology`.  Everything else raises
 ``TypeError`` rather than silently producing an unstable key.
@@ -73,6 +76,9 @@ def _encode(out: bytearray, value) -> None:
         for field in dataclasses.fields(value):
             _tag(out, b"k", field.name.encode("utf-8"))
             _encode(out, getattr(value, field.name))
+        for name, retired in getattr(value, "__mobius_retired_fields__", ()):
+            _tag(out, b"k", name.encode("utf-8"))
+            _encode(out, retired)
         _tag(out, b"d")
     elif isinstance(value, (tuple, list)):
         _tag(out, b"(" if isinstance(value, tuple) else b"[")

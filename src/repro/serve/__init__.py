@@ -1,7 +1,7 @@
 """Planner-as-a-service: the crash-safe ``repro serve`` daemon.
 
 Admission control, request coalescing, deterministic deadlines,
-supervised solver workers and a durable warm-start/result store — see
+supervised solver workers and a durable result store — see
 DESIGN.md §14 for the architecture.
 """
 

@@ -146,17 +146,12 @@ class PlanService:
         )
 
         self.store: DurableStore | None = None
-        self._previous_hint_store = None
         if self.config.store_path is not None:
             self.store = DurableStore(Path(self.config.store_path))
-            # The daemon's global cache gains the durable third tier, and
-            # the warm-start registry gains its durable fallback, so a
+            # The daemon's global cache gains the durable third tier, so a
             # restarted daemon resumes from every plan its predecessors
             # (and their workers) persisted.
             get_cache().attach_backend(self.store)
-            from repro.core.api import set_partition_hint_store
-
-            self._previous_hint_store = set_partition_hint_store(self.store)
 
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
@@ -265,9 +260,6 @@ class PlanService:
         self.supervisor.close()
         if self.store is not None:
             get_cache().detach_backend()
-            from repro.core.api import set_partition_hint_store
-
-            set_partition_hint_store(self._previous_hint_store)
             self.store.close()
 
     def __enter__(self) -> "PlanService":

@@ -5,10 +5,8 @@ accumulates, keyed by ``(namespace, digest)``:
 
 * ``cache/<ns>`` — write-through mirror of :class:`repro.perf.cache.
   ResultCache` entries (``plan``, ``partition``, ...), attached via
-  ``ResultCache.attach_backend``;
-* ``hint`` — the ``_PARTITION_HINTS`` warm-start registry, installed via
-  :func:`repro.core.api.set_partition_hint_store` so a restarted daemon
-  (and every fresh worker process) inherits N±1 solver bases;
+  ``ResultCache.attach_backend``, so a restarted daemon (and every
+  fresh worker process) inherits every plan its predecessors computed;
 * ``lkg`` — last-known-good plans served when a deadline is missed.
 
 Durability model (the store must survive anything the chaos harness
@@ -18,8 +16,7 @@ throws at the daemon):
   leaves the previous state intact, and concurrent worker processes are
   serialized by sqlite's own locking (``busy_timeout``);
 * **bounded busy retries** — ``SQLITE_BUSY``/``SQLITE_LOCKED`` from a
-  concurrent writer (fleet warm-start sharing: N workers and the daemon
-  share one WAL file) is *contention, not corruption*: the operation is
+  concurrent writer (N workers and the daemon share one WAL file) is *contention, not corruption*: the operation is
   retried ``busy_retries`` times with a paced sleep and then degrades to
   a miss/no-op, leaving the healthy database file untouched — only
   genuine database errors trigger whole-file recovery;
@@ -47,7 +44,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.perf.fingerprint import fingerprint
 
 __all__ = ["DurableStore"]
 
@@ -304,17 +300,6 @@ class DurableStore:
 
     def store(self, namespace: str, digest: str, value) -> None:
         self.put(f"cache/{namespace}", digest, value)
-
-    # ------------------------------------------------------------------
-    # Warm-start hint protocol (core.api.set_partition_hint_store)
-    # ------------------------------------------------------------------
-
-    def get_hint(self, hint_key: tuple):
-        value, found = self.get("hint", fingerprint(hint_key))
-        return value if found else None
-
-    def put_hint(self, hint_key: tuple, hint) -> None:
-        self.put("hint", fingerprint(hint_key), hint)
 
     # ------------------------------------------------------------------
     # Introspection

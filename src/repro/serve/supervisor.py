@@ -24,8 +24,8 @@ Two worker implementations share one duck-type
 serve`` without process isolation) and :class:`ProcessWorker` runs
 :func:`_process_worker_main` in a child process over a pipe.  Workers
 attach the daemon's :class:`~repro.serve.store.DurableStore` before
-solving, so a freshly restarted worker inherits warm-start hints and
-cached results from every worker that died before it.
+solving, so a freshly restarted worker inherits the cached results of
+every worker that died before it.
 
 ``sabotage`` is the chaos seam: the harness installs a deterministic
 ``Supervisor.sabotage_hook`` deciding per (solve_key, attempt) whether a
@@ -156,15 +156,12 @@ def _process_worker_main(conn, store_path: str | None) -> None:
 
     Runs in a fresh interpreter (spawn start method): attaching the store
     here is what gives a brand-new worker the previous generation's
-    warm-start hints and cached plans.
+    cached plans.
     """
     store = None
     if store_path is not None:
         store = DurableStore(store_path)
         get_cache().attach_backend(store)
-        from repro.core.api import set_partition_hint_store
-
-        set_partition_hint_store(store)
     try:
         while True:
             try:

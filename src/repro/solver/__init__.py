@@ -18,13 +18,6 @@ from repro.solver.model import (
     StandardForm,
     Variable,
 )
-from repro.solver.portfolio import (
-    BACKEND_RANK,
-    InlineRaceExecutor,
-    RaceTask,
-    race_partition,
-    shutdown_portfolio_pool,
-)
 from repro.solver.presolve import (
     PresolveResult,
     postsolve,
@@ -43,20 +36,17 @@ from repro.solver.simplex import (
 from repro.solver.warmstart import WarmStartContext
 
 __all__ = [
-    "BACKEND_RANK",
     "Basis",
     "BranchAndBoundSolver",
     "Constraint",
     "ConstraintSense",
     "LPSolution",
     "LPStatus",
-    "InlineRaceExecutor",
     "LinearExpr",
     "LinearProgram",
     "MIPSolution",
     "MIPStatus",
     "PresolveResult",
-    "RaceTask",
     "RevisedSimplex",
     "SimplexError",
     "StandardForm",
@@ -68,9 +58,7 @@ __all__ = [
     "postsolve",
     "presolve",
     "propagate_bounds",
-    "race_partition",
     "round_and_repair",
-    "shutdown_portfolio_pool",
     "solve_lp_scipy",
     "solve_milp_scipy",
     "solve_standard_form",

@@ -13,19 +13,13 @@ corpus (:mod:`repro.check.corpus`) and emits ``BENCH_solver.json``:
 * **partition searches** — the production partitioner
   (:func:`repro.core.partition.mip_partition`) per cell, cold and
   warm-started from the previous cell's result, with node counts and the
-  boundary fingerprint;
-* **portfolio races** — each cell solved solo, per racing backend
-  (:func:`repro.solver.portfolio._solve_bnb` / ``_solve_highs``), and
-  through the real :func:`repro.solver.portfolio.race_partition` pool;
-  the row records which backend won and that every path returned the
-  solo boundaries (``parity``).
+  boundary fingerprint.
 
 Node counts, statuses, objectives, and fingerprints are deterministic
-(budget-bound, clock-free searches); wall times — including the
-per-backend race latencies — are informational only.  The CI gate
-(:func:`compare_benchmarks`) fails on a parity regression, a portfolio
-divergence, or a >25% node-count regression against the committed
-baseline, ignoring wall time and race winners (both hardware-dependent).
+(budget-bound, clock-free searches); wall times are informational only.
+The CI gate (:func:`compare_benchmarks`) fails on a parity regression or
+a >25% node-count regression against the committed baseline, ignoring
+wall time (hardware-dependent).
 """
 
 from __future__ import annotations
@@ -197,98 +191,10 @@ def _run_partition_rows() -> list[dict[str, Any]]:
     return rows
 
 
-def _run_portfolio_rows() -> list[dict[str, Any]]:
-    """Race every corpus cell; winners and walls are reporting-only.
-
-    The perf-counter reads here are why this function is on the MOB002
-    clock allowlist: they time finished solves for the report, they never
-    steer a result.  Parity is the gated column — the raced plan and both
-    backends' direct solves must return the solo boundaries bit-identically.
-    """
-    from repro.experiments.runner import resolve_jobs
-    from repro.solver.portfolio import (
-        BACKEND_RANK,
-        DEFAULT_MAX_NODES,
-        RaceTask,
-        _solve_bnb,
-        _solve_highs,
-        race_partition,
-        shutdown_portfolio_pool,
-    )
-
-    jobs = resolve_jobs(ceiling=len(BACKEND_RANK))
-    rows = []
-    try:
-        for cell in default_corpus():
-            topology = cell.topology
-            microbatch = (
-                cell.config.microbatch_size or cell.model.default_microbatch_size
-            )
-            cost_model = CostModel(topology.gpu_spec, microbatch)
-            n_gpus = topology.n_gpus
-            n_microbatches = cell.config.n_microbatches or n_gpus
-            bandwidth = cell.config.bandwidth or topology.pcie_bandwidth
-            solo = mip_partition(
-                cell.model, cost_model, n_gpus, n_microbatches, bandwidth
-            )
-            task = RaceTask(
-                model=cell.model,
-                gpu_spec=topology.gpu_spec,
-                microbatch_size=microbatch,
-                recompute=cost_model.recompute,
-                precision=cost_model.precision,
-                n_gpus=n_gpus,
-                n_microbatches=n_microbatches,
-                bandwidth=bandwidth,
-                gpu_memory=cost_model.usable_gpu_bytes(),
-                time_limit=10.0,
-                max_nodes=DEFAULT_MAX_NODES,
-                warm_boundaries=None,
-            )
-            started = time.perf_counter()
-            bnb = _solve_bnb(task)
-            bnb_wall = time.perf_counter() - started
-            started = time.perf_counter()
-            highs = _solve_highs(task)
-            highs_wall = time.perf_counter() - started
-            started = time.perf_counter()
-            raced = race_partition(
-                cell.model, cost_model, n_gpus, n_microbatches, bandwidth,
-                jobs=jobs,
-            )
-            race_wall = time.perf_counter() - started
-            reference = solo.partition.boundaries
-            rows.append(
-                {
-                    "name": cell.name,
-                    "boundaries": list(raced.partition.boundaries),
-                    "parity": (
-                        raced.partition.boundaries == reference
-                        and bnb.partition.boundaries == reference
-                        and highs.partition.boundaries == reference
-                    ),
-                    "winner": raced.solver_backend,
-                    "raced": jobs >= 2,
-                    "highs_verified": highs.optimal,
-                    "highs_certified": highs.shadow_optimal,
-                    "bnb_wall_seconds": round(bnb_wall, 4),
-                    "highs_wall_seconds": round(highs_wall, 4),
-                    "race_wall_seconds": round(race_wall, 4),
-                }
-            )
-    finally:
-        shutdown_portfolio_pool()
-    return rows
-
-
 def run_bench() -> dict[str, Any]:
     """Run the full solver benchmark; returns the JSON document."""
     mip_rows = _run_mip_rows()
     partition_rows = _run_partition_rows()
-    portfolio_rows = _run_portfolio_rows()
-    wins: dict[str, int] = {}
-    for row in portfolio_rows:
-        wins[row["winner"]] = wins.get(row["winner"], 0) + 1
     suite_after = None
     bench_suite = Path("BENCH_suite.json")
     if bench_suite.is_file():
@@ -310,8 +216,6 @@ def run_bench() -> dict[str, Any]:
         },
         "mip": [dataclasses.asdict(row) for row in mip_rows],
         "partition": partition_rows,
-        "portfolio": portfolio_rows,
-        "portfolio_wins": dict(sorted(wins.items())),
     }
 
 
@@ -333,18 +237,11 @@ def compare_benchmarks(
       regression);
     * an instance's ``nodes`` grew beyond ``NODE_REGRESSION_RATIO`` times
       the baseline (node-count regression);
-    * a warm-started re-solve stopped returning the cold solution;
-    * a portfolio race returned anything but the solo B&B boundaries —
-      gated unconditionally (not merely as a regression): bit-identity is
-      the portfolio's contract, so one diverging row fails the gate even
-      on a fresh baseline;
-    * a corpus cell whose HiGHS verification exhausted but lost its
-      shadow certificate (``highs_certified``) — uncertified wins are
-      ineligible, so such a cell silently stops racing.
+    * a warm-started re-solve stopped returning the cold solution.
 
     Instances present only on one side are reported as failures too — the
-    corpus is part of the contract.  Wall times and race winners are
-    never compared: both depend on the hardware the bench ran on.
+    corpus is part of the contract.  Wall times are never compared: they
+    depend on the hardware the bench ran on.
     """
     failures: list[str] = []
     for section in ("mip", "partition"):
@@ -375,20 +272,4 @@ def compare_benchmarks(
                     f"{base_nodes} -> {cur_nodes} "
                     f"(>{NODE_REGRESSION_RATIO:.2f}x)"
                 )
-    base_rows = {row["name"] for row in baseline.get("portfolio", [])}
-    cur_rows = {row["name"]: row for row in current.get("portfolio", [])}
-    for name in sorted(base_rows - cur_rows.keys()):
-        failures.append(f"portfolio:{name}: instance missing from current run")
-    for name, row in sorted(cur_rows.items()):
-        if not row.get("parity", True):
-            failures.append(
-                f"portfolio:{name}: raced result diverged from solo B&B "
-                f"(winner={row.get('winner')}, boundaries={row.get('boundaries')})"
-            )
-        if row.get("highs_verified", True) and not row.get("highs_certified", True):
-            failures.append(
-                f"portfolio:{name}: highs verification exhausted without the "
-                "shadow certificate (hint-dependent exhaustion: highs can "
-                "never win this cell)"
-            )
     return failures

@@ -144,7 +144,7 @@ class TestSelfCheck:
         assert "repro.core.api.run_mobius" in graph.callees(
             "repro.experiments.runner._run_system_uncached"
         )
-        assert "repro.core.api._put_partition_hint" in graph.callees(
+        assert "repro.core.api.partition_solve_key" in graph.callees(
             "repro.core.api._plan_mobius_uncached"
         )
         assert "repro.sim.tasks._next_task_uid" in graph.callees(

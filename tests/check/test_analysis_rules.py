@@ -240,7 +240,7 @@ class TestMob006:
 class TestMob007:
     def test_global_write_from_worker_frontier_is_flagged(self):
         report = _analyze(
-            src__repro__experiments__runner="""
+            src__repro__experiments__schedule="""
             from repro.perf.cache import configure
 
             def _worker_init(config):
@@ -265,7 +265,7 @@ class TestMob007:
         )
         report = _analyze(
             config,
-            src__repro__experiments__runner="""
+            src__repro__experiments__schedule="""
             from repro.perf.cache import configure
 
             def _worker_init(config):
@@ -292,10 +292,10 @@ class TestMob007:
                 def __post_init__(self):
                     self.uid = next(_uids)
             """,
-            src__repro__experiments__runner="""
+            src__repro__experiments__schedule="""
             from repro.sim.tasks import Task
 
-            def _run_cell(cell):
+            def _cell_worker(task):
                 return Task()
             """,
         )
@@ -305,12 +305,12 @@ class TestMob007:
 
     def test_registry_touching_function_joins_the_frontier(self):
         report = _analyze(
-            AnalysisConfig(race_registries=("repro.core.api._PARTITION_HINTS",)),
+            AnalysisConfig(race_registries=("repro.core.api._REGISTRY",)),
             src__repro__core__api="""
-            _PARTITION_HINTS = {}
+            _REGISTRY = {}
 
             def plan(key, value):
-                _PARTITION_HINTS[key] = value
+                _REGISTRY[key] = value
             """,
         )
         mob007 = [f for f in report if f.code == "MOB007"]
@@ -329,7 +329,7 @@ class TestMob007:
                 _cache = {}
                 _cache["x"] = 1
             """,
-            src__repro__experiments__runner="""
+            src__repro__experiments__schedule="""
             from repro.perf.cache import lookup, local_shadow
 
             def _worker_init(config):

@@ -1,40 +1,8 @@
-"""Parallel experiment runner: determinism and OOM passthrough."""
-
-import math
+"""Worker-count resolution: ``REPRO_JOBS`` and the detected CPU count."""
 
 import pytest
 
-from repro.experiments.runner import (
-    ExperimentCell,
-    default_jobs,
-    run_system,
-    run_systems_parallel,
-)
-from repro.hardware.topology import topo_2_2
-from repro.models.zoo import gpt_8b
-from repro.perf.cache import cache_overridden
-
-
-def _comparable(result):
-    """The deterministic face of a SystemResult (drops wall-clock extras)."""
-    return (
-        result.system,
-        result.status,
-        result.step_seconds if not math.isnan(result.step_seconds) else "nan",
-        tuple(result.trace.compute) if result.trace is not None else None,
-        tuple(result.trace.transfers) if result.trace is not None else None,
-    )
-
-
-@pytest.fixture
-def cells(tiny_model):
-    topology = topo_2_2()
-    return [
-        ExperimentCell("mobius", tiny_model, topology, microbatch_size=1),
-        ExperimentCell("gpipe", gpt_8b(), topology, microbatch_size=1),  # OOM
-        ExperimentCell("gpipe", tiny_model, topology, microbatch_size=1),
-        ExperimentCell("deepspeed", tiny_model, topology, microbatch_size=1),
-    ]
+from repro.experiments.runner import default_jobs
 
 
 class TestDefaultJobs:
@@ -60,80 +28,3 @@ class TestDefaultJobs:
         monkeypatch.setenv("REPRO_JOBS", bad)
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             default_jobs()
-
-    def test_run_systems_parallel_defers_to_env(self, monkeypatch, tiny_model):
-        """jobs=None must consult default_jobs(); REPRO_JOBS=1 keeps the
-        run serial in-process (no pool), which we observe via a poisoned
-        ProcessPoolExecutor.
-        """
-        import repro.experiments.runner as runner_module
-
-        monkeypatch.setenv("REPRO_JOBS", "1")
-
-        def boom(*args, **kwargs):  # pragma: no cover - would fail the test
-            raise AssertionError("pool should not be created with REPRO_JOBS=1")
-
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", boom)
-        cells = [
-            ExperimentCell("gpipe", tiny_model, topo_2_2(), microbatch_size=1),
-            ExperimentCell("deepspeed", tiny_model, topo_2_2(), microbatch_size=1),
-        ]
-        with cache_overridden(memory=True, disk=False):
-            results = run_systems_parallel(cells)
-        assert [r.status for r in results] == ["ok", "ok"]
-
-
-class TestRunSystemsParallel:
-    def test_order_and_values_match_serial(self, cells, tmp_path):
-        with cache_overridden(memory=False, disk=False):
-            serial = [cell.run() for cell in cells]
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            parallel = run_systems_parallel(cells, jobs=2)
-        assert [_comparable(r) for r in parallel] == [_comparable(r) for r in serial]
-
-    def test_oom_cells_pass_through(self, cells, tmp_path):
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            results = run_systems_parallel(cells, jobs=2)
-        assert results[1].status == "oom"
-        assert not results[1].ok and results[1].trace is None
-
-    def test_serial_fallback_matches(self, cells):
-        with cache_overridden(memory=True, disk=False):
-            via_jobs1 = run_systems_parallel(cells, jobs=1)
-            serial = [cell.run() for cell in cells]
-        assert [_comparable(r) for r in via_jobs1] == [_comparable(r) for r in serial]
-
-    def test_results_seed_parent_cache(self, cells, tmp_path):
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)) as cache:
-            run_systems_parallel(cells, jobs=2)
-            cache.reset_stats()
-            rerun = cells[0].run()
-            assert cache.stats["system"].memory_hits == 1
-            assert rerun.status == "ok"
-
-    def test_warm_cache_skips_worker_roundtrip(self, cells, tmp_path):
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            first = run_systems_parallel(cells, jobs=2)
-            second = run_systems_parallel(cells, jobs=2)  # all hits, no pool needed
-        assert [_comparable(r) for r in first] == [_comparable(r) for r in second]
-
-    def test_identical_tables_from_serial_cached_and_parallel(self, cells, tmp_path):
-        """The acceptance check: identical numbers whichever way cells run."""
-        from repro.experiments.runner import ExperimentTable
-
-        def build_table(results):
-            table = ExperimentTable("determinism", ("system", "step_s", "traffic"))
-            for result in results:
-                table.add_row(
-                    result.system,
-                    result.step_seconds,
-                    result.trace.total_transfer_bytes() if result.trace else None,
-                )
-            return table.format()
-
-        with cache_overridden(memory=False, disk=False):
-            cold = build_table([cell.run() for cell in cells])
-        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
-            warm_parallel = build_table(run_systems_parallel(cells, jobs=2))
-            warm_cached = build_table([cell.run() for cell in cells])
-        assert cold == warm_parallel == warm_cached

@@ -50,7 +50,7 @@ class TestRunSuite:
         assert report.figures[0].seconds >= 0
 
         document = json.loads(bench.read_text())
-        assert document["schema"] == "mobius-bench-suite/2"
+        assert document["schema"] == "mobius-bench-suite/3"
         assert document["cache"]["version"] == CACHE_VERSION
         assert document["figures"][0]["name"] == "table1_gpus"
         assert document["total_seconds"] > 0
@@ -186,7 +186,7 @@ class TestWriteBenchGuard:
         path = tmp_path / "bench.json"
         path.write_text("{not json")
         write_bench(report, str(path))
-        assert json.loads(path.read_text())["schema"] == "mobius-bench-suite/2"
+        assert json.loads(path.read_text())["schema"] == "mobius-bench-suite/3"
 
 
 class TestCheckSuiteDocument:

@@ -67,15 +67,18 @@ class TestSensitivity:
             "prefetch": False,
             "use_priorities": False,
             "bandwidth": 9.9e9,
-            # The structural hash sees solver_mode like any field; cache
-            # keys normalize it to "solo" *before* fingerprinting
-            # (plan_mobius, PlanRequest.memo_key), not in here.
-            "solver_mode": "portfolio",
         }
         assert set(changed) == {f.name for f in dataclasses.fields(base)}
         for field, value in changed.items():
             mutated = dataclasses.replace(base, **{field: value})
             assert fingerprint(mutated) != fingerprint(base), field
+
+    def test_retired_config_field_keeps_the_digest(self):
+        # MobiusConfig lost a constant field; its retired-field entry keeps
+        # the digest (and every cell digest built on it) unchanged.
+        assert fingerprint(MobiusConfig()) == (
+            "5f0fccd1c9651ffd67b9b0d256735fedc16c4be6fe8a26ac1fc42695b7f4af9f"
+        )
 
     def test_layer_fields_change_the_hash(self):
         base = build_gpt_like("m", n_blocks=2, hidden_dim=64, n_heads=2)

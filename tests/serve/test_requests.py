@@ -50,6 +50,13 @@ class TestSolveKey:
         assert full.quality_key() == tight.quality_key()
         assert full.quality_key() != full.solve_key()  # distinct namespaces
 
+    def test_real_config_changes_separate_keys(self, tiny_model, topo22):
+        base = _request(tiny_model, topo22)
+        other = dataclasses.replace(
+            base, config=dataclasses.replace(base.config, n_microbatches=8)
+        )
+        assert base.memo_key() != other.memo_key()
+
     def test_frozen(self, tiny_model, topo22):
         request = _request(tiny_model, topo22)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -72,42 +79,3 @@ class TestMemoKeyPin:
             value, found = get_cache().lookup("plan", request.memo_key())
             assert found
             assert value is report
-
-
-class TestSolverModeNormalization:
-    """solver_mode is an execution strategy, not plan content: all keys
-    and cache entries are shared between solo and portfolio requests."""
-
-    def test_memo_key_ignores_solver_mode(self, tiny_model, topo22):
-        solo = _request(tiny_model, topo22)
-        portfolio = _request(
-            tiny_model,
-            topo22,
-        )
-        portfolio = dataclasses.replace(
-            portfolio,
-            config=dataclasses.replace(portfolio.config, solver_mode="portfolio"),
-        )
-        assert solo.memo_key() == portfolio.memo_key()
-        assert solo.quality_key() == portfolio.quality_key()
-
-    def test_solve_key_still_separates_real_config_changes(
-        self, tiny_model, topo22
-    ):
-        solo = _request(tiny_model, topo22)
-        other = dataclasses.replace(
-            solo, config=dataclasses.replace(solo.config, n_microbatches=8)
-        )
-        assert solo.memo_key() != other.memo_key()
-
-    def test_portfolio_request_hits_the_solo_cache_entry(
-        self, tiny_model, topo22
-    ):
-        solo_config = MobiusConfig(partition_time_limit=1.0)
-        portfolio_config = dataclasses.replace(
-            solo_config, solver_mode="portfolio"
-        )
-        with cache_overridden():
-            report = plan_mobius(tiny_model, topo22, solo_config)
-            again = plan_mobius(tiny_model, topo22, portfolio_config)
-        assert again is report  # cache hit: no second solve, no divergence

@@ -119,16 +119,9 @@ class TestProtocols:
         with DurableStore(tmp_path / "s.sqlite") as store:
             store.store("plan", "digest", "report")
             assert store.load("plan", "digest") == ("report", True)
-            # Prefixed so cache namespaces cannot collide with hint/lkg.
+            # Prefixed so cache namespaces cannot collide with lkg.
             assert store.get("cache/plan", "digest") == ("report", True)
             assert store.get("plan", "digest") == (None, False)
-
-    def test_hint_protocol_round_trip(self, tmp_path):
-        key = ("model", 12, "gpu", 2)
-        with DurableStore(tmp_path / "s.sqlite") as store:
-            assert store.get_hint(key) is None
-            store.put_hint(key, {"boundaries": (1, 4, 8)})
-            assert store.get_hint(key) == {"boundaries": (1, 4, 8)}
 
 
 class _FlakyConnection:

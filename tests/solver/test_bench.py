@@ -34,21 +34,6 @@ def _doc(**overrides):
                 "wall_seconds": 0.1,
             }
         ],
-        "portfolio": [
-            {
-                "name": "a",
-                "boundaries": [2],
-                "parity": True,
-                "winner": "bnb",
-                "raced": True,
-                "highs_verified": True,
-                "highs_certified": True,
-                "bnb_wall_seconds": 0.1,
-                "highs_wall_seconds": 0.2,
-                "race_wall_seconds": 0.1,
-            }
-        ],
-        "portfolio_wins": {"bnb": 1},
     }
     base.update(overrides)
     return base
@@ -98,53 +83,6 @@ class TestCompareBenchmarks:
             "missing from baseline" in f for f in compare_benchmarks(_doc(), shrunk)
         )
 
-    def test_portfolio_divergence_fails(self):
-        bad = _doc()
-        bad["portfolio"] = [dict(bad["portfolio"][0], parity=False, winner="highs")]
-        failures = compare_benchmarks(bad, _doc())
-        assert any("diverged from solo B&B" in f for f in failures)
-
-    def test_portfolio_divergence_fails_even_without_baseline_row(self):
-        # Parity is an invariant, not a baseline comparison: a diverging
-        # race fails the gate even when the baseline predates portfolios.
-        baseline = _doc()
-        del baseline["portfolio"], baseline["portfolio_wins"]
-        bad = _doc()
-        bad["portfolio"][0]["parity"] = False
-        assert any(
-            "diverged from solo B&B" in f
-            for f in compare_benchmarks(bad, baseline)
-        )
-
-    def test_portfolio_decertification_fails(self):
-        # A cell whose highs verification exhausts but loses the shadow
-        # certificate silently stops racing: the gate must say so.
-        bad = _doc()
-        bad["portfolio"][0]["highs_certified"] = False
-        failures = compare_benchmarks(bad, _doc())
-        assert any("shadow certificate" in f for f in failures)
-        # Truncated verification (unverified) is hardware-budget-dependent
-        # and is not gated.
-        truncated = _doc()
-        truncated["portfolio"][0]["highs_verified"] = False
-        truncated["portfolio"][0]["highs_certified"] = False
-        assert compare_benchmarks(truncated, _doc()) == []
-
-    def test_portfolio_row_missing_from_current_fails(self):
-        shrunk = _doc(portfolio=[], portfolio_wins={})
-        failures = compare_benchmarks(shrunk, _doc())
-        assert any("portfolio:a: instance missing from current" in f
-                   for f in failures)
-
-    def test_portfolio_winner_and_walls_are_not_gated(self):
-        # Which backend wins is hardware-dependent; only parity is gated.
-        current = _doc()
-        current["portfolio"] = [dict(
-            current["portfolio"][0], winner="highs", race_wall_seconds=99.0,
-        )]
-        current["portfolio_wins"] = {"highs": 1}
-        assert compare_benchmarks(current, _doc()) == []
-
 
 class TestSolvebenchCli:
     @pytest.fixture
@@ -193,10 +131,3 @@ class TestSolvebenchCli:
             assert row["parity"] and row["warm_identical"]
         for row in committed["partition"]:
             assert row["warm_identical"]
-        assert committed["portfolio"], "baseline must carry portfolio rows"
-        for row in committed["portfolio"]:
-            assert row["parity"], "committed portfolio rows must be bit-identical"
-            assert row["winner"] in ("bnb", "highs")
-        assert sum(committed["portfolio_wins"].values()) == len(
-            committed["portfolio"]
-        )
