@@ -12,15 +12,21 @@ where ``shared(i, j)`` is the number of GPUs under the common root complex
 of the two stages' GPUs (0 when they differ), and the objective sums over
 all stage pairs (Eq. 13).
 
-The search is exact for the paper's server sizes (N <= 8 means at most
-40,320 permutations; the pair sum collapses to residue classes, making each
-candidate O(N^2)).
+``shared(i, j)`` depends only on which root complex each GPU sits under,
+so a permutation's score depends only on which root complex each residue
+``j % N`` lands on.  The search therefore scores one permutation per such
+*root-complex class* rather than all ``N!``: 70 classes on Topo 4+4 instead
+of 40,320, 6 on Topo 2+2.  Permutations of one class have bit-identical
+scores, so scanning the classes' lexicographically smallest members in
+lexicographic order with the strict-improvement rule returns exactly the
+permutation a full ``N!`` scan returns.  The search is exact up to
+:data:`_EXACT_SEARCH_LIMIT` GPUs; the pair sum collapses to residue
+classes, making each candidate O(N^2).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import time
 
@@ -49,7 +55,8 @@ class MappingResult:
         mapping: The chosen stage-to-GPU permutation.
         contention: Its Eq. 13 objective value.
         search_seconds: Wall time of the search (Figure 12's overhead).
-        schemes_evaluated: Number of candidate permutations scored.
+        schemes_evaluated: Number of candidate permutations scored (one
+            per root-complex class).
     """
 
     mapping: Mapping
@@ -94,6 +101,37 @@ def _shared_matrix(topology: Topology) -> np.ndarray:
     return shared
 
 
+def _class_representatives(topology: Topology) -> list[tuple[int, ...]]:
+    """The lexicographically smallest permutation of each root-complex class.
+
+    A class fixes the root complex of every position; its smallest member
+    fills each position with the lowest GPU of that root complex not yet
+    used.  Branching on those candidates in ascending GPU order yields the
+    representatives in lexicographic order.
+    """
+    queues = [topology.gpus_under_root_complex(rc) for rc in range(topology.n_root_complexes)]
+    taken = [0] * len(queues)
+    prefix: list[int] = []
+    representatives: list[tuple[int, ...]] = []
+
+    def extend() -> None:
+        if len(prefix) == topology.n_gpus:
+            representatives.append(tuple(prefix))
+            return
+        heads = sorted(
+            (queue[taken[rc]], rc) for rc, queue in enumerate(queues) if taken[rc] < len(queue)
+        )
+        for gpu, rc in heads:
+            prefix.append(gpu)
+            taken[rc] += 1
+            extend()
+            taken[rc] -= 1
+            prefix.pop()
+
+    extend()
+    return representatives
+
+
 def _score(perm: tuple[int, ...], weights: np.ndarray, shared: np.ndarray) -> float:
     indices = np.array(perm)
     return float(np.sum(weights * shared[np.ix_(indices, indices)]))
@@ -113,9 +151,11 @@ def sequential_mapping(topology: Topology) -> MappingResult:
 def cross_mapping(topology: Topology, n_stages: int) -> MappingResult:
     """Search for the permutation minimising the contention degree.
 
-    For servers up to :data:`_EXACT_SEARCH_LIMIT` GPUs all ``N!``
-    permutations are scored exactly (the paper: "Mobius searches all mapping
-    schemes"); beyond that a root-complex round-robin heuristic is used.
+    For servers up to :data:`_EXACT_SEARCH_LIMIT` GPUs the search is exact
+    (the paper: "Mobius searches all mapping schemes"): it scores one
+    representative per root-complex class, which covers every scheme's
+    score (see the module docstring).  Beyond that a root-complex
+    round-robin heuristic is used.
     """
     started = time.perf_counter()
     n = topology.n_gpus
@@ -123,12 +163,14 @@ def cross_mapping(topology: Topology, n_stages: int) -> MappingResult:
     shared = _shared_matrix(topology)
 
     if n <= _EXACT_SEARCH_LIMIT:
-        # All N! candidates are scored in one batched gather+reduce; the
+        # The representatives are scored in one batched gather+reduce; the
         # per-permutation reduction over the contiguous (n, n) block is
-        # bit-identical to np.sum(weights * shared[np.ix_(p, p)]), and the
-        # running-best selection below replicates the scalar loop exactly
-        # (same order, same 1e-12 strict-improvement rule).
-        perms = list(itertools.permutations(range(n)))
+        # bit-identical to np.sum(weights * shared[np.ix_(p, p)]).  Members
+        # of one class score identically, so an N! scan can only improve at
+        # a class's first (smallest) member: visiting the representatives
+        # in lexicographic order with the same 1e-12 strict-improvement
+        # rule makes the same choices.
+        perms = _class_representatives(topology)
         indices = np.array(perms, dtype=np.intp)
         blocks = shared[indices[:, :, None], indices[:, None, :]]
         scores = (weights[np.newaxis] * blocks).sum(axis=(1, 2)).tolist()

@@ -5,9 +5,11 @@ branch-and-bound search over contiguous stage boundaries.  Each node fixes a
 prefix of stages; its objective is evaluated with the exact pipeline-timing
 recurrence (:mod:`repro.core.timing`, Eqs. 4-11), and subtrees are pruned
 with an admissible bound (the last microbatch still has to traverse every
-remaining layer forward and the whole model backward).  This *is* a
-mixed-integer optimisation: integer decisions (stage boundaries) + linear
-timing constraints, solved exactly when the node/time budget allows.  A
+remaining layer forward and the whole model backward, and the backward
+pipeline bubble adds ``M-1`` backwards of the slowest stage).  This *is*
+a mixed-integer optimisation: integer decisions (stage boundaries) +
+linear timing constraints, solved exactly when the node/time budget
+allows.  A
 literal boolean ``B_{i,j}`` MILP in the paper's notation is provided in
 :mod:`repro.core.mip_formulation` and cross-checked against this solver in
 the test suite.
@@ -68,6 +70,13 @@ class PartitionResult:
         warm_started: Whether a caller-provided warm-start hint seeded the
             incumbent (it tightens pruning; an exhausted search returns the
             same partition with or without it).
+        lower_bound: Certified lower bound on the optimal step seconds: the
+            minimum of the incumbent's step and the bounds of the subtrees
+            the budget cut off.  ``nan`` for the baselines, which search
+            nothing.
+        gap: Relative optimality gap,
+            ``(step_seconds - lower_bound) / step_seconds``; 0 for an
+            exhausted search, ``nan`` for the baselines.
     """
 
     partition: Partition
@@ -77,6 +86,8 @@ class PartitionResult:
     optimal: bool
     method: str
     warm_started: bool = False
+    lower_bound: float = math.nan
+    gap: float = math.nan
 
 
 class _SearchContext:
@@ -92,7 +103,6 @@ class _SearchContext:
         gpu_memory: int,
     ) -> None:
         self.model = model
-        self.cost_model = cost_model
         self.n_gpus = n_gpus
         self.n_microbatches = n_microbatches
         self.bandwidth = bandwidth
@@ -100,7 +110,10 @@ class _SearchContext:
         self._stage_cache: dict[tuple[int, int], StageCost] = {}
         self._eval_cache: dict[tuple[int, ...], PipelineTimings] = {}
         self._max_len_cache: dict[int, int] = {}
-        layer_costs = [cost_model.layer_cost(layer) for layer in model.layers]
+        layer_costs = tuple(cost_model.layer_cost(layer) for layer in model.layers)
+        # Every StageCost of the search slices this one tuple, so stages share
+        # their LayerCost objects instead of each building its own.
+        self._layer_costs = layer_costs
         # Per-layer aggregate arrays: stage aggregates become running sums,
         # so memory feasibility and the DFS bound never rebuild StageCost
         # objects layer by layer.
@@ -111,12 +124,13 @@ class _SearchContext:
         for i in range(model.n_layers - 1, -1, -1):
             self.fwd_suffix[i] = self.fwd_suffix[i + 1] + layer_costs[i].fwd_seconds
         self.total_bwd = sum(c.bwd_seconds for c in layer_costs)
+        self.max_layer_bwd = max((c.bwd_seconds for c in layer_costs), default=0.0)
 
     def stage_cost(self, start: int, stop: int) -> StageCost:
         key = (start, stop)
         cached = self._stage_cache.get(key)
         if cached is None:
-            cached = self.cost_model.stage_cost(self.model, start, stop)
+            cached = StageCost(self._layer_costs[start:stop], self._input_act(start))
             self._stage_cache[key] = cached
         return cached
 
@@ -196,6 +210,9 @@ class _ForwardStack:
         self._rows: list[list[float]] = []
         self._end_fwd: list[float] = []
         self._d_fwd: list[float] = []
+        # Running maximum of stage bwd_seconds over the prefix, seeded with
+        # the largest single layer's (the bubble term of push()'s bound).
+        self._max_bwd: list[float] = [ctx.max_layer_bwd]
         # Rolling row buffers for step_time(): the backward sweep only ever
         # reads rows j and j+1, so leaves reuse two fixed buffers instead of
         # allocating an S x M matrix per leaf.
@@ -205,9 +222,36 @@ class _ForwardStack:
     def push(self, start: int, stop: int) -> float:
         """Append stage ``[start, stop)``; return the new prefix bound.
 
-        The bound is admissible: the prefix's exact forward finish on the
-        last microbatch plus the remaining layers' forward and the whole
-        model's backward, all communication-free.
+        The bound is ``end_p + F + sum_j bwd_j + (M-1) * b``, where ``end_p``
+        is the prefix's exact forward finish on the last microbatch, ``F``
+        the remaining layers' forward seconds, and ``b`` the larger of the
+        biggest single-layer ``bwd_seconds`` and the biggest stage
+        ``bwd_seconds`` of the prefix.
+
+        It is admissible, i.e. at most the step time of every completion
+        of the prefix.  Let a completion have stages ``0..S-1`` and let
+        ``t^b_{j,m}`` be backward start times.
+
+        * Forward (Eq. 8): ``t^f_{j+1,M} >= t^f_{j,M} + fwd_j``, so the
+          last stage's forward ends at ``end_fwd[S-1] >= end_p + F``.
+        * Eq. 11: the last stage's backward cannot start before its
+          forward ends, so ``t^b_{S-1,1} >= end_fwd[S-1]``.
+        * Pick any stage ``k``.  Walk down microbatch 1 from stage ``S-1``
+          to ``k``; each step costs ``bwd_{j+1}`` (Eq. 8).  Then walk along
+          stage ``k``'s microbatches; each step costs ``bwd_k`` (Eq. 10).
+          Then walk down microbatch ``M`` from ``k`` to stage 0 (Eq. 8).
+          The step ends ``bwd_0`` after ``t^b_{0,M}`` (Eq. 3).
+
+        Summing the walk gives
+        ``step >= end_fwd[S-1] + sum_j bwd_j + (M-1) * bwd_k`` for every
+        ``k``.  Every stage of the prefix is a stage of the completion.
+        So is the stage that holds the model's slowest-backward layer, and
+        a stage's ``bwd_seconds`` is at least that of each of its layers.
+        Hence ``(M-1) * b`` is at most ``(M-1) * max_k bwd_k`` and the
+        bound holds.  Communication terms only delay starts, so dropping
+        them keeps it a lower bound.  Per-layer and per-stage float sums
+        may differ by a few ulps; the DFS's 1e-12 pruning margin absorbs
+        that.
         """
         ctx = self._ctx
         cost = ctx.stage_cost(start, stop)
@@ -263,13 +307,18 @@ class _ForwardStack:
         self._rows.append(row)
         self._end_fwd.append(end)
         self._d_fwd.append(fwd_seconds + row[m - 1] - row[0])
-        return end + ctx.fwd_suffix[stop] + ctx.total_bwd
+        max_bwd = self._max_bwd[-1]
+        if cost.bwd_seconds > max_bwd:
+            max_bwd = cost.bwd_seconds
+        self._max_bwd.append(max_bwd)
+        return end + ctx.fwd_suffix[stop] + ctx.total_bwd + (m - 1) * max_bwd
 
     def pop(self) -> None:
         self._stages.pop()
         self._rows.pop()
         self._end_fwd.pop()
         self._d_fwd.pop()
+        self._max_bwd.pop()
 
     def step_time(self) -> float:
         """Exact step time of the *complete* partition on the stack.
@@ -441,6 +490,14 @@ def mip_partition(
 ) -> PartitionResult:
     """The MIP partition algorithm (§3.2).
 
+    A depth-first branch-and-bound over stage boundaries, seeded with the
+    :func:`_warm_start` incumbent.  A prefix is pruned when its bound (the
+    exact forward finish so far, the remaining forward, the whole backward
+    and the backward pipeline bubble; proof in :meth:`_ForwardStack.push`)
+    is at least the incumbent plus 1e-12.  When the node budget cuts the
+    search short, the bounds of the subtrees it cut off still certify how
+    far the incumbent can be from the optimum (``lower_bound``/``gap``).
+
     Args:
         model: Model to partition.
         cost_model: Layer cost source (typically built from a
@@ -468,7 +525,8 @@ def mip_partition(
 
     Returns:
         The best partition found; ``optimal`` reports whether the search
-        completed.
+        completed, ``lower_bound`` and ``gap`` how far from optimal the
+        partition can be (``gap == 0`` when it completed).
 
     Raises:
         PlanInfeasibleError: If no memory-feasible partition exists.
@@ -494,6 +552,7 @@ def mip_partition(
 
     nodes = 0
     exhausted = True
+    cut_bound = math.inf  # smallest bound of a subtree the budget cut off
     n_layers = model.n_layers
     stack = _ForwardStack(ctx)
 
@@ -512,15 +571,13 @@ def mip_partition(
         return False
 
     def dfs(cuts: list[int], bound: float) -> None:
-        nonlocal incumbent, incumbent_time, nodes, exhausted
+        nonlocal incumbent, incumbent_time, nodes, exhausted, cut_bound
         # The node budget is the primary (deterministic) work limit; the
         # wall-clock check is a safety ceiling that under the default
         # budgets never binds first, keeping results machine-independent.
-        if nodes >= max_nodes:
+        if nodes >= max_nodes or time.perf_counter() - started > time_limit:
             exhausted = False
-            return
-        if time.perf_counter() - started > time_limit:
-            exhausted = False
+            cut_bound = min(cut_bound, bound)
             return
         nodes += 1
         start = cuts[-1]
@@ -562,7 +619,7 @@ def mip_partition(
                 stack.pop()
                 cuts.pop()
 
-    dfs([0], ctx.fwd_suffix[0] + ctx.total_bwd)
+    dfs([0], ctx.fwd_suffix[0] + ctx.total_bwd + (n_microbatches - 1) * ctx.max_layer_bwd)
 
     if incumbent is None:
         raise PlanInfeasibleError(
@@ -570,14 +627,18 @@ def mip_partition(
             f"G={gpu_memory / 1e9:.1f}GB, M={n_microbatches}"
         )
     partition = Partition(model, tuple(incumbent))
+    timings = ctx.evaluate(incumbent)
+    lower_bound = min(timings.step_seconds, cut_bound)
     return PartitionResult(
         partition=partition,
-        timings=ctx.evaluate(incumbent),
+        timings=timings,
         solve_seconds=time.perf_counter() - started,
         nodes_explored=nodes,
         optimal=exhausted,
         method="mip",
         warm_started=warm_started,
+        lower_bound=lower_bound,
+        gap=(timings.step_seconds - lower_bound) / timings.step_seconds,
     )
 
 

@@ -61,7 +61,10 @@ __all__ = [
 #: v4: PartitionResult and MobiusConfig lost their racing-portfolio
 #: fields, so v3 pickles of either no longer match the classes they
 #: unpickle into.
-CACHE_VERSION = 4
+#: v5: the partition search gained the pipeline-bubble bound, so v4
+#: entries hold the old ``optimal``/``nodes_explored`` and lack
+#: ``lower_bound``/``gap``.
+CACHE_VERSION = 5
 
 DEFAULT_CACHE_DIR = ".mobius_cache"
 

@@ -1,16 +1,28 @@
 """Tests for cross mapping (Eqs. 12-13)."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from repro.core.mapping import (
+    _residue_weights,
+    _shared_matrix,
     contention_degree,
     cross_mapping,
     sequential_mapping,
 )
 from repro.core.plan import Mapping
-from repro.hardware.topology import commodity_server, topo_1_3, topo_2_2, topo_4, topo_4_4
+from repro.hardware.topology import (
+    commodity_server,
+    datacenter_server,
+    large_cluster,
+    topo_1_3,
+    topo_2_2,
+    topo_4,
+    topo_4_4,
+)
 
 
 class TestContentionDegree:
@@ -64,9 +76,40 @@ class TestCrossMapping:
         )
         assert result.contention == pytest.approx(best)
 
-    def test_evaluates_all_permutations(self):
-        result = cross_mapping(topo_2_2(), 8)
-        assert result.schemes_evaluated == 24
+    @pytest.mark.parametrize(
+        ("topo_factory", "n_classes"),
+        [
+            (topo_4, 1),
+            (topo_2_2, 6),
+            (topo_1_3, 4),
+            (topo_4_4, 70),
+            (lambda: large_cluster(8, 4), 70),
+            (lambda: datacenter_server(2), 1),
+            (lambda: datacenter_server(4), 6),
+            (lambda: datacenter_server(6), 90),
+            (lambda: datacenter_server(8), 2520),
+        ],
+        ids=["4", "2+2", "1+3", "4+4", "cluster-2x4", "dc2", "dc4", "dc6", "dc8"],
+    )
+    def test_class_search_equals_full_permutation_scan(self, topo_factory, n_classes):
+        # The N! scan the class search replaces: every permutation in
+        # lexicographic order, batched scoring, 1e-12 strict improvement.
+        topo = topo_factory()
+        n = topo.n_gpus
+        shared = _shared_matrix(topo)
+        perms = list(itertools.permutations(range(n)))
+        indices = np.array(perms, dtype=np.intp)
+        blocks = shared[indices[:, :, None], indices[:, None, :]]
+        for n_stages in range(1, 81):
+            weights = _residue_weights(n_stages, n)
+            scores = (weights[np.newaxis] * blocks).sum(axis=(1, 2)).tolist()
+            best_perm, best_score = None, math.inf
+            for perm, score in zip(perms, scores):
+                if score < best_score - 1e-12:
+                    best_perm, best_score = perm, score
+            result = cross_mapping(topo, n_stages)
+            assert result.mapping.perm == best_perm, n_stages
+            assert result.schemes_evaluated == n_classes
 
     def test_beats_sequential_on_2_2(self):
         topo = topo_2_2()

@@ -195,3 +195,130 @@ class TestPartitionWarmStart:
         assert warm.warm_started
         assert warm.partition.boundaries == cold.partition.boundaries
         assert warm.nodes_explored < cold.nodes_explored
+
+
+def _compositions(n_layers):
+    """Every boundary tuple of an ``n_layers`` model, in lexicographic order."""
+    import itertools
+
+    for n_cuts in range(n_layers):
+        yield from itertools.combinations(range(1, n_layers), n_cuts)
+
+
+class TestBoundAdmissibility:
+    """Brute force over every composition of tiny GPT-like models.
+
+    The DFS prunes a subtree only when its bound is at least the incumbent
+    plus 1e-12, so a bound within 1e-12 of the best completion is safe.
+    """
+
+    @pytest.fixture(params=[(2, None), (4, None), (4, 2.5)], ids=["n2", "n4", "n4-tight"])
+    def instance(self, request):
+        n_gpus, layers_per_gpu = request.param
+        model = build_gpt_like(
+            "tiny", n_blocks=6, hidden_dim=512, n_heads=8, seq_len=256, vocab_size=2048
+        )
+        cm = CostModel(RTX_3090TI, 2)
+        gpu_memory = cm.usable_gpu_bytes()
+        if layers_per_gpu is not None:
+            biggest_layer = max(
+                cm.stage_cost(model, i, i + 1).mem_peak(n_gpus) for i in range(model.n_layers)
+            )
+            gpu_memory = int(biggest_layer * layers_per_gpu)
+        return model, cm, n_gpus, gpu_memory
+
+    def _brute_force(self, model, cm, n_gpus, gpu_memory):
+        """Step time of every feasible composition, and every prefix bound.
+
+        Both are keyed by stage stops, ``(*boundaries, n_layers)`` for a
+        full partition, so a prefix's completions share its leading stops.
+        """
+        from repro.core.partition import _ForwardStack, _SearchContext
+
+        ctx = _SearchContext(model, cm, n_gpus, n_gpus, BW, gpu_memory)
+        steps, bounds = {}, {}
+        for boundaries in _compositions(model.n_layers):
+            timings = ctx.evaluate(boundaries)
+            if not timings.feasible:
+                continue
+            stops = (*boundaries, model.n_layers)
+            steps[stops] = timings.step_seconds
+            stack = _ForwardStack(ctx)
+            for index, (start, stop) in enumerate(zip((0, *stops), stops)):
+                bounds[stops[: index + 1]] = stack.push(start, stop)
+        return steps, bounds
+
+    def test_prefix_bound_never_exceeds_best_completion(self, instance):
+        steps, bounds = self._brute_force(*instance)
+        assert len(steps) > 10
+        for prefix, bound in bounds.items():
+            best = min(step for stops, step in steps.items() if stops[: len(prefix)] == prefix)
+            assert bound <= best + 1e-12, prefix
+
+    def test_exhausted_search_returns_brute_force_canonical_optimum(self, instance):
+        model, cm, n_gpus, gpu_memory = instance
+        steps, _ = self._brute_force(model, cm, n_gpus, gpu_memory)
+        best = min(steps.values())
+        canonical = min(stops for stops, step in steps.items() if step < best + 1e-12)
+        result = mip_partition(
+            model, cm, n_gpus, n_gpus, BW, gpu_memory=gpu_memory, max_nodes=10**6
+        )
+        assert result.optimal
+        assert result.partition.boundaries == canonical[:-1]
+        assert result.timings.step_seconds == steps[canonical]
+        assert result.lower_bound == result.timings.step_seconds
+        assert result.gap == 0.0
+
+
+class TestCertificate:
+    def test_truncated_lower_bound_is_certified(self, model, cm):
+        exhausted = mip_partition(model, cm, 2, 2, BW, max_nodes=10**6)
+        assert exhausted.optimal and exhausted.gap == 0.0
+        for budget in (1, 3, 10, 30):
+            truncated = mip_partition(model, cm, 2, 2, BW, max_nodes=budget)
+            if truncated.optimal:
+                continue
+            step = truncated.timings.step_seconds
+            assert truncated.lower_bound <= exhausted.timings.step_seconds
+            assert truncated.lower_bound <= step
+            assert truncated.gap == (step - truncated.lower_bound) / step
+            assert truncated.gap >= 0.0
+
+    def test_baselines_certify_nothing(self, model, cm):
+        import math
+
+        result = max_stage_partition(model, cm, 2, 2, BW)
+        assert math.isnan(result.lower_bound) and math.isnan(result.gap)
+
+
+class TestTable3On4Plus4:
+    """The Table-3 models on the 8-GPU server, as ``plan_mobius`` solves them."""
+
+    @pytest.fixture(scope="class")
+    def solves(self):
+        from repro.core.partition import _SearchContext, _warm_start
+        from repro.hardware.topology import topo_4_4
+        from repro.models.zoo import gpt_3b, gpt_8b, gpt_15b, gpt_51b
+
+        topology = topo_4_4()
+        out = {}
+        for factory in (gpt_3b, gpt_8b, gpt_15b, gpt_51b):
+            model = factory()
+            cost_model = CostModel(topology.gpu_spec, model.default_microbatch_size)
+            args = (model, cost_model, 8, 8, topology.pcie_bandwidth)
+            ctx = _SearchContext(*args, cost_model.usable_gpu_bytes())
+            out[model.name] = (mip_partition(*args), _warm_start(ctx)[0])
+        return out
+
+    @pytest.mark.parametrize("name", ["GPT-8B", "GPT-15B", "GPT-51B"])
+    def test_search_exhausts(self, solves, name):
+        result, _ = solves[name]
+        assert result.optimal
+        assert result.gap == 0.0
+        assert result.nodes_explored < 20_000
+
+    def test_gpt_3b_keeps_the_warm_start_incumbent(self, solves):
+        result, incumbent = solves["GPT-3B"]
+        assert result.partition.boundaries == tuple(incumbent)
+        assert not result.optimal
+        assert 0.0 < result.gap < 1.0
