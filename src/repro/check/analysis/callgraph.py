@@ -50,6 +50,8 @@ DEFAULT_CALLBACK_SEAMS: frozenset[str] = frozenset(
         "schedule_at",
         "schedule_call",
         "schedule_call_at",
+        "schedule_at_seq",
+        "at_timestamp_end",
         "submit",
         "start_flow",
         "_submit_compute",

@@ -233,8 +233,11 @@ def _check_mob004(
     config: AnalysisConfig,
     report: CheckReport,
 ) -> None:
+    # Callbacks registered at a seam are called by the event loop through
+    # a heap entry or hook list, which no call edge records.
     parents = graph.reachable(
         [q for q in config.entry_points if q in program.functions]
+        + sorted(graph.seam_callbacks)
     )
     for qualname in sorted(parents):
         info = program.functions.get(qualname)

@@ -7,8 +7,9 @@ from the check corpus (:mod:`repro.check.corpus`) and emits
 * **corpus rows** — each cell's Mobius plan simulated end to end, with the
   trace fingerprint (:mod:`repro.perf.fingerprint` over the columnar trace
   views) and the incremental allocator's deterministic work counters:
-  events processed, reallocation calls, components and rounds of
-  progressive filling, and flows touched per reallocation;
+  events processed, reallocation flushes, components and rounds of
+  progressive filling, flows touched per reallocation and reallocations
+  per event;
 * **chaos rows** — every fault scenario of :mod:`repro.faults.chaos` per
   cell (including windowed ``set_bandwidth_scale`` epochs and dropout
   re-plans), fingerprinted the same way;
@@ -47,6 +48,7 @@ from repro.faults.recovery import run_step
 from repro.faults.replan import replan_after_dropout
 from repro.hardware.topology import large_cluster
 from repro.perf.fingerprint import fingerprint
+from repro.sim.resources import FlowNetworkStats
 from repro.sim.tasks import TaskGraphRunner
 from repro.sim.workloads import run_cluster_workload
 
@@ -77,6 +79,29 @@ GATED_COUNTERS = (
 )
 
 
+def _work_counters(events: int, stats: FlowNetworkStats) -> dict[str, Any]:
+    """A row's allocator work counters, plus two informational ratios.
+
+    ``flows_touched_per_reallocation`` shows incrementality and
+    ``reallocations_per_event`` shows per-timestamp batching; neither
+    ratio is gated.
+    """
+    reallocations = stats.reallocations
+    return {
+        "events": events,
+        "reallocations": reallocations,
+        "components_filled": stats.components_filled,
+        "fill_rounds": stats.fill_rounds,
+        "flows_touched": stats.flows_touched,
+        "flows_touched_per_reallocation": (
+            round(stats.flows_touched / reallocations, 3) if reallocations else 0.0
+        ),
+        "reallocations_per_event": (
+            round(reallocations / events, 3) if events else 0.0
+        ),
+    }
+
+
 def _run_corpus_rows() -> list[dict[str, Any]]:
     rows = []
     for cell in default_corpus():
@@ -93,22 +118,11 @@ def _run_corpus_rows() -> list[dict[str, Any]]:
         started = time.perf_counter()
         trace = runner.execute(tasks)
         wall = time.perf_counter() - started
-        stats = runner.network.stats
-        reallocations = stats.reallocations
         rows.append(
             {
                 "name": cell.name,
                 "fingerprint": fingerprint(trace),
-                "events": runner.sim.events_processed,
-                "reallocations": reallocations,
-                "components_filled": stats.components_filled,
-                "fill_rounds": stats.fill_rounds,
-                "flows_touched": stats.flows_touched,
-                "flows_touched_per_reallocation": (
-                    round(stats.flows_touched / reallocations, 3)
-                    if reallocations
-                    else 0.0
-                ),
+                **_work_counters(runner.sim.events_processed, runner.network.stats),
                 "wall_seconds": round(wall, 4),
             }
         )
@@ -205,8 +219,6 @@ def _run_large_rows(
         started = time.perf_counter()
         result = run_cluster_workload(topology, rounds=cell.rounds)
         wall = time.perf_counter() - started
-        stats = result.stats
-        reallocations = stats.reallocations
         # ru_maxrss is process-wide (KB on Linux) — informational only,
         # like wall seconds; the gate never compares it.
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
@@ -214,17 +226,8 @@ def _run_large_rows(
             {
                 "name": cell.name,
                 "fingerprint": result.digest,
-                "events": result.events_processed,
                 "n_tasks": result.n_tasks,
-                "reallocations": reallocations,
-                "components_filled": stats.components_filled,
-                "fill_rounds": stats.fill_rounds,
-                "flows_touched": stats.flows_touched,
-                "flows_touched_per_reallocation": (
-                    round(stats.flows_touched / reallocations, 3)
-                    if reallocations
-                    else 0.0
-                ),
+                **_work_counters(result.events_processed, result.stats),
                 "wall_seconds": round(wall, 4),
                 "peak_rss_mb": peak_rss_mb,
             }

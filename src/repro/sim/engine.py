@@ -22,6 +22,19 @@ Events that never need cancellation can skip the :class:`EventHandle`
 allocation entirely via :meth:`Simulator.schedule_call`; both loops accept
 bare callables and handles on the same heap and the shared insertion
 counter keeps tie-breaking identical either way.
+
+Two primitives let a component coalesce work that several same-time
+events would each redo (the flow network reallocates once per timestamp
+with them, DESIGN.md §11):
+
+* :meth:`Simulator.at_timestamp_end` registers a one-shot hook that both
+  loops run once every event at the current time has been dispatched —
+  including same-time events scheduled by those callbacks — and before
+  the clock moves on.  Hooks pending when a loop starts run before its
+  first pop.  Hooks are not events: ``events_processed`` ignores them.
+* :meth:`Simulator.reserve_seq` takes an insertion counter now, and
+  :meth:`Simulator.schedule_at_seq` pushes an event with it later, so a
+  deferred push gets exactly the heap key an immediate one would have had.
 """
 
 from __future__ import annotations
@@ -69,7 +82,7 @@ class Simulator:
         [1.0, 2.0]
     """
 
-    __slots__ = ("now", "events_processed", "_heap", "_counter")
+    __slots__ = ("now", "events_processed", "_heap", "_counter", "_end_hooks")
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -78,6 +91,8 @@ class Simulator:
         self.events_processed = 0
         self._heap: list[tuple[float, int, object]] = []
         self._counter = itertools.count()
+        #: One-shot end-of-timestamp hooks, run in registration order.
+        self._end_hooks: list[Callable[[], None]] = []
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
@@ -112,8 +127,51 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {time} < now {self.now}")
         heapq.heappush(self._heap, (time, next(self._counter), callback))
 
+    def reserve_seq(self) -> int:
+        """Take the next insertion counter for a later :meth:`schedule_at_seq`.
+
+        Every event pushed after this call sorts behind the reserved
+        counter at equal times, exactly as if the event had been pushed now.
+        """
+        return next(self._counter)
+
+    def schedule_at_seq(
+        self, time: float, seq: int, callback: Callable[[], None]
+    ) -> EventHandle:
+        """Schedule ``callback`` at ``time`` under a :meth:`reserve_seq` counter.
+
+        Each reserved counter must be pushed at most once.
+        """
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < now {self.now}")
+        handle = EventHandle(time, callback)
+        heapq.heappush(self._heap, (time, seq, handle))
+        return handle
+
+    def at_timestamp_end(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once, when the current timestamp is exhausted.
+
+        It fires after every event at ``now`` has been dispatched,
+        including same-time events scheduled meanwhile, and before the
+        clock advances.  Hooks registered by a hook run in the same pass;
+        events a hook schedules at ``now`` are dispatched after the pass,
+        and a new pass follows them if they register hooks in turn.
+        """
+        self._end_hooks.append(callback)
+
+    def _run_end_hooks(self) -> None:
+        hooks = self._end_hooks
+        while hooks:
+            batch = hooks.copy()
+            hooks.clear()
+            for hook in batch:
+                hook()
+
     def run(self, until: float | None = None) -> None:
         """Process events one at a time, in time order (the oracle loop).
+
+        End-of-timestamp hooks run whenever the next heap entry lies
+        later than the clock (or the heap is empty).
 
         Args:
             until: If given, stop once the next event would fire after this
@@ -129,29 +187,23 @@ class Simulator:
             raise ValueError(
                 f"cannot run backwards: until={until} < now {self.now}"
             )
-        # Hot loop: locals bound outside, heap entries touched once, and the
-        # dominant run-to-drain case skips the per-event deadline check.
         heap = self._heap
         heappop = heapq.heappop
         handle_type = EventHandle
+        hooks = self._end_hooks
         dispatched = 0
         try:
-            if until is None:
-                while heap:
-                    entry = heappop(heap)
-                    handle = entry[2]
-                    if handle.__class__ is handle_type:
-                        if handle._cancelled:
-                            continue
-                        handle = handle._callback
-                    self.now = entry[0]
-                    dispatched += 1
-                    handle()
-                return
-            while heap:
+            if hooks:
+                self._run_end_hooks()
+            while True:
+                if hooks and (not heap or heap[0][0] != self.now):
+                    self._run_end_hooks()
+                    continue
+                if not heap:
+                    break
                 entry = heap[0]
                 time = entry[0]
-                if time > until:
+                if until is not None and time > until:
                     self.now = until
                     return
                 heappop(heap)
@@ -163,7 +215,7 @@ class Simulator:
                 self.now = time
                 dispatched += 1
                 handle()
-            if until > self.now:
+            if until is not None and until > self.now:
                 self.now = until
         finally:
             self.events_processed += dispatched
@@ -192,15 +244,19 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         handle_type = EventHandle
+        hooks = self._end_hooks
         dispatched = 0
         try:
+            if hooks:
+                self._run_end_hooks()
             while heap:
                 time = heap[0][0]
                 if until is not None and time > until:
                     self.now = until
                     return
                 # Drain every entry at `time`, re-scanning for same-time
-                # events the cohort's callbacks scheduled.
+                # events the cohort's callbacks scheduled, then close the
+                # timestamp; hooks may schedule at `time` again.
                 while heap and heap[0][0] == time:
                     cohort = [heappop(heap)[2]]
                     while heap and heap[0][0] == time:
@@ -213,6 +269,8 @@ class Simulator:
                         self.now = time
                         dispatched += 1
                         handle()
+                    if hooks and not (heap and heap[0][0] == time):
+                        self._run_end_hooks()
             if until is not None and until > self.now:
                 self.now = until
         finally:

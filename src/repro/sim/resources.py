@@ -15,13 +15,15 @@ Two resource types drive every experiment:
 
 The allocator is *incremental* (DESIGN.md §11): per-edge membership maps
 index which flows share which links, and a flow arrival/departure/scale
-event re-runs progressive filling only over the edge-connected component(s)
-reachable from the change.  Max-min rates depend only on the flow set,
-paths, priorities and link capacities — never on transfer progress — so
-flows outside the affected component provably keep their rates, and the
-resulting traces are bit-identical to a from-scratch refill (asserted by
-the fuzz oracle in ``tests/sim/test_allocator_equivalence.py`` and the
-``repro simbench`` fingerprint gate).
+event marks its edges dirty.  Once per simulated timestamp — from the
+simulator's end-of-timestamp hook — progressive filling re-runs over the
+edge-connected component(s) reachable from the dirty edges.  Max-min rates
+depend only on the flow set, paths, priorities and link capacities — never
+on transfer progress — so flows outside the affected components provably
+keep their rates, and the resulting traces are bit-identical to a
+from-scratch refill at every change (asserted by the fuzz oracle in
+``tests/sim/test_allocator_equivalence.py`` and the ``repro simbench``
+fingerprint gate).
 
 Per-event work that is still proportional to the number of *live* flows —
 progress advancement, the completion horizon, the finished-flow scan — is
@@ -154,7 +156,8 @@ class FlowNetworkStats:
     equal workloads produce equal counts across machines and runs.
     """
 
-    #: ``_reallocate`` invocations that had at least one active flow.
+    #: ``_reallocate`` flushes (one per simulated timestamp that saw a
+    #: change) that had at least one active flow.
     reallocations: int = 0
     #: Flows re-filled, summed over reallocations (the incremental win:
     #: this stays near the component size, not the total flow count).
@@ -295,9 +298,11 @@ class FlowNetwork:
 
     The model is *fluid*: each flow progresses continuously at its currently
     assigned rate.  Rates change only when a flow starts or finishes (or a
-    link's capacity is rescaled), at which point the network re-solves the
-    allocation over the affected component and reschedules its
-    next-completion event.
+    link's capacity is rescaled).  Such changes are collected per simulated
+    timestamp; when the timestamp is exhausted the network re-solves the
+    allocation over the affected components once and reschedules its
+    next-completion event (:meth:`_reallocate`).  Between a change and that
+    flush, ``Flow.rate`` of the affected flows is stale.
 
     Allocation: flows are grouped by priority, highest first.  Within a
     group, progressive filling raises all rates uniformly until an edge
@@ -320,6 +325,12 @@ class FlowNetwork:
         self._uid = itertools.count()
         self._last_update = 0.0
         self._next_event: EventHandle | None = None
+        #: Edges whose flow set or capacity changed since the last flush.
+        self._dirty: dict[Edge, None] = {}
+        #: Insertion counter reserved at the latest change for the next
+        #: completion event; ``None`` while no flow is live.
+        self._reserved_seq: int | None = None
+        self._flush_pending = False
         #: Live flows crossing each edge (uid -> Flow); the sharing index
         #: that makes component closures O(component), not O(F·E).
         self._edge_members: dict[Edge, dict[int, Flow]] = {}
@@ -388,8 +399,7 @@ class FlowNetwork:
             self._scale_factors.setdefault(edge, []).append(factor)
             self._eff_bw.pop(edge, None)
             self.stats.scale_epochs += 1
-            members = self._edge_members.get(edge)
-            self._reallocate(members.values() if members else ())
+            self._invalidate((edge,))
 
         def clear() -> None:
             self._advance()
@@ -403,8 +413,7 @@ class FlowNetwork:
                     del self._scale_factors[edge]
             self._eff_bw.pop(edge, None)
             self.stats.scale_epochs += 1
-            members = self._edge_members.get(edge)
-            self._reallocate(members.values() if members else ())
+            self._invalidate((edge,))
 
         if start is None or start <= self.sim.now:
             apply()
@@ -459,7 +468,7 @@ class FlowNetwork:
             # switch is permanent for this network; from now on the slot
             # arrays are authoritative for progress.
             self._slots = _FlowSlots(self._flows)
-        self._reallocate((flow,))
+        self._invalidate(path)
         return flow
 
     # ------------------------------------------------------------------
@@ -484,38 +493,75 @@ class FlowNetwork:
                     flow.remaining = remaining if remaining > 0.0 else 0.0
         self._last_update = self.sim.now
 
-    def _reallocate(self, touched: Iterable[Flow] | None = None) -> None:
-        """Refill rates over the component(s) reachable from ``touched``.
+    def _invalidate(self, edges: Iterable[Edge]) -> None:
+        """Record a flow-set or capacity change on ``edges`` at ``sim.now``.
 
-        ``touched=None`` refills everything (from-scratch).  The
-        next-completion event is unconditionally cancelled and rescheduled
-        — even when no rate changed — so the event heap's insertion-order
-        tie-breaking matches a from-scratch reallocation exactly.
+        Cancels the pending completion event and reserves the insertion
+        counter an immediate reschedule would take at this point;
+        :meth:`_reallocate` runs once the timestamp closes.
         """
         if self._next_event is not None:
             self._next_event.cancel()
             self._next_event = None
-        flows = self._flows
-        if not flows:
+        dirty = self._dirty
+        for edge in edges:
+            dirty[edge] = None
+        self._reserved_seq = self.sim.reserve_seq() if self._flows else None
+        if not self._flush_pending:
+            self._flush_pending = True
+            self.sim.at_timestamp_end(self._reallocate)
+
+    def _reallocate(self) -> None:
+        """Refill the components reachable from this timestamp's dirty edges.
+
+        Runs once per simulated timestamp that saw a change.  The result is
+        bit-identical to refilling and rescheduling after every change, for
+        three reasons:
+
+        * component-local max-min rates are a function of the component's
+          flow set (and capacities) only (DESIGN.md §11), so one fill over
+          the union of the touched components at the end of the timestamp
+          yields the rates the last per-change fill of each would have;
+        * no simulated time passes within a timestamp, so ``_advance``
+          moves nothing between the changes and the flush — the stale
+          intermediate rates never act on progress;
+        * the completion event is pushed at ``now + horizon`` under the
+          counter reserved at the timestamp's last change, which is exactly
+          the ``(time, seq)`` heap key of the last eager reschedule.  The
+          heap breaks time ties by that counter, and a changed tie-break is
+          what made the lazy deadline heap diverge (DESIGN.md §11).
+        """
+        self._flush_pending = False
+        dirty = self._dirty
+        self._dirty = {}
+        seq = self._reserved_seq
+        self._reserved_seq = None
+        if seq is None:
             return
         self.stats.reallocations += 1
-        affected = list(flows.values()) if touched is None else self._closure(touched)
+        edge_members = self._edge_members
+        seeds: dict[int, Flow] = {}
+        for edge in dirty:
+            members = edge_members.get(edge)
+            if members:
+                seeds.update(members)
+        affected = self._closure(seeds.values())
         slots = self._slots
         if affected:
             self._fill(affected)
             if slots is not None:
                 slots.sync_rates(affected)
         # Completion horizon.  Per-flow deadlines must be recomputed from the
-        # advanced ``remaining`` at *this* event for trace byte-identity (a
-        # lazily-invalidated deadline heap measurably diverges — DESIGN.md
-        # §11), so this stays an eager scan over the flow set — vectorized
-        # over the slot arrays at scale (the quotients and the min are the
-        # same IEEE operations the scalar loop performs).
+        # advanced ``remaining`` for trace byte-identity (a lazily-invalidated
+        # deadline heap measurably diverges — DESIGN.md §11), so this stays
+        # an eager scan over the flow set — vectorized over the slot arrays
+        # at scale (the quotients and the min are the same IEEE operations
+        # the scalar loop performs).
         if slots is not None:
             horizon = slots.horizon()
         else:
             horizon = _INF
-            for flow in flows.values():
+            for flow in self._flows.values():
                 rate = flow.rate
                 if rate > _EPS:
                     quotient = flow.remaining / rate
@@ -525,7 +571,10 @@ class FlowNetwork:
             raise RuntimeError(
                 "flow network deadlock: active flows received zero bandwidth"
             )
-        self._next_event = self.sim.schedule(horizon, self._on_completion_event)
+        sim = self.sim
+        self._next_event = sim.schedule_at_seq(
+            sim.now + horizon, seq, self._on_completion_event
+        )
 
     def _closure(self, seeds: Iterable[Flow]) -> list[Flow]:
         """All live flows edge-connected (transitively) to ``seeds``."""
@@ -700,15 +749,8 @@ class FlowNetwork:
                 del members[flow.uid]
                 if not members:
                     del edge_members[edge]
-        # Refill the components the departures touched: live flows that
-        # shared an edge with a finished flow seed the closure.
-        seeds: dict[int, Flow] = {}
-        for flow in finished:
-            for edge in flow.path:
-                members = edge_members.get(edge)
-                if members:
-                    seeds.update(members)
-        self._reallocate(seeds.values())
+        # Live flows that shared an edge with a finished flow seed the flush.
+        self._invalidate(edge for flow in finished for edge in flow.path)
         for flow in finished:
             flow.on_done()
 

@@ -121,6 +121,32 @@ class TestMob004:
         assert len(mob004) == 1
         assert mob004[0].symbol == "repro.perf.metrics.stamp"
 
+    def test_end_of_timestamp_hook_is_a_seam(self):
+        """The event loop calls end-of-timestamp hooks indirectly."""
+        report = _analyze(
+            src__repro__sim__engine="""
+            class Simulator:
+                def run(self):
+                    pass
+
+                def at_timestamp_end(self, fn):
+                    pass
+            """,
+            src__repro__sim__resources="""
+            import time
+
+            class FlowNetwork:
+                def start_flow(self, sim):
+                    sim.at_timestamp_end(self._flush)
+
+                def _flush(self):
+                    return time.perf_counter()
+            """,
+        )
+        mob004 = [f for f in report if f.code == "MOB004"]
+        assert len(mob004) == 1
+        assert mob004[0].symbol == "repro.sim.resources.FlowNetwork._flush"
+
 
 class TestMob005:
     def test_set_iteration_feeding_heappush_is_flagged(self):

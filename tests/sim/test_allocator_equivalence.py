@@ -5,9 +5,15 @@ edge-connected component(s) a change touches.  The reference oracle below
 keeps the *old* progressive fill verbatim — not as dead code in ``src/`` —
 and re-derives everything from scratch at every event: priority groups,
 edge-connected components, and the max-min fill per component.  After
-**every** reallocation — flow arrival, flow completion, bandwidth-scale
-epoch — the incremental rates must equal the from-scratch oracle exactly
-(``==``, not approx: the optimization contract is bit-identical traces).
+**every** reallocation — the once-per-timestamp flush that follows flow
+arrivals, flow completions and bandwidth-scale epochs — the incremental
+rates must equal the from-scratch oracle exactly (``==``, not approx: the
+optimization contract is bit-identical traces).
+
+The coincident-timestamp fuzz additionally pins the batching itself:
+against :class:`EagerFlowNetwork`, which reallocates at every change as the
+allocator did before per-timestamp flushing, completion order and times
+must be identical under both dispatch loops.
 
 Two oracle granularities pin down the contract precisely:
 
@@ -29,6 +35,8 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+
+import pytest
 
 from repro.hardware.topology import topo_2_2, topo_4, topo_4_4
 from repro.sim.engine import Simulator
@@ -136,9 +144,15 @@ class CheckedFlowNetwork(FlowNetwork):
     def __init__(self, sim, topology):
         super().__init__(sim, topology)
         self.checked_reallocations = 0
+        #: Flow starts, completion events and scale edges seen.
+        self.changes = 0
 
-    def _reallocate(self, touched=None):
-        super()._reallocate(touched)
+    def _invalidate(self, edges):
+        self.changes += 1
+        super()._invalidate(edges)
+
+    def _reallocate(self):
+        super()._reallocate()
         actual = {flow.uid: flow.rate for flow in self.active_flows}
         expected = oracle_rates(self, decompose=True)
         assert actual == expected, (
@@ -153,6 +167,19 @@ class CheckedFlowNetwork(FlowNetwork):
             )
         if self._flows:  # empty calls early-return uncounted in stats too
             self.checked_reallocations += 1
+
+
+class EagerFlowNetwork(CheckedFlowNetwork):
+    """Reallocates at every change: the allocator before per-timestamp flushes.
+
+    The change's reserved counter is pushed at once, which is the heap key
+    the eager allocator's reschedule took; the end-of-timestamp hook left
+    behind then finds nothing reserved and returns.
+    """
+
+    def _invalidate(self, edges):
+        super()._invalidate(edges)
+        self._reallocate()
 
 
 def _random_path(topology, rng):
@@ -230,6 +257,84 @@ class TestIncrementalMatchesOracle:
     def test_reallocations_all_checked(self):
         network = _run_fuzz(topo_2_2(), seed=7, n_arrivals=12)
         assert network.stats.reallocations == network.checked_reallocations
+
+
+_GRID = 0.25
+
+
+def _run_coincident_fuzz(topology, seed, network_type, mode):
+    """Arrivals, scale windows and follow-on work on a coarse time grid.
+
+    Returns ``(completion log, network)``; the log records each completion
+    as ``(label, repr(time))``.  Random draws happen inside callbacks, so
+    they stay aligned between runs exactly when the event order does.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    network = network_type(sim, topology)
+    log = []
+    labels = iter(range(10**6))
+
+    def launch(generation):
+        label = f"g{generation}-{next(labels)}"
+        path = _random_path(topology, rng)
+        # Sizes in grid-multiples of the path's bottleneck: a flow alone,
+        # or one sharing by a power of two, finishes exactly on the grid,
+        # tying its completion event with arrivals, scale edges and other
+        # completions — the case the heap's insertion counter decides.
+        bottleneck = min(topology.bandwidth_of(edge) for edge in path)
+        nbytes = bottleneck * _GRID * rng.choice((1, 2, 3, 4))
+        priority = rng.choice((0, 0, 1, 2))
+
+        def done():
+            log.append((label, repr(sim.now)))
+            if generation >= 2:
+                return
+            if rng.random() < 0.5:
+                launch(generation + 1)
+            if rng.random() < 0.5:
+                # Zero delay still lands in this timestamp; a grid delay
+                # lands where completions do.
+                delay = _GRID * rng.choice((0, 0, 1, 2))
+                sim.schedule_call(delay, lambda: launch(generation + 1))
+
+        network.start_flow(path, nbytes, done, priority=priority, label=label)
+
+    for _ in range(24):
+        sim.schedule_at(_GRID * rng.randrange(12), lambda: launch(0))
+    edges = sorted(edge for edge, _ in topology.iter_links())
+    for _ in range(6):
+        start = _GRID * rng.randrange(10)
+        network.set_bandwidth_scale(
+            rng.choice(edges),
+            rng.choice((0.25, 0.5, 0.75)),
+            start=start,
+            end=start + _GRID * rng.randrange(1, 8),
+        )
+    sim.run() if mode == "single" else sim.run_batched()
+    assert not network.active_flows
+    return log, network
+
+
+class TestCoincidentTimestamps:
+    """Same-time changes coalesce into one flush without moving any trace."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("topology", _fuzz_topologies(), ids=["2+2", "4", "4+4"])
+    def test_batched_flush_matches_eager_reallocation(self, topology, seed):
+        eager_log, eager = _run_coincident_fuzz(
+            topology, seed, EagerFlowNetwork, "single"
+        )
+        for mode in ("single", "batched"):
+            log, network = _run_coincident_fuzz(
+                topology, seed, CheckedFlowNetwork, mode
+            )
+            assert log == eager_log
+            assert network.stats.reallocations == network.checked_reallocations
+            # Batching is exercised: strictly fewer flushes than changes.
+            assert network.stats.reallocations < network.changes
+            assert network.changes == eager.changes
+        assert len(eager_log) > 24
 
 
 class TestLegacyGlobalFillOnProductionWorkload:

@@ -26,6 +26,7 @@ def _doc(**overrides):
                 "fill_rounds": 60,
                 "flows_touched": 60,
                 "flows_touched_per_reallocation": 1.5,
+                "reallocations_per_event": 0.4,
                 "wall_seconds": 0.05,
             }
         ],
@@ -48,6 +49,7 @@ def _doc(**overrides):
                 "fill_rounds": 824_962,
                 "flows_touched": 1_242_966,
                 "flows_touched_per_reallocation": 1.193,
+                "reallocations_per_event": 1.0,
                 "wall_seconds": 70.0,
                 "peak_rss_mb": 520,
             }
@@ -139,6 +141,7 @@ class TestSimbenchCli:
         out = capsys.readouterr().out
         assert "gpt-a/topo_2_2" in out
         assert "touched/realloc=" in out
+        assert "realloc/event=" in out
         assert "dc-1024x4-r256" in out
         assert "rss=" in out
 
@@ -172,6 +175,8 @@ class TestSimbenchCli:
             # The incremental allocator's headline property: a reallocation
             # touches a small component, not the whole flow population.
             assert row["flows_touched_per_reallocation"] < 10
+            # And it runs once per timestamp, not once per flow change.
+            assert row["reallocations_per_event"] < 1
         for row in committed["chaos"]:
             assert row["status"] in ("ok", "infeasible")
             assert (row["fingerprint"] is None) == (row["status"] == "infeasible")

@@ -21,12 +21,16 @@ from repro.perf.fingerprint import fingerprint
 from repro.sim.engine import Simulator
 
 
-def _drive(seed: int, mode: str, until: float | None = None):
+def _drive(
+    seed: int, mode: str, until: float | None = None, *, hooks: bool = False
+):
     """Run one randomly generated schedule; returns (log, now, events).
 
     The generator consumes ``rng`` inside callbacks, so draws stay aligned
     between modes exactly when the firing order does — any divergence
-    snowballs into a log mismatch, which is the point.
+    snowballs into a log mismatch, which is the point.  With ``hooks``,
+    callbacks also register end-of-timestamp hooks that log and may spawn
+    more events (zero-delay ones included).
     """
     sim = Simulator()
     rng = random.Random(seed)
@@ -49,11 +53,18 @@ def _drive(seed: int, mode: str, until: float | None = None):
                 # May hit an already-popped cohort member scheduled at this
                 # very timestamp — dispatch-time re-checking must suppress it.
                 rng.choice(handles).cancel()
+            if hooks and rng.random() < 0.3:
+                sim.at_timestamp_end(lambda: end_of_timestamp(tag, depth))
 
         if rng.random() < 0.25:
             sim.schedule_call(delay, callback)
         else:
             handles.append(sim.schedule(delay, callback))
+
+    def end_of_timestamp(tag: int, depth: int) -> None:
+        log.append((-1 - tag, sim.now))
+        if depth < 3 and rng.random() < 0.5:
+            spawn(depth + 1)
 
     for _ in range(40):
         spawn(0)
@@ -78,6 +89,18 @@ class TestFuzzEquivalence:
     @pytest.mark.parametrize("until", [0.0, 0.25, 0.6, 1.75])
     def test_run_until_boundary_identical(self, seed, until):
         assert _drive(seed, "single", until) == _drive(seed, "batched", until)
+
+    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("until", [None, 0.25, 0.6])
+    def test_end_of_timestamp_hooks_identical(self, seed, until):
+        single = _drive(seed, "single", until, hooks=True)
+        assert single == _drive(seed, "batched", until, hooks=True)
+        fired_at = {tag: now for tag, now in single[0] if tag >= 0}
+        hook_times = [(-1 - tag, now) for tag, now in single[0] if tag < 0]
+        assert hook_times
+        # Each hook runs before the clock leaves its registering event.
+        for tag, now in hook_times:
+            assert fired_at[tag] == now
 
 
 class TestCohortSemantics:

@@ -121,3 +121,118 @@ class TestRunUntil:
         with pytest.raises(ValueError):
             sim.run(until=1.0)
         assert sim.now == 2.0  # the failed call must not rewind the clock
+
+
+def _loop(sim: Simulator, mode: str):
+    return sim.run if mode == "single" else sim.run_batched
+
+
+@pytest.mark.parametrize("mode", ["single", "batched"])
+class TestEndOfTimestampHook:
+    def _schedule_flushing_events(self, sim, log):
+        """Events at t=1 that each re-arm one shared hook, plus a t=2 event."""
+        armed = [False]
+
+        def hook():
+            armed[0] = False
+            log.append(("hook", sim.now))
+
+        def event(name, spawn=False):
+            log.append((name, sim.now))
+            if not armed[0]:
+                armed[0] = True
+                sim.at_timestamp_end(hook)
+            if spawn:
+                sim.schedule_call(0.0, lambda: event(name + "'"))
+
+        sim.schedule_at(1.0, lambda: event("a", spawn=True))
+        sim.schedule_call_at(1.0, lambda: event("b"))
+        sim.schedule_at(2.0, lambda: event("c"))
+
+    def test_fires_once_per_timestamp_after_same_time_events(self, mode):
+        sim = Simulator()
+        log = []
+        self._schedule_flushing_events(sim, log)
+        _loop(sim, mode)()
+        assert log == [
+            ("a", 1.0),
+            ("b", 1.0),
+            ("a'", 1.0),
+            ("hook", 1.0),
+            ("c", 2.0),
+            ("hook", 2.0),
+        ]
+        assert sim.events_processed == 4  # hooks are not events
+
+    def test_until_runs_hook_before_moving_the_clock(self, mode):
+        sim = Simulator()
+        log = []
+        self._schedule_flushing_events(sim, log)
+        _loop(sim, mode)(until=1.5)
+        assert log[-1] == ("hook", 1.0)
+        assert sim.now == 1.5
+        _loop(sim, mode)(until=5.0)
+        assert log[-1] == ("hook", 2.0)
+        assert sim.now == 5.0
+
+    def test_hook_registered_before_the_loop_runs_before_first_pop(self, mode):
+        sim = Simulator()
+        log = []
+        sim.schedule(0.0, lambda: log.append(("event", sim.now)))
+        sim.at_timestamp_end(lambda: log.append(("hook", sim.now)))
+        _loop(sim, mode)()
+        assert log == [("hook", 0.0), ("event", 0.0)]
+
+    def test_hook_scheduling_at_now_keeps_the_clock(self, mode):
+        sim = Simulator()
+        log = []
+
+        def hook():
+            log.append(("hook", sim.now))
+            if len(log) < 3:
+                sim.schedule_call(0.0, event)
+
+        def event():
+            log.append(("event", sim.now))
+            sim.at_timestamp_end(hook)
+
+        sim.schedule_at(1.0, event)
+        sim.schedule_at(3.0, lambda: log.append(("late", sim.now)))
+        _loop(sim, mode)()
+        assert log == [
+            ("event", 1.0),
+            ("hook", 1.0),
+            ("event", 1.0),
+            ("hook", 1.0),
+            ("late", 3.0),
+        ]
+
+
+class TestReservedCounter:
+    @pytest.mark.parametrize("mode", ["single", "batched"])
+    def test_reserved_seq_sorts_ahead_of_later_same_time_events(self, mode):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append("before"))
+        seq = sim.reserve_seq()
+        sim.schedule_at(1.0, lambda: fired.append("after"))
+        sim.schedule_call_at(1.0, lambda: fired.append("after-call"))
+        handle = sim.schedule_at_seq(1.0, seq, lambda: fired.append("reserved"))
+        assert handle.time == 1.0
+        _loop(sim, mode)()
+        assert fired == ["before", "reserved", "after", "after-call"]
+
+    def test_reserved_handle_cancels(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule_at_seq(1.0, sim.reserve_seq(), lambda: fired.append(1))
+        handle.cancel()
+        sim.run()
+        assert fired == []
+
+    def test_reserved_push_in_past_rejected(self):
+        sim = Simulator()
+        seq = sim.reserve_seq()
+        sim.run(until=2.0)
+        with pytest.raises(ValueError):
+            sim.schedule_at_seq(1.0, seq, lambda: None)
