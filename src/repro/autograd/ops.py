@@ -29,7 +29,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in GPT-2)."""
-    u = _SQRT_2_OVER_PI * (x.data + 0.044715 * x.data**3)
+    # x*x*x, not x**3: numpy's float32 pow is ~100x slower on negative bases.
+    u = _SQRT_2_OVER_PI * (x.data + 0.044715 * (x.data * x.data * x.data))
     t = np.tanh(u)
     out_data = 0.5 * x.data * (1.0 + t)
 

@@ -53,6 +53,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _is_basic_index(index) -> bool:
+    """True for numpy basic indices: ints, slices, ``None``, ``...`` or tuples of these.
+
+    A basic index selects each element at most once, so its gradient can be
+    scattered with ``+=`` instead of the slower, duplicate-safe ``np.add.at``.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items
+    )
+
+
 class Tensor:
     """A differentiable array.
 
@@ -269,11 +285,15 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
+        basic = _is_basic_index(index)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
+                if basic:
+                    full[index] += grad
+                else:
+                    np.add.at(full, index, grad)
                 self._accumulate(full)
 
         return Tensor._make(out_data, (self,), backward)

@@ -9,6 +9,7 @@ and the loss curve visibly decreases during fine-tuning).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from collections.abc import Iterator
 
@@ -48,6 +49,8 @@ class SyntheticCorpus:
     ) -> None:
         if vocab_size < 4:
             raise ValueError(f"vocab_size too small: {vocab_size}")
+        if n_tokens < 1:
+            raise ValueError(f"n_tokens must be at least 1, got {n_tokens}")
         if not 0.0 <= markov_weight <= 1.0:
             raise ValueError(f"markov_weight must be in [0, 1], got {markov_weight}")
         self.vocab_size = vocab_size
@@ -62,15 +65,32 @@ class SyntheticCorpus:
         successors = rng.integers(0, vocab_size, size=(vocab_size, n_successors))
         successor_probs = rng.dirichlet(np.ones(n_successors), size=vocab_size)
 
+        # The same tokens as drawing each one with ``rng.choice(..., p=)``:
+        # that call takes one uniform double and returns
+        # ``searchsorted(cumsum(p) / cumsum(p)[-1], u, side="right")``, so
+        # every token after the first costs exactly two doubles (the
+        # Markov-or-unigram coin, then the pick) and all of them can be
+        # drawn up front.  Only the Markov picks depend on the previous
+        # token, so only they are walked one at a time.
+        uniforms = rng.random(1 + 2 * (n_tokens - 1))
+        markov = uniforms[1::2] < markov_weight
+        picks = uniforms[2::2]
+        unigram_cdf = unigram.cumsum()
+        unigram_cdf /= unigram_cdf[-1]
+        successor_cdf = successor_probs.cumsum(axis=1)
+        successor_cdf /= successor_cdf[:, -1:]
+
         tokens = np.empty(n_tokens, dtype=np.int64)
-        tokens[0] = rng.choice(vocab_size, p=unigram)
-        unigram32 = unigram.astype(np.float64)
-        for i in range(1, n_tokens):
-            if rng.random() < markov_weight:
-                prev = tokens[i - 1]
-                tokens[i] = rng.choice(successors[prev], p=successor_probs[prev])
-            else:
-                tokens[i] = rng.choice(vocab_size, p=unigram32)
+        tokens[0] = unigram_cdf.searchsorted(uniforms[0], side="right")
+        tokens[1:][~markov] = unigram_cdf.searchsorted(picks[~markov], side="right")
+        # Memoryviews hand out Python scalars one at a time, with no
+        # corpus-sized lists of boxed ints and floats.
+        view = memoryview(tokens)
+        succ = successors.tolist()
+        cdfs = successor_cdf.tolist()
+        for i, u in zip(memoryview(np.flatnonzero(markov)), memoryview(picks[markov])):
+            prev = view[i]
+            view[i + 1] = succ[prev][bisect.bisect_right(cdfs[prev], u)]
         self.tokens = tokens
 
     def batches(

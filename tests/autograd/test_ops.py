@@ -35,6 +35,31 @@ class TestGelu:
         ng = numeric_grad(lambda: float(gelu(Tensor(x.data)).sum().data), x)
         np.testing.assert_allclose(x.grad, ng, atol=2e-2)
 
+    def test_matches_float64_formula(self):
+        values = np.concatenate(
+            [np.linspace(-8.0, 8.0, 4001), [-7.999, -3.0, -1.0, -1e-3, 0.0, 1e-3]]
+        ).astype(np.float32)
+        upstream = np.random.default_rng(3).normal(size=values.shape).astype(np.float32)
+        x = Tensor(values, requires_grad=True)
+        out = gelu(x)
+        out.backward(upstream)
+
+        v = values.astype(np.float64)
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (v + 0.044715 * v**3))
+        dt = (1.0 - t**2) * c * (1.0 + 3 * 0.044715 * v**2)
+        forward = 0.5 * v * (1.0 + t)
+        backward = upstream * (0.5 * (1.0 + t) + 0.5 * v * dt)
+        # 1 + tanh(u) -> 0 for negative x, and the derivative crosses zero
+        # near x = -0.75: float32 loses digits there in absolute, not relative,
+        # terms, so each side may also be off by ulps of its terms' magnitude.
+        ulp = np.finfo(np.float32).eps
+        forward_err = np.abs(out.data - forward)
+        assert np.all(forward_err <= 1e-6 * np.abs(forward) + np.abs(v) * ulp)
+        backward_err = np.abs(x.grad - backward)
+        backward_tol = 2 * np.abs(upstream) * (1 + np.abs(v)) * ulp
+        assert np.all(backward_err <= 1e-6 * np.abs(backward) + backward_tol)
+
 
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):

@@ -109,6 +109,44 @@ class TestShapes:
         x[0].sum().backward()
         np.testing.assert_allclose(x.grad, [[1, 1, 1], [0, 0, 0]])
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            1,
+            -1,
+            np.int64(2),
+            slice(1, None),
+            slice(None, None, -2),
+            None,
+            Ellipsis,
+            (0, slice(1, 3)),
+            (Ellipsis, 1),
+            (None, slice(None), -1, None),
+            (slice(None), np.int32(0), slice(2, 4)),
+        ],
+    )
+    def test_basic_index_grad_matches_add_at(self, index):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(3, 4, 5)).astype(np.float32), requires_grad=True)
+        out = x[index]
+        upstream = rng.normal(size=out.shape).astype(np.float32)
+        out.backward(upstream)
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, index, upstream)
+        assert x.grad.dtype == expected.dtype
+        assert np.array_equal(x.grad, expected)
+
+    def test_advanced_index_with_duplicates_accumulates(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        x[(np.array([0, 2, 0]), slice(None))].backward(np.ones((3, 2)))
+        np.testing.assert_allclose(x.grad, [[2, 2], [0, 0], [1, 1]])
+
+    def test_boolean_mask_grad(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        mask = np.array([[True, False, True], [False, True, False]])
+        x[mask].backward(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(x.grad, [[1, 0, 2], [0, 3, 0]])
+
 
 class TestReductions:
     def test_sum_axis_keepdims(self):
