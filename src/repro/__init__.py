@@ -7,9 +7,10 @@ Commodity GPU Servers" (Feng et al., ASPLOS 2023).  The package provides:
 * ``repro.sim`` — a deterministic discrete-event simulator with
   bandwidth-shared links (the execution substrate);
 * ``repro.models`` — analytic transformer cost models and the profiler;
-* ``repro.solver`` — a from-scratch MILP solver (simplex + branch & bound);
-* ``repro.core`` — the Mobius pipeline, MIP partition algorithm and cross
-  mapping (the paper's contribution);
+* ``repro.core`` — the Mobius pipeline, the boundary-search partition
+  algorithm and cross mapping (the paper's contribution);
+* ``repro.solver`` — the literal partition MIP's model builder and HiGHS
+  call, a test-suite oracle for the partition search;
 * ``repro.baselines`` — GPipe and DeepSpeed (ZeRO-3 offload and pipeline);
 * ``repro.analysis`` — traffic, bandwidth-CDF, overlap and price analyses;
 * ``repro.autograd`` / ``repro.nn`` / ``repro.training`` — a numpy autodiff

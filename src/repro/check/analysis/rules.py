@@ -108,7 +108,6 @@ class AnalysisConfig:
     entry_points: tuple[str, ...] = (
         "repro.sim.engine.Simulator.run",
         "repro.sim.engine.Simulator.run_batched",
-        "repro.solver.branch_bound.BranchAndBoundSolver.solve",
         "repro.sim.resources.FlowNetwork._reallocate",
         # The daemon's answer ladder: everything between a dequeued job
         # and its PlanResponse must be transitively clock/RNG-free, or a

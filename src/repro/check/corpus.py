@@ -36,8 +36,8 @@ from repro.sim.tasks import TaskGraphRunner
 
 __all__ = ["CorpusCell", "default_corpus", "check_cell", "run_corpus"]
 
-#: Search budget per MIP solve; the corpus models are small enough that the
-#: solver proves optimality well inside this.
+#: Search budget per partition solve; the corpus models are small enough
+#: that the boundary search exhausts well inside this.
 _TIME_LIMIT = 2.0
 
 
@@ -75,11 +75,12 @@ def default_corpus() -> list[CorpusCell]:
     """The default cells: two models crossed with the paper's servers.
 
     Datacenter-scale coverage deliberately lives elsewhere: every corpus
-    cell also feeds the literal Eq. 3-11 partition MIP into the solver
-    parity tests and ``solvebench``, so cells must stay small enough for a
-    dense MILP cross-check.  The 1024-GPU regime is exercised by the
-    simulator bench's ``large`` section (:mod:`repro.sim.workloads`), which
-    simulates a synthetic task graph without planning it.
+    cell also feeds the literal Eq. 3-11 partition MIP to HiGHS in the
+    DFS-vs-HiGHS parity test, so cells must stay small enough for a dense
+    MILP cross-check at every stage count.  The 1024-GPU regime is
+    exercised by the simulator bench's ``large`` section
+    (:mod:`repro.sim.workloads`), which simulates a synthetic task graph
+    without planning it.
     """
     gpt_a = _gpt_a()
     gpt_b = _gpt_b()

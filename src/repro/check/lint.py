@@ -16,12 +16,11 @@ three that have bitten (or would silently bite) the reproduction:
   virtual clock is the only time source there; ``time.perf_counter`` is
   allowed because it only feeds search-duration metadata, never results.
   Modules under ``repro/solver/`` and ``repro/sim/`` are held to the
-  *strict* variant: the solver runs under deterministic node/pivot budgets
-  and the simulator under its virtual clock, so even monotonic clocks
-  (``perf_counter``, ``monotonic``) are banned except at explicitly
-  allowlisted reporting sites (``clock_allowlist``) — ``solve_seconds``
-  metadata and the ``simbench``/``solvebench`` wall-time columns, which
-  are informational by contract.
+  *strict* variant: the literal-MIP builder and its HiGHS call read no
+  clock, and the simulator runs under its virtual clock, so even monotonic
+  clocks (``perf_counter``, ``monotonic``) are banned except at explicitly
+  allowlisted reporting sites (``clock_allowlist``) — such as the
+  ``simbench`` wall-time columns, which are informational by contract.
 
 * **MOB003 — task-label contract.**  Task labels built in
   ``repro/core/pipeline.py`` must come from the :mod:`repro.core.labels`
@@ -138,7 +137,7 @@ class LintConfig:
         # Fault injection must be as deterministic as the simulator it
         # perturbs: failure coins come from content hashes, never RNGs.
         "src/repro/faults/",
-        # The MILP stack stops on node/pivot budgets, never the clock.
+        # The literal-MIP builder and its HiGHS call read no clock.
         "src/repro/solver/",
         # The planning daemon answers from caches, budget-limited solves
         # and scripted chaos — its responses are content-addressed, so no
@@ -157,16 +156,9 @@ class LintConfig:
     )
     clock_allowlist: frozenset[str] = frozenset(
         {
-            # The single sanctioned clock read: MIPSolution.solve_seconds
-            # reporting.  It feeds metadata only — budgets control the
-            # search — and stays out of every hot loop.
-            "src/repro/solver/branch_bound.py::BranchAndBoundSolver.solve",
-            # The benchmarks' wall times are informational by contract —
-            # the solvebench CI gate compares node counts and parity only,
-            # and the simbench gate compares fingerprints and allocator
-            # work counters only.
-            "src/repro/solver/bench.py::_run_mip_rows",
-            "src/repro/solver/bench.py::_run_partition_rows",
+            # The benchmark's wall times are informational by contract —
+            # the simbench gate compares fingerprints and allocator work
+            # counters only.
             "src/repro/sim/bench.py::_run_corpus_rows",
             "src/repro/sim/bench.py::_run_chaos_rows",
             "src/repro/sim/bench.py::_run_large_rows",

@@ -15,10 +15,6 @@ Subcommands:
 * ``chaos``    — run the fault-injection matrix (:mod:`repro.faults`):
   every check-corpus cell under dropout/degraded-link/straggler/flaky
   faults, asserting recovery; exits non-zero if any cell fails;
-* ``solvebench`` — benchmark the MIP solver stack (:mod:`repro.solver`)
-  over the check corpus: objective parity vs scipy/HiGHS, warm-vs-cold
-  invariance, node/pivot counts; ``--check-against`` gates CI on the
-  committed ``BENCH_solver.json``;
 * ``simbench`` — benchmark the discrete-event simulator (:mod:`repro.sim`)
   over the check corpus and chaos scenarios: trace fingerprints plus the
   incremental allocator's work counters; ``--check-against`` gates CI on
@@ -40,7 +36,6 @@ Examples:
     python -m repro lint src/repro/sim --sarif lint.sarif
     python -m repro check --json
     python -m repro chaos --json
-    python -m repro solvebench --json BENCH_solver.json
     python -m repro simbench --check-against BENCH_sim.json
     python -m repro serve --store .mobius_serve.sqlite --rounds 2
     python -m repro servebench --check-against BENCH_serve.json
@@ -190,20 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--steps", type=int, default=4,
         help="training-window length (steps) for goodput accounting",
-    )
-
-    solvebench = sub.add_parser(
-        "solvebench",
-        help="benchmark the MIP solver stack over the check corpus",
-    )
-    solvebench.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the benchmark JSON to PATH (or stdout with no PATH)",
-    )
-    solvebench.add_argument(
-        "--check-against", default=None, metavar="PATH",
-        help="committed BENCH_solver.json baseline; exit 1 on objective-"
-        "parity or >25%% node-count regression",
     )
 
     simbench = sub.add_parser(
@@ -456,47 +437,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_solvebench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.solver.bench import compare_benchmarks, run_bench, write_bench
-
-    document = run_bench()
-    if args.json == "-":
-        print(json.dumps(document, indent=1))
-    elif args.json is not None:
-        write_bench(args.json, document)
-        print(f"benchmark written to {args.json}")
-    else:
-        for row in document["mip"]:
-            flag = "ok" if row["parity"] and row["warm_identical"] else "FAIL"
-            print(
-                f"mip {row['name']:<24} {row['status']:<10} "
-                f"nodes={row['nodes']:<6} pivots={row['pivots']:<7} "
-                f"warm={row['warm_nodes']:<6} [{flag}]"
-            )
-        for row in document["partition"]:
-            flag = "ok" if row["warm_identical"] else "FAIL"
-            print(
-                f"partition {row['name']:<18} nodes={row['nodes']:<6} "
-                f"warm={row['warm_nodes']:<6} [{flag}]"
-            )
-    failures = [
-        f"{section}:{row['name']}: "
-        + ("parity failed" if not row.get("parity", True) else "warm != cold")
-        for section in ("mip", "partition")
-        for row in document[section]
-        if not (row.get("parity", True) and row.get("warm_identical", True))
-    ]
-    if args.check_against is not None:
-        with open(args.check_against) as f:
-            baseline = json.load(f)
-        failures.extend(compare_benchmarks(document, baseline))
-    for failure in failures:
-        print(f"FAIL {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_simbench(args: argparse.Namespace) -> int:
     import json
 
@@ -652,7 +592,6 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "check": _cmd_check,
     "chaos": _cmd_chaos,
-    "solvebench": _cmd_solvebench,
     "simbench": _cmd_simbench,
     "serve": _cmd_serve,
     "servebench": _cmd_servebench,

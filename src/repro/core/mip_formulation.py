@@ -1,12 +1,13 @@
 """The paper's partitioning MIP in its literal boolean form (§3.2).
 
 The production partitioner (:mod:`repro.core.partition`) searches stage
-*boundaries* with branch & bound; this module instead builds the MIP the
-paper writes down — boolean assignment variables ``B[i][j]`` ("layer i is
-in stage j", Table 2) with the full constraint system (Eqs. 4-11) — and
-solves it with the :mod:`repro.solver` stack.  It exists to validate the
-production path: for small instances both must return the same optimal
-step time (asserted by the test suite).
+*boundaries* depth first; this module instead builds the MIP the paper
+writes down — boolean assignment variables ``B[i][j]`` ("layer i is in
+stage j", Table 2) with the full constraint system (Eqs. 4-11) — and
+solves it with HiGHS (:func:`repro.solver.scipy_backend.solve_milp_scipy`).
+It exists to validate the production path: on the check corpus both must
+return the same optimal step time and boundaries (asserted by the test
+suite).
 
 Formulation notes:
 
@@ -29,23 +30,31 @@ import time
 from repro.core.plan import Partition
 from repro.models.costmodel import CostModel
 from repro.models.spec import ModelSpec
-from repro.solver.branch_bound import BranchAndBoundSolver, MIPSolution
 from repro.solver.model import LinearProgram
-from repro.solver.scipy_backend import solve_milp_scipy
+from repro.solver.scipy_backend import MIPSolution, MIPStatus, solve_milp_scipy
 
 __all__ = ["FormulationResult", "build_partition_mip", "solve_partition_mip"]
 
+#: HiGHS wall-clock limit per stage count, in seconds.  A count that hits
+#: it returns its incumbent, and :attr:`FormulationResult.optimal` is false.
+TIME_LIMIT_PER_STAGE = 20.0
 
 
 @dataclasses.dataclass
 class FormulationResult:
-    """Outcome of the literal-MIP solve."""
+    """Outcome of the literal-MIP solve.
+
+    ``optimal`` is true only when HiGHS proved every stage count optimal or
+    infeasible; a count stopped by :data:`TIME_LIMIT_PER_STAGE` leaves an
+    unproven incumbent in ``per_stage_solutions`` and makes it false.
+    """
 
     partition: Partition | None
     step_seconds: float
     n_stages: int
     solve_seconds: float
     per_stage_solutions: dict[int, float]
+    optimal: bool
 
 
 def build_partition_mip(
@@ -228,15 +237,8 @@ def solve_partition_mip(
     *,
     gpu_memory: int | None = None,
     stage_counts: list[int] | None = None,
-    backend: str = "scipy",
-    time_limit_per_stage: float = 20.0,
 ) -> FormulationResult:
-    """Solve the literal MIP over a range of stage counts; best wins.
-
-    Args:
-        backend: ``"scipy"`` (HiGHS) or ``"bnb"`` (our solver; small
-            instances only).
-    """
+    """Solve the literal MIP with HiGHS over a range of stage counts; best wins."""
     if gpu_memory is None:
         gpu_memory = cost_model.usable_gpu_bytes()
     n_layers = model.n_layers
@@ -245,11 +247,13 @@ def solve_partition_mip(
     started = time.perf_counter()
     best: tuple[float, int, list[int]] | None = None
     per_stage: dict[int, float] = {}
+    optimal = True
     for s in stage_counts:
         lp, assign = build_partition_mip(
             model, cost_model, s, n_gpus, n_microbatches, bandwidth, gpu_memory
         )
-        solution = _solve(lp, backend, time_limit_per_stage)
+        solution = solve_milp_scipy(lp, time_limit=TIME_LIMIT_PER_STAGE)
+        optimal &= solution.status in (MIPStatus.OPTIMAL, MIPStatus.INFEASIBLE)
         if not solution.ok:
             per_stage[s] = math.inf
             continue
@@ -259,7 +263,9 @@ def solve_partition_mip(
             best = (solution.objective, s, boundaries)
 
     if best is None:
-        return FormulationResult(None, math.inf, 0, time.perf_counter() - started, per_stage)
+        return FormulationResult(
+            None, math.inf, 0, time.perf_counter() - started, per_stage, optimal
+        )
     objective, s, boundaries = best
     return FormulationResult(
         partition=Partition(model, tuple(boundaries)),
@@ -267,15 +273,8 @@ def solve_partition_mip(
         n_stages=s,
         solve_seconds=time.perf_counter() - started,
         per_stage_solutions=per_stage,
+        optimal=optimal,
     )
-
-
-def _solve(lp: LinearProgram, backend: str, time_limit: float) -> MIPSolution:
-    if backend == "scipy":
-        return solve_milp_scipy(lp, time_limit=time_limit)
-    if backend == "bnb":
-        return BranchAndBoundSolver(time_limit=time_limit).solve(lp)
-    raise ValueError(f"unknown backend {backend!r}; expected 'scipy' or 'bnb'")
 
 
 def _extract_boundaries(solution: MIPSolution, assign) -> list[int]:

@@ -9,10 +9,9 @@ remaining layer forward and the whole model backward, and the backward
 pipeline bubble adds ``M-1`` backwards of the slowest stage).  This *is*
 a mixed-integer optimisation: integer decisions (stage boundaries) +
 linear timing constraints, solved exactly when the node/time budget
-allows.  A
-literal boolean ``B_{i,j}`` MILP in the paper's notation is provided in
-:mod:`repro.core.mip_formulation` and cross-checked against this solver in
-the test suite.
+allows.  This search is the only planner; the paper's literal boolean
+``B_{i,j}`` MILP lives in :mod:`repro.core.mip_formulation`, where HiGHS
+solves it as the test suite's parity oracle for this search.
 
 Baselines of §4.3:
 
@@ -67,9 +66,6 @@ class PartitionResult:
         optimal: Whether the search ran to completion (exact optimum) or
             stopped on the budget with the best incumbent.
         method: ``"mip"``, ``"max-stage"`` or ``"min-stage"``.
-        warm_started: Whether a caller-provided warm-start hint seeded the
-            incumbent (it tightens pruning; an exhausted search returns the
-            same partition with or without it).
         lower_bound: Certified lower bound on the optimal step seconds: the
             minimum of the incumbent's step and the bounds of the subtrees
             the budget cut off.  ``nan`` for the baselines, which search
@@ -85,7 +81,6 @@ class PartitionResult:
     nodes_explored: int
     optimal: bool
     method: str
-    warm_started: bool = False
     lower_bound: float = math.nan
     gap: float = math.nan
 
@@ -460,22 +455,6 @@ def _warm_start(ctx: _SearchContext) -> tuple[list[int] | None, float]:
     return best, best_time
 
 
-def _warm_start_boundaries(warm_start: object) -> tuple[int, ...] | None:
-    """Extract candidate boundaries from a warm-start hint.
-
-    Accepts a plain boundary sequence or anything carrying a ``boundaries``
-    attribute (:class:`repro.solver.warmstart.WarmStartContext`, a
-    :class:`~repro.core.plan.Partition`, ...) — duck-typed so ``core`` does
-    not import ``solver``.
-    """
-    if warm_start is None:
-        return None
-    boundaries = getattr(warm_start, "boundaries", warm_start)
-    if boundaries is None:
-        return None
-    return tuple(int(b) for b in boundaries)
-
-
 def mip_partition(
     model: ModelSpec,
     cost_model: CostModel,
@@ -486,7 +465,6 @@ def mip_partition(
     gpu_memory: int | None = None,
     time_limit: float = 10.0,
     max_nodes: int = 20_000,
-    warm_start: object = None,
 ) -> PartitionResult:
     """The MIP partition algorithm (§3.2).
 
@@ -497,6 +475,11 @@ def mip_partition(
     is at least the incumbent plus 1e-12.  When the node budget cuts the
     search short, the bounds of the subtrees it cut off still certify how
     far the incumbent can be from the optimum (``lower_bound``/``gap``).
+
+    This is the partition search behind every plan.
+    :func:`repro.core.mip_formulation.solve_partition_mip` solves the same
+    problem as the paper's literal MIP with HiGHS; the test suite requires
+    both to return the same step time and boundaries on the check corpus.
 
     Args:
         model: Model to partition.
@@ -512,16 +495,6 @@ def mip_partition(
             clock only stops a search on hardware far slower than the
             calibration machine, so results are normally independent of it.
         max_nodes: Deterministic node budget — the binding work limit.
-        warm_start: Optional incumbent hint — a boundary sequence or any
-            object with a ``boundaries`` attribute (e.g. a prior
-            :class:`~repro.core.plan.Partition` or a
-            ``repro.solver.warmstart.WarmStartContext``).  A good hint
-            tightens pruning (fewer nodes); an **exhausted** search's
-            result cannot depend on it: the search uses a canonical
-            tie-break (smallest boundary tuple among step-time ties) and
-            explores tied subtrees, so the returned partition is the same
-            canonical optimum with or without the hint.  A *truncated*
-            search's incumbent, however, may depend on the hint.
 
     Returns:
         The best partition found; ``optimal`` reports whether the search
@@ -537,18 +510,6 @@ def mip_partition(
     started = time.perf_counter()
 
     incumbent, incumbent_time = _warm_start(ctx)
-    warm_started = False
-    hinted = _warm_start_boundaries(warm_start)
-    if hinted is not None and all(0 < b < model.n_layers for b in hinted):
-        hinted_list = sorted(set(hinted))
-        timings = ctx.evaluate(hinted_list)
-        if timings.feasible:
-            # A feasible hint seeded the search even when the built-in
-            # sweep already matched it — either way pruning starts from
-            # the tighter of the two.
-            warm_started = True
-            if timings.step_seconds < incumbent_time - 1e-12:
-                incumbent, incumbent_time = hinted_list, timings.step_seconds
 
     nodes = 0
     exhausted = True
@@ -560,9 +521,8 @@ def mip_partition(
         """Canonical incumbent comparison: step time, then boundary tuple.
 
         Ties (within 1e-12) prefer the lexicographically smaller boundary
-        tuple, which makes the returned optimum independent of incumbent
-        seeding order — the property that lets warm starts prune without
-        changing the result.
+        tuple, which makes an exhausted search's optimum independent of
+        which tie :func:`_warm_start` seeded as the incumbent.
         """
         if step_seconds < incumbent_time - 1e-12:
             return True
@@ -636,7 +596,6 @@ def mip_partition(
         nodes_explored=nodes,
         optimal=exhausted,
         method="mip",
-        warm_started=warm_started,
         lower_bound=lower_bound,
         gap=(timings.step_seconds - lower_bound) / timings.step_seconds,
     )

@@ -52,9 +52,9 @@ __all__ = [
 
 #: On-disk entry format version; bump to invalidate all persisted entries.
 #: v2: the fast-MIP solver overhaul — PartitionResult/MIPSolution grew
-#: fields (warm_started, pivots, cuts_added) and the partition search moved
-#: to a deterministic node budget, so v1 entries describe a different
-#: search and must never be returned.
+#: fields (a warm-start flag, pivot and cut counts) and the partition
+#: search moved to a deterministic node budget, so v1 entries describe a
+#: different search and must never be returned.
 #: v3: Trace moved to columnar span storage — its pickle payload is now
 #: exported column arrays, so v2 entries (list-of-spans layout) cannot be
 #: loaded into the new class.
@@ -64,7 +64,10 @@ __all__ = [
 #: v5: the partition search gained the pipeline-bubble bound, so v4
 #: entries hold the old ``optimal``/``nodes_explored`` and lack
 #: ``lower_bound``/``gap``.
-CACHE_VERSION = 5
+#: v6: PartitionResult lost its warm-start flag with the partition
+#: warm-start hint, so v5 pickles no longer match the class they unpickle
+#: into.
+CACHE_VERSION = 6
 
 DEFAULT_CACHE_DIR = ".mobius_cache"
 

@@ -1,15 +1,12 @@
-"""MILP solver substrate (replaces Gurobi, which the paper uses for §3.2).
+"""The literal partition MIP's algebra and solver.
 
-Stack: algebraic model builder -> bounded-variable revised simplex (primal
-+ dual, warm-startable basis) -> best-first branch & bound with root cuts,
-primal heuristics, incremental bound propagation, and deterministic
-node/pivot budgets — with optional scipy/HiGHS backends for
-cross-validation.
+An expression-level model builder (:mod:`repro.solver.model`) and a HiGHS
+call through :func:`scipy.optimize.milp` (:mod:`repro.solver.scipy_backend`).
+The planner does not use either: its partition comes from the boundary
+search in :mod:`repro.core.partition`, and the test suite checks that
+search against HiGHS on the literal Eqs. 3-11 MIP.
 """
 
-from repro.solver.branch_bound import BranchAndBoundSolver, MIPSolution, MIPStatus
-from repro.solver.cuts import cover_cuts, gomory_cuts
-from repro.solver.heuristics import dive, round_and_repair
 from repro.solver.model import (
     Constraint,
     ConstraintSense,
@@ -18,48 +15,16 @@ from repro.solver.model import (
     StandardForm,
     Variable,
 )
-from repro.solver.presolve import (
-    PresolveResult,
-    postsolve,
-    presolve,
-    propagate_bounds,
-)
-from repro.solver.scipy_backend import solve_lp_scipy, solve_milp_scipy
-from repro.solver.simplex import (
-    Basis,
-    LPSolution,
-    LPStatus,
-    RevisedSimplex,
-    SimplexError,
-    solve_standard_form,
-)
-from repro.solver.warmstart import WarmStartContext
+from repro.solver.scipy_backend import MIPSolution, MIPStatus, solve_milp_scipy
 
 __all__ = [
-    "Basis",
-    "BranchAndBoundSolver",
     "Constraint",
     "ConstraintSense",
-    "LPSolution",
-    "LPStatus",
     "LinearExpr",
     "LinearProgram",
     "MIPSolution",
     "MIPStatus",
-    "PresolveResult",
-    "RevisedSimplex",
-    "SimplexError",
     "StandardForm",
     "Variable",
-    "WarmStartContext",
-    "cover_cuts",
-    "dive",
-    "gomory_cuts",
-    "postsolve",
-    "presolve",
-    "propagate_bounds",
-    "round_and_repair",
-    "solve_lp_scipy",
     "solve_milp_scipy",
-    "solve_standard_form",
 ]

@@ -1,10 +1,7 @@
 """Algebraic model builder for linear and mixed-integer programs.
 
-The paper solves its partitioning MIP with the commercial Gurobi optimizer;
-this subpackage replaces it with a from-scratch stack: an expression-level
-model builder (this module), a dense two-phase simplex for LP relaxations
-(:mod:`repro.solver.simplex`), best-first branch & bound
-(:mod:`repro.solver.branch_bound`), and an optional HiGHS backend via
+The paper solves its partitioning MIP with the commercial Gurobi optimizer.
+Here the literal MIP is built with this module and solved by HiGHS via
 :func:`scipy.optimize.milp` (:mod:`repro.solver.scipy_backend`).
 
 Example:

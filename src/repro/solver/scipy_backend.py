@@ -1,42 +1,43 @@
-"""Optional scipy (HiGHS) backends for LPs and MILPs.
+"""Solve a :class:`~repro.solver.model.LinearProgram` with scipy's HiGHS.
 
-Used to cross-validate the from-scratch simplex and branch & bound, and as a
-faster solver for large partitioning MIPs.
+:func:`scipy.optimize.milp` (HiGHS branch & cut) is the only solver of the
+literal partition MIP (:mod:`repro.core.mip_formulation`), which the test
+suite uses as a parity oracle for the planner's boundary search.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import math
 
 import numpy as np
 from scipy import optimize, sparse
 
-from repro.solver.branch_bound import MIPSolution, MIPStatus
-from repro.solver.model import LinearProgram, StandardForm
-from repro.solver.simplex import LPSolution, LPStatus
+from repro.solver.model import LinearProgram
 
-__all__ = ["solve_lp_scipy", "solve_milp_scipy"]
+__all__ = ["MIPSolution", "MIPStatus", "solve_milp_scipy"]
 
 
-def solve_lp_scipy(form: StandardForm) -> LPSolution:
-    """Solve the LP relaxation of ``form`` with :func:`scipy.optimize.linprog`."""
-    bounds = list(zip(form.lb, [u if math.isfinite(u) else None for u in form.ub]))
-    result = optimize.linprog(
-        form.c,
-        A_ub=form.a_ub if form.a_ub.size else None,
-        b_ub=form.b_ub if form.b_ub.size else None,
-        A_eq=form.a_eq if form.a_eq.size else None,
-        b_eq=form.b_eq if form.b_eq.size else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if result.status == 2:
-        return LPSolution(LPStatus.INFEASIBLE)
-    if result.status == 3:
-        return LPSolution(LPStatus.UNBOUNDED)
-    if not result.success:  # pragma: no cover - solver hiccup
-        return LPSolution(LPStatus.INFEASIBLE)
-    return LPSolution(LPStatus.OPTIMAL, np.asarray(result.x), float(result.fun))
+class MIPStatus(enum.Enum):
+    OPTIMAL = "optimal"
+    FEASIBLE = "feasible"  # stopped on the time limit with an incumbent
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+    NO_SOLUTION = "no_solution"  # stopped on the time limit without one
+
+
+@dataclasses.dataclass
+class MIPSolution:
+    """Outcome of a MIP solve; ``objective`` keeps the program's direction."""
+
+    status: MIPStatus
+    x: np.ndarray | None = None
+    objective: float = math.nan
+
+    @property
+    def ok(self) -> bool:
+        return self.status in (MIPStatus.OPTIMAL, MIPStatus.FEASIBLE)
 
 
 def solve_milp_scipy(program: LinearProgram, *, time_limit: float = 60.0) -> MIPSolution:

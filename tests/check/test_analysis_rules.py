@@ -76,12 +76,18 @@ class TestMob004:
 
     def test_clock_allowlist_site_is_honored(self):
         report = _analyze(
-            src__repro__solver__branch_bound="""
+            src__repro__serve__daemon="""
+            from repro.core.mapping import cross_mapping
+
+            class PlanService:
+                def _answer(self):
+                    return cross_mapping()
+            """,
+            src__repro__core__mapping="""
             import time
 
-            class BranchAndBoundSolver:
-                def solve(self):
-                    return time.perf_counter()
+            def cross_mapping():
+                return time.perf_counter()
             """,
         )
         assert "MOB004" not in _codes(report)

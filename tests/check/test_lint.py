@@ -172,8 +172,8 @@ class TestMob002HotPathDeterminism:
 
 class TestMob002StrictClock:
     """The strict variant over ``solver/`` and ``sim/``: even monotonic
-    clocks are banned outside allowlisted sites, so solver results stay
-    budget-deterministic and simulator results virtual-clock-only."""
+    clocks are banned outside allowlisted sites, so the literal-MIP oracle
+    stays clock-free and simulator results virtual-clock-only."""
 
     SOLVER_MODULE = "src/repro/solver/some_module.py"
     SIM_MODULE = "src/repro/sim/some_module.py"
@@ -209,17 +209,16 @@ class TestMob002StrictClock:
         assert "MOB002" in _codes(report)
 
     def test_allowlisted_site_passes(self):
-        # The one sanctioned clock site: MIPSolution.solve_seconds reporting.
+        # A sanctioned clock site: simbench's wall-time column.
         report = _lint(
             """
             import time
 
-            class BranchAndBoundSolver:
-                def solve(self, program):
-                    started = time.perf_counter()
-                    return time.perf_counter() - started
+            def _run_corpus_rows():
+                started = time.perf_counter()
+                return time.perf_counter() - started
             """,
-            "src/repro/solver/branch_bound.py",
+            "src/repro/sim/bench.py",
         )
         assert not report.findings
 
@@ -228,11 +227,11 @@ class TestMob002StrictClock:
             """
             import time
 
-            class BranchAndBoundSolver:
-                def other(self):
+            class Rows:
+                def _run_corpus_rows(self):
                     return time.perf_counter()
             """,
-            "src/repro/solver/branch_bound.py",
+            "src/repro/sim/bench.py",
         )
         assert "MOB002" in _codes(report)
 

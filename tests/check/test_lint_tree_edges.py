@@ -83,6 +83,6 @@ class TestClockAllowlist:
 
     def test_default_allowlist_covers_repo_reporting_sites(self):
         assert (
-            "src/repro/solver/branch_bound.py::BranchAndBoundSolver.solve"
+            "src/repro/sim/bench.py::_run_corpus_rows"
             in DEFAULT_CONFIG.clock_allowlist
         )

@@ -161,42 +161,6 @@ class TestDeterministicBudgets:
         assert fast.nodes_explored == slow.nodes_explored
 
 
-class TestPartitionWarmStart:
-    def test_warm_start_cannot_change_the_result(self, model, cm):
-        cold = mip_partition(model, cm, 2, 2, BW)
-        warm = mip_partition(model, cm, 2, 2, BW, warm_start=cold.partition)
-        assert warm.warm_started
-        assert warm.partition.boundaries == cold.partition.boundaries
-        assert warm.timings.step_seconds == cold.timings.step_seconds
-        assert warm.nodes_explored <= cold.nodes_explored
-
-    def test_warm_start_accepts_boundary_sequence(self, model, cm):
-        cold = mip_partition(model, cm, 2, 2, BW)
-        warm = mip_partition(
-            model, cm, 2, 2, BW, warm_start=list(cold.partition.boundaries)
-        )
-        assert warm.partition.boundaries == cold.partition.boundaries
-
-    def test_infeasible_hint_is_ignored(self, model, cm):
-        cold = mip_partition(model, cm, 2, 2, BW)
-        warm = mip_partition(model, cm, 2, 2, BW, warm_start=(1,))
-        assert warm.partition.boundaries == cold.partition.boundaries
-
-    def test_cross_gpu_count_hint_shrinks_search(self):
-        # The fault-replan scenario: re-solve for N-1 GPUs warm-started
-        # from the N-GPU plan.  Fewer nodes, same canonical answer.
-        from repro.models.zoo import gpt2_small
-
-        model = gpt2_small()
-        cm = CostModel(RTX_3090TI, model.default_microbatch_size)
-        full = mip_partition(model, cm, 4, 4, BW)
-        cold = mip_partition(model, cm, 3, 3, BW)
-        warm = mip_partition(model, cm, 3, 3, BW, warm_start=full.partition)
-        assert warm.warm_started
-        assert warm.partition.boundaries == cold.partition.boundaries
-        assert warm.nodes_explored < cold.nodes_explored
-
-
 def _compositions(n_layers):
     """Every boundary tuple of an ``n_layers`` model, in lexicographic order."""
     import itertools

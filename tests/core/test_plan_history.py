@@ -14,7 +14,5 @@ def test_repeat_solve_matches_the_first_after_an_unrelated_plan():
         plan_mobius(model, commodity_server([2, 2]), config)
         repeat = plan_mobius(model, commodity_server([1, 2]), config)
 
-    assert not first.partition_result.warm_started
-    assert not repeat.partition_result.warm_started
     assert repeat.partition_result.nodes_explored == first.partition_result.nodes_explored
     assert repeat.plan.partition.boundaries == first.plan.partition.boundaries

@@ -141,7 +141,6 @@ class TestReplanIsAFreshPlan:
             cold = plan_mobius(model, surviving_topology(topology, 3), config)
 
         assert result.solver_nodes == cold.partition_result.nodes_explored > 0
-        assert not result.plan_report.partition_result.warm_started
         assert (
             result.plan_report.plan.partition.boundaries
             == cold.plan.partition.boundaries

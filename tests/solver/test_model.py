@@ -142,14 +142,14 @@ class TestZeroCoefficientVariables:
         assert form.a_ub[0, 1] == 0.0
 
     def test_solver_ignores_zero_coef_variable(self):
-        from repro.solver.branch_bound import BranchAndBoundSolver, MIPStatus
+        from repro.solver.scipy_backend import MIPStatus, solve_milp_scipy
 
         lp = LinearProgram()
         x = lp.add_var("x", ub=4, integer=True)
         y = lp.add_var("y", ub=4, integer=True)
         lp.add_constraint(x + 0 * y <= 3)
         lp.set_objective(x + y, minimize=False)
-        sol = BranchAndBoundSolver().solve(lp)
+        sol = solve_milp_scipy(lp)
         assert sol.status is MIPStatus.OPTIMAL
         # y is unconstrained by the row: it must reach its own upper bound.
         assert sol.objective == pytest.approx(7.0)
