@@ -451,10 +451,11 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
     else:
         for row in document["corpus"]:
             print(
-                f"corpus {row['name']:<18} events={row['events']:<6} "
+                f"corpus {row['name']:<20} events={row['events']:<6} "
                 f"realloc={row['reallocations']:<5} "
                 f"realloc/event={row['reallocations_per_event']:<6} "
                 f"touched/realloc={row['flows_touched_per_reallocation']:<6} "
+                f"scans={row['member_scans']:<6} "
                 f"fp={row['fingerprint'][:12]}"
             )
         for row in document["chaos"]:

@@ -8,8 +8,10 @@ from the check corpus (:mod:`repro.check.corpus`) and emits
   trace fingerprint (:mod:`repro.perf.fingerprint` over the columnar trace
   views) and the incremental allocator's deterministic work counters:
   events processed, reallocation flushes, components and rounds of
-  progressive filling, flows touched per reallocation and reallocations
-  per event;
+  progressive filling, flows touched, edge-member entries scanned by the
+  flush's walk, flows touched per reallocation and reallocations per
+  event; plus one DeepSpeed ZeRO-3 step (:data:`ZERO3_CELL`), whose
+  all-to-all offload traffic puts many flows on each shared edge;
 * **chaos rows** — every fault scenario of :mod:`repro.faults.chaos` per
   cell (including windowed ``set_bandwidth_scale`` epochs and dropout
   re-plans), fingerprinted the same way;
@@ -35,21 +37,24 @@ import dataclasses
 import json
 import resource
 import time
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any
 
 from repro.check.corpus import default_corpus
 from repro.core.api import plan_mobius
 from repro.core.partition import PlanInfeasibleError
+from repro.baselines.deepspeed import DeepSpeedConfig, build_deepspeed_tasks
 from repro.core.pipeline import build_mobius_tasks
 from repro.faults.chaos import SCENARIOS, build_schedule
 from repro.faults.models import FaultSchedule
 from repro.faults.recovery import run_step
 from repro.faults.replan import replan_after_dropout
-from repro.hardware.topology import large_cluster
+from repro.hardware.topology import Topology, large_cluster
+from repro.models.costmodel import CostModel
 from repro.perf.fingerprint import fingerprint
 from repro.sim.resources import FlowNetworkStats
-from repro.sim.tasks import TaskGraphRunner
+from repro.sim.tasks import Task, TaskGraphRunner
 from repro.sim.workloads import run_cluster_workload
 
 __all__ = [
@@ -69,14 +74,21 @@ WORK_REGRESSION_RATIO = 1.25
 
 #: Counters gated by :func:`compare_benchmarks` (all integers, all
 #: deterministic; ``flows_touched`` is the incremental allocator's headline
-#: number — a from-scratch refill regression shows up there first).
+#: number — a from-scratch refill regression shows up there first, and a
+#: return to per-flow rescans of shared edges shows up in ``member_scans``).
 GATED_COUNTERS = (
     "events",
     "reallocations",
     "components_filled",
     "fill_rounds",
     "flows_touched",
+    "member_scans",
 )
+
+#: The corpus cell whose DeepSpeed ZeRO-3 step is also a corpus row: about
+#: eight flows per flush share its edges, and some of its fills take more
+#: than one round, which no Mobius row's do.
+ZERO3_CELL = "gpt-a/topo_2_2"
 
 
 def _work_counters(events: int, stats: FlowNetworkStats) -> dict[str, Any]:
@@ -93,6 +105,7 @@ def _work_counters(events: int, stats: FlowNetworkStats) -> dict[str, Any]:
         "components_filled": stats.components_filled,
         "fill_rounds": stats.fill_rounds,
         "flows_touched": stats.flows_touched,
+        "member_scans": stats.member_scans,
         "flows_touched_per_reallocation": (
             round(stats.flows_touched / reallocations, 3) if reallocations else 0.0
         ),
@@ -102,25 +115,39 @@ def _work_counters(events: int, stats: FlowNetworkStats) -> dict[str, Any]:
     }
 
 
-def _run_corpus_rows() -> list[dict[str, Any]]:
-    rows = []
+def _corpus_task_graphs() -> Iterator[tuple[str, Topology, list[Task]]]:
+    """``(row name, topology, tasks)`` for each corpus row, built lazily."""
     for cell in default_corpus():
         report = plan_mobius(cell.model, cell.topology, cell.config)
         stage_costs = report.plan.partition.stage_costs(report.cost_model)
-        tasks = build_mobius_tasks(
+        yield cell.name, cell.topology, build_mobius_tasks(
             report.plan,
             cell.topology,
             stage_costs,
             prefetch=cell.config.prefetch,
             use_priorities=cell.config.use_priorities,
         )
-        runner = TaskGraphRunner(cell.topology)
+        if cell.name == ZERO3_CELL:
+            config = DeepSpeedConfig()
+            cost_model = CostModel(
+                cell.topology.gpu_spec,
+                config.microbatch_size or cell.model.default_microbatch_size,
+            )
+            yield f"zero3:{cell.name}", cell.topology, build_deepspeed_tasks(
+                cell.model, cell.topology, cost_model, config
+            )
+
+
+def _run_corpus_rows() -> list[dict[str, Any]]:
+    rows = []
+    for name, topology, tasks in _corpus_task_graphs():
+        runner = TaskGraphRunner(topology)
         started = time.perf_counter()
         trace = runner.execute(tasks)
         wall = time.perf_counter() - started
         rows.append(
             {
-                "name": cell.name,
+                "name": name,
                 "fingerprint": fingerprint(trace),
                 **_work_counters(runner.sim.events_processed, runner.network.stats),
                 "wall_seconds": round(wall, 4),

@@ -96,13 +96,13 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not (delay >= 0):  # also rejects NaN, which fails every comparison
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self.now:
+        if not (time >= self.now):
             raise ValueError(f"cannot schedule in the past: {time} < now {self.now}")
         handle = EventHandle(time, callback)
         heapq.heappush(self._heap, (time, next(self._counter), handle))
@@ -116,14 +116,14 @@ class Simulator:
         allocated.  The shared insertion counter makes the tie-break order
         identical to an equivalent :meth:`schedule` call.
         """
-        if delay < 0:
+        if not (delay >= 0):
             raise ValueError(f"delay must be non-negative, got {delay}")
         time = self.now + delay
         heapq.heappush(self._heap, (time, next(self._counter), callback))
 
     def schedule_call_at(self, time: float, callback: Callable[[], None]) -> None:
         """Absolute-time variant of :meth:`schedule_call`."""
-        if time < self.now:
+        if not (time >= self.now):
             raise ValueError(f"cannot schedule in the past: {time} < now {self.now}")
         heapq.heappush(self._heap, (time, next(self._counter), callback))
 
@@ -142,7 +142,7 @@ class Simulator:
 
         Each reserved counter must be pushed at most once.
         """
-        if time < self.now:
+        if not (time >= self.now):
             raise ValueError(f"cannot schedule in the past: {time} < now {self.now}")
         handle = EventHandle(time, callback)
         heapq.heappush(self._heap, (time, seq, handle))

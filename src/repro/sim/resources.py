@@ -13,14 +13,16 @@ Two resource types drive every experiment:
   complex each see half its bandwidth (Figure 2), and prefetches issued with
   ``cudaStreamCreateWithPriority`` (§3.3) preempt lower-priority flows.
 
-The allocator is *incremental* (DESIGN.md §11): per-edge membership maps
-index which flows share which links, and a flow arrival/departure/scale
-event marks its edges dirty.  Once per simulated timestamp — from the
-simulator's end-of-timestamp hook — progressive filling re-runs over the
-edge-connected component(s) reachable from the dirty edges.  Max-min rates
-depend only on the flow set, paths, priorities and link capacities — never
-on transfer progress — so flows outside the affected components provably
-keep their rates, and the resulting traces are bit-identical to a
+The allocator is *incremental* (DESIGN.md §11): a per-``(edge, priority)``
+membership index records which flows share which links, and a flow
+arrival/departure/scale event marks its edges dirty.  Once per simulated
+timestamp — from the simulator's end-of-timestamp hook — one walk over
+edges, scanning each reached member map once, collects the same-priority
+components reachable from the dirty edges, and progressive filling re-runs
+over them.  Max-min rates depend only on the flow set, paths, priorities
+and link capacities — never on transfer progress, nor on the order in
+which the walk lists the flows — so flows outside the affected components
+provably keep their rates, and the resulting traces are bit-identical to a
 from-scratch refill at every change (asserted by the fuzz oracle in
 ``tests/sim/test_allocator_equivalence.py`` and the ``repro simbench``
 fingerprint gate).
@@ -42,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from collections import deque
 from collections.abc import Callable, Iterable
 
@@ -94,8 +97,10 @@ class ComputeUnit:
 
     def submit(self, seconds: float, on_done: Callable[[], None]) -> None:
         """Queue a task of length ``seconds``; ``on_done`` fires at its end."""
-        if seconds < 0:
-            raise ValueError(f"task duration must be non-negative, got {seconds}")
+        if not (0 <= seconds < _INF):  # also rejects NaN
+            raise ValueError(
+                f"task duration must be finite and non-negative, got {seconds}"
+            )
         self._queue.append((seconds, on_done))
         if not self._busy:
             self._start_next()
@@ -148,6 +153,13 @@ class Flow:
     start_time: float = 0.0
 
 
+#: ``(priority, flows, edges)``: one same-priority component and the member
+#: map of each edge it crosses (see :meth:`FlowNetwork._affected`).  The
+#: maps are the live index's own, valid until the flow set next changes.
+_Component = tuple[int, list[Flow], dict[Edge, dict[int, Flow]]]
+_priority_of = operator.itemgetter(0)
+
+
 @dataclasses.dataclass
 class FlowNetworkStats:
     """Deterministic allocator work counters (``repro simbench`` gates these).
@@ -168,6 +180,10 @@ class FlowNetworkStats:
     fill_rounds: int = 0
     #: Bandwidth-scale window boundaries applied (epoch changes).
     scale_epochs: int = 0
+    #: Edge-member entries scanned by the flush's walk
+    #: (:meth:`FlowNetwork._affected`), which reads each reached
+    #: ``(edge, priority)`` member map once.
+    member_scans: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dataclasses.asdict(self)
@@ -331,9 +347,10 @@ class FlowNetwork:
         #: completion event; ``None`` while no flow is live.
         self._reserved_seq: int | None = None
         self._flush_pending = False
-        #: Live flows crossing each edge (uid -> Flow); the sharing index
-        #: that makes component closures O(component), not O(F·E).
-        self._edge_members: dict[Edge, dict[int, Flow]] = {}
+        #: Live flows crossing each edge, by priority (edge -> priority ->
+        #: uid -> Flow): the sharing index the flush walks, so that it costs
+        #: O(component), not O(F·E).  Empty maps are deleted.
+        self._edge_members: dict[Edge, dict[int, dict[int, Flow]]] = {}
         #: Stack of active scale factors per edge (overlapping windows
         #: compose multiplicatively; each window removes its own factor).
         self._scale_factors: dict[Edge, list[float]] = {}
@@ -391,6 +408,9 @@ class FlowNetwork:
         self.topology.bandwidth_of(edge)  # raises KeyError on unknown edges
         if not (factor > 0 and math.isfinite(factor)):
             raise ValueError(f"bandwidth scale factor must be positive, got {factor}")
+        for bound in (start, end):
+            if bound is not None and math.isnan(bound):
+                raise ValueError(f"degradation window bound is NaN: [{start}, {end})")
         if end is not None and start is not None and end <= start:
             raise ValueError(f"degradation window is empty: [{start}, {end})")
 
@@ -434,10 +454,11 @@ class FlowNetwork:
         """Begin a transfer of ``nbytes`` along ``path``.
 
         A zero-byte transfer, or one with an empty path (same-device copy),
-        completes immediately via a zero-delay event.
+        completes immediately via a zero-delay event.  A path crosses each
+        edge at most once.
         """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+        if not (0 <= nbytes < _INF):  # also rejects NaN
+            raise ValueError(f"nbytes must be finite and non-negative, got {nbytes}")
         flow = Flow(
             path=path,
             total_bytes=nbytes,
@@ -452,14 +473,19 @@ class FlowNetwork:
             self.sim.schedule_call(0.0, on_done)
             return flow
         self._advance()
-        self._flows[flow.uid] = flow
+        uid = flow.uid
+        self._flows[uid] = flow
         edge_members = self._edge_members
         for edge in path:
-            members = edge_members.get(edge)
+            groups = edge_members.get(edge)
+            if groups is None:
+                edge_members[edge] = {priority: {uid: flow}}
+                continue
+            members = groups.get(priority)
             if members is None:
-                edge_members[edge] = {flow.uid: flow}
+                groups[priority] = {uid: flow}
             else:
-                members[flow.uid] = flow
+                members[uid] = flow
         if self._slots is not None:
             self._slots.add(flow)
         elif len(self._flows) > self.vector_threshold:
@@ -530,6 +556,10 @@ class FlowNetwork:
           the ``(time, seq)`` heap key of the last eager reschedule.  The
           heap breaks time ties by that counter, and a changed tie-break is
           what made the lazy deadline heap diverge (DESIGN.md §11).
+
+        The refilled flows are :meth:`_affected`'s components; the order
+        in which the walk lists them is irrelevant, because :meth:`_fill`
+        depends only on the set it is given.
         """
         self._flush_pending = False
         dirty = self._dirty
@@ -539,18 +569,13 @@ class FlowNetwork:
         if seq is None:
             return
         self.stats.reallocations += 1
-        edge_members = self._edge_members
-        seeds: dict[int, Flow] = {}
-        for edge in dirty:
-            members = edge_members.get(edge)
-            if members:
-                seeds.update(members)
-        affected = self._closure(seeds.values())
+        components = self._affected(dirty)
         slots = self._slots
-        if affected:
-            self._fill(affected)
+        if components:
+            self._fill(components)
             if slots is not None:
-                slots.sync_rates(affected)
+                for _, flows, _ in components:
+                    slots.sync_rates(flows)
         # Completion horizon.  Per-flow deadlines must be recomputed from the
         # advanced ``remaining`` for trace byte-identity (a lazily-invalidated
         # deadline heap measurably diverges — DESIGN.md §11), so this stays
@@ -576,145 +601,189 @@ class FlowNetwork:
             sim.now + horizon, seq, self._on_completion_event
         )
 
-    def _closure(self, seeds: Iterable[Flow]) -> list[Flow]:
-        """All live flows edge-connected (transitively) to ``seeds``."""
+    def _affected(self, dirty: dict[Edge, None]) -> list[_Component]:
+        """The live flows edge-connected (transitively) to ``dirty`` edges.
+
+        Returned as the components progressive filling works on: maximal
+        sets of same-priority flows connected through shared edges, each as
+        ``(priority, flows, edges)``, where ``edges`` pairs every edge the
+        component crosses with its member map at that priority (exactly
+        the component's flows there, since a component is closed under
+        same-priority sharing).  Their union is the closure over all
+        priorities, a union of whole components.
+
+        A walk over the ``(edge, priority)`` index: a component is grown
+        from one member, scanning each reached ``(edge, priority)`` member
+        map exactly once.  Edges shared by several priorities are queued,
+        together with the dirty edges, as the frontier from which the
+        other priorities' components are grown (``dirty`` records the
+        queued edges, so the flush hands it over); one member of a map
+        tells whether its component is already placed.  Lists come out in
+        a deterministic order.
+        """
         edge_members = self._edge_members
-        seen: set[int] = set()
-        stack: list[Flow] = []
-        for flow in seeds:
-            if flow.uid not in seen:
-                seen.add(flow.uid)
-                stack.append(flow)
-        out: list[Flow] = []
-        while stack:
-            flow = stack.pop()
-            out.append(flow)
-            for edge in flow.path:
-                for uid, other in edge_members[edge].items():
-                    if uid not in seen:
-                        seen.add(uid)
-                        stack.append(other)
-        return out
+        placed: dict[int, None] = {}
+        components: list[_Component] = []
+        frontier = list(dirty)
+        scans = 0
+        while frontier:
+            groups = edge_members.get(frontier.pop())
+            if groups is None:
+                continue  # no live flow crosses this dirty edge
+            for priority, members in groups.items():
+                for first in members:  # any member: a map lies in one component
+                    break
+                if first in placed:
+                    continue
+                placed[first] = None
+                flows = [members[first]]
+                edges: dict[Edge, dict[int, Flow]] = {}
+                for flow in flows:  # grows while it is walked
+                    for edge in flow.path:
+                        if edge in edges:
+                            continue
+                        shared = edge_members[edge]
+                        sharers = edges[edge] = shared[priority]
+                        scans += len(sharers)
+                        for uid, other in sharers.items():
+                            if uid not in placed:
+                                placed[uid] = None
+                                flows.append(other)
+                        if len(shared) > 1 and edge not in dirty:
+                            dirty[edge] = None
+                            frontier.append(edge)
+                components.append((priority, flows, edges))
+        self.stats.member_scans += scans
+        return components
 
-    def _fill(self, flows: list[Flow]) -> None:
-        """Refill ``flows`` (a union of whole components) from scratch.
+    def _fill(self, components: list[_Component]) -> dict[Edge, float]:
+        """Refill ``components`` (see :meth:`_affected`) from scratch.
 
-        Groups by priority (highest first), splits each group into
-        edge-connected components, and progressively fills each component
-        against the shared ``used`` capacity map — the same arithmetic, in
-        the same order, as a global refill restricted to these flows.
+        Fills the components in descending priority order, each against
+        the shared ``used`` capacity map, which is returned.
+
+        The result depends on the *set* of flows only, never on the order
+        of the components, of their flows or of their edges: within one
+        component fill ``delta`` is a min over rows, each row receives the
+        same ``delta`` once per live member, and live counts are integers,
+        so no floating-point sum is reordered; components of one priority
+        are edge-disjoint, so they touch disjoint ``used`` entries; and
+        priorities fill in sorted order.
         """
         stats = self.stats
-        stats.flows_touched += len(flows)
         used: dict[Edge, float] = {}
-        if len(flows) == 1:
+        if len(components) > 1:
+            components = sorted(components, key=_priority_of, reverse=True)
+        for _, flows, edges in components:
+            stats.flows_touched += len(flows)
             stats.components_filled += 1
-            stats.fill_rounds += self._fill_component(flows, used)
-            return
-        by_priority: dict[int, list[Flow]] = {}
-        for flow in flows:
-            group = by_priority.get(flow.priority)
-            if group is None:
-                by_priority[flow.priority] = [flow]
+            if len(flows) == 1:
+                stats.fill_rounds += 1
+                self._fill_flow(flows[0], used)
             else:
-                group.append(flow)
-        for priority in sorted(by_priority, reverse=True):
-            for component in _components(by_priority[priority]):
-                stats.components_filled += 1
-                stats.fill_rounds += self._fill_component(component, used)
+                stats.fill_rounds += self._fill_component(flows, edges, used)
+        return used
 
-    def _fill_component(self, flows: list[Flow], used: dict[Edge, float]) -> int:
+    def _fill_flow(self, flow: Flow, used: dict[Edge, float]) -> None:
+        """Fill a component of one flow: one round of :meth:`_fill_component`.
+
+        The same ``max(headroom, 0.0) / live`` (``live == 1``) arithmetic,
+        without building rows.
+        """
+        bottleneck = _INF
+        for edge in flow.path:
+            headroom = self.effective_bandwidth(edge) - used.get(edge, 0.0)
+            if headroom < 0.0:
+                headroom = 0.0
+            if headroom < bottleneck:
+                bottleneck = headroom
+        if bottleneck == _INF:
+            flow.rate = 0.0  # no edges (defensive; not expected)
+            return
+        flow.rate = 0.0 + bottleneck
+        for edge in flow.path:
+            used[edge] = used.get(edge, 0.0) + bottleneck
+
+    def _fill_component(
+        self,
+        flows: list[Flow],
+        edges: dict[Edge, dict[int, Flow]],
+        used: dict[Edge, float],
+    ) -> int:
         """Max-min fill one component into remaining edge capacity.
 
-        Updates ``used`` in place and returns the number of filling rounds.
-        Arithmetic is operation-for-operation identical to the classic
-        global progressive fill (the oracle in
-        ``tests/sim/test_allocator_equivalence.py``); capacities are merely
-        hoisted out of the round loop (they are constant within a fill).
+        ``edges`` pairs each edge the component crosses with the member map
+        of its flows there.  Updates ``used`` in place and returns the
+        number of filling rounds.  Arithmetic is operation-for-operation
+        identical to the classic global progressive fill (the oracle in
+        ``tests/sim/test_allocator_equivalence.py``): every live flow's
+        rate is 0.0 plus the same sequence of round deltas, so it equals
+        the running ``level`` and is written once, when the flow freezes;
+        a row receives ``delta`` once per live member, exactly as per-flow
+        additions would; and a round that leaves flows live counts the
+        frozen ones off the rows they cross instead of recounting.
         """
-        if len(flows) == 1:
-            # Single-flow fast path: one round of the general loop, with the
-            # same max(headroom, 0.0) / live (live == 1) arithmetic.
-            flow = flows[0]
-            bottleneck = _INF
-            for edge in flow.path:
-                headroom = self.effective_bandwidth(edge) - used.get(edge, 0.0)
-                if headroom < 0.0:
-                    headroom = 0.0
-                if headroom < bottleneck:
-                    bottleneck = headroom
-            if bottleneck == _INF:
-                flow.rate = 0.0  # no edges (defensive; not expected)
-                return 1
-            flow.rate = 0.0 + bottleneck
-            for edge in flow.path:
-                used[edge] = used.get(edge, 0.0) + bottleneck
-            return 1
-
-        for flow in flows:
-            flow.rate = 0.0
         # Per-edge state rows: [used, live, capacity, threshold, members].
         # Capacity and the saturation threshold are loop invariants.
-        edge_state: dict[Edge, list] = {}
-        flow_edges: list[tuple[Flow, list[list]]] = []
-        for flow in flows:
-            rows = []
-            for edge in flow.path:
-                row = edge_state.get(edge)
-                if row is None:
-                    capacity = self.effective_bandwidth(edge)
-                    row = [used.get(edge, 0.0), 1, capacity, capacity * (1 - _EPS), [flow]]
-                    edge_state[edge] = row
-                else:
-                    row[1] += 1
-                    row[4].append(flow)
-                rows.append(row)
-            flow_edges.append((flow, rows))
-
-        rows_list = list(edge_state.values())
+        state: dict[Edge, list] = {}
+        for edge, members in edges.items():
+            capacity = self.effective_bandwidth(edge)
+            state[edge] = [
+                used.get(edge, 0.0),
+                len(members),
+                capacity,
+                capacity * (1 - _EPS),
+                members,
+            ]
+        rows = list(state.values())
         frozen: set[int] = set()
         unfrozen = len(flows)
+        level = 0.0
         rounds = 0
         while unfrozen:
             rounds += 1
             delta = _INF
-            for row in rows_list:
-                live = row[1]
-                if not live:
-                    continue
+            for row in rows:
                 headroom = row[2] - row[0]
                 if headroom < 0.0:
                     headroom = 0.0
-                share = headroom / live
+                share = headroom / row[1]
                 if share < delta:
                     delta = share
             if delta == _INF:
                 break  # remaining flows cross no edges (defensive; not expected)
-            for flow, rows in flow_edges:
-                if flow.uid in frozen:
-                    continue
-                flow.rate += delta
-                for row in rows:
-                    row[0] += delta
-            # Freeze flows crossing any saturated edge.
-            saturated = [
-                row for row in rows_list if row[1] and row[0] >= row[3]
-            ]
+            level += delta
+            saturated = []
+            for row in rows:
+                total = row[0]
+                for _ in range(row[1]):
+                    total += delta
+                row[0] = total
+                if total >= row[3]:
+                    saturated.append(row)
             if not saturated:
                 if delta <= 0:
                     break  # no headroom anywhere: all remaining stay at 0
                 continue
+            # Freeze flows crossing any saturated edge.
+            newly: list[Flow] = []
             for row in saturated:
-                for flow in row[4]:
-                    uid = flow.uid
+                for uid, flow in row[4].items():
                     if uid not in frozen:
                         frozen.add(uid)
-                        unfrozen -= 1
-            # Recount live membership after freezing.
-            for row in rows_list:
-                if row[1]:
-                    row[1] = sum(1 for f in row[4] if f.uid not in frozen)
-        for edge, row in edge_state.items():
+                        flow.rate = level
+                        newly.append(flow)
+            unfrozen -= len(newly)
+            if unfrozen:
+                for flow in newly:
+                    for edge in flow.path:
+                        state[edge][1] -= 1
+                rows = [row for row in rows if row[1]]
+        if unfrozen:
+            for flow in flows:
+                if flow.uid not in frozen:
+                    flow.rate = level
+        for edge, row in state.items():
             used[edge] = row[0]
         return rounds
 
@@ -741,47 +810,21 @@ class FlowNetwork:
                     finished.append(flow)
         edge_members = self._edge_members
         for flow in finished:
-            del flows[flow.uid]
+            uid = flow.uid
+            priority = flow.priority
+            del flows[uid]
             if slots is not None:
                 slots.remove(flow)
             for edge in flow.path:
-                members = edge_members[edge]
-                del members[flow.uid]
+                groups = edge_members[edge]
+                members = groups[priority]
+                del members[uid]
                 if not members:
-                    del edge_members[edge]
+                    del groups[priority]
+                    if not groups:
+                        del edge_members[edge]
         # Live flows that shared an edge with a finished flow seed the flush.
         self._invalidate(edge for flow in finished for edge in flow.path)
         for flow in finished:
             flow.on_done()
 
-
-def _components(group: list[Flow]) -> list[list[Flow]]:
-    """Split a priority group into edge-connected components.
-
-    Union-find over group positions; deterministic output (components
-    ordered by first member, members in group order).
-    """
-    if len(group) == 1:
-        return [group]
-    parent = list(range(len(group)))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    edge_owner: dict[Edge, int] = {}
-    for i, flow in enumerate(group):
-        for edge in flow.path:
-            j = edge_owner.setdefault(edge, i)
-            if j != i:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    components: dict[int, list[Flow]] = {}
-    for i, flow in enumerate(group):
-        components.setdefault(find(i), []).append(flow)
-    return list(components.values())

@@ -10,6 +10,14 @@ arrivals, flow completions and bandwidth-scale epochs — the incremental
 rates must equal the from-scratch oracle exactly (``==``, not approx: the
 optimization contract is bit-identical traces).
 
+The flush's closure is pinned the same way: the old flow-level BFS
+``_closure`` is kept verbatim below, over a membership map rebuilt from
+scratch, and at every flush the production edge-level walk must reach
+exactly its set, split into exactly the from-scratch components, scanning
+each member map once.  A property test refills shuffled copies of every
+affected set and requires bit-identical rates and ``used`` maps, which is
+the order-independence the walk relies on.
+
 The coincident-timestamp fuzz additionally pins the batching itself:
 against :class:`EagerFlowNetwork`, which reallocates at every change as the
 allocator did before per-timestamp flushing, completion order and times
@@ -33,6 +41,7 @@ Two oracle granularities pin down the contract precisely:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import defaultdict
 
@@ -87,6 +96,38 @@ def _oracle_progressive_fill(flows, used, effective_bandwidth, rates):
         for edge in saturated:
             for uid in edge_flows[edge]:
                 unfrozen.pop(uid, None)
+
+
+def _oracle_closure(edge_members, seeds):
+    """The old ``FlowNetwork._closure``, over a given membership map."""
+    seen: set[int] = set()
+    stack: list = []
+    for flow in seeds:
+        if flow.uid not in seen:
+            seen.add(flow.uid)
+            stack.append(flow)
+    out: list = []
+    while stack:
+        flow = stack.pop()
+        out.append(flow)
+        for edge in flow.path:
+            for uid, other in edge_members[edge].items():
+                if uid not in seen:
+                    seen.add(uid)
+                    stack.append(other)
+    return out
+
+
+def oracle_affected(network: FlowNetwork, dirty) -> set[int]:
+    """Uids the old flush refilled for ``dirty``, from rebuilt membership."""
+    edge_members: dict = defaultdict(dict)
+    for flow in network.active_flows:
+        for edge in flow.path:
+            edge_members[edge][flow.uid] = flow
+    seeds: dict = {}
+    for edge in dirty:
+        seeds.update(edge_members.get(edge, {}))
+    return {flow.uid for flow in _oracle_closure(edge_members, seeds.values())}
 
 
 def _split_components(records):
@@ -151,6 +192,49 @@ class CheckedFlowNetwork(FlowNetwork):
         self.changes += 1
         super()._invalidate(edges)
 
+    def _affected(self, dirty):
+        expected = oracle_affected(self, dirty)
+        scans_before = self.stats.member_scans
+        components = super()._affected(dirty)
+        uids = [flow.uid for _, flows, _ in components for flow in flows]
+        assert len(uids) == len(set(uids)), "a flow placed in two components"
+        assert set(uids) == expected, (
+            f"edge-level closure diverged from the flow-level oracle at "
+            f"t={self.sim.now}: {sorted(uids)} != {sorted(expected)}"
+        )
+        # Exactly the from-scratch same-priority components ...
+        by_priority: dict = defaultdict(list)
+        for flow in self.active_flows:
+            if flow.uid in expected:
+                by_priority[flow.priority].append((flow.uid, flow.path))
+        oracle_parts = {
+            (priority, frozenset(uid for uid, _ in piece))
+            for priority, group in by_priority.items()
+            for piece in _split_components(group)
+        }
+        parts = {
+            (priority, frozenset(flow.uid for flow in flows))
+            for priority, flows, _ in components
+        }
+        assert parts == oracle_parts
+        # ... each with its edges' member maps ...
+        for priority, flows, edges in components:
+            crossing: dict = defaultdict(set)
+            for flow in flows:
+                for edge in flow.path:
+                    crossing[edge].add(flow.uid)
+            assert {edge: set(members) for edge, members in edges.items()} == crossing
+            assert all(
+                flow.priority == priority
+                for members in edges.values()
+                for flow in members.values()
+            )
+        # ... found by scanning each member map once.
+        scanned = self.stats.member_scans - scans_before
+        assert scanned == sum(len(flow.path) for flow in self.active_flows
+                              if flow.uid in expected)
+        return components
+
     def _reallocate(self):
         super()._reallocate()
         actual = {flow.uid: flow.rate for flow in self.active_flows}
@@ -199,10 +283,54 @@ def _fuzz_topologies():
     return [topo_2_2(), topo_4(), topo_4_4()]
 
 
-def _run_fuzz(topology, seed, n_arrivals=40, with_scales=True):
+class ShuffledFillNetwork(CheckedFlowNetwork):
+    """Refills shuffled copies of every affected set; results must not move.
+
+    The copies reorder the components, each component's flows, its edges
+    and every edge's member map.  ``Flow.rate`` values and the returned
+    ``used`` map must be bit-identical to the production fill's.
+    """
+
+    def __init__(self, sim, topology, seed=0):
+        super().__init__(sim, topology)
+        self.rng = random.Random(seed)
+        self.shuffled_fills = 0
+
+    def _shuffled(self, items):
+        items = list(items)
+        self.rng.shuffle(items)
+        return items
+
+    def _fill(self, components):
+        used = super()._fill(components)
+        flows = [flow for _, members, _ in components for flow in members]
+        rates = {flow.uid: flow.rate for flow in flows}
+        for _ in range(2):
+            copy = [
+                (
+                    priority,
+                    self._shuffled(members),
+                    {
+                        edge: dict(self._shuffled(sharers.items()))
+                        for edge, sharers in self._shuffled(edges.items())
+                    },
+                )
+                for priority, members, edges in self._shuffled(components)
+            ]
+            stats = dataclasses.replace(self.stats)
+            assert super()._fill(copy) == used
+            self.stats = stats
+            assert {flow.uid: flow.rate for flow in flows} == rates
+            self.shuffled_fills += 1
+        return used
+
+
+def _run_fuzz(
+    topology, seed, n_arrivals=40, with_scales=True, network_type=CheckedFlowNetwork
+):
     rng = random.Random(seed)
     sim = Simulator()
-    network = CheckedFlowNetwork(sim, topology)
+    network = network_type(sim, topology)
     completed = []
     for _ in range(n_arrivals):
         at = rng.uniform(0.0, 3.0)
@@ -257,6 +385,18 @@ class TestIncrementalMatchesOracle:
     def test_reallocations_all_checked(self):
         network = _run_fuzz(topo_2_2(), seed=7, n_arrivals=12)
         assert network.stats.reallocations == network.checked_reallocations
+
+
+class TestFillOrderIndependence:
+    """``_fill`` depends on the affected set only, not on its order."""
+
+    @pytest.mark.parametrize("topology", _fuzz_topologies(), ids=["2+2", "4", "4+4"])
+    def test_shuffled_affected_sets_fill_bit_identically(self, topology):
+        for seed in range(3):
+            network = _run_fuzz(topology, seed, network_type=ShuffledFillNetwork)
+            # Each arrival's flush refilled two shuffled copies at least.
+            assert network.shuffled_fills >= 2 * 40
+            assert network.stats.components_filled < network.stats.flows_touched
 
 
 _GRID = 0.25

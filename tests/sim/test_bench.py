@@ -25,6 +25,7 @@ def _doc(**overrides):
                 "components_filled": 40,
                 "fill_rounds": 60,
                 "flows_touched": 60,
+                "member_scans": 180,
                 "flows_touched_per_reallocation": 1.5,
                 "reallocations_per_event": 0.4,
                 "wall_seconds": 0.05,
@@ -48,6 +49,7 @@ def _doc(**overrides):
                 "components_filled": 824_962,
                 "fill_rounds": 824_962,
                 "flows_touched": 1_242_966,
+                "member_scans": 3_728_898,
                 "flows_touched_per_reallocation": 1.193,
                 "reallocations_per_event": 1.0,
                 "wall_seconds": 70.0,
@@ -141,6 +143,7 @@ class TestSimbenchCli:
         out = capsys.readouterr().out
         assert "gpt-a/topo_2_2" in out
         assert "touched/realloc=" in out
+        assert "scans=180" in out
         assert "realloc/event=" in out
         assert "dc-1024x4-r256" in out
         assert "rss=" in out

@@ -55,6 +55,25 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda sim, t: sim.schedule(t, lambda: None),
+            lambda sim, t: sim.schedule_at(t, lambda: None),
+            lambda sim, t: sim.schedule_call(t, lambda: None),
+            lambda sim, t: sim.schedule_call_at(t, lambda: None),
+            lambda sim, t: sim.schedule_at_seq(t, sim.reserve_seq(), lambda: None),
+        ],
+        ids=["schedule", "schedule_at", "schedule_call", "schedule_call_at", "at_seq"],
+    )
+    def test_nan_time_rejected(self, schedule):
+        # NaN fails every comparison: accepted, it would sit at the heap top
+        # where the batched loop never matches its time, and spin forever.
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            schedule(sim, float("nan"))
+        assert sim.peek() is None
+
     def test_zero_delay_runs_at_current_time(self):
         sim = Simulator()
         fired = []

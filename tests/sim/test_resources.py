@@ -56,6 +56,20 @@ class TestComputeUnit:
         with pytest.raises(ValueError):
             unit.submit(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, seconds):
+        # Accepted, NaN livelocked the batched loop and inf ran the clock to
+        # inf; the unit must stay idle and usable after the rejection.
+        sim = Simulator()
+        unit = ComputeUnit(sim, "gpu0")
+        with pytest.raises(ValueError):
+            unit.submit(seconds, lambda: None)
+        assert not unit.busy
+        ends = []
+        unit.submit(1.0, lambda: ends.append(sim.now))
+        sim.run_batched()
+        assert ends == [1.0]
+
     def test_submission_during_execution_queues(self):
         sim = Simulator()
         unit = ComputeUnit(sim, "gpu0")
@@ -123,6 +137,17 @@ class TestFlowTiming:
         network = FlowNetwork(Simulator(), topo)
         with pytest.raises(ValueError):
             network.start_flow(topo.path_from_dram(0), -1.0, lambda: None)
+
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+    def test_non_finite_bytes_rejected_at_the_call(self, nbytes):
+        # Accepted, these surfaced at flush time as a misleading deadlock.
+        topo = topo_2_2()
+        sim = Simulator()
+        network = FlowNetwork(sim, topo)
+        with pytest.raises(ValueError, match="finite"):
+            network.start_flow(topo.path_from_dram(0), nbytes, lambda: None)
+        assert not network.active_flows
+        sim.run()
 
     def test_tiny_residue_terminates(self):
         # Regression: sub-byte float residues used to livelock the loop.
@@ -229,6 +254,19 @@ class TestBandwidthScale:
         network = FlowNetwork(Simulator(), topo_2_2())
         with pytest.raises(ValueError):
             network.set_bandwidth_scale(("sw0", "rc0"), factor)
+
+    @pytest.mark.parametrize(
+        "window", [(float("nan"), None), (None, float("nan")), (1.0, float("nan"))]
+    )
+    def test_nan_window_bound_rejected(self, window):
+        # A NaN end used to be dropped silently, leaving the scale on forever.
+        sim = Simulator()
+        network = FlowNetwork(sim, topo_2_2())
+        start, end = window
+        with pytest.raises(ValueError, match="NaN"):
+            network.set_bandwidth_scale(("sw0", "rc0"), 0.5, start=start, end=end)
+        assert sim.peek() is None
+        assert network.stats.scale_epochs == 0
 
     def test_empty_window_rejected(self):
         network = FlowNetwork(Simulator(), topo_2_2())
