@@ -19,8 +19,8 @@ three that have bitten (or would silently bite) the reproduction:
   *strict* variant: the literal-MIP builder and its HiGHS call read no
   clock, and the simulator runs under its virtual clock, so even monotonic
   clocks (``perf_counter``, ``monotonic``) are banned except at explicitly
-  allowlisted reporting sites (``clock_allowlist``) — such as the
-  ``simbench`` wall-time columns, which are informational by contract.
+  allowlisted reporting sites (``clock_allowlist``).  Bench walls go
+  through :class:`repro.perf.bench.Stopwatch`, outside these prefixes.
 
 * **MOB003 — task-label contract.**  Task labels built in
   ``repro/core/pipeline.py`` must come from the :mod:`repro.core.labels`
@@ -146,8 +146,7 @@ class LintConfig:
     )
     strict_clock_prefixes: tuple[str, ...] = (
         "src/repro/solver/",
-        # The simulator's only time source is the virtual clock; its bench
-        # reports wall seconds but the simbench gate never compares them.
+        # The simulator's only time source is the virtual clock.
         "src/repro/sim/",
         # Serve deadlines are solver node budgets; even monotonic clocks
         # are banned so a deadline can never become wall-clock control
@@ -156,20 +155,6 @@ class LintConfig:
     )
     clock_allowlist: frozenset[str] = frozenset(
         {
-            # The benchmark's wall times are informational by contract —
-            # the simbench gate compares fingerprints and allocator work
-            # counters only.
-            "src/repro/sim/bench.py::_run_corpus_rows",
-            "src/repro/sim/bench.py::_run_chaos_rows",
-            "src/repro/sim/bench.py::_run_large_rows",
-            # The servebench gate compares fingerprints and recovery
-            # outcomes; plans/sec wall times bracket whole phases and
-            # never steer what a phase does.
-            "src/repro/serve/bench.py::_run_throughput_rows",
-            # Worker-scaling plans/sec: same contract — the gate compares
-            # fingerprints always and the speedup ratio only against the
-            # host's own CPU count, never across machines.
-            "src/repro/serve/bench.py::_run_scaling_rows",
             # Reachable from the serve daemon's answer ladder (MOB004):
             # the mapping search's clock reads feed search_seconds
             # metadata only — the search itself is exhaustive over a

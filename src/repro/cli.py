@@ -12,20 +12,13 @@ Subcommands:
   ``--json`` / ``--sarif`` for CI, ``--baseline`` for suppressions;
 * ``check``    — verify planner output, traces and source contracts
   (:mod:`repro.check`); exits non-zero on findings, ``--json`` for CI;
-* ``chaos``    — run the fault-injection matrix (:mod:`repro.faults`):
-  every check-corpus cell under dropout/degraded-link/straggler/flaky
-  faults, asserting recovery; exits non-zero if any cell fails;
-* ``simbench`` — benchmark the discrete-event simulator (:mod:`repro.sim`)
-  over the check corpus and chaos scenarios: trace fingerprints plus the
-  incremental allocator's work counters; ``--check-against`` gates CI on
-  the committed ``BENCH_sim.json`` (any fingerprint divergence fails);
 * ``serve``    — run the planning daemon (:mod:`repro.serve`) over a
   scripted corpus session: admission control, request coalescing,
   supervised workers and a durable sqlite result store;
-* ``servebench`` — benchmark the daemon: plans/sec cold vs warm vs
-  coalesced plus the serve chaos scenarios (worker kill, poison
-  quarantine, deadline straggler, store corruption, overload burst);
-  ``--check-against`` gates CI on the committed ``BENCH_serve.json``.
+* ``bench``    — run one of the four benchmarks (``sim``, ``serve``,
+  ``suite``, ``chaos``) and gate it against a committed ``BENCH_*.json``
+  with ``--check-against`` (:mod:`repro.perf.bench`; README, "Benchmarks
+  and gates").
 
 Examples:
     python -m repro plan --model 15B --topology 2+2
@@ -35,10 +28,8 @@ Examples:
     python -m repro lint --json
     python -m repro lint src/repro/sim --sarif lint.sarif
     python -m repro check --json
-    python -m repro chaos --json
-    python -m repro simbench --check-against BENCH_sim.json
     python -m repro serve --store .mobius_serve.sqlite --rounds 2
-    python -m repro servebench --check-against BENCH_serve.json
+    python -m repro bench sim --check-against BENCH_sim.json
 """
 
 from __future__ import annotations
@@ -52,6 +43,7 @@ from repro.experiments.runner import SYSTEMS, ExperimentTable, print_tables, run
 from repro.hardware.gpu import GPU_PRESETS
 from repro.hardware.topology import Topology, commodity_server, datacenter_server
 from repro.models.zoo import model_by_name
+from repro.perf.bench import KINDS as BENCH_KINDS
 
 __all__ = ["main", "build_parser"]
 
@@ -113,10 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="disable the plan/result cache (cold reference run)",
     )
-    figures.add_argument(
-        "--bench-out", default=None, metavar="PATH",
-        help="write a machine-readable timing report (e.g. BENCH_suite.json)",
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -170,37 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repo root for the source lint (default: auto-detected)",
     )
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="inject faults over the check corpus and verify recovery",
-    )
-    chaos.add_argument(
-        "--json", action="store_true", help="machine-readable report for CI"
-    )
-    chaos.add_argument(
-        "--out", default="BENCH_chaos.json", metavar="PATH",
-        help="where to write the JSON report (default: %(default)s)",
-    )
-    chaos.add_argument("--seed", type=int, default=0, help="fault-schedule seed")
-    chaos.add_argument(
-        "--steps", type=int, default=4,
-        help="training-window length (steps) for goodput accounting",
-    )
-
-    simbench = sub.add_parser(
-        "simbench",
-        help="benchmark the simulator's incremental flow allocator",
-    )
-    simbench.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the benchmark JSON to PATH (or stdout with no PATH)",
-    )
-    simbench.add_argument(
-        "--check-against", default=None, metavar="PATH",
-        help="committed BENCH_sim.json baseline; exit 1 on trace-"
-        "fingerprint divergence or >25%% allocator-work regression",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the planning daemon over a scripted corpus session",
@@ -230,23 +187,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable stats for CI"
     )
 
-    servebench = sub.add_parser(
-        "servebench",
-        help="benchmark the planning daemon (throughput + chaos recovery)",
+    bench = sub.add_parser(
+        "bench",
+        help="run a benchmark and gate it against a committed document",
     )
-    servebench.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the benchmark JSON to PATH (or stdout with no PATH)",
+    bench.add_argument("kind", choices=tuple(BENCH_KINDS))
+    bench.add_argument(
+        "--out", default=None, metavar="PATH", help="write the bench document here"
     )
-    servebench.add_argument(
+    bench.add_argument(
         "--check-against", default=None, metavar="PATH",
-        help="committed BENCH_serve.json baseline; exit 1 on fingerprint "
-        "divergence, chaos regression, or >25%% throughput regression",
+        help="committed BENCH_<kind>.json; exit 1 on any gate failure",
     )
-    servebench.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="top of the worker-scaling ladder (the bench always measures "
-        "1 and 2 too; default: REPRO_JOBS capped at 4)",
+    bench.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="serve: top worker count (default: REPRO_JOBS capped at 4); "
+        "suite: drain workers (default: REPRO_JOBS or the CPU count)",
     )
     return parser
 
@@ -327,7 +283,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         fast=not args.full,
         jobs=args.jobs,
         use_cache=not args.no_cache,
-        bench_path=args.bench_out,
     )
     return 0
 
@@ -422,64 +377,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import run_chaos
-
-    progress = None if args.json else lambda name: print(f"chaos {name} ...")
-    report = run_chaos(seed=args.seed, n_steps=args.steps, progress=progress)
-    with open(args.out, "w") as f:
-        f.write(report.to_json() + "\n")
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
-        print(f"report written to {args.out}")
-    return 0 if report.ok else 1
-
-
-def _cmd_simbench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.sim.bench import compare_benchmarks, run_bench, write_bench
-
-    document = run_bench()
-    if args.json == "-":
-        print(json.dumps(document, indent=1))
-    elif args.json is not None:
-        write_bench(args.json, document)
-        print(f"benchmark written to {args.json}")
-    else:
-        for row in document["corpus"]:
-            print(
-                f"corpus {row['name']:<20} events={row['events']:<6} "
-                f"realloc={row['reallocations']:<5} "
-                f"realloc/event={row['reallocations_per_event']:<6} "
-                f"touched/realloc={row['flows_touched_per_reallocation']:<6} "
-                f"scans={row['member_scans']:<6} "
-                f"fp={row['fingerprint'][:12]}"
-            )
-        for row in document["chaos"]:
-            fp = row["fingerprint"]
-            print(
-                f"chaos {row['name']:<28} {row['status']:<10} "
-                f"fp={fp[:12] if fp else '-'}"
-            )
-        for row in document.get("large", []):
-            print(
-                f"large {row['name']:<18} events={row['events']:<8} "
-                f"wall={row['wall_seconds']:<8} rss={row['peak_rss_mb']}MB "
-                f"fp={row['fingerprint'][:12]}"
-            )
-    failures: list[str] = []
-    if args.check_against is not None:
-        with open(args.check_against) as f:
-            baseline = json.load(f)
-        failures.extend(compare_benchmarks(document, baseline))
-    for failure in failures:
-        print(f"FAIL {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.check.corpus import default_corpus
     from repro.serve import Deadline, PlanRequest, PlanService, ServiceConfig
@@ -526,60 +423,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for _, _, r in responses) else 1
 
 
-def _cmd_servebench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.serve.bench import compare_benchmarks, run_bench, write_bench
+    from repro.perf.bench import compare, render, run, write
 
-    document = run_bench(workers=args.workers)
-    if args.json == "-":
-        print(json.dumps(document, indent=1))
-    elif args.json is not None:
-        write_bench(args.json, document)
-        print(f"benchmark written to {args.json}")
-    else:
-        for row in document["throughput"]:
-            print(
-                f"throughput {row['name']:<14} plans={row['plans']:<4} "
-                f"wall={row['wall_seconds']:<8} plans/s={row['plans_per_second']}"
-            )
-        for row in document["plans"]:
-            flag = "ok" if row["consistent"] else "FAIL"
-            print(
-                f"plan {row['name']:<18} fp={row['fingerprint'][:12]} [{flag}]"
-            )
-        scaling = document["scaling"]
-        for row in scaling["rows"]:
-            print(
-                f"scaling workers={row['workers']:<2} plans={row['plans']:<4} "
-                f"wall={row['wall_seconds']:<8} plans/s={row['plans_per_second']}"
-            )
-        print(
-            f"scaling cpus={scaling['cpus']} "
-            f"speedup(top vs 1)={scaling['speedup_top_vs_1']} "
-            f"[{'ok' if scaling['consistent'] else 'FAIL'}]"
-        )
-        for row in document["recovery"]:
-            print(
-                f"recovery {row['name']:<24} "
-                f"[{'ok' if row['ok'] else 'FAIL'}]"
-            )
-    failures = [
-        f"recovery:{row['name']}: scenario failed"
-        for row in document["recovery"]
-        if not row["ok"]
-    ]
-    failures.extend(
-        f"plans:{row['name']}: serving regimes returned divergent fingerprints"
-        for row in document["plans"]
-        if not row["consistent"]
-    )
-    if not document["scaling"]["consistent"]:
-        failures.append("scaling: fingerprints diverged across worker counts")
+    document = run(args.kind, args.jobs)
+    print(render(document))
+    if args.out is not None:
+        write(document, args.out)
+        print(f"bench document written to {args.out}")
+    baseline = document
     if args.check_against is not None:
         with open(args.check_against) as f:
             baseline = json.load(f)
-        failures.extend(compare_benchmarks(document, baseline))
+    # Against itself a document can fail only its checks.
+    failures = compare(document, baseline)
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -592,10 +451,8 @@ _COMMANDS = {
     "figures": _cmd_figures,
     "lint": _cmd_lint,
     "check": _cmd_check,
-    "chaos": _cmd_chaos,
-    "simbench": _cmd_simbench,
     "serve": _cmd_serve,
-    "servebench": _cmd_servebench,
+    "bench": _cmd_bench,
 }
 
 

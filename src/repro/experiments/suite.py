@@ -24,59 +24,44 @@ schedule's dedup/coalescing counters, and two determinism fingerprints:
 result — identical across ``jobs`` values and across machines) and
 ``output_fingerprint`` (the exact figure text assembled from one cache).
 
-CLI::
-
-    python -m repro.experiments.suite [--jobs N] [--no-cache] [--full]
-                                      [--baseline] [--identity-check]
-                                      [--check-against PATH] [--force]
-                                      [--bench-out PATH] [names...]
-
-``repro figures`` routes through :func:`run_suite` as well.
+``repro figures`` runs the suite; ``repro bench suite`` gates it
+(:func:`bench_rows`).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import hashlib
 import importlib
 import io
-import json
 import os
-import platform
 import sys
 import tempfile
 import time
 from collections.abc import Sequence
+from typing import Any
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.runner import ExperimentTable, default_jobs
+from repro.experiments.runner import ExperimentTable, resolve_jobs
 from repro.experiments.schedule import run_cells
-from repro.perf.cache import (
-    CACHE_VERSION,
-    cache_overridden,
-    get_cache,
-    merge_stats,
-)
+from repro.perf.bench import Stopwatch, row
+from repro.perf.cache import cache_overridden, get_cache, merge_stats
 
 __all__ = [
-    "BenchOverwriteError",
     "FigureRun",
     "SuiteReport",
+    "bench_rows",
     "check_identity",
-    "check_suite_document",
+    "resolve_names",
     "run_suite",
-    "write_bench",
-    "main",
-    "DEFAULT_BENCH_PATH",
+    "suite_row",
 ]
 
-DEFAULT_BENCH_PATH = "BENCH_suite.json"
-
-#: Cold unique-cell throughput may not drop below this fraction of the
-#: reference document's (``--check-against``, machines with >= 2 CPUs).
-THROUGHPUT_FLOOR = 0.75
+#: The unique-cell rate is recorded, and so gated, only on hosts with at
+#: least this many CPUs: on one CPU, pool scheduling overhead is pure cost
+#: and the rate would measure the container, not the code.
+_RATE_MIN_CPUS = 2
 
 
 @dataclasses.dataclass
@@ -87,13 +72,6 @@ class FigureRun:
     seconds: float
     output: str
     cache_stats: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seconds": round(self.seconds, 4),
-            "cache": self.cache_stats,
-        }
 
 
 @dataclasses.dataclass
@@ -175,36 +153,6 @@ class SuiteReport:
             )
         return table
 
-    def as_dict(self) -> dict:
-        return {
-            "schema": "mobius-bench-suite/3",
-            # Full-float precision: rounding to a few decimals can collapse a
-            # sub-millisecond warm-cache pass to 0.0, breaking downstream
-            # speedup ratios that divide by this value.
-            "total_seconds": self.total_seconds,
-            "jobs": self.jobs,
-            "cache": {
-                "enabled": self.use_cache,
-                "version": CACHE_VERSION,
-                **self.cache_totals,
-            },
-            "fast": self.fast,
-            "machine": {
-                "platform": platform.platform(),
-                "python": platform.python_version(),
-                # Both sides of the worker-count decision (satellite of
-                # DESIGN.md §12): what the container reports, and what the
-                # REPRO_JOBS override requested — containers often report
-                # one CPU while more cores are actually available.
-                "cpus": os.cpu_count(),
-                "repro_jobs_env": os.environ.get("REPRO_JOBS"),
-            },
-            "schedule": self.schedule,
-            "output_fingerprint": self.output_fingerprint,
-            "aggregate_cache": self.aggregate_cache,
-            "figures": [figure.as_dict() for figure in self.figures],
-        }
-
 
 def _execute_figure(name: str, fast: bool) -> FigureRun:
     """Import and run one experiment module, timing it and its cache use."""
@@ -255,7 +203,6 @@ def run_suite(
     jobs: int = 1,
     use_cache: bool = True,
     cache_dir: str | None = None,
-    bench_path: str | None = None,
     stream=None,
 ) -> SuiteReport:
     """Schedule every cell once, then assemble figures from the cache.
@@ -271,7 +218,6 @@ def run_suite(
             behavior) — and with it the scheduling pass, since without a
             cache the figures could not reuse the drained results.
         cache_dir: Override the disk-tier directory.
-        bench_path: If set, write the machine-readable report here.
         stream: Where to print figure output and the timing table
             (default ``sys.stdout``).
     """
@@ -301,9 +247,6 @@ def run_suite(
     for figure in figures:
         stream.write(figure.output)
     stream.write(report.summary_table().format() + "\n")
-    if bench_path:
-        write_bench(report, bench_path)
-        stream.write(f"wrote {bench_path}\n")
     return report
 
 
@@ -356,286 +299,77 @@ def check_identity(
     }
 
 
-class BenchOverwriteError(ValueError):
-    """Refusal to clobber a fuller benchmark report with a lesser one."""
+def suite_row(
+    schedule: dict, identity: dict, *, seconds: float, jobs: int, cpus: int
+) -> dict[str, Any]:
+    """The ``suite`` bench row of one cold drain and its identity verdict.
 
-
-def _coverage(document: dict) -> tuple[int, int]:
-    """Orderable coverage rank: full sweeps beat fast, more figures beat fewer."""
-    return (
-        0 if document.get("fast", True) else 1,
-        len(document.get("figures", ())),
+    The fingerprint is the drain's ``cells_fingerprint``; the checks are
+    cross-figure reuse, zero duplicate solves and both identity
+    comparisons; the ``unique_cells_per_s`` rate is recorded only on hosts
+    with at least :data:`_RATE_MIN_CPUS` CPUs.
+    """
+    reuse = (
+        schedule["cells_deduped"]
+        + schedule["cells_precached"]
+        + schedule["cells_shared"]
+        + schedule["cells_coalesced"]
+    )
+    rates = {}
+    if cpus >= _RATE_MIN_CPUS:
+        rates["unique_cells_per_s"] = round(schedule["cells_unique"] / seconds, 3)
+    return row(
+        "suite",
+        fingerprint=schedule["cells_fingerprint"],
+        counters={
+            key: schedule[key]
+            for key in (
+                "cells_enumerated",
+                "cells_unique",
+                "cells_computed",
+                "duplicate_solves",
+            )
+        },
+        rates=rates,
+        walls={"seconds": round(seconds, 3), "jobs": jobs},
+        checks={
+            "reuse": reuse > 0,
+            "no_duplicate_solves": schedule["duplicate_solves"] == 0,
+            "cells_match": identity["cells_match"],
+            "outputs_match": identity["outputs_match"],
+        },
     )
 
 
-def write_bench(
-    report: SuiteReport,
-    path: str,
-    *,
-    baseline: SuiteReport | None = None,
-    cold: SuiteReport | None = None,
-    identity: dict | None = None,
-    force: bool = False,
-) -> dict:
-    """Write ``BENCH_suite.json``; returns the written document.
+def bench_rows(jobs: int | None = None) -> list[dict[str, Any]]:
+    """The ``suite`` bench rows: the fast suite over every figure.
 
-    Refuses to overwrite an existing report of strictly greater coverage
-    (a full-sweep document vs a fast pass, or one covering more figures)
-    unless ``force`` is set — a CI fast pass must not silently clobber a
-    committed full baseline.
+    Always drains from an empty scratch cache, so every document has the
+    same coverage, then runs :func:`check_identity` (see :func:`suite_row`).
 
     Args:
-        report: The suite's operating-mode run (shared cache warm, if a
-            prior pass or invocation populated it).
-        baseline: A serial, cache-disabled reference pass.
-        cold: A cache-enabled pass that started from an empty cache
-            (intra-run reuse only).
-        identity: A :func:`check_identity` verdict to embed.
-        force: Overwrite regardless of the existing document's coverage.
-
-    Raises:
-        BenchOverwriteError: Existing report has greater coverage and
-            ``force`` is not set.
+        jobs: Drain workers; ``None`` consults ``REPRO_JOBS`` / the CPU
+            count (:func:`repro.experiments.runner.resolve_jobs`).
     """
-    document = report.as_dict()
-    if cold is not None:
-        document["cold_cache"] = cold.as_dict()
-    if baseline is not None:
-        document["baseline"] = baseline.as_dict()
-        if report.total_seconds > 0:
-            document["speedup_vs_baseline"] = round(
-                baseline.total_seconds / report.total_seconds, 3
-            )
-        if cold is not None and cold.total_seconds > 0:
-            document["speedup_cold_vs_baseline"] = round(
-                baseline.total_seconds / cold.total_seconds, 3
-            )
-    if identity is not None:
-        document["identity"] = identity
-    if not force and os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                existing = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            existing = None  # unreadable: nothing of value to protect
-        if isinstance(existing, dict) and _coverage(existing) > _coverage(document):
-            raise BenchOverwriteError(
-                f"refusing to overwrite {path} (coverage {_coverage(existing)}) "
-                f"with a lesser report (coverage {_coverage(document)}); "
-                "pass --force to override"
-            )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return document
-
-
-def _unique_cell_throughput(document: dict) -> float | None:
-    """Unique cells solved per second during the cold (or only) drain."""
-    source = document.get("cold_cache") or document
-    schedule = source.get("schedule")
-    if not schedule or not source.get("total_seconds"):
-        return None
-    return schedule["cells_unique"] / source["total_seconds"]
-
-
-def check_suite_document(document: dict, reference: dict | None = None) -> list[str]:
-    """Gate a benchmark document; returns human-readable problems (empty = pass).
-
-    Always checked:
-
-    * the drain found cross-figure reuse (``cells_deduped + cells_precached
-      + cells_shared + cells_coalesced > 0``) and performed **zero
-      duplicate solves** — the dedup guarantee, meaningful on any machine
-      including single-CPU containers where wall-clock gates would lie;
-    * an embedded ``identity`` verdict, if present, passed.
-
-    With a ``reference`` document (``--check-against``): cold unique-cell
-    throughput must stay above :data:`THROUGHPUT_FLOOR` of the reference's.
-    Skipped unless both machines report >= 2 CPUs — on a one-CPU container
-    pool scheduling overhead is pure cost and wall-clock comparisons would
-    measure the container, not the code.
-    """
-    problems: list[str] = []
-    schedule = document.get("schedule")
-    if schedule is None:
-        problems.append("no schedule section: the run did not drain cells")
-    else:
-        reuse = (
-            schedule["cells_deduped"]
-            + schedule["cells_precached"]
-            + schedule["cells_shared"]
-            + schedule["cells_coalesced"]
-        )
-        if reuse <= 0:
-            problems.append(
-                "no cross-figure reuse: deduped+precached+shared+coalesced == 0"
-            )
-        if schedule["duplicate_solves"] > 0:
-            problems.append(
-                f"{schedule['duplicate_solves']} duplicate solves in the drain "
-                "(every unique cell must be computed exactly once)"
-            )
-    identity = document.get("identity")
-    if identity is not None and not identity.get("ok"):
-        problems.append(
-            "identity check failed: "
-            f"cells_match={identity.get('cells_match')} "
-            f"outputs_match={identity.get('outputs_match')}"
-        )
-    if reference is not None:
-        cpus_here = (document.get("machine") or {}).get("cpus") or 0
-        cpus_ref = (reference.get("machine") or {}).get("cpus") or 0
-        ours = _unique_cell_throughput(document)
-        theirs = _unique_cell_throughput(reference)
-        if cpus_here >= 2 and cpus_ref >= 2 and ours is not None and theirs is not None:
-            if ours < THROUGHPUT_FLOOR * theirs:
-                problems.append(
-                    f"unique-cell throughput regressed: {ours:.3f}/s vs "
-                    f"reference {theirs:.3f}/s (floor {THROUGHPUT_FLOOR:.0%})"
-                )
-    return problems
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.suite",
-        description="run the paper's figure suite with caching and fan-out",
-    )
-    parser.add_argument(
-        "names", nargs="*", default=["all"],
-        help=f"experiment names (prefix match) or 'all'; known: {', '.join(ALL_EXPERIMENTS)}",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="drain worker processes")
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the plan/result cache"
-    )
-    parser.add_argument("--full", action="store_true", help="full sweeps (slow)")
-    parser.add_argument(
-        "--baseline",
-        action="store_true",
-        help="also run reference passes (serial cache-disabled, then cold-cache) "
-        "and record their speedups; empties the on-disk cache first",
-    )
-    parser.add_argument(
-        "--identity-check",
-        action="store_true",
-        help="verify the jobs=N drain against a serial re-drain "
-        "(cells_fingerprint) and a replay assembly (output_fingerprint)",
-    )
-    parser.add_argument(
-        "--check-against", default=None, metavar="PATH",
-        help="gate this run against a reference BENCH_suite.json "
-        "(dedup counters, identity, unique-cell throughput)",
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="overwrite the bench report even if the existing one has "
-        "greater coverage (full sweep / more figures)",
-    )
-    parser.add_argument(
-        "--bench-out", default=DEFAULT_BENCH_PATH, help="timing report path"
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, help="override the on-disk cache directory"
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        default_jobs()  # fail fast on a malformed REPRO_JOBS before any work
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    names = resolve_names(args.names)
-    if not names:
-        print(f"no experiments match {args.names}; known: {', '.join(ALL_EXPERIMENTS)}")
-        return 1
-
-    baseline = cold = None
-    if args.baseline:
-        print("== baseline pass (serial, cache disabled) ==")
-        baseline = run_suite(
-            names, fast=not args.full, jobs=1, use_cache=False, stream=io.StringIO()
-        )
-        print(baseline.summary_table().format())
-        print()
-        # Empty the disk tier so the next pass measures a genuine cold
-        # start (intra-run reuse only), then leave it warm for the final
-        # pass — the suite's operating mode per run_suite's docstring.
-        with cache_overridden(disk=True, directory=args.cache_dir) as cache:
-            cache.clear_disk()
-        print("== cold-cache pass (empty cache) ==")
-        cold = run_suite(
+    names = list(ALL_EXPERIMENTS)
+    with tempfile.TemporaryDirectory(prefix="repro-suite-bench-") as cache_dir:
+        watch = Stopwatch()
+        report = run_suite(
             names,
-            fast=not args.full,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
+            fast=True,
+            jobs=resolve_jobs(jobs),
+            cache_dir=cache_dir,
             stream=io.StringIO(),
         )
-        print(cold.summary_table().format())
-        print()
-        print("== warm-cache pass ==")
-
-    report = run_suite(
-        names,
-        fast=not args.full,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        bench_path=None,
-    )
-
-    identity = None
-    if args.identity_check:
-        if args.no_cache:
-            print("error: --identity-check requires the cache", file=sys.stderr)
-            return 2
-        identity = check_identity(
-            report, names, fast=not args.full, cache_dir=args.cache_dir
+        seconds = watch.seconds
+        identity = check_identity(report, names, fast=True, cache_dir=cache_dir)
+    assert report.schedule is not None  # use_cache=True always schedules
+    return [
+        suite_row(
+            report.schedule,
+            identity,
+            seconds=seconds,
+            jobs=report.jobs,
+            cpus=os.cpu_count() or 1,
         )
-        verdict = "ok" if identity["ok"] else "MISMATCH"
-        print(
-            f"identity check: {verdict} "
-            f"(cells_match={identity['cells_match']}, "
-            f"outputs_match={identity['outputs_match']})"
-        )
-
-    if args.bench_out:
-        try:
-            document = write_bench(
-                report,
-                args.bench_out,
-                baseline=baseline,
-                cold=cold,
-                identity=identity,
-                force=args.force,
-            )
-        except BenchOverwriteError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.bench_out}")
-    else:
-        document = report.as_dict()
-        if identity is not None:
-            document["identity"] = identity
-
-    if identity is not None and not identity["ok"]:
-        return 3
-
-    if args.check_against:
-        with open(args.check_against, encoding="utf-8") as handle:
-            reference = json.load(handle)
-        problems = check_suite_document(document, reference)
-        for problem in problems:
-            print(f"check: {problem}", file=sys.stderr)
-        if problems:
-            return 4
-        print(f"check against {args.check_against}: ok")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    ]

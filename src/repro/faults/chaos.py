@@ -1,7 +1,8 @@
 """Chaos harness: the fault corpus crossed with the verification corpus.
 
-``repro chaos`` runs every :mod:`repro.check` corpus cell under a fixed
-menu of fault scenarios and *proves* recovery rather than eyeballing it:
+``repro bench chaos`` runs every :mod:`repro.check` corpus cell under a
+fixed menu of fault scenarios and *proves* recovery rather than eyeballing
+it:
 
 * every executed trace (faulted, degraded or re-planned) must pass
   :func:`repro.check.trace_check.sanitize_run`;
@@ -16,7 +17,9 @@ The report carries goodput (samples per second over an ``n_steps``
 training window, charging wasted work and time-to-recover) and is fully
 deterministic: same seed + schedule = byte-identical JSON.  No wall-clock
 values enter the report — re-planning latency uses the modeled budget from
-:class:`repro.faults.replan.ReplanCostModel`.
+:class:`repro.faults.replan.ReplanCostModel`.  Each result carries the
+trace fingerprint of its faulted (or recovered) step, which the bench rows
+(:func:`bench_rows`) pin.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Callable, Sequence
+from typing import Any
 
 from repro.check.corpus import CorpusCell, default_corpus
 from repro.check.findings import CheckReport
@@ -42,6 +46,8 @@ from repro.faults.models import (
 )
 from repro.faults.recovery import FaultedStep, RetryPolicy, run_step
 from repro.faults.replan import ReplanCostModel, replan_after_dropout
+from repro.perf.bench import row
+from repro.perf.fingerprint import fingerprint
 
 __all__ = [
     "SCENARIOS",
@@ -50,7 +56,7 @@ __all__ = [
     "ChaosReport",
     "run_chaos_cell",
     "run_chaos",
-    "main",
+    "bench_rows",
 ]
 
 #: The fault menu every corpus cell is run through.
@@ -129,6 +135,8 @@ class ChaosCellResult:
         goodput_clean: Fault-free samples/s for the same cell.
         check_errors: Error-severity findings from trace/plan/mapping
             checkers (0 for a healthy run).
+        fingerprint: Trace fingerprint of the faulted step (the recovered
+            step for dropout); ``None`` when recovery is infeasible.
         detail: Human-readable note (e.g. the infeasibility message).
     """
 
@@ -145,6 +153,7 @@ class ChaosCellResult:
     goodput: float
     goodput_clean: float
     check_errors: int
+    fingerprint: str | None
     detail: str = ""
 
     @property
@@ -179,27 +188,6 @@ class ChaosReport:
 
     def to_json(self, *, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    def render(self) -> str:
-        """Human-readable table, one line per (cell, scenario)."""
-        lines = []
-        for r in self.results:
-            flags = []
-            if r.degraded:
-                flags.append("degraded")
-            if r.n_retries:
-                flags.append(f"{r.n_retries} retries")
-            if r.time_to_recover:
-                flags.append(f"ttr {r.time_to_recover:.2f}s")
-            extra = f" ({', '.join(flags)})" if flags else ""
-            state = "PASS" if r.ok else "FAIL"
-            lines.append(
-                f"{state} {r.cell} / {r.scenario}: {r.status}, "
-                f"goodput {r.goodput:.3f}/s vs clean {r.goodput_clean:.3f}/s"
-                f"{extra}"
-            )
-        lines.append(f"{sum(not r.ok for r in self.results)} failing cell(s)")
-        return "\n".join(lines)
 
 
 def _check_step(step: FaultedStep, topology) -> CheckReport:
@@ -258,6 +246,7 @@ def run_chaos_cell(
             goodput=samples / total,
             goodput_clean=goodput_clean,
             check_errors=len(checks.errors),
+            fingerprint=fingerprint(step.trace),
         )
 
     # Dropout: steps completed before the fault survive; the in-flight step
@@ -292,6 +281,7 @@ def run_chaos_cell(
             goodput=samples / total if total else 0.0,
             goodput_clean=goodput_clean,
             check_errors=0,
+            fingerprint=None,
             detail=str(err),
         )
 
@@ -339,6 +329,7 @@ def run_chaos_cell(
         goodput=samples / total,
         goodput_clean=goodput_clean,
         check_errors=len(checks.errors),
+        fingerprint=fingerprint(recovered.trace),
     )
 
 
@@ -378,35 +369,13 @@ def run_chaos(
     return ChaosReport(seed=seed, n_steps=n_steps, results=tuple(results))
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Standalone entry point (``python -m repro.faults.chaos``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Mobius chaos testing harness")
-    parser.add_argument("--json", action="store_true", help="print the JSON report")
-    parser.add_argument(
-        "--out", default="BENCH_chaos.json", metavar="PATH",
-        help="where to write the JSON report (default: %(default)s)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="fault-schedule seed")
-    parser.add_argument(
-        "--steps", type=int, default=4, help="training-window length in steps"
-    )
-    args = parser.parse_args(argv)
-
-    progress = None if args.json else lambda name: print(f"chaos {name} ...")
-    report = run_chaos(seed=args.seed, n_steps=args.steps, progress=progress)
-    with open(args.out, "w") as f:
-        f.write(report.to_json() + "\n")
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
-        print(f"report written to {args.out}")
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())
+def bench_rows(jobs: int | None = None) -> list[dict[str, Any]]:
+    """The ``chaos`` bench rows; ``jobs`` is unused (cells run in-process)."""
+    return [
+        row(
+            f"{result.cell}/{result.scenario}",
+            fingerprint=result.fingerprint,
+            checks={"ok": result.ok},
+        )
+        for result in run_chaos().results
+    ]

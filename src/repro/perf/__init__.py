@@ -12,6 +12,10 @@ each cell once:
 * :mod:`repro.perf.cache` — a two-tier (in-memory + on-disk) result cache
   keyed by those fingerprints, versioned and safe to delete.
 
+:mod:`repro.perf.bench` is the benchmark harness behind ``repro bench``:
+one document shape and one gate for the ``sim``, ``serve``, ``suite`` and
+``chaos`` benches.
+
 :func:`repro.core.api.plan_mobius` and
 :func:`repro.experiments.runner.run_system` consult the global cache
 transparently; :mod:`repro.experiments.schedule` fans the suite's cells out

@@ -1,56 +1,46 @@
-"""Serve benchmark: the ``repro servebench`` backend.
+"""Serve bench rows: the ``repro bench serve`` producer.
 
 Drives a live :class:`~repro.serve.daemon.PlanService` over the check
-corpus (:mod:`repro.check.corpus`) and emits ``BENCH_serve.json``:
+corpus (:mod:`repro.check.corpus`) and returns rows in the
+:mod:`repro.perf.bench` shape:
 
-* **throughput** — plans/sec through the daemon in four regimes: ``cold``
-  (every request solved), ``warm`` (memory-cache hits), ``restart-warm``
-  (fresh process-level cache, answers served from the durable sqlite
-  store — the crash-recovery fast path) and ``coalesced`` (8 tenants
-  submitting identical bursts, amortized over shared solves);
-* **plans** — each corpus cell's plan fingerprint, identical across all
-  four regimes (``consistent``): caching, durability and coalescing must
-  be invisible in results;
-* **scaling** — plans/sec through pools of N=1/2/4 process workers over
+* ``throughput:<regime>`` — plans/sec through the daemon in four regimes:
+  ``cold`` (every request solved), ``warm`` (memory-cache hits),
+  ``restart-warm`` (fresh process-level cache, answers served from the
+  durable sqlite store — the crash-recovery fast path) and ``coalesced``
+  (8 tenants submitting identical bursts, amortized over shared solves).
+  The ``plans_per_s`` rate is gated on every host;
+* ``plan:<cell>`` — each corpus cell's plan fingerprint, with the check
+  that all four regimes returned it (``consistent``): caching, durability
+  and coalescing must be invisible in results;
+* ``scaling`` — plans/sec through pools of N=1/2/top process workers over
   a cold, non-coalescing workload (corpus cells × perturbed bandwidths),
-  with the fingerprint-identity bit (``consistent``) across counts;
-* **recovery** — the chaos scenario rows from
-  :mod:`repro.serve.chaos` (worker kill, poison quarantine, deadline
-  straggler, store corruption, overload burst).
-
-Fingerprints and recovery outcomes are deterministic; wall times are
-hardware-dependent.  The CI gate (:func:`compare_benchmarks`) fails on a
-fingerprint divergence (including across worker counts), a chaos
-scenario regression, a throughput drop beyond
-``THROUGHPUT_REGRESSION_RATIO`` against the committed baseline, or — on
-hosts with enough cores to scale at all — a worker-pool speedup below
-``SCALING_SPEEDUP_FLOOR``.
+  checked for fingerprint identity across worker counts and, on hosts
+  with at least :data:`_SCALING_MIN_CPUS` CPUs, for a top-vs-1 speedup of
+  at least :data:`SCALING_SPEEDUP_FLOOR`;
+* ``recovery:<scenario>`` — the chaos scenarios of :mod:`repro.serve.chaos`
+  (worker kill, poison quarantine, deadline straggler, store corruption,
+  overload burst), each checked ``ok``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import shutil
 import tempfile
-import time
 from pathlib import Path
 from typing import Any
 
 from repro.check.corpus import default_corpus
+from repro.perf.bench import Stopwatch, row
 from repro.perf.cache import cache_overridden, get_cache
 from repro.serve.admission import AdmissionConfig
 from repro.serve.chaos import run_chaos
 from repro.serve.daemon import PlanService, ServiceConfig
 from repro.serve.requests import PlanRequest
 
-__all__ = ["run_bench", "write_bench", "compare_benchmarks", "BENCH_SCHEMA"]
-
-BENCH_SCHEMA = "mobius-bench-serve/1"
-
-#: Throughput drops beyond this ratio against baseline fail the CI gate.
-THROUGHPUT_REGRESSION_RATIO = 1.25
+__all__ = ["bench_rows", "scaling_checks"]
 
 #: Identical-request fan-out per corpus cell in the coalesced regime.
 _COALESCE_FANOUT = 8
@@ -72,10 +62,10 @@ _RESTART_PASSES = 20
 #: every burst's solves stay cold and shared).
 _COALESCE_BURSTS = 3
 
-#: Worker-scaling gate: plans/sec at ``--workers 4`` must reach this
-#: multiple of the ``--workers 1`` rate — enforced only on hosts with at
-#: least ``_SCALING_MIN_CPUS`` cores, because a 1-core container cannot
-#: physically scale process workers (the rows are still recorded there).
+#: Worker-scaling check: plans/sec at 4 workers must reach this multiple
+#: of the 1-worker rate — checked only on hosts with at least
+#: ``_SCALING_MIN_CPUS`` cores, because a 1-core container cannot
+#: physically scale process workers (the rates are still recorded there).
 SCALING_SPEEDUP_FLOOR = 1.8
 _SCALING_MIN_CPUS = 4
 
@@ -101,12 +91,11 @@ def _no_sleep(_seconds: float) -> None:
     return None
 
 
-def _run_throughput_rows(workdir: Path) -> tuple[list[dict], list[dict]]:
-    """Time the four serving regimes; returns (throughput, plans) rows.
+def _throughput_rows(workdir: Path) -> list[dict[str, Any]]:
+    """Time the four serving regimes; returns throughput then plan rows.
 
-    The only wall-clock reads in :mod:`repro.serve` live here, bracketing
-    whole phases for reporting — they never steer what any phase does
-    (MOB002 clock-allowlisted site).
+    The stopwatches bracket whole phases for reporting — they never steer
+    what any phase does.
     """
     requests = _corpus_requests()
     fingerprints: dict[str, list[str]] = {name: [] for name, _ in requests}
@@ -123,31 +112,27 @@ def _run_throughput_rows(workdir: Path) -> tuple[list[dict], list[dict]]:
             with PlanService(
                 ServiceConfig(store_path=store_path), sleeper=_no_sleep
             ) as service:
-                started = time.perf_counter()
+                watch = Stopwatch()
                 for name, request in requests:
                     fingerprints[name].append(
                         service.plan(request).plan_fingerprint
                     )
-                record("cold", len(requests), time.perf_counter() - started)
+                record("cold", len(requests), watch.seconds)
 
-                started = time.perf_counter()
+                watch = Stopwatch()
                 for _pass in range(_WARM_PASSES):
                     for name, request in requests:
                         fingerprints[name].append(
                             service.plan(request).plan_fingerprint
                         )
-                record(
-                    "warm",
-                    len(requests) * _WARM_PASSES,
-                    time.perf_counter() - started,
-                )
+                record("warm", len(requests) * _WARM_PASSES, watch.seconds)
 
         # Daemon "restart": only the sqlite store survives the cache swap.
         with cache_overridden():
             with PlanService(
                 ServiceConfig(store_path=store_path), sleeper=_no_sleep
             ) as service:
-                started = time.perf_counter()
+                watch = Stopwatch()
                 for _pass in range(_RESTART_PASSES):
                     get_cache().clear_memory()
                     for name, request in requests:
@@ -155,15 +140,13 @@ def _run_throughput_rows(workdir: Path) -> tuple[list[dict], list[dict]]:
                             service.plan(request).plan_fingerprint
                         )
                 record(
-                    "restart-warm",
-                    len(requests) * _RESTART_PASSES,
-                    time.perf_counter() - started,
+                    "restart-warm", len(requests) * _RESTART_PASSES, watch.seconds
                 )
 
         # Coalesced: fresh store and cache per burst, every solve cold but
         # shared by _COALESCE_FANOUT tenants submitting identical requests.
         ticket_count = 0
-        started = time.perf_counter()
+        watch = Stopwatch()
         for burst in range(_COALESCE_BURSTS):
             with cache_overridden():
                 with PlanService(
@@ -193,30 +176,29 @@ def _run_throughput_rows(workdir: Path) -> tuple[list[dict], list[dict]]:
                             service.result(ticket).plan_fingerprint
                         )
                     ticket_count += len(tickets)
-        record("coalesced", ticket_count, time.perf_counter() - started)
+        record("coalesced", ticket_count, watch.seconds)
 
     rows = []
     for phase in ("cold", "warm", "restart-warm", "coalesced"):
         wall = min(walls[phase])
         plans = plan_counts[phase]
         rows.append(
-            {
-                "name": phase,
-                "plans": plans,
-                "wall_seconds": round(wall, 4),
-                "plans_per_second": round(plans / wall, 2) if wall > 0 else None,
-            }
+            row(
+                f"throughput:{phase}",
+                counters={"plans": plans},
+                rates={"plans_per_s": round(plans / wall, 2)} if wall > 0 else {},
+                walls={"seconds": round(wall, 4)},
+            )
         )
-
-    plans = [
-        {
-            "name": name,
-            "fingerprint": seen[0],
-            "consistent": len(set(seen)) == 1,
-        }
+    rows.extend(
+        row(
+            f"plan:{name}",
+            fingerprint=seen[0],
+            checks={"consistent": len(set(seen)) == 1},
+        )
         for name, seen in fingerprints.items()
-    ]
-    return rows, plans
+    )
+    return rows
 
 
 def _scaling_requests() -> list[tuple[str, PlanRequest]]:
@@ -240,10 +222,8 @@ def _scaling_requests() -> list[tuple[str, PlanRequest]]:
     return requests
 
 
-def _run_scaling_rows(
-    workdir: Path, worker_counts: tuple[int, ...]
-) -> dict[str, Any]:
-    """Plans/sec through N process workers; another reporting-only clock site.
+def _scaling_row(workdir: Path, worker_counts: tuple[int, ...]) -> dict[str, Any]:
+    """Plans/sec through N process workers, as one ``scaling`` row.
 
     Each timed window submits every scaling request up front and then
     collects responses, so N dispatch threads genuinely overlap N child
@@ -257,7 +237,7 @@ def _run_scaling_rows(
     requests = _scaling_requests()
     prewarm = _corpus_requests()
     fingerprints: dict[str, list[str]] = {name: [] for name, _ in requests}
-    rows = []
+    rates: dict[int, float] = {}
     for workers in worker_counts:
         walls = []
         for repeat in range(_SCALING_REPEATS):
@@ -279,7 +259,7 @@ def _run_scaling_rows(
                     service.start()
                     for ticket in warm_tickets:
                         service.result(ticket, timeout=300.0)
-                    started = time.perf_counter()
+                    watch = Stopwatch()
                     tickets = [
                         (name, service.submit(request))
                         for name, request in requests
@@ -288,161 +268,68 @@ def _run_scaling_rows(
                         fingerprints[name].append(
                             service.result(ticket, timeout=300.0).plan_fingerprint
                         )
-                    walls.append(time.perf_counter() - started)
+                    walls.append(watch.seconds)
         wall = min(walls)
-        rows.append(
-            {
-                "workers": workers,
-                "plans": len(requests),
-                "wall_seconds": round(wall, 4),
-                "plans_per_second": (
-                    round(len(requests) / wall, 2) if wall > 0 else None
-                ),
-            }
-        )
-    rates = {row["workers"]: row["plans_per_second"] for row in rows}
+        if wall > 0:
+            rates[workers] = round(len(requests) / wall, 2)
     top = max(worker_counts)
     speedup = None
     if rates.get(1) and rates.get(top) and top > 1:
         speedup = round(rates[top] / rates[1], 2)
-    return {
-        "cpus": os.cpu_count() or 1,
-        "rows": rows,
-        "top_workers": top,
-        "speedup_top_vs_1": speedup,
-        "consistent": all(
-            len(set(seen)) == 1 for seen in fingerprints.values()
+    return row(
+        "scaling",
+        counters={"plans": len(requests)},
+        walls={
+            **{f"plans_per_s@{workers}": rate for workers, rate in rates.items()},
+            "speedup": speedup,
+        },
+        checks=scaling_checks(
+            all(len(set(seen)) == 1 for seen in fingerprints.values()),
+            speedup,
+            top=top,
+            cpus=os.cpu_count() or 1,
         ),
-    }
+    )
 
 
-def run_bench(workers: int | None = None) -> dict[str, Any]:
-    """Run the full serve benchmark; returns the JSON document.
+def scaling_checks(
+    consistent: bool, speedup: float | None, *, top: int, cpus: int
+) -> dict[str, bool]:
+    """The ``scaling`` row's checks.
+
+    Fingerprint identity across worker counts is checked on every host;
+    the speedup floor only when both the host and the ladder reach
+    :data:`_SCALING_MIN_CPUS`.
+    """
+    checks = {"consistent": consistent}
+    if cpus >= _SCALING_MIN_CPUS and top >= _SCALING_MIN_CPUS:
+        checks["speedup_floor"] = (
+            speedup is not None and speedup >= SCALING_SPEEDUP_FLOOR
+        )
+    return checks
+
+
+def bench_rows(jobs: int | None = None) -> list[dict[str, Any]]:
+    """The ``serve`` bench rows.
 
     Args:
-        workers: Top of the worker-scaling ladder (the bench always
-            measures 1 and 2 as well).  ``None`` consults ``REPRO_JOBS``
-            / :func:`repro.experiments.runner.resolve_jobs`, capped at 4,
-            so an unconfigured run never oversubscribes its container.
+        jobs: Top of the worker-scaling ladder (the bench always measures
+            1 and 2 as well).  ``None`` consults ``REPRO_JOBS`` /
+            :func:`repro.experiments.runner.resolve_jobs`, capped at 4, so
+            an unconfigured run never oversubscribes its container.
     """
     from repro.experiments.runner import resolve_jobs
 
-    top_workers = resolve_jobs(workers, ceiling=4)
+    top_workers = resolve_jobs(jobs, ceiling=4)
     worker_counts = tuple(sorted({1, 2, top_workers}))
     workdir = Path(tempfile.mkdtemp(prefix="repro-servebench-"))
     try:
-        throughput, plans = _run_throughput_rows(workdir)
-        scaling = _run_scaling_rows(workdir, worker_counts)
+        rows = _throughput_rows(workdir)
+        rows.append(_scaling_row(workdir, worker_counts))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return {
-        "schema": BENCH_SCHEMA,
-        "throughput": throughput,
-        "plans": plans,
-        "scaling": scaling,
-        "recovery": run_chaos(),
-    }
-
-
-def write_bench(path: Path | str, document: dict[str, Any] | None = None) -> dict:
-    """Run (if needed) and write the benchmark JSON to ``path``."""
-    document = document if document is not None else run_bench()
-    Path(path).write_text(json.dumps(document, indent=1, sort_keys=False) + "\n")
-    return document
-
-
-def compare_benchmarks(
-    current: dict[str, Any], baseline: dict[str, Any]
-) -> list[str]:
-    """CI gate: regressions of ``current`` against the committed baseline.
-
-    Returns a list of human-readable failures (empty = gate passes):
-
-    * a corpus cell's plan fingerprint diverged from the baseline, or the
-      four serving regimes disagree with each other (``consistent``);
-    * a chaos recovery scenario no longer passes;
-    * a throughput regime's plans/sec dropped below
-      ``1 / THROUGHPUT_REGRESSION_RATIO`` of the baseline;
-    * the worker-scaling rows returned divergent fingerprints across
-      worker counts (gated everywhere), or the top-vs-1 speedup fell
-      below ``SCALING_SPEEDUP_FLOOR`` — gated only when the *current*
-      host has >= 4 CPUs, because process workers cannot scale on fewer
-      cores no matter what the code does; wall-clock facts are compared
-      against the hardware that produced them, never across machines.
-
-    Rows present only on one side are failures too — the corpus and the
-    scenario list are part of the contract.
-    """
-    failures: list[str] = []
-
-    base_plans = {row["name"]: row for row in baseline.get("plans", [])}
-    cur_plans = {row["name"]: row for row in current.get("plans", [])}
-    for name in sorted(base_plans.keys() | cur_plans.keys()):
-        if name not in cur_plans:
-            failures.append(f"plans:{name}: cell missing from current run")
-            continue
-        if name not in base_plans:
-            failures.append(f"plans:{name}: cell missing from baseline")
-            continue
-        if not cur_plans[name].get("consistent", False):
-            failures.append(
-                f"plans:{name}: serving regimes returned divergent fingerprints"
-            )
-        if cur_plans[name]["fingerprint"] != base_plans[name]["fingerprint"]:
-            failures.append(
-                f"plans:{name}: fingerprint diverged from baseline "
-                f"({base_plans[name]['fingerprint'][:12]} -> "
-                f"{cur_plans[name]['fingerprint'][:12]})"
-            )
-
-    base_rec = {row["name"]: row for row in baseline.get("recovery", [])}
-    cur_rec = {row["name"]: row for row in current.get("recovery", [])}
-    for name in sorted(base_rec.keys() | cur_rec.keys()):
-        if name not in cur_rec:
-            failures.append(f"recovery:{name}: scenario missing from current run")
-            continue
-        if name not in base_rec:
-            failures.append(f"recovery:{name}: scenario missing from baseline")
-            continue
-        if not cur_rec[name].get("ok", False):
-            failures.append(f"recovery:{name}: chaos scenario no longer passes")
-
-    base_tp = {row["name"]: row for row in baseline.get("throughput", [])}
-    cur_tp = {row["name"]: row for row in current.get("throughput", [])}
-    for name in sorted(base_tp.keys() | cur_tp.keys()):
-        if name not in cur_tp:
-            failures.append(f"throughput:{name}: regime missing from current run")
-            continue
-        if name not in base_tp:
-            failures.append(f"throughput:{name}: regime missing from baseline")
-            continue
-        base_rate = base_tp[name].get("plans_per_second")
-        cur_rate = cur_tp[name].get("plans_per_second")
-        if base_rate and cur_rate and (
-            cur_rate < base_rate / THROUGHPUT_REGRESSION_RATIO
-        ):
-            failures.append(
-                f"throughput:{name}: plans/sec regressed "
-                f"{base_rate} -> {cur_rate} "
-                f"(>{THROUGHPUT_REGRESSION_RATIO:.2f}x)"
-            )
-
-    cur_scaling = current.get("scaling")
-    if cur_scaling is None:
-        if baseline.get("scaling") is not None:
-            failures.append("scaling: section missing from current run")
-    else:
-        if not cur_scaling.get("consistent", False):
-            failures.append(
-                "scaling: fingerprints diverged across worker counts"
-            )
-        cpus = cur_scaling.get("cpus") or 1
-        speedup = cur_scaling.get("speedup_top_vs_1")
-        top = cur_scaling.get("top_workers") or 1
-        if cpus >= _SCALING_MIN_CPUS and top >= _SCALING_MIN_CPUS:
-            if speedup is None or speedup < SCALING_SPEEDUP_FLOOR:
-                failures.append(
-                    f"scaling: {top}-worker speedup {speedup} below the "
-                    f"{SCALING_SPEEDUP_FLOOR}x floor on a {cpus}-cpu host"
-                )
-    return failures
+    rows.extend(
+        row(f"recovery:{result['name']}", checks={"ok": result["ok"]})
+        for result in run_chaos()
+    )
+    return rows

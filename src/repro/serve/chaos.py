@@ -19,7 +19,7 @@ Chaos injection is deterministic: crashes are scripted per
 are node budgets, and store corruption is literal byte surgery on the
 sqlite file.  No randomness, no wall-clock control flow — the scenario
 results (and their fingerprints) are stable across machines, which is
-what lets ``repro servebench`` gate them in CI.
+what lets ``repro bench serve`` gate them in CI.
 
 Scenarios run each service phase under a fresh
 :func:`~repro.perf.cache.cache_overridden` cache so that "restart the

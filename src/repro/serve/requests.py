@@ -135,7 +135,7 @@ class PlanResponse:
             fallback) or ``"none"``.
         report: The planning report (``None`` for rejected/failed).
         plan_fingerprint: Content address of ``report.plan`` — the
-            byte-identity handle the chaos harness and ``servebench``
+            byte-identity handle the chaos harness and ``repro bench serve``
             compare across crashes and restarts.
         optimal: Whether the partition search completed (budget not
             binding).

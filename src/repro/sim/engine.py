@@ -87,7 +87,7 @@ class Simulator:
     def __init__(self) -> None:
         self.now = 0.0
         #: Callbacks dispatched so far (cancelled events excluded); a
-        #: deterministic work counter reported by ``repro simbench``.
+        #: deterministic work counter reported by ``repro bench sim``.
         self.events_processed = 0
         self._heap: list[tuple[float, int, object]] = []
         self._counter = itertools.count()

@@ -24,7 +24,7 @@ and link capacities — never on transfer progress, nor on the order in
 which the walk lists the flows — so flows outside the affected components
 provably keep their rates, and the resulting traces are bit-identical to a
 from-scratch refill at every change (asserted by the fuzz oracle in
-``tests/sim/test_allocator_equivalence.py`` and the ``repro simbench``
+``tests/sim/test_allocator_equivalence.py`` and the ``repro bench sim``
 fingerprint gate).
 
 Per-event work that is still proportional to the number of *live* flows —
@@ -162,7 +162,7 @@ _priority_of = operator.itemgetter(0)
 
 @dataclasses.dataclass
 class FlowNetworkStats:
-    """Deterministic allocator work counters (``repro simbench`` gates these).
+    """Deterministic allocator work counters (``repro bench sim`` gates these).
 
     All counters are event-sequence determined — no wall-clock input — so
     equal workloads produce equal counts across machines and runs.

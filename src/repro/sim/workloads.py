@@ -2,8 +2,8 @@
 
 The Mobius planner cannot emit a ~1M-event scenario directly: pipeline
 stages are bounded by model depth, so even a 64-GPU corpus plan executes a
-few thousand events.  The scale benchmarks (``repro simbench``'s ``large``
-section, DESIGN.md §12) instead drive the simulator with a *synthetic*
+few thousand events.  The scale benchmarks (the ``large`` row of
+``repro bench sim``, DESIGN.md §12) instead drive the simulator with a *synthetic*
 offload-style workload shaped like Mobius execution at fleet scale: every
 GPU runs ``rounds`` chained rounds of
 

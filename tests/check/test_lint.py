@@ -16,6 +16,12 @@ def _lint(source: str, rel_path: str, config: LintConfig = DEFAULT_CONFIG):
     return lint_source(textwrap.dedent(source), rel_path, config)
 
 
+def _assert_real_module_clean(rel: str) -> None:
+    root = Path(__file__).resolve().parents[2]
+    report = lint_source((root / rel).read_text(), rel)
+    assert report.ok, f"{rel}:\n{report.render()}"
+
+
 FINGERPRINT_MODULE = DEFAULT_CONFIG.fingerprint_modules[0]
 # A hot-path (MOB002) module that is not also strict-clock scoped.
 HOT_MODULE = "src/repro/core/synthetic.py"
@@ -209,16 +215,19 @@ class TestMob002StrictClock:
         assert "MOB002" in _codes(report)
 
     def test_allowlisted_site_passes(self):
-        # A sanctioned clock site: simbench's wall-time column.
+        config = LintConfig(
+            clock_allowlist=frozenset({"src/repro/sim/bench.py::_corpus_rows"})
+        )
         report = _lint(
             """
             import time
 
-            def _run_corpus_rows():
+            def _corpus_rows():
                 started = time.perf_counter()
                 return time.perf_counter() - started
             """,
             "src/repro/sim/bench.py",
+            config,
         )
         assert not report.findings
 
@@ -247,26 +256,16 @@ class TestMob002StrictClock:
         )
         assert "MOB002" in _codes(report)
 
-    def test_sim_bench_reporting_sites_allowlisted(self):
-        # The simbench wall-time columns are reporting-only by contract;
-        # its three row builders are the sanctioned sim/ clock sites.
-        report = _lint(
-            """
-            import time
-
-            def _run_corpus_rows():
-                started = time.perf_counter()
-                return time.perf_counter() - started
-
-            def _run_chaos_rows():
-                return time.perf_counter()
-
-            def _run_large_rows():
-                return time.perf_counter()
-            """,
-            "src/repro/sim/bench.py",
-        )
-        assert not report.findings
+    def test_sim_bench_has_no_clock_sites(self):
+        # Bench walls go through repro.perf.bench.Stopwatch, so no sim/
+        # function may read a clock, and the real bench module passes the
+        # strict rule.
+        assert not [
+            site
+            for site in DEFAULT_CONFIG.clock_allowlist
+            if site.startswith("src/repro/sim/")
+        ]
+        _assert_real_module_clean("src/repro/sim/bench.py")
 
     def test_dispatch_and_streaming_modules_stay_clock_free(self):
         # The batched-dispatch / columnar-streaming hot paths (DESIGN.md
@@ -311,8 +310,7 @@ class TestMob002StrictClock:
 
 class TestMob002ServeClockDiscipline:
     """The serve layer is strict-clock scoped: deadlines are node budgets,
-    and the only sanctioned wall-clock site is the servebench phase
-    bracketing (reporting-only by contract)."""
+    and no serve function reads a clock."""
 
     SERVE_MODULE = "src/repro/serve/some_module.py"
 
@@ -344,18 +342,14 @@ class TestMob002ServeClockDiscipline:
         )
         assert "MOB002" in _codes(report)
 
-    def test_servebench_reporting_site_allowlisted(self):
-        report = _lint(
-            """
-            import time
-
-            def _run_throughput_rows(workdir):
-                started = time.perf_counter()
-                return time.perf_counter() - started
-            """,
-            "src/repro/serve/bench.py",
-        )
-        assert not report.findings
+    def test_serve_bench_has_no_clock_sites(self):
+        # Serve bench walls go through repro.perf.bench.Stopwatch too.
+        assert not [
+            site
+            for site in DEFAULT_CONFIG.clock_allowlist
+            if site.startswith("src/repro/serve/")
+        ]
+        _assert_real_module_clean("src/repro/serve/bench.py")
 
     def test_other_function_in_serve_bench_flagged(self):
         report = _lint(

@@ -83,6 +83,6 @@ class TestClockAllowlist:
 
     def test_default_allowlist_covers_repo_reporting_sites(self):
         assert (
-            "src/repro/sim/bench.py::_run_corpus_rows"
+            "src/repro/core/mapping.py::cross_mapping"
             in DEFAULT_CONFIG.clock_allowlist
         )

@@ -1,20 +1,17 @@
-"""Suite runner: timing report, bench output, name resolution."""
+"""Suite runner: timing report, bench row, name resolution.
+
+The suite gate's cases are rows of the one table in
+``tests/perf/test_bench.py``.
+"""
 
 import io
-import json
 
 import pytest
 
+import repro.experiments.suite as suite_module
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.suite import (
-    BenchOverwriteError,
-    check_identity,
-    check_suite_document,
-    resolve_names,
-    run_suite,
-    write_bench,
-)
-from repro.perf.cache import CACHE_VERSION
+from repro.experiments.suite import check_identity, resolve_names, run_suite
+from tests.perf.test_bench import check_case
 
 CHEAP = ["fig2_deepspeed_cdf", "sec23_deepspeed_profile"]
 
@@ -33,14 +30,12 @@ class TestResolveNames:
 class TestRunSuite:
     def test_cheap_figure_runs_and_reports(self, tmp_path):
         stream = io.StringIO()
-        bench = tmp_path / "BENCH_suite.json"
         report = run_suite(
             ["table1_gpus"],
             fast=True,
             jobs=1,
             use_cache=True,
             cache_dir=str(tmp_path / "cache"),
-            bench_path=str(bench),
             stream=stream,
         )
         output = stream.getvalue()
@@ -48,15 +43,9 @@ class TestRunSuite:
         assert "Suite timing report" in output
         assert report.figures[0].name == "table1_gpus"
         assert report.figures[0].seconds >= 0
-
-        document = json.loads(bench.read_text())
-        assert document["schema"] == "mobius-bench-suite/3"
-        assert document["cache"]["version"] == CACHE_VERSION
-        assert document["figures"][0]["name"] == "table1_gpus"
-        assert document["total_seconds"] > 0
-        assert document["output_fingerprint"] == report.output_fingerprint
+        assert report.total_seconds > 0
         # table1 enumerates no cells, but the schedule section still exists.
-        assert document["schedule"]["cells_enumerated"] == 0
+        assert report.schedule["cells_enumerated"] == 0
 
     def test_no_cache_mode(self, tmp_path):
         stream = io.StringIO()
@@ -69,28 +58,19 @@ class TestRunSuite:
         assert not report.use_cache
         assert report.cache_totals == {"hits": 0, "misses": 0}
 
-    def test_bench_records_baseline_speedup(self, tmp_path):
-        stream = io.StringIO()
-        kwargs = dict(fast=True, use_cache=False, stream=stream)
-        baseline = run_suite(["table1_gpus"], **kwargs)
-        optimized = run_suite(["table1_gpus"], **kwargs)
-        path = tmp_path / "bench.json"
-        document = write_bench(optimized, str(path), baseline=baseline)
-        assert "baseline" in document
-        assert document["speedup_vs_baseline"] > 0
-        assert json.loads(path.read_text())["baseline"]["total_seconds"] > 0
-
-    def test_bench_records_cold_pass(self, tmp_path):
-        stream = io.StringIO()
-        kwargs = dict(fast=True, use_cache=False, stream=stream)
-        baseline = run_suite(["table1_gpus"], **kwargs)
-        cold = run_suite(["table1_gpus"], **kwargs)
-        warm = run_suite(["table1_gpus"], **kwargs)
-        document = write_bench(
-            warm, str(tmp_path / "bench.json"), baseline=baseline, cold=cold
+    def test_bench_records_cold_pass(self, monkeypatch):
+        # The bench row always drains every figure from an empty cache;
+        # two cheap figures that share a cell stand in for the suite.
+        monkeypatch.setattr(
+            suite_module, "ALL_EXPERIMENTS", ("fig2_deepspeed_cdf", "sec23_deepspeed_profile")
         )
-        assert document["cold_cache"]["total_seconds"] > 0
-        assert document["speedup_cold_vs_baseline"] > 0
+        (entry,) = suite_module.bench_rows(jobs=1)
+        assert entry["name"] == "suite"
+        assert entry["counters"]["cells_enumerated"] == 2
+        assert entry["counters"]["cells_unique"] == 1
+        assert entry["counters"]["cells_computed"] == 1  # cold: nothing precached
+        assert entry["fingerprint"] and all(entry["checks"].values())
+        assert entry["walls"]["seconds"] > 0
 
 
 class TestScheduledSuite:
@@ -157,80 +137,17 @@ class TestScheduledSuite:
             check_identity(report, ["table1_gpus"], fast=True)
 
 
-class TestWriteBenchGuard:
-    def _report(self, tmp_path, **kwargs):
-        return run_suite(
-            ["table1_gpus"],
-            fast=True,
-            use_cache=True,
-            cache_dir=str(tmp_path / "cache"),
-            stream=io.StringIO(),
-            **kwargs,
-        )
-
-    def test_refuses_to_overwrite_fuller_report(self, tmp_path):
-        report = self._report(tmp_path)
-        path = tmp_path / "bench.json"
-        full = report.as_dict()
-        full["fast"] = False  # a committed full-sweep baseline
-        path.write_text(json.dumps(full))
-        with pytest.raises(BenchOverwriteError):
-            write_bench(report, str(path))
-        # Same or better coverage writes fine; force always writes.
-        write_bench(report, str(path), force=True)
-        assert json.loads(path.read_text())["fast"] is True
-        write_bench(report, str(path))
-
-    def test_unreadable_existing_report_is_not_protected(self, tmp_path):
-        report = self._report(tmp_path)
-        path = tmp_path / "bench.json"
-        path.write_text("{not json")
-        write_bench(report, str(path))
-        assert json.loads(path.read_text())["schema"] == "mobius-bench-suite/3"
-
-
 class TestCheckSuiteDocument:
-    def _document(self, tmp_path):
-        report = run_suite(
-            CHEAP,
-            fast=True,
-            jobs=1,
-            use_cache=True,
-            cache_dir=str(tmp_path / "cache"),
-            stream=io.StringIO(),
-        )
-        return report.as_dict()
+    def test_good_document_passes(self):
+        check_case("suite-identical")
 
-    def test_good_document_passes(self, tmp_path):
-        document = self._document(tmp_path)
-        assert check_suite_document(document) == []
-        # Against itself as the reference: throughput trivially equal.
-        assert check_suite_document(document, document) == []
+    def test_flags_duplicate_solves_and_missing_reuse(self):
+        check_case("suite-duplicate-solves-and-no-reuse")
 
-    def test_flags_duplicate_solves_and_missing_reuse(self, tmp_path):
-        document = self._document(tmp_path)
-        document["schedule"]["duplicate_solves"] = 3
-        document["schedule"]["cells_deduped"] = 0
-        document["schedule"]["cells_precached"] = 0
-        document["schedule"]["cells_shared"] = 0
-        document["schedule"]["cells_coalesced"] = 0
-        problems = check_suite_document(document)
-        assert any("duplicate" in p for p in problems)
-        assert any("reuse" in p for p in problems)
+    def test_flags_failed_identity(self):
+        check_case("suite-identity-failed")
 
-    def test_flags_failed_identity(self, tmp_path):
-        document = self._document(tmp_path)
-        document["identity"] = {"ok": False, "cells_match": False, "outputs_match": True}
-        assert any("identity" in p for p in check_suite_document(document))
-
-    def test_throughput_gate_needs_multiple_cpus(self, tmp_path):
-        document = self._document(tmp_path)
-        reference = json.loads(json.dumps(document))
-        # Pretend the reference machine was 8x faster per unique cell.
-        reference["machine"]["cpus"] = 8
-        reference["total_seconds"] = document["total_seconds"] / 8
-        document["machine"]["cpus"] = 1
-        assert check_suite_document(document, reference) == []  # 1 CPU: skipped
-        document["machine"]["cpus"] = 8
-        problems = check_suite_document(document, reference)
-        assert any("throughput" in p for p in problems)
+    def test_throughput_gate_needs_multiple_cpus(self):
+        check_case("suite-rate-one-cpu-host")
+        check_case("suite-rate-one-cpu-baseline")
+        check_case("suite-rate-below-floor")

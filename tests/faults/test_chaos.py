@@ -1,5 +1,6 @@
 """Tests for the chaos harness and its CLI wiring."""
 
+import dataclasses
 import json
 
 import pytest
@@ -123,43 +124,34 @@ class TestRunChaos:
 
 class TestCli:
     def test_parser_accepts_chaos_flags(self):
-        args = build_parser().parse_args(
-            ["chaos", "--json", "--seed", "7", "--steps", "3", "--out", "x.json"]
-        )
-        assert args.command == "chaos"
-        assert args.seed == 7
-        assert args.steps == 3
+        args = build_parser().parse_args(["bench", "chaos", "--out", "x.json"])
+        assert args.command == "bench"
+        assert args.kind == "chaos"
         assert args.out == "x.json"
+        assert args.check_against is None
 
     def test_cmd_chaos_writes_report_and_exits_by_ok(self, tmp_path, monkeypatch):
         import repro.faults.chaos as chaos_module
 
-        calls = {}
-
-        def fake_run_chaos(*, seed, n_steps, progress=None):
-            calls["seed"] = seed
-            calls["n_steps"] = n_steps
-            return chaos_module.ChaosReport(seed=seed, n_steps=n_steps, results=())
-
-        monkeypatch.setattr(chaos_module, "run_chaos", fake_run_chaos)
-        out = tmp_path / "BENCH_chaos.json"
-        code = main(["chaos", "--json", "--seed", "5", "--steps", "2", "--out", str(out)])
-        assert code == 0
-        assert calls == {"seed": 5, "n_steps": 2}
-        payload = json.loads(out.read_text())
-        assert payload["seed"] == 5
-        assert payload["ok"] is True
-
-    def test_standalone_module_main(self, tmp_path, monkeypatch):
-        import repro.faults.chaos as chaos_module
-
+        results = []
         monkeypatch.setattr(
             chaos_module,
             "run_chaos",
-            lambda *, seed, n_steps, progress=None: chaos_module.ChaosReport(
-                seed=seed, n_steps=n_steps, results=()
-            ),
+            lambda: chaos_module.ChaosReport(seed=0, n_steps=4, results=tuple(results)),
         )
-        out = tmp_path / "report.json"
-        assert chaos_module.main(["--out", str(out)]) == 0
-        assert json.loads(out.read_text())["ok"] is True
+        out = tmp_path / "BENCH_chaos.json"
+        assert main(["bench", "chaos", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["bench"] == "chaos"
+        assert payload["rows"] == []
+
+        cell = default_corpus()[0]
+        results.append(
+            dataclasses.replace(
+                run_chaos_cell(cell, "clean", n_steps=1), check_errors=1
+            )
+        )
+        assert main(["bench", "chaos", "--out", str(out)]) == 1
+        (entry,) = json.loads(out.read_text())["rows"]
+        assert entry["name"] == f"{cell.name}/clean"
+        assert entry["fingerprint"] and entry["checks"] == {"ok": False}

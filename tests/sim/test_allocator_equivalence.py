@@ -36,7 +36,7 @@ Two oracle granularities pin down the contract precisely:
   adversarial capacities it can differ from the component fill by an ulp;
   on the production workloads the two are floating-point coincident, which
   is exactly the trace-byte compatibility the corpus-workload test (and
-  the ``repro simbench`` fingerprint gate) asserts.
+  the ``repro bench sim`` fingerprint gate) asserts.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The synthetic datacenter workload behind the simbench ``large`` rows."""
+"""The synthetic datacenter workload behind the ``repro bench sim`` ``large`` row."""
 
 import pytest
 

@@ -61,9 +61,7 @@ class TestCommands:
         assert "REPRO_JOBS" in capsys.readouterr().err
 
     def test_suite_rejects_malformed_repro_jobs(self, monkeypatch, capsys):
-        from repro.experiments.suite import main as suite_main
-
         monkeypatch.setenv("REPRO_JOBS", "-3")
-        code = suite_main(["table1"])
+        code = main(["figures", "table1"])
         assert code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
