@@ -101,8 +101,8 @@ class LintConfig:
         mutable_allowlist: Qualified names (``repro.core.api.MobiusReport``)
             of dataclasses that are deliberately mutable — cached *values*,
             never keys.
-        hot_path_prefixes: Path prefixes where MOB002's determinism rule
-            applies.
+        hot_path_prefixes: Path prefixes (directories, or single ``.py``
+            modules) where MOB002's determinism rule applies.
         label_modules: Files whose task-label expressions must honour the
             :mod:`repro.core.labels` contract (MOB003).
     """
@@ -143,6 +143,8 @@ class LintConfig:
         # and scripted chaos — its responses are content-addressed, so no
         # RNG or wall clock may leak into them.
         "src/repro/serve/",
+        # The durable store behind the result cache and the daemon.
+        "src/repro/perf/store.py",
     )
     strict_clock_prefixes: tuple[str, ...] = (
         "src/repro/solver/",
@@ -152,6 +154,8 @@ class LintConfig:
         # are banned so a deadline can never become wall-clock control
         # flow.  (time.sleep for restart pacing is waiting, not reading.)
         "src/repro/serve/",
+        # The store paces busy retries with a sleep and reads no clock.
+        "src/repro/perf/store.py",
     )
     clock_allowlist: frozenset[str] = frozenset(
         {
@@ -525,6 +529,9 @@ def lint_tree(
 
     scoped: set[str] = set(config.fingerprint_modules) | set(config.label_modules)
     for prefix in config.hot_path_prefixes:
+        if prefix.endswith(".py"):
+            scoped.add(prefix)  # a single module, not a directory
+            continue
         for path in sorted((root / prefix).glob("**/*.py")):
             scoped.add(path.relative_to(root).as_posix())
 

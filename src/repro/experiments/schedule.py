@@ -1,11 +1,6 @@
 """Suite-wide cell scheduler: one global work pool over every figure's cells.
 
-The figure suite used to parallelise at whole-figure granularity: each
-``fig*`` module ran in its own pool worker with per-cell fan-out pinned to
-serial (``REPRO_JOBS=1``), so wall time was gated by the slowest figure
-while other workers idled, and concurrent figures re-solved the same
-(system, model, topology) cells until the disk cache warmed.  This module
-inverts the structure:
+Four steps take the suite's figures to computed cells:
 
 1. **Enumerate** — every experiment module exposes a ``cells()`` protocol
    beside ``run()``/``main()`` returning the :class:`~repro.experiments.
@@ -19,10 +14,10 @@ inverts the structure:
    cell, so the solve happens once and the rest hit the ``"partition"``
    cache.
 4. **Drain** — one global :class:`~concurrent.futures.ProcessPoolExecutor`
-   runs ready cells as dependencies resolve.  Workers share the disk cache
-   tier and a :class:`~repro.perf.cache.LeaseTable` (so two *processes* —
-   a second concurrent suite, a daemon — never solve the same cell
-   concurrently: the loser waits and reads the winner's result).
+   runs ready cells as dependencies resolve.  Workers share the cache's
+   durable store and a :class:`~repro.perf.cache.LeaseTable` (so two
+   *processes* — a second concurrent suite, a daemon — never solve the
+   same cell concurrently: the loser waits and reads the winner's result).
 
 Figures then run serially afterwards as pure cache-hit assembly passes.
 
@@ -47,7 +42,6 @@ from pathlib import Path
 from repro.core.api import MobiusConfig, partition_solve_key
 from repro.experiments.runner import ExperimentCell, SystemResult, run_cell
 from repro.perf.cache import (
-    CACHE_VERSION,
     CacheConfig,
     LeaseTable,
     configure_cache,
@@ -67,7 +61,7 @@ __all__ = [
     "run_cells",
 ]
 
-#: Subdirectory of the versioned cache directory holding lease files.
+#: Subdirectory of the cache directory holding lease files.
 LEASE_DIRNAME = "leases"
 
 
@@ -306,17 +300,15 @@ def drain(
 
     Uses the process-global cache as configured by the caller (the suite
     wraps this in ``cache_overridden``).  When the disk tier is enabled,
-    drain processes additionally share a lease table under the versioned
-    cache directory.
+    drain processes additionally share a lease table under the cache
+    directory.
     """
     schedule = build_schedule(pairs)
     cache = get_cache()
 
     lease_dir: str | None = None
     if cache.config.disk:
-        base = Path(cache.config.directory) / f"v{CACHE_VERSION}"
-        base.mkdir(parents=True, exist_ok=True)
-        lease_dir = str(base / LEASE_DIRNAME)
+        lease_dir = str(Path(cache.config.directory) / LEASE_DIRNAME)
 
     counters = {"computed": 0, "shared": 0, "coalesced": 0}
     stats_deltas: list[dict] = []

@@ -8,15 +8,11 @@ any subset of :data:`repro.experiments.ALL_EXPERIMENTS` in two passes:
    suite-wide work graph (:mod:`repro.experiments.schedule`): duplicate
    cells collapse to a single compute, cells sharing a MIP solve queue
    behind it, and the whole graph drains through one global process pool
-   (``jobs`` workers) sharing the disk cache and a cross-process lease
-   table.
+   (``jobs`` workers) sharing the cache's durable store and a
+   cross-process lease table.
 2. **Assemble** — the figure modules then run serially in-process; every
    ``run_system`` call they make is a cache hit, so assembly is cheap and
    its output order is the requested order.
-
-(The previous design parallelised whole figure modules, pinning each
-worker's per-cell fan-out with ``REPRO_JOBS=1``; the cell scheduler
-replaces both levels, so that pin is gone.)
 
 The timing report records per-figure wall time and cache counters, the
 schedule's dedup/coalescing counters, and two determinism fingerprints:

@@ -9,8 +9,10 @@ each cell once:
 * :mod:`repro.perf.fingerprint` — stable, cross-process content hashes for
   the planner's input objects (canonical-bytes encoding, never ``id()`` or
   ``repr()``);
-* :mod:`repro.perf.cache` — a two-tier (in-memory + on-disk) result cache
-  keyed by those fingerprints, versioned and safe to delete.
+* :mod:`repro.perf.cache` — a two-tier result cache keyed by those
+  fingerprints: an in-memory dict plus at most one durable store;
+* :mod:`repro.perf.store` — that store, a crash-safe sqlite file whose rows
+  are versioned by ``CACHE_VERSION``; the cache directory is safe to delete.
 
 :mod:`repro.perf.bench` is the benchmark harness behind ``repro bench``:
 one document shape and one gate for the ``sim``, ``serve``, ``suite`` and
@@ -19,7 +21,7 @@ one document shape and one gate for the ``sim``, ``serve``, ``suite`` and
 :func:`repro.core.api.plan_mobius` and
 :func:`repro.experiments.runner.run_system` consult the global cache
 transparently; :mod:`repro.experiments.schedule` fans the suite's cells out
-across processes that share the on-disk tier.
+across processes that share the store.
 """
 
 from repro.perf.cache import (

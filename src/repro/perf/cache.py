@@ -1,4 +1,4 @@
-"""Two-tier (memory + disk) content-addressed result cache.
+"""Two-tier (memory + durable store) content-addressed result cache.
 
 Layout and lifecycle:
 
@@ -7,17 +7,22 @@ Layout and lifecycle:
   the process that computed them — and is enabled by default, so repeated
   ``plan_mobius``/``run_system`` calls within one figure (or across figures
   in one suite run) hit it transparently.
-* The **disk tier** persists pickled results under
-  ``<directory>/v<CACHE_VERSION>/<namespace>/<fingerprint>.pkl`` (default
-  directory ``.mobius_cache/``, override with ``MOBIUS_CACHE_DIR``).  It is
-  what lets worker *processes* share results, and it survives across runs,
-  so it is **opt-in**: the suite runner and ``repro figures`` enable it;
-  plain library use and the test suite do not, which keeps stale results
-  from one code revision out of the next run's tests.  The whole directory
-  is safe to delete at any time.
-* ``CACHE_VERSION`` names the on-disk entry format.  Bumping it orphans
-  every existing ``v<N>`` subdirectory — old entries are simply never read
-  again — so stale-format entries can never be returned.
+* The **store tier** is at most one :class:`~repro.perf.store.DurableStore`
+  (sqlite).  With the disk tier on, each process opens
+  ``<directory>/cache.sqlite`` lazily on first use (default directory
+  ``.mobius_cache/``, override with ``MOBIUS_CACHE_DIR``); pool workers are
+  spawned and configure their own cache, so no connection crosses a
+  process boundary.  The store is what lets worker *processes* share
+  results, and it survives across runs, so it is **opt-in**: the suite
+  runner and ``repro figures`` enable it; plain library use and the test
+  suite do not, which keeps stale results from one code revision out of
+  the next run's tests.  The whole directory is safe to delete at any
+  time.  The serve daemon hands its own store to the same slot
+  (:meth:`ResultCache.use_store`).
+* :data:`~repro.perf.store.CACHE_VERSION` names the entry format.  The
+  store writes every row under a versioned namespace, so bumping it makes
+  every older entry invisible and stale-format entries can never be
+  returned.
 
 Environment overrides (read at import): ``MOBIUS_CACHE=0`` disables both
 tiers, ``MOBIUS_CACHE_DISK=1`` enables the disk tier, ``MOBIUS_CACHE_DIR``
@@ -29,14 +34,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
-import pickle
-import shutil
-import tempfile
+import sqlite3
 import time
 from pathlib import Path
 from typing import Callable
 
 from repro.perf.fingerprint import fingerprint
+from repro.perf.store import CACHE_VERSION, DurableStore
 
 __all__ = [
     "CACHE_VERSION",
@@ -50,26 +54,10 @@ __all__ = [
     "merge_stats",
 ]
 
-#: On-disk entry format version; bump to invalidate all persisted entries.
-#: v2: the fast-MIP solver overhaul — PartitionResult/MIPSolution grew
-#: fields (a warm-start flag, pivot and cut counts) and the partition
-#: search moved to a deterministic node budget, so v1 entries describe a
-#: different search and must never be returned.
-#: v3: Trace moved to columnar span storage — its pickle payload is now
-#: exported column arrays, so v2 entries (list-of-spans layout) cannot be
-#: loaded into the new class.
-#: v4: PartitionResult and MobiusConfig lost their racing-portfolio
-#: fields, so v3 pickles of either no longer match the classes they
-#: unpickle into.
-#: v5: the partition search gained the pipeline-bubble bound, so v4
-#: entries hold the old ``optimal``/``nodes_explored`` and lack
-#: ``lower_bound``/``gap``.
-#: v6: PartitionResult lost its warm-start flag with the partition
-#: warm-start hint, so v5 pickles no longer match the class they unpickle
-#: into.
-CACHE_VERSION = 6
-
 DEFAULT_CACHE_DIR = ".mobius_cache"
+
+#: The disk tier's sqlite file inside the cache directory.
+STORE_FILENAME = "cache.sqlite"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,13 +83,12 @@ class CacheStats:
     """Hit/miss counters for one namespace."""
 
     memory_hits: int = 0
-    disk_hits: int = 0
-    backend_hits: int = 0
+    store_hits: int = 0
     misses: int = 0
 
     @property
     def hits(self) -> int:
-        return self.memory_hits + self.disk_hits + self.backend_hits
+        return self.memory_hits + self.store_hits
 
     @property
     def lookups(self) -> int:
@@ -111,8 +98,7 @@ class CacheStats:
         return {
             "hits": self.hits,
             "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "backend_hits": self.backend_hits,
+            "store_hits": self.store_hits,
             "misses": self.misses,
         }
 
@@ -120,8 +106,8 @@ class CacheStats:
 class ResultCache:
     """Content-addressed memoization of expensive planning/simulation calls.
 
-    Values are stored as-is in the memory tier and pickled in the disk
-    tier; callers must treat returned values as immutable (or copy before
+    Values are stored as-is in the memory tier and pickled in the store;
+    callers must treat returned values as immutable (or copy before
     mutating).
     """
 
@@ -129,19 +115,34 @@ class ResultCache:
         self.config = config or CacheConfig.from_env()
         self._memory: dict[tuple[str, str], object] = {}
         self.stats: dict[str, CacheStats] = {}
-        #: Optional durable third tier (``repro.serve.store.DurableStore``
-        #: duck-type: ``load(namespace, digest) -> (value, found)`` and
-        #: ``store(namespace, digest, value)``).  Consulted after the disk
-        #: tier and written through on every store; always best-effort —
-        #: a broken backend degrades to recomputation, never to failure.
-        self._backend = None
+        self._store: DurableStore | None = None
+        #: True when ``_store`` was opened here from ``config.disk`` (and
+        #: so is closed by :meth:`close`); a handed-in store is its owner's.
+        self._owns_store = False
 
-    def attach_backend(self, backend) -> None:
-        """Attach a durable store tier (the serve daemon's sqlite store)."""
-        self._backend = backend
+    def use_store(self, store: DurableStore | None) -> None:
+        """Make ``store`` the durable tier; ``None`` reverts to ``config.disk``."""
+        self.close()
+        self._store = store
 
-    def detach_backend(self) -> None:
-        self._backend = None
+    def close(self) -> None:
+        """Close the store this cache opened; forget a handed-in one."""
+        if self._owns_store and self._store is not None:
+            self._store.close()
+        self._store = None
+        self._owns_store = False
+
+    def _durable(self) -> DurableStore | None:
+        if self._store is None and self.config.disk:
+            try:
+                self._store = DurableStore(Path(self.config.directory) / STORE_FILENAME)
+            except (OSError, sqlite3.Error):
+                # An unusable cache directory turns the disk tier off for
+                # this cache: persistence is best-effort, planning is not.
+                self.config = dataclasses.replace(self.config, disk=False)
+                return None
+            self._owns_store = True
+        return self._store
 
     # ------------------------------------------------------------------
     # Core protocol
@@ -154,7 +155,8 @@ class ResultCache:
         input of ``compute`` — over-keying costs a miss, under-keying would
         return wrong results, so include everything.
         """
-        if not (self.config.memory or self.config.disk or self._backend):
+        store = self._durable()
+        if not self.config.memory and store is None:
             return compute()
         key = (namespace, fingerprint(key_obj))
         stats = self.stats.setdefault(namespace, CacheStats())
@@ -163,48 +165,38 @@ class ResultCache:
             stats.memory_hits += 1
             return self._memory[key]
 
-        if self.config.disk:
-            value, found = self._disk_read(key)
+        if store is not None:
+            value, found = store.get(*key)
             if found:
-                stats.disk_hits += 1
-                if self.config.memory:
-                    self._memory[key] = value
-                return value
-
-        if self._backend is not None:
-            value, found = self._backend_read(key)
-            if found:
-                stats.backend_hits += 1
+                stats.store_hits += 1
                 if self.config.memory:
                     self._memory[key] = value
                 return value
 
         stats.misses += 1
         value = compute()
-        self.store(namespace, key_obj, value)
+        self._put(key, value)
         return value
 
     def store(self, namespace: str, key_obj, value) -> None:
         """Insert a value computed elsewhere (e.g. by a worker process)."""
-        key = (namespace, fingerprint(key_obj))
+        self._put((namespace, fingerprint(key_obj)), value)
+
+    def _put(self, key: tuple[str, str], value: object) -> None:
         if self.config.memory:
             self._memory[key] = value
-        if self.config.disk:
-            self._disk_write(key, value)
-        if self._backend is not None:
-            try:
-                self._backend.store(key[0], key[1], value)
-            except Exception:
-                pass  # durable tier is best-effort
+        store = self._durable()
+        if store is not None:
+            store.put(*key, value)
 
     def adopt(self, namespace: str, key_obj, value) -> None:
         """Insert into the memory tier only.
 
         For values a pool worker computed *and already persisted* through
-        its own cache (workers share the disk directory): re-pickling them
+        its own cache (workers share the store file): re-pickling them
         here would double the write per cell for no durability gain.  If
-        the worker's disk write failed, later processes recompute — the
-        disk tier is best-effort by contract.
+        the worker's write failed, later processes recompute — the store
+        is best-effort by contract.
         """
         if self.config.memory:
             self._memory[(namespace, fingerprint(key_obj))] = value
@@ -214,62 +206,10 @@ class ResultCache:
         key = (namespace, fingerprint(key_obj))
         if self.config.memory and key in self._memory:
             return self._memory[key], True
-        if self.config.disk:
-            value, found = self._disk_read(key)
-            if found:
-                return value, True
-        if self._backend is not None:
-            return self._backend_read(key)
+        store = self._durable()
+        if store is not None:
+            return store.get(*key)
         return None, False
-
-    def _backend_read(self, key: tuple[str, str]) -> tuple[object, bool]:
-        try:
-            return self._backend.load(key[0], key[1])
-        except Exception:
-            return None, False  # durable tier is best-effort
-
-    # ------------------------------------------------------------------
-    # Disk tier
-    # ------------------------------------------------------------------
-
-    def _entry_path(self, key: tuple[str, str]) -> Path:
-        namespace, digest = key
-        return Path(self.config.directory) / f"v{CACHE_VERSION}" / namespace / f"{digest}.pkl"
-
-    def _disk_read(self, key: tuple[str, str]) -> tuple[object, bool]:
-        path = self._entry_path(key)
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle), True
-        except FileNotFoundError:
-            return None, False
-        except Exception:
-            # Corrupt or truncated entry (e.g. interrupted writer without
-            # atomic rename support, or a torn page after a crash): treat
-            # it as a miss and quarantine the bytes under ``.corrupt`` —
-            # out of the lookup path, but preserved for diagnosis.  The
-            # caller recomputes; the recomputed value overwrites the entry.
-            with contextlib.suppress(OSError):
-                os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-            return None, False
-
-    def _disk_write(self, key: tuple[str, str], value) -> None:
-        path = self._entry_path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_name, path)  # atomic: readers never see partial files
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                raise
-        except (OSError, pickle.PicklingError):
-            pass  # persistence is best-effort; the computed value still flows
 
     # ------------------------------------------------------------------
     # Maintenance / introspection
@@ -277,12 +217,6 @@ class ResultCache:
 
     def clear_memory(self) -> None:
         self._memory.clear()
-
-    def clear_disk(self) -> None:
-        """Delete this cache version's persisted entries (all namespaces)."""
-        shutil.rmtree(
-            Path(self.config.directory) / f"v{CACHE_VERSION}", ignore_errors=True
-        )
 
     def reset_stats(self) -> None:
         self.stats.clear()
@@ -452,10 +386,16 @@ def cache_overridden(
     disk: bool | None = None,
     directory: str | None = None,
 ):
-    """Temporarily swap the global cache (tests, CLI ``--no-cache``)."""
+    """Temporarily swap the global cache (tests, CLI ``--no-cache``).
+
+    A store the temporary cache opened is closed when the block exits, so
+    the cache directory can be deleted right after.
+    """
     global _cache
     previous = _cache
+    override = configure_cache(memory=memory, disk=disk, directory=directory)
     try:
-        yield configure_cache(memory=memory, disk=disk, directory=directory)
+        yield override
     finally:
+        override.close()
         _cache = previous

@@ -2,9 +2,10 @@
 
 Admission control, request coalescing, deterministic deadlines,
 supervised solver workers and a durable result store — see
-DESIGN.md §14 for the architecture.
+DESIGN.md §14 for the architecture and §7 for the store.
 """
 
+from repro.perf.store import DurableStore
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.daemon import PlanService, ServiceConfig, Ticket
 from repro.serve.requests import (
@@ -14,7 +15,6 @@ from repro.serve.requests import (
     PlanResponse,
     ServeError,
 )
-from repro.serve.store import DurableStore
 from repro.serve.supervisor import (
     InlineWorker,
     ProcessWorker,

@@ -39,7 +39,6 @@ from repro.perf.cache import cache_overridden
 from repro.serve.admission import AdmissionConfig
 from repro.serve.daemon import PlanService, ServiceConfig
 from repro.serve.requests import AdmissionRejected, Deadline, PlanRequest
-from repro.serve.store import DurableStore
 
 __all__ = ["run_chaos", "SCENARIOS"]
 

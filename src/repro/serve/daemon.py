@@ -43,9 +43,9 @@ from pathlib import Path
 from repro.core.api import plan_mobius
 from repro.perf.cache import get_cache
 from repro.perf.fingerprint import fingerprint
+from repro.perf.store import DurableStore
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.requests import AdmissionRejected, PlanRequest, PlanResponse
-from repro.serve.store import DurableStore
 from repro.serve.supervisor import (
     InlineWorker,
     ProcessWorker,
@@ -148,10 +148,10 @@ class PlanService:
         self.store: DurableStore | None = None
         if self.config.store_path is not None:
             self.store = DurableStore(Path(self.config.store_path))
-            # The daemon's global cache gains the durable third tier, so a
+            # The store becomes the global cache's durable tier, so a
             # restarted daemon resumes from every plan its predecessors
             # (and their workers) persisted.
-            get_cache().attach_backend(self.store)
+            get_cache().use_store(self.store)
 
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
@@ -259,7 +259,7 @@ class PlanService:
         self._threads = []
         self.supervisor.close()
         if self.store is not None:
-            get_cache().detach_backend()
+            get_cache().use_store(None)
             self.store.close()
 
     def __enter__(self) -> "PlanService":

@@ -23,9 +23,9 @@ Two worker implementations share one duck-type
 :class:`InlineWorker` solves on the calling thread (tests, ``repro
 serve`` without process isolation) and :class:`ProcessWorker` runs
 :func:`_process_worker_main` in a child process over a pipe.  Workers
-attach the daemon's :class:`~repro.serve.store.DurableStore` before
-solving, so a freshly restarted worker inherits the cached results of
-every worker that died before it.
+hand the daemon's :class:`~repro.perf.store.DurableStore` to their
+result cache before solving, so a freshly restarted worker inherits the
+cached results of every worker that died before it.
 
 ``sabotage`` is the chaos seam: the harness installs a deterministic
 ``Supervisor.sabotage_hook`` deciding per (solve_key, attempt) whether a
@@ -45,8 +45,8 @@ from repro.faults.recovery import RetryPolicy
 from repro.hardware.topology import Topology
 from repro.models.spec import ModelSpec
 from repro.perf.cache import get_cache
+from repro.perf.store import DurableStore
 from repro.serve.requests import ServeError
-from repro.serve.store import DurableStore
 
 __all__ = [
     "InlineWorker",
@@ -152,16 +152,16 @@ class InlineWorker:
 
 
 def _process_worker_main(conn, store_path: str | None) -> None:
-    """Child-process loop: attach the durable store, then solve until EOF.
+    """Child-process loop: open the durable store, then solve until EOF.
 
-    Runs in a fresh interpreter (spawn start method): attaching the store
+    Runs in a fresh interpreter (spawn start method): opening the store
     here is what gives a brand-new worker the previous generation's
     cached plans.
     """
     store = None
     if store_path is not None:
         store = DurableStore(store_path)
-        get_cache().attach_backend(store)
+        get_cache().use_store(store)
     try:
         while True:
             try:

@@ -395,6 +395,48 @@ class TestMob002ServeClockDiscipline:
             assert report.ok, f"{rel}:\n{report.render()}"
 
 
+class TestMob002DurableStore:
+    """The result cache's durable store keeps the serve layer's clock rules
+    after moving to ``perf/``; the rest of ``perf/`` stays unscoped."""
+
+    STORE_MODULE = "src/repro/perf/store.py"
+
+    def test_store_is_hot_path_and_strict_scoped(self):
+        assert self.STORE_MODULE in DEFAULT_CONFIG.hot_path_prefixes
+        assert self.STORE_MODULE in DEFAULT_CONFIG.strict_clock_prefixes
+
+    def test_perf_counter_flagged_in_store(self):
+        report = _lint(
+            """
+            import time
+
+            def retry_deadline(t0):
+                return time.perf_counter() - t0
+            """,
+            self.STORE_MODULE,
+        )
+        assert "MOB002" in _codes(report)
+
+    def test_clock_in_cache_not_scoped(self):
+        report = _lint(
+            """
+            import time
+
+            def elapsed(t0):
+                return time.perf_counter() - t0
+            """,
+            "src/repro/perf/cache.py",
+        )
+        assert not report.findings
+
+    def test_real_store_module_is_clean_and_linted_by_tree(self, tmp_path):
+        _assert_real_module_clean(self.STORE_MODULE)
+        module = tmp_path / self.STORE_MODULE
+        module.parent.mkdir(parents=True)
+        module.write_text("import time\n\ndef stamp():\n    return time.time()\n")
+        assert "MOB002" in _codes(lint_tree(tmp_path))
+
+
 class TestMob003TaskLabels:
     def test_helper_constructor_passes(self):
         report = _lint(

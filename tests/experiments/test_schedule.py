@@ -19,7 +19,7 @@ from repro.experiments.schedule import (
 )
 from repro.hardware.topology import commodity_server
 from repro.models.zoo import gpt_8b
-from repro.perf.cache import CACHE_VERSION, LeaseTable, cache_overridden, get_cache
+from repro.perf.cache import LeaseTable, cache_overridden, get_cache
 from repro.perf.fingerprint import fingerprint
 
 #: Modules cheap enough to actually drain inside a unit test.
@@ -212,7 +212,7 @@ class TestDrain:
         digest = fingerprint(cell)
         with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
             cache = get_cache()
-            lease_dir = str(tmp_path / f"v{CACHE_VERSION}" / LEASE_DIRNAME)
+            lease_dir = str(tmp_path / LEASE_DIRNAME)
             holder = LeaseTable(lease_dir)
             assert holder.acquire("system", digest)
 

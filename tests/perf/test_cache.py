@@ -1,20 +1,44 @@
 """Cache correctness: tiering, persistence, versioning, and result equality."""
 
-import dataclasses
+import sqlite3
+import threading
 
 import pytest
 
-import repro.perf.cache as cache_module
+import repro.perf.store as store_module
 from repro.core.api import MobiusConfig, plan_mobius
 from repro.experiments.runner import run_system
 from repro.hardware.topology import topo_2_2
-from repro.perf.cache import CacheConfig, ResultCache, cache_overridden, get_cache
+from repro.perf.cache import (
+    STORE_FILENAME,
+    CacheConfig,
+    ResultCache,
+    cache_overridden,
+    get_cache,
+)
+from repro.perf.store import DurableStore
 
 
 @pytest.fixture
 def disk_cache(tmp_path):
     with cache_overridden(memory=True, disk=True, directory=str(tmp_path)) as cache:
         yield cache
+
+
+def _rewrite_payloads(directory, transform) -> int:
+    """Apply ``transform`` to every stored payload (torn pages, bit rot)."""
+    conn = sqlite3.connect(str(directory / STORE_FILENAME))
+    try:
+        with conn:
+            rows = conn.execute("SELECT namespace, digest, payload FROM entries").fetchall()
+            for namespace, digest, payload in rows:
+                conn.execute(
+                    "UPDATE entries SET payload = ? WHERE namespace = ? AND digest = ?",
+                    (transform(payload), namespace, digest),
+                )
+        return len(rows)
+    finally:
+        conn.close()
 
 
 class TestResultCache:
@@ -31,15 +55,19 @@ class TestResultCache:
         config = CacheConfig(memory=True, disk=True, directory=str(tmp_path))
         writer = ResultCache(config)
         writer.memoize("ns", ("key",), lambda: {"answer": 42})
+        writer.close()
         reader = ResultCache(config)
-        value = reader.memoize("ns", ("key",), lambda: pytest.fail("should hit disk"))
+        value = reader.memoize("ns", ("key",), lambda: pytest.fail("should hit the store"))
+        reader.close()
         assert value == {"answer": 42}
-        assert reader.stats["ns"].disk_hits == 1
+        assert reader.stats["ns"].store_hits == 1
+        # One sqlite file holds every entry; no per-entry pickle files.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [STORE_FILENAME]
 
     def test_version_bump_invalidates_stale_entries(self, tmp_path, monkeypatch):
         config = CacheConfig(memory=False, disk=True, directory=str(tmp_path))
         ResultCache(config).memoize("ns", ("key",), lambda: "v1-result")
-        monkeypatch.setattr(cache_module, "CACHE_VERSION", cache_module.CACHE_VERSION + 1)
+        monkeypatch.setattr(store_module, "CACHE_VERSION", store_module.CACHE_VERSION + 1)
         calls = []
         value = ResultCache(config).memoize(
             "ns", ("key",), lambda: calls.append(1) or "recomputed"
@@ -48,24 +76,20 @@ class TestResultCache:
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         config = CacheConfig(memory=False, disk=True, directory=str(tmp_path))
-        cache = ResultCache(config)
-        cache.memoize("ns", ("key",), lambda: "good")
-        [entry] = list(tmp_path.rglob("*.pkl"))
-        entry.write_bytes(b"not a pickle")
+        ResultCache(config).memoize("ns", ("key",), lambda: "good")
+        assert _rewrite_payloads(tmp_path, lambda _payload: b"\xde\xad\xbe\xef") == 1
         assert ResultCache(config).memoize("ns", ("key",), lambda: "fresh") == "fresh"
 
     def test_corrupt_entry_quarantined_not_deleted(self, tmp_path):
-        """The bad bytes move to ``.corrupt`` — out of the path, diagnosable."""
+        """The bad bytes move to the quarantine table — out of the path, diagnosable."""
         config = CacheConfig(memory=False, disk=True, directory=str(tmp_path))
-        cache = ResultCache(config)
-        cache.memoize("ns", ("key",), lambda: "good")
-        [entry] = list(tmp_path.rglob("*.pkl"))
-        entry.write_bytes(b"not a pickle")
+        ResultCache(config).memoize("ns", ("key",), lambda: "good")
+        _rewrite_payloads(tmp_path, lambda _payload: b"not a pickle")
         reader = ResultCache(config)
         assert reader.lookup("ns", ("key",)) == (None, False)
-        [corpse] = list(tmp_path.rglob("*.pkl.corrupt"))
-        assert corpse.read_bytes() == b"not a pickle"
-        # The quarantined file no longer shadows the slot: a recompute
+        with DurableStore(tmp_path / STORE_FILENAME) as store:
+            assert store.counts() == {"quarantine": 1}
+        # The quarantined row no longer shadows the slot: a recompute
         # writes a fresh entry that reads back cleanly.
         assert reader.memoize("ns", ("key",), lambda: "fresh") == "fresh"
         assert ResultCache(config).lookup("ns", ("key",)) == ("fresh", True)
@@ -73,27 +97,31 @@ class TestResultCache:
     def test_truncated_entry_recomputed(self, tmp_path):
         """A torn write (crash mid-flush) reads as a miss, not an error."""
         config = CacheConfig(memory=False, disk=True, directory=str(tmp_path))
-        cache = ResultCache(config)
-        cache.memoize("ns", ("key",), lambda: {"payload": list(range(256))})
-        [entry] = list(tmp_path.rglob("*.pkl"))
-        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+        ResultCache(config).memoize("ns", ("key",), lambda: {"payload": list(range(256))})
+        _rewrite_payloads(tmp_path, lambda payload: payload[: len(payload) // 2])
         calls = []
         value = ResultCache(config).memoize(
             "ns", ("key",), lambda: calls.append(1) or "recomputed"
         )
         assert value == "recomputed" and calls == [1]
-        assert list(tmp_path.rglob("*.pkl.corrupt"))
 
-    def test_clear_disk_drops_persisted_entries(self, tmp_path):
+    def test_unpicklable_value_returned_and_not_stored(self, tmp_path):
         config = CacheConfig(memory=False, disk=True, directory=str(tmp_path))
         cache = ResultCache(config)
-        cache.memoize("ns", ("key",), lambda: "persisted")
-        assert list(tmp_path.rglob("*.pkl"))
-        cache.clear_disk()
-        assert not list(tmp_path.rglob("*.pkl"))
-        calls = []
-        ResultCache(config).memoize("ns", ("key",), lambda: calls.append(1) or "new")
-        assert calls == [1]
+        value = cache.memoize("ns", ("k",), threading.Lock)
+        assert isinstance(value, type(threading.Lock()))
+        assert cache.stats["ns"].misses == 1
+        assert cache.lookup("ns", ("k",)) == (None, False)
+        cache.close()
+        with DurableStore(tmp_path / STORE_FILENAME) as store:
+            assert store.counts() == {}
+
+    def test_unusable_directory_turns_the_disk_tier_off(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        cache = ResultCache(CacheConfig(memory=True, disk=True, directory=str(blocker)))
+        assert cache.memoize("ns", ("key",), lambda: "computed") == "computed"
+        assert not cache.config.disk
 
     def test_disabled_cache_always_computes(self):
         with cache_overridden(memory=False, disk=False) as cache:
@@ -132,7 +160,7 @@ class TestPlanAndRunCaching:
         # Fresh cache, same directory: the result arrives via pickle.
         with cache_overridden(memory=True, disk=True, directory=str(tmp_path)) as cache:
             loaded = plan_mobius(tiny_model, topo22, config)
-            assert cache.stats["plan"].disk_hits == 1
+            assert cache.stats["plan"].store_hits == 1
         assert loaded.plan.partition.boundaries == computed.plan.partition.boundaries
         assert loaded.plan.estimated_step_seconds == computed.plan.estimated_step_seconds
         assert loaded.profile_report.layer_costs == computed.profile_report.layer_costs
@@ -173,65 +201,37 @@ class TestPlanAndRunCaching:
         assert first.trace is second.trace  # the heavy payload is shared
 
 
-class _FakeBackend:
-    """DurableStore duck-type: load/store over a plain dict."""
-
-    def __init__(self) -> None:
-        self.data: dict = {}
-        self.stores = 0
-
-    def load(self, namespace, digest):
-        key = (namespace, digest)
-        if key in self.data:
-            return self.data[key], True
-        return None, False
-
-    def store(self, namespace, digest, value):
-        self.data[(namespace, digest)] = value
-        self.stores += 1
-
-
-class _BrokenBackend:
-    def load(self, namespace, digest):
-        raise RuntimeError("durable tier down")
-
-    def store(self, namespace, digest, value):
-        raise RuntimeError("durable tier down")
-
-
 class TestDurableBackendTier:
-    """The serve daemon's sqlite tier behind attach_backend/detach_backend."""
+    """A store handed to the cache (the serve daemon's) is its durable tier."""
 
-    def test_backend_hit_counted_and_promoted(self):
-        backend = _FakeBackend()
-        with cache_overridden(memory=True, disk=False) as cache:
-            cache.attach_backend(backend)
-            cache.store("ns", ("key",), "durable-value")
-            cache.clear_memory()  # simulate a restarted process
-            calls = []
-            value = cache.memoize(
-                "ns", ("key",), lambda: calls.append(1) or "recomputed"
-            )
-            assert value == "durable-value" and not calls
-            assert cache.stats["ns"].backend_hits == 1
-            # Promoted into memory: the next read is a memory hit.
-            cache.memoize("ns", ("key",), lambda: pytest.fail("should hit memory"))
-            assert cache.stats["ns"].memory_hits == 1
+    def test_backend_hit_counted_and_promoted(self, tmp_path):
+        with DurableStore(tmp_path / "s.sqlite") as store:
+            with cache_overridden(memory=True, disk=False) as cache:
+                cache.use_store(store)
+                cache.store("ns", ("key",), "durable-value")
+                cache.clear_memory()  # simulate a restarted process
+                calls = []
+                value = cache.memoize(
+                    "ns", ("key",), lambda: calls.append(1) or "recomputed"
+                )
+                assert value == "durable-value" and not calls
+                assert cache.stats["ns"].store_hits == 1
+                # Promoted into memory: the next read is a memory hit.
+                cache.memoize("ns", ("key",), lambda: pytest.fail("should hit memory"))
+                assert cache.stats["ns"].memory_hits == 1
 
-    def test_store_writes_through(self):
-        backend = _FakeBackend()
-        with cache_overridden(memory=True, disk=False) as cache:
-            cache.attach_backend(backend)
-            cache.memoize("ns", ("key",), lambda: "computed")
-            assert backend.stores == 1
-            assert backend.load("ns", next(iter(backend.data))[1]) == (
-                "computed",
-                True,
-            )
+    def test_store_writes_through(self, tmp_path):
+        with DurableStore(tmp_path / "s.sqlite") as store:
+            with cache_overridden(memory=True, disk=False) as cache:
+                cache.use_store(store)
+                cache.memoize("ns", ("key",), lambda: "computed")
+            assert store.counts() == {"ns": 1}
 
-    def test_broken_backend_degrades_to_recompute(self):
+    def test_broken_backend_degrades_to_recompute(self, tmp_path):
+        store = DurableStore(tmp_path / "s.sqlite")
+        store.close()  # every operation now fails inside the store
         with cache_overridden(memory=False, disk=False) as cache:
-            cache.attach_backend(_BrokenBackend())
+            cache.use_store(store)
             calls = []
             value = cache.memoize(
                 "ns", ("key",), lambda: calls.append(1) or "computed"
@@ -239,14 +239,24 @@ class TestDurableBackendTier:
             assert value == "computed" and calls == [1]
             assert cache.lookup("ns", ("key",)) == (None, False)  # no raise
 
-    def test_detach_restores_two_tier_behavior(self):
-        backend = _FakeBackend()
-        with cache_overridden(memory=True, disk=False) as cache:
-            cache.attach_backend(backend)
-            cache.store("ns", ("key",), "durable-value")
-            cache.detach_backend()
-            cache.clear_memory()
-            assert cache.lookup("ns", ("key",)) == (None, False)
+    def test_detach_restores_two_tier_behavior(self, tmp_path):
+        with DurableStore(tmp_path / "s.sqlite") as store:
+            with cache_overridden(memory=True, disk=False) as cache:
+                cache.use_store(store)
+                cache.store("ns", ("key",), "durable-value")
+                cache.use_store(None)
+                cache.clear_memory()
+                assert cache.lookup("ns", ("key",)) == (None, False)
+            # The cache only forgot the store; its owner still holds it open.
+            assert store.counts() == {"ns": 1}
+
+    def test_override_closes_the_store_it_opened(self, tmp_path):
+        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)) as cache:
+            cache.memoize("ns", ("key",), lambda: "value")
+            store = cache._store
+            assert store is not None
+        assert store._conn is None
+        assert cache._store is None
 
 
 class TestGlobalConfiguration:

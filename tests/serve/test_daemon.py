@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.perf.store as store_module
 from repro.core.api import MobiusConfig, plan_mobius
 from repro.faults.recovery import RetryPolicy
 from repro.perf.cache import cache_overridden, get_cache
@@ -175,6 +176,25 @@ class TestDurability:
                 resp = service.plan(tight)
         assert resp.source == "stale"
         assert resp.plan_fingerprint == baseline.plan_fingerprint
+
+    def test_restart_on_another_cache_version_starts_cold(
+        self, tiny_model, topo22, tmp_path, monkeypatch
+    ):
+        """Rows of another entry format are never served: not the cached
+        plan, not the last-known-good one."""
+        store = str(tmp_path / "serve.sqlite")
+        with cache_overridden():
+            with _service(store_path=store) as service:
+                service.plan(_request(tiny_model, topo22))
+        monkeypatch.setattr(store_module, "CACHE_VERSION", store_module.CACHE_VERSION + 1)
+        with cache_overridden():
+            with _service(store_path=store) as service:
+                tight = _request(tiny_model, topo22, deadline=Deadline(max_nodes=1))
+                resp = service.plan(tight)
+                assert "lkg" not in service.stats()["store"]
+        # Without the old last-known-good plan, the tight request gets its
+        # own budget-truncated incumbent instead of a stale answer.
+        assert resp.source == "solver" and not resp.stale
 
 
 class TestMemoCoupling:
