@@ -15,6 +15,16 @@ directed edges with independent capacity) over GPU, switch, root-complex and
 DRAM nodes.  Transfers are described by *paths* — tuples of directed edges —
 which the discrete-event simulator turns into bandwidth-shared flows.
 
+The graph is held as a *link table*: construction gives every directed edge
+a dense integer id (:meth:`Topology.link_id`), in insertion order, and keeps
+one interned ``Edge`` tuple (:attr:`Topology.links`) and one capacity
+(:attr:`Topology.link_bandwidths`) per id.  Paths are built from the
+interned edges and handed out as shared tuples: the to- and from-DRAM paths
+once per GPU at construction, GPU-to-GPU paths memoised per ``(src, dst)``
+pair on first use (an eager table would be quadratic in the GPU count).  The
+simulator maps each distinct path to its link ids once and indexes links by
+id from then on (:class:`repro.sim.resources.FlowNetwork`).
+
 The standard topologies of the evaluation (§4) are provided as factories:
 ``Topo 4`` (four GPUs on one root complex), ``Topo 2+2``, ``Topo 1+3``, the
 8-GPU ``Topo 4+4`` and the EC2 P3 style NVLink data-center server.
@@ -22,11 +32,8 @@ The standard topologies of the evaluation (§4) are provided as factories:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections.abc import Iterator, Sequence
-
-import networkx as nx
 
 from repro.hardware.gpu import RTX_3090TI, V100, GPUSpec
 
@@ -72,13 +79,6 @@ def _gpu_node(index: int) -> str:
     return f"gpu{index}"
 
 
-@dataclasses.dataclass(frozen=True)
-class _LinkCapacity:
-    """Capacity of one directed edge, in bytes per second."""
-
-    bandwidth: float
-
-
 class Topology:
     """Interconnect topology of one multi-GPU server.
 
@@ -114,10 +114,18 @@ class Topology:
         self.nvlink_bandwidth = nvlink_bandwidth
         self.name = name or "+".join(str(g) for g in groups)
 
+        self._n_gpus = sum(self.groups)
         self._rc_of_gpu: dict[int, int] = {}
         self._gpus_of_rc: dict[int, tuple[int, ...]] = {}
-        self._capacity: dict[Edge, _LinkCapacity] = {}
-        self.graph = nx.DiGraph()
+        #: The link table: edge -> id, id -> interned edge, id -> capacity.
+        self._link_ids: dict[Edge, int] = {}
+        self._links: list[Edge] = []
+        self._bandwidths: list[float] = []
+        #: Shared path tuples: per GPU to and from DRAM, and per ``(src,
+        #: dst)`` GPU pair once asked for.
+        self._to_dram: list[Path] = []
+        self._from_dram: list[Path] = []
+        self._gpu_paths: dict[tuple[int, int], Path] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -126,12 +134,15 @@ class Topology:
 
     def _add_duplex_link(self, a: str, b: str, bandwidth: float) -> None:
         """Add a full-duplex link as two independent directed edges."""
-        for u, v in ((a, b), (b, a)):
-            self.graph.add_edge(u, v)
-            self._capacity[(u, v)] = _LinkCapacity(bandwidth)
+        for edge in ((a, b), (b, a)):
+            self._link_ids[edge] = len(self._links)
+            self._links.append(edge)
+            self._bandwidths.append(bandwidth)
+
+    def _interned(self, u: str, v: str) -> Edge:
+        return self._links[self._link_ids[(u, v)]]
 
     def _build(self) -> None:
-        self.graph.add_node("dram")
         gpu_index = 0
         for rc_index, group_size in enumerate(self.groups):
             rc = f"rc{rc_index}"
@@ -149,6 +160,14 @@ class Topology:
         if self.nvlink_bandwidth is not None:
             for a, b in itertools.combinations(range(self.n_gpus), 2):
                 self._add_duplex_link(_gpu_node(a), _gpu_node(b), self.nvlink_bandwidth)
+        for gpu in range(self.n_gpus):
+            rc = self._rc_of_gpu[gpu]
+            hops = (_gpu_node(gpu), f"sw{rc}", f"rc{rc}", "dram")
+            to_dram = tuple(self._interned(u, v) for u, v in itertools.pairwise(hops))
+            self._to_dram.append(to_dram)
+            self._from_dram.append(
+                tuple(self._interned(v, u) for u, v in reversed(to_dram))
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -157,7 +176,7 @@ class Topology:
     @property
     def n_gpus(self) -> int:
         """Total number of GPUs in the server."""
-        return sum(self.groups)
+        return self._n_gpus
 
     @property
     def n_root_complexes(self) -> int:
@@ -191,12 +210,26 @@ class Topology:
             return 0
         return len(self.gpus_under_root_complex(self.root_complex_of(gpu_a)))
 
-    def bandwidth_of(self, edge: Edge) -> float:
-        """Capacity of a directed edge in bytes/s."""
+    def link_id(self, edge: Edge) -> int:
+        """Dense id of a directed edge: its index in :attr:`links`."""
         try:
-            return self._capacity[edge].bandwidth
+            return self._link_ids[edge]
         except KeyError:
             raise KeyError(f"edge {edge!r} is not part of topology {self.name!r}") from None
+
+    @property
+    def links(self) -> tuple[Edge, ...]:
+        """Every directed edge, indexed by link id (the interned tuples)."""
+        return tuple(self._links)
+
+    @property
+    def link_bandwidths(self) -> tuple[float, ...]:
+        """Capacity of every directed edge in bytes/s, indexed by link id."""
+        return tuple(self._bandwidths)
+
+    def bandwidth_of(self, edge: Edge) -> float:
+        """Capacity of a directed edge in bytes/s."""
+        return self._bandwidths[self.link_id(edge)]
 
     def iter_links(self) -> Iterator[tuple[Edge, float]]:
         """All directed edges with their capacities in bytes/s.
@@ -205,8 +238,7 @@ class Topology:
         verify that no trace implies more bytes through an edge than its
         capacity allows.
         """
-        for edge, capacity in self._capacity.items():
-            yield edge, capacity.bandwidth
+        return zip(self._links, self._bandwidths)
 
     @property
     def max_link_bandwidth(self) -> float:
@@ -215,7 +247,7 @@ class Topology:
         No single transfer, whatever its path, can exceed this rate — a
         topology-wide ceiling usable even when the path is unknown.
         """
-        return max(capacity.bandwidth for capacity in self._capacity.values())
+        return max(self._bandwidths)
 
     def path_bandwidth(self, path: Path) -> float:
         """Uncontended bandwidth of a path (minimum edge capacity)."""
@@ -234,13 +266,12 @@ class Topology:
     def path_to_dram(self, gpu: int) -> Path:
         """Directed edges for a GPU-to-DRAM transfer (offload direction)."""
         self._check_gpu(gpu)
-        rc = self._rc_of_gpu[gpu]
-        g, sw, rcn = _gpu_node(gpu), f"sw{rc}", f"rc{rc}"
-        return ((g, sw), (sw, rcn), (rcn, "dram"))
+        return self._to_dram[gpu]
 
     def path_from_dram(self, gpu: int) -> Path:
         """Directed edges for a DRAM-to-GPU transfer (upload direction)."""
-        return tuple((v, u) for (u, v) in reversed(self.path_to_dram(gpu)))
+        self._check_gpu(gpu)
+        return self._from_dram[gpu]
 
     def gpu_to_gpu_path(self, src: int, dst: int) -> Path:
         """Directed edges for a GPU-to-GPU transfer.
@@ -251,18 +282,23 @@ class Topology:
         flow occupying *both* the source's upload path and the destination's
         download path simultaneously.
         """
-        self._check_gpu(src)
-        self._check_gpu(dst)
-        if src == dst:
-            return ()
-        if self.has_p2p:
-            return ((_gpu_node(src), _gpu_node(dst)),)
-        return self.path_to_dram(src) + self.path_from_dram(dst)
+        path = self._gpu_paths.get((src, dst))
+        if path is None:
+            self._check_gpu(src)
+            self._check_gpu(dst)
+            if src == dst:
+                path = ()
+            elif self.has_p2p:
+                path = (self._interned(_gpu_node(src), _gpu_node(dst)),)
+            else:
+                path = self._to_dram[src] + self._from_dram[dst]
+            self._gpu_paths[(src, dst)] = path
+        return path
 
     def __mobius_fingerprint__(self) -> tuple:
         """Canonical content for :func:`repro.perf.fingerprint.fingerprint`.
 
-        Covers every constructor input (the graph and path tables are
+        Covers every constructor input (the link and path tables are
         derived from these, so they need not be encoded separately).
         """
         return (

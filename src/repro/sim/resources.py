@@ -13,13 +13,16 @@ Two resource types drive every experiment:
   complex each see half its bandwidth (Figure 2), and prefetches issued with
   ``cudaStreamCreateWithPriority`` (§3.3) preempt lower-priority flows.
 
-The allocator is *incremental* (DESIGN.md §11): a per-``(edge, priority)``
+The allocator is *incremental* (DESIGN.md §11): a per-``(link, priority)``
 membership index records which flows share which links, and a flow
-arrival/departure/scale event marks its edges dirty.  Once per simulated
-timestamp — from the simulator's end-of-timestamp hook — one walk over
-edges, scanning each reached member map once, collects the same-priority
-components reachable from the dirty edges, and progressive filling re-runs
-over them.  Max-min rates depend only on the flow set, paths, priorities
+arrival/departure/scale event marks its links dirty.  Links are the
+topology's dense integer ids (:meth:`Topology.link_id`): each distinct path
+is mapped to its id tuple once (:attr:`Flow.eids`), and the index, the
+capacities, the dirty set and the fill's rows are all keyed by id.  Once
+per simulated timestamp — from the simulator's end-of-timestamp hook — one
+walk over links, scanning each reached member map once, collects the
+same-priority components reachable from the dirty links, and progressive
+filling re-runs over them.  Max-min rates depend only on the flow set, paths, priorities
 and link capacities — never on transfer progress, nor on the order in
 which the walk lists the flows — so flows outside the affected components
 provably keep their rates, and the resulting traces are bit-identical to a
@@ -131,6 +134,7 @@ class Flow:
 
     Attributes:
         path: Directed edges the flow occupies (all simultaneously).
+        eids: The topology's link ids of ``path``, in path order.
         total_bytes: Transfer size.
         priority: Larger values are served first; flows at the same priority
             max-min share leftover bandwidth.
@@ -147,6 +151,7 @@ class Flow:
     priority: int
     on_done: Callable[[], None]
     label: str
+    eids: tuple[int, ...] = ()
     uid: int = 0
     remaining: float = 0.0
     rate: float = 0.0
@@ -154,9 +159,9 @@ class Flow:
 
 
 #: ``(priority, flows, edges)``: one same-priority component and the member
-#: map of each edge it crosses (see :meth:`FlowNetwork._affected`).  The
+#: map of each link id it crosses (see :meth:`FlowNetwork._affected`).  The
 #: maps are the live index's own, valid until the flow set next changes.
-_Component = tuple[int, list[Flow], dict[Edge, dict[int, Flow]]]
+_Component = tuple[int, list[Flow], dict[int, dict[int, Flow]]]
 _priority_of = operator.itemgetter(0)
 
 
@@ -182,7 +187,7 @@ class FlowNetworkStats:
     scale_epochs: int = 0
     #: Edge-member entries scanned by the flush's walk
     #: (:meth:`FlowNetwork._affected`), which reads each reached
-    #: ``(edge, priority)`` member map once.
+    #: ``(link, priority)`` member map once.
     member_scans: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -341,21 +346,27 @@ class FlowNetwork:
         self._uid = itertools.count()
         self._last_update = 0.0
         self._next_event: EventHandle | None = None
-        #: Edges whose flow set or capacity changed since the last flush.
-        self._dirty: dict[Edge, None] = {}
+        #: Link ids of each distinct path started so far (validated once).
+        self._path_eids: dict[Path, tuple[int, ...]] = {}
+        #: Link ids whose flow set or capacity changed since the last flush.
+        self._dirty: dict[int, None] = {}
         #: Insertion counter reserved at the latest change for the next
         #: completion event; ``None`` while no flow is live.
         self._reserved_seq: int | None = None
         self._flush_pending = False
-        #: Live flows crossing each edge, by priority (edge -> priority ->
-        #: uid -> Flow): the sharing index the flush walks, so that it costs
-        #: O(component), not O(F·E).  Empty maps are deleted.
-        self._edge_members: dict[Edge, dict[int, dict[int, Flow]]] = {}
-        #: Stack of active scale factors per edge (overlapping windows
+        #: Live flows crossing each link, by priority (link id -> priority
+        #: -> uid -> Flow): the sharing index the flush walks, so that it
+        #: costs O(component), not O(F·E).  Empty priority maps are deleted.
+        self._edge_members: list[dict[int, dict[int, Flow]]] = [
+            {} for _ in topology.links
+        ]
+        #: Stack of active scale factors per link id (overlapping windows
         #: compose multiplicatively; each window removes its own factor).
-        self._scale_factors: dict[Edge, list[float]] = {}
-        #: Effective-bandwidth cache, invalidated per edge at scale epochs.
-        self._eff_bw: dict[Edge, float] = {}
+        self._scale_factors: dict[int, list[float]] = {}
+        #: Current capacity per link id: the nominal bandwidth times its
+        #: scale stack, recomputed for the link at each scale epoch.
+        self._nominal = topology.link_bandwidths
+        self._capacity: list[float] = list(self._nominal)
         #: Columnar mirror of the live flow set; ``None`` until the flow
         #: count first exceeds :attr:`vector_threshold`.
         self._slots: _FlowSlots | None = None
@@ -367,13 +378,7 @@ class FlowNetwork:
 
     def effective_bandwidth(self, edge: Edge) -> float:
         """Current capacity of ``edge``: topology bandwidth x any live scales."""
-        bandwidth = self._eff_bw.get(edge)
-        if bandwidth is None:
-            bandwidth = self.topology.bandwidth_of(edge)
-            for factor in self._scale_factors.get(edge, ()):
-                bandwidth *= factor
-            self._eff_bw[edge] = bandwidth
-        return bandwidth
+        return self._capacity[self.topology.link_id(edge)]
 
     def set_bandwidth_scale(
         self,
@@ -405,7 +410,7 @@ class FlowNetwork:
             end: Absolute time the link recovers to nominal bandwidth;
                 ``None`` (or ``inf``) makes the degradation persistent.
         """
-        self.topology.bandwidth_of(edge)  # raises KeyError on unknown edges
+        eid = self.topology.link_id(edge)  # raises KeyError on unknown edges
         if not (factor > 0 and math.isfinite(factor)):
             raise ValueError(f"bandwidth scale factor must be positive, got {factor}")
         for bound in (start, end):
@@ -416,24 +421,20 @@ class FlowNetwork:
 
         def apply() -> None:
             self._advance()
-            self._scale_factors.setdefault(edge, []).append(factor)
-            self._eff_bw.pop(edge, None)
-            self.stats.scale_epochs += 1
-            self._invalidate((edge,))
+            self._scale_factors.setdefault(eid, []).append(factor)
+            self._rescale(eid)
 
         def clear() -> None:
             self._advance()
-            stack = self._scale_factors.get(edge)
+            stack = self._scale_factors.get(eid)
             if stack is not None:
                 try:
                     stack.remove(factor)
                 except ValueError:
                     pass
                 if not stack:
-                    del self._scale_factors[edge]
-            self._eff_bw.pop(edge, None)
-            self.stats.scale_epochs += 1
-            self._invalidate((edge,))
+                    del self._scale_factors[eid]
+            self._rescale(eid)
 
         if start is None or start <= self.sim.now:
             apply()
@@ -454,17 +455,25 @@ class FlowNetwork:
         """Begin a transfer of ``nbytes`` along ``path``.
 
         A zero-byte transfer, or one with an empty path (same-device copy),
-        completes immediately via a zero-delay event.  A path crosses each
-        edge at most once.
+        completes immediately via a zero-delay event.
+
+        Raises:
+            KeyError: ``path`` has an edge the topology lacks.
+            ValueError: ``path`` crosses an edge more than once, or
+                ``nbytes`` is negative or not finite.
         """
         if not (0 <= nbytes < _INF):  # also rejects NaN
             raise ValueError(f"nbytes must be finite and non-negative, got {nbytes}")
+        eids = self._path_eids.get(path)
+        if eids is None:
+            eids = self._path_eids[path] = self._checked_eids(path)
         flow = Flow(
             path=path,
             total_bytes=nbytes,
             priority=priority,
             on_done=on_done,
             label=label,
+            eids=eids,
             uid=next(self._uid),
             remaining=nbytes,
             start_time=self.sim.now,
@@ -476,11 +485,8 @@ class FlowNetwork:
         uid = flow.uid
         self._flows[uid] = flow
         edge_members = self._edge_members
-        for edge in path:
-            groups = edge_members.get(edge)
-            if groups is None:
-                edge_members[edge] = {priority: {uid: flow}}
-                continue
+        for eid in eids:
+            groups = edge_members[eid]
             members = groups.get(priority)
             if members is None:
                 groups[priority] = {uid: flow}
@@ -494,12 +500,32 @@ class FlowNetwork:
             # switch is permanent for this network; from now on the slot
             # arrays are authoritative for progress.
             self._slots = _FlowSlots(self._flows)
-        self._invalidate(path)
+        self._invalidate(eids)
         return flow
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _checked_eids(self, path: Path) -> tuple[int, ...]:
+        """The link ids of ``path``, which must cross each edge at most once."""
+        eids = tuple(map(self.topology.link_id, path))
+        if len(set(eids)) < len(eids):
+            seen: set[int] = set()
+            for edge, eid in zip(path, eids):
+                if eid in seen:
+                    raise ValueError(f"path crosses edge {edge!r} more than once: {path!r}")
+                seen.add(eid)
+        return eids
+
+    def _rescale(self, eid: int) -> None:
+        """Apply a scale epoch on link ``eid``: recompute its capacity."""
+        bandwidth = self._nominal[eid]
+        for factor in self._scale_factors.get(eid, ()):
+            bandwidth *= factor
+        self._capacity[eid] = bandwidth
+        self.stats.scale_epochs += 1
+        self._invalidate((eid,))
 
     def _advance(self) -> None:
         """Progress all flows from the last update time to ``sim.now``.
@@ -519,8 +545,8 @@ class FlowNetwork:
                     flow.remaining = remaining if remaining > 0.0 else 0.0
         self._last_update = self.sim.now
 
-    def _invalidate(self, edges: Iterable[Edge]) -> None:
-        """Record a flow-set or capacity change on ``edges`` at ``sim.now``.
+    def _invalidate(self, eids: Iterable[int]) -> None:
+        """Record a flow-set or capacity change on links ``eids`` at ``sim.now``.
 
         Cancels the pending completion event and reserves the insertion
         counter an immediate reschedule would take at this point;
@@ -530,15 +556,15 @@ class FlowNetwork:
             self._next_event.cancel()
             self._next_event = None
         dirty = self._dirty
-        for edge in edges:
-            dirty[edge] = None
+        for eid in eids:
+            dirty[eid] = None
         self._reserved_seq = self.sim.reserve_seq() if self._flows else None
         if not self._flush_pending:
             self._flush_pending = True
             self.sim.at_timestamp_end(self._reallocate)
 
     def _reallocate(self) -> None:
-        """Refill the components reachable from this timestamp's dirty edges.
+        """Refill the components reachable from this timestamp's dirty links.
 
         Runs once per simulated timestamp that saw a change.  The result is
         bit-identical to refilling and rescheduling after every change, for
@@ -601,23 +627,23 @@ class FlowNetwork:
             sim.now + horizon, seq, self._on_completion_event
         )
 
-    def _affected(self, dirty: dict[Edge, None]) -> list[_Component]:
-        """The live flows edge-connected (transitively) to ``dirty`` edges.
+    def _affected(self, dirty: dict[int, None]) -> list[_Component]:
+        """The live flows edge-connected (transitively) to ``dirty`` links.
 
         Returned as the components progressive filling works on: maximal
-        sets of same-priority flows connected through shared edges, each as
-        ``(priority, flows, edges)``, where ``edges`` pairs every edge the
-        component crosses with its member map at that priority (exactly
-        the component's flows there, since a component is closed under
-        same-priority sharing).  Their union is the closure over all
+        sets of same-priority flows connected through shared links, each as
+        ``(priority, flows, edges)``, where ``edges`` pairs the id of every
+        link the component crosses with its member map at that priority
+        (exactly the component's flows there, since a component is closed
+        under same-priority sharing).  Their union is the closure over all
         priorities, a union of whole components.
 
-        A walk over the ``(edge, priority)`` index: a component is grown
-        from one member, scanning each reached ``(edge, priority)`` member
-        map exactly once.  Edges shared by several priorities are queued,
-        together with the dirty edges, as the frontier from which the
+        A walk over the ``(link, priority)`` index: a component is grown
+        from one member, scanning each reached ``(link, priority)`` member
+        map exactly once.  Links shared by several priorities are queued,
+        together with the dirty links, as the frontier from which the
         other priorities' components are grown (``dirty`` records the
-        queued edges, so the flush hands it over); one member of a map
+        queued links, so the flush hands it over); one member of a map
         tells whether its component is already placed.  Lists come out in
         a deterministic order.
         """
@@ -627,9 +653,7 @@ class FlowNetwork:
         frontier = list(dirty)
         scans = 0
         while frontier:
-            groups = edge_members.get(frontier.pop())
-            if groups is None:
-                continue  # no live flow crosses this dirty edge
+            groups = edge_members[frontier.pop()]
             for priority, members in groups.items():
                 for first in members:  # any member: a map lies in one component
                     break
@@ -637,30 +661,31 @@ class FlowNetwork:
                     continue
                 placed[first] = None
                 flows = [members[first]]
-                edges: dict[Edge, dict[int, Flow]] = {}
+                edges: dict[int, dict[int, Flow]] = {}
                 for flow in flows:  # grows while it is walked
-                    for edge in flow.path:
-                        if edge in edges:
+                    for eid in flow.eids:
+                        if eid in edges:
                             continue
-                        shared = edge_members[edge]
-                        sharers = edges[edge] = shared[priority]
+                        shared = edge_members[eid]
+                        sharers = edges[eid] = shared[priority]
                         scans += len(sharers)
                         for uid, other in sharers.items():
                             if uid not in placed:
                                 placed[uid] = None
                                 flows.append(other)
-                        if len(shared) > 1 and edge not in dirty:
-                            dirty[edge] = None
-                            frontier.append(edge)
+                        if len(shared) > 1 and eid not in dirty:
+                            dirty[eid] = None
+                            frontier.append(eid)
                 components.append((priority, flows, edges))
         self.stats.member_scans += scans
         return components
 
-    def _fill(self, components: list[_Component]) -> dict[Edge, float]:
+    def _fill(self, components: list[_Component]) -> dict[int, float]:
         """Refill ``components`` (see :meth:`_affected`) from scratch.
 
         Fills the components in descending priority order, each against
-        the shared ``used`` capacity map, which is returned.
+        the shared ``used`` capacity map (link id -> bytes/s), which is
+        returned.
 
         The result depends on the *set* of flows only, never on the order
         of the components, of their flows or of their edges: within one
@@ -671,7 +696,7 @@ class FlowNetwork:
         priorities fill in sorted order.
         """
         stats = self.stats
-        used: dict[Edge, float] = {}
+        used: dict[int, float] = {}
         if len(components) > 1:
             components = sorted(components, key=_priority_of, reverse=True)
         for _, flows, edges in components:
@@ -684,15 +709,16 @@ class FlowNetwork:
                 stats.fill_rounds += self._fill_component(flows, edges, used)
         return used
 
-    def _fill_flow(self, flow: Flow, used: dict[Edge, float]) -> None:
+    def _fill_flow(self, flow: Flow, used: dict[int, float]) -> None:
         """Fill a component of one flow: one round of :meth:`_fill_component`.
 
         The same ``max(headroom, 0.0) / live`` (``live == 1``) arithmetic,
         without building rows.
         """
+        capacity = self._capacity
         bottleneck = _INF
-        for edge in flow.path:
-            headroom = self.effective_bandwidth(edge) - used.get(edge, 0.0)
+        for eid in flow.eids:
+            headroom = capacity[eid] - used.get(eid, 0.0)
             if headroom < 0.0:
                 headroom = 0.0
             if headroom < bottleneck:
@@ -701,19 +727,19 @@ class FlowNetwork:
             flow.rate = 0.0  # no edges (defensive; not expected)
             return
         flow.rate = 0.0 + bottleneck
-        for edge in flow.path:
-            used[edge] = used.get(edge, 0.0) + bottleneck
+        for eid in flow.eids:
+            used[eid] = used.get(eid, 0.0) + bottleneck
 
     def _fill_component(
         self,
         flows: list[Flow],
-        edges: dict[Edge, dict[int, Flow]],
-        used: dict[Edge, float],
+        edges: dict[int, dict[int, Flow]],
+        used: dict[int, float],
     ) -> int:
-        """Max-min fill one component into remaining edge capacity.
+        """Max-min fill one component into remaining link capacity.
 
-        ``edges`` pairs each edge the component crosses with the member map
-        of its flows there.  Updates ``used`` in place and returns the
+        ``edges`` pairs each link id the component crosses with the member
+        map of its flows there.  Updates ``used`` in place and returns the
         number of filling rounds.  Arithmetic is operation-for-operation
         identical to the classic global progressive fill (the oracle in
         ``tests/sim/test_allocator_equivalence.py``): every live flow's
@@ -723,13 +749,14 @@ class FlowNetwork:
         additions would; and a round that leaves flows live counts the
         frozen ones off the rows they cross instead of recounting.
         """
-        # Per-edge state rows: [used, live, capacity, threshold, members].
+        # Per-link state rows: [used, live, capacity, threshold, members].
         # Capacity and the saturation threshold are loop invariants.
-        state: dict[Edge, list] = {}
-        for edge, members in edges.items():
-            capacity = self.effective_bandwidth(edge)
-            state[edge] = [
-                used.get(edge, 0.0),
+        capacities = self._capacity
+        state: dict[int, list] = {}
+        for eid, members in edges.items():
+            capacity = capacities[eid]
+            state[eid] = [
+                used.get(eid, 0.0),
                 len(members),
                 capacity,
                 capacity * (1 - _EPS),
@@ -776,15 +803,15 @@ class FlowNetwork:
             unfrozen -= len(newly)
             if unfrozen:
                 for flow in newly:
-                    for edge in flow.path:
-                        state[edge][1] -= 1
+                    for eid in flow.eids:
+                        state[eid][1] -= 1
                 rows = [row for row in rows if row[1]]
         if unfrozen:
             for flow in flows:
                 if flow.uid not in frozen:
                     flow.rate = level
-        for edge, row in state.items():
-            used[edge] = row[0]
+        for eid, row in state.items():
+            used[eid] = row[0]
         return rounds
 
     def _on_completion_event(self) -> None:
@@ -815,16 +842,14 @@ class FlowNetwork:
             del flows[uid]
             if slots is not None:
                 slots.remove(flow)
-            for edge in flow.path:
-                groups = edge_members[edge]
+            for eid in flow.eids:
+                groups = edge_members[eid]
                 members = groups[priority]
                 del members[uid]
                 if not members:
                     del groups[priority]
-                    if not groups:
-                        del edge_members[edge]
-        # Live flows that shared an edge with a finished flow seed the flush.
-        self._invalidate(edge for flow in finished for edge in flow.path)
+        # Live flows that shared a link with a finished flow seed the flush.
+        self._invalidate(eid for flow in finished for eid in flow.eids)
         for flow in finished:
             flow.on_done()
 

@@ -1,5 +1,8 @@
 """Tests for interconnect topology models."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.hardware.topology import (
     Topology,
     commodity_server,
     datacenter_server,
+    large_cluster,
     topo_1_3,
     topo_2_2,
     topo_4,
@@ -132,6 +136,91 @@ class TestPaths:
     def test_empty_path_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             topo_2_2().path_bandwidth(())
+
+
+def _reference_to_dram(topo, gpu):
+    rc = topo.root_complex_of(gpu)
+    return ((f"gpu{gpu}", f"sw{rc}"), (f"sw{rc}", f"rc{rc}"), (f"rc{rc}", "dram"))
+
+
+def _reference_from_dram(topo, gpu):
+    rc = topo.root_complex_of(gpu)
+    return (("dram", f"rc{rc}"), (f"rc{rc}", f"sw{rc}"), (f"sw{rc}", f"gpu{gpu}"))
+
+
+def _reference_gpu_to_gpu(topo, src, dst):
+    if src == dst:
+        return ()
+    if topo.has_p2p:
+        return ((f"gpu{src}", f"gpu{dst}"),)
+    return _reference_to_dram(topo, src) + _reference_from_dram(topo, dst)
+
+
+class TestPathTables:
+    """Paths are shared, memoised tuples equal to ones built from node names."""
+
+    @pytest.mark.parametrize(
+        "factory", [topo_4_4, datacenter_server], ids=["4+4", "dc4"]
+    )
+    def test_memoised_paths_match_reference(self, factory):
+        topo = factory()
+        for gpu in range(topo.n_gpus):
+            assert topo.path_to_dram(gpu) == _reference_to_dram(topo, gpu)
+            assert topo.path_from_dram(gpu) == _reference_from_dram(topo, gpu)
+            assert topo.gpu_to_gpu_path(gpu, gpu) == ()
+            for dst in range(topo.n_gpus):
+                assert topo.gpu_to_gpu_path(gpu, dst) == _reference_gpu_to_gpu(
+                    topo, gpu, dst
+                )
+
+    @pytest.mark.parametrize(
+        "factory", [topo_4_4, datacenter_server], ids=["4+4", "dc4"]
+    )
+    def test_repeated_calls_share_one_object(self, factory):
+        topo = factory()
+        for gpu in range(topo.n_gpus):
+            assert topo.path_to_dram(gpu) is topo.path_to_dram(gpu)
+            assert topo.path_from_dram(gpu) is topo.path_from_dram(gpu)
+            for dst in range(topo.n_gpus):
+                assert topo.gpu_to_gpu_path(gpu, dst) is topo.gpu_to_gpu_path(gpu, dst)
+
+    def test_paths_share_the_interned_edges(self):
+        topo = topo_4_4()
+        interned = {id(edge) for edge in topo.links}
+        for src in range(topo.n_gpus):
+            for dst in range(topo.n_gpus):
+                assert all(id(edge) in interned for edge in topo.gpu_to_gpu_path(src, dst))
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_out_of_range_still_raises_when_warm(self, bad):
+        topo = topo_4_4()
+        for src in range(topo.n_gpus):
+            for dst in range(topo.n_gpus):
+                topo.gpu_to_gpu_path(src, dst)
+        with pytest.raises(ValueError):
+            topo.gpu_to_gpu_path(bad, 0)
+        with pytest.raises(ValueError):
+            topo.gpu_to_gpu_path(0, bad)
+        with pytest.raises(ValueError):
+            topo.path_to_dram(bad)
+        with pytest.raises(ValueError):
+            topo.path_from_dram(bad)
+
+    def test_link_table_is_dense(self):
+        topo = large_cluster(16, 4)
+        assert len(topo.links) == len(topo.link_bandwidths) == len(set(topo.links))
+        for eid, edge in enumerate(topo.links):
+            assert topo.link_id(edge) == eid
+            assert topo.bandwidth_of(edge) == topo.link_bandwidths[eid]
+        assert list(topo.iter_links()) == list(zip(topo.links, topo.link_bandwidths))
+
+
+def test_topology_and_simulator_import_without_networkx():
+    code = (
+        "import sys, repro.hardware.topology, repro.sim.tasks; "
+        "assert 'networkx' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 @given(groups=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))

@@ -47,7 +47,13 @@ from collections import defaultdict
 
 import pytest
 
-from repro.hardware.topology import topo_2_2, topo_4, topo_4_4
+from repro.hardware.topology import (
+    datacenter_server,
+    large_cluster,
+    topo_2_2,
+    topo_4,
+    topo_4_4,
+)
 from repro.sim.engine import Simulator
 from repro.sim.resources import _EPS, FlowNetwork
 
@@ -119,14 +125,20 @@ def _oracle_closure(edge_members, seeds):
 
 
 def oracle_affected(network: FlowNetwork, dirty) -> set[int]:
-    """Uids the old flush refilled for ``dirty``, from rebuilt membership."""
+    """Uids the old flush refilled for ``dirty``, from rebuilt membership.
+
+    The membership is rebuilt from ``flow.path`` edge tuples, independent of
+    the network's link-id index; ``dirty`` link ids are mapped back to
+    edges through the topology's id -> edge table.
+    """
     edge_members: dict = defaultdict(dict)
     for flow in network.active_flows:
         for edge in flow.path:
             edge_members[edge][flow.uid] = flow
+    links = network.topology.links
     seeds: dict = {}
-    for edge in dirty:
-        seeds.update(edge_members.get(edge, {}))
+    for eid in dirty:
+        seeds.update(edge_members.get(links[eid], {}))
     return {flow.uid for flow in _oracle_closure(edge_members, seeds.values())}
 
 
@@ -218,12 +230,13 @@ class CheckedFlowNetwork(FlowNetwork):
         }
         assert parts == oracle_parts
         # ... each with its edges' member maps ...
+        links = self.topology.links
         for priority, flows, edges in components:
             crossing: dict = defaultdict(set)
             for flow in flows:
                 for edge in flow.path:
                     crossing[edge].add(flow.uid)
-            assert {edge: set(members) for edge, members in edges.items()} == crossing
+            assert {links[eid]: set(members) for eid, members in edges.items()} == crossing
             assert all(
                 flow.priority == priority
                 for members in edges.values()
@@ -377,6 +390,15 @@ class TestIncrementalMatchesOracle:
     def test_fuzz_topo_4_4(self):
         for seed in range(6):
             _run_fuzz(topo_4_4(), seed)
+
+    def test_fuzz_datacenter_nvlink(self):
+        # Single-edge NVLink paths beside the three-edge DRAM paths.
+        for seed in range(3):
+            _run_fuzz(datacenter_server(4), seed)
+
+    def test_fuzz_large_cluster(self):
+        for seed in range(3):
+            _run_fuzz(large_cluster(16, 4), seed)
 
     def test_fuzz_without_scale_events(self):
         for topology in _fuzz_topologies():

@@ -138,6 +138,25 @@ class TestFlowTiming:
         with pytest.raises(ValueError):
             network.start_flow(topo.path_from_dram(0), -1.0, lambda: None)
 
+    def test_repeated_edge_rejected_at_the_call(self):
+        # Accepted, the flow died in the event loop on a bare KeyError.
+        topo = topo_2_2()
+        sim = Simulator()
+        network = FlowNetwork(sim, topo)
+        with pytest.raises(ValueError, match=r"\('gpu0', 'sw0'\)"):
+            network.start_flow(topo.path_to_dram(0) * 2, PCIE, lambda: None)
+        assert not network.active_flows
+        sim.run()
+
+    def test_unknown_edge_rejected_at_the_call(self):
+        # Accepted, the path raised only at the end-of-timestamp flush.
+        sim = Simulator()
+        network = FlowNetwork(sim, topo_2_2())
+        with pytest.raises(KeyError, match="not part of topology"):
+            network.start_flow((("gpu0", "dram"),), PCIE, lambda: None)
+        assert not network.active_flows
+        sim.run()
+
     @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
     def test_non_finite_bytes_rejected_at_the_call(self, nbytes):
         # Accepted, these surfaced at flush time as a misleading deadlock.
