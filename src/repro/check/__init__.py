@@ -18,7 +18,7 @@ from repro.check.analysis import (
 )
 from repro.check.corpus import CorpusCell, check_cell, default_corpus, run_corpus
 from repro.check.findings import CheckReport, Finding
-from repro.check.lint import DEFAULT_CONFIG, LintConfig, lint_file, lint_source, lint_tree
+from repro.check.lint import DEFAULT_CONFIG, LintConfig, lint_module
 from repro.check.mapping_check import check_mapping, optimal_contention
 from repro.check.plan_check import check_plan
 from repro.check.trace_check import check_task_graph, sanitize_run, sanitize_trace
@@ -38,9 +38,7 @@ __all__ = [
     "sanitize_run",
     "LintConfig",
     "DEFAULT_CONFIG",
-    "lint_source",
-    "lint_file",
-    "lint_tree",
+    "lint_module",
     "CorpusCell",
     "default_corpus",
     "check_cell",

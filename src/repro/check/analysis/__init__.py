@@ -13,7 +13,7 @@ Layers (each its own module, composable in tests):
 
 from repro.check.analysis.baseline import Baseline, BaselineEntry, apply_baseline
 from repro.check.analysis.callgraph import CallGraph, build_call_graph
-from repro.check.analysis.driver import LintRun, run_lint
+from repro.check.analysis.driver import LintRun, lint_program, run_lint
 from repro.check.analysis.program import Program
 from repro.check.analysis.rules import (
     DEFAULT_ANALYSIS_CONFIG,
@@ -35,6 +35,7 @@ __all__ = [
     "analyze_tree",
     "apply_baseline",
     "build_call_graph",
+    "lint_program",
     "run_lint",
     "to_sarif",
 ]

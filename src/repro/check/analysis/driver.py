@@ -2,16 +2,19 @@
 
 One entry point, :func:`run_lint`, combines the three layers:
 
-1. the per-file MOB000-003 pass (:mod:`repro.check.lint`), scoped by the
-   repo's path-prefix config;
+1. the per-file MOB001/MOB003 pass (:mod:`repro.check.lint`) over the
+   modules its config names;
 2. the interprocedural MOB004-007 pass (:mod:`repro.check.analysis.rules`)
    over the whole ``src/repro`` program model — whole-program even when
    specific paths are requested, because reachability cannot be computed
-   file-locally (findings are then *filtered* to the requested paths);
+   file-locally (findings are then *filtered* to the requested paths) —
+   plus MOB000 for each file the model could not load;
 3. the checked-in baseline (:mod:`repro.check.analysis.baseline`), which
    splits findings into live and acknowledged-with-justification.
 
-``repro check`` and the ``lint-analysis`` CI job both call this.
+Every file is read and parsed once, by :meth:`Program.from_tree`; the
+per-file rules run on the trees it parsed.  ``repro check`` and the
+``lint-analysis`` CI job both call :func:`run_lint`.
 """
 
 from __future__ import annotations
@@ -25,15 +28,16 @@ from repro.check.analysis.baseline import (
     BaselineEntry,
     apply_baseline,
 )
+from repro.check.analysis.program import Program
 from repro.check.analysis.rules import (
     DEFAULT_ANALYSIS_CONFIG,
     AnalysisConfig,
-    analyze_tree,
+    analyze_program,
 )
 from repro.check.findings import CheckReport, Finding
-from repro.check.lint import DEFAULT_CONFIG, LintConfig, lint_tree
+from repro.check.lint import DEFAULT_CONFIG, LintConfig, lint_module
 
-__all__ = ["LintRun", "run_lint"]
+__all__ = ["LintRun", "lint_program", "run_lint"]
 
 
 @dataclasses.dataclass
@@ -83,12 +87,24 @@ def _filter_paths(report: CheckReport, rel_paths: list[str]) -> CheckReport:
     return kept
 
 
+def lint_program(
+    program: Program,
+    *,
+    lint_config: LintConfig = DEFAULT_CONFIG,
+    analysis_config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG,
+) -> CheckReport:
+    """Every MOB rule over one program model, without the baseline."""
+    report = CheckReport()
+    for module in program.modules.values():
+        report.extend(lint_module(module.tree, module.rel_path, lint_config))
+    return report.extend(analyze_program(program, analysis_config))
+
+
 def run_lint(
     root: Path | str,
     paths: list[str] | None = None,
     *,
     baseline_path: Path | str | None = None,
-    analysis: bool = True,
     lint_config: LintConfig = DEFAULT_CONFIG,
     analysis_config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG,
 ) -> LintRun:
@@ -100,13 +116,13 @@ def run_lint(
             *reported* findings to; analysis still sees the whole program.
         baseline_path: Baseline JSON; defaults to ``<root>/LINT_BASELINE.json``
             (missing file = empty baseline).
-        analysis: Set ``False`` to skip the interprocedural pass (fast mode).
     """
     root = Path(root)
-    combined = CheckReport()
-    combined.extend(lint_tree(root, lint_config))
-    if analysis:
-        combined.extend(analyze_tree(root, config=analysis_config))
+    combined = lint_program(
+        Program.from_tree(root),
+        lint_config=lint_config,
+        analysis_config=analysis_config,
+    )
 
     if paths:
         rel_paths = []

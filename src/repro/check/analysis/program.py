@@ -19,6 +19,11 @@ Scope decisions (documented in DESIGN.md §13):
   reference to a nested ``def`` *is* a reference to the encloser.  This
   over-approximates (a defined-but-never-called closure still contributes
   its calls) but never loses an edge through a callback seam.
+* **Module-level code is one more function**, ``<module>``
+  (:data:`MODULE_BODY`): top-level statements, class-body statements, and
+  the decorators and default arguments of every ``def``, which all run at
+  import time.  It lets a root package's import-time code be analyzed like
+  any function body.
 * **Module-level mutable state** is any top-level binding of a ``dict`` /
   ``list`` / ``set`` display or comprehension, a call to a known
   mutable-container constructor (``dict``, ``list``, ``set``,
@@ -31,17 +36,24 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+from collections.abc import Iterable
 from pathlib import Path
 
 __all__ = [
+    "MODULE_BODY",
     "ClassInfo",
     "FunctionInfo",
     "ModuleInfo",
     "Program",
     "attr_chain",
+    "import_bindings",
     "iter_python_files",
     "module_name_for",
 ]
+
+#: Name of the pseudo-function holding a module's import-time code; not an
+#: identifier, so no call or reference can resolve to it.
+MODULE_BODY = "<module>"
 
 #: Call targets whose result is a shared mutable container when bound at
 #: module level.
@@ -64,6 +76,54 @@ def attr_chain(node: ast.expr) -> list[str]:
     parts.append(node.id)
     parts.reverse()
     return parts
+
+
+def import_bindings(nodes: Iterable[ast.AST]) -> dict[str, str]:
+    """Local name -> fully qualified target for the import statements among
+    ``nodes``: ``import numpy as np`` binds ``np -> numpy``, ``import
+    numpy.random`` binds ``numpy -> numpy``, and ``from time import time as
+    now`` binds ``now -> time.time``.  Relative imports are skipped (none
+    are used under ``src/repro``)."""
+    bindings: dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bindings[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    bindings[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                bindings[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bindings
+
+
+def _import_time_code(stmts: list[ast.stmt]) -> list[ast.stmt]:
+    """The statements of a module or class body that run at import time:
+    everything except ``def`` bodies, whose decorators and defaults stay."""
+    code: list[ast.stmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = stmt.args
+            code.extend(
+                ast.Expr(value=expr, lineno=expr.lineno, col_offset=expr.col_offset)
+                for expr in [*stmt.decorator_list, *args.defaults, *args.kw_defaults]
+                if expr is not None
+            )
+        elif isinstance(stmt, ast.ClassDef):
+            code.extend(
+                ast.Expr(value=expr, lineno=expr.lineno, col_offset=expr.col_offset)
+                for expr in [
+                    *stmt.decorator_list,
+                    *stmt.bases,
+                    *(kw.value for kw in stmt.keywords),
+                ]
+            )
+            code.extend(_import_time_code(stmt.body))
+        else:
+            code.append(stmt)
+    return code
 
 
 def module_name_for(rel_path: str) -> str:
@@ -93,7 +153,8 @@ class FunctionInfo:
         module: Dotted module, ``repro.sim.engine``.
         rel_path: Repo-relative POSIX path of the defining file.
         name: Bare name (``run``).
-        class_name: Enclosing class name, or ``None`` for module functions.
+        class_name: Enclosing class name, dotted for a nested class
+            (``Outer.Inner``), or ``None`` for module functions.
         node: The ``ast`` definition node; analysis walks its whole subtree,
             which includes any nested defs and lambdas.
         lineno: Definition line (for findings).
@@ -145,8 +206,10 @@ class ModuleInfo:
     rel_path: str
     tree: ast.Module
     functions: dict[str, FunctionInfo] = dataclasses.field(default_factory=dict)
+    #: Classes by local name, dotted for a nested class (``Outer.Inner``).
     classes: dict[str, ClassInfo] = dataclasses.field(default_factory=dict)
-    #: Local name -> fully qualified target.  ``import numpy as np`` maps
+    #: Local name -> fully qualified target, from every import in the
+    #: module's import-time code.  ``import numpy as np`` maps
     #: ``np -> numpy``; ``from repro.sim.engine import Simulator`` maps
     #: ``Simulator -> repro.sim.engine.Simulator``.
     imports: dict[str, str] = dataclasses.field(default_factory=dict)
@@ -208,23 +271,30 @@ class Program:
         self.methods_by_name: dict[str, list[FunctionInfo]] = {}
         #: class qualname -> direct subclass qualnames.
         self.subclasses: dict[str, list[str]] = {}
+        #: Files that could not be loaded: rel_path -> (line, reason).
+        self.broken: dict[str, tuple[int, str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_sources(cls, sources: dict[str, str]) -> "Program":
+    def from_sources(
+        cls, sources: dict[str, str], broken: dict[str, tuple[int, str]] | None = None
+    ) -> "Program":
         """Build a program from ``{repo-relative path: source text}``.
 
-        Unparseable modules are skipped (the per-file lint pass reports
-        them as MOB000); analysis proceeds over the rest.
+        Unparseable modules are skipped and recorded in :attr:`broken`
+        (reported as MOB000); analysis proceeds over the rest.  ``broken``
+        seeds that record with files the caller could not even read.
         """
         program = cls()
+        program.broken.update(broken or {})
         for rel_path in sorted(sources):
             try:
                 tree = ast.parse(sources[rel_path], filename=rel_path)
-            except SyntaxError:
+            except SyntaxError as exc:
+                program.broken[rel_path] = (exc.lineno or 0, f"syntax error: {exc.msg}")
                 continue
             program._add_module(rel_path, tree)
         program._link()
@@ -232,37 +302,50 @@ class Program:
 
     @classmethod
     def from_tree(cls, root: Path | str, subdir: str = "src/repro") -> "Program":
-        """Build a program from every parseable module under ``root/subdir``."""
+        """Build a program from every module under ``root/subdir``."""
         root = Path(root)
         sources: dict[str, str] = {}
+        broken: dict[str, tuple[int, str]] = {}
         for path in iter_python_files(root, subdir):
             rel_path = path.relative_to(root).as_posix()
             try:
                 sources[rel_path] = path.read_bytes().decode("utf-8")
-            except UnicodeDecodeError:
-                continue  # reported as MOB000 by the per-file lint pass
-        return cls.from_sources(sources)
+            except UnicodeDecodeError as exc:
+                broken[rel_path] = (
+                    0,
+                    f"file is not valid UTF-8 ({exc.reason} at byte {exc.start})",
+                )
+        return cls.from_sources(sources, broken)
 
     def _add_module(self, rel_path: str, tree: ast.Module) -> None:
         module = ModuleInfo(name=module_name_for(rel_path), rel_path=rel_path, tree=tree)
         self.modules[module.name] = module
 
+        body = ast.FunctionDef(
+            name=MODULE_BODY,
+            args=ast.arguments(
+                posonlyargs=[], args=[], vararg=None, kwonlyargs=[],
+                kw_defaults=[], kwarg=None, defaults=[],
+            ),
+            body=_import_time_code(tree.body) or [ast.Pass()],
+            decorator_list=[],
+            returns=None,
+            lineno=1,
+            col_offset=0,
+        )
+        module.imports = import_bindings(ast.walk(body))
+        module.functions[MODULE_BODY] = FunctionInfo(
+            qualname=f"{module.name}.{MODULE_BODY}",
+            module=module.name,
+            rel_path=rel_path,
+            name=MODULE_BODY,
+            class_name=None,
+            node=body,
+            lineno=1,
+        )
+
         for node in tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    module.imports[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-                    if alias.asname:
-                        module.imports[alias.asname] = alias.name
-            elif isinstance(node, ast.ImportFrom):
-                if node.module is None or node.level:
-                    continue  # relative imports are not used under src/repro
-                for alias in node.names:
-                    module.imports[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info = FunctionInfo(
                     qualname=f"{module.name}.{node.name}",
                     module=module.name,
@@ -299,10 +382,14 @@ class Program:
                                 (module.name, target.id), value
                             )
 
-    def _add_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
+    def _add_class(
+        self, module: ModuleInfo, node: ast.ClassDef, outer: str | None = None
+    ) -> None:
+        """Register ``node`` and, under dotted names, the classes nested in it."""
+        local = f"{outer}.{node.name}" if outer else node.name
         info = ClassInfo(
             name=node.name,
-            qualname=f"{module.name}.{node.name}",
+            qualname=f"{module.name}.{local}",
             module=module.name,
             rel_path=module.rel_path,
             lineno=node.lineno,
@@ -313,13 +400,15 @@ class Program:
             if chain:
                 info.base_names.append(chain[-1])
         for child in node.body:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, ast.ClassDef):
+                self._add_class(module, child, local)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 method = FunctionInfo(
                     qualname=f"{info.qualname}.{child.name}",
                     module=module.name,
                     rel_path=module.rel_path,
                     name=child.name,
-                    class_name=node.name,
+                    class_name=local,
                     node=child,
                     lineno=child.lineno,
                 )
@@ -339,7 +428,7 @@ class Program:
                             and target.value.id == "self"
                         ):
                             info.attr_types.setdefault(target.attr, ctor)
-        module.classes[node.name] = info
+        module.classes[local] = info
 
     def _link(self) -> None:
         """Build the cross-module indexes once every module is loaded."""
@@ -347,9 +436,9 @@ class Program:
         # class is not a frozen dataclass (conservative on name collisions:
         # any non-frozen definition of the name keeps it mutable).
         program_class_names = {
-            name
+            cls_info.name
             for module in self.modules.values()
-            for name, cls_info in module.classes.items()
+            for cls_info in module.classes.values()
             if not cls_info.frozen
         }
         for module in self.modules.values():

@@ -1,15 +1,24 @@
 """Interprocedural MOB rules (MOB004-MOB007) over the whole-program model.
 
-Where MOB001-003 (:mod:`repro.check.lint`) scope by *path prefix*, these
-rules scope by *reachability*: a clock read is a hot-path violation because
-``Simulator.run`` can transitively call it, regardless of which directory
-the helper lives in.
+Where MOB001 and MOB003 (:mod:`repro.check.lint`) check named files, these
+rules scope by *reachability*: a clock read is a determinism violation
+because a root can transitively call it, regardless of which directory the
+helper lives in.
 
-* **MOB004 — transitive hot-path determinism.**  Every function reachable
-  from the simulator event loop (``Simulator.run`` / ``run_batched``), the
-  branch-and-bound solve loop, or ``FlowNetwork._reallocate`` must be free
-  of clock reads and unseeded RNG draws.  Honors the same
-  ``clock_allowlist`` site keys as MOB002's strict variant.
+* **MOB004 — determinism.**  No function reachable from a root
+  (``AnalysisConfig.entry_points``) may read a clock or draw from
+  process-global randomness: ``time.*`` clocks (monotonic ones included),
+  ``datetime`` "now" reads, stdlib ``random`` and legacy ``numpy.random``
+  calls, however they are imported (``import time as t``, ``from random
+  import choice``, ``import numpy.random as npr``, function-local imports
+  too).  A root is a function, or a package or module, meaning every
+  function defined there plus its import-time code.  The roots are the
+  simulator, the planner, fault injection, the literal-MIP solver, the
+  serve daemon, the durable store, and the suite's cell worker (so every
+  cached cell, baseline task-graph builders included).  A function in
+  ``clock_allowlist`` may read monotonic clocks for reporting; wall
+  clocks and RNG draws are flagged there too.  Bench walls go through
+  :class:`repro.perf.bench.Stopwatch`, the one allowlisted timer.
 
 * **MOB005 — unordered-iteration hazard.**  Iterating a ``set`` /
   ``frozenset`` on a hot path with the loop feeding a heap push, trace
@@ -31,25 +40,28 @@ the helper lives in.
   documented synchronization seam (``sync_seams``).  Reads
   are fine; writes — including ``next()`` on a shared ``itertools.count``
   and mutating-method calls — are not.
+
+Files the program model could not load are reported as MOB000.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+from pathlib import Path
 
 from repro.check.analysis.callgraph import (
     DEFAULT_CALLBACK_SEAMS,
     CallGraph,
     build_call_graph,
 )
-from repro.check.analysis.program import FunctionInfo, Program, attr_chain
-from repro.check.findings import CheckReport
-from repro.check.lint import (
-    _NUMPY_LEGACY_RANDOM,
-    _STRICT_CLOCK_ATTRS,
-    DEFAULT_CONFIG as _LINT_DEFAULTS,
+from repro.check.analysis.program import (
+    FunctionInfo,
+    Program,
+    attr_chain,
+    import_bindings,
 )
+from repro.check.findings import CheckReport
 
 __all__ = ["AnalysisConfig", "DEFAULT_ANALYSIS_CONFIG", "analyze_program", "analyze_tree"]
 
@@ -94,25 +106,88 @@ _MUTATING_METHODS = frozenset(
 )
 
 
+#: ``time`` clocks that measure durations; an allowlisted function may
+#: read these (and only these) for reporting.
+_MONOTONIC_CLOCKS = frozenset(
+    {
+        "perf_counter",
+        "perf_counter_ns",
+        "monotonic",
+        "monotonic_ns",
+        "process_time",
+        "process_time_ns",
+        "thread_time",
+        "thread_time_ns",
+    }
+)
+
+#: ``time`` and ``datetime`` reads of the wall clock.
+_WALL_CLOCKS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.ctime",
+        "time.localtime",
+        "time.gmtime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: Legacy ``numpy.random`` entry points that draw from hidden global state.
+_NUMPY_LEGACY_RANDOM = frozenset(
+    {
+        "rand",
+        "randn",
+        "random",
+        "random_sample",
+        "ranf",
+        "sample",
+        "seed",
+        "randint",
+        "random_integers",
+        "choice",
+        "shuffle",
+        "permutation",
+        "uniform",
+        "normal",
+        "standard_normal",
+    }
+)
+
+
 @dataclasses.dataclass(frozen=True)
 class AnalysisConfig:
-    """Entry points and seams for the interprocedural rules.
+    """Roots and seams for the interprocedural rules.
 
     All names are program qualnames (``repro.sim.engine.Simulator.run``)
-    except ``clock_allowlist``, which reuses MOB002's
-    ``path::Class.method`` site keys, and ``callback_seams``, which are
-    bare method names whose callable arguments cross the event loop.
+    or, in ``entry_points`` only, package/module names; except
+    ``clock_allowlist``, whose keys are ``path::Class.method`` sites
+    (:attr:`FunctionInfo.site`), and ``callback_seams``, which are bare
+    method names whose callable arguments cross the event loop.
     """
 
-    #: MOB004/MOB005 hot-path roots.
+    #: MOB004/MOB005 roots.  A package or module root stands for every
+    #: function defined there plus its import-time code.
     entry_points: tuple[str, ...] = (
-        "repro.sim.engine.Simulator.run",
-        "repro.sim.engine.Simulator.run_batched",
-        "repro.sim.resources.FlowNetwork._reallocate",
-        # The daemon's answer ladder: everything between a dequeued job
-        # and its PlanResponse must be transitively clock/RNG-free, or a
-        # served plan could differ from a locally computed one.
-        "repro.serve.daemon.PlanService._answer",
+        # The simulator's only time source is the virtual clock.
+        "repro.sim",
+        # Plans are cached and served by content address.
+        "repro.core",
+        # Failure coins come from content hashes, never RNGs.
+        "repro.faults",
+        # The literal-MIP builder and its HiGHS call read no clock.
+        "repro.solver",
+        # Serve deadlines are node budgets, and responses are content-
+        # addressed.  (time.sleep for restart pacing waits, it reads nothing.)
+        "repro.serve",
+        # The durable store behind the result cache and the daemon.
+        "repro.perf.store",
+        # Everything a cached suite cell computes, baseline task-graph
+        # builders included.
+        "repro.experiments.schedule._cell_worker",
     )
     callback_seams: frozenset[str] = DEFAULT_CALLBACK_SEAMS
     #: MOB007 roots: the process-pool worker surface.
@@ -132,7 +207,28 @@ class AnalysisConfig:
     race_registries: tuple[str, ...] = ()
     #: Documented synchronization seams: writes inside these are sanctioned.
     sync_seams: frozenset[str] = frozenset({"repro.sim.tasks._next_task_uid"})
-    clock_allowlist: frozenset[str] = _LINT_DEFAULTS.clock_allowlist
+    #: Functions that may read monotonic clocks (MOB004), one reason each.
+    clock_allowlist: frozenset[str] = frozenset(
+        {
+            # search_seconds metadata; the search is exhaustive over a
+            # fixed permutation space.
+            "src/repro/core/mapping.py::cross_mapping",
+            # Its time_limit cutoff steers the DFS; ROADMAP item 1 removes
+            # the clock and this entry together with the fingerprint re-pin.
+            "src/repro/core/partition.py::mip_partition",
+            # solve_seconds metadata of the greedy max-stage heuristic.
+            "src/repro/core/partition.py::max_stage_partition",
+            # solve_seconds metadata of the block-per-stage heuristic.
+            "src/repro/core/partition.py::min_stage_partition",
+            # solve_seconds metadata of the literal-MIP oracle (the HiGHS
+            # per-stage time_limit runs inside scipy, out of this rule's view).
+            "src/repro/core/mip_formulation.py::solve_partition_mip",
+            # The bench timer starts: walls sit beside results, never in them.
+            "src/repro/perf/bench.py::Stopwatch.__init__",
+            # The bench timer reads: same.
+            "src/repro/perf/bench.py::Stopwatch.seconds",
+        }
+    )
     #: Module whose functions take content-address hashes (MOB006 sources).
     fingerprint_module: str = "repro.perf.fingerprint"
 
@@ -145,27 +241,52 @@ DEFAULT_ANALYSIS_CONFIG = AnalysisConfig()
 # ----------------------------------------------------------------------
 
 
-def _clock_rng_sites(info: FunctionInfo) -> list[tuple[int, str]]:
-    """(lineno, description) for every clock read / RNG draw in ``info``."""
+def _roots(program: Program, names: tuple[str, ...]) -> list[str]:
+    """Function qualnames named by ``names``: functions as-is, packages and
+    modules expanded to every function in them (import-time code too)."""
+    roots: list[str] = []
+    for name in names:
+        if name in program.functions:
+            roots.append(name)
+            continue
+        roots.extend(
+            qualname
+            for qualname, info in program.functions.items()
+            if info.module == name or info.module.startswith(name + ".")
+        )
+    return roots
+
+
+def _clock_rng_sites(
+    info: FunctionInfo, bindings: dict[str, str], monotonic_ok: bool
+) -> list[tuple[int, str]]:
+    """(lineno, description) for every clock read / RNG draw in ``info``.
+
+    Names resolve through ``bindings`` (the module's imports) overlaid with
+    the function's own imports; a name bound by no import is not a module.
+    """
+    bindings = {**bindings, **import_bindings(ast.walk(info.node))}
     sites: list[tuple[int, str]] = []
     for node in ast.walk(info.node):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Name):
+            chain = [node.id]
+        elif isinstance(node, ast.Attribute):
             chain = attr_chain(node)
-            if not chain:
-                continue
-            if len(chain) >= 2 and chain[0] == "time" and chain[-1] in _STRICT_CLOCK_ATTRS:
-                sites.append((node.lineno, f"clock read time.{chain[-1]}"))
-            elif (
-                len(chain) >= 3
-                and chain[-2] == "random"
-                and chain[0] in ("np", "numpy")
-                and chain[-1] in _NUMPY_LEGACY_RANDOM
-            ):
-                sites.append((node.lineno, f"legacy numpy.random.{chain[-1]} draw"))
-            elif chain[0] == "random" and len(chain) == 2:
-                sites.append((node.lineno, f"stdlib random.{chain[-1]} draw"))
-            elif chain[-1] == "now" and "datetime" in chain[:-1]:
-                sites.append((node.lineno, "datetime.now() read"))
+        else:
+            continue
+        target = bindings.get(chain[0]) if chain else None
+        if target is None:
+            continue
+        module, _, attr = ".".join([target, *chain[1:]]).rpartition(".")
+        if module == "time" and attr in _MONOTONIC_CLOCKS:
+            if not monotonic_ok:
+                sites.append((node.lineno, f"clock read time.{attr}"))
+        elif f"{module}.{attr}" in _WALL_CLOCKS:
+            sites.append((node.lineno, f"wall-clock read {module}.{attr}"))
+        elif module == "random":
+            sites.append((node.lineno, f"stdlib random.{attr} draw"))
+        elif module == "numpy.random" and attr in _NUMPY_LEGACY_RANDOM:
+            sites.append((node.lineno, f"legacy numpy.random.{attr} draw"))
     return sites
 
 
@@ -235,23 +356,25 @@ def _check_mob004(
     # Callbacks registered at a seam are called by the event loop through
     # a heap entry or hook list, which no call edge records.
     parents = graph.reachable(
-        [q for q in config.entry_points if q in program.functions]
-        + sorted(graph.seam_callbacks)
+        _roots(program, config.entry_points) + sorted(graph.seam_callbacks)
     )
     for qualname in sorted(parents):
         info = program.functions.get(qualname)
         if info is None:
             continue
-        if info.site in config.clock_allowlist:
-            continue
-        for lineno, description in _clock_rng_sites(info):
+        sites = _clock_rng_sites(
+            info,
+            program.modules[info.module].imports,
+            monotonic_ok=info.site in config.clock_allowlist,
+        )
+        for lineno, description in sites:
             chain = " -> ".join(graph.chain(parents, qualname))
             report.add(
                 _CHECKER,
                 "MOB004",
                 f"{description} in {qualname}, which is reachable from a "
-                f"deterministic hot path ({chain}); hot-path results must "
-                "not depend on wall time or process-global RNG state",
+                f"determinism root ({chain}); cached and served results "
+                "must not depend on clocks or process-global RNG state",
                 subject=f"{info.rel_path}:{lineno}",
                 symbol=qualname,
             )
@@ -268,9 +391,7 @@ def _check_mob005(
     config: AnalysisConfig,
     report: CheckReport,
 ) -> None:
-    parents = graph.reachable(
-        [q for q in config.entry_points if q in program.functions]
-    )
+    parents = graph.reachable(_roots(program, config.entry_points))
     for qualname in sorted(parents):
         info = program.functions.get(qualname)
         if info is None:
@@ -532,9 +653,17 @@ def _global_writes(
 def analyze_program(
     program: Program, config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG
 ) -> CheckReport:
-    """Run MOB004-MOB007 over an already-built program model."""
+    """Run MOB004-MOB007 over an already-built program model, plus MOB000
+    for each file the model could not load."""
     graph = build_call_graph(program, callback_seams=config.callback_seams)
     report = CheckReport()
+    for rel_path, (lineno, reason) in sorted(program.broken.items()):
+        report.add(
+            _CHECKER,
+            "MOB000",
+            f"{reason}; the analyzer cannot see this file",
+            subject=f"{rel_path}:{lineno}",
+        )
     _check_mob004(program, graph, config, report)
     _check_mob005(program, graph, config, report)
     _check_mob006(program, config, report)

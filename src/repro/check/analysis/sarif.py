@@ -25,13 +25,12 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "MOB000": "File is not analyzable (syntax error or undecodable bytes).",
     "MOB001": "Dataclass reaching repro.perf.fingerprint must be frozen=True "
     "or registered in the mutable allowlist.",
-    "MOB002": "Hot-path modules must not read wall clocks or draw unseeded "
-    "randomness; strict-clock modules ban all clock reads outside "
-    "allowlisted reporting sites.",
     "MOB003": "Task labels must come from repro.core.labels constructors or "
     "match its compiled patterns.",
-    "MOB004": "Functions reachable from the simulator/solver hot loops must "
-    "be transitively clock- and RNG-free.",
+    "MOB004": "Functions reachable from a determinism root (simulator, "
+    "planner, faults, solver, serve, durable store, suite cell worker) must "
+    "not read clocks or draw process-global randomness; allowlisted "
+    "functions may read monotonic clocks only.",
     "MOB005": "Unordered set iteration on a hot path must not feed heap "
     "pushes, trace appends, fingerprints, or accumulation.",
     "MOB006": "Objects must not be mutated after flowing into "

@@ -26,7 +26,7 @@ class Finding:
     Attributes:
         checker: Which checker produced it (``plan``, ``mapping``, ``trace``,
             ``lint``).
-        code: Stable rule identifier, e.g. ``PLAN-EQ4`` or ``MOB002``.
+        code: Stable rule identifier, e.g. ``PLAN-EQ4`` or ``MOB004``.
         message: Human-readable description of the violation.
         subject: What the finding is about — ``stage 3 / gpu 1``, a task
             label, or ``path/to/file.py:42``.

@@ -7,7 +7,7 @@ Subcommands:
   ZeRO-Offload, ZeRO-3 heterogeneous memory, Mobius) on one configuration;
 * ``advise``   — sweep microbatch sizes for the best throughput;
 * ``figures``  — regenerate paper figures by name (or ``all``);
-* ``lint``     — run the MOB source rules standalone: per-file MOB000-003
+* ``lint``     — run the MOB source rules standalone: per-file MOB001/003
   plus the interprocedural MOB004-007 analysis (:mod:`repro.check.analysis`);
   ``--json`` / ``--sarif`` for CI, ``--baseline`` for suppressions;
 * ``check``    — verify planner output, traces and source contracts
@@ -128,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--write-baseline", action="store_true",
         help="write the current findings to the baseline file and exit 0",
-    )
-    lint.add_argument(
-        "--no-analysis", action="store_true",
-        help="per-file rules only; skip the interprocedural MOB004-007 pass",
     )
     lint.add_argument(
         "--root", default=None, metavar="DIR",
@@ -309,12 +305,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     baseline_path = (
         args.baseline if args.baseline is not None else root / DEFAULT_BASELINE_PATH
     )
-    run = run_lint(
-        root,
-        args.paths or None,
-        baseline_path=baseline_path,
-        analysis=not args.no_analysis,
-    )
+    run = run_lint(root, args.paths or None, baseline_path=baseline_path)
 
     if args.write_baseline:
         findings = run.report

@@ -169,17 +169,11 @@ def _run_system_uncached(cell: "ExperimentCell") -> SystemResult:
     system, model, topology = cell.system, cell.model, cell.topology
     n_microbatches = cell.n_microbatches
     deepspeed_config = cell.deepspeed_config
-    mobius_config = cell.mobius_config
     mbs = cell.microbatch_size or model.default_microbatch_size
     if cell.plan_only:
         from repro.core.api import plan_mobius
 
-        config = mobius_config or MobiusConfig(
-            microbatch_size=mbs,
-            n_microbatches=n_microbatches,
-            partition_time_limit=1.0,
-        )
-        report = plan_mobius(model, topology, config)
+        report = plan_mobius(model, topology, cell.effective_mobius_config())
         return SystemResult(
             system, "ok", float("nan"), None, extras={"plan_report": report}
         )
@@ -202,12 +196,7 @@ def _run_system_uncached(cell: "ExperimentCell") -> SystemResult:
             report = run_deepspeed(model, topology, config)
             return SystemResult(system, "ok", report.step_seconds, report.trace)
         if system == "mobius":
-            config = mobius_config or MobiusConfig(
-                microbatch_size=mbs,
-                n_microbatches=n_microbatches,
-                partition_time_limit=1.0,
-            )
-            report = run_mobius(model, topology, config)
+            report = run_mobius(model, topology, cell.effective_mobius_config())
             return SystemResult(
                 system,
                 "ok",
@@ -251,6 +240,17 @@ class ExperimentCell:
             raise ValueError(
                 f"plan_only cells must use system='mobius', got {self.system!r}"
             )
+
+    def effective_mobius_config(self) -> MobiusConfig:
+        """The Mobius config this cell plans with: its own, or the default
+        built from the cell's microbatch settings."""
+        if self.mobius_config is not None:
+            return self.mobius_config
+        return MobiusConfig(
+            microbatch_size=self.microbatch_size or self.model.default_microbatch_size,
+            n_microbatches=self.n_microbatches,
+            partition_time_limit=1.0,
+        )
 
     def run(self) -> SystemResult:
         return run_cell(self)

@@ -39,7 +39,7 @@ from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 
-from repro.core.api import MobiusConfig, partition_solve_key
+from repro.core.api import partition_solve_key
 from repro.experiments.runner import ExperimentCell, SystemResult, run_cell
 from repro.perf.cache import (
     CacheConfig,
@@ -110,16 +110,7 @@ def _solve_digest(cell: ExperimentCell) -> str | None:
     """
     if cell.system != "mobius":
         return None
-    config = cell.mobius_config
-    if config is None:
-        mbs = cell.microbatch_size or cell.model.default_microbatch_size
-        # Mirrors run_system's default-config construction so the keys
-        # below match what the cell will actually solve.
-        config = MobiusConfig(
-            microbatch_size=mbs,
-            n_microbatches=cell.n_microbatches,
-            partition_time_limit=1.0,
-        )
+    config = cell.effective_mobius_config()
     if config.partition_method != "mip":
         return None
     return fingerprint(partition_solve_key(cell.model, cell.topology, config))

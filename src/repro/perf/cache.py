@@ -356,6 +356,20 @@ def get_cache() -> ResultCache:
     return _cache
 
 
+def _derived_cache(
+    memory: bool | None, disk: bool | None, directory: str | None
+) -> ResultCache:
+    """A fresh cache configured like the global one except where given."""
+    current = _cache.config
+    return ResultCache(
+        CacheConfig(
+            memory=current.memory if memory is None else memory,
+            disk=current.disk if disk is None else disk,
+            directory=current.directory if directory is None else directory,
+        )
+    )
+
+
 def configure_cache(
     *,
     memory: bool | None = None,
@@ -364,18 +378,14 @@ def configure_cache(
 ) -> ResultCache:
     """Replace the global cache with one using the given configuration.
 
-    Unspecified fields keep their current values.  Returns the new cache
-    (with empty memory tier and fresh stats).
+    Unspecified fields keep their current values.  The replaced cache's
+    own store is closed.  Returns the new cache (with empty memory tier
+    and fresh stats).
     """
     global _cache
-    current = _cache.config
-    _cache = ResultCache(
-        CacheConfig(
-            memory=current.memory if memory is None else memory,
-            disk=current.disk if disk is None else disk,
-            directory=current.directory if directory is None else directory,
-        )
-    )
+    previous = _cache
+    _cache = _derived_cache(memory, disk, directory)
+    previous.close()
     return _cache
 
 
@@ -388,12 +398,13 @@ def cache_overridden(
 ):
     """Temporarily swap the global cache (tests, CLI ``--no-cache``).
 
-    A store the temporary cache opened is closed when the block exits, so
-    the cache directory can be deleted right after.
+    The previous cache comes back untouched.  A store the temporary cache
+    opened is closed when the block exits, so the cache directory can be
+    deleted right after.
     """
     global _cache
     previous = _cache
-    override = configure_cache(memory=memory, disk=disk, directory=directory)
+    override = _cache = _derived_cache(memory, disk, directory)
     try:
         yield override
     finally:

@@ -29,7 +29,8 @@ Determinism: every response's ``plan_fingerprint`` is a pure function of
 the request sequence and the chaos script.  Deadlines are solver node
 budgets (:class:`~repro.serve.requests.Deadline`), restart pacing is a
 :class:`~repro.faults.recovery.RetryPolicy` schedule, and no wall-clock
-reading steers control flow — MOB002/MOB004 hold through this module.
+reading steers control flow — ``repro.serve`` is a MOB004 determinism
+root.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ class ServiceConfig:
             key already in flight on *any* worker collects tickets
             instead of solving again, so responses are fingerprint-
             identical at every worker count.
-        start_method: Multiprocessing start method for process workers.
-            ``"spawn"`` is the safe default — forking a threaded daemon
-            could inherit locks mid-acquisition.
         admission: Queue bounds.
         supervisor: Restart pacing and poison threshold.
         autostart: Start the dispatch thread in the constructor.  Chaos
@@ -89,7 +87,6 @@ class ServiceConfig:
     store_path: str | None = None
     worker: str = "inline"
     workers: int = 1
-    start_method: str = "spawn"
     admission: AdmissionConfig = AdmissionConfig()
     supervisor: SupervisorConfig = SupervisorConfig()
     autostart: bool = True
@@ -128,9 +125,7 @@ class PlanService:
         self.config = config or ServiceConfig()
         self.admission = AdmissionController(self.config.admission)
         if self.config.worker == "process":
-            factory = lambda: ProcessWorker(  # noqa: E731
-                self.config.store_path, start_method=self.config.start_method
-            )
+            factory = lambda: ProcessWorker(self.config.store_path)  # noqa: E731
         elif self.config.worker == "inline":
             factory = InlineWorker
         else:

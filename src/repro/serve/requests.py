@@ -9,8 +9,8 @@ byte-identity checks are all keyed by it.
 Deadlines are *deterministic budgets*, never wall-clock control flow: a
 :class:`Deadline` caps the MIP partition search's node count
 (``MobiusConfig.partition_max_nodes``), so a deadline-limited solve
-returns the same incumbent on every machine and the MOB002/MOB004
-determinism contracts hold through the serve layer unchanged.
+returns the same incumbent on every machine and the MOB004 determinism
+contract holds through the serve layer unchanged.
 """
 
 from __future__ import annotations

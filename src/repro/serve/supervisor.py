@@ -185,16 +185,14 @@ def _process_worker_main(conn, store_path: str | None) -> None:
 
 
 class ProcessWorker:
-    """One solver child process over a pipe; started lazily, restartable."""
+    """One solver child process over a pipe; started lazily, restartable.
 
-    def __init__(
-        self,
-        store_path: str | os.PathLike | None = None,
-        *,
-        start_method: str = "spawn",
-    ) -> None:
+    Children are always spawned: forking a threaded daemon could inherit
+    locks mid-acquisition.
+    """
+
+    def __init__(self, store_path: str | os.PathLike | None = None) -> None:
         self.store_path = str(store_path) if store_path is not None else None
-        self.start_method = start_method
         self._process: multiprocessing.process.BaseProcess | None = None
         self._conn = None
 
@@ -205,7 +203,7 @@ class ProcessWorker:
     def _ensure_started(self) -> None:
         if self.alive:
             return
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context("spawn")
         self._conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=_process_worker_main,

@@ -170,22 +170,15 @@ class TaskGraphRunner:
         self.last_tasks: list[Task] | None = None
         self.last_trace: Trace | None = None
 
-    def execute(self, tasks: Sequence[Task], *, trace: Trace | None = None) -> Trace:
+    def execute(self, tasks: Sequence[Task]) -> Trace:
         """Run all ``tasks`` to completion and return the recorded trace.
-
-        Args:
-            tasks: The task graph.
-            trace: Record into this trace instead of a fresh in-memory one
-                — the hook for spill-to-disk traces on ~1M-event scenarios
-                (``Trace(n, spill_dir=...)``).
 
         Raises:
             DeadlockError: If some tasks never become ready (dependency
                 cycle, or dependency on a task not in ``tasks``).
         """
         tasks = list(tasks)
-        if trace is None:
-            trace = Trace(self.topology.n_gpus)
+        trace = Trace(self.topology.n_gpus)
         children: dict[int, list[Task]] = {}
         pending: dict[int, int] = {}
         task_set = {t.uid for t in tasks}

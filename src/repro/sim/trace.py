@@ -20,10 +20,6 @@ sequence views that materialize :class:`ComputeSpan`/:class:`TransferSpan`
 records on demand, preserving the historical list API (``append``,
 indexing, iteration, ``==``) and — critically — the
 ``__mobius_fingerprint__`` span-order contract byte for byte.
-
-Long traces can opt into *spilling*: constructed with ``spill_dir=``, a
-trace seals full chunks of columns to ``.npz`` segments and drops them
-from memory; views transparently reassemble spilled and active rows.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import pathlib
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -178,41 +173,25 @@ class _ColumnStore:
     per-kind masks) are keyed on it, so stale reads are impossible even if
     a buffer is swapped for an identically-sized one — the collision the
     old ``(id(list), len(list))`` token allowed.
-
-    With ``spill_dir`` set, every ``spill_chunk`` rows the active buffers
-    are sealed to a compressed ``.npz`` segment and dropped from memory;
-    :meth:`columns` reassembles segments in order on demand.
     """
 
     #: (name, dtype) pairs for the numeric columns, in storage order.
     numeric_fields: tuple[tuple[str, object], ...] = ()
 
-    def __init__(
-        self,
-        spill_dir: pathlib.Path | None = None,
-        spill_chunk: int = 1 << 18,
-        tag: str = "spans",
-    ) -> None:
-        if spill_chunk <= 0:
-            raise ValueError(f"spill_chunk must be positive, got {spill_chunk}")
+    def __init__(self) -> None:
         self._capacity = _INITIAL_CAPACITY
         self._arrays = {
             name: np.empty(self._capacity, dtype=dtype)
             for name, dtype in self.numeric_fields
         }
         self._labels: list[str] = []
-        self._n = 0  # rows in the active buffers
-        self._spilled_rows = 0
-        self._segments: list[pathlib.Path] = []
-        self._spill_dir = pathlib.Path(spill_dir) if spill_dir is not None else None
-        self._spill_chunk = spill_chunk
-        self._tag = tag
+        self._n = 0
         self.generation = 0
         self._columns_cache: tuple[int, dict] | None = None
         self._materialized_cache: tuple[int, list] | None = None
 
     def __len__(self) -> int:
-        return self._spilled_rows + self._n
+        return self._n
 
     def append_row(self, values: tuple, label: str) -> None:
         n = self._n
@@ -227,47 +206,14 @@ class _ColumnStore:
         self._labels.append(label)
         self._n = n + 1
         self.generation += 1
-        if self._spill_dir is not None and self._n >= self._spill_chunk:
-            self._seal_segment()
-
-    def _seal_segment(self) -> None:
-        """Write the active buffer to disk and reset it."""
-        self._spill_dir.mkdir(parents=True, exist_ok=True)
-        path = self._spill_dir / f"{self._tag}-{len(self._segments):06d}.npz"
-        payload = {name: arr[: self._n] for name, arr in self._arrays.items()}
-        payload["labels"] = np.array(self._labels, dtype=str)
-        np.savez_compressed(path, **payload)
-        self._segments.append(path)
-        self._spilled_rows += self._n
-        self._n = 0
-        self._labels = []
-        self.generation += 1
 
     def columns(self) -> dict:
-        """Parallel numpy views over all rows (spilled + active), cached.
-
-        Without spill this is zero-copy (slices of the active buffers);
-        with spilled segments the pieces are concatenated once per
-        generation.
-        """
+        """Parallel zero-copy numpy views over all rows, cached."""
         cached = self._columns_cache
         if cached is not None and cached[0] == self.generation:
             return cached[1]
-        n = self._n
-        if not self._segments:
-            columns = {name: arr[:n] for name, arr in self._arrays.items()}
-            columns["label"] = self._labels
-        else:
-            loaded = [np.load(path) for path in self._segments]
-            columns = {
-                name: np.concatenate([seg[name] for seg in loaded] + [arr[:n]])
-                for name, arr in self._arrays.items()
-            }
-            labels: list[str] = []
-            for seg in loaded:
-                labels.extend(seg["labels"].tolist())
-            labels.extend(self._labels)
-            columns["label"] = labels
+        columns = {name: arr[: self._n] for name, arr in self._arrays.items()}
+        columns["label"] = self._labels
         self._columns_cache = (self.generation, columns)
         return columns
 
@@ -355,8 +301,8 @@ class _TransferStore(_ColumnStore):
         ("kind_code", np.int32),
     )
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
+        super().__init__()
         # Transfer kinds are drawn from a handful of categories; intern
         # them as int codes so kind filters are integer compares, not
         # string membership tests over an object array.
@@ -473,25 +419,14 @@ class Trace:
 
     Args:
         n_gpus: Number of GPUs the trace covers.
-        spill_dir: If given, seal full column chunks to ``.npz`` segments
-            under this directory instead of holding every span in memory
-            (opt-in streaming writer for ~1M-event scenarios).
-        spill_chunk: Rows per sealed segment.
     """
 
-    def __init__(
-        self,
-        n_gpus: int,
-        *,
-        spill_dir: str | pathlib.Path | None = None,
-        spill_chunk: int = 1 << 18,
-    ) -> None:
+    def __init__(self, n_gpus: int) -> None:
         if n_gpus <= 0:
             raise ValueError(f"n_gpus must be positive, got {n_gpus}")
         self.n_gpus = n_gpus
-        spill = pathlib.Path(spill_dir) if spill_dir is not None else None
-        self._compute_store = _ComputeStore(spill, spill_chunk, tag="compute")
-        self._transfer_store = _TransferStore(spill, spill_chunk, tag="transfer")
+        self._compute_store = _ComputeStore()
+        self._transfer_store = _TransferStore()
         self._compute_view = _SpanView(self._compute_store)
         self._transfer_view = _SpanView(self._transfer_store)
 
@@ -505,10 +440,7 @@ class Trace:
 
     @compute.setter
     def compute(self, spans: Iterable[ComputeSpan]) -> None:
-        store = self._compute_store
-        self._compute_store = _ComputeStore(
-            store._spill_dir, store._spill_chunk, tag="compute"
-        )
+        self._compute_store = _ComputeStore()
         self._compute_view = _SpanView(self._compute_store)
         for span in spans:
             self._compute_store.append_span(span)
@@ -519,10 +451,7 @@ class Trace:
 
     @transfers.setter
     def transfers(self, spans: Iterable[TransferSpan]) -> None:
-        store = self._transfer_store
-        self._transfer_store = _TransferStore(
-            store._spill_dir, store._spill_chunk, tag="transfer"
-        )
+        self._transfer_store = _TransferStore()
         self._transfer_view = _SpanView(self._transfer_store)
         for span in spans:
             self._transfer_store.append_span(span)

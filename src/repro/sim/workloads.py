@@ -17,8 +17,8 @@ GPUs this is ~10^6 heap events and ~2000 concurrent flows — past
 flow scans carry the load.
 
 Everything is event-sequence deterministic: per-task variation comes from
-integer-hash arithmetic (no ``random``, no clocks — this module is under
-the strict-clock/hot-path lint), so the trace digest is bit-identical
+integer-hash arithmetic (no ``random``, no clocks — ``repro.sim`` is a
+MOB004 determinism root), so the trace digest is bit-identical
 across runs, machines and dispatch modes.
 """
 
@@ -118,17 +118,12 @@ def run_cluster_workload(
     base_bytes: int = 50_000_000,
     base_compute_seconds: float = 0.02,
     dispatch: str = "batched",
-    spill_dir=None,
-    spill_chunk: int = 1 << 18,
 ) -> ClusterWorkloadResult:
     """Build and execute the cluster workload; returns trace + counters.
 
     Args:
         dispatch: ``"batched"`` (production) or ``"single"`` (the oracle
             loop) — the equivalence tests run both and compare digests.
-        spill_dir: If given, record into a spill-to-disk trace (sealed
-            ``.npz`` segments of ``spill_chunk`` rows) instead of holding
-            every span column in memory.
     """
     tasks = build_cluster_workload(
         topology,
@@ -137,10 +132,7 @@ def run_cluster_workload(
         base_compute_seconds=base_compute_seconds,
     )
     runner = TaskGraphRunner(topology, dispatch=dispatch)
-    trace = None
-    if spill_dir is not None:
-        trace = Trace(topology.n_gpus, spill_dir=spill_dir, spill_chunk=spill_chunk)
-    trace = runner.execute(tasks, trace=trace)
+    trace = runner.execute(tasks)
     return ClusterWorkloadResult(
         trace=trace,
         digest=trace.columnar_digest(),

@@ -4,7 +4,6 @@ import textwrap
 
 from repro.check.analysis.program import Program
 from repro.check.analysis.rules import AnalysisConfig, analyze_program
-from repro.check.lint import lint_source
 
 
 def _analyze(config: AnalysisConfig | None = None, **files: str):
@@ -24,8 +23,8 @@ class TestMob004:
     def test_clock_in_out_of_prefix_helper_reachable_from_sim_hot_path(self):
         """The acceptance fixture: reachability beats prefix matching.
 
-        A wall-clock read lives in ``repro/analysis/`` — a path MOB002
-        never looks at — but ``Simulator.run`` calls it, so MOB004 fires.
+        A wall-clock read lives in ``repro/analysis/`` — under no root —
+        but ``Simulator.run`` calls it, so MOB004 fires.
         """
         helper_source = textwrap.dedent(
             """
@@ -52,11 +51,9 @@ class TestMob004:
         assert finding.symbol == "repro.analysis.helpers.estimate_budget"
         assert "Simulator.run" in finding.message
 
-        # The old prefix-scoped MOB002 pass is blind to this file.
-        prefix_report = lint_source(
-            helper_source, "src/repro/analysis/helpers.py"
-        )
-        assert "MOB002" not in _codes(prefix_report)
+        # Without the caller, the helper's own package is no root.
+        alone = _analyze(src__repro__analysis__helpers=helper_source)
+        assert "MOB004" not in _codes(alone)
 
     def test_unreachable_clock_is_not_flagged(self):
         report = _analyze(
@@ -91,6 +88,99 @@ class TestMob004:
             """,
         )
         assert "MOB004" not in _codes(report)
+
+    def test_wall_clock_in_allowlisted_function_is_flagged(self):
+        # The allowlist admits monotonic clocks only.
+        report = _analyze(
+            src__repro__core__mapping="""
+            import time
+
+            def cross_mapping():
+                started = time.perf_counter()
+                return time.time() - started
+            """,
+        )
+        mob004 = [f for f in report if f.code == "MOB004"]
+        assert [f.subject for f in mob004] == ["src/repro/core/mapping.py:6"]
+        assert "time.time" in mob004[0].message
+
+    def test_module_alias_is_resolved(self):
+        report = _analyze(
+            src__repro__sim__pacing="""
+            import time as t
+
+            def pace():
+                return t.time()
+            """,
+        )
+        assert _codes(report) == ["MOB004"]
+
+    def test_numpy_random_module_alias_is_resolved(self):
+        report = _analyze(
+            src__repro__faults__coins="""
+            import numpy.random as npr
+
+            def flip():
+                return npr.rand() < 0.5
+            """,
+        )
+        assert _codes(report) == ["MOB004"]
+        assert "numpy.random.rand" in report.findings[0].message
+
+    def test_function_local_import_is_resolved(self):
+        report = _analyze(
+            src__repro__core__budget="""
+            def deadline(seconds):
+                from time import time as now
+
+                return now() + seconds
+            """,
+        )
+        assert _codes(report) == ["MOB004"]
+
+    def test_baseline_builder_reached_from_cell_worker(self):
+        report = _analyze(
+            src__repro__experiments__schedule="""
+            from repro.baselines.gpipe import build_gpipe_tasks
+
+            def _cell_worker(cell):
+                return build_gpipe_tasks(cell)
+            """,
+            src__repro__baselines__gpipe="""
+            import random
+
+            def build_gpipe_tasks(cell):
+                return random.random()
+            """,
+        )
+        mob004 = [f for f in report if f.code == "MOB004"]
+        assert len(mob004) == 1
+        assert mob004[0].symbol == "repro.baselines.gpipe.build_gpipe_tasks"
+        assert "_cell_worker" in mob004[0].message
+
+    def test_import_time_code_of_a_root_is_checked(self):
+        report = _analyze(
+            src__repro__sim__config="""
+            import random
+
+            SEED = random.randint(0, 9)
+            """,
+        )
+        assert [f.subject for f in report] == ["src/repro/sim/config.py:4"]
+
+    def test_nested_class_method_is_checked(self):
+        report = _analyze(
+            src__repro__sim__nested="""
+            import time
+
+            class A:
+                class B:
+                    def f(self):
+                        return time.time()
+            """,
+        )
+        assert [f.subject for f in report] == ["src/repro/sim/nested.py:7"]
+        assert "A.B.f" in report.findings[0].message
 
     def test_rng_draw_on_hot_path_is_flagged(self):
         report = _analyze(

@@ -46,7 +46,7 @@ class TestCheckReport:
 
     def test_errors_fail_the_gate(self):
         report = CheckReport()
-        report.add("lint", "MOB002", "wall clock")
+        report.add("analysis", "MOB004", "wall clock")
         assert not report.ok
         assert len(report.errors) == 1
 

@@ -1,29 +1,48 @@
-"""Tests for the MOB0xx AST lint rules (repro.check.lint)."""
+"""Tests for the per-file MOB rules (repro.check.lint) and for the clock
+and RNG fixtures MOB004 checks over one-module programs."""
 
 from __future__ import annotations
 
+import functools
 import textwrap
 from pathlib import Path
 
-from repro.check.lint import DEFAULT_CONFIG, LintConfig, lint_source, lint_tree
+from repro.check.analysis import (
+    DEFAULT_ANALYSIS_CONFIG,
+    AnalysisConfig,
+    Program,
+    lint_program,
+    run_lint,
+)
+from repro.check.lint import DEFAULT_CONFIG
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _codes(report):
     return [f.code for f in report]
 
 
-def _lint(source: str, rel_path: str, config: LintConfig = DEFAULT_CONFIG):
-    return lint_source(textwrap.dedent(source), rel_path, config)
+def _lint(
+    source: str, rel_path: str, config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG
+):
+    """Every MOB rule over a program made of this one module."""
+    program = Program.from_sources({rel_path: textwrap.dedent(source)})
+    return lint_program(program, analysis_config=config)
+
+
+@functools.lru_cache(maxsize=1)
+def _repo_report():
+    return lint_program(Program.from_tree(REPO_ROOT))
 
 
 def _assert_real_module_clean(rel: str) -> None:
-    root = Path(__file__).resolve().parents[2]
-    report = lint_source((root / rel).read_text(), rel)
-    assert report.ok, f"{rel}:\n{report.render()}"
+    findings = [f for f in _repo_report() if f.subject.startswith(f"{rel}:")]
+    assert not findings, "\n".join(f.render() for f in findings)
 
 
 FINGERPRINT_MODULE = DEFAULT_CONFIG.fingerprint_modules[0]
-# A hot-path (MOB002) module that is not also strict-clock scoped.
+# A module under the repro.core root.
 HOT_MODULE = "src/repro/core/synthetic.py"
 LABEL_MODULE = DEFAULT_CONFIG.label_modules[0]
 
@@ -96,12 +115,14 @@ class TestMob001FrozenDataclasses:
         assert not report.findings
 
     def test_real_fingerprint_modules_are_clean(self):
-        root = Path(__file__).resolve().parents[2]
-        report = lint_tree(root)
-        assert report.ok, report.render()
+        for rel in DEFAULT_CONFIG.fingerprint_modules:
+            _assert_real_module_clean(rel)
 
 
 class TestMob002HotPathDeterminism:
+    """Named for the retired MOB002 rule; its fixtures are now MOB004
+    findings in a root package."""
+
     def test_wall_clock_call_flagged(self):
         report = _lint(
             """
@@ -112,9 +133,9 @@ class TestMob002HotPathDeterminism:
             """,
             HOT_MODULE,
         )
-        assert _codes(report) == ["MOB002"]
+        assert _codes(report) == ["MOB004"]
 
-    def test_perf_counter_allowed(self):
+    def test_perf_counter_flagged_outside_allowlist(self):
         report = _lint(
             """
             import time
@@ -124,15 +145,35 @@ class TestMob002HotPathDeterminism:
             """,
             HOT_MODULE,
         )
-        assert not report.findings
+        assert _codes(report) == ["MOB004"]
 
     def test_from_time_import_time_flagged(self):
-        report = _lint("from time import time\n", HOT_MODULE)
-        assert _codes(report) == ["MOB002"]
+        report = _lint(
+            """
+            from time import time
+
+            def now():
+                return time()
+            """,
+            HOT_MODULE,
+        )
+        assert _codes(report) == ["MOB004"]
 
     def test_random_import_flagged(self):
-        assert _codes(_lint("import random\n", HOT_MODULE)) == ["MOB002"]
-        assert _codes(_lint("from random import choice\n", HOT_MODULE)) == ["MOB002"]
+        imported = """
+            import random
+
+            def pick(xs):
+                return random.choice(xs)
+            """
+        from_imported = """
+            from random import choice
+
+            def pick(xs):
+                return choice(xs)
+            """
+        assert _codes(_lint(imported, HOT_MODULE)) == ["MOB004"]
+        assert _codes(_lint(from_imported, HOT_MODULE)) == ["MOB004"]
 
     def test_legacy_numpy_random_flagged(self):
         report = _lint(
@@ -145,7 +186,7 @@ class TestMob002HotPathDeterminism:
             """,
             HOT_MODULE,
         )
-        assert _codes(report) == ["MOB002", "MOB002"]
+        assert _codes(report) == ["MOB004", "MOB004"]
 
     def test_default_rng_allowed(self):
         report = _lint(
@@ -169,7 +210,7 @@ class TestMob002HotPathDeterminism:
             """,
             HOT_MODULE,
         )
-        assert _codes(report) == ["MOB002"]
+        assert _codes(report) == ["MOB004"]
 
     def test_rule_scoped_to_hot_paths(self):
         report = _lint("import time\nt = time.time()\n", "src/repro/experiments/x.py")
@@ -177,9 +218,9 @@ class TestMob002HotPathDeterminism:
 
 
 class TestMob002StrictClock:
-    """The strict variant over ``solver/`` and ``sim/``: even monotonic
-    clocks are banned outside allowlisted sites, so the literal-MIP oracle
-    stays clock-free and simulator results virtual-clock-only."""
+    """Monotonic clocks are banned in every root package too, outside
+    allowlisted functions, so the literal-MIP oracle stays clock-free and
+    simulator results virtual-clock-only."""
 
     SOLVER_MODULE = "src/repro/solver/some_module.py"
     SIM_MODULE = "src/repro/sim/some_module.py"
@@ -194,7 +235,7 @@ class TestMob002StrictClock:
             """,
             self.SOLVER_MODULE,
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_monotonic_flagged_in_solver(self):
         report = _lint(
@@ -206,16 +247,22 @@ class TestMob002StrictClock:
             """,
             self.SOLVER_MODULE,
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_from_time_import_flagged(self):
         report = _lint(
-            "from time import perf_counter\n", self.SOLVER_MODULE
+            """
+            from time import perf_counter
+
+            def tick():
+                return perf_counter()
+            """,
+            self.SOLVER_MODULE,
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_allowlisted_site_passes(self):
-        config = LintConfig(
+        config = AnalysisConfig(
             clock_allowlist=frozenset({"src/repro/sim/bench.py::_corpus_rows"})
         )
         report = _lint(
@@ -242,7 +289,7 @@ class TestMob002StrictClock:
             """,
             "src/repro/sim/bench.py",
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_perf_counter_flagged_in_sim(self):
         report = _lint(
@@ -254,15 +301,14 @@ class TestMob002StrictClock:
             """,
             self.SIM_MODULE,
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_sim_bench_has_no_clock_sites(self):
         # Bench walls go through repro.perf.bench.Stopwatch, so no sim/
-        # function may read a clock, and the real bench module passes the
-        # strict rule.
+        # function may read a clock, and the real bench module is clean.
         assert not [
             site
-            for site in DEFAULT_CONFIG.clock_allowlist
+            for site in DEFAULT_ANALYSIS_CONFIG.clock_allowlist
             if site.startswith("src/repro/sim/")
         ]
         _assert_real_module_clean("src/repro/sim/bench.py")
@@ -271,16 +317,13 @@ class TestMob002StrictClock:
         # The batched-dispatch / columnar-streaming hot paths (DESIGN.md
         # §12) must never read a clock: the large-bench fingerprints are
         # pinned across machines.  Lint the real modules, not fixtures.
-        root = Path(__file__).resolve().parents[2]
         for rel in (
             "src/repro/sim/engine.py",
             "src/repro/sim/trace.py",
             "src/repro/sim/workloads.py",
             "src/repro/sim/resources.py",
         ):
-            source = (root / rel).read_text()
-            report = lint_source(source, rel)
-            assert report.ok, f"{rel}:\n{report.render()}"
+            _assert_real_module_clean(rel)
 
     def test_other_function_in_sim_bench_flagged(self):
         report = _lint(
@@ -292,10 +335,11 @@ class TestMob002StrictClock:
             """,
             "src/repro/sim/bench.py",
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
-    def test_strict_rule_scoped_to_strict_prefixes(self):
-        # perf_counter stays legal in ordinary hot paths (core/).
+    def test_perf_counter_flagged_in_core(self):
+        # No directory-wide exemption: core/ is held to monotonic clocks
+        # too, outside the allowlisted functions.
         report = _lint(
             """
             import time
@@ -305,18 +349,22 @@ class TestMob002StrictClock:
             """,
             "src/repro/core/some_module.py",
         )
-        assert not report.findings
+        assert _codes(report) == ["MOB004"]
 
 
 class TestMob002ServeClockDiscipline:
-    """The serve layer is strict-clock scoped: deadlines are node budgets,
-    and no serve function reads a clock."""
+    """The serve layer is a root: deadlines are node budgets, and no serve
+    function reads a clock."""
 
     SERVE_MODULE = "src/repro/serve/some_module.py"
 
     def test_serve_prefix_is_strict_scoped(self):
-        assert "src/repro/serve/" in DEFAULT_CONFIG.strict_clock_prefixes
-        assert "src/repro/serve/" in DEFAULT_CONFIG.hot_path_prefixes
+        assert "repro.serve" in DEFAULT_ANALYSIS_CONFIG.entry_points
+        assert not [
+            site
+            for site in DEFAULT_ANALYSIS_CONFIG.clock_allowlist
+            if site.startswith("src/repro/serve/")
+        ]
 
     def test_perf_counter_flagged_in_serve(self):
         report = _lint(
@@ -328,7 +376,7 @@ class TestMob002ServeClockDiscipline:
             """,
             self.SERVE_MODULE,
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_wall_clock_flagged_in_serve(self):
         report = _lint(
@@ -340,13 +388,13 @@ class TestMob002ServeClockDiscipline:
             """,
             self.SERVE_MODULE,
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_serve_bench_has_no_clock_sites(self):
         # Serve bench walls go through repro.perf.bench.Stopwatch too.
         assert not [
             site
-            for site in DEFAULT_CONFIG.clock_allowlist
+            for site in DEFAULT_ANALYSIS_CONFIG.clock_allowlist
             if site.startswith("src/repro/serve/")
         ]
         _assert_real_module_clean("src/repro/serve/bench.py")
@@ -361,7 +409,7 @@ class TestMob002ServeClockDiscipline:
             """,
             "src/repro/serve/bench.py",
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_serve_requests_is_fingerprint_scoped(self):
         # PlanRequest/PlanResponse/Deadline are content-addressed payloads:
@@ -380,7 +428,6 @@ class TestMob002ServeClockDiscipline:
         assert _codes(report) == ["MOB001"]
 
     def test_real_serve_modules_are_clean(self):
-        root = Path(__file__).resolve().parents[2]
         for rel in (
             "src/repro/serve/requests.py",
             "src/repro/serve/admission.py",
@@ -390,20 +437,18 @@ class TestMob002ServeClockDiscipline:
             "src/repro/serve/chaos.py",
             "src/repro/serve/bench.py",
         ):
-            source = (root / rel).read_text()
-            report = lint_source(source, rel)
-            assert report.ok, f"{rel}:\n{report.render()}"
+            _assert_real_module_clean(rel)
 
 
 class TestMob002DurableStore:
-    """The result cache's durable store keeps the serve layer's clock rules
-    after moving to ``perf/``; the rest of ``perf/`` stays unscoped."""
+    """The result cache's durable store is a root module; the rest of
+    ``perf/`` is checked only where a root reaches it."""
 
     STORE_MODULE = "src/repro/perf/store.py"
 
     def test_store_is_hot_path_and_strict_scoped(self):
-        assert self.STORE_MODULE in DEFAULT_CONFIG.hot_path_prefixes
-        assert self.STORE_MODULE in DEFAULT_CONFIG.strict_clock_prefixes
+        assert "repro.perf.store" in DEFAULT_ANALYSIS_CONFIG.entry_points
+        assert "repro.perf" not in DEFAULT_ANALYSIS_CONFIG.entry_points
 
     def test_perf_counter_flagged_in_store(self):
         report = _lint(
@@ -415,7 +460,7 @@ class TestMob002DurableStore:
             """,
             self.STORE_MODULE,
         )
-        assert "MOB002" in _codes(report)
+        assert "MOB004" in _codes(report)
 
     def test_clock_in_cache_not_scoped(self):
         report = _lint(
@@ -434,7 +479,7 @@ class TestMob002DurableStore:
         module = tmp_path / self.STORE_MODULE
         module.parent.mkdir(parents=True)
         module.write_text("import time\n\ndef stamp():\n    return time.time()\n")
-        assert "MOB002" in _codes(lint_tree(tmp_path))
+        assert "MOB004" in _codes(run_lint(tmp_path).report)
 
 
 class TestMob003TaskLabels:
@@ -542,6 +587,5 @@ class TestInfrastructure:
         assert _codes(report) == ["MOB000"]
 
     def test_lint_tree_on_repo_is_clean(self):
-        root = Path(__file__).resolve().parents[2]
-        report = lint_tree(root)
+        report = run_lint(REPO_ROOT).report
         assert report.ok, report.render()

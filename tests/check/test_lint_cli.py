@@ -52,11 +52,6 @@ class TestLintCommand:
         codes = {f["code"] for f in payload["findings"]}
         assert "MOB004" in codes
 
-    def test_no_analysis_skips_interprocedural_rules(self, fixture_root):
-        # The fixture's only finding needs reachability; per-file rules
-        # alone see a clean tree.
-        assert main(["lint", "--root", str(fixture_root), "--no-analysis"]) == 0
-
     def test_sarif_output_is_written(self, fixture_root, tmp_path, capsys):
         sarif_path = tmp_path / "out" / "lint.sarif"
         sarif_path.parent.mkdir()

@@ -1,10 +1,18 @@
-"""lint_tree / lint_file edge cases: broken files and allowlisted clocks."""
+"""Whole-tree lint edge cases: broken files and allowlisted clocks."""
 
 import textwrap
 from pathlib import Path
 
+from repro.check.analysis import (
+    DEFAULT_ANALYSIS_CONFIG,
+    AnalysisConfig,
+    Program,
+    analyze_program,
+    analyze_tree,
+    lint_program,
+    run_lint,
+)
 from repro.check.findings import CheckReport
-from repro.check.lint import DEFAULT_CONFIG, LintConfig, lint_file, lint_tree
 
 
 def _codes(report: CheckReport) -> list[str]:
@@ -28,20 +36,20 @@ class TestBrokenFiles:
                 "src/repro/sim/fine.py": b"import time\nt = time.time()\n",
             },
         )
-        report = lint_tree(root)
+        report = run_lint(root).report
         codes = _codes(report)
-        assert "MOB000" in codes  # the broken file
-        assert "MOB002" in codes  # the fine file was still linted
+        assert codes.count("MOB000") == 1  # the broken file
+        assert "MOB004" in codes  # the fine file was still linted
 
     def test_empty_file_is_clean(self, tmp_path):
         root = _make_tree(tmp_path, {"src/repro/sim/empty.py": b""})
-        assert _codes(lint_tree(root)) == []
+        assert _codes(run_lint(root).report) == []
 
     def test_non_utf8_file_reports_mob000_instead_of_raising(self, tmp_path):
         root = _make_tree(
             tmp_path, {"src/repro/sim/binary.py": b"\xff\xfe\x00garbage"}
         )
-        report = lint_tree(root)
+        report = run_lint(root).report
         assert _codes(report) == ["MOB000"]
         assert "not valid UTF-8" in report.findings[0].message
 
@@ -49,8 +57,9 @@ class TestBrokenFiles:
         root = _make_tree(
             tmp_path, {"src/repro/sim/binary.py": b"\xff\xfe\x00garbage"}
         )
-        report = lint_file(root / "src/repro/sim/binary.py", root)
-        assert _codes(report) == ["MOB000"]
+        program = Program.from_tree(root)
+        assert list(program.broken) == ["src/repro/sim/binary.py"]
+        assert _codes(lint_program(program)) == ["MOB000"]
 
 
 class TestClockAllowlist:
@@ -68,15 +77,13 @@ class TestClockAllowlist:
             """
         ).encode()
         root = _make_tree(tmp_path, {"src/repro/solver/bench.py": source})
-        config = LintConfig(
-            fingerprint_modules=(),
-            label_modules=(),
+        config = AnalysisConfig(
             clock_allowlist=frozenset(
                 {"src/repro/solver/bench.py::Bench.report"}
             ),
         )
-        report = lint_tree(root, config)
-        flagged_lines = [f.subject for f in report if f.code == "MOB002"]
+        report = analyze_tree(root, config=config)
+        flagged_lines = [f.subject for f in report if f.code == "MOB004"]
         # Only the non-allowlisted method is flagged.
         assert len(flagged_lines) == 1
         assert flagged_lines[0].endswith(":9")
@@ -84,5 +91,17 @@ class TestClockAllowlist:
     def test_default_allowlist_covers_repo_reporting_sites(self):
         assert (
             "src/repro/core/mapping.py::cross_mapping"
-            in DEFAULT_CONFIG.clock_allowlist
+            in DEFAULT_ANALYSIS_CONFIG.clock_allowlist
         )
+
+    def test_every_allowlist_entry_is_a_reached_clock_site(self):
+        # No stale entries: with the allowlist emptied, the repo's MOB004
+        # findings sit in exactly the allowlisted functions.
+        program = Program.from_tree(Path(__file__).resolve().parents[2])
+        report = analyze_program(
+            program, AnalysisConfig(clock_allowlist=frozenset())
+        )
+        sites = {
+            program.functions[f.symbol].site for f in report if f.code == "MOB004"
+        }
+        assert sites == DEFAULT_ANALYSIS_CONFIG.clock_allowlist

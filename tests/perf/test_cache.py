@@ -14,6 +14,7 @@ from repro.perf.cache import (
     CacheConfig,
     ResultCache,
     cache_overridden,
+    configure_cache,
     get_cache,
 )
 from repro.perf.store import DurableStore
@@ -268,3 +269,21 @@ class TestGlobalConfiguration:
         with cache_overridden(memory=False):
             assert get_cache() is not before
         assert get_cache() is before
+
+    def test_configure_closes_the_replaced_store(self, tmp_path):
+        with cache_overridden():
+            cache = configure_cache(disk=True, directory=str(tmp_path / "a"))
+            cache.memoize("ns", ("key",), lambda: "value")
+            store = cache._store
+            assert store is not None and store._conn is not None
+            configure_cache(directory=str(tmp_path / "b"))
+            assert store._conn is None
+            assert cache._store is None
+
+    def test_override_leaves_the_previous_store_open(self, tmp_path):
+        with cache_overridden(disk=True, directory=str(tmp_path)) as outer:
+            outer.memoize("ns", ("key",), lambda: "value")
+            with cache_overridden(memory=False):
+                pass
+            assert get_cache() is outer
+            assert outer._store is not None and outer._store._conn is not None

@@ -1,4 +1,4 @@
-"""Columnar trace storage: cache tokens, kind interning, spill, pickling.
+"""Columnar trace storage: cache tokens, kind interning, pickling.
 
 The storage rewrite (DESIGN.md §12) must be invisible through the public
 ``Trace`` API: the ``compute``/``transfers`` views behave like the
@@ -17,8 +17,8 @@ from repro.perf.fingerprint import fingerprint
 from repro.sim.trace import ComputeSpan, Trace, TransferSpan
 
 
-def make_trace(*, spill_dir=None, spill_chunk=1 << 18) -> Trace:
-    trace = Trace(2, spill_dir=spill_dir, spill_chunk=spill_chunk)
+def make_trace() -> Trace:
+    trace = Trace(2)
     trace.add_compute(0, 0.0, 1.0, "fwd0")
     trace.add_compute(1, 0.5, 2.0, "fwd1")
     trace.add_transfer(0, 0.0, 0.5, 4_000_000, "param-upload", "w0")
@@ -148,36 +148,6 @@ class TestColumnarDigest:
         a.add_compute(0, 0.0, 1.0, "x")
         b.add_compute(0, 0.0, 1.0, "y")
         assert a.columnar_digest() != b.columnar_digest()
-
-
-class TestSpillToDisk:
-    def test_spilled_trace_matches_in_memory(self, tmp_path):
-        plain = Trace(2)
-        spilled = Trace(2, spill_dir=tmp_path / "seg", spill_chunk=4)
-        for trace in (plain, spilled):
-            for i in range(11):
-                trace.add_transfer(i % 2, float(i), i + 1.0, 100 + i, "k", f"t{i}")
-                trace.add_compute(i % 2, float(i), i + 0.5, f"c{i}")
-        assert (tmp_path / "seg").exists()  # chunks actually sealed
-        assert spilled.columnar_digest() == plain.columnar_digest()
-        assert fingerprint(spilled) == fingerprint(plain)
-        assert list(spilled.transfers) == list(plain.transfers)
-        assert spilled.total_transfer_bytes() == plain.total_transfer_bytes()
-        assert spilled.makespan == plain.makespan
-
-    def test_spilled_trace_pickles_self_contained(self, tmp_path):
-        spilled = Trace(1, spill_dir=tmp_path / "seg", spill_chunk=2)
-        for i in range(7):
-            spilled.add_transfer(0, float(i), i + 1.0, i, "k")
-        clone = pickle.loads(pickle.dumps(spilled))
-        # The clone must not depend on the segment files.
-        for path in sorted((tmp_path / "seg").glob("*.npz")):
-            path.unlink()
-        assert clone.columnar_digest() == spilled.columnar_digest()
-
-    def test_invalid_spill_chunk_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="spill_chunk"):
-            Trace(1, spill_dir=tmp_path, spill_chunk=0)
 
 
 class TestViewListBehavior:

@@ -62,15 +62,6 @@ class TestRunClusterWorkload:
         assert big.events_processed > small.events_processed
         assert small.events_processed >= 3 * 8 * 2
 
-    def test_spilled_run_matches_in_memory(self, tmp_path):
-        topology = large_cluster(8, 4)
-        plain = run_cluster_workload(topology, rounds=4)
-        spilled = run_cluster_workload(
-            topology, rounds=4, spill_dir=tmp_path / "seg", spill_chunk=16
-        )
-        assert spilled.digest == plain.digest
-        assert (tmp_path / "seg").exists()
-
     def test_vector_and_scalar_flow_paths_agree(self, monkeypatch):
         """Forcing the SoA flow arrays on (threshold 0) or off (huge
         threshold) must not move a single bit of the trace.
