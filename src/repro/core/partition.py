@@ -103,8 +103,9 @@ class _SearchContext:
         self.bandwidth = bandwidth
         self.gpu_memory = gpu_memory
         self._stage_cache: dict[tuple[int, int], StageCost] = {}
-        self._eval_cache: dict[tuple[int, ...], PipelineTimings] = {}
+        self._score_cache: dict[tuple[int, ...], float] = {}
         self._max_len_cache: dict[int, int] = {}
+        self._children_cache: dict[int, tuple[tuple[int, float, float], ...]] = {}
         layer_costs = tuple(cost_model.layer_cost(layer) for layer in model.layers)
         # Every StageCost of the search slices this one tuple, so stages share
         # their LayerCost objects instead of each building its own.
@@ -164,26 +165,73 @@ class _SearchContext:
         self._max_len_cache[start] = length
         return length
 
-    def evaluate(self, boundaries: Sequence[int]) -> PipelineTimings:
-        """Exact pipeline timings for a full boundary set, memoized.
+    def children(self, start: int) -> tuple[tuple[int, float, float], ...]:
+        """The DFS's children of a prefix ending at ``start``, in visit order.
 
-        The warm start, local search and branch-and-bound all revisit the
-        same boundary tuples (a hill-climb step undone, a DFS leaf reached
-        through a different prefix), so each distinct tuple is evaluated
-        through the Eq. 4-11 recurrence exactly once per search context.
+        One ``(stop, fwd_seconds, bwd_seconds)`` triple per memory-feasible
+        next stage ``[start, stop)``, balanced sizes first for early good
+        incumbents.  The order depends on ``start`` only, so it is built
+        once per start and shared by every prefix that ends there.
+        """
+        cached = self._children_cache.get(start)
+        if cached is not None:
+            return cached
+        max_len = self.max_stage_len(start)
+        remaining = self.model.n_layers - start
+        preferred = max(1, round(remaining / max(1, round(remaining / max(1, max_len)))))
+        sizes = sorted(
+            range(1, min(max_len, remaining) + 1),
+            key=lambda k: abs(k - preferred),
+        )
+        children = []
+        for size in sizes:
+            cost = self.stage_cost(start, start + size)
+            children.append((start + size, cost.fwd_seconds, cost.bwd_seconds))
+        cached = self._children_cache[start] = tuple(children)
+        return cached
+
+    def score(self, boundaries: Sequence[int]) -> float:
+        """Step seconds of a full boundary set, ``inf`` if a stage overflows.
+
+        The one scoring kernel of the warm start and the hill-climb.  It
+        checks Eq. 4 per stage as :func:`evaluate_pipeline` does, then runs
+        the forward sweep stage by stage through :meth:`_ForwardStack.push`
+        and the backward sweep through :meth:`_ForwardStack.step_time`:
+        the same arithmetic in the same order, so the float is bit-identical
+        to ``evaluate(boundaries).step_seconds`` without building the
+        timing table.  Memoised per boundary tuple, since a hill-climb
+        revisits the tuples its undone moves left behind.
         """
         key = tuple(boundaries)
-        cached = self._eval_cache.get(key)
-        if cached is None:
-            costs = [
-                self.stage_cost(a, b)
-                for a, b in zip((0, *key), (*key, self.model.n_layers))
-            ]
-            cached = evaluate_pipeline(
-                costs, self.n_gpus, self.n_microbatches, self.bandwidth, self.gpu_memory
-            )
-            self._eval_cache[key] = cached
-        return cached
+        cached = self._score_cache.get(key)
+        if cached is not None:
+            return cached
+        cuts = (0, *key, self.model.n_layers)
+        stages = list(zip(cuts, cuts[1:]))
+        step = math.inf
+        m = self.n_microbatches
+        if all(self.stage_cost(a, b).mem_peak(m) <= self.gpu_memory for a, b in stages):
+            stack = _ForwardStack(self)
+            for a, b in stages:
+                stack.push(a, b)
+            step = stack.step_time()
+        self._score_cache[key] = step
+        return step
+
+    def evaluate(self, boundaries: Sequence[int]) -> PipelineTimings:
+        """The full Eq. 4-11 timing table of one boundary set.
+
+        Not memoised: the search ranks candidates with :meth:`score`, so
+        :func:`mip_partition` builds this table once per solve, for the
+        partition it returns (the baselines likewise build one each).
+        """
+        costs = [
+            self.stage_cost(a, b)
+            for a, b in zip((0, *boundaries), (*boundaries, self.model.n_layers))
+        ]
+        return evaluate_pipeline(
+            costs, self.n_gpus, self.n_microbatches, self.bandwidth, self.gpu_memory
+        )
 
 
 class _ForwardStack:
@@ -308,6 +356,20 @@ class _ForwardStack:
         self._max_bwd.append(max_bwd)
         return end + ctx.fwd_suffix[stop] + ctx.total_bwd + (m - 1) * max_bwd
 
+    def tail(self) -> tuple[float, float]:
+        """``(arrival, max_bwd)`` that :meth:`push` would use for the next
+        stage's last microbatch and bubble term (the prefix must be
+        non-empty).
+
+        ``arrival`` is computed exactly as :meth:`push` computes the
+        mb = M-1 activation arrival, ``(row[M-1] + T_prev) + latency``,
+        because ``end_fwd`` of the last stage is ``row[M-1] + T_prev``.
+        """
+        arrival = self._end_fwd[-1] + (
+            self._stages[-1].output_activation_bytes / self._ctx.bandwidth
+        )
+        return arrival, self._max_bwd[-1]
+
     def pop(self) -> None:
         self._stages.pop()
         self._rows.pop()
@@ -405,9 +467,9 @@ def _local_search(
                 hi = candidate[index + 1] if index + 1 < len(candidate) else ctx.model.n_layers
                 if not lo < candidate[index] < hi:
                     continue
-                timings = ctx.evaluate(candidate)
-                if timings.feasible and timings.step_seconds < best_time - 1e-12:
-                    current, best_time, improved = candidate, timings.step_seconds, True
+                step = ctx.score(candidate)
+                if step < best_time - 1e-12:
+                    current, best_time, improved = candidate, step, True
     return current, best_time
 
 
@@ -443,9 +505,9 @@ def _warm_start(ctx: _SearchContext) -> tuple[list[int] | None, float]:
         round_best: list[int] | None = None
         round_time = math.inf
         for boundaries in candidates:
-            timings = ctx.evaluate(boundaries)
-            if timings.feasible and timings.step_seconds < round_time:
-                round_best, round_time = boundaries, timings.step_seconds
+            step = ctx.score(boundaries)
+            if step < round_time:
+                round_best, round_time = boundaries, step
         if round_best is not None:
             previous = round_best
             if round_time < best_time:
@@ -475,6 +537,15 @@ def mip_partition(
     is at least the incumbent plus 1e-12.  When the node budget cuts the
     search short, the bounds of the subtrees it cut off still certify how
     far the incumbent can be from the optimum (``lower_bound``/``gap``).
+
+    Below the root a child is first tested against an O(1) relaxation of
+    its push bound: ``push`` starts the child's last microbatch no earlier
+    than its activation arrival (:meth:`_ForwardStack.tail`), so replacing
+    that start by the arrival and adding the remaining terms in ``push``'s
+    order gives a float at most the push bound, because IEEE addition is
+    monotone (``a <= b`` implies ``fl(a + c) <= fl(b + c)``).  The
+    relaxation therefore prunes only children the push bound prunes, and
+    the search visits the same nodes as one that pushes every child.
 
     This is the partition search behind every plan.
     :func:`repro.core.mip_formulation.solve_partition_mip` solves the same
@@ -515,6 +586,9 @@ def mip_partition(
     exhausted = True
     cut_bound = math.inf  # smallest bound of a subtree the budget cut off
     n_layers = model.n_layers
+    fwd_suffix = ctx.fwd_suffix
+    total_bwd = ctx.total_bwd
+    bubble = n_microbatches - 1
     stack = _ForwardStack(ctx)
 
     def better(step_seconds: float, boundaries: Sequence[int]) -> bool:
@@ -530,32 +604,29 @@ def mip_partition(
             return incumbent is None or tuple(boundaries) < tuple(incumbent)
         return False
 
-    def dfs(cuts: list[int], bound: float) -> None:
+    def expand(cuts: list[int]) -> None:
+        """Search the children of a counted node whose bound is still open.
+
+        A child is entered inline: the budget and clock checks, the node
+        count, then the prune.  Tied subtrees (bound within 1e-12 of the
+        incumbent) stay open so the canonical optimum survives regardless
+        of which tie was the incumbent first.  Below the root, the O(1)
+        relaxation ``relaxed`` prunes most children before their O(M)
+        push; it is at most the push bound bit for bit, so it prunes only
+        children the push bound would prune (argument in the docstring of
+        :func:`mip_partition`).
+        """
         nonlocal incumbent, incumbent_time, nodes, exhausted, cut_bound
-        # The node budget is the primary (deterministic) work limit; the
-        # wall-clock check is a safety ceiling that under the default
-        # budgets never binds first, keeping results machine-independent.
-        if nodes >= max_nodes or time.perf_counter() - started > time_limit:
-            exhausted = False
-            cut_bound = min(cut_bound, bound)
-            return
-        nodes += 1
         start = cuts[-1]
-        # Tied subtrees (bound within 1e-12 of the incumbent) stay open so
-        # the canonical optimum survives regardless of which tie was the
-        # incumbent first.
-        if bound >= incumbent_time + 1e-12:
-            return
-        max_len = ctx.max_stage_len(start)
-        remaining = n_layers - start
-        # Child ordering: balanced sizes first for early good incumbents.
-        preferred = max(1, round(remaining / max(1, round(remaining / max(1, max_len)))))
-        sizes = sorted(
-            range(1, min(max_len, remaining) + 1),
-            key=lambda k: abs(k - preferred),
-        )
-        for size in sizes:
-            stop = start + size
+        depth = len(cuts) - 1
+        if depth:
+            arrival, max_bwd = stack.tail()
+        for stop, fwd, bwd in ctx.children(start):
+            if depth:
+                relaxed = (
+                    arrival + fwd + fwd_suffix[stop] + total_bwd
+                    + bubble * (bwd if bwd > max_bwd else max_bwd)
+                )
             if stop == n_layers:
                 # Leaf: the forward sweep is already on the stack, so the
                 # exact step time only needs the backward half (O(S*M)
@@ -565,21 +636,42 @@ def mip_partition(
                 # lower bound on this completed partition's step, so leaves
                 # that cannot beat (or tie) the incumbent skip the backward
                 # sweep entirely.
-                leaf_bound = stack.push(start, stop)
-                if leaf_bound < incumbent_time + 1e-12:
+                if depth and relaxed >= incumbent_time + 1e-12:
+                    continue
+                if stack.push(start, stop) < incumbent_time + 1e-12:
                     step = stack.step_time()
                     boundaries = cuts[1:]
                     if better(step, boundaries):
                         incumbent = list(boundaries)
                         incumbent_time = min(incumbent_time, step)
                 stack.pop()
-            else:
-                cuts.append(stop)
-                dfs(cuts, stack.push(start, stop))
+                continue
+            # The node budget is the primary (deterministic) work limit; the
+            # wall-clock check is a safety ceiling that under the default
+            # budgets never binds first, keeping results machine-independent.
+            # A cut child is still pushed: its exact bound certifies the gap.
+            if nodes >= max_nodes or time.perf_counter() - started > time_limit:
+                exhausted = False
+                cut_bound = min(cut_bound, stack.push(start, stop))
                 stack.pop()
+                continue
+            nodes += 1
+            if depth and relaxed >= incumbent_time + 1e-12:
+                continue
+            if stack.push(start, stop) < incumbent_time + 1e-12:
+                cuts.append(stop)
+                expand(cuts)
                 cuts.pop()
+            stack.pop()
 
-    dfs([0], ctx.fwd_suffix[0] + ctx.total_bwd + (n_microbatches - 1) * ctx.max_layer_bwd)
+    root_bound = ctx.fwd_suffix[0] + total_bwd + bubble * ctx.max_layer_bwd
+    if nodes >= max_nodes or time.perf_counter() - started > time_limit:
+        exhausted = False
+        cut_bound = root_bound
+    else:
+        nodes += 1
+        if root_bound < incumbent_time + 1e-12:
+            expand([0])
 
     if incumbent is None:
         raise PlanInfeasibleError(

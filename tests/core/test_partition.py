@@ -1,5 +1,8 @@
 """Tests for the MIP partition algorithm and the §4.3 baselines."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.partition import (
@@ -219,6 +222,57 @@ class TestBoundAdmissibility:
             best = min(step for stops, step in steps.items() if stops[: len(prefix)] == prefix)
             assert bound <= best + 1e-12, prefix
 
+    def test_relaxation_never_exceeds_push_bound(self, instance):
+        """The DFS's O(1) pre-push prune is exact: for every prefix it can
+        reach and every child it tries, the relaxation is at most the push
+        bound under plain ``<=`` — no epsilon — so it prunes only children
+        the push bound prunes."""
+        from repro.core.partition import _ForwardStack, _SearchContext
+
+        model, cm, n_gpus, gpu_memory = instance
+        ctx = _SearchContext(model, cm, n_gpus, n_gpus, BW, gpu_memory)
+        stack = _ForwardStack(ctx)
+        checked = 0
+
+        def visit(start):
+            nonlocal checked
+            if start:
+                arrival, max_bwd = stack.tail()
+            for stop, fwd, bwd in ctx.children(start):
+                bound = stack.push(start, stop)
+                if start:
+                    relaxed = (
+                        arrival + fwd + ctx.fwd_suffix[stop] + ctx.total_bwd
+                        + (n_gpus - 1) * max(max_bwd, bwd)
+                    )
+                    assert relaxed <= bound, (start, stop)
+                    checked += 1
+                if stop < model.n_layers:
+                    visit(stop)
+                stack.pop()
+
+        visit(0)
+        assert checked > 10
+
+    def test_score_is_bit_equal_to_evaluate(self, instance):
+        """The warm start's scoring kernel is the full evaluation's step
+        float, and ``inf`` exactly for the Eq. 4-infeasible compositions."""
+        import math
+
+        from repro.core.partition import _SearchContext
+
+        model, cm, n_gpus, gpu_memory = instance
+        ctx = _SearchContext(model, cm, n_gpus, n_gpus, BW, gpu_memory)
+        feasible = 0
+        for boundaries in _compositions(model.n_layers):
+            score = ctx.score(boundaries)
+            timings = ctx.evaluate(boundaries)
+            assert (score == math.inf) == (not timings.feasible), boundaries
+            if timings.feasible:
+                assert score.hex() == timings.step_seconds.hex(), boundaries
+                feasible += 1
+        assert feasible > 10
+
     def test_exhausted_search_returns_brute_force_canonical_optimum(self, instance):
         model, cm, n_gpus, gpu_memory = instance
         steps, _ = self._brute_force(model, cm, n_gpus, gpu_memory)
@@ -286,3 +340,122 @@ class TestTable3On4Plus4:
         assert result.partition.boundaries == tuple(incumbent)
         assert not result.optimal
         assert 0.0 < result.gap < 1.0
+
+
+_GOLDEN = Path(__file__).with_name("partition_golden.json")
+
+
+def _solve(model_name, topology_name="topo_4_4", bandwidth_scale=1.0, max_nodes=20_000):
+    """``mip_partition`` of a zoo model as ``plan_mobius`` sets it up."""
+    from repro.hardware import topology as topologies
+    from repro.models.zoo import model_by_name
+
+    model = model_by_name(model_name)
+    topology = getattr(topologies, topology_name)()
+    cost_model = CostModel(topology.gpu_spec, model.default_microbatch_size)
+    n_gpus = topology.n_gpus
+    bandwidth = topology.pcie_bandwidth * bandwidth_scale
+    return mip_partition(model, cost_model, n_gpus, n_gpus, bandwidth, max_nodes=max_nodes)
+
+
+class TestGoldenIdentity:
+    """Searches pinned field by field, floats by ``hex()``.
+
+    The values were recorded before the pre-push prune and the scoring
+    kernel went in: both must leave every search visiting the same nodes
+    and returning the same bits.  The ``max_nodes`` cuts of GPT-3B cover
+    the path where a cut child is still pushed for its exact bound.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads(_GOLDEN.read_text()),
+        ids=lambda c: f"{c['model']}-{c['topology']}-x{c['bandwidth_scale']}-n{c['max_nodes']}",
+    )
+    def test_search_matches_recorded_values(self, case):
+        result = _solve(
+            case["model"], case["topology"], case["bandwidth_scale"], case["max_nodes"]
+        )
+        got = {
+            "boundaries": list(result.partition.boundaries),
+            "nodes_explored": result.nodes_explored,
+            "optimal": result.optimal,
+            "step_seconds": result.timings.step_seconds.hex(),
+            "lower_bound": result.lower_bound.hex(),
+            "prefetch_fwd_bytes": list(result.timings.prefetch_fwd_bytes),
+            "prefetch_bwd_bytes": list(result.timings.prefetch_bwd_bytes),
+        }
+        assert got == {key: case[key] for key in got}
+
+
+class TestSearchWork:
+    """Work counts of one solve, counted by wrappers installed here only."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from repro.core import partition
+
+        counts = {"push": 0, "warm_push": 0, "evaluate": 0}
+        push, warm_start, evaluate = (
+            partition._ForwardStack.push, partition._warm_start, partition.evaluate_pipeline
+        )
+
+        def counted_push(self, start, stop):
+            counts["push"] += 1
+            return push(self, start, stop)
+
+        def counted_warm_start(ctx):
+            out = warm_start(ctx)
+            counts["warm_push"] = counts["push"]
+            return out
+
+        def counted_evaluate(*args, **kwargs):
+            counts["evaluate"] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(partition._ForwardStack, "push", counted_push)
+        monkeypatch.setattr(partition, "_warm_start", counted_warm_start)
+        monkeypatch.setattr(partition, "evaluate_pipeline", counted_evaluate)
+        return counts
+
+    def test_gpt_3b_dfs_pushes_few_children(self, counted):
+        result = _solve("GPT-3B")
+        assert result.nodes_explored == 20_000
+        # The DFS pushed 22,068 children of its 20,000 nodes before the
+        # O(1) relaxation pruned most of them unpushed.
+        assert counted["push"] - counted["warm_push"] <= 5_000
+
+    @pytest.mark.parametrize("name", ["GPT-3B", "GPT-8B", "GPT-15B", "GPT-51B"])
+    def test_one_timing_table_per_solve(self, counted, name):
+        _solve(name)
+        assert counted["evaluate"] == 1
+
+
+class TestSearchSpace:
+    @pytest.mark.parametrize("topology_name", ["topo_4_4", "topo_2_2", "topo_1_3", "topo_4"])
+    def test_max_stage_len_is_the_longest_eq4_feasible_run(self, topology_name):
+        """The DFS caps a stage at ``max_stage_len``; the warm start checks
+        Eq. 4 per stage.  Both must describe one search space: the cap is
+        exactly the longest run of Eq. 4-feasible lengths from each start."""
+        from repro.core.partition import _SearchContext
+        from repro.hardware import topology as topologies
+        from repro.models.zoo import TABLE3_MODELS, gpt2_small
+
+        topology = getattr(topologies, topology_name)()
+        n_gpus = topology.n_gpus
+        for model in (*TABLE3_MODELS(), gpt2_small()):
+            for microbatch_size in (1, 2, 4, 8):
+                cost_model = CostModel(topology.gpu_spec, microbatch_size)
+                gpu_memory = cost_model.usable_gpu_bytes()
+                ctx = _SearchContext(
+                    model, cost_model, n_gpus, n_gpus, topology.pcie_bandwidth, gpu_memory
+                )
+                for start in range(model.n_layers):
+                    run = 0
+                    for stop in range(start + 1, model.n_layers + 1):
+                        if ctx.stage_cost(start, stop).mem_peak(n_gpus) > gpu_memory:
+                            break
+                        run = stop - start
+                    assert ctx.max_stage_len(start) == run, (
+                        model.name, microbatch_size, start
+                    )
