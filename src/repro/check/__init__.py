@@ -4,7 +4,7 @@ The planner (:mod:`repro.core`) makes promises — memory bounds, contention
 optimality, a step-time objective — and the simulator (:mod:`repro.sim`)
 claims to realise them.  :mod:`repro.check` is the independent referee: it
 replays those promises from first principles without trusting either side,
-and lints the source contracts (:mod:`repro.check.lint`) that keep the
+and lints the source contracts (:mod:`repro.check.analysis`) that keep the
 measurement pipeline honest.  ``repro check`` runs everything over a fixed
 model x topology corpus; pytest auto-sanitizes every simulated trace via the
 fixture in ``tests/conftest.py``.
@@ -18,7 +18,6 @@ from repro.check.analysis import (
 )
 from repro.check.corpus import CorpusCell, check_cell, default_corpus, run_corpus
 from repro.check.findings import CheckReport, Finding
-from repro.check.lint import DEFAULT_CONFIG, LintConfig, lint_module
 from repro.check.mapping_check import check_mapping, optimal_contention
 from repro.check.plan_check import check_plan
 from repro.check.trace_check import check_task_graph, sanitize_run, sanitize_trace
@@ -36,9 +35,6 @@ __all__ = [
     "sanitize_trace",
     "check_task_graph",
     "sanitize_run",
-    "LintConfig",
-    "DEFAULT_CONFIG",
-    "lint_module",
     "CorpusCell",
     "default_corpus",
     "check_cell",

@@ -1,11 +1,11 @@
-"""Interprocedural whole-program analysis backing ``repro lint``.
+"""Whole-program analysis backing ``repro lint``.
 
 Layers (each its own module, composable in tests):
 
 * :mod:`~repro.check.analysis.program` — pure-``ast`` symbol tables.
 * :mod:`~repro.check.analysis.callgraph` — conservative call graph +
   reachability.
-* :mod:`~repro.check.analysis.rules` — MOB004-MOB007.
+* :mod:`~repro.check.analysis.rules` — MOB003-MOB007.
 * :mod:`~repro.check.analysis.baseline` — checked-in suppressions.
 * :mod:`~repro.check.analysis.sarif` — SARIF 2.1.0 output for CI.
 * :mod:`~repro.check.analysis.driver` — the ``repro lint`` entry point.
@@ -13,7 +13,7 @@ Layers (each its own module, composable in tests):
 
 from repro.check.analysis.baseline import Baseline, BaselineEntry, apply_baseline
 from repro.check.analysis.callgraph import CallGraph, build_call_graph
-from repro.check.analysis.driver import LintRun, lint_program, run_lint
+from repro.check.analysis.driver import LintRun, run_lint
 from repro.check.analysis.program import Program
 from repro.check.analysis.rules import (
     DEFAULT_ANALYSIS_CONFIG,
@@ -35,7 +35,6 @@ __all__ = [
     "analyze_tree",
     "apply_baseline",
     "build_call_graph",
-    "lint_program",
     "run_lint",
     "to_sarif",
 ]

@@ -1,20 +1,19 @@
-"""The ``repro lint`` driver: per-file rules + whole-program analysis + baseline.
+"""The ``repro lint`` driver: every MOB rule over the program, then the baseline.
 
-One entry point, :func:`run_lint`, combines the three layers:
+One entry point, :func:`run_lint`, combines two layers:
 
-1. the per-file MOB001/MOB003 pass (:mod:`repro.check.lint`) over the
-   modules its config names;
-2. the interprocedural MOB004-007 pass (:mod:`repro.check.analysis.rules`)
-   over the whole ``src/repro`` program model — whole-program even when
-   specific paths are requested, because reachability cannot be computed
-   file-locally (findings are then *filtered* to the requested paths) —
+1. the MOB003-007 rules (:mod:`repro.check.analysis.rules`) over the whole
+   ``src/repro`` program model — whole-program even when specific paths
+   are requested, because reachability cannot be computed file-locally —
    plus MOB000 for each file the model could not load;
-3. the checked-in baseline (:mod:`repro.check.analysis.baseline`), which
-   splits findings into live and acknowledged-with-justification.
+2. the checked-in baseline (:mod:`repro.check.analysis.baseline`), which
+   splits findings into live and acknowledged-with-justification.  It is
+   applied to the whole-program report; live findings, suppressed
+   findings and unused entries are then *filtered* to the requested paths,
+   so a baseline entry outside them is neither stale nor reported.
 
-Every file is read and parsed once, by :meth:`Program.from_tree`; the
-per-file rules run on the trees it parsed.  ``repro check`` and the
-``lint-analysis`` CI job both call :func:`run_lint`.
+Every file is read and parsed once, by :meth:`Program.from_tree`.
+``repro check`` and the ``lint-analysis`` CI job both call :func:`run_lint`.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ from repro.check.analysis.rules import (
     analyze_program,
 )
 from repro.check.findings import CheckReport, Finding
-from repro.check.lint import DEFAULT_CONFIG, LintConfig, lint_module
 
-__all__ = ["LintRun", "lint_program", "run_lint"]
+__all__ = ["LintRun", "run_lint"]
 
 
 @dataclasses.dataclass
@@ -75,29 +73,13 @@ def _finding_path(finding: Finding) -> str:
     return path if line.isdigit() else subject
 
 
-def _filter_paths(report: CheckReport, rel_paths: list[str]) -> CheckReport:
-    """Keep findings whose file is one of (or under) the requested paths."""
-    kept = CheckReport()
-    for finding in report:
-        path = _finding_path(finding)
-        for requested in rel_paths:
-            if path == requested or path.startswith(requested.rstrip("/") + "/"):
-                kept.findings.append(finding)
-                break
-    return kept
-
-
-def lint_program(
-    program: Program,
-    *,
-    lint_config: LintConfig = DEFAULT_CONFIG,
-    analysis_config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG,
-) -> CheckReport:
-    """Every MOB rule over one program model, without the baseline."""
-    report = CheckReport()
-    for module in program.modules.values():
-        report.extend(lint_module(module.tree, module.rel_path, lint_config))
-    return report.extend(analyze_program(program, analysis_config))
+def _under(path: str, rel_paths: list[str]) -> bool:
+    """Whether ``path`` is one of (or under) the requested paths; with none
+    requested, every path is."""
+    return not rel_paths or any(
+        path == requested or path.startswith(requested.rstrip("/") + "/")
+        for requested in rel_paths
+    )
 
 
 def run_lint(
@@ -105,44 +87,50 @@ def run_lint(
     paths: list[str] | None = None,
     *,
     baseline_path: Path | str | None = None,
-    lint_config: LintConfig = DEFAULT_CONFIG,
     analysis_config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG,
 ) -> LintRun:
     """Run the full lint stack over the repo at ``root``.
 
     Args:
         root: Repo root (the directory containing ``src/repro``).
-        paths: Optional repo-relative files/directories to restrict the
-            *reported* findings to; analysis still sees the whole program.
+        paths: Optional files/directories, relative to ``root`` or absolute,
+            to restrict the *reported* findings to; analysis still sees the
+            whole program.  Each must exist under ``root``, or
+            ``ValueError`` names it.
         baseline_path: Baseline JSON; defaults to ``<root>/LINT_BASELINE.json``
             (missing file = empty baseline).
     """
     root = Path(root)
-    combined = lint_program(
-        Program.from_tree(root),
-        lint_config=lint_config,
-        analysis_config=analysis_config,
-    )
-
-    if paths:
-        rel_paths = []
-        for p in paths:
-            candidate = Path(p)
-            if candidate.is_absolute():
-                rel_paths.append(
-                    candidate.resolve().relative_to(root.resolve()).as_posix()
-                )
-            else:
-                rel_paths.append(candidate.as_posix())
-        combined = _filter_paths(combined, rel_paths)
-
+    rel_paths = [_relative_path(root, p) for p in paths or ()]
     if baseline_path is None:
         baseline_path = root / DEFAULT_BASELINE_PATH
     baseline = Baseline.load(baseline_path)
-    result = apply_baseline(combined, baseline)
+    result = apply_baseline(
+        analyze_program(Program.from_tree(root), analysis_config), baseline
+    )
     return LintRun(
-        report=result.report,
-        suppressed=result.suppressed,
-        unused_entries=result.unused_entries,
+        report=CheckReport(
+            [f for f in result.report if _under(_finding_path(f), rel_paths)]
+        ),
+        suppressed=[
+            f for f in result.suppressed if _under(_finding_path(f), rel_paths)
+        ],
+        unused_entries=[
+            e for e in result.unused_entries if _under(e.path, rel_paths)
+        ],
         baseline=baseline,
     )
+
+
+def _relative_path(root: Path, path: str) -> str:
+    """``path`` as a repo-relative POSIX path; ``ValueError`` if it is
+    outside ``root`` or does not exist."""
+    candidate = Path(path)
+    resolved = (candidate if candidate.is_absolute() else root / candidate).resolve()
+    try:
+        rel = resolved.relative_to(root.resolve())
+    except ValueError:
+        raise ValueError(f"path {path} is outside the lint root {root}") from None
+    if not resolved.exists():
+        raise ValueError(f"path {path} does not exist under {root}")
+    return rel.as_posix()

@@ -4,7 +4,7 @@ A :class:`Program` is a parsed view of every module under ``src/repro`` (or
 of an in-memory ``{rel_path: source}`` mapping in tests): per-module
 functions, classes with their methods and instance-attribute types, import
 aliases, and module-level mutable state.  It is the substrate the call
-graph (:mod:`repro.check.analysis.callgraph`) and the MOB004-007 rules
+graph (:mod:`repro.check.analysis.callgraph`) and the MOB003-007 rules
 (:mod:`repro.check.analysis.rules`) resolve names against.
 
 Everything here is a pure :mod:`ast` pass — the analyzed code is never

@@ -1,9 +1,14 @@
-"""Interprocedural MOB rules (MOB004-MOB007) over the whole-program model.
+"""The MOB rules (MOB003-MOB007) over the whole-program model.
 
-Where MOB001 and MOB003 (:mod:`repro.check.lint`) check named files, these
-rules scope by *reachability*: a clock read is a determinism violation
-because a root can transitively call it, regardless of which directory the
-helper lives in.
+MOB003 checks one named file.  The others scope by *reachability*: a clock
+read is a determinism violation because a root can transitively call it,
+regardless of which directory the helper lives in.
+
+* **MOB003 — task-label contract.**  Task labels built in
+  ``src/repro/core/pipeline.py`` must come from the :mod:`repro.core.labels`
+  constructors, or be literals matching its compiled patterns — the same
+  patterns :mod:`repro.core.memory_audit` parses.  A drifting label format
+  makes the auditor silently skip events.
 
 * **MOB004 — determinism.**  No function reachable from a root
   (``AnalysisConfig.entry_points``) may read a clock or draw from
@@ -41,7 +46,9 @@ helper lives in.
   are fine; writes — including ``next()`` on a shared ``itertools.count``
   and mutating-method calls — are not.
 
-Files the program model could not load are reported as MOB000.
+Files the program model could not load are reported as MOB000.  That
+cached values stay immutable is not a rule here: the fingerprint encoder
+rejects any dataclass that is not frozen (:mod:`repro.perf.fingerprint`).
 """
 
 from __future__ import annotations
@@ -60,12 +67,23 @@ from repro.check.analysis.program import (
     Program,
     attr_chain,
     import_bindings,
+    module_name_for,
 )
 from repro.check.findings import CheckReport
+from repro.core.labels import ALL_LABEL_PATTERNS
 
 __all__ = ["AnalysisConfig", "DEFAULT_ANALYSIS_CONFIG", "analyze_program", "analyze_tree"]
 
 _CHECKER = "analysis"
+
+#: The file whose task labels MOB003 checks: the Mobius pipeline emitter.
+_LABEL_MODULE = "src/repro/core/pipeline.py"
+
+#: The module whose constructors satisfy MOB003 by construction.
+_LABELS_MODULE = "repro.core.labels"
+
+#: Task constructors whose ``label`` MOB003 checks.
+_TASK_CONSTRUCTORS = frozenset({"Task", "ComputeTask", "TransferTask", "BarrierTask"})
 
 #: Calls that consume loop-order on a hot path: heap pushes, trace appends,
 #: fingerprints, and plain accumulation.
@@ -340,6 +358,85 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(node.func, ast.Attribute):
         return node.func.attr
     return None
+
+
+# ----------------------------------------------------------------------
+# MOB003 — the task-label contract of the pipeline emitter
+# ----------------------------------------------------------------------
+
+
+def _literal_label(node: ast.expr) -> str | None:
+    """Best-effort literal text of a label expression, or None.
+
+    f-string placeholders are substituted with ``"0"`` — the contract's
+    patterns are anchored, so an ad-hoc f-string only passes when its static
+    skeleton already has the blessed shape.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        parts: list[str] = []
+        for value in node.values:
+            if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                parts.append(value.value)
+            else:
+                parts.append("0")
+        return "".join(parts)
+    return None
+
+
+def _check_mob003(program: Program, report: CheckReport) -> None:
+    module = program.modules.get(module_name_for(_LABEL_MODULE))
+    if module is None:
+        return
+    # Every import in the file, function-local ones too.
+    bindings = import_bindings(ast.walk(module.tree))
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call) or _call_name(node) not in _TASK_CONSTRUCTORS:
+            continue
+
+        label_expr: ast.expr | None = None
+        for kw in node.keywords:
+            if kw.arg == "label":
+                label_expr = kw.value
+        if label_expr is None and node.args:
+            label_expr = node.args[0]  # Task's first positional field
+        if label_expr is None:
+            continue
+
+        # Helper-constructor calls satisfy the contract by construction.
+        if isinstance(label_expr, ast.Call):
+            chain = attr_chain(label_expr.func)
+            target = bindings.get(chain[0]) if chain else None
+            if (
+                target is not None
+                and ".".join([target, *chain[1:]]).rpartition(".")[0]
+                == _LABELS_MODULE
+            ):
+                continue
+
+        literal = _literal_label(label_expr)
+        if literal is not None:
+            if not any(p.fullmatch(literal) for p in ALL_LABEL_PATTERNS):
+                report.add(
+                    _CHECKER,
+                    "MOB003",
+                    f"task label {literal!r} does not match the "
+                    "repro.core.labels contract parsed by memory_audit; use "
+                    "a labels.* constructor",
+                    subject=f"{module.rel_path}:{label_expr.lineno}",
+                )
+            continue
+
+        report.add(
+            _CHECKER,
+            "MOB003",
+            "task label built from an expression the analyzer cannot verify "
+            "against the repro.core.labels contract; use a labels.* "
+            "constructor",
+            subject=f"{module.rel_path}:{label_expr.lineno}",
+            severity="warning",
+        )
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +750,7 @@ def _global_writes(
 def analyze_program(
     program: Program, config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG
 ) -> CheckReport:
-    """Run MOB004-MOB007 over an already-built program model, plus MOB000
+    """Run MOB003-MOB007 over an already-built program model, plus MOB000
     for each file the model could not load."""
     graph = build_call_graph(program, callback_seams=config.callback_seams)
     report = CheckReport()
@@ -664,6 +761,7 @@ def analyze_program(
             f"{reason}; the analyzer cannot see this file",
             subject=f"{rel_path}:{lineno}",
         )
+    _check_mob003(program, report)
     _check_mob004(program, graph, config, report)
     _check_mob005(program, graph, config, report)
     _check_mob006(program, config, report)
@@ -676,5 +774,5 @@ def analyze_tree(
     subdir: str = "src/repro",
     config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG,
 ) -> CheckReport:
-    """Build the program model from disk and run the interprocedural rules."""
+    """Build the program model from disk and run every MOB rule."""
     return analyze_program(Program.from_tree(root, subdir), config)

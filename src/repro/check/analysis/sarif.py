@@ -23,8 +23,6 @@ _SARIF_SCHEMA = (
 
 RULE_DESCRIPTIONS: dict[str, str] = {
     "MOB000": "File is not analyzable (syntax error or undecodable bytes).",
-    "MOB001": "Dataclass reaching repro.perf.fingerprint must be frozen=True "
-    "or registered in the mutable allowlist.",
     "MOB003": "Task labels must come from repro.core.labels constructors or "
     "match its compiled patterns.",
     "MOB004": "Functions reachable from a determinism root (simulator, "

@@ -7,8 +7,8 @@ Subcommands:
   ZeRO-Offload, ZeRO-3 heterogeneous memory, Mobius) on one configuration;
 * ``advise``   — sweep microbatch sizes for the best throughput;
 * ``figures``  — regenerate paper figures by name (or ``all``);
-* ``lint``     — run the MOB source rules standalone: per-file MOB001/003
-  plus the interprocedural MOB004-007 analysis (:mod:`repro.check.analysis`);
+* ``lint``     — run the MOB source rules standalone: the MOB003-007
+  whole-program analysis (:mod:`repro.check.analysis`);
   ``--json`` / ``--sarif`` for CI, ``--baseline`` for suppressions;
 * ``check``    — verify planner output, traces and source contracts
   (:mod:`repro.check`); exits non-zero on findings, ``--json`` for CI;
@@ -108,11 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the MOB source rules (per-file + whole-program analysis)",
+        help="run the MOB source rules (whole-program analysis)",
     )
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="repo-relative files/directories to report on (default: all)",
+        help="existing files/directories under the root to report on "
+        "(default: all)",
     )
     lint.add_argument(
         "--json", action="store_true", help="machine-readable report for CI"
@@ -127,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
+        help="write the current findings to the baseline file and exit 0 "
+        "(whole program only: takes no PATH)",
     )
     lint.add_argument(
         "--root", default=None, metavar="DIR",
@@ -301,11 +303,20 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if not (root / "src" / "repro").is_dir():
         print(f"error: no src/repro under {root}", file=sys.stderr)
         return 2
+    if args.write_baseline and args.paths:
+        # A baseline written from a path-filtered run would drop every entry
+        # outside the paths.
+        print("error: --write-baseline takes no PATH", file=sys.stderr)
+        return 2
 
     baseline_path = (
         args.baseline if args.baseline is not None else root / DEFAULT_BASELINE_PATH
     )
-    run = run_lint(root, args.paths or None, baseline_path=baseline_path)
+    try:
+        run = run_lint(root, args.paths or None, baseline_path=baseline_path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.write_baseline:
         findings = run.report

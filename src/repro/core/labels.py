@@ -8,8 +8,8 @@ the emitter and regexes in the auditor — which is exactly the kind of silent
 contract a typo breaks without any test noticing.  This module is the single
 source of truth: the emitter builds labels through the constructor functions
 below, the auditors parse them with the compiled patterns, and the
-``MOB003`` lint rule (:mod:`repro.check.lint`) rejects any inline label in
-the emitter that does not match the grammar.
+``MOB003`` lint rule (:mod:`repro.check.analysis.rules`) rejects any inline
+label in the emitter that does not match the grammar.
 
 Grammar (stage ``j`` and microbatch ``mb`` are 0-based decimal integers)::
 

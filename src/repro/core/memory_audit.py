@@ -12,7 +12,7 @@ The auditor reads the emitter's structured task labels (``U{j}.pre``,
 ``F{j},{mb}``, ``Ub{j}.rem.param-upload``, ...).  The label grammar is the
 shared contract of :mod:`repro.core.labels`, which the emitter
 (:mod:`repro.core.pipeline`) builds against and the ``MOB003`` lint rule
-enforces statically.
+(:mod:`repro.check.analysis.rules`) enforces statically.
 """
 
 from __future__ import annotations

@@ -12,8 +12,12 @@ digested with SHA-256.
 Supported values: ``None``, ``bool``, ``int``, ``float`` (hex encoding, so
 ``nan``/``inf`` and signed zeros are distinguished exactly), ``str``,
 ``bytes``, ``Enum``, sequences, sets (element-order independent), mappings
-(key-order independent), dataclasses (tagged with their qualified class
-name), and numpy scalars/arrays.  A dataclass may list removed fields with
+(key-order independent), frozen dataclasses (tagged with their qualified
+class name), and numpy scalars/arrays.  A dataclass that is not
+``frozen=True`` raises ``TypeError``: an instance mutated after hashing
+would sit in the cache under a key that no longer describes it, so the
+encoder, which visits every dataclass it hashes, is where immutability is
+enforced.  A dataclass may list removed fields with
 the one value they always held in ``__mobius_retired_fields__``; they are
 encoded after the live fields, so removing a constant field keeps every
 digest.  Arbitrary objects can opt in by defining
@@ -72,7 +76,13 @@ def _encode(out: bytearray, value) -> None:
         _tag(out, b"O", _qualname(type(value)).encode("utf-8"))
         _encode(out, value.__mobius_fingerprint__())
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        _tag(out, b"D", _qualname(type(value)).encode("utf-8"))
+        cls = type(value)
+        if not cls.__dataclass_params__.frozen:  # type: ignore[attr-defined]
+            raise TypeError(
+                f"cannot fingerprint mutable dataclass {_qualname(cls)!r}; "
+                "declare it frozen=True so its content address cannot change"
+            )
+        _tag(out, b"D", _qualname(cls).encode("utf-8"))
         for field in dataclasses.fields(value):
             _tag(out, b"k", field.name.encode("utf-8"))
             _encode(out, getattr(value, field.name))

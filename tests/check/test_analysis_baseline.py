@@ -1,6 +1,7 @@
 """Baseline suppressions, SARIF output, the lint driver, and repo self-checks."""
 
 import json
+import re
 from pathlib import Path
 
 from repro.check.analysis.baseline import (
@@ -11,7 +12,7 @@ from repro.check.analysis.baseline import (
 from repro.check.analysis.callgraph import build_call_graph
 from repro.check.analysis.driver import run_lint
 from repro.check.analysis.program import Program
-from repro.check.analysis.sarif import to_sarif
+from repro.check.analysis.sarif import RULE_DESCRIPTIONS, to_sarif
 from repro.check.findings import CheckReport
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -87,6 +88,14 @@ class TestSarif:
     def test_empty_report_is_valid_sarif(self):
         document = json.loads(to_sarif(CheckReport()))
         assert document["runs"][0]["results"] == []
+
+    def test_readme_rule_table_matches_sarif_rules(self):
+        # Retiring or adding a rule must update both the README table and
+        # the SARIF metadata.
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        table = re.findall(r"^\| (MOB\d{3}) \|", readme, flags=re.MULTILINE)
+        assert sorted(table) == sorted(RULE_DESCRIPTIONS)
+        assert len(table) == len(set(table))
 
 
 class TestRepoGate:

@@ -10,7 +10,7 @@ from repro.check.findings import CheckReport, Finding
 class TestFinding:
     def test_rejects_unknown_severity(self):
         with pytest.raises(ValueError, match="severity"):
-            Finding("lint", "MOB001", "msg", severity="fatal")
+            Finding("lint", "MOB003", "msg", severity="fatal")
 
     def test_symbol_defaults_empty_and_round_trips(self):
         finding = Finding("analysis", "MOB004", "msg", subject="a.py:3")

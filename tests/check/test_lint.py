@@ -1,5 +1,5 @@
-"""Tests for the per-file MOB rules (repro.check.lint) and for the clock
-and RNG fixtures MOB004 checks over one-module programs."""
+"""Tests for the MOB003 task-label rule and for the clock and RNG
+fixtures MOB004 checks over one-module programs."""
 
 from __future__ import annotations
 
@@ -11,10 +11,9 @@ from repro.check.analysis import (
     DEFAULT_ANALYSIS_CONFIG,
     AnalysisConfig,
     Program,
-    lint_program,
+    analyze_program,
     run_lint,
 )
-from repro.check.lint import DEFAULT_CONFIG
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -28,12 +27,12 @@ def _lint(
 ):
     """Every MOB rule over a program made of this one module."""
     program = Program.from_sources({rel_path: textwrap.dedent(source)})
-    return lint_program(program, analysis_config=config)
+    return analyze_program(program, config)
 
 
 @functools.lru_cache(maxsize=1)
 def _repo_report():
-    return lint_program(Program.from_tree(REPO_ROOT))
+    return analyze_program(Program.from_tree(REPO_ROOT))
 
 
 def _assert_real_module_clean(rel: str) -> None:
@@ -41,82 +40,10 @@ def _assert_real_module_clean(rel: str) -> None:
     assert not findings, "\n".join(f.render() for f in findings)
 
 
-FINGERPRINT_MODULE = DEFAULT_CONFIG.fingerprint_modules[0]
 # A module under the repro.core root.
 HOT_MODULE = "src/repro/core/synthetic.py"
-LABEL_MODULE = DEFAULT_CONFIG.label_modules[0]
-
-
-class TestMob001FrozenDataclasses:
-    def test_frozen_dataclass_passes(self):
-        report = _lint(
-            """
-            import dataclasses
-
-            @dataclasses.dataclass(frozen=True)
-            class Plan:
-                x: int = 0
-            """,
-            FINGERPRINT_MODULE,
-        )
-        assert not [f for f in report if f.code == "MOB001"]
-
-    def test_mutable_dataclass_flagged(self):
-        report = _lint(
-            """
-            import dataclasses
-
-            @dataclasses.dataclass
-            class Plan:
-                x: int = 0
-            """,
-            FINGERPRINT_MODULE,
-        )
-        assert _codes(report) == ["MOB001"]
-        assert f"{FINGERPRINT_MODULE}:" in report.findings[0].subject
-
-    def test_bare_decorator_name_flagged(self):
-        report = _lint(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(order=True)
-            class Plan:
-                x: int = 0
-            """,
-            FINGERPRINT_MODULE,
-        )
-        assert _codes(report) == ["MOB001"]
-
-    def test_allowlisted_mutable_passes(self):
-        report = _lint(
-            """
-            import dataclasses
-
-            @dataclasses.dataclass
-            class MobiusPlanReport:
-                x: int = 0
-            """,
-            "src/repro/core/api.py",
-        )
-        assert not [f for f in report if f.code == "MOB001"]
-
-    def test_rule_scoped_to_fingerprint_modules(self):
-        report = _lint(
-            """
-            import dataclasses
-
-            @dataclasses.dataclass
-            class Whatever:
-                x: int = 0
-            """,
-            "src/repro/experiments/runner.py",
-        )
-        assert not report.findings
-
-    def test_real_fingerprint_modules_are_clean(self):
-        for rel in DEFAULT_CONFIG.fingerprint_modules:
-            _assert_real_module_clean(rel)
+# The one file MOB003 checks: the Mobius pipeline emitter.
+LABEL_MODULE = "src/repro/core/pipeline.py"
 
 
 class TestMob002HotPathDeterminism:
@@ -410,22 +337,6 @@ class TestMob002ServeClockDiscipline:
             "src/repro/serve/bench.py",
         )
         assert "MOB004" in _codes(report)
-
-    def test_serve_requests_is_fingerprint_scoped(self):
-        # PlanRequest/PlanResponse/Deadline are content-addressed payloads:
-        # mutable dataclasses there would break solve-key stability.
-        assert "src/repro/serve/requests.py" in DEFAULT_CONFIG.fingerprint_modules
-        report = _lint(
-            """
-            import dataclasses
-
-            @dataclasses.dataclass
-            class PlanRequest:
-                tenant: str = "default"
-            """,
-            "src/repro/serve/requests.py",
-        )
-        assert _codes(report) == ["MOB001"]
 
     def test_real_serve_modules_are_clean(self):
         for rel in (

@@ -89,6 +89,44 @@ class TestLintCommand:
         assert main(["lint", "--root", str(tmp_path)]) == 2
         assert "no src/repro" in capsys.readouterr().err
 
+    def test_write_baseline_with_paths_is_a_usage_error(self, fixture_root, capsys):
+        # A path-filtered baseline would drop every entry outside the paths.
+        baseline_path = fixture_root / "LINT_BASELINE.json"
+        assert main(["lint", "--root", str(fixture_root), "--write-baseline"]) == 0
+        before = baseline_path.read_text()
+        capsys.readouterr()
+        argv = ["lint", "--root", str(fixture_root), "src/repro/sim", "--write-baseline"]
+        assert main(argv) == 2
+        assert "--write-baseline" in capsys.readouterr().err
+        assert baseline_path.read_text() == before
+
+    def test_paths_filter_baseline_after_applying_it(self, fixture_root, capsys):
+        # The one baseline entry sits in src/repro/analysis/: outside the
+        # requested path it is neither stale nor reported, inside it still
+        # suppresses its finding.
+        assert main(["lint", "--root", str(fixture_root), "--write-baseline"]) == 0
+        capsys.readouterr()
+        assert main(["lint", "--root", str(fixture_root), "src/repro/sim"]) == 0
+        assert "stale baseline entry" not in capsys.readouterr().out
+        argv = ["lint", "--root", str(fixture_root), "--json"]
+        assert main([*argv, "src/repro/sim"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["suppressed"] == []
+        assert payload["unused_baseline_entries"] == []
+        assert main([*argv, "src/repro/analysis"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [f["code"] for f in payload["suppressed"]] == ["MOB004"]
+
+    def test_path_outside_root_is_a_usage_error(self, fixture_root, tmp_path, capsys):
+        outside = tmp_path.parent / "outside.py"
+        assert main(["lint", "--root", str(fixture_root), str(outside)]) == 2
+        assert str(outside) in capsys.readouterr().err
+
+    def test_missing_path_is_a_usage_error(self, fixture_root, capsys):
+        argv = ["lint", "--root", str(fixture_root), "src/repro/typo.py"]
+        assert main(argv) == 2
+        assert "src/repro/typo.py" in capsys.readouterr().err
+
 
 class TestCheckReusesLint:
     def test_check_lint_only_is_clean_on_repo(self, capsys):

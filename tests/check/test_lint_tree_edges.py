@@ -9,7 +9,6 @@ from repro.check.analysis import (
     Program,
     analyze_program,
     analyze_tree,
-    lint_program,
     run_lint,
 )
 from repro.check.findings import CheckReport
@@ -59,7 +58,7 @@ class TestBrokenFiles:
         )
         program = Program.from_tree(root)
         assert list(program.broken) == ["src/repro/sim/binary.py"]
-        assert _codes(lint_program(program)) == ["MOB000"]
+        assert _codes(analyze_program(program)) == ["MOB000"]
 
 
 class TestClockAllowlist:

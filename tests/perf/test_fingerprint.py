@@ -105,10 +105,52 @@ class TestSensitivity:
         assert fingerprint(True) != fingerprint(1)
 
 
+@dataclasses.dataclass(unsafe_hash=True)
+class _Mutable:
+    x: int = 0
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _FrozenSlots:
+    x: int = 0
+
+
+@dataclasses.dataclass
+class _MutableWithHook:
+    x: int = 0
+
+    def __mobius_fingerprint__(self):
+        return ("hook", self.x)
+
+
+class _Opaque:
+    def __mobius_fingerprint__(self):
+        return ("opaque", 1)
+
+
 class TestEncoding:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError, match="cannot fingerprint"):
             fingerprint(object())
+
+    @pytest.mark.parametrize(
+        "value",
+        [_Mutable(), (1, _Mutable()), {"key": _Mutable()}, {_Mutable()}],
+        ids=["bare", "in-tuple", "dict-value", "set-element"],
+    )
+    def test_mutable_dataclass_raises_naming_its_class(self, value):
+        with pytest.raises(TypeError, match=r"mutable dataclass .*\._Mutable'"):
+            fingerprint(value)
+
+    def test_frozen_slots_dataclass_encodes(self):
+        assert fingerprint(_FrozenSlots(1)) == fingerprint(_FrozenSlots(1))
+        assert fingerprint(_FrozenSlots(1)) != fingerprint(_FrozenSlots(2))
+
+    def test_fingerprint_hook_takes_precedence(self):
+        assert fingerprint(_Opaque()) == fingerprint(_Opaque())
+        # The hook decides the encoding, so a mutable dataclass that defines
+        # one is hashed through it rather than rejected.
+        assert fingerprint(_MutableWithHook(1)) != fingerprint(_MutableWithHook(2))
 
     def test_numpy_arrays_supported(self):
         a = np.arange(6, dtype=np.float64)
