@@ -30,7 +30,7 @@ from collections.abc import Sequence
 
 from repro.core.plan import Partition
 from repro.core.timing import PipelineTimings, evaluate_pipeline
-from repro.models.costmodel import CostModel, StageCost
+from repro.models.costmodel import CostModel, LayerCost, StageCost, ordered_sum
 from repro.models.spec import LayerKind, ModelSpec
 
 __all__ = [
@@ -85,8 +85,88 @@ class PartitionResult:
     gap: float = math.nan
 
 
+# One stage record of the search's stage table: the aggregates of stage
+# ``[start, stop)`` that the search reads, in this field order.
+#
+#   0 fwd_seconds      per-microbatch forward seconds
+#   1 bwd_seconds      per-microbatch backward seconds
+#   2 param_bytes      FP16 parameter (upload) bytes
+#   3 param_latency    param_bytes / B
+#   4 out_latency      output activation bytes / B
+#   5 mem_fwd          Eq. 4's forward footprint S^f at M microbatches
+#   6 mem_bwd          Eq. 4's backward footprint S^b at M microbatches
+#   7 upload_bwd       bytes re-uploaded before a swapped-out backward
+#   8 feasible         max(mem_fwd, mem_bwd) <= G
+#
+# Plain tuples, because the hot loops unpack them (a tuple unpack is one
+# bytecode; attribute reads on a record class cost one lookup per field).
+_StageRecord = tuple[float, float, int, float, float, int, int, int, bool]
+
+# Fills each row below its start, so ``row[stop]`` indexes by stop directly.
+_PAD: _StageRecord = (math.nan, math.nan, 0, math.nan, math.nan, 0, 0, 0, False)
+
+
+def _stage_rows(
+    layer_costs: Sequence[LayerCost], m: int, bandwidth: float, gpu_memory: int
+) -> tuple[list[list[_StageRecord]], list[int]]:
+    """The stage table and the longest memory-feasible stage per start.
+
+    ``rows[start][stop]`` is the :data:`_StageRecord` of ``[start, stop)``
+    for every ``stop`` in ``start+1..L`` (lower entries are padding).  Each
+    row is one scan that grows the stage a layer at a time with running
+    aggregates, in the order and arithmetic of :class:`StageCost`: left-fold
+    float sums (:func:`ordered_sum`) and exact integer memory terms, so a
+    record equals its StageCost's aggregates bit for bit.
+    """
+    n_layers = len(layer_costs)
+    fwds = [c.fwd_seconds for c in layer_costs]
+    bwds = [c.bwd_seconds for c in layer_costs]
+    params = [c.param_bytes for c in layer_costs]
+    acts = [c.activation_bytes for c in layer_costs]
+    works = [c.working_bytes for c in layer_costs]
+    rows: list[list[_StageRecord]] = []
+    max_len: list[int] = []
+    for start in range(n_layers):
+        input_act = acts[start - 1] if start > 0 else acts[0]
+        stash = m * input_act
+        prev_act = input_act
+        fwd = bwd = 0.0
+        param = intra = max_work = rolling = 0
+        length = 0
+        row: list[_StageRecord] = [_PAD] * (start + 1)
+        for j in range(start, n_layers):
+            act, work = acts[j], works[j]
+            fwd += fwds[j]
+            bwd += bwds[j]
+            param += params[j]
+            intra += act
+            if work > max_work:
+                max_work = work
+            window = prev_act + act + work
+            if window > rolling:
+                rolling = window
+            prev_act = act
+            mem_fwd = param + stash + rolling
+            mem_bwd = 2 * param + stash + intra + max_work + act
+            feasible = mem_fwd <= gpu_memory and mem_bwd <= gpu_memory
+            if feasible and length == j - start:
+                length += 1
+            row.append((
+                fwd, bwd, param, param / bandwidth, act / bandwidth,
+                mem_fwd, mem_bwd, param + stash, feasible,
+            ))
+        rows.append(row)
+        max_len.append(length)
+    return rows, max_len
+
+
 class _SearchContext:
-    """Shared state for the boundary branch-and-bound."""
+    """Shared state for the boundary branch-and-bound.
+
+    The search reads stages only through the stage table
+    (:func:`_stage_rows`), built once per context; :class:`StageCost`
+    objects are built by :meth:`evaluate` alone, for the plan it times.
+    """
 
     def __init__(
         self,
@@ -102,68 +182,28 @@ class _SearchContext:
         self.n_microbatches = n_microbatches
         self.bandwidth = bandwidth
         self.gpu_memory = gpu_memory
-        self._stage_cache: dict[tuple[int, int], StageCost] = {}
         self._score_cache: dict[tuple[int, ...], float] = {}
-        self._max_len_cache: dict[int, int] = {}
         self._children_cache: dict[int, tuple[tuple[int, float, float], ...]] = {}
         layer_costs = tuple(cost_model.layer_cost(layer) for layer in model.layers)
-        # Every StageCost of the search slices this one tuple, so stages share
-        # their LayerCost objects instead of each building its own.
         self._layer_costs = layer_costs
-        # Per-layer aggregate arrays: stage aggregates become running sums,
-        # so memory feasibility and the DFS bound never rebuild StageCost
-        # objects layer by layer.
-        self._layer_param = [c.param_bytes for c in layer_costs]
-        self._layer_act = [c.activation_bytes for c in layer_costs]
-        self._layer_work = [c.working_bytes for c in layer_costs]
+        self.table, self._max_len = _stage_rows(
+            layer_costs, n_microbatches, bandwidth, gpu_memory
+        )
         self.fwd_suffix = [0.0] * (model.n_layers + 1)
         for i in range(model.n_layers - 1, -1, -1):
             self.fwd_suffix[i] = self.fwd_suffix[i + 1] + layer_costs[i].fwd_seconds
-        self.total_bwd = sum(c.bwd_seconds for c in layer_costs)
+        self.total_bwd = ordered_sum(c.bwd_seconds for c in layer_costs)
         self.max_layer_bwd = max((c.bwd_seconds for c in layer_costs), default=0.0)
-
-    def stage_cost(self, start: int, stop: int) -> StageCost:
-        key = (start, stop)
-        cached = self._stage_cache.get(key)
-        if cached is None:
-            cached = StageCost(self._layer_costs[start:stop], self._input_act(start))
-            self._stage_cache[key] = cached
-        return cached
-
-    def _input_act(self, start: int) -> int:
-        return self._layer_act[start - 1] if start > 0 else self._layer_act[0]
+        # score()'s forward stack and the stops of the stages on it.  The
+        # stack holds the table, not this context, so the two form no
+        # reference cycle and a context dies with its last reference.
+        self._score_stack = _ForwardStack(self)
+        self._score_stops: list[int] = []
 
     def max_stage_len(self, start: int) -> int:
-        """Longest memory-feasible stage beginning at layer ``start``.
-
-        Grows the stage one layer at a time with running aggregates, so the
-        scan is O(layers) and matches :meth:`StageCost.mem_peak` exactly
-        (same integer arithmetic on the same per-layer terms).
-        """
-        cached = self._max_len_cache.get(start)
-        if cached is not None:
-            return cached
-        m = self.n_microbatches
-        stash = m * self._input_act(start)
-        prev_act = self._input_act(start)
-        param = intra = max_work = rolling = 0
-        length = 0
-        for stop in range(start + 1, self.model.n_layers + 1):
-            j = stop - 1
-            act, work = self._layer_act[j], self._layer_work[j]
-            param += self._layer_param[j]
-            intra += act
-            max_work = max(max_work, work)
-            rolling = max(rolling, prev_act + act + work)
-            prev_act = act
-            mem_fwd = param + stash + rolling
-            mem_bwd = 2 * param + stash + intra + max_work + act
-            if max(mem_fwd, mem_bwd) <= self.gpu_memory:
-                length = stop - start
-            else:
-                break
-        self._max_len_cache[start] = length
-        return length
+        """Longest memory-feasible stage beginning at layer ``start``: the
+        run of Eq. 4-feasible records from ``start+1`` on."""
+        return self._max_len[start]
 
     def children(self, start: int) -> tuple[tuple[int, float, float], ...]:
         """The DFS's children of a prefix ending at ``start``, in visit order.
@@ -176,17 +216,18 @@ class _SearchContext:
         cached = self._children_cache.get(start)
         if cached is not None:
             return cached
-        max_len = self.max_stage_len(start)
+        max_len = self._max_len[start]
         remaining = self.model.n_layers - start
         preferred = max(1, round(remaining / max(1, round(remaining / max(1, max_len)))))
         sizes = sorted(
             range(1, min(max_len, remaining) + 1),
             key=lambda k: abs(k - preferred),
         )
+        row = self.table[start]
         children = []
         for size in sizes:
-            cost = self.stage_cost(start, start + size)
-            children.append((start + size, cost.fwd_seconds, cost.bwd_seconds))
+            stage = row[start + size]
+            children.append((start + size, stage[0], stage[1]))  # fwd, bwd
         cached = self._children_cache[start] = tuple(children)
         return cached
 
@@ -199,21 +240,38 @@ class _SearchContext:
         and the backward sweep through :meth:`_ForwardStack.step_time`:
         the same arithmetic in the same order, so the float is bit-identical
         to ``evaluate(boundaries).step_seconds`` without building the
-        timing table.  Memoised per boundary tuple, since a hill-climb
-        revisits the tuples its undone moves left behind.
+        timing table.
+
+        One stack serves every call.  It keeps the stages the candidate
+        shares with the previous feasible one (a stage's forward state
+        depends only on the stages before it), so only the differing suffix
+        is checked, popped and pushed: a hill-climb move of boundary ``i``
+        re-pushes stages ``i`` on, not the whole plan.  Memoised per
+        boundary tuple, since a hill-climb revisits the tuples its undone
+        moves left behind.
         """
         key = tuple(boundaries)
         cached = self._score_cache.get(key)
         if cached is not None:
             return cached
-        cuts = (0, *key, self.model.n_layers)
-        stages = list(zip(cuts, cuts[1:]))
+        stops = (*key, self.model.n_layers)
+        kept = self._score_stops
+        keep = 0
+        limit = min(len(kept), len(stops))
+        while keep < limit and kept[keep] == stops[keep]:
+            keep += 1
+        # Stages on the stack passed the Eq. 4 check (field 8) when pushed.
+        table = self.table
+        starts = (0, *key)
         step = math.inf
-        m = self.n_microbatches
-        if all(self.stage_cost(a, b).mem_peak(m) <= self.gpu_memory for a, b in stages):
-            stack = _ForwardStack(self)
-            for a, b in stages:
+        if all(table[a][b][8] for a, b in zip(starts[keep:], stops[keep:])):
+            stack = self._score_stack
+            for _ in range(len(kept) - keep):
+                stack.pop()
+            del kept[keep:]
+            for a, b in zip(starts[keep:], stops[keep:]):
                 stack.push(a, b)
+                kept.append(b)
             step = stack.step_time()
         self._score_cache[key] = step
         return step
@@ -224,9 +282,11 @@ class _SearchContext:
         Not memoised: the search ranks candidates with :meth:`score`, so
         :func:`mip_partition` builds this table once per solve, for the
         partition it returns (the baselines likewise build one each).
+        These are the only :class:`StageCost` objects a solve builds.
         """
+        layer_costs = self._layer_costs
         costs = [
-            self.stage_cost(a, b)
+            StageCost(layer_costs[a:b], layer_costs[a - 1 if a else 0].activation_bytes)
             for a, b in zip((0, *boundaries), (*boundaries, self.model.n_layers))
         ]
         return evaluate_pipeline(
@@ -242,20 +302,29 @@ class _ForwardStack:
     path).  The DFS pushes/pops one stage at a time, so this stack extends
     the parent's forward state by exactly one stage in O(M): it replays the
     same arithmetic :func:`evaluate_pipeline`'s forward sweep would perform
-    for that stage, against the retained ``end/d/t_fwd`` of earlier stages.
+    for that stage, against the retained forward state of earlier stages.
     Bounds are therefore bit-identical to the full re-evaluation, and every
     pruning decision is unchanged.
+
+    Each stage is one frame ``(record, row, end_fwd, d_fwd, max_bwd)``: its
+    stage-table record, its forward start times per microbatch, its forward
+    finish on the last microbatch, its Eq. 7 window, and the running
+    maximum of stage ``bwd_seconds`` over the prefix.  The stack copies the
+    context's scalars and table rather than referring to the context.
     """
 
     def __init__(self, ctx: _SearchContext) -> None:
-        self._ctx = ctx
-        self._stages: list[StageCost] = []
-        self._rows: list[list[float]] = []
-        self._end_fwd: list[float] = []
-        self._d_fwd: list[float] = []
-        # Running maximum of stage bwd_seconds over the prefix, seeded with
-        # the largest single layer's (the bubble term of push()'s bound).
-        self._max_bwd: list[float] = [ctx.max_layer_bwd]
+        self._table = ctx.table
+        self._n_gpus = ctx.n_gpus
+        self._m = ctx.n_microbatches
+        self._bandwidth = ctx.bandwidth
+        self._gpu_memory = ctx.gpu_memory
+        self._fwd_suffix = ctx.fwd_suffix
+        self._total_bwd = ctx.total_bwd
+        # The bubble term of push()'s bound is seeded with the largest single
+        # layer's bwd_seconds.
+        self._max_layer_bwd = ctx.max_layer_bwd
+        self._frames: list[tuple[_StageRecord, list[float], float, float, float]] = []
         # Rolling row buffers for step_time(): the backward sweep only ever
         # reads rows j and j+1, so leaves reuse two fixed buffers instead of
         # allocating an S x M matrix per leaf.
@@ -296,31 +365,29 @@ class _ForwardStack:
         may differ by a few ulps; the DFS's 1e-12 pruning margin absorbs
         that.
         """
-        ctx = self._ctx
-        cost = ctx.stage_cost(start, stop)
-        m = ctx.n_microbatches
-        bandwidth = ctx.bandwidth
-        k = len(self._stages)
-        fwd_seconds = cost.fwd_seconds
+        record = self._table[start][stop]
+        fwd_seconds, bwd_seconds, param_bytes, param_latency, _, _, _, _, _ = record
+        m = self._m
+        n_gpus = self._n_gpus
+        frames = self._frames
+        k = len(frames)
         if k:
-            prev = self._stages[-1]
-            t_prev = prev.fwd_seconds
-            act_latency = prev.output_activation_bytes / bandwidth
-            prev_row = self._rows[-1]
+            prev_record, prev_row, _, _, max_bwd = frames[-1]
+            t_prev = prev_record[0]  # fwd_seconds
+            act_latency = prev_record[4]  # out_latency
         else:
-            t_prev = 0.0
-            act_latency = 0.0
+            max_bwd = self._max_layer_bwd
             prev_row = None
-        if k < ctx.n_gpus:
-            ready = cost.param_bytes / bandwidth
+        if k < n_gpus:
+            ready = param_latency
             gpu_free = 0.0
         else:
-            window = self._d_fwd[k - ctx.n_gpus]
-            room = ctx.gpu_memory - self._stages[k - ctx.n_gpus].mem_fwd(m)
-            prefetch = max(0, min(cost.param_bytes, room))
+            bandwidth = self._bandwidth
+            resident, _, gpu_free, window, _ = frames[k - n_gpus]
+            room = self._gpu_memory - resident[5]  # mem_fwd
+            prefetch = max(0, min(param_bytes, room))
             prefetched = min(prefetch, bandwidth * window)
-            remaining = cost.param_bytes - prefetched
-            gpu_free = self._end_fwd[k - ctx.n_gpus]
+            remaining = param_bytes - prefetched
             ready = gpu_free + max(0.0, remaining) / bandwidth
 
         # The mb loop is the search's hottest arithmetic; max() is unrolled
@@ -346,15 +413,10 @@ class _ForwardStack:
                 start_t = start_t + fwd_seconds
                 row[mb] = start_t
         end = start_t + fwd_seconds
-        self._stages.append(cost)
-        self._rows.append(row)
-        self._end_fwd.append(end)
-        self._d_fwd.append(fwd_seconds + row[m - 1] - row[0])
-        max_bwd = self._max_bwd[-1]
-        if cost.bwd_seconds > max_bwd:
-            max_bwd = cost.bwd_seconds
-        self._max_bwd.append(max_bwd)
-        return end + ctx.fwd_suffix[stop] + ctx.total_bwd + (m - 1) * max_bwd
+        if bwd_seconds > max_bwd:
+            max_bwd = bwd_seconds
+        frames.append((record, row, end, fwd_seconds + row[m - 1] - row[0], max_bwd))
+        return end + self._fwd_suffix[stop] + self._total_bwd + (m - 1) * max_bwd
 
     def tail(self) -> tuple[float, float]:
         """``(arrival, max_bwd)`` that :meth:`push` would use for the next
@@ -365,17 +427,11 @@ class _ForwardStack:
         mb = M-1 activation arrival, ``(row[M-1] + T_prev) + latency``,
         because ``end_fwd`` of the last stage is ``row[M-1] + T_prev``.
         """
-        arrival = self._end_fwd[-1] + (
-            self._stages[-1].output_activation_bytes / self._ctx.bandwidth
-        )
-        return arrival, self._max_bwd[-1]
+        record, _, end, _, max_bwd = self._frames[-1]
+        return end + record[4], max_bwd  # out_latency
 
     def pop(self) -> None:
-        self._stages.pop()
-        self._rows.pop()
-        self._end_fwd.pop()
-        self._d_fwd.pop()
-        self._max_bwd.pop()
+        self._frames.pop()
 
     def step_time(self) -> float:
         """Exact step time of the *complete* partition on the stack.
@@ -386,14 +442,12 @@ class _ForwardStack:
         Bit-identical to ``evaluate_pipeline(...).step_seconds`` (same
         arithmetic in the same order on the same forward state).
         """
-        ctx = self._ctx
-        costs = self._stages
-        s = len(costs)
-        m = ctx.n_microbatches
-        n_gpus = ctx.n_gpus
-        bandwidth = ctx.bandwidth
-        gpu_memory = ctx.gpu_memory
-        end_fwd = self._end_fwd
+        frames = self._frames
+        s = len(frames)
+        m = self._m
+        n_gpus = self._n_gpus
+        bandwidth = self._bandwidth
+        gpu_memory = self._gpu_memory
         d_bwd = [0.0] * s
         end_bwd = [0.0] * s
         # Only rows j and j+1 are ever live, so two reusable buffers replace
@@ -405,15 +459,14 @@ class _ForwardStack:
         last = s - 1
         t_next = 0.0
         for j in range(last, -1, -1):
-            cost = costs[j]
-            bwd_seconds = cost.bwd_seconds
+            record, _, end_fwd, _, _ = frames[j]
+            _, bwd_seconds, _, _, grad_latency, _, _, upload, _ = record
             if j >= boundary:
-                ready = end_fwd[j]
+                ready = end_fwd
                 gpu_free = ready
             else:
                 window = d_bwd[j + n_gpus]
-                upload = cost.param_bytes + m * cost.input_activation_bytes
-                room = gpu_memory - costs[j + n_gpus].mem_bwd(m)
+                room = gpu_memory - frames[j + n_gpus][0][6]  # mem_bwd
                 prefetch = max(0, min(upload, room))
                 prefetched = min(prefetch, bandwidth * window)
                 remaining = upload - prefetched
@@ -423,7 +476,6 @@ class _ForwardStack:
             if gpu_free > start_t:
                 start_t = gpu_free
             if j < last:
-                grad_latency = cost.output_activation_bytes / bandwidth
                 arrival = next_row[0] + t_next + grad_latency
                 if arrival > start_t:
                     start_t = arrival
@@ -672,6 +724,10 @@ def mip_partition(
         nodes += 1
         if root_bound < incumbent_time + 1e-12:
             expand([0])
+    # expand() reaches itself through its closure cell: a reference cycle
+    # that would keep the context and its stage table alive until the
+    # cyclic collector runs.  Unbinding it frees them when the solve returns.
+    del expand
 
     if incumbent is None:
         raise PlanInfeasibleError(

@@ -18,17 +18,31 @@ recomputation (checkpointing), the configuration used throughout §4:
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from repro.hardware.gpu import GPUSpec, Precision
 from repro.models.spec import FP16_BYTES, LayerSpec, ModelSpec
 
-__all__ = ["LayerCost", "StageCost", "CostModel", "FRAMEWORK_OVERHEAD_BYTES"]
+__all__ = ["LayerCost", "StageCost", "CostModel", "FRAMEWORK_OVERHEAD_BYTES", "ordered_sum"]
 
 #: Constant per-GPU memory claimed by the framework (CUDA context, NCCL
 #: buffers, allocator slack) and unavailable to stage data.
 FRAMEWORK_OVERHEAD_BYTES = int(1.5 * 1024**3)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, ``((0.0 + a) + b) + ...``.
+
+    Since Python 3.12, ``sum()`` over floats compensates its rounding
+    (Neumaier), so stage times and hence plans would depend on the
+    interpreter.  This fold gives the bits of 3.10/3.11 ``sum()`` on every
+    interpreter, and the partition search's running sums equal it exactly.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,12 +64,12 @@ class StageCost:
     All times are per-microbatch; memory methods take the microbatch count
     ``m`` where the footprint scales with in-flight microbatches.
 
-    The aggregates are :func:`functools.cached_property` values: the planner
-    evaluates millions of candidate schedules against the same StageCost
-    objects, and re-summing ``layer_costs`` on every access dominated the
-    uncached suite.  Caching is sound because the dataclass is frozen, and
-    invisible to equality/fingerprinting because both iterate
-    ``dataclasses.fields`` only.
+    The aggregates are :func:`functools.cached_property` values: schedulers
+    read them many times per plan, and re-summing ``layer_costs`` on every
+    access dominated the uncached suite.  Caching is sound because the
+    dataclass is frozen, and invisible to equality/fingerprinting because
+    both iterate ``dataclasses.fields`` only.  Stage times are
+    :func:`ordered_sum` folds, so they do not depend on the interpreter.
     """
 
     layer_costs: tuple[LayerCost, ...]
@@ -78,12 +92,12 @@ class StageCost:
     @cached_property
     def fwd_seconds(self) -> float:
         """Forward compute time for one microbatch."""
-        return sum(c.fwd_seconds for c in self.layer_costs)
+        return ordered_sum(c.fwd_seconds for c in self.layer_costs)
 
     @cached_property
     def bwd_seconds(self) -> float:
         """Backward (incl. recompute) compute time for one microbatch."""
-        return sum(c.bwd_seconds for c in self.layer_costs)
+        return ordered_sum(c.bwd_seconds for c in self.layer_costs)
 
     @property
     def output_activation_bytes(self) -> int:

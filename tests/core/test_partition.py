@@ -11,7 +11,7 @@ from repro.core.partition import (
     mip_partition,
 )
 from repro.hardware.gpu import RTX_3090TI
-from repro.models.costmodel import CostModel
+from repro.models.costmodel import CostModel, StageCost
 from repro.models.spec import LayerKind, build_gpt_like
 
 BW = 13.1e9
@@ -135,7 +135,7 @@ class TestForwardStackStepTime:
                 for start, stop in zip(cuts, cuts[1:]):
                     stack.push(start, stop)
                 stage_costs = [
-                    ctx.stage_cost(start, stop)
+                    cm.stage_cost(model, start, stop)
                     for start, stop in zip(cuts, cuts[1:])
                 ]
                 expected = evaluate_pipeline(
@@ -273,6 +273,28 @@ class TestBoundAdmissibility:
                 feasible += 1
         assert feasible > 10
 
+    def test_score_does_not_depend_on_call_order(self, instance):
+        """score() keeps one forward stack across calls and re-pushes only
+        the stages after the previous candidate's common prefix.  Whatever
+        the order of candidates (mixed stage counts, infeasible ones in
+        between), every score is the full evaluation's float."""
+        import random
+
+        from repro.core.partition import _SearchContext
+
+        model, cm, n_gpus, gpu_memory = instance
+        args = (model, cm, n_gpus, n_gpus, BW, gpu_memory)
+        candidates = list(_compositions(model.n_layers))[::5]
+        assert len({len(b) for b in candidates}) > 3
+        reference = _SearchContext(*args)
+        expected = {b: reference.evaluate(b).step_seconds.hex() for b in candidates}
+        for seed in range(4):
+            order = list(candidates)
+            random.Random(seed).shuffle(order)
+            ctx = _SearchContext(*args)
+            for boundaries in order:
+                assert ctx.score(boundaries).hex() == expected[boundaries], (seed, boundaries)
+
     def test_exhausted_search_returns_brute_force_canonical_optimum(self, instance):
         model, cm, n_gpus, gpu_memory = instance
         steps, _ = self._brute_force(model, cm, n_gpus, gpu_memory)
@@ -395,9 +417,12 @@ class TestSearchWork:
     def counted(self, monkeypatch):
         from repro.core import partition
 
-        counts = {"push": 0, "warm_push": 0, "evaluate": 0}
-        push, warm_start, evaluate = (
-            partition._ForwardStack.push, partition._warm_start, partition.evaluate_pipeline
+        counts = {"push": 0, "warm_push": 0, "evaluate": 0, "stage_cost": 0}
+        push, warm_start, evaluate, stage_cost = (
+            partition._ForwardStack.push,
+            partition._warm_start,
+            partition.evaluate_pipeline,
+            partition.StageCost,
         )
 
         def counted_push(self, start, stop):
@@ -413,22 +438,61 @@ class TestSearchWork:
             counts["evaluate"] += 1
             return evaluate(*args, **kwargs)
 
+        def counted_stage_cost(*args, **kwargs):
+            counts["stage_cost"] += 1
+            return stage_cost(*args, **kwargs)
+
         monkeypatch.setattr(partition._ForwardStack, "push", counted_push)
         monkeypatch.setattr(partition, "_warm_start", counted_warm_start)
         monkeypatch.setattr(partition, "evaluate_pipeline", counted_evaluate)
+        monkeypatch.setattr(partition, "StageCost", counted_stage_cost)
         return counts
 
     def test_gpt_3b_dfs_pushes_few_children(self, counted):
         result = _solve("GPT-3B")
         assert result.nodes_explored == 20_000
-        # The DFS pushed 22,068 children of its 20,000 nodes before the
-        # O(1) relaxation pruned most of them unpushed.
-        assert counted["push"] - counted["warm_push"] <= 5_000
+        # The DFS pushes 3,854 of the 22,068 children of its 20,000 nodes;
+        # the O(1) relaxation prunes the rest unpushed.
+        assert counted["push"] - counted["warm_push"] == 3_854
+
+    def test_gpt_3b_warm_start_reuses_its_forward_prefix(self, counted):
+        _solve("GPT-3B")
+        # 6,006 pushes when every score re-pushed the whole plan; the shared
+        # stack re-pushes only the stages after the common prefix.
+        assert counted["warm_push"] <= 4_500
 
     @pytest.mark.parametrize("name", ["GPT-3B", "GPT-8B", "GPT-15B", "GPT-51B"])
     def test_one_timing_table_per_solve(self, counted, name):
-        _solve(name)
+        result = _solve(name)
         assert counted["evaluate"] == 1
+        # The search reads the stage table; only the returned plan's timing
+        # table builds StageCost objects.
+        assert counted["stage_cost"] == result.partition.n_stages
+
+    def test_solve_leaves_no_reference_cycle(self, model, cm, monkeypatch):
+        """With the cyclic collector off, the search context (and its stage
+        table) dies as soon as the solve returns."""
+        import gc
+        import weakref
+
+        from repro.core import partition
+
+        contexts = []
+
+        class Traced(partition._SearchContext):
+            def __init__(self, *args):
+                super().__init__(*args)
+                contexts.append(weakref.ref(self))
+
+        monkeypatch.setattr(partition, "_SearchContext", Traced)
+        gc.disable()
+        try:
+            for max_nodes in (3, 20_000):
+                mip_partition(model, cm, 2, 2, BW, max_nodes=max_nodes)
+            assert len(contexts) == 2
+            assert all(ref() is None for ref in contexts)
+        finally:
+            gc.enable()
 
 
 class TestSearchSpace:
@@ -453,9 +517,52 @@ class TestSearchSpace:
                 for start in range(model.n_layers):
                     run = 0
                     for stop in range(start + 1, model.n_layers + 1):
-                        if ctx.stage_cost(start, stop).mem_peak(n_gpus) > gpu_memory:
+                        if cost_model.stage_cost(model, start, stop).mem_peak(n_gpus) > gpu_memory:
                             break
                         run = stop - start
                     assert ctx.max_stage_len(start) == run, (
                         model.name, microbatch_size, start
                     )
+
+    @pytest.mark.parametrize("topology_name", ["topo_4_4", "topo_2_2", "topo_1_3", "topo_4"])
+    def test_stage_table_records_equal_stage_cost_aggregates(self, topology_name):
+        """Every record of the search's stage table is its StageCost's
+        aggregates: floats bit for bit, integers exactly, and the Eq. 4 bit
+        equal to ``mem_peak(M) <= G``."""
+        from repro.core.partition import _SearchContext
+        from repro.core.timing import _bwd_upload_bytes
+        from repro.hardware import topology as topologies
+        from repro.models.zoo import TABLE3_MODELS, gpt2_small
+
+        topology = getattr(topologies, topology_name)()
+        m = topology.n_gpus
+        bandwidth = topology.pcie_bandwidth
+        for model in (*TABLE3_MODELS(), gpt2_small()):
+            for microbatch_size in (1, 2, 4, 8):
+                cost_model = CostModel(topology.gpu_spec, microbatch_size)
+                gpu_memory = cost_model.usable_gpu_bytes()
+                ctx = _SearchContext(model, cost_model, m, m, bandwidth, gpu_memory)
+                # CostModel.stage_cost's stages, from one tuple of layer costs.
+                layer_costs = tuple(cost_model.layer_cost(layer) for layer in model.layers)
+                for start in range(model.n_layers):
+                    input_act = model.layers[max(start - 1, 0)].activation_bytes(microbatch_size)
+                    for stop in range(start + 1, model.n_layers + 1):
+                        cost = StageCost(layer_costs[start:stop], input_act)
+                        fwd, bwd, param, param_latency, out_latency, mem_fwd, mem_bwd, upload, ok = (
+                            ctx.table[start][stop]
+                        )
+                        assert (
+                            fwd.hex(), bwd.hex(), param_latency.hex(), out_latency.hex()
+                        ) == (
+                            cost.fwd_seconds.hex(),
+                            cost.bwd_seconds.hex(),
+                            (cost.param_bytes / bandwidth).hex(),
+                            (cost.output_activation_bytes / bandwidth).hex(),
+                        ), (model.name, microbatch_size, start, stop)
+                        assert (param, mem_fwd, mem_bwd, upload, ok) == (
+                            cost.param_bytes,
+                            cost.mem_fwd(m),
+                            cost.mem_bwd(m),
+                            _bwd_upload_bytes(cost, m),
+                            cost.mem_peak(m) <= gpu_memory,
+                        ), (model.name, microbatch_size, start, stop)
