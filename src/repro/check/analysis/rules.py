@@ -18,11 +18,11 @@ regardless of which directory the helper lives in.
   import choice``, ``import numpy.random as npr``, function-local imports
   too).  A root is a function, or a package or module, meaning every
   function defined there plus its import-time code.  The roots are the
-  simulator, the planner, fault injection, the literal-MIP solver, the
-  serve daemon, the durable store, and the suite's cell worker (so every
-  cached cell, baseline task-graph builders included).  A function in
-  ``clock_allowlist`` may read monotonic clocks for reporting; wall
-  clocks and RNG draws are flagged there too.  Bench walls go through
+  simulator, the planner, fault injection, the serve daemon, the durable
+  store, and the suite's cell worker (so every cached cell, baseline
+  task-graph builders included).  A function in ``clock_allowlist`` may
+  read monotonic clocks for reporting; wall clocks and RNG draws are
+  flagged there too.  Bench walls go through
   :class:`repro.perf.bench.Stopwatch`, the one allowlisted timer.
 
 * **MOB005 — unordered-iteration hazard.**  Iterating a ``set`` /
@@ -196,8 +196,6 @@ class AnalysisConfig:
         "repro.core",
         # Failure coins come from content hashes, never RNGs.
         "repro.faults",
-        # The literal-MIP builder and its HiGHS call read no clock.
-        "repro.solver",
         # Serve deadlines are node budgets, and responses are content-
         # addressed.  (time.sleep for restart pacing waits, it reads nothing.)
         "repro.serve",
@@ -238,9 +236,6 @@ class AnalysisConfig:
             "src/repro/core/partition.py::max_stage_partition",
             # solve_seconds metadata of the block-per-stage heuristic.
             "src/repro/core/partition.py::min_stage_partition",
-            # solve_seconds metadata of the literal-MIP oracle (the HiGHS
-            # per-stage time_limit runs inside scipy, out of this rule's view).
-            "src/repro/core/mip_formulation.py::solve_partition_mip",
             # The bench timer starts: walls sit beside results, never in them.
             "src/repro/perf/bench.py::Stopwatch.__init__",
             # The bench timer reads: same.

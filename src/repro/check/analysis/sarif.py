@@ -26,7 +26,7 @@ RULE_DESCRIPTIONS: dict[str, str] = {
     "MOB003": "Task labels must come from repro.core.labels constructors or "
     "match its compiled patterns.",
     "MOB004": "Functions reachable from a determinism root (simulator, "
-    "planner, faults, solver, serve, durable store, suite cell worker) must "
+    "planner, faults, serve, durable store, suite cell worker) must "
     "not read clocks or draw process-global randomness; allowlisted "
     "functions may read monotonic clocks only.",
     "MOB005": "Unordered set iteration on a hot path must not feed heap "

@@ -42,10 +42,15 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import SYSTEMS, ExperimentTable, print_tables, run_system
 from repro.hardware.gpu import GPU_PRESETS
 from repro.hardware.topology import Topology, commodity_server, datacenter_server
+from repro.models.spec import ModelSpec
 from repro.models.zoo import model_by_name
 from repro.perf.bench import KINDS as BENCH_KINDS
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """A bad command-line value: ``main`` prints one ``error:`` line and exits 2."""
 
 
 def _parse_topology(spec: str, gpu: str) -> Topology:
@@ -53,12 +58,22 @@ def _parse_topology(spec: str, gpu: str) -> Topology:
     if spec.lower() in ("dc", "datacenter"):
         return datacenter_server()
     try:
-        groups = [int(part) for part in spec.split("+")]
+        # Topology raises ValueError on a group of zero or fewer GPUs too.
+        return commodity_server([int(part) for part in spec.split("+")], GPU_PRESETS[gpu])
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"topology must look like '2+2', '4', '1+3' or 'dc', got {spec!r}"
         ) from None
-    return commodity_server(groups, GPU_PRESETS[gpu])
+
+
+def _model_and_topology(args: argparse.Namespace) -> tuple[ModelSpec, Topology]:
+    """The ``--model`` and ``--topology`` of ``plan``, ``compare`` and ``advise``."""
+    try:
+        return model_by_name(args.model), _parse_topology(args.topology, args.gpu)
+    except KeyError as exc:  # unknown model: the message lists the zoo
+        raise _UsageError(exc.args[0]) from None
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,12 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="GPU preset for commodity topologies",
         )
         p.add_argument("--microbatch", type=int, default=None, help="microbatch size")
-        p.add_argument(
-            "--time-limit", type=float, default=5.0, help="MIP search budget (s)"
-        )
 
     plan = sub.add_parser("plan", help="run the Mobius planner and print the plan")
     add_common(plan)
+    plan.add_argument(
+        "--time-limit", type=float, default=5.0, help="MIP search budget (s)"
+    )
 
     compare = sub.add_parser("compare", help="simulate every system on one config")
     add_common(compare)
@@ -208,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.api import MobiusConfig, plan_mobius
 
-    model = model_by_name(args.model)
-    topology = _parse_topology(args.topology, args.gpu)
+    model, topology = _model_and_topology(args)
     report = plan_mobius(
         model,
         topology,
@@ -228,8 +242,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    model = model_by_name(args.model)
-    topology = _parse_topology(args.topology, args.gpu)
+    model, topology = _model_and_topology(args)
     table = ExperimentTable(
         title=f"{model.name} on {topology.name}",
         columns=("system", "step_s", "traffic_GB", "non_overlapped"),
@@ -255,8 +268,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.core.extensions import advise_microbatch_size
 
-    model = model_by_name(args.model)
-    topology = _parse_topology(args.topology, args.gpu)
+    model, topology = _model_and_topology(args)
     advice = advise_microbatch_size(model, topology)
     table = ExperimentTable(
         title=f"microbatch sweep: {model.name} on {topology.name}",
@@ -468,7 +480,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

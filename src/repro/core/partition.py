@@ -10,8 +10,8 @@ pipeline bubble adds ``M-1`` backwards of the slowest stage).  This *is*
 a mixed-integer optimisation: integer decisions (stage boundaries) +
 linear timing constraints, solved exactly when the node/time budget
 allows.  This search is the only planner; the paper's literal boolean
-``B_{i,j}`` MILP lives in :mod:`repro.core.mip_formulation`, where HiGHS
-solves it as the test suite's parity oracle for this search.
+``B_{i,j}`` MILP lives in the test suite (``tests/core/literal_mip.py``),
+where HiGHS solves it as the parity oracle for this search.
 
 Baselines of §4.3:
 
@@ -599,10 +599,10 @@ def mip_partition(
     relaxation therefore prunes only children the push bound prunes, and
     the search visits the same nodes as one that pushes every child.
 
-    This is the partition search behind every plan.
-    :func:`repro.core.mip_formulation.solve_partition_mip` solves the same
-    problem as the paper's literal MIP with HiGHS; the test suite requires
-    both to return the same step time and boundaries on the check corpus.
+    This is the partition search behind every plan.  The test suite's
+    oracle (``tests/core/literal_mip.py``) solves the same problem as the
+    paper's literal MIP with HiGHS and requires both to return the same
+    step time and boundaries on the check corpus.
 
     Args:
         model: Model to partition.

@@ -146,10 +146,10 @@ class TestMob002HotPathDeterminism:
 
 class TestMob002StrictClock:
     """Monotonic clocks are banned in every root package too, outside
-    allowlisted functions, so the literal-MIP oracle stays clock-free and
+    allowlisted functions, so fault injection stays clock-free and
     simulator results virtual-clock-only."""
 
-    SOLVER_MODULE = "src/repro/solver/some_module.py"
+    FAULTS_MODULE = "src/repro/faults/some_module.py"
     SIM_MODULE = "src/repro/sim/some_module.py"
 
     def test_perf_counter_flagged_in_solver(self):
@@ -160,7 +160,7 @@ class TestMob002StrictClock:
             def elapsed(t0):
                 return time.perf_counter() - t0
             """,
-            self.SOLVER_MODULE,
+            self.FAULTS_MODULE,
         )
         assert "MOB004" in _codes(report)
 
@@ -172,7 +172,7 @@ class TestMob002StrictClock:
             def tick():
                 return time.monotonic()
             """,
-            self.SOLVER_MODULE,
+            self.FAULTS_MODULE,
         )
         assert "MOB004" in _codes(report)
 
@@ -184,7 +184,7 @@ class TestMob002StrictClock:
             def tick():
                 return perf_counter()
             """,
-            self.SOLVER_MODULE,
+            self.FAULTS_MODULE,
         )
         assert "MOB004" in _codes(report)
 

@@ -1,5 +1,7 @@
-"""Whole-tree lint edge cases: broken files and allowlisted clocks."""
+"""Whole-tree lint edge cases: broken files, allowlisted clocks, and roots
+that name real code."""
 
+import dataclasses
 import textwrap
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from repro.check.analysis import (
     analyze_tree,
     run_lint,
 )
+from repro.check.analysis.rules import _roots
 from repro.check.findings import CheckReport
 
 
@@ -75,10 +78,10 @@ class TestClockAllowlist:
                     return time.perf_counter()
             """
         ).encode()
-        root = _make_tree(tmp_path, {"src/repro/solver/bench.py": source})
+        root = _make_tree(tmp_path, {"src/repro/faults/bench.py": source})
         config = AnalysisConfig(
             clock_allowlist=frozenset(
-                {"src/repro/solver/bench.py::Bench.report"}
+                {"src/repro/faults/bench.py::Bench.report"}
             ),
         )
         report = analyze_tree(root, config=config)
@@ -104,3 +107,41 @@ class TestClockAllowlist:
             program.functions[f.symbol].site for f in report if f.code == "MOB004"
         }
         assert sites == DEFAULT_ANALYSIS_CONFIG.clock_allowlist
+
+
+def _unresolved(program: Program, config: AnalysisConfig) -> list[str]:
+    """Configured names that match no function of ``program``: package and
+    module roots expand as the rules expand them; worker roots and seams
+    must be function qualnames."""
+    unresolved = [name for name in config.entry_points if not _roots(program, (name,))]
+    unresolved += [
+        name
+        for name in (*config.worker_entry_points, *sorted(config.sync_seams))
+        if name not in program.functions
+    ]
+    return unresolved
+
+
+class TestAnalysisRoots:
+    """A root or seam that matches nothing silently drops its code from the
+    rules, so every configured name must resolve against the real tree."""
+
+    def test_every_root_and_seam_resolves(self):
+        program = Program.from_tree(Path(__file__).resolve().parents[2])
+        config = DEFAULT_ANALYSIS_CONFIG
+        assert _unresolved(program, config) == []
+
+        misspelt = dataclasses.replace(
+            config,
+            entry_points=(*config.entry_points, "repro.sovler"),
+            worker_entry_points=(
+                *config.worker_entry_points,
+                "repro.serve.daemon.PlanService._dispatch_lop",
+            ),
+            sync_seams=config.sync_seams | {"repro.sim.tasks._next_task_id"},
+        )
+        assert _unresolved(program, misspelt) == [
+            "repro.sovler",
+            "repro.serve.daemon.PlanService._dispatch_lop",
+            "repro.sim.tasks._next_task_id",
+        ]

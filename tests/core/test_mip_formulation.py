@@ -3,14 +3,12 @@
 import pytest
 
 from repro.check.corpus import default_corpus
-from repro.core import mip_formulation
-from repro.core.mip_formulation import build_partition_mip, solve_partition_mip
 from repro.core.partition import PlanInfeasibleError, mip_partition
 from repro.core.timing import evaluate_pipeline
 from repro.hardware.gpu import RTX_3090TI
 from repro.models.costmodel import CostModel
 from repro.models.spec import build_gpt_like
-from repro.solver.scipy_backend import MIPSolution, MIPStatus
+from tests.core.literal_mip import MIP, build_partition_mip, solve_partition_mip
 
 BW = 13.1e9
 
@@ -87,15 +85,15 @@ class TestFormulation:
     def test_time_limited_stage_count_is_not_optimal(self, small_model, cm, monkeypatch):
         """A stage count stopped on HiGHS's time limit returns an unproven
         incumbent; the result must say it is not a certified optimum."""
-        real_solve = mip_formulation.solve_milp_scipy
+        real_solve = MIP.solve
 
-        def limited(program, **kwargs):
-            solution = real_solve(program, **kwargs)
+        def limited(program, time_limit):
+            result = real_solve(program, time_limit)
             if program.name.endswith("-S3"):
-                return MIPSolution(MIPStatus.FEASIBLE, solution.x, solution.objective)
-            return solution
+                result.status = 1  # HiGHS: time limit reached, incumbent kept
+            return result
 
-        monkeypatch.setattr(mip_formulation, "solve_milp_scipy", limited)
+        monkeypatch.setattr(MIP, "solve", limited)
         milp = solve_partition_mip(
             small_model, cm, 2, 2, BW, gpu_memory=4 * 10**9, stage_counts=[2, 3]
         )

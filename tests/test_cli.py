@@ -25,6 +25,14 @@ class TestParser:
 
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_topology("two plus two", "RTX 3090-Ti")
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_topology("2+0", "RTX 3090-Ti")
+
+    @pytest.mark.parametrize("command", ["compare", "advise"])
+    def test_time_limit_is_a_plan_option_only(self, command):
+        assert build_parser().parse_args(["plan", "--time-limit", "1"]).time_limit == 1.0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--time-limit", "1"])
 
 
 class TestCommands:
@@ -53,6 +61,22 @@ class TestCommands:
     def test_figures_unknown_name(self, capsys):
         code = main(["figures", "fig99"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["plan", "compare", "advise"])
+    def test_bad_topology_is_one_error_line(self, command, capsys):
+        code = main([command, "--topology", "2+x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: topology must look like")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["plan", "compare", "advise"])
+    def test_unknown_model_is_one_error_line(self, command, capsys):
+        code = main([command, "--model", "99B"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown model '99B'; available:")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_malformed_repro_jobs_fails_fast(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "bogus")

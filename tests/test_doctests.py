@@ -5,12 +5,11 @@ import doctest
 import pytest
 
 import repro.sim.engine
-import repro.solver.model
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro.sim.engine, repro.solver.model],
+    [repro.sim.engine],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):
