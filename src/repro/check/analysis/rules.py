@@ -222,7 +222,15 @@ class AnalysisConfig:
     #: Module globals whose *touching* functions join the MOB007 frontier.
     race_registries: tuple[str, ...] = ()
     #: Documented synchronization seams: writes inside these are sanctioned.
-    sync_seams: frozenset[str] = frozenset({"repro.sim.tasks._next_task_uid"})
+    sync_seams: frozenset[str] = frozenset(
+        {
+            # next() on an itertools.count is one GIL-atomic C call.
+            "repro.sim.tasks._next_task_uid",
+            # The fingerprint memo: writes are idempotent (equal bytes per
+            # instance), and dict and weakref-callback ops are GIL-atomic.
+            "repro.perf.fingerprint._memo_write",
+        }
+    )
     #: Functions that may read monotonic clocks (MOB004), one reason each.
     clock_allowlist: frozenset[str] = frozenset(
         {

@@ -69,13 +69,16 @@ def contention_degree(topology: Topology, mapping: Mapping, n_stages: int) -> fl
     """Eq. 13 objective: summed pairwise contention over all stage pairs."""
     if n_stages <= 0:
         raise ValueError(f"n_stages must be positive, got {n_stages}")
+    # shared(i, j) is the group size of stage i's root complex when stage j
+    # sits under the same one, else 0: look both up once per stage.
+    root = [topology.root_complex_of(mapping.gpu_of_stage(i)) for i in range(n_stages)]
+    group = [len(topology.gpus_under_root_complex(rc)) for rc in root]
     total = 0.0
     for i in range(n_stages):
-        gpu_i = mapping.gpu_of_stage(i)
+        root_i, group_i = root[i], group[i]
         for j in range(i + 1, n_stages):
-            shared = topology.shared_group_size(gpu_i, mapping.gpu_of_stage(j))
-            if shared:
-                total += shared / (j - i)
+            if root[j] == root_i:
+                total += group_i / (j - i)
     return total
 
 
@@ -83,13 +86,15 @@ def _residue_weights(n_stages: int, n_gpus: int) -> np.ndarray:
     """``W[a, b] = sum over stage pairs i<j with i%N==a, j%N==b of 1/(j-i)``.
 
     Collapsing the Eq. 13 sum onto residue classes makes scoring one
-    permutation O(N^2) instead of O(S^2).
+    permutation O(N^2) instead of O(S^2).  The sums run in Python floats in
+    (i, j) order, the same float64 additions as accumulating in the array.
     """
-    weights = np.zeros((n_gpus, n_gpus))
+    weights = [[0.0] * n_gpus for _ in range(n_gpus)]
     for i in range(n_stages):
+        row = weights[i % n_gpus]
         for j in range(i + 1, n_stages):
-            weights[i % n_gpus, j % n_gpus] += 1.0 / (j - i)
-    return weights
+            row[j % n_gpus] += 1.0 / (j - i)
+    return np.array(weights)
 
 
 def _shared_matrix(topology: Topology) -> np.ndarray:

@@ -324,10 +324,12 @@ class PlanService:
             )
         except (WorkerUnavailable, WorkerSolveError) as err:
             return self._degrade(request, reason=str(err))
-        # Process workers return reports the daemon-side cache has never
-        # seen; publishing here makes the next identical request a cache
-        # hit regardless of which process solved it.
-        get_cache().store("plan", request.memo_key(), outcome.report)
+        # Process workers return reports the daemon-side memory tier has
+        # never seen; publishing here makes the next identical request a
+        # cache hit regardless of which process solved it.  The solving
+        # process's plan_mobius already wrote the durable row, so this is
+        # memory-only, as for the suite scheduler's pool workers.
+        get_cache().adopt("plan", request.memo_key(), outcome.report)
         return self._finish(
             request,
             outcome.report,

@@ -140,3 +140,57 @@ class TestCrossMapping:
     def test_sequential_mapping_identity(self):
         result = sequential_mapping(topo_2_2())
         assert result.mapping.perm == (0, 1, 2, 3)
+
+
+def _contention_per_pair(topo, mapping, n_stages):
+    """Eq. 13 as the literal per-pair loop over topology queries."""
+    total = 0.0
+    for i in range(n_stages):
+        gpu_i = mapping.gpu_of_stage(i)
+        for j in range(i + 1, n_stages):
+            shared = topo.shared_group_size(gpu_i, mapping.gpu_of_stage(j))
+            if shared:
+                total += shared / (j - i)
+    return total
+
+
+def _residue_weights_in_array(n_stages, n_gpus):
+    """The residue weights accumulated element by element in the array."""
+    weights = np.zeros((n_gpus, n_gpus))
+    for i in range(n_stages):
+        for j in range(i + 1, n_stages):
+            weights[i % n_gpus, j % n_gpus] += 1.0 / (j - i)
+    return weights
+
+
+class TestHoistedLoopsAreBitIdentical:
+    @pytest.mark.parametrize(
+        "topo_factory",
+        [
+            topo_4,
+            topo_2_2,
+            topo_1_3,
+            topo_4_4,
+            lambda: large_cluster(8, 4),
+            lambda: datacenter_server(8),
+        ],
+        ids=["4", "2+2", "1+3", "4+4", "cluster-2x4", "dc8"],
+    )
+    def test_against_per_pair_loops(self, topo_factory):
+        topo = topo_factory()
+        n = topo.n_gpus
+        sequential = Mapping.sequential(n)
+        reversed_perm = Mapping(tuple(reversed(range(n))))
+        for n_stages in range(1, 81):
+            weights = _residue_weights(n_stages, n)
+            expected = _residue_weights_in_array(n_stages, n)
+            assert weights.dtype == expected.dtype and weights.shape == expected.shape
+            assert weights.tobytes() == expected.tobytes(), n_stages
+            result = cross_mapping(topo, n_stages)
+            for mapping in (result.mapping, sequential, reversed_perm):
+                assert contention_degree(topo, mapping, n_stages) == (
+                    _contention_per_pair(topo, mapping, n_stages)
+                ), (n_stages, mapping.perm)
+            assert result.contention == _contention_per_pair(
+                topo, result.mapping, n_stages
+            )

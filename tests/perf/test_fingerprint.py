@@ -1,9 +1,13 @@
 """Content-fingerprint correctness: stability and sensitivity."""
 
 import dataclasses
+import gc
+import importlib
 import os
+import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +18,10 @@ from repro.hardware.topology import topo_1_3, topo_2_2, datacenter_server
 from repro.models.spec import build_gpt_like
 from repro.models.zoo import gpt_8b
 from repro.perf.fingerprint import canonical_bytes, fingerprint
+from repro.sim.trace import Trace
+
+# ``repro.perf`` re-exports the function under the module's name.
+fingerprint_module = importlib.import_module("repro.perf.fingerprint")
 
 
 class TestStability:
@@ -162,3 +170,113 @@ class TestEncoding:
         # Concatenation ambiguities must not collide: ("ab", "c") vs ("a", "bc").
         assert canonical_bytes(("ab", "c")) != canonical_bytes(("a", "bc"))
         assert canonical_bytes(("1", 1)) != canonical_bytes((1, "1"))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Box:
+    value: object
+
+
+def _memo_entry(value):
+    entry = fingerprint_module._MEMO.get(id(value))
+    if entry is None or entry[0]() is not value:
+        return None
+    return entry[1]
+
+
+class TestMemo:
+    def test_hit_matches_a_fresh_equal_instance(self):
+        model = gpt_8b()
+        first = fingerprint(model)
+        assert _memo_entry(model) is not None
+        assert fingerprint(model) == first == fingerprint(gpt_8b())
+        assert fingerprint((model, topo_2_2())) == fingerprint((gpt_8b(), topo_2_2()))
+
+    def test_equal_values_never_share_an_entry(self):
+        # 1 == 1.0 == True, so the boxes compare equal, yet each encodes
+        # its own value: the memo is keyed by identity.
+        boxes = [_Box(1), _Box(1.0), _Box(True)]
+        assert boxes[0] == boxes[1] == boxes[2]
+        for _ in range(2):
+            assert len({fingerprint(box) for box in boxes}) == 3
+
+    def test_nested_entries_are_slices_of_the_outermost(self):
+        model = gpt_8b()
+        encoded = canonical_bytes(model)
+        assert _memo_entry(model) is encoded
+        layer = _memo_entry(model.layers[3])
+        assert isinstance(layer, memoryview) and layer.obj is encoded
+        assert bytes(layer) == canonical_bytes(gpt_8b().layers[3])
+
+    @pytest.mark.parametrize(
+        "content",
+        [[1, 2], {"k": 1}, {1, 2}, np.arange(2), bytearray(b"ab"), (1, [2])],
+        ids=["list", "dict", "set", "ndarray", "bytearray", "list-in-tuple"],
+    )
+    def test_mutable_content_is_never_memoized(self, content):
+        box = _Box(content)
+        outer = _Box((box, "x"))
+        before = fingerprint(outer)
+        assert _memo_entry(box) is None and _memo_entry(outer) is None
+        assert fingerprint(outer) == before
+
+    def test_list_append_changes_the_digest(self):
+        box = _Box([1, 2])
+        before = fingerprint(box)
+        box.value.append(3)
+        assert fingerprint(box) != before
+
+    def test_immutable_containers_are_memoized(self):
+        box = _Box((frozenset({_Box(1), _Box("a")}), np.float64(2.5), None, b"x"))
+        fingerprint(box)
+        assert _memo_entry(box) is not None
+
+    def test_trace_rehashed_after_one_more_span(self):
+        trace = Trace(2)
+        trace.add_compute(0, 0.0, 1.0, "fwd")
+        before = fingerprint(trace)
+        assert fingerprint(trace) == before
+        trace.add_compute(1, 1.0, 2.0, "bwd")
+        assert fingerprint(trace) != before
+        assert _memo_entry(trace.compute[0]) is None
+
+    def test_pickle_and_repr_unchanged_by_hashing(self):
+        model = build_gpt_like("m", n_blocks=2, hidden_dim=64, n_heads=2)
+        config = MobiusConfig()
+        before = (pickle.dumps(model), repr(model), pickle.dumps(config), repr(config))
+        fingerprint((model, config))
+        assert _memo_entry(model) is not None
+        assert (pickle.dumps(model), repr(model), pickle.dumps(config), repr(config)) == before
+        assert dataclasses.replace(model) == model
+
+    def test_entry_dies_with_the_instance(self):
+        model = build_gpt_like("m", n_blocks=2, hidden_dim=64, n_heads=2)
+        fingerprint(model)
+        keys = {id(model), *(id(layer) for layer in model.layers)}
+        assert keys <= set(fingerprint_module._MEMO)
+        del model
+        gc.collect()
+        assert not keys & set(fingerprint_module._MEMO)
+
+    def test_slots_dataclass_encodes_without_an_entry(self):
+        value = _FrozenSlots(3)
+        assert fingerprint(value) == fingerprint(value) == fingerprint(_FrozenSlots(3))
+        assert id(value) not in fingerprint_module._MEMO
+
+    def test_threads_hashing_one_spec_agree(self):
+        model = gpt_8b()
+        expected = fingerprint(gpt_8b())
+        barrier = threading.Barrier(8)
+        digests = []
+
+        def worker():
+            barrier.wait()
+            digests.append(fingerprint(model))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert digests == [expected] * 8
+        assert bytes(_memo_entry(model)) == canonical_bytes(gpt_8b())

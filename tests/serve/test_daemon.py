@@ -1,10 +1,14 @@
 """PlanService end-to-end: coalescing, caching, the degrade ladder, shutdown."""
 
+import importlib
+import pickle
+
 import pytest
 
 import repro.perf.store as store_module
 from repro.core.api import MobiusConfig, plan_mobius
 from repro.faults.recovery import RetryPolicy
+from repro.models.spec import ModelSpec
 from repro.perf.cache import cache_overridden, get_cache
 from repro.serve.daemon import PlanService, ServiceConfig
 from repro.serve.requests import AdmissionRejected, Deadline, PlanRequest
@@ -207,3 +211,69 @@ class TestMemoCoupling:
             assert get_cache().stats["plan"].memory_hits == hits_before + 1
         assert served.plan_fingerprint is not None
         assert report is not None
+
+
+class TestOneWrite:
+    def test_fresh_inline_request_writes_each_row_once(
+        self, tiny_model, topo22, tmp_path, monkeypatch
+    ):
+        puts = []
+        original_put = store_module.DurableStore.put
+
+        def counting_put(self, namespace, digest, value):
+            puts.append(namespace)
+            original_put(self, namespace, digest, value)
+
+        monkeypatch.setattr(store_module.DurableStore, "put", counting_put)
+        store = str(tmp_path / "serve.sqlite")
+        with cache_overridden(), _service(store_path=store) as service:
+            fresh = service.plan(_request(tiny_model, topo22))
+            written = list(puts)
+            again = service.plan(_request(tiny_model, topo22))
+        assert (written.count("plan"), written.count("lkg")) == (1, 1)
+        assert puts == written  # the cache hit writes nothing
+        assert (fresh.source, again.source) == ("solver", "cache")
+        assert again.plan_fingerprint == fresh.plan_fingerprint
+
+    def test_process_worker_solve_is_published_to_memory(
+        self, tiny_model, topo22, tmp_path
+    ):
+        store = str(tmp_path / "serve.sqlite")
+        with cache_overridden(), _service(store_path=store, worker="process") as service:
+            fresh = service.plan(_request(tiny_model, topo22))
+            # The child solved it; the daemon adopted the report into its
+            # memory tier, so a direct call here hits without the store.
+            plan_mobius(tiny_model, topo22, CONFIG)
+            stats = get_cache().stats["plan"]
+            assert (stats.memory_hits, stats.store_hits, stats.misses) == (1, 0, 0)
+            again = service.plan(_request(tiny_model, topo22))
+        assert (fresh.source, again.source) == ("solver", "cache")
+        assert again.plan_fingerprint == fresh.plan_fingerprint
+
+
+class TestHashEachInputOnce:
+    """Every key embedding a request's ModelSpec reuses one field walk."""
+
+    @pytest.fixture
+    def model_walks(self, monkeypatch):
+        module = importlib.import_module("repro.perf.fingerprint")
+        walked = []
+        original = module._walk_dataclass
+
+        def spy(out, pending, value):
+            if isinstance(value, ModelSpec):
+                walked.append(value)
+            return original(out, pending, value)
+
+        monkeypatch.setattr(module, "_walk_dataclass", spy)
+        return walked
+
+    def test_fresh_then_hit_walk_each_model_once(self, tiny_model, topo22, model_walks):
+        # A new equal instance per request, as a client process sends them.
+        hot_model = pickle.loads(pickle.dumps(tiny_model))
+        with cache_overridden(), _service() as service:
+            fresh = service.plan(_request(tiny_model, topo22))
+            assert model_walks == [tiny_model]
+            hit = service.plan(_request(hot_model, topo22))
+        assert (fresh.source, hit.source) == ("solver", "cache")
+        assert len(model_walks) == 2 and model_walks[1] is hot_model
