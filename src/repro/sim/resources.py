@@ -30,6 +30,20 @@ from-scratch refill at every change (asserted by the fuzz oracle in
 ``tests/sim/test_allocator_equivalence.py`` and the ``repro bench sim``
 fingerprint gate).
 
+Rate memo.  A training step repeats one layer's traffic pattern, so a
+flush often sees a live flow set this network has filled before.  Live
+flows are counted per *class*, an interned ``(Flow.eids, priority)`` pair,
+and a flush whose class multiset was filled before copies the recorded
+per-class rates onto the live flows instead of walking and filling.  This
+is exact because rates are component-canonical (DESIGN.md §11): each
+component's rates are a function of its flow set, of higher-priority use
+of its links and of the capacities, so the whole rate vector is a function
+of the live multiset and the capacities, and flows of one class freeze in
+the same round at the same level.  Each scale epoch clears the memo.  It
+is kept in scalar mode only; vector mode (below) skips it.  On perfbench
+``sim-4gpu`` it answers 86–90% of the DeepSpeed flushes and 24–42% of the
+Mobius ones.
+
 Per-event work that is still proportional to the number of *live* flows —
 progress advancement, the completion horizon, the finished-flow scan — is
 columnar at datacenter scale (DESIGN.md §12): once the concurrent flow
@@ -48,6 +62,7 @@ import dataclasses
 import itertools
 import math
 import operator
+from array import array
 from collections import deque
 from collections.abc import Callable, Iterable
 
@@ -144,6 +159,8 @@ class Flow:
             owning network is in scalar mode; once it switches to the
             columnar slot arrays (:attr:`FlowNetwork.vector_threshold`)
             progress lives there instead.
+        class_id: The owning network's interned id of ``(eids, priority)``,
+            the rate memo's class (scalar mode only).
     """
 
     path: Path
@@ -156,6 +173,7 @@ class Flow:
     remaining: float = 0.0
     rate: float = 0.0
     start_time: float = 0.0
+    class_id: int = 0
 
 
 #: ``(priority, flows, edges)``: one same-priority component and the member
@@ -178,6 +196,8 @@ class FlowNetworkStats:
     reallocations: int = 0
     #: Flows re-filled, summed over reallocations (the incremental win:
     #: this stays near the component size, not the total flow count).
+    #: This and the two fill counters below count real fills only, not
+    #: flushes answered from the rate memo.
     flows_touched: int = 0
     #: Edge-connected components progressively filled.
     components_filled: int = 0
@@ -189,6 +209,9 @@ class FlowNetworkStats:
     #: (:meth:`FlowNetwork._affected`), which reads each reached
     #: ``(link, priority)`` member map once.
     member_scans: int = 0
+    #: Flushes whose live flow multiset the rate memo had already filled,
+    #: answered without a walk or a fill (scalar mode only).
+    memo_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dataclasses.asdict(self)
@@ -370,6 +393,17 @@ class FlowNetwork:
         #: Columnar mirror of the live flow set; ``None`` until the flow
         #: count first exceeds :attr:`vector_threshold`.
         self._slots: _FlowSlots | None = None
+        #: Rate memo (scalar mode only).  Each distinct ``(eids, priority)``
+        #: pair started is interned as a class id; ``_class_counts`` holds
+        #: the live flows per class in unsigned 32-bit counters, exact for
+        #: any flow count a process can hold (2**32 live flows would take
+        #: hundreds of GB), and an array raises rather than wraps.
+        #: ``_rate_memo`` maps a live multiset, the counts' bytes with
+        #: trailing zero bytes stripped, to the per-class rates its fill
+        #: produced.  Cleared at scale epochs.
+        self._class_ids: dict[tuple[tuple[int, ...], int], int] = {}
+        self._class_counts = array("I")
+        self._rate_memo: dict[bytes, array] = {}
         self.stats = FlowNetworkStats()
 
     @property
@@ -498,8 +532,18 @@ class FlowNetwork:
             # Scalar mode kept every flow's `remaining` current through the
             # `_advance` above, so the columnar mirror is exact here.  The
             # switch is permanent for this network; from now on the slot
-            # arrays are authoritative for progress.
+            # arrays are authoritative for progress, and the rate memo and
+            # its class counts are no longer kept.
             self._slots = _FlowSlots(self._flows)
+            self._rate_memo.clear()
+        else:
+            key = (eids, priority)
+            class_id = self._class_ids.get(key)
+            if class_id is None:
+                class_id = self._class_ids[key] = len(self._class_counts)
+                self._class_counts.append(0)
+            flow.class_id = class_id
+            self._class_counts[class_id] += 1
         self._invalidate(eids)
         return flow
 
@@ -525,6 +569,7 @@ class FlowNetwork:
             bandwidth *= factor
         self._capacity[eid] = bandwidth
         self.stats.scale_epochs += 1
+        self._rate_memo.clear()  # its rates were filled at the old capacity
         self._invalidate((eid,))
 
     def _advance(self) -> None:
@@ -585,7 +630,9 @@ class FlowNetwork:
 
         The refilled flows are :meth:`_affected`'s components; the order
         in which the walk lists them is irrelevant, because :meth:`_fill`
-        depends only on the set it is given.
+        depends only on the set it is given.  In scalar mode a live flow
+        multiset filled before is answered from the rate memo instead
+        (:meth:`_refill_scalar`).
         """
         self._flush_pending = False
         dirty = self._dirty
@@ -595,11 +642,13 @@ class FlowNetwork:
         if seq is None:
             return
         self.stats.reallocations += 1
-        components = self._affected(dirty)
         slots = self._slots
-        if components:
-            self._fill(components)
-            if slots is not None:
+        if slots is None:
+            self._refill_scalar(dirty)
+        else:
+            components = self._affected(dirty)
+            if components:
+                self._fill(components)
                 for _, flows, _ in components:
                     slots.sync_rates(flows)
         # Completion horizon.  Per-flow deadlines must be recomputed from the
@@ -626,6 +675,32 @@ class FlowNetwork:
         self._next_event = sim.schedule_at_seq(
             sim.now + horizon, seq, self._on_completion_event
         )
+
+    def _refill_scalar(self, dirty: dict[int, None]) -> None:
+        """Set every live flow's rate, from the rate memo if it can.
+
+        A live class multiset filled before at the current capacities
+        copies the recorded per-class rates onto the live flows (exact by
+        the module docstring's "Rate memo" argument).  A miss refills the
+        affected components and records the rate of each live class.
+        """
+        flows = self._flows
+        counts = self._class_counts
+        key = counts.tobytes().rstrip(b"\0")
+        rates = self._rate_memo.get(key)
+        if rates is not None:
+            self.stats.memo_hits += 1
+            for flow in flows.values():
+                flow.rate = rates[flow.class_id]
+            return
+        components = self._affected(dirty)
+        if components:
+            self._fill(components)
+        # Class ids past the key's last nonzero count have no live flow.
+        width = -(-len(key) // counts.itemsize)
+        rates = self._rate_memo[key] = array("d", bytes(8 * width))
+        for flow in flows.values():
+            rates[flow.class_id] = flow.rate
 
     def _affected(self, dirty: dict[int, None]) -> list[_Component]:
         """The live flows edge-connected (transitively) to ``dirty`` links.
@@ -836,12 +911,15 @@ class FlowNetwork:
                 if flow.remaining <= threshold:
                     finished.append(flow)
         edge_members = self._edge_members
+        counts = self._class_counts
         for flow in finished:
             uid = flow.uid
             priority = flow.priority
             del flows[uid]
             if slots is not None:
                 slots.remove(flow)
+            else:
+                counts[flow.class_id] -= 1
             for eid in flow.eids:
                 groups = edge_members[eid]
                 members = groups[priority]

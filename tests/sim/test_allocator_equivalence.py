@@ -18,6 +18,11 @@ each member map once.  A property test refills shuffled copies of every
 affected set and requires bit-identical rates and ``used`` maps, which is
 the order-independence the walk relies on.
 
+The recurring-cohort fuzz replays one arrival cohort over a fixed path
+pool, so flow sets recur and the rate memo answers flushes; each hit is
+checked against the oracle like any fill, flows of one ``(eids, priority)``
+class must share a rate, and the first flush after a scale epoch must miss.
+
 The coincident-timestamp fuzz additionally pins the batching itself:
 against :class:`EagerFlowNetwork`, which reallocates at every change as the
 allocator did before per-timestamp flushing, completion order and times
@@ -199,10 +204,18 @@ class CheckedFlowNetwork(FlowNetwork):
         self.checked_reallocations = 0
         #: Flow starts, completion events and scale edges seen.
         self.changes = 0
+        #: First flushes after a scale epoch, all of which must miss the
+        #: rate memo (the epoch clears it).
+        self.misses_after_epoch = 0
+        self._epoch_since_flush = False
 
     def _invalidate(self, edges):
         self.changes += 1
         super()._invalidate(edges)
+
+    def _rescale(self, eid):
+        self._epoch_since_flush = True
+        super()._rescale(eid)
 
     def _affected(self, dirty):
         expected = oracle_affected(self, dirty)
@@ -249,7 +262,17 @@ class CheckedFlowNetwork(FlowNetwork):
         return components
 
     def _reallocate(self):
+        hits = self.stats.memo_hits
         super()._reallocate()
+        if self._flows and self._epoch_since_flush:
+            assert self.stats.memo_hits == hits, "a memo hit across a scale epoch"
+            self.misses_after_epoch += 1
+            self._epoch_since_flush = False
+        # The memo's premise: flows of one (eids, priority) class share a rate.
+        class_rates: dict = {}
+        for flow in self.active_flows:
+            rate = class_rates.setdefault((flow.eids, flow.priority), flow.rate)
+            assert flow.rate == rate, f"one class, two rates at t={self.sim.now}"
         actual = {flow.uid: flow.rate for flow in self.active_flows}
         expected = oracle_rates(self, decompose=True)
         assert actual == expected, (
@@ -378,6 +401,52 @@ def _run_fuzz(
     return network
 
 
+def _run_recurring_fuzz(topology, seed, *, with_scales, replays=4):
+    """Replays of one arrival cohort over a pool of four fixed paths.
+
+    The same flow sets recur, so the rate memo answers flushes, and scale
+    windows laid over the replays make some sets recur across an epoch.
+    Every flush, hit or miss, is checked against the from-scratch oracle.
+    """
+    rng = random.Random(seed)
+    pool = [_random_path(topology, rng) for _ in range(4)]
+    cohort = [
+        (
+            rng.uniform(0.0, 1.0),
+            rng.choice(pool),
+            rng.uniform(0.05, 1.0) * GB,
+            rng.choice((0, 0, 1, 2)),
+        )
+        for _ in range(10)
+    ]
+    period = 8.0
+    sim = Simulator()
+    network = CheckedFlowNetwork(sim, topology)
+    completed = []
+    for replay in range(replays):
+        for at, path, nbytes, priority in cohort:
+            sim.schedule_at(
+                replay * period + at,
+                lambda path=path, nbytes=nbytes, priority=priority: network.start_flow(
+                    path, nbytes, lambda: completed.append(sim.now), priority=priority
+                ),
+            )
+    if with_scales:
+        edges = sorted({edge for path in pool for edge in path})
+        for _ in range(4):
+            start = rng.uniform(0.0, replays * period)
+            network.set_bandwidth_scale(
+                rng.choice(edges),
+                rng.choice((0.25, 0.5, 0.75)),
+                start=start,
+                end=start + rng.uniform(0.5, 2 * period),
+            )
+    sim.run()
+    assert len(completed) == replays * len(cohort)
+    assert network.stats.reallocations == network.checked_reallocations
+    return network
+
+
 class TestIncrementalMatchesOracle:
     def test_fuzz_topo_2_2(self):
         for seed in range(6):
@@ -403,6 +472,21 @@ class TestIncrementalMatchesOracle:
     def test_fuzz_without_scale_events(self):
         for topology in _fuzz_topologies():
             _run_fuzz(topology, seed=99, with_scales=False)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("topology", _fuzz_topologies(), ids=["2+2", "4", "4+4"])
+    def test_fuzz_recurring_flow_sets(self, topology, seed):
+        network = _run_recurring_fuzz(topology, seed, with_scales=False)
+        assert network.stats.memo_hits > 0
+        assert network.misses_after_epoch == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("topology", _fuzz_topologies(), ids=["2+2", "4", "4+4"])
+    def test_fuzz_recurring_flow_sets_across_scale_epochs(self, topology, seed):
+        network = _run_recurring_fuzz(topology, seed, with_scales=True)
+        assert network.stats.memo_hits > 0
+        assert network.stats.scale_epochs > 0
+        assert network.misses_after_epoch >= 1
 
     def test_reallocations_all_checked(self):
         network = _run_fuzz(topo_2_2(), seed=7, n_arrivals=12)

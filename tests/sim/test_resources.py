@@ -1,12 +1,18 @@
 """Tests for compute units and the bandwidth-shared flow network."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.topology import commodity_server, topo_2_2, topo_4
+from repro.hardware.topology import commodity_server, large_cluster, topo_2_2, topo_4
+from repro.sim import resources
 from repro.sim.engine import Simulator
 from repro.sim.resources import ComputeUnit, FlowNetwork
+from repro.sim.tasks import TaskGraphRunner
+from repro.sim.workloads import build_cluster_workload
 
 GB = 1e9
 PCIE = 13.1 * GB
@@ -408,6 +414,145 @@ class TestBusySecondsAccrual:
         sim.run(until=1.5)
         # First task finished (1.0), second is half-way (0.5).
         assert unit.busy_seconds == pytest.approx(1.5)
+
+
+class RecordingNetwork(FlowNetwork):
+    """Records the live flows and their rates after every flush."""
+
+    def __init__(self, sim, topology):
+        super().__init__(sim, topology)
+        self.flushes = []
+
+    def _reallocate(self):
+        super()._reallocate()
+        if self._flows:
+            flows = list(self._flows.values())
+            self.flushes.append((flows, [flow.rate for flow in flows]))
+
+
+def fresh_rates(topology, flows):
+    """The rates a new network fills for ``flows``' paths and priorities."""
+    sim = Simulator()
+    network = FlowNetwork(sim, topology)
+    copies = [
+        network.start_flow(flow.path, GB, lambda: None, priority=flow.priority)
+        for flow in flows
+    ]
+    sim.run(until=0.0)  # the start's flush, before any completion
+    assert network.stats.memo_hits == 0
+    return [copy.rate for copy in copies]
+
+
+class TestRateMemo:
+    """A live ``(eids, priority)`` multiset filled before copies its rates."""
+
+    def test_vector_mode_keeps_no_memo(self, monkeypatch):
+        monkeypatch.setattr(FlowNetwork, "vector_threshold", 0)
+        topology = large_cluster(8, 4)
+        runner = TaskGraphRunner(topology)
+        runner.execute(build_cluster_workload(topology, rounds=4))
+        network = runner.network
+        assert network._slots is not None
+        assert not network._rate_memo
+        assert not network._class_ids
+        # The counters the allocator produced before the memo existed.
+        assert network.stats.as_dict() == {
+            "reallocations": 91,
+            "flows_touched": 140,
+            "components_filled": 94,
+            "fill_rounds": 94,
+            "scale_epochs": 0,
+            "member_scans": 420,
+            "memo_hits": 0,
+        }
+
+    def test_class_counts_past_one_byte_stay_exact(self, monkeypatch):
+        # 300 = 44 (mod 256): a one-byte counter would wrap and answer the
+        # 300-flow set with the 44-flow set's rates.
+        monkeypatch.setattr(FlowNetwork, "vector_threshold", 1 << 30)
+        topo = topo_4()
+        path, other = topo.path_to_dram(0), topo.path_to_dram(1)
+        sim = Simulator()
+        network = RecordingNetwork(sim, topo)
+        done = []
+
+        def cohort(count):
+            for _ in range(count):
+                network.start_flow(path, GB, lambda: done.append(sim.now))
+
+        sim.schedule_at(0.0, lambda: cohort(44))
+        sim.schedule_at(10.0, lambda: cohort(300))
+        # One short flow beside the 300 leaves, and the 300-flow set recurs.
+        sim.schedule_at(
+            10.5, lambda: network.start_flow(other, 0.1 * GB, lambda: None)
+        )
+        sim.run()
+        assert len(done) == 344
+        assert network._slots is None
+        assert network.stats.memo_hits == 1
+        assert [len(flows) for flows, _ in network.flushes] == [44, 300, 301, 300]
+        for flows, rates in network.flushes:
+            assert rates == fresh_rates(topo, flows)
+        assert network.flushes[1][1][0] == PCIE / 300
+
+    def test_scale_window_refills_a_set_filled_before(self):
+        topo = topo_2_2()
+        edge = ("sw0", "rc0")
+        sim = Simulator()
+        network = FlowNetwork(sim, topo)
+        stats = network.stats
+
+        def start_and_flush():
+            flow = network.start_flow(topo.path_to_dram(0), PCIE, lambda: None)
+            sim.run(until=sim.now)
+            return flow
+
+        assert start_and_flush().rate == PCIE
+        sim.run()
+        filled = stats.components_filled
+        assert start_and_flush().rate == PCIE  # the same set: copied
+        assert (stats.memo_hits, stats.components_filled) == (1, filled)
+        sim.run()
+        network.set_bandwidth_scale(edge, 0.5, start=sim.now + 1.0, end=sim.now + 5.0)
+        sim.run(until=sim.now + 1.0)
+        assert start_and_flush().rate == 0.5 * PCIE  # inside the window: refilled
+        assert (stats.memo_hits, stats.components_filled) == (1, filled + 1)
+        sim.run()
+        assert network.effective_bandwidth(edge) == PCIE
+        assert start_and_flush().rate == PCIE  # after the window: refilled
+        assert (stats.memo_hits, stats.components_filled) == (1, filled + 2)
+
+    def test_memo_lives_and_dies_with_its_network(self):
+        def module_state():
+            return {
+                name: (id(value), len(value))
+                for name, value in vars(resources).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        before = module_state()
+        names = set(vars(resources))
+        topo = topo_4()
+        sim = Simulator()
+        network = FlowNetwork(sim, topo)
+        for at in (0.0, 5.0, 10.0):
+            for gpu in (0, 1):
+                sim.schedule_at(
+                    at + gpu,
+                    lambda gpu=gpu: network.start_flow(
+                        topo.path_to_dram(gpu), PCIE, lambda: None
+                    ),
+                )
+        sim.run()
+        assert network.stats.memo_hits > 0
+        assert set(vars(resources)) == names
+        assert module_state() == before
+        network_ref = weakref.ref(network)
+        entry_ref = weakref.ref(next(iter(network._rate_memo.values())))
+        del network, sim
+        gc.collect()
+        assert network_ref() is None
+        assert entry_ref() is None
 
 
 @settings(max_examples=25, deadline=None)
