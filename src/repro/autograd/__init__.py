@@ -3,27 +3,19 @@
 from repro.autograd.ops import (
     causal_mask_fill,
     cross_entropy_logits,
-    dropout,
     embedding,
     gelu,
     layer_norm,
     softmax,
 )
-from repro.autograd.optim import SGD, Adam, LossScaler
-from repro.autograd.schedule import WarmupCosine, WarmupLinear, clip_grad_norm
+from repro.autograd.optim import Adam
 from repro.autograd.tensor import Tensor, is_grad_enabled, no_grad
 
 __all__ = [
     "Adam",
-    "LossScaler",
-    "SGD",
-    "WarmupCosine",
-    "WarmupLinear",
-    "clip_grad_norm",
     "Tensor",
     "causal_mask_fill",
     "cross_entropy_logits",
-    "dropout",
     "embedding",
     "gelu",
     "is_grad_enabled",

@@ -1,7 +1,7 @@
 """Fused neural-network operations for the autograd engine.
 
 Composite kernels (softmax cross-entropy, layer norm, GELU, embedding
-lookup, causal attention masking, dropout) implemented with hand-written
+lookup, causal attention masking) implemented with hand-written
 backward passes — both faster and numerically safer than composing them from
 primitive ops.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "cross_entropy_logits",
     "layer_norm",
     "embedding",
-    "dropout",
     "causal_mask_fill",
 ]
 
@@ -125,22 +124,6 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
             table._accumulate(full)
 
     return Tensor._make(out_data, (table,), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-    out_data = x.data * mask
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * mask)
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def causal_mask_fill(scores: Tensor, fill: float = -1e9) -> Tensor:

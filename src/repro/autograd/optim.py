@@ -1,54 +1,17 @@
-"""Optimizers and mixed-precision emulation for the autograd engine."""
+"""The Adam optimizer for the autograd engine."""
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterable
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor
 
-__all__ = ["SGD", "Adam", "LossScaler"]
+__all__ = ["Adam"]
 
 
-class _Optimizer:
-    """Shared parameter bookkeeping."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float) -> None:
-        self.params = [p for p in params if p.requires_grad]
-        if not self.params:
-            raise ValueError("optimizer received no trainable parameters")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-
-class SGD(_Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-
-class Adam(_Optimizer):
+class Adam:
     """Adam with bias correction (the paper's fine-tuning optimizer)."""
 
     def __init__(
@@ -59,13 +22,22 @@ class Adam(_Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(params, lr)
+        self.params = [p for p in params if p.requires_grad]
+        if not self.params:
+            raise ValueError("optimizer received no trainable parameters")
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.lr = lr
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1
@@ -83,29 +55,3 @@ class Adam(_Optimizer):
             v *= b2
             v += (1 - b2) * grad * grad
             p.data -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
-
-
-@dataclasses.dataclass
-class LossScaler:
-    """Static loss scaling, emulating FP16 mixed-precision training.
-
-    Gradients computed through the (FP32) graph are scaled up before
-    backward and scaled back at unscale time; overflow checks mirror what a
-    dynamic scaler would do on real FP16 hardware.
-    """
-
-    scale: float = 1024.0
-
-    def scale_loss(self, loss: Tensor) -> Tensor:
-        return loss * self.scale
-
-    def unscale_(self, params: Iterable[Tensor]) -> bool:
-        """Divide grads by the scale; returns False when non-finite."""
-        finite = True
-        for p in params:
-            if p.grad is None:
-                continue
-            p.grad /= self.scale
-            if not np.isfinite(p.grad).all():
-                finite = False
-        return finite

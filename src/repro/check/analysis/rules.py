@@ -6,9 +6,9 @@ regardless of which directory the helper lives in.
 
 * **MOB003 — task-label contract.**  Task labels built in
   ``src/repro/core/pipeline.py`` must come from the :mod:`repro.core.labels`
-  constructors, or be literals matching its compiled patterns — the same
-  patterns :mod:`repro.core.memory_audit` parses.  A drifting label format
-  makes the auditor silently skip events.
+  constructors, or be literals matching its compiled patterns, the one
+  grammar every label reader parses.  A drifting label format makes a
+  reader silently skip events.
 
 * **MOB004 — determinism.**  No function reachable from a root
   (``AnalysisConfig.entry_points``) may read a clock or draw from
@@ -237,7 +237,7 @@ class AnalysisConfig:
             # search_seconds metadata; the search is exhaustive over a
             # fixed permutation space.
             "src/repro/core/mapping.py::cross_mapping",
-            # Its time_limit cutoff steers the DFS; ROADMAP item 1 removes
+            # Its time_limit cutoff steers the DFS; ROADMAP item 2 removes
             # the clock and this entry together with the fingerprint re-pin.
             "src/repro/core/partition.py::mip_partition",
             # solve_seconds metadata of the greedy max-stage heuristic.
@@ -425,8 +425,7 @@ def _check_mob003(program: Program, report: CheckReport) -> None:
                     _CHECKER,
                     "MOB003",
                     f"task label {literal!r} does not match the "
-                    "repro.core.labels contract parsed by memory_audit; use "
-                    "a labels.* constructor",
+                    "repro.core.labels grammar; use a labels.* constructor",
                     subject=f"{module.rel_path}:{label_expr.lineno}",
                 )
             continue

@@ -43,7 +43,7 @@ from repro.experiments.runner import SYSTEMS, ExperimentTable, print_tables, run
 from repro.hardware.gpu import GPU_PRESETS
 from repro.hardware.topology import Topology, commodity_server, datacenter_server
 from repro.models.spec import ModelSpec
-from repro.models.zoo import model_by_name
+from repro.models.zoo import _FACTORIES, model_by_name
 from repro.perf.bench import KINDS as BENCH_KINDS
 
 __all__ = ["main", "build_parser"]
@@ -51,6 +51,24 @@ __all__ = ["main", "build_parser"]
 
 class _UsageError(Exception):
     """A bad command-line value: ``main`` prints one ``error:`` line and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error:`` line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message} (see '{self.prog} --help')\n")
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _parse_topology(spec: str, gpu: str) -> Topology:
@@ -77,20 +95,22 @@ def _model_and_topology(args: argparse.Namespace) -> tuple[ModelSpec, Topology]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Mobius (ASPLOS 2023) reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", default="15B", help="3B | 8B | 15B | 51B | GPT2")
+        p.add_argument("--model", default="15B", help=" | ".join(_FACTORIES))
         p.add_argument("--topology", default="2+2", help="'2+2', '4', '1+3', '4+4' or 'dc'")
         p.add_argument(
             "--gpu", default="RTX 3090-Ti", choices=sorted(GPU_PRESETS),
             help="GPU preset for commodity topologies",
         )
-        p.add_argument("--microbatch", type=int, default=None, help="microbatch size")
+        p.add_argument(
+            "--microbatch", type=_positive_int, default=None, help="microbatch size"
+        )
 
     plan = sub.add_parser("plan", help="run the Mobius planner and print the plan")
     add_common(plan)
@@ -112,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument("--full", action="store_true", help="full sweeps (slow)")
     figures.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="drain the suite-wide cell schedule with N worker processes "
         "(figures assemble serially from the shared cache afterwards)",
     )
@@ -184,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver worker kind (process = supervised child process)",
     )
     serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_positive_int, default=1, metavar="N",
         help="dispatch/worker parallelism: N dispatch threads over N "
         "supervised workers (default: %(default)s)",
     )
     serve.add_argument(
-        "--rounds", type=int, default=2,
+        "--rounds", type=_positive_int, default=2,
         help="serve the check corpus this many times (round 2+ hits caches)",
     )
     serve.add_argument(
@@ -213,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="committed BENCH_<kind>.json; exit 1 on any gate failure",
     )
     bench.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_positive_int, default=None, metavar="N",
         help="serve: top worker count (default: REPRO_JOBS capped at 4); "
         "suite: drain workers (default: REPRO_JOBS or the CPU count)",
     )
@@ -407,7 +427,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store_path=store_path, worker=args.worker, workers=args.workers
         )
     ) as service:
-        for round_index in range(max(1, args.rounds)):
+        for round_index in range(args.rounds):
             for cell in default_corpus():
                 response = service.plan(
                     PlanRequest(

@@ -13,7 +13,6 @@ from repro.core.api import (
     plan_mobius,
     run_mobius,
 )
-from repro.core.memory_audit import MemoryAudit, audit_mobius_memory
 from repro.core.mapping import (
     MappingResult,
     contention_degree,
@@ -29,7 +28,6 @@ from repro.core.partition import (
 )
 from repro.core.pipeline import MobiusRun, build_mobius_tasks, simulate_mobius
 from repro.core.plan import ExecutionPlan, Mapping, Partition
-from repro.core.serialization import load_plan, plan_from_json, plan_to_json, save_plan
 from repro.core.timing import PipelineTimings, evaluate_pipeline, prefetch_budgets
 
 __all__ = [
@@ -40,8 +38,6 @@ __all__ = [
     "simulate_with_ssd",
     "Mapping",
     "MappingResult",
-    "MemoryAudit",
-    "audit_mobius_memory",
     "MobiusConfig",
     "MobiusPlanReport",
     "MobiusReport",
@@ -57,11 +53,7 @@ __all__ = [
     "max_stage_partition",
     "min_stage_partition",
     "mip_partition",
-    "plan_from_json",
     "plan_mobius",
-    "plan_to_json",
-    "load_plan",
-    "save_plan",
     "prefetch_budgets",
     "run_mobius",
     "sequential_mapping",

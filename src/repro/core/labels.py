@@ -1,15 +1,14 @@
 """The task-label contract of the Mobius pipeline emitter.
 
-:mod:`repro.core.pipeline` tags every task it emits with a structured label;
-:mod:`repro.core.memory_audit` (and the static checkers in
-:mod:`repro.check`) parse those labels back to reconstruct what each task
-did.  Historically the grammar lived implicitly in two places — f-strings in
-the emitter and regexes in the auditor — which is exactly the kind of silent
-contract a typo breaks without any test noticing.  This module is the single
-source of truth: the emitter builds labels through the constructor functions
-below, the auditors parse them with the compiled patterns, and the
-``MOB003`` lint rule (:mod:`repro.check.analysis.rules`) rejects any inline
-label in the emitter that does not match the grammar.
+:mod:`repro.core.pipeline` tags every task it emits with a structured label,
+and a reader of the trace parses those labels back to reconstruct what each
+task did.  Left implicit — f-strings in the emitter, regexes in each reader —
+the grammar is exactly the kind of silent contract a typo breaks without any
+test noticing.  This module is the single source of truth: the emitter builds
+labels through the constructor functions below, readers parse them with the
+compiled patterns, and the ``MOB003`` lint rule
+(:mod:`repro.check.analysis.rules`) rejects any inline label in the emitter
+that does not match the grammar.
 
 Grammar (stage ``j`` and microbatch ``mb`` are 0-based decimal integers)::
 

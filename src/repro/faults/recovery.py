@@ -140,7 +140,6 @@ class FaultInjectingRunner(TaskGraphRunner):
         *,
         retry_policy: RetryPolicy = RetryPolicy(),
         simulator: Simulator | None = None,
-        dispatch: str = "batched",
     ) -> None:
         if schedule.dropouts:
             raise ValueError(
@@ -148,7 +147,7 @@ class FaultInjectingRunner(TaskGraphRunner):
                 "repro.faults.replan; FaultInjectingRunner only simulates "
                 "performance faults (got a schedule with dropouts)"
             )
-        super().__init__(topology, simulator=simulator, dispatch=dispatch)
+        super().__init__(topology, simulator=simulator)
         self.schedule = schedule
         self.retry_policy = retry_policy
         #: Failed attempts in completion order (deterministic bookkeeping).

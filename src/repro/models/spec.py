@@ -137,17 +137,6 @@ class ModelSpec:
             groups.setdefault(layer.signature, []).append(index)
         return groups
 
-    def fingerprint(self) -> str:
-        """Stable content hash of this spec (see :mod:`repro.perf`).
-
-        Two specs built with identical shapes hash identically in any
-        process; changing any layer or shape field changes the hash.  Used
-        as the model component of planner/simulation cache keys.
-        """
-        from repro.perf.fingerprint import fingerprint
-
-        return fingerprint(self)
-
     def dram_footprint_bytes(self) -> int:
         """DRAM needed to host the model for heterogeneous-memory training:
         FP16 working copy + FP16 gradients + Adam optimizer state."""

@@ -2,9 +2,7 @@
 
 from repro.nn.attention import CausalSelfAttention
 from repro.nn.data import Batch, SyntheticCorpus
-from repro.nn.generate import generate, perplexity
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
-from repro.nn.serialization import load_model, load_state_dict, save_model, state_dict
+from repro.nn.layers import Embedding, LayerNorm, Linear, Module
 from repro.nn.transformer import (
     EmbeddingLayer,
     GPTConfig,
@@ -16,19 +14,12 @@ from repro.nn.transformer import (
 __all__ = [
     "Batch",
     "CausalSelfAttention",
-    "Dropout",
     "Embedding",
     "EmbeddingLayer",
     "GPTConfig",
     "GPTModel",
-    "generate",
-    "perplexity",
     "HeadLayer",
     "LayerNorm",
-    "load_model",
-    "load_state_dict",
-    "save_model",
-    "state_dict",
     "Linear",
     "Module",
     "SyntheticCorpus",

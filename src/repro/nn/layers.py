@@ -7,19 +7,15 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.autograd.ops import dropout as dropout_op
 from repro.autograd.ops import embedding as embedding_op
 from repro.autograd.ops import layer_norm
 from repro.autograd.tensor import Tensor
 
-__all__ = ["Module", "Linear", "LayerNorm", "Embedding", "Dropout"]
+__all__ = ["Module", "Linear", "LayerNorm", "Embedding"]
 
 
 class Module:
-    """Base class: recursive parameter discovery plus train/eval mode."""
-
-    def __init__(self) -> None:
-        self.training = True
+    """Base class: recursive parameter discovery."""
 
     def parameters(self) -> Iterator[Tensor]:
         """All trainable tensors of this module and its children."""
@@ -39,25 +35,6 @@ class Module:
                         if id(item) not in seen:
                             seen.add(id(item))
                             yield item
-
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        yield prefix or type(self).__name__, self
-        for name, value in self.__dict__.items():
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            if isinstance(value, Module):
-                yield from value.named_modules(child_prefix)
-            elif isinstance(value, (list, tuple)):
-                for index, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_modules(f"{child_prefix}[{index}]")
-
-    def train(self, mode: bool = True) -> "Module":
-        for _, module in self.named_modules():
-            module.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def n_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -118,17 +95,3 @@ class Embedding(Module):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return embedding_op(self.weight, indices)
-
-
-class Dropout(Module):
-    """Inverted dropout driven by an explicit generator for reproducibility."""
-
-    def __init__(self, p: float, *, rng: np.random.Generator) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return dropout_op(x, self.p, self.rng, training=self.training)

@@ -6,20 +6,17 @@ runs are fully deterministic).  Higher-level components — the flow network
 (:mod:`repro.sim.resources`) and the task-graph runner
 (:mod:`repro.sim.tasks`) — build on these primitives.
 
-Two dispatch loops share the heap (DESIGN.md §12):
-
-* :meth:`Simulator.run` — the classic one-event-at-a-time loop, kept as the
-  reference oracle for equivalence tests;
-* :meth:`Simulator.run_batched` — the production hot path for large
-  scenarios: equal-timestamp *cohorts* are popped from the heap in one run
-  and dispatched back to back.  Cancellation is re-checked at dispatch time
-  and same-timestamp events scheduled by cohort members join the tail of
-  the cohort, so the firing order, the clock trajectory and the
-  ``events_processed`` count are exactly those of :meth:`run` (asserted by
-  the seeded fuzz harness in ``tests/sim/test_dispatch_equivalence.py``).
+One dispatch loop drains the heap (DESIGN.md §12): :meth:`Simulator.run`
+pops equal-timestamp *cohorts* in one run and dispatches them back to
+back.  Cancellation is re-checked at dispatch time and same-timestamp
+events scheduled by cohort members join the tail of the cohort, so the
+firing order, the clock trajectory and the ``events_processed`` count are
+exactly those of a one-event-at-a-time loop.  That loop lives in the test
+suite as the oracle (``tests/sim/single_dispatch.py``), and the seeded fuzz
+harness in ``tests/sim/test_dispatch_equivalence.py`` asserts the match.
 
 Events that never need cancellation can skip the :class:`EventHandle`
-allocation entirely via :meth:`Simulator.schedule_call`; both loops accept
+allocation entirely via :meth:`Simulator.schedule_call`; the loop accepts
 bare callables and handles on the same heap and the shared insertion
 counter keeps tie-breaking identical either way.
 
@@ -27,10 +24,10 @@ Two primitives let a component coalesce work that several same-time
 events would each redo (the flow network reallocates once per timestamp
 with them, DESIGN.md §11):
 
-* :meth:`Simulator.at_timestamp_end` registers a one-shot hook that both
-  loops run once every event at the current time has been dispatched —
+* :meth:`Simulator.at_timestamp_end` registers a one-shot hook that the
+  loop runs once every event at the current time has been dispatched —
   including same-time events scheduled by those callbacks — and before
-  the clock moves on.  Hooks pending when a loop starts run before its
+  the clock moves on.  Hooks pending when the loop starts run before its
   first pop.  Hooks are not events: ``events_processed`` ignores them.
 * :meth:`Simulator.reserve_seq` takes an insertion counter now, and
   :meth:`Simulator.schedule_at_seq` pushes an event with it later, so a
@@ -168,10 +165,22 @@ class Simulator:
                 hook()
 
     def run(self, until: float | None = None) -> None:
-        """Process events one at a time, in time order (the oracle loop).
+        """Process events in time order, one equal-timestamp cohort at a time.
 
-        End-of-timestamp hooks run whenever the next heap entry lies
-        later than the clock (or the heap is empty).
+        The heap is drained one *cohort* (maximal run of entries sharing a
+        timestamp) at a time, with the same firing order, clock trajectory
+        and ``events_processed`` as popping one event at a time:
+
+        * the ``until`` deadline is checked once per cohort, not per event;
+        * cancellation is re-checked at dispatch time, so a cohort member
+          cancelling a later member still suppresses it;
+        * events scheduled *at the cohort's timestamp* by cohort callbacks
+          carry larger insertion counters than everything already popped,
+          so re-scanning the heap after the popped run keeps insertion
+          order.
+
+        End-of-timestamp hooks run once the cohort's timestamp is
+        exhausted, before the clock moves on.
 
         Args:
             until: If given, stop once the next event would fire after this
@@ -182,60 +191,6 @@ class Simulator:
             ValueError: If ``until`` lies before the current clock — running
                 "until" a past instant would silently rewind ``now`` and
                 re-admit events that already fired as schedulable times.
-        """
-        if until is not None and until < self.now:
-            raise ValueError(
-                f"cannot run backwards: until={until} < now {self.now}"
-            )
-        heap = self._heap
-        heappop = heapq.heappop
-        handle_type = EventHandle
-        hooks = self._end_hooks
-        dispatched = 0
-        try:
-            if hooks:
-                self._run_end_hooks()
-            while True:
-                if hooks and (not heap or heap[0][0] != self.now):
-                    self._run_end_hooks()
-                    continue
-                if not heap:
-                    break
-                entry = heap[0]
-                time = entry[0]
-                if until is not None and time > until:
-                    self.now = until
-                    return
-                heappop(heap)
-                handle = entry[2]
-                if handle.__class__ is handle_type:
-                    if handle._cancelled:
-                        continue
-                    handle = handle._callback
-                self.now = time
-                dispatched += 1
-                handle()
-            if until is not None and until > self.now:
-                self.now = until
-        finally:
-            self.events_processed += dispatched
-
-    def run_batched(self, until: float | None = None) -> None:
-        """Process events in equal-timestamp cohorts (the production loop).
-
-        Semantics are identical to :meth:`run` — same firing order, same
-        clock trajectory, same ``events_processed`` — but the heap is
-        drained one *cohort* (maximal run of entries sharing a timestamp)
-        at a time:
-
-        * the ``until`` deadline is checked once per cohort, not per event;
-        * cancellation is re-checked at dispatch time, so a cohort member
-          cancelling a later member still suppresses it, exactly as the
-          one-at-a-time loop would;
-        * events scheduled *at the cohort's timestamp* by cohort callbacks
-          carry larger insertion counters than everything already popped,
-          so re-scanning the heap after the popped run preserves the
-          oracle's order.
         """
         if until is not None and until < self.now:
             raise ValueError(
@@ -275,13 +230,3 @@ class Simulator:
                 self.now = until
         finally:
             self.events_processed += dispatched
-
-    def peek(self) -> float | None:
-        """Time of the next live event, or ``None`` if the heap is empty."""
-        while self._heap:
-            time, _, handle = self._heap[0]
-            if isinstance(handle, EventHandle) and handle.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return time
-        return None

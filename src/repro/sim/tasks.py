@@ -142,21 +142,11 @@ class TaskGraphRunner:
         topology: Topology,
         *,
         simulator: Simulator | None = None,
-        dispatch: str = "batched",
     ) -> None:
         """Args:
             topology: Hardware the graph executes on.
             simulator: Shared event loop (a fresh one by default).
-            dispatch: ``"batched"`` (default) drains the event heap in
-                equal-timestamp cohorts via
-                :meth:`~repro.sim.engine.Simulator.run_batched`;
-                ``"single"`` uses the one-event-at-a-time oracle loop.
-                Both produce bit-identical traces — the equivalence tests
-                run every corpus/chaos cell both ways.
         """
-        if dispatch not in ("batched", "single"):
-            raise ValueError(f"unknown dispatch mode: {dispatch!r}")
-        self.dispatch = dispatch
         self.topology = topology
         self.sim = simulator or Simulator()
         self.network = FlowNetwork(self.sim, topology)
@@ -214,10 +204,7 @@ class TaskGraphRunner:
             if pending[task.uid] == 0:
                 dispatch(task)
 
-        if self.dispatch == "batched":
-            self.sim.run_batched()
-        else:
-            self.sim.run()
+        self.sim.run()
 
         if remaining:
             stuck = [t.label or f"task#{t.uid}" for t in tasks if not t.done]

@@ -19,7 +19,7 @@ flow scans carry the load.
 Everything is event-sequence deterministic: per-task variation comes from
 integer-hash arithmetic (no ``random``, no clocks — ``repro.sim`` is a
 MOB004 determinism root), so the trace digest is bit-identical
-across runs, machines and dispatch modes.
+across runs and machines.
 """
 
 from __future__ import annotations
@@ -117,21 +117,15 @@ def run_cluster_workload(
     rounds: int,
     base_bytes: int = 50_000_000,
     base_compute_seconds: float = 0.02,
-    dispatch: str = "batched",
 ) -> ClusterWorkloadResult:
-    """Build and execute the cluster workload; returns trace + counters.
-
-    Args:
-        dispatch: ``"batched"`` (production) or ``"single"`` (the oracle
-            loop) — the equivalence tests run both and compare digests.
-    """
+    """Build and execute the cluster workload; returns trace + counters."""
     tasks = build_cluster_workload(
         topology,
         rounds=rounds,
         base_bytes=base_bytes,
         base_compute_seconds=base_compute_seconds,
     )
-    runner = TaskGraphRunner(topology, dispatch=dispatch)
+    runner = TaskGraphRunner(topology)
     trace = runner.execute(tasks)
     return ClusterWorkloadResult(
         trace=trace,

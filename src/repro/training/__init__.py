@@ -1,22 +1,20 @@
-"""Training loops: reference accumulation, pipeline schedules, convergence."""
+"""Training loops: pipeline schedules and the Figure 13 convergence run."""
 
 from repro.training.convergence import ConvergenceResult, run_convergence_experiment
-from repro.training.microbatch import ReferenceTrainer, accumulate_gradients, split_batch
 from repro.training.pipeline_train import (
     GPipeScheduleTrainer,
     MobiusScheduleTrainer,
     StagePartition,
     SwapEvent,
+    split_batch,
 )
 
 __all__ = [
     "ConvergenceResult",
     "GPipeScheduleTrainer",
     "MobiusScheduleTrainer",
-    "ReferenceTrainer",
     "StagePartition",
     "SwapEvent",
-    "accumulate_gradients",
     "run_convergence_experiment",
     "split_batch",
 ]

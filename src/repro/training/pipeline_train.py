@@ -28,9 +28,26 @@ from repro.autograd.optim import Adam
 from repro.autograd.tensor import Tensor
 from repro.nn.data import Batch
 from repro.nn.transformer import GPTModel
-from repro.training.microbatch import split_batch
 
-__all__ = ["SwapEvent", "StagePartition", "GPipeScheduleTrainer", "MobiusScheduleTrainer"]
+__all__ = [
+    "SwapEvent",
+    "StagePartition",
+    "GPipeScheduleTrainer",
+    "MobiusScheduleTrainer",
+    "split_batch",
+]
+
+
+def split_batch(batch: Batch, n_microbatches: int) -> list[Batch]:
+    """Split a global batch into equal microbatches."""
+    if batch.inputs.shape[0] % n_microbatches:
+        raise ValueError(
+            f"batch size {batch.inputs.shape[0]} not divisible by "
+            f"{n_microbatches} microbatches"
+        )
+    inputs = np.array_split(batch.inputs, n_microbatches)
+    targets = np.array_split(batch.targets, n_microbatches)
+    return [Batch(i, t) for i, t in zip(inputs, targets)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,21 +86,11 @@ class StagePartition:
 
 
 class _StagedStep:
-    """Shared staged forward/backward machinery for one optimizer step.
+    """Shared staged forward/backward machinery for one optimizer step."""
 
-    With ``recompute`` (activation checkpointing, the configuration the
-    paper evaluates under), the forward pass stores only stage-boundary
-    activations — no autograd graph — and each stage's graph is rebuilt
-    from its checkpoint during backward, exactly like gradient
-    checkpointing on real hardware.  Gradients are identical either way.
-    """
-
-    def __init__(
-        self, model: GPTModel, partition: StagePartition, *, recompute: bool = False
-    ) -> None:
+    def __init__(self, model: GPTModel, partition: StagePartition) -> None:
         self.model = model
         self.partition = partition
-        self.recompute = recompute
 
     def run_stage_forward(self, stage: int, micro_input):
         """Forward one microbatch through one stage.
@@ -102,30 +109,6 @@ class _StagedStep:
             out = layer(out)
         return boundary, out
 
-    def forward_checkpoint(self, stage: int, micro_input):
-        """Forward one microbatch keeping only the boundary activation."""
-        from repro.autograd.tensor import no_grad
-
-        with no_grad():
-            _, out = self.run_stage_forward(stage, micro_input)
-        return None, out
-
-    def forward(self, stage: int, micro_input):
-        if self.recompute:
-            return self.forward_checkpoint(stage, micro_input)
-        return self.run_stage_forward(stage, micro_input)
-
-    def rebuild_for_backward(self, stage: int, saved, micro_input):
-        """Materialise the stage's graph for backward.
-
-        ``saved`` is the forward result; without recompute it already holds
-        the graph, with recompute the stage forward is replayed from its
-        input checkpoint.
-        """
-        if not self.recompute:
-            return saved
-        return self.run_stage_forward(stage, micro_input)
-
     def backward_stage(self, outputs, seed_grad):
         """Backward through one stage's graph; returns the input's gradient."""
         boundary, out = outputs
@@ -143,19 +126,17 @@ class GPipeScheduleTrainer:
         *,
         lr: float = 3e-4,
         n_microbatches: int | None = None,
-        recompute: bool = False,
     ) -> None:
         self.model = model
         self.n_gpus = n_gpus
         self.n_microbatches = n_microbatches or n_gpus
         self.partition = StagePartition.uniform(model.n_pipeline_layers, n_gpus)
         self.optimizer = Adam(model.parameters(), lr=lr)
-        self.recompute = recompute
 
     def step(self, batch: Batch) -> float:
         """One synchronous GPipe step; returns the mean loss."""
         micros = split_batch(batch, self.n_microbatches)
-        staged = _StagedStep(self.model, self.partition, recompute=self.recompute)
+        staged = _StagedStep(self.model, self.partition)
         s, m = self.partition.n_stages, len(micros)
         self.optimizer.zero_grad()
 
@@ -163,7 +144,7 @@ class GPipeScheduleTrainer:
         for j in range(s):
             for mb in range(m):
                 source = micros[mb].inputs if j == 0 else acts[j - 1][mb][1]
-                acts[j][mb] = staged.forward(j, source)
+                acts[j][mb] = staged.run_stage_forward(j, source)
 
         total = 0.0
         seeds = [[None] * m for _ in range(s)]
@@ -171,8 +152,7 @@ class GPipeScheduleTrainer:
 
         for j in range(s - 1, -1, -1):
             for mb in range(m):
-                source = micros[mb].inputs if j == 0 else acts[j - 1][mb][1]
-                graph = staged.rebuild_for_backward(j, acts[j][mb], source)
+                graph = acts[j][mb]
                 if j == s - 1:
                     boundary, out = graph
                     loss = cross_entropy_logits(out, micros[mb].targets) * (1.0 / m)
@@ -207,7 +187,6 @@ class MobiusScheduleTrainer:
         lr: float = 3e-4,
         n_microbatches: int | None = None,
         resident_limit: int = 2,
-        recompute: bool = False,
     ) -> None:
         self.model = model
         self.n_gpus = n_gpus
@@ -216,7 +195,6 @@ class MobiusScheduleTrainer:
         self.partition = StagePartition.uniform(model.n_pipeline_layers, stages)
         self.optimizer = Adam(model.parameters(), lr=lr)
         self.resident_limit = resident_limit
-        self.recompute = recompute
         self.swap_events: list[SwapEvent] = []
         self._resident: dict[int, list[int]] = {g: [] for g in range(n_gpus)}
 
@@ -243,7 +221,7 @@ class MobiusScheduleTrainer:
     def step(self, batch: Batch) -> float:
         """One synchronous Mobius step; returns the mean loss."""
         micros = split_batch(batch, self.n_microbatches)
-        staged = _StagedStep(self.model, self.partition, recompute=self.recompute)
+        staged = _StagedStep(self.model, self.partition)
         s, m = self.partition.n_stages, len(micros)
         n = self.n_gpus
         self.optimizer.zero_grad()
@@ -253,7 +231,7 @@ class MobiusScheduleTrainer:
             self._upload(j, "forward")
             for mb in range(m):
                 source = micros[mb].inputs if j == 0 else acts[j - 1][mb][1]
-                acts[j][mb] = staged.forward(j, source)
+                acts[j][mb] = staged.run_stage_forward(j, source)
             if j < s - n:  # the top N stages stay resident for backward
                 self._free(j, "forward")
 
@@ -264,8 +242,7 @@ class MobiusScheduleTrainer:
         for j in range(s - 1, -1, -1):
             self._upload(j, "backward")
             for mb in range(m):
-                source = micros[mb].inputs if j == 0 else acts[j - 1][mb][1]
-                graph = staged.rebuild_for_backward(j, acts[j][mb], source)
+                graph = acts[j][mb]
                 if j == s - 1:
                     boundary, out = graph
                     loss = cross_entropy_logits(out, micros[mb].targets) * (1.0 / m)

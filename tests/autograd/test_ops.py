@@ -6,7 +6,6 @@ import pytest
 from repro.autograd.ops import (
     causal_mask_fill,
     cross_entropy_logits,
-    dropout,
     embedding,
     gelu,
     layer_norm,
@@ -158,34 +157,6 @@ class TestEmbedding:
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
         embedding(table, np.array([1, 1, 1])).sum().backward()
         np.testing.assert_allclose(table.grad, [[0, 0], [3, 3], [0, 0]])
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self, rng):
-        x = Tensor(rng.normal(size=10))
-        out = dropout(x, 0.5, rng, training=False)
-        np.testing.assert_allclose(out.data, x.data)
-
-    def test_zero_p_is_identity(self, rng):
-        x = Tensor(rng.normal(size=10))
-        assert dropout(x, 0.0, rng) is x
-
-    def test_scaling_preserves_expectation(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones(100_000))
-        out = dropout(x, 0.5, rng)
-        assert out.data.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_grad_matches_mask(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(np.ones(64).astype(np.float32), requires_grad=True)
-        out = dropout(x, 0.5, rng)
-        out.sum().backward()
-        np.testing.assert_allclose(x.grad, out.data)
-
-    def test_invalid_p_rejected(self, rng):
-        with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), 1.0, rng)
 
 
 class TestCausalMask:

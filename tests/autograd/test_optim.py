@@ -1,50 +1,14 @@
-"""Tests for optimizers and the loss scaler."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.autograd.optim import SGD, Adam, LossScaler
+from repro.autograd.optim import Adam
 from repro.autograd.tensor import Tensor
 
 
 def make_param(value):
     return Tensor(np.array(value, dtype=np.float32), requires_grad=True)
-
-
-class TestSGD:
-    def test_plain_step(self):
-        p = make_param([1.0])
-        p.grad = np.array([0.5], dtype=np.float32)
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.95])
-
-    def test_momentum_accumulates(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0], dtype=np.float32)
-        opt.step()  # v = 1, p = -1
-        opt.step()  # v = 1.9, p = -2.9
-        np.testing.assert_allclose(p.data, [-2.9], atol=1e-6)
-
-    def test_skips_params_without_grad(self):
-        p = make_param([1.0])
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [1.0])
-
-    def test_zero_grad(self):
-        p = make_param([1.0])
-        p.grad = np.array([1.0], dtype=np.float32)
-        opt = SGD([p], lr=0.1)
-        opt.zero_grad()
-        assert p.grad is None
-
-    def test_no_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_bad_lr_rejected(self):
-        with pytest.raises(ValueError):
-            SGD([make_param([1.0])], lr=0.0)
 
 
 class TestAdam:
@@ -73,17 +37,22 @@ class TestAdam:
             opt.step()
         assert abs(float(p.data[0])) < 0.5
 
-
-class TestLossScaler:
-    def test_scale_and_unscale_roundtrip(self):
+    def test_skips_params_without_grad(self):
         p = make_param([1.0])
-        loss = (p * 3.0).sum()
-        scaler = LossScaler(scale=1024.0)
-        scaler.scale_loss(loss).backward()
-        assert scaler.unscale_([p])
-        np.testing.assert_allclose(p.grad, [3.0], rtol=1e-5)
+        Adam([p], lr=0.1).step()
+        np.testing.assert_allclose(p.data, [1.0])
 
-    def test_overflow_detection(self):
+    def test_zero_grad(self):
         p = make_param([1.0])
-        p.grad = np.array([np.inf], dtype=np.float32)
-        assert not LossScaler().unscale_([p])
+        p.grad = np.array([1.0], dtype=np.float32)
+        opt = Adam([p], lr=0.1)
+        opt.zero_grad()
+        assert p.grad is None
+
+    def test_no_params_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
+    def test_bad_lr_rejected(self):
+        with pytest.raises(ValueError):
+            Adam([make_param([1.0])], lr=0.0)

@@ -87,7 +87,7 @@ class TestIsValidLabel:
 
 class TestAuditorUsesSharedContract:
     def test_memory_audit_imports_labels(self):
-        import repro.core.memory_audit as audit
+        import tests.core.memory_audit as audit
 
         assert audit._UPLOAD_RE is labels.UPLOAD_RE
         assert audit._COMPUTE_RE is labels.COMPUTE_RE

@@ -5,10 +5,11 @@ import dataclasses
 import pytest
 
 from repro.core.api import MobiusConfig, plan_mobius
-from repro.core.memory_audit import audit_mobius_memory
 from repro.hardware.gpu import RTX_3090TI
 from repro.hardware.topology import commodity_server, topo_2_2
 from repro.models.spec import build_gpt_like
+
+from tests.core.memory_audit import audit_mobius_memory
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd.tensor import Tensor
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
+from repro.nn.layers import Embedding, LayerNorm, Linear, Module
 
 
 @pytest.fixture
@@ -32,18 +32,6 @@ class TestModule:
                 self.alias = self.w
 
         assert len(list(Tied().parameters())) == 1
-
-    def test_train_eval_propagates(self, rng):
-        class Net(Module):
-            def __init__(self):
-                super().__init__()
-                self.drop = Dropout(0.5, rng=rng)
-
-        net = Net()
-        net.eval()
-        assert not net.drop.training
-        net.train()
-        assert net.drop.training
 
     def test_n_parameters(self, rng):
         layer = Linear(4, 3, rng=rng)
@@ -89,15 +77,3 @@ class TestEmbedding:
     def test_init_std(self, rng):
         table = Embedding(10_000, 64, rng=rng, std=0.02)
         assert table.weight.data.std() == pytest.approx(0.02, rel=0.1)
-
-
-class TestDropout:
-    def test_identity_in_eval(self, rng):
-        layer = Dropout(0.9, rng=rng)
-        layer.eval()
-        x = Tensor(np.ones(10))
-        np.testing.assert_allclose(layer(x).data, x.data)
-
-    def test_invalid_p(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng=rng)

@@ -62,6 +62,8 @@ from repro.hardware.topology import (
 from repro.sim.engine import Simulator
 from repro.sim.resources import _EPS, FlowNetwork
 
+from tests.sim.single_dispatch import SingleDispatchSimulator
+
 GB = 1e9
 
 
@@ -516,7 +518,7 @@ def _run_coincident_fuzz(topology, seed, network_type, mode):
     they stay aligned between runs exactly when the event order does.
     """
     rng = random.Random(seed)
-    sim = Simulator()
+    sim = SingleDispatchSimulator() if mode == "single" else Simulator()
     network = network_type(sim, topology)
     log = []
     labels = iter(range(10**6))
@@ -557,7 +559,7 @@ def _run_coincident_fuzz(topology, seed, network_type, mode):
             start=start,
             end=start + _GRID * rng.randrange(1, 8),
         )
-    sim.run() if mode == "single" else sim.run_batched()
+    sim.run()
     assert not network.active_flows
     return log, network
 

@@ -1,7 +1,8 @@
 """Batched-vs-single dispatch equivalence (DESIGN.md §12).
 
-``Simulator.run_batched`` is the production hot path; ``Simulator.run`` is
-the one-event-at-a-time oracle.  The contract is *exact* equivalence:
+``Simulator.run`` dispatches equal-timestamp cohorts; the oracle
+``SingleDispatchSimulator.run`` (``tests/sim/single_dispatch.py``) pops one
+event at a time.  The contract is *exact* equivalence:
 identical firing order, clock trajectory, ``events_processed`` count and —
 through the task layer — bit-identical trace fingerprints.  These tests
 drive both loops with
@@ -20,6 +21,11 @@ import pytest
 from repro.perf.fingerprint import fingerprint
 from repro.sim.engine import Simulator
 
+from tests.sim.single_dispatch import SingleDispatchSimulator
+
+#: The loop under test and its oracle, keyed by the mode ids the tests use.
+SIMULATORS = {"single": SingleDispatchSimulator, "batched": Simulator}
+
 
 def _drive(
     seed: int, mode: str, until: float | None = None, *, hooks: bool = False
@@ -32,7 +38,7 @@ def _drive(
     callbacks also register end-of-timestamp hooks that log and may spawn
     more events (zero-delay ones included).
     """
-    sim = Simulator()
+    sim = SIMULATORS[mode]()
     rng = random.Random(seed)
     log: list[tuple[int, float]] = []
     handles: list = []
@@ -71,12 +77,11 @@ def _drive(
     for _ in range(5):
         rng.choice(handles).cancel()
 
-    runner = sim.run_batched if mode == "batched" else sim.run
     if until is None:
-        runner()
+        sim.run()
     else:
-        runner(until=until)
-        runner()  # resume to drain; the boundary must not skew state
+        sim.run(until=until)
+        sim.run()  # resume to drain; the boundary must not skew state
     return log, sim.now, sim.events_processed
 
 
@@ -111,19 +116,18 @@ class TestCohortSemantics:
         # The canceller is scheduled first (smaller tie-break counter), so
         # it fires first and must suppress its same-timestamp victim even
         # though the batched loop already popped both into the cohort.
-        sim = Simulator()
+        sim = SIMULATORS[mode]()
         fired = []
         victim = {}
         sim.schedule(1.0, lambda: (fired.append("canceller"), victim["h"].cancel()))
         victim["h"] = sim.schedule(1.0, lambda: fired.append("victim"))
-        runner = sim.run_batched if mode == "batched" else sim.run
-        runner()
+        sim.run()
         assert fired == ["canceller"]
         assert sim.events_processed == 1
 
     @pytest.mark.parametrize("mode", ["single", "batched"])
     def test_same_time_events_scheduled_from_cohort_join_in_order(self, mode):
-        sim = Simulator()
+        sim = SIMULATORS[mode]()
         fired = []
 
         def first():
@@ -133,27 +137,26 @@ class TestCohortSemantics:
 
         sim.schedule(1.0, first)
         sim.schedule(1.0, lambda: fired.append("second"))
-        runner = sim.run_batched if mode == "batched" else sim.run
-        runner()
+        sim.run()
         assert fired == ["first", "second", "child-a", "child-b"]
         assert sim.now == 1.0
 
     def test_all_cancelled_cohort_leaves_clock_alone(self):
         """A fully dead cohort must not advance `now` in either loop."""
-        for runner_name in ("run", "run_batched"):
-            sim = Simulator()
+        for simulator_type in SIMULATORS.values():
+            sim = simulator_type()
             handle = sim.schedule(5.0, lambda: None)
             handle.cancel()
-            getattr(sim, runner_name)()
+            sim.run()
             assert sim.now == 0.0
             assert sim.events_processed == 0
 
     def test_run_backwards_rejected(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        sim.run_batched()
+        sim.run()
         with pytest.raises(ValueError, match="backwards"):
-            sim.run_batched(until=0.5)
+            sim.run(until=0.5)
 
 
 class TestWorkloadEquivalence:
@@ -179,7 +182,7 @@ class TestWorkloadEquivalence:
                 prefetch=cell.config.prefetch,
                 use_priorities=cell.config.use_priorities,
             )
-            runner = TaskGraphRunner(cell.topology, dispatch=mode)
+            runner = TaskGraphRunner(cell.topology, simulator=SIMULATORS[mode]())
             trace = runner.execute(tasks)
             outcomes[mode] = (
                 fingerprint(trace),
@@ -223,7 +226,9 @@ class TestWorkloadEquivalence:
                 prefetch=cell.config.prefetch,
                 use_priorities=cell.config.use_priorities,
             )
-            runner = FaultInjectingRunner(cell.topology, schedule, dispatch=mode)
+            runner = FaultInjectingRunner(
+                cell.topology, schedule, simulator=SIMULATORS[mode]()
+            )
             trace = runner.execute(tasks)
             outcomes[mode] = (
                 fingerprint(trace),
@@ -234,18 +239,13 @@ class TestWorkloadEquivalence:
 
     def test_cluster_workload_identical_digests(self):
         from repro.hardware.topology import large_cluster
-        from repro.sim.workloads import run_cluster_workload
+        from repro.sim.tasks import TaskGraphRunner
+        from repro.sim.workloads import build_cluster_workload, run_cluster_workload
 
         topology = large_cluster(16, 4)
-        single = run_cluster_workload(topology, rounds=6, dispatch="single")
-        batched = run_cluster_workload(topology, rounds=6, dispatch="batched")
-        assert single.digest == batched.digest
-        assert single.events_processed == batched.events_processed
-        assert fingerprint(single.trace) == fingerprint(batched.trace)
-
-    def test_unknown_dispatch_mode_rejected(self):
-        from repro.hardware.topology import topo_2_2
-        from repro.sim.tasks import TaskGraphRunner
-
-        with pytest.raises(ValueError, match="dispatch"):
-            TaskGraphRunner(topo_2_2(), dispatch="cohort")
+        batched = run_cluster_workload(topology, rounds=6)
+        runner = TaskGraphRunner(topology, simulator=SingleDispatchSimulator())
+        single = runner.execute(build_cluster_workload(topology, rounds=6))
+        assert single.columnar_digest() == batched.digest
+        assert runner.sim.events_processed == batched.events_processed
+        assert fingerprint(single) == fingerprint(batched.trace)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim.engine import Simulator
 
+from tests.sim.single_dispatch import SingleDispatchSimulator
+
 
 class TestScheduling:
     def test_events_fire_in_time_order(self):
@@ -72,7 +74,7 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(ValueError):
             schedule(sim, float("nan"))
-        assert sim.peek() is None
+        assert not sim._heap
 
     def test_zero_delay_runs_at_current_time(self):
         sim = Simulator()
@@ -97,16 +99,6 @@ class TestCancellation:
         handle.cancel()
         handle.cancel()
         assert handle.cancelled
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek() == 2.0
-
-    def test_peek_empty(self):
-        assert Simulator().peek() is None
 
 
 class TestRunUntil:
@@ -142,8 +134,8 @@ class TestRunUntil:
         assert sim.now == 2.0  # the failed call must not rewind the clock
 
 
-def _loop(sim: Simulator, mode: str):
-    return sim.run if mode == "single" else sim.run_batched
+def _simulator(mode: str) -> Simulator:
+    return SingleDispatchSimulator() if mode == "single" else Simulator()
 
 
 @pytest.mark.parametrize("mode", ["single", "batched"])
@@ -169,10 +161,10 @@ class TestEndOfTimestampHook:
         sim.schedule_at(2.0, lambda: event("c"))
 
     def test_fires_once_per_timestamp_after_same_time_events(self, mode):
-        sim = Simulator()
+        sim = _simulator(mode)
         log = []
         self._schedule_flushing_events(sim, log)
-        _loop(sim, mode)()
+        sim.run()
         assert log == [
             ("a", 1.0),
             ("b", 1.0),
@@ -184,26 +176,26 @@ class TestEndOfTimestampHook:
         assert sim.events_processed == 4  # hooks are not events
 
     def test_until_runs_hook_before_moving_the_clock(self, mode):
-        sim = Simulator()
+        sim = _simulator(mode)
         log = []
         self._schedule_flushing_events(sim, log)
-        _loop(sim, mode)(until=1.5)
+        sim.run(until=1.5)
         assert log[-1] == ("hook", 1.0)
         assert sim.now == 1.5
-        _loop(sim, mode)(until=5.0)
+        sim.run(until=5.0)
         assert log[-1] == ("hook", 2.0)
         assert sim.now == 5.0
 
     def test_hook_registered_before_the_loop_runs_before_first_pop(self, mode):
-        sim = Simulator()
+        sim = _simulator(mode)
         log = []
         sim.schedule(0.0, lambda: log.append(("event", sim.now)))
         sim.at_timestamp_end(lambda: log.append(("hook", sim.now)))
-        _loop(sim, mode)()
+        sim.run()
         assert log == [("hook", 0.0), ("event", 0.0)]
 
     def test_hook_scheduling_at_now_keeps_the_clock(self, mode):
-        sim = Simulator()
+        sim = _simulator(mode)
         log = []
 
         def hook():
@@ -217,7 +209,7 @@ class TestEndOfTimestampHook:
 
         sim.schedule_at(1.0, event)
         sim.schedule_at(3.0, lambda: log.append(("late", sim.now)))
-        _loop(sim, mode)()
+        sim.run()
         assert log == [
             ("event", 1.0),
             ("hook", 1.0),
@@ -230,7 +222,7 @@ class TestEndOfTimestampHook:
 class TestReservedCounter:
     @pytest.mark.parametrize("mode", ["single", "batched"])
     def test_reserved_seq_sorts_ahead_of_later_same_time_events(self, mode):
-        sim = Simulator()
+        sim = _simulator(mode)
         fired = []
         sim.schedule_at(1.0, lambda: fired.append("before"))
         seq = sim.reserve_seq()
@@ -238,7 +230,7 @@ class TestReservedCounter:
         sim.schedule_call_at(1.0, lambda: fired.append("after-call"))
         handle = sim.schedule_at_seq(1.0, seq, lambda: fired.append("reserved"))
         assert handle.time == 1.0
-        _loop(sim, mode)()
+        sim.run()
         assert fired == ["before", "reserved", "after", "after-call"]
 
     def test_reserved_handle_cancels(self):

@@ -73,7 +73,7 @@ class TestComputeUnit:
         assert not unit.busy
         ends = []
         unit.submit(1.0, lambda: ends.append(sim.now))
-        sim.run_batched()
+        sim.run()
         assert ends == [1.0]
 
     def test_submission_during_execution_queues(self):
@@ -290,7 +290,7 @@ class TestBandwidthScale:
         start, end = window
         with pytest.raises(ValueError, match="NaN"):
             network.set_bandwidth_scale(("sw0", "rc0"), 0.5, start=start, end=end)
-        assert sim.peek() is None
+        assert not sim._heap
         assert network.stats.scale_epochs == 0
 
     def test_empty_window_rejected(self):

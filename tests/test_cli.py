@@ -89,3 +89,49 @@ class TestCommands:
         code = main(["figures", "table1"])
         assert code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
+
+
+class TestNumericArguments:
+    """Counts are checked at the boundary: one error line, exit 2, no work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "table1", "--jobs", "0"],
+            ["figures", "table1", "--jobs", "-5"],
+            ["bench", "suite", "--jobs", "0"],
+            ["serve", "--workers", "0"],
+            ["serve", "--rounds", "0"],
+            ["plan", "--microbatch", "-1"],
+            ["plan", "--microbatch", "0"],
+            ["compare", "--microbatch", "two"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_positive_count_is_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        option = next(arg for arg in argv if arg.startswith("--"))
+        assert captured.err.startswith(
+            f"error: argument {option}: must be a positive integer"
+        )
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+class TestModelHelp:
+    def test_help_lists_every_accepted_model(self):
+        from repro.models.zoo import _FACTORIES, model_by_name
+
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        for command in ("plan", "compare", "advise"):
+            help_text = subparsers.choices[command].format_help()
+            for name in _FACTORIES:
+                assert model_by_name(name).name  # accepted by --model
+                assert name in help_text, (command, name)

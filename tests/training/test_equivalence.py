@@ -5,12 +5,14 @@ import pytest
 
 from repro.nn.data import SyntheticCorpus
 from repro.nn.transformer import GPTConfig, GPTModel
-from repro.training.microbatch import ReferenceTrainer, split_batch
 from repro.training.pipeline_train import (
     GPipeScheduleTrainer,
     MobiusScheduleTrainer,
     StagePartition,
+    split_batch,
 )
+
+from tests.training.reference import ReferenceTrainer
 
 CONFIG = GPTConfig(vocab_size=64, seq_len=16, dim=32, n_heads=4, n_blocks=4)
 
