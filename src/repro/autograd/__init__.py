@@ -9,7 +9,7 @@ from repro.autograd.ops import (
     softmax,
 )
 from repro.autograd.optim import Adam
-from repro.autograd.tensor import Tensor, is_grad_enabled, no_grad
+from repro.autograd.tensor import Tensor
 
 __all__ = [
     "Adam",
@@ -18,8 +18,6 @@ __all__ = [
     "cross_entropy_logits",
     "embedding",
     "gelu",
-    "is_grad_enabled",
     "layer_norm",
-    "no_grad",
     "softmax",
 ]

@@ -18,26 +18,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
-
-_GRAD_ENABLED = True
-
-
-class no_grad:
-    """Context manager disabling gradient recording (for evaluation)."""
-
-    def __enter__(self) -> None:
-        global _GRAD_ENABLED
-        self._previous = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-
-    def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._previous
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+__all__ = ["Tensor"]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -91,7 +72,7 @@ class Tensor:
     ) -> None:
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad and _GRAD_ENABLED
+        self.requires_grad = requires_grad
         self._parents = tuple(_parents) if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
         self.name = name
@@ -135,7 +116,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = any(p.requires_grad for p in parents)
         return Tensor(data, requires_grad=requires, _parents=parents, _backward=backward)
 
     def _accumulate(self, grad: np.ndarray) -> None:

@@ -11,7 +11,7 @@ Resolution strategy (DESIGN.md §13 documents the approximations):
   ``FaultInjectingRunner._submit_compute`` seam depends on this).
 * ``self.attr.m(...)`` — through the class's instance-attribute types
   (``self.network = FlowNetwork(...)`` types ``self.network``).
-* ``mod.f(...)`` — through import aliases.
+* ``mod.f(...)`` — through import aliases, function-local imports included.
 * ``var.m(...)`` — through local constructor assignments
   (``sim = Simulator()``) and parameter annotations (``cell:
   ExperimentCell``); otherwise the *name-match fallback* links to every
@@ -39,6 +39,7 @@ from repro.check.analysis.program import (
     ModuleInfo,
     Program,
     attr_chain,
+    import_bindings,
 )
 
 __all__ = ["CallGraph", "build_call_graph", "DEFAULT_CALLBACK_SEAMS"]
@@ -114,6 +115,7 @@ class _FunctionResolver:
         self.program = program
         self.info = info
         self.module: ModuleInfo = program.modules[info.module]
+        self.imports = {**self.module.imports, **import_bindings(ast.walk(info.node))}
         self.cls: ClassInfo | None = (
             self.module.classes.get(info.class_name) if info.class_name else None
         )
@@ -192,7 +194,7 @@ class _FunctionResolver:
             return [self.module.functions[name]]
         if name in self.module.classes:
             return self._constructor(self.module.classes[name])
-        target = self.module.imports.get(name)
+        target = self.imports.get(name)
         if target is not None:
             if target in self.program.functions:
                 return [self.program.functions[target]]
@@ -238,7 +240,7 @@ class _FunctionResolver:
         return self._by_name(rest[-1])
 
     def _resolve_module_path(self, chain: list[str]) -> list[FunctionInfo]:
-        target = self.module.imports.get(chain[0])
+        target = self.imports.get(chain[0])
         if target is None:
             return []
         # Try successively longer module paths: target, target.chain[1], ...

@@ -38,9 +38,9 @@ regardless of which directory the helper lives in.
   purpose: cross-function escapes are the (documented) under-approximation.
 
 * **MOB007 — shared-state race.**  Module-level mutable state written from
-  a function reachable from the process-pool workers (the suite
-  scheduler's ``_cell_worker`` / ``_worker_init``, the serve daemon's
-  dispatch loop and solver children) or from any function touching a
+  a function reachable from the parallel workers (the suite drain's
+  ``_cell_worker``, the serve daemon's dispatch loop, and the supervised
+  worker children's ``_process_worker_main``) or from any function touching a
   registered race registry (``race_registries``) must go through a
   documented synchronization seam (``sync_seams``).  Reads
   are fine; writes — including ``next()`` on a shared ``itertools.count``
@@ -206,15 +206,14 @@ class AnalysisConfig:
         "repro.experiments.schedule._cell_worker",
     )
     callback_seams: frozenset[str] = DEFAULT_CALLBACK_SEAMS
-    #: MOB007 roots: the process-pool worker surface.
+    #: MOB007 roots: the parallel-worker surface.
     worker_entry_points: tuple[str, ...] = (
-        # The suite-wide cell scheduler's pool workers: they adopt the
-        # parent cache config, so their global writes follow the same
-        # seam discipline.
+        # The suite drain's cell task, run inline and on supervised
+        # workers: its global writes follow the same seam discipline.
         "repro.experiments.schedule._cell_worker",
-        "repro.experiments.schedule._worker_init",
-        # The serve daemon's dispatch thread and its solver child
-        # processes run concurrently with client threads: every module
+        # The serve daemon's dispatch thread and the supervised worker
+        # children (plan and cell tasks, after adopting the parent cache
+        # config) run concurrently with client threads: every module
         # global they can write must be a documented seam.
         "repro.serve.daemon.PlanService._dispatch_loop",
         "repro.serve.supervisor._process_worker_main",

@@ -302,18 +302,23 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.experiments.schedule import DrainFailed
     from repro.experiments.suite import resolve_names, run_suite
 
     wanted = resolve_names(args.names)
     if not wanted:
         print(f"no experiments match {args.names}; known: {', '.join(ALL_EXPERIMENTS)}")
         return 1
-    run_suite(
-        wanted,
-        fast=not args.full,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-    )
+    try:
+        run_suite(
+            wanted,
+            fast=not args.full,
+            jobs=args.jobs,
+            use_cache=not args.no_cache,
+        )
+    except DrainFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -262,8 +262,8 @@ def default_jobs() -> int:
     ``REPRO_JOBS`` (a positive integer) wins over the detected CPU count:
     containers frequently report ``os.cpu_count() == 1`` (or ``None``)
     while having more cores available.  The suite no longer needs to pin
-    this inside workers — the cell scheduler owns the only process pool,
-    and figure assembly is serial cache-hit replay.
+    this inside workers — the cell drain's supervised workers are the
+    only process pool, and figure assembly is serial cache-hit replay.
     """
     env = os.environ.get("REPRO_JOBS")
     if env is not None:

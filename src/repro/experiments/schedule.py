@@ -13,11 +13,16 @@ Four steps take the suite's figures to computed cells:
    :func:`~repro.core.api.partition_solve_key`) wait for the first such
    cell, so the solve happens once and the rest hit the ``"partition"``
    cache.
-4. **Drain** — one global :class:`~concurrent.futures.ProcessPoolExecutor`
-   runs ready cells as dependencies resolve.  Workers share the cache's
-   durable store and a :class:`~repro.perf.cache.LeaseTable` (so two
-   *processes* — a second concurrent suite, a daemon — never solve the
-   same cell concurrently: the loser waits and reads the winner's result).
+4. **Drain** — ``jobs`` supervised process workers (the serve daemon's
+   :class:`~repro.serve.supervisor.Supervisor`, running its ``"cell"``
+   task) compute ready cells as dependencies resolve; ``jobs=1`` computes
+   them inline.  Workers share the cache's durable store and a
+   :class:`~repro.perf.cache.LeaseTable` (so two *processes* — a second
+   concurrent suite, a daemon — never solve the same cell concurrently:
+   the loser waits and reads the winner's result).  A worker that dies
+   mid-cell is replaced and the cell retried; a cell that crashes workers
+   ``quarantine_after`` times, or raises, fails alone — the other cells
+   finish and are cached, then :class:`DrainFailed` names the failures.
 
 Figures then run serially afterwards as pure cache-hit assembly passes.
 
@@ -33,25 +38,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib
-import multiprocessing
 from collections import deque
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from pathlib import Path
 
 from repro.core.api import partition_solve_key
 from repro.experiments.runner import ExperimentCell, SystemResult, run_cell
-from repro.perf.cache import (
-    CacheConfig,
-    LeaseTable,
-    configure_cache,
-    get_cache,
-    merge_stats,
-)
+from repro.perf.cache import LeaseTable, get_cache, merge_stats
 from repro.perf.fingerprint import fingerprint
 
 __all__ = [
     "CellNode",
+    "DrainFailed",
     "ScheduleReport",
     "build_schedule",
     "cell_result_fingerprint",
@@ -205,6 +204,7 @@ class ScheduleReport:
     cells_coalesced: int  # lease lost to another process; read its result
     duplicate_solves: int  # drain-wide "system" misses beyond cells_computed
     ordering_edges: int
+    worker_crashes: int  # workers that died mid-cell (each cost a retry)
     worker_cache: dict  # per-namespace stats summed over drain processes
     cells_fingerprint: str
 
@@ -212,9 +212,16 @@ class ScheduleReport:
         return dataclasses.asdict(self)
 
 
-def _worker_init(config: CacheConfig) -> None:
-    """Pool entry: adopt the parent cache config."""
-    configure_cache(memory=config.memory, disk=config.disk, directory=config.directory)
+class DrainFailed(RuntimeError):
+    """Cells no worker could compute; every other cell was computed and cached."""
+
+    def __init__(self, failures: Sequence[tuple[CellNode, Exception]]) -> None:
+        self.failures = list(failures)
+        named = "; ".join(
+            f"{'+'.join(node.figures)} cell {node.digest[:12]}: {err}"
+            for node, err in self.failures
+        )
+        super().__init__(f"{len(self.failures)} cell(s) failed: {named}")
 
 
 def _cell_worker(
@@ -225,8 +232,11 @@ def _cell_worker(
     Returns ``(result, outcome, stats_delta)`` where ``outcome`` is
     ``"computed"`` (this process ran the cell), ``"shared"`` (a shared
     cache tier already had it) or ``"coalesced"`` (another process held
-    the lease; we waited and read its result).  Runs both in pool workers
-    and inline for ``jobs=1`` drains — the protocol is identical.
+    the lease; we waited and read its result).  Runs as the supervised
+    workers' ``"cell"`` task and inline for ``jobs=1`` drains — the
+    protocol is identical.  A worker that died holding a lease is joined
+    before the cell is retried, so the retry reads the lease as broken on
+    its first poll.
     """
     cell, digest, lease_dir = task
     cache = get_cache()
@@ -287,12 +297,16 @@ def drain(
     *,
     jobs: int = 1,
 ) -> ScheduleReport:
-    """Dedup, order and compute ``(figure, cell)`` pairs through one pool.
+    """Dedup, order and compute ``(figure, cell)`` pairs.
 
     Uses the process-global cache as configured by the caller (the suite
     wraps this in ``cache_overridden``).  When the disk tier is enabled,
     drain processes additionally share a lease table under the cache
     directory.
+
+    Raises:
+        DrainFailed: With ``jobs > 1``, after every other cell finished,
+            if some cell crashed ``quarantine_after`` workers or raised.
     """
     schedule = build_schedule(pairs)
     cache = get_cache()
@@ -304,7 +318,9 @@ def drain(
     counters = {"computed": 0, "shared": 0, "coalesced": 0}
     stats_deltas: list[dict] = []
     results: dict[int, SystemResult] = {}
+    failures: list[tuple[CellNode, Exception]] = []
     precached = 0
+    worker_crashes = 0
 
     remaining = {node.index: set(node.deps) for node in schedule.nodes}
     ready: deque[CellNode] = deque()
@@ -365,40 +381,60 @@ def drain(
                         stats_deltas.append(delta)
                     complete(node)
             else:
-                # Spawn, not fork: a forked child of a threaded parent can
-                # inherit locks held mid-operation; a spawned worker starts
-                # clean and takes only the cache config from the parent.
-                with ProcessPoolExecutor(
-                    max_workers=min(jobs, pending_total),
-                    mp_context=multiprocessing.get_context("spawn"),
-                    initializer=_worker_init,
-                    initargs=(cache.config,),
-                ) as pool:
-                    in_flight: dict = {}
+                # Imported here: a jobs=1 drain never loads repro.serve.
+                from repro.serve.supervisor import (
+                    ProcessWorker,
+                    RequestQuarantined,
+                    Supervisor,
+                    WorkerSolveError,
+                    WorkerUnavailable,
+                )
 
-                    def submit_ready() -> None:
-                        while ready:
-                            node = ready.popleft()
-                            future = pool.submit(
-                                _cell_worker, (node.cell, node.digest, lease_dir)
-                            )
-                            in_flight[future] = node
+                # Workers start lazily, on their first cell.
+                supervisor = Supervisor(ProcessWorker, pool_size=jobs)
+                try:
+                    with ThreadPoolExecutor(jobs) as threads:
+                        in_flight: dict = {}
 
-                    submit_ready()
-                    while in_flight:
-                        done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                        # Account completions in node order so counters and
-                        # stats fold deterministically regardless of which
-                        # worker finished first.
-                        for future in sorted(done, key=lambda f: in_flight[f].index):
-                            node = in_flight.pop(future)
-                            result, outcome, delta = future.result()
-                            cache.adopt("system", node.cell, result)
-                            results[node.index] = result
-                            counters[outcome] += 1
-                            stats_deltas.append(delta)
-                            complete(node)
+                        def submit_ready() -> None:
+                            while ready:
+                                node = ready.popleft()
+                                future = threads.submit(
+                                    supervisor.solve,
+                                    "cell",
+                                    (node.cell, node.digest, lease_dir),
+                                    node.digest,
+                                )
+                                in_flight[future] = node
+
                         submit_ready()
+                        while in_flight:
+                            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                            # Account completions in node order so counters
+                            # and stats fold deterministically regardless of
+                            # which worker finished first.
+                            for future in sorted(done, key=lambda f: in_flight[f].index):
+                                node = in_flight.pop(future)
+                                try:
+                                    result, outcome, delta = future.result().value
+                                except (
+                                    RequestQuarantined,
+                                    WorkerSolveError,
+                                    WorkerUnavailable,
+                                ) as err:
+                                    failures.append((node, err))
+                                else:
+                                    cache.adopt("system", node.cell, result)
+                                    results[node.index] = result
+                                    counters[outcome] += 1
+                                    stats_deltas.append(delta)
+                                # Edges only pace solve sharing: a failed
+                                # cell's dependents still compute.
+                                complete(node)
+                            submit_ready()
+                finally:
+                    supervisor.close()
+                worker_crashes = supervisor.crashes
     finally:
         if lease_dir is not None:
             # Crash hygiene: any lease this *drain* leaked is stale now.
@@ -409,6 +445,8 @@ def drain(
                 holder = table.holder("system", node.digest)
                 if holder is not None and not table._alive(holder):
                     table.release("system", node.digest)
+    if failures:
+        raise DrainFailed(failures)
 
     worker_cache = merge_stats(*stats_deltas)
     drain_system_misses = worker_cache.get("system", {}).get("misses", 0)
@@ -429,6 +467,7 @@ def drain(
         cells_coalesced=counters["coalesced"],
         duplicate_solves=max(0, drain_system_misses - counters["computed"]),
         ordering_edges=schedule.ordering_edges,
+        worker_crashes=worker_crashes,
         worker_cache=worker_cache,
         cells_fingerprint=cells_fingerprint,
     )

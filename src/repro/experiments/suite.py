@@ -7,9 +7,9 @@ any subset of :data:`repro.experiments.ALL_EXPERIMENTS` in two passes:
 1. **Schedule** — every module's ``cells()`` enumeration flattens into one
    suite-wide work graph (:mod:`repro.experiments.schedule`): duplicate
    cells collapse to a single compute, cells sharing a MIP solve queue
-   behind it, and the whole graph drains through one global process pool
-   (``jobs`` workers) sharing the cache's durable store and a
-   cross-process lease table.
+   behind it, and the whole graph drains on ``jobs`` supervised worker
+   processes (:mod:`repro.serve.supervisor`) sharing the cache's durable
+   store and a cross-process lease table.
 2. **Assemble** — the figure modules then run serially in-process; every
    ``run_system`` call they make is a cache hit, so assembly is cheap and
    its output order is the requested order.
@@ -206,7 +206,8 @@ def run_suite(
     Args:
         names: Module names (already resolved); default all experiments.
         fast: Run each module's CI-friendly subset.
-        jobs: Worker processes for the cell drain (1 = in-process).  The
+        jobs: Supervised worker processes for the cell drain (1 =
+            in-process); a crashed worker costs its cell one retry.  The
             assembly pass is always serial: with the cells precached it is
             pure table formatting.
         use_cache: Enable the memory + disk cache tiers for this run.

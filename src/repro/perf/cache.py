@@ -10,9 +10,10 @@ Layout and lifecycle:
 * The **store tier** is at most one :class:`~repro.perf.store.DurableStore`
   (sqlite).  With the disk tier on, each process opens
   ``<directory>/cache.sqlite`` lazily on first use (default directory
-  ``.mobius_cache/``, override with ``MOBIUS_CACHE_DIR``); pool workers are
-  spawned and configure their own cache, so no connection crosses a
-  process boundary.  The store is what lets worker *processes* share
+  ``.mobius_cache/``, override with ``MOBIUS_CACHE_DIR``); supervised
+  workers (:mod:`repro.serve.supervisor`) are spawned and adopt the
+  parent's configuration on entry, so no connection crosses a process
+  boundary.  The store is what lets worker *processes* share
   results, and it survives across runs, so it is **opt-in**: the suite
   runner and ``repro figures`` enable it; plain library use and the test
   suite do not, which keeps stale results from one code revision out of

@@ -311,7 +311,8 @@ class PlanService:
             return self._finish(request, report, source="cache")
         try:
             outcome = self.supervisor.solve(
-                request.model, request.topology, request.effective_config(),
+                "plan",
+                (request.model, request.topology, request.effective_config()),
                 job.solve_key,
             )
         except RequestQuarantined as err:
@@ -328,11 +329,11 @@ class PlanService:
         # never seen; publishing here makes the next identical request a
         # cache hit regardless of which process solved it.  The solving
         # process's plan_mobius already wrote the durable row, so this is
-        # memory-only, as for the suite scheduler's pool workers.
-        get_cache().adopt("plan", request.memo_key(), outcome.report)
+        # memory-only, as for the suite drain's cell workers.
+        get_cache().adopt("plan", request.memo_key(), outcome.value)
         return self._finish(
             request,
-            outcome.report,
+            outcome.value,
             source="solver",
             attempts=outcome.attempts,
             restarts=outcome.restarts,

@@ -1,35 +1,40 @@
-"""Supervised solver workers: crash detection, restart pacing, quarantine.
+"""Supervised workers: crash detection, restart pacing, quarantine.
 
-The daemon never calls ``plan_mobius`` on its own thread for real work —
-a solver bug (or a chaos-injected kill) must never take the service down.
-Solves run on a *worker*, and the :class:`Supervisor` wraps every solve
-in the crash ladder:
+Every worker process ``src/`` starts is a supervised worker.  A worker
+runs one of a closed set of named tasks (:data:`TASKS`): ``"plan"`` is
+``plan_mobius`` for the serve daemon, ``"cell"`` is the suite drain's
+:func:`~repro.experiments.schedule._cell_worker`.  The daemon never plans
+on its own thread for real work and the drain never computes a cell on
+its own thread when ``jobs > 1`` — a bug (or a chaos-injected kill) must
+cost one worker, not the caller.  The :class:`Supervisor` wraps every
+task in the crash ladder:
 
-1. a worker crash (process death mid-solve, detected as EOF on its pipe)
-   discards the worker and restarts a fresh one, paced by the
+1. a worker crash (process death mid-task, detected as EOF on its pipe)
+   joins and discards the worker and restarts a fresh one, paced by the
    exponential-backoff schedule of a :class:`repro.faults.recovery.
    RetryPolicy` — the same deterministic delay sequence the simulator's
    transfer retries use;
-2. a request whose solve has crashed workers ``quarantine_after`` times
-   is declared poison: the in-flight solve raises
-   :class:`RequestQuarantined` and later submissions are rejected at
-   admission, so one bad request cannot crash-loop the service;
-3. a worker that *returns* an error (solver exception, not a death) is
-   not retried — planning is deterministic, so the same request would
+2. a key whose task has crashed workers ``quarantine_after`` times is
+   declared poison: the in-flight call raises :class:`RequestQuarantined`
+   and later calls are rejected at once, so one bad request or cell
+   cannot crash-loop its caller;
+3. a worker that *returns* an error (task exception, not a death) is not
+   retried — plans and cells are deterministic, so the same task would
    fail identically on a fresh worker.
 
 Two worker implementations share one duck-type
-(``solve(model, topology, config, sabotage=None)`` + ``close()``):
-:class:`InlineWorker` solves on the calling thread (tests, ``repro
-serve`` without process isolation) and :class:`ProcessWorker` runs
-:func:`_process_worker_main` in a child process over a pipe.  Workers
-hand the daemon's :class:`~repro.perf.store.DurableStore` to their
-result cache before solving, so a freshly restarted worker inherits the
-cached results of every worker that died before it.
+(``solve(task, args, sabotage=None)`` + ``close()``): :class:`InlineWorker`
+runs the task on the calling thread (tests, ``repro serve`` without
+process isolation) and :class:`ProcessWorker` runs
+:func:`_process_worker_main` in a spawned child over a pipe.  The child
+adopts the parent's cache configuration and, when given a store path,
+hands that :class:`~repro.perf.store.DurableStore` to its result cache,
+so a freshly restarted worker inherits the cached results of every worker
+that died before it.
 
-``sabotage`` is the chaos seam: the harness installs a deterministic
-``Supervisor.sabotage_hook`` deciding per (solve_key, attempt) whether a
-worker dies mid-solve.  Production paths never set it.
+``sabotage`` is the chaos seam: a harness installs a deterministic
+``Supervisor.sabotage_hook`` deciding per (key, attempt) whether a worker
+dies mid-task.  Production paths never set it.
 """
 
 from __future__ import annotations
@@ -40,11 +45,9 @@ import os
 import threading
 import time
 
-from repro.core.api import MobiusConfig, MobiusPlanReport, plan_mobius
+from repro.core.api import plan_mobius
 from repro.faults.recovery import RetryPolicy
-from repro.hardware.topology import Topology
-from repro.models.spec import ModelSpec
-from repro.perf.cache import get_cache
+from repro.perf.cache import CacheConfig, configure_cache, get_cache
 from repro.perf.store import DurableStore
 from repro.serve.requests import ServeError
 
@@ -61,12 +64,16 @@ __all__ = [
 ]
 
 
+#: The named tasks a supervised worker runs.
+TASKS = ("plan", "cell")
+
+
 class WorkerCrashed(ServeError):
-    """The worker died mid-solve (pipe EOF / simulated kill)."""
+    """The worker died mid-task (pipe EOF / simulated kill)."""
 
 
 class WorkerSolveError(ServeError):
-    """The worker survived but the solve itself raised."""
+    """The worker survived but the task itself raised."""
 
 
 class WorkerUnavailable(ServeError):
@@ -99,10 +106,10 @@ class SupervisorConfig:
 
     Attributes:
         restart_policy: Worker-restart budget; ``max_attempts`` bounds
-            solve attempts per request, the backoff sequence paces the
-            restarts between them.
+            attempts per call, the backoff sequence paces the restarts
+            between them.
         quarantine_after: Worker crashes (cumulative per solve key, across
-            requests) before the key is declared poison.
+            calls) before the key is declared poison.
     """
 
     restart_policy: RetryPolicy = RetryPolicy(
@@ -119,31 +126,37 @@ class SupervisorConfig:
 
 @dataclasses.dataclass(frozen=True)
 class SolveOutcome:
-    """A successful supervised solve, with the recovery effort it took."""
+    """A successful supervised task, with the recovery effort it took."""
 
-    report: MobiusPlanReport
+    value: object
     attempts: int
     restarts: int
 
 
+def _run_task(task: str, args: tuple):
+    """Run one named task by direct call: no callable crosses a pipe."""
+    if task == "plan":
+        return plan_mobius(*args)
+    if task == "cell":
+        # Imported here: the daemon never loads the experiment stack.
+        from repro.experiments.schedule import _cell_worker
+
+        return _cell_worker(args)
+    raise ValueError(f"unknown worker task {task!r}; expected one of {TASKS}")
+
+
 class InlineWorker:
-    """Solves on the calling thread; crashes are simulated via sabotage."""
+    """Runs tasks on the calling thread; crashes are simulated via sabotage."""
 
     def __init__(self) -> None:
         self.alive = True
 
-    def solve(
-        self,
-        model: ModelSpec,
-        topology: Topology,
-        config: MobiusConfig,
-        sabotage: str | None = None,
-    ) -> MobiusPlanReport:
+    def solve(self, task: str, args: tuple, sabotage: str | None = None):
         if sabotage == "crash":
             self.alive = False
-            raise WorkerCrashed("inline worker sabotaged mid-solve")
+            raise WorkerCrashed("inline worker sabotaged mid-task")
         try:
-            return plan_mobius(model, topology, config)
+            return _run_task(task, args)
         except Exception as err:
             raise WorkerSolveError(f"{type(err).__name__}: {err}") from err
 
@@ -151,13 +164,21 @@ class InlineWorker:
         self.alive = False
 
 
-def _process_worker_main(conn, store_path: str | None) -> None:
-    """Child-process loop: open the durable store, then solve until EOF.
+def _process_worker_main(
+    conn, store_path: str | None, cache_config: CacheConfig
+) -> None:
+    """Child-process loop: adopt the parent's cache, then run tasks until EOF.
 
-    Runs in a fresh interpreter (spawn start method): opening the store
-    here is what gives a brand-new worker the previous generation's
-    cached plans.
+    Runs in a fresh interpreter (spawn start method).  The child takes the
+    parent's cache tiers and directory, so drain workers share the disk
+    store and lease table; opening ``store_path`` is what gives a
+    brand-new serve worker the previous generation's cached plans.
     """
+    configure_cache(
+        memory=cache_config.memory,
+        disk=cache_config.disk,
+        directory=cache_config.directory,
+    )
     store = None
     if store_path is not None:
         store = DurableStore(store_path)
@@ -170,25 +191,26 @@ def _process_worker_main(conn, store_path: str | None) -> None:
                 return
             if message[0] == "exit":
                 return
-            _, model, topology, config, sabotage = message
+            _, task, args, sabotage = message
             if sabotage == "crash":
-                os._exit(17)  # die without flushing: a real mid-solve crash
+                os._exit(17)  # die without flushing: a real mid-task crash
             try:
-                report = plan_mobius(model, topology, config)
+                value = _run_task(task, args)
             except Exception as err:
                 conn.send(("error", f"{type(err).__name__}: {err}"))
             else:
-                conn.send(("ok", report))
+                conn.send(("ok", value))
     finally:
         if store is not None:
             store.close()
 
 
 class ProcessWorker:
-    """One solver child process over a pipe; started lazily, restartable.
+    """One worker child process over a pipe; started lazily, restartable.
 
-    Children are always spawned: forking a threaded daemon could inherit
-    locks mid-acquisition.
+    Children are always spawned: forking a threaded parent could inherit
+    locks mid-acquisition.  A dead child is joined before it is reported,
+    so a lease it held names a reaped PID and reads as broken at once.
     """
 
     def __init__(self, store_path: str | os.PathLike | None = None) -> None:
@@ -207,27 +229,21 @@ class ProcessWorker:
         self._conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=_process_worker_main,
-            args=(child_conn, self.store_path),
-            name="repro-serve-worker",
+            args=(child_conn, self.store_path, get_cache().config),
+            name="repro-worker",
             daemon=True,
         )
         self._process.start()
         child_conn.close()  # parent keeps one end only: EOF means death
 
-    def solve(
-        self,
-        model: ModelSpec,
-        topology: Topology,
-        config: MobiusConfig,
-        sabotage: str | None = None,
-    ) -> MobiusPlanReport:
+    def solve(self, task: str, args: tuple, sabotage: str | None = None):
         self._ensure_started()
         try:
-            self._conn.send(("solve", model, topology, config, sabotage))
+            self._conn.send(("solve", task, args, sabotage))
             kind, payload = self._conn.recv()
         except (EOFError, BrokenPipeError, OSError) as err:
             self.close()
-            raise WorkerCrashed(f"worker died mid-solve: {err!r}") from err
+            raise WorkerCrashed(f"worker died mid-task: {err!r}") from err
         if kind == "error":
             raise WorkerSolveError(payload)
         return payload
@@ -255,11 +271,11 @@ class ProcessWorker:
 
 
 class Supervisor:
-    """Runs solves on a pool of workers, restarting and quarantining.
+    """Runs tasks on a pool of workers, restarting and quarantining.
 
-    The pool owns up to ``pool_size`` worker leases: a solve checks a
+    The pool owns up to ``pool_size`` worker leases: a task checks a
     worker out (blocking while all leases are taken, which only happens
-    when more threads than ``pool_size`` call in), solves, and checks it
+    when more threads than ``pool_size`` call in), runs, and checks it
     back in — crashed workers are discarded on check-in and replaced
     lazily by the next checkout.  Crash counts, quarantine, and the
     public counters are shared across the whole pool under one lock, so
@@ -344,20 +360,17 @@ class Supervisor:
         except Exception:
             pass
 
-    def solve(
-        self,
-        model: ModelSpec,
-        topology: Topology,
-        config: MobiusConfig,
-        solve_key: str,
-    ) -> SolveOutcome:
-        """Solve under supervision.
+    def solve(self, task: str, args: tuple, solve_key: str) -> SolveOutcome:
+        """Run the named ``task`` on ``args`` under supervision.
+
+        ``solve_key`` identifies the work for crash counting and
+        quarantine: equal keys must name equal work.
 
         Raises:
             RequestQuarantined: The key is (or just became) poison.
             WorkerUnavailable: The restart budget ran out before a result.
-            WorkerSolveError: The solve itself failed (not retried —
-                planning is deterministic).
+            WorkerSolveError: The task itself failed (not retried — plans
+                and cells are deterministic).
         """
         with self._lock:
             if solve_key in self._quarantined:
@@ -374,7 +387,7 @@ class Supervisor:
             )
             attempts += 1
             try:
-                report = worker.solve(model, topology, config, sabotage=sabotage)
+                value = worker.solve(task, args, sabotage=sabotage)
             except WorkerCrashed:
                 self._checkin_worker(worker, discard=True)
                 with self._lock:
@@ -396,7 +409,7 @@ class Supervisor:
             self._checkin_worker(worker, discard=False)
             with self._lock:
                 self._crash_counts.pop(solve_key, None)
-            return SolveOutcome(report=report, attempts=attempts, restarts=restarts)
+            return SolveOutcome(value=value, attempts=attempts, restarts=restarts)
         raise WorkerUnavailable(solve_key, attempts)
 
     def close(self) -> None:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor
 
 
 def numeric_grad(f, x, eps=1e-3):
@@ -194,12 +194,6 @@ class TestAutogradMechanics:
         x = Tensor([1.0])
         with pytest.raises(RuntimeError):
             x.backward()
-
-    def test_no_grad_context(self):
-        x = Tensor([1.0], requires_grad=True)
-        with no_grad():
-            y = x * 2
-        assert not y.requires_grad
 
     def test_detach(self):
         x = Tensor([1.0], requires_grad=True)

@@ -365,7 +365,7 @@ class TestMob007:
             src__repro__experiments__schedule="""
             from repro.perf.cache import configure
 
-            def _worker_init(config):
+            def _cell_worker(config):
                 configure(config)
             """,
             src__repro__perf__cache="""
@@ -379,7 +379,7 @@ class TestMob007:
         mob007 = [f for f in report if f.code == "MOB007"]
         assert len(mob007) == 1
         assert mob007[0].symbol == "repro.perf.cache.configure"
-        assert "_worker_init" in mob007[0].message
+        assert "_cell_worker" in mob007[0].message
 
     def test_sync_seam_write_is_sanctioned(self):
         config = AnalysisConfig(
@@ -390,7 +390,7 @@ class TestMob007:
             src__repro__experiments__schedule="""
             from repro.perf.cache import configure
 
-            def _worker_init(config):
+            def _cell_worker(config):
                 configure(config)
             """,
             src__repro__perf__cache="""
@@ -454,7 +454,7 @@ class TestMob007:
             src__repro__experiments__schedule="""
             from repro.perf.cache import lookup, local_shadow
 
-            def _worker_init(config):
+            def _cell_worker(config):
                 lookup(config)
                 local_shadow()
             """,

@@ -13,6 +13,7 @@ from repro.check.analysis import (
     analyze_tree,
     run_lint,
 )
+from repro.check.analysis.callgraph import build_call_graph
 from repro.check.analysis.rules import _roots
 from repro.check.findings import CheckReport
 
@@ -145,3 +146,15 @@ class TestAnalysisRoots:
             "repro.serve.daemon.PlanService._dispatch_lop",
             "repro.sim.tasks._next_task_id",
         ]
+
+
+class TestWorkerFrontier:
+    def test_supervised_worker_child_reaches_both_tasks(self):
+        # The child picks its task by direct call, so MOB007 sees every
+        # task body a spawned worker can run: plans and suite cells.
+        program = Program.from_tree(Path(__file__).resolve().parents[2])
+        reached = build_call_graph(program).reachable(
+            ["repro.serve.supervisor._process_worker_main"]
+        )
+        assert "repro.core.api.plan_mobius" in reached
+        assert "repro.experiments.schedule._cell_worker" in reached

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import ExperimentCell
 from repro.experiments.schedule import (
     LEASE_DIRNAME,
+    DrainFailed,
     build_schedule,
     drain,
     enumerate_cells,
@@ -21,6 +23,7 @@ from repro.hardware.topology import commodity_server
 from repro.models.zoo import gpt_8b
 from repro.perf.cache import LeaseTable, cache_overridden, get_cache
 from repro.perf.fingerprint import fingerprint
+from repro.serve.supervisor import RequestQuarantined, WorkerSolveError
 
 #: Modules cheap enough to actually drain inside a unit test.
 CHEAP = ["fig2_deepspeed_cdf", "sec23_deepspeed_profile", "fig12_overhead"]
@@ -235,3 +238,110 @@ class TestDrain:
         assert report.cells_coalesced == 1
         assert report.cells_computed == 0
 
+
+
+@pytest.fixture
+def sabotage(monkeypatch):
+    """Install a chaos hook on the supervisor a ``jobs > 1`` drain builds.
+
+    Returns ``install(hook)``; the list it returns records every
+    ``(key, attempt)`` the supervisor asked the hook about, i.e. every
+    attempt a cell got.
+    """
+    from repro.serve import supervisor as supervisor_mod
+
+    def install(hook):
+        calls = []
+
+        class Sabotaged(supervisor_mod.Supervisor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+
+                def recorded(key, attempt):
+                    calls.append((key, attempt))
+                    return hook(key, attempt)
+
+                self.sabotage_hook = recorded
+
+        monkeypatch.setattr(supervisor_mod, "Supervisor", Sabotaged)
+        return calls
+
+    return install
+
+
+class TestDrainWorkerCrashes:
+    """Real spawned workers, killed through the supervisor's chaos seam."""
+
+    def test_killed_worker_costs_one_retry(self, tmp_path, sabotage):
+        with cache_overridden(memory=True, disk=True, directory=str(tmp_path / "calm")):
+            calm = run_cells(CHEAP, fast=True, jobs=1)
+        victim = fingerprint(figure_cells(CHEAP[0], fast=True)[0])
+        calls = sabotage(
+            lambda key, attempt: "crash" if key == victim and attempt == 1 else None
+        )
+        with cache_overridden(memory=True, disk=True, directory=str(tmp_path / "hit")):
+            report = run_cells(CHEAP, fast=True, jobs=2)
+        assert report.worker_crashes == 1
+        assert [c for c in calls if c[0] == victim] == [(victim, 1), (victim, 2)]
+        assert report.cells_computed == report.cells_unique
+        assert report.cells_fingerprint == calm.cells_fingerprint
+
+    def test_dead_lease_holder_is_broken_at_once(self, tmp_path, sabotage, monkeypatch):
+        from repro.serve import supervisor as supervisor_mod
+
+        class LeaseHoldingWorker(supervisor_mod.ProcessWorker):
+            """Takes the cell's lease in its child's name before dying."""
+
+            def solve(self, task, args, sabotage=None):
+                if sabotage == "crash":
+                    self._ensure_started()
+                    _cell, digest, lease_dir = args
+                    holder = LeaseTable(lease_dir)._path("system", digest)
+                    holder.parent.mkdir(parents=True, exist_ok=True)
+                    holder.write_text(str(self._process.pid))
+                return super().solve(task, args, sabotage)
+
+        monkeypatch.setattr(supervisor_mod, "ProcessWorker", LeaseHoldingWorker)
+        sabotage(lambda key, attempt: "crash" if attempt == 1 else None)
+        cell = figure_cells("fig2_deepspeed_cdf", fast=True)[0]
+        started = time.monotonic()
+        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
+            report = drain([("fig2", cell)], jobs=2)
+        # The lease budget is 2400 polls of 50 ms; a joined holder reads as
+        # dead on the first poll, so the retry computes straight away.
+        assert time.monotonic() - started < 60.0
+        assert report.worker_crashes == 1
+        assert report.cells_computed == 1
+
+    def test_poison_cell_is_quarantined_and_the_rest_complete(self, tmp_path, sabotage):
+        poison = figure_cells(CHEAP[0], fast=True)[0]
+        digest = fingerprint(poison)
+        sabotage(lambda key, attempt: "crash" if key == digest else None)
+        directory = str(tmp_path)
+        with cache_overridden(memory=True, disk=True, directory=directory):
+            with pytest.raises(DrainFailed) as exc:
+                run_cells(CHEAP, fast=True, jobs=2)
+        (node, err), = exc.value.failures
+        assert node.digest == digest
+        assert isinstance(err, RequestQuarantined)
+        assert digest[:12] in str(exc.value)
+        assert all(figure in str(exc.value) for figure in node.figures)
+        # Every other cell was computed and persisted before the error.
+        with cache_overridden(memory=True, disk=True, directory=directory):
+            again = run_cells(CHEAP, fast=True, jobs=1)
+        assert again.cells_computed == 1
+        assert again.cells_precached == again.cells_unique - 1
+
+    def test_raising_cell_is_attempted_once(self, tmp_path, sabotage, tiny_model):
+        topology = commodity_server([2, 2])
+        bad = ExperimentCell("no-such-system", tiny_model, topology)
+        good = ExperimentCell("gpipe", tiny_model, topology, microbatch_size=1)
+        calls = sabotage(lambda key, attempt: None)
+        with cache_overridden(memory=True, disk=True, directory=str(tmp_path)):
+            with pytest.raises(DrainFailed) as exc:
+                drain([("grid", bad), ("grid", good)], jobs=2)
+            assert get_cache().lookup("system", good)[1]
+        (node, err), = exc.value.failures
+        assert isinstance(err, WorkerSolveError)
+        # Cells are deterministic: a raising cell is never retried.
+        assert [c for c in calls if c[0] == fingerprint(bad)] == [(fingerprint(bad), 1)]

@@ -39,7 +39,7 @@ class TestRecovery:
         sup = _supervisor(sleeps)
         sup.sabotage_hook = lambda key, attempt: "crash" if attempt == 1 else None
         with cache_overridden():
-            outcome = sup.solve(tiny_model, topo22, CONFIG, "key-1")
+            outcome = sup.solve("plan", (tiny_model, topo22, CONFIG), "key-1")
         assert outcome.attempts == 2
         assert outcome.restarts == 1
         assert sup.crashes == 1
@@ -57,7 +57,7 @@ class TestRecovery:
         )
         sup.sabotage_hook = lambda key, attempt: "crash"
         with pytest.raises(WorkerUnavailable) as exc:
-            sup.solve(tiny_model, topo22, CONFIG, "key-1")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "key-1")
         assert exc.value.attempts == 2
         # The last failed attempt is never followed by a wait.
         assert sleeps == [sup.config.restart_policy.backoff(1)]
@@ -68,13 +68,13 @@ class TestQuarantine:
         sup = _supervisor(quarantine_after=2, restart_policy=RetryPolicy(max_attempts=5))
         sup.sabotage_hook = lambda key, attempt: "crash"
         with pytest.raises(RequestQuarantined) as exc:
-            sup.solve(tiny_model, topo22, CONFIG, "poison")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "poison")
         assert exc.value.crashes == 2
         assert sup.is_quarantined("poison")
         # Re-submission is refused immediately: no worker is risked.
         crashes_before = sup.crashes
         with pytest.raises(RequestQuarantined):
-            sup.solve(tiny_model, topo22, CONFIG, "poison")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "poison")
         assert sup.crashes == crashes_before
 
     def test_crash_counts_accumulate_across_requests(self, tiny_model, topo22):
@@ -86,9 +86,9 @@ class TestQuarantine:
         )
         sup.sabotage_hook = lambda key, attempt: "crash"
         with pytest.raises(WorkerUnavailable):
-            sup.solve(tiny_model, topo22, CONFIG, "poison")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "poison")
         with pytest.raises(RequestQuarantined):
-            sup.solve(tiny_model, topo22, CONFIG, "poison")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "poison")
 
     def test_other_keys_unaffected(self, tiny_model, topo22):
         sup = _supervisor(quarantine_after=1)
@@ -96,10 +96,10 @@ class TestQuarantine:
             lambda key, attempt: "crash" if key == "poison" else None
         )
         with pytest.raises(RequestQuarantined):
-            sup.solve(tiny_model, topo22, CONFIG, "poison")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "poison")
         with cache_overridden():
-            outcome = sup.solve(tiny_model, topo22, CONFIG, "healthy")
-        assert outcome.report is not None
+            outcome = sup.solve("plan", (tiny_model, topo22, CONFIG), "healthy")
+        assert outcome.value is not None
 
 
 class TestWorkerLeases:
@@ -135,7 +135,7 @@ class TestSolveErrors:
             alive = True
             calls = 0
 
-            def solve(self, model, topology, config, sabotage=None):
+            def solve(self, task, args, sabotage=None):
                 FailingWorker.calls += 1
                 raise WorkerSolveError("deterministic solver bug")
 
@@ -144,7 +144,7 @@ class TestSolveErrors:
 
         sup = Supervisor(FailingWorker, sleeper=lambda _s: None)
         with pytest.raises(WorkerSolveError):
-            sup.solve(tiny_model, topo22, CONFIG, "key-1")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "key-1")
         # Planning is deterministic: a retry would fail identically.
         assert FailingWorker.calls == 1
 
@@ -160,23 +160,23 @@ class TestProcessWorker:
         sup.sabotage_hook = lambda key, attempt: "crash" if attempt == 1 else None
         try:
             with cache_overridden():
-                outcome = sup.solve(tiny_model, topo22, CONFIG, "key-1")
+                outcome = sup.solve("plan", (tiny_model, topo22, CONFIG), "key-1")
         finally:
             sup.close()
         assert outcome.attempts == 2
         assert outcome.restarts == 1
         assert sup.crashes == 1
-        assert fingerprint(outcome.report.plan)
+        assert fingerprint(outcome.value.plan)
 
     def test_kill_seam_then_fresh_solve(self, tiny_model, topo22):
         worker = ProcessWorker()
         try:
             with cache_overridden():
-                first = worker.solve(tiny_model, topo22, CONFIG)
+                first = worker.solve("plan", (tiny_model, topo22, CONFIG))
             worker.kill()
             assert not worker.alive
             with cache_overridden():
-                second = worker.solve(tiny_model, topo22, CONFIG)  # restarts
+                second = worker.solve("plan", (tiny_model, topo22, CONFIG))  # restarts
         finally:
             worker.close()
         assert fingerprint(first.plan) == fingerprint(second.plan)

@@ -118,7 +118,7 @@ class TestSupervisorPool:
         class GateWorker:
             alive = True
 
-            def solve(self, model, topology, config, sabotage=None):
+            def solve(self, task, args, sabotage=None):
                 started[next(slots)].set()
                 assert release.wait(timeout=30.0)
                 return "plan"
@@ -129,7 +129,8 @@ class TestSupervisorPool:
         sup = Supervisor(GateWorker, sleeper=lambda _s: None, pool_size=2)
         threads = [
             threading.Thread(
-                target=sup.solve, args=(tiny_model, topo22, CONFIG, f"k{i}")
+                target=sup.solve,
+                args=("plan", (tiny_model, topo22, CONFIG), f"k{i}"),
             )
             for i in range(2)
         ]
@@ -155,8 +156,8 @@ class TestSupervisorPool:
         sup = Supervisor(factory, sleeper=lambda _s: None, pool_size=2)
         other = dataclasses.replace(CONFIG, n_microbatches=8)
         with cache_overridden():
-            sup.solve(tiny_model, topo22, CONFIG, "k1")
-            sup.solve(tiny_model, topo22, other, "k2")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "k1")
+            sup.solve("plan", (tiny_model, topo22, other), "k2")
         sup.close()
         # Sequential solves share one pooled worker; pool_size is a cap,
         # not a preallocation.
@@ -174,7 +175,7 @@ class TestSupervisorPool:
             lambda key, attempt: "crash" if attempt == 1 else None
         )
         with cache_overridden():
-            outcome = sup.solve(tiny_model, topo22, CONFIG, "k1")
+            outcome = sup.solve("plan", (tiny_model, topo22, CONFIG), "k1")
         sup.close()
         assert outcome.attempts == 2
         assert sup.crashes == 1
@@ -191,16 +192,16 @@ class TestSupervisorPool:
         )
         sup.sabotage_hook = lambda key, attempt: "crash"
         with pytest.raises((RequestQuarantined, WorkerUnavailable)):
-            sup.solve(tiny_model, topo22, CONFIG, "poison")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "poison")
         while not sup.is_quarantined("poison"):
             with pytest.raises((RequestQuarantined, WorkerUnavailable)):
-                sup.solve(tiny_model, topo22, CONFIG, "poison")
+                sup.solve("plan", (tiny_model, topo22, CONFIG), "poison")
         with pytest.raises(RequestQuarantined):
-            sup.solve(tiny_model, topo22, CONFIG, "poison")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "poison")
         sup.close()
 
     def test_closed_pool_refuses_new_solves(self, tiny_model, topo22):
         sup = Supervisor(InlineWorker, sleeper=lambda _s: None, pool_size=2)
         sup.close()
         with pytest.raises(WorkerUnavailable):
-            sup.solve(tiny_model, topo22, CONFIG, "k1")
+            sup.solve("plan", (tiny_model, topo22, CONFIG), "k1")

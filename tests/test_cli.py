@@ -62,6 +62,26 @@ class TestCommands:
         code = main(["figures", "fig99"])
         assert code == 1
 
+    def test_failed_cell_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        from repro.serve import supervisor as supervisor_mod
+
+        class Crashing(supervisor_mod.Supervisor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.sabotage_hook = lambda key, attempt: "crash"
+
+        # Inline workers keep the test in-process; every cell crashes its
+        # worker until the supervisor quarantines it.
+        monkeypatch.setattr(supervisor_mod, "Supervisor", Crashing)
+        monkeypatch.setattr(supervisor_mod, "ProcessWorker", supervisor_mod.InlineWorker)
+        monkeypatch.chdir(tmp_path)
+        code = main(["figures", "sec23", "--jobs", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1 cell(s) failed: sec23_deepspeed_profile cell ")
+        assert "quarantined" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["plan", "compare", "advise"])
     def test_bad_topology_is_one_error_line(self, command, capsys):
         code = main([command, "--topology", "2+x"])
