@@ -1,14 +1,23 @@
 """Fused neural-network operations for the autograd engine.
 
-Composite kernels (softmax cross-entropy, layer norm, GELU, embedding
-lookup, causal attention masking) implemented with hand-written
-backward passes — both faster and numerically safer than composing them from
-primitive ops.
+Each operation is one graph node with a hand-written backward: softmax
+cross-entropy, layer norm, GELU, an affine layer, embedding lookup, causal
+self-attention and a whole pre-norm transformer block.  The block and
+attention nodes are built from the same array-level kernels (``_layer_norm``,
+``_linear``, ``_gelu``, ``_attention``) as the single-layer nodes, and those
+kernels repeat the numpy expressions, evaluation order and operand layouts of
+the per-op graph they replace, so a fused block yields the same bits as one
+composed from primitive :class:`Tensor` ops (``tests/nn/composed_block.py``).
+
+An array-level kernel returns ``(out, backward)``: ``backward(grad)``
+accumulates the kernel's parameter gradients and returns the gradient of its
+input array.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -16,44 +25,195 @@ from repro.autograd.tensor import Tensor
 
 __all__ = [
     "gelu",
-    "softmax",
     "cross_entropy_logits",
     "layer_norm",
+    "linear",
     "embedding",
-    "causal_mask_fill",
+    "causal_self_attention",
+    "transformer_block",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
+_Backward = Callable[[np.ndarray], np.ndarray]
+
+
+def _check_ids(ids: np.ndarray, size: int, what: str) -> None:
+    """Reject ids outside ``[0, size)``; numpy would wrap negatives silently."""
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        bad = ids[(ids < 0) | (ids >= size)].flat[0]
+        raise ValueError(f"{what} {bad} out of range: valid ids are [0, {size})")
+
+
+def _node(out: np.ndarray, x: Tensor, params: tuple[Tensor, ...], back: _Backward) -> Tensor:
+    """One graph node over input ``x`` and ``params`` from an array kernel."""
+
+    def backward(grad: np.ndarray) -> None:
+        dx = back(grad)
+        if x.requires_grad:
+            x._accumulate(dx)
+
+    return Tensor._make(out, (x, *params), backward)
+
+
+def _layer_norm(
+    x: np.ndarray, weight: Tensor, bias: Tensor, eps: float
+) -> tuple[np.ndarray, _Backward]:
+    """Layer normalisation over the last dimension, statistics computed once."""
+    # The same sums and divisions as ``x.mean`` then ``x.var``, which
+    # recomputes the mean and centres ``x`` again.
+    mean = x.mean(axis=-1, keepdims=True)
+    centred = x - mean
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normed = centred * inv_std
+    out = normed * weight.data + bias.data
+
+    def backward(grad: np.ndarray) -> np.ndarray:
+        axes = tuple(range(grad.ndim - 1))
+        if weight.requires_grad:
+            weight._accumulate((grad * normed).sum(axis=axes))
+        if bias.requires_grad:
+            bias._accumulate(grad.sum(axis=axes))
+        d = grad * weight.data
+        return (
+            d - d.mean(axis=-1, keepdims=True)
+            - normed * (d * normed).mean(axis=-1, keepdims=True)
+        ) * inv_std
+
+    return out, backward
+
+
+def _linear(
+    x: np.ndarray, weight: Tensor, bias: Tensor | None
+) -> tuple[np.ndarray, _Backward]:
+    """``x @ W + b`` with stacked (not flattened 2-D) matmuls."""
+    out = x @ weight.data
+    if bias is not None:
+        out = out + bias.data
+
+    def backward(grad: np.ndarray) -> np.ndarray:
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad)
+        if weight.requires_grad:
+            weight._accumulate(np.swapaxes(x, -1, -2) @ grad)
+        return grad @ np.swapaxes(weight.data, -1, -2)
+
+    return out, backward
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, _Backward]:
+    """Gaussian error linear unit (tanh approximation, as in GPT-2)."""
+    # x*x*x, not x**3: numpy's float32 pow is ~100x slower on negative bases.
+    u = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
+    t = np.tanh(u)
+    out = 0.5 * x * (1.0 + t)
+
+    def backward(grad: np.ndarray) -> np.ndarray:
+        du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
+        dt = (1.0 - t**2) * du
+        return grad * (0.5 * (1.0 + t) + 0.5 * x * dt)
+
+    return out, backward
+
+
+def _attention(
+    x: np.ndarray,
+    qkv: tuple[Tensor, Tensor],
+    proj: tuple[Tensor, Tensor],
+    n_heads: int,
+) -> tuple[np.ndarray, _Backward]:
+    """GPT-style masked multi-head attention over ``(batch, seq, dim)``."""
+    batch, seq, dim = x.shape
+    head_dim = dim // n_heads
+    fused, qkv_backward = _linear(x, *qkv)
+    # (3, B, H, S, hd) views into the projection, one per q, k, v.
+    q, k, v = fused.reshape(batch, seq, 3, n_heads, head_dim).transpose(2, 0, 3, 1, 4)
+    scale = np.float32(1.0 / math.sqrt(head_dim))
+    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)  # future tokens
+    scores = np.where(mask, np.float32(-1e9), (q @ k.transpose(0, 1, 3, 2)) * scale)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    weights = exp / exp.sum(axis=-1, keepdims=True)
+    context = weights @ v  # (B, H, S, hd)
+    out, proj_backward = _linear(
+        context.transpose(0, 2, 1, 3).reshape(batch, seq, dim), *proj
+    )
+
+    def backward(grad: np.ndarray) -> np.ndarray:
+        d_merged = proj_backward(grad)
+        # A C-ordered copy, the layout the per-op graph hands to the matmuls.
+        d_context = d_merged.reshape(batch, seq, n_heads, head_dim).transpose(0, 2, 1, 3).copy()
+        d_weights = d_context @ np.swapaxes(v, -1, -2)
+        d_v = np.swapaxes(weights, -1, -2) @ d_context
+        dot = (d_weights * weights).sum(axis=-1, keepdims=True)
+        d_scores = np.where(mask, 0.0, weights * (d_weights - dot)) * scale
+        d_q = d_scores @ k
+        d_k = (np.swapaxes(q, -1, -2) @ d_scores).transpose(0, 1, 3, 2)
+        d_fused = np.stack((d_q, d_k, d_v)).transpose(1, 3, 0, 2, 4)
+        return qkv_backward(d_fused.reshape(batch, seq, 3 * dim))
+
+    return out, backward
+
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in GPT-2)."""
-    # x*x*x, not x**3: numpy's float32 pow is ~100x slower on negative bases.
-    u = _SQRT_2_OVER_PI * (x.data + 0.044715 * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            du = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x.data**2)
-            dt = (1.0 - t**2) * du
-            x._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
-
-    return Tensor._make(out_data, (x,), backward)
+    out, back = _gelu(x.data)
+    return _node(out, x, (), back)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Layer normalisation over the last dimension."""
+    out, back = _layer_norm(x.data, weight, bias, eps)
+    return _node(out, x, (weight, bias), back)
 
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            dot = (grad * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (grad - dot))
 
-    return Tensor._make(out_data, (x,), backward)
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight + bias`` as one node."""
+    out, back = _linear(x.data, weight, bias)
+    return _node(out, x, (weight,) if bias is None else (weight, bias), back)
+
+
+def causal_self_attention(
+    x: Tensor, qkv: tuple[Tensor, Tensor], proj: tuple[Tensor, Tensor], n_heads: int
+) -> Tensor:
+    """Masked multi-head attention; ``qkv`` and ``proj`` are (weight, bias) pairs."""
+    out, back = _attention(x.data, qkv, proj, n_heads)
+    return _node(out, x, (*qkv, *proj), back)
+
+
+def transformer_block(
+    x: Tensor,
+    ln1: tuple[Tensor, Tensor, float],
+    qkv: tuple[Tensor, Tensor],
+    proj: tuple[Tensor, Tensor],
+    ln2: tuple[Tensor, Tensor, float],
+    fc_in: tuple[Tensor, Tensor],
+    fc_out: tuple[Tensor, Tensor],
+    *,
+    n_heads: int,
+) -> Tensor:
+    """A pre-norm attention + MLP block as one node.
+
+    Computes ``x1 = x + attn(ln1(x))`` and ``x1 + fc_out(gelu(fc_in(ln2(x1))))``.
+    Layer norms are ``(weight, bias, eps)``, affine layers ``(weight, bias)``.
+    Inside the block each gradient array has at most two contributions (the
+    residual and the branch), so their sum is the same whichever comes first.
+    """
+    h1, ln1_backward = _layer_norm(x.data, *ln1)
+    a, attn_backward = _attention(h1, qkv, proj, n_heads)
+    x1 = x.data + a
+    h2, ln2_backward = _layer_norm(x1, *ln2)
+    f1, fc_in_backward = _linear(h2, *fc_in)
+    g, gelu_backward = _gelu(f1)
+    f2, fc_out_backward = _linear(g, *fc_out)
+
+    def back(grad: np.ndarray) -> np.ndarray:
+        d_x1 = grad + ln2_backward(fc_in_backward(gelu_backward(fc_out_backward(grad))))
+        return d_x1 + ln1_backward(attn_backward(d_x1))
+
+    params = (*ln1[:2], *qkv, *proj, *ln2[:2], *fc_in, *fc_out)
+    return _node(x1 + f2, x, params, back)
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -61,13 +221,15 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     Args:
         logits: ``(..., vocab)`` unnormalised scores.
-        targets: Integer array matching the leading dims of ``logits``.
+        targets: Integer array matching the leading dims of ``logits``, each
+            in ``[0, vocab)``.
     """
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise ValueError(
             f"targets shape {targets.shape} does not match logits {logits.shape[:-1]}"
         )
+    _check_ids(targets, logits.shape[-1], "target")
     flat_logits = logits.data.reshape(-1, logits.shape[-1])
     flat_targets = targets.reshape(-1)
     shifted = flat_logits - flat_logits.max(axis=1, keepdims=True)
@@ -86,35 +248,10 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor._make(out_data, (logits,), backward)
 
 
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last dimension."""
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normed = (x.data - mean) * inv_std
-    out_data = normed * weight.data + bias.data
-
-    def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            weight._accumulate((grad * normed).sum(axis=tuple(range(grad.ndim - 1))))
-        if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=tuple(range(grad.ndim - 1))))
-        if x.requires_grad:
-            d = grad * weight.data
-            n = x.shape[-1]
-            dx = (
-                d - d.mean(axis=-1, keepdims=True)
-                - normed * (d * normed).mean(axis=-1, keepdims=True)
-            ) * inv_std
-            del n
-            x._accumulate(dx)
-
-    return Tensor._make(out_data, (x, weight, bias), backward)
-
-
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup ``table[indices]`` with scatter-add backward."""
     indices = np.asarray(indices)
+    _check_ids(indices, table.shape[0], "embedding index")
     out_data = table.data[indices]
 
     def backward(grad: np.ndarray) -> None:
@@ -124,18 +261,3 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
             table._accumulate(full)
 
     return Tensor._make(out_data, (table,), backward)
-
-
-def causal_mask_fill(scores: Tensor, fill: float = -1e9) -> Tensor:
-    """Mask the strictly-upper triangle of the last two dims (future tokens)."""
-    seq = scores.shape[-1]
-    if scores.shape[-2] != seq:
-        raise ValueError(f"expected square attention scores, got {scores.shape}")
-    mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-    out_data = np.where(mask, np.float32(fill), scores.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if scores.requires_grad:
-            scores._accumulate(np.where(mask, 0.0, grad))
-
-    return Tensor._make(out_data, (scores,), backward)

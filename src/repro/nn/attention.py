@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.autograd.ops import causal_mask_fill, softmax
+from repro.autograd.ops import causal_self_attention
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import Linear, Module
 
@@ -33,15 +31,9 @@ class CausalSelfAttention(Module):
         self.proj = Linear(dim, dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        batch, seq, dim = x.shape
-        qkv = self.qkv(x)  # (B, S, 3D)
-        qkv = qkv.reshape(batch, seq, 3, self.n_heads, self.head_dim)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, S, hd)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
-        scores = causal_mask_fill(scores)
-        weights = softmax(scores, axis=-1)
-        context = weights @ v  # (B, H, S, hd)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, dim)
-        return self.proj(context)
+        return causal_self_attention(
+            x,
+            (self.qkv.weight, self.qkv.bias),
+            (self.proj.weight, self.proj.bias),
+            self.n_heads,
+        )

@@ -8,7 +8,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.autograd.ops import embedding as embedding_op
-from repro.autograd.ops import layer_norm
+from repro.autograd.ops import layer_norm, linear
 from repro.autograd.tensor import Tensor
 
 __all__ = ["Module", "Linear", "LayerNorm", "Embedding"]
@@ -64,10 +64,7 @@ class Linear(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.autograd.ops import cross_entropy_logits, gelu
+from repro.autograd.ops import cross_entropy_logits, transformer_block
 from repro.autograd.tensor import Tensor
 from repro.nn.attention import CausalSelfAttention
 from repro.nn.layers import Embedding, LayerNorm, Linear, Module
@@ -55,7 +55,7 @@ class EmbeddingLayer(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm attention + MLP block."""
+    """Pre-norm attention + MLP block, run as one fused graph node."""
 
     def __init__(self, config: GPTConfig, *, rng: np.random.Generator) -> None:
         super().__init__()
@@ -66,8 +66,17 @@ class TransformerBlock(Module):
         self.fc_out = Linear(config.mlp_ratio * config.dim, config.dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
-        return x + self.fc_out(gelu(self.fc_in(self.ln2(x))))
+        attn = self.attn
+        return transformer_block(
+            x,
+            (self.ln1.weight, self.ln1.bias, self.ln1.eps),
+            (attn.qkv.weight, attn.qkv.bias),
+            (attn.proj.weight, attn.proj.bias),
+            (self.ln2.weight, self.ln2.bias, self.ln2.eps),
+            (self.fc_in.weight, self.fc_in.bias),
+            (self.fc_out.weight, self.fc_out.bias),
+            n_heads=attn.n_heads,
+        )
 
 
 class HeadLayer(Module):

@@ -53,6 +53,8 @@ def run_convergence_experiment(
     seed) from identically initialised models; only the schedule — and the
     microbatch count implied by the GPU count — differs.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     config = config or GPTConfig(vocab_size=128, seq_len=32, dim=64, n_heads=4, n_blocks=6)
     corpus = SyntheticCorpus(vocab_size=config.vocab_size, n_tokens=50_000, seed=seed)
 

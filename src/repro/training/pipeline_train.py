@@ -188,6 +188,8 @@ class MobiusScheduleTrainer:
         n_microbatches: int | None = None,
         resident_limit: int = 2,
     ) -> None:
+        if resident_limit < 1:
+            raise ValueError(f"resident_limit must be at least 1, got {resident_limit}")
         self.model = model
         self.n_gpus = n_gpus
         self.n_microbatches = n_microbatches or n_gpus

@@ -3,17 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.autograd.ops import (
-    causal_mask_fill,
-    cross_entropy_logits,
-    embedding,
-    gelu,
-    layer_norm,
-    softmax,
-)
+from repro.autograd.ops import cross_entropy_logits, embedding, gelu, layer_norm
 from repro.autograd.tensor import Tensor
 
 from tests.autograd.test_tensor import numeric_grad
+from tests.nn.composed_block import causal_mask_fill, softmax
 
 
 @pytest.fixture
@@ -111,6 +105,12 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy_logits(Tensor(np.zeros((2, 4))), np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize("target", [-1, 5])
+    def test_out_of_range_target_rejected(self, target):
+        # -1 would otherwise score the last vocab entry; 5 would raise IndexError.
+        with pytest.raises(ValueError, match=r"target %d .*\[0, 5\)" % target):
+            cross_entropy_logits(Tensor(np.arange(5.0)[None]), np.array([target]))
+
     def test_3d_logits(self, rng):
         logits = Tensor(rng.normal(size=(2, 3, 5)).astype(np.float32), requires_grad=True)
         targets = rng.integers(0, 5, size=(2, 3))
@@ -157,6 +157,13 @@ class TestEmbedding:
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
         embedding(table, np.array([1, 1, 1])).sum().backward()
         np.testing.assert_allclose(table.grad, [[0, 0], [3, 3], [0, 0]])
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_out_of_range_index_rejected(self, index):
+        # -1 would otherwise read the last row; 4 would raise IndexError.
+        table = Tensor(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ValueError, match=r"index %d .*\[0, 4\)" % index):
+            embedding(table, np.array([[0, index]]))
 
 
 class TestCausalMask:

@@ -31,6 +31,11 @@ class TestGPTModel:
         loss = model.loss(tokens, targets)
         assert loss.item() == pytest.approx(np.log(64), rel=0.15)
 
+    def test_sequence_longer_than_seq_len_rejected(self, config):
+        tokens = np.zeros((1, config.seq_len + 1), dtype=np.int64)
+        with pytest.raises(ValueError, match=r"index 16 .*\[0, 16\)"):
+            GPTModel(config)(tokens)
+
     def test_deterministic_init(self, config):
         a, b = GPTModel(config, seed=3), GPTModel(config, seed=3)
         for pa, pb in zip(a.parameters(), b.parameters()):

@@ -38,3 +38,8 @@ class TestConvergence:
             n_steps=2, config=SMALL, batch_size=6, gpipe_gpus=6, mobius_gpus=3
         )
         assert tiny.max_divergence() < 1e-2
+
+
+def test_zero_steps_rejected():
+    with pytest.raises(ValueError, match="n_steps"):
+        run_convergence_experiment(n_steps=0, config=SMALL)
