@@ -7,7 +7,7 @@ from repro.analysis.bandwidth import (
     fraction_of_bytes_below,
 )
 from repro.analysis.overlap import OverlapStats, overlap_stats
-from repro.analysis.price import PricePoint, price_comparison
+from repro.analysis.price import PricePoint
 from repro.analysis.timeline import ascii_gantt, to_chrome_trace
 from repro.analysis.traffic import (
     TrafficEstimate,
@@ -30,5 +30,4 @@ __all__ = [
     "mobius_traffic",
     "model_size_bytes",
     "overlap_stats",
-    "price_comparison",
 ]

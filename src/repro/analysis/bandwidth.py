@@ -34,14 +34,6 @@ class BandwidthCDF:
     cdf: tuple[float, ...]
     label: str = ""
 
-    def value_at(self, gbps: float) -> float:
-        """CDF value at ``gbps`` (step interpolation)."""
-        grid = np.asarray(self.grid_gbps)
-        index = int(np.searchsorted(grid, gbps, side="right")) - 1
-        if index < 0:
-            return 0.0
-        return self.cdf[min(index, len(self.cdf) - 1)]
-
     def rows(self) -> list[tuple[float, float]]:
         """(bandwidth GB/s, cumulative fraction) pairs for printing."""
         return list(zip(self.grid_gbps, self.cdf))

@@ -11,7 +11,7 @@ import dataclasses
 
 from repro.hardware.pricing import ServerRental, per_step_price
 
-__all__ = ["PricePoint", "price_comparison"]
+__all__ = ["PricePoint"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -25,16 +25,3 @@ class PricePoint:
     @property
     def step_price_usd(self) -> float:
         return per_step_price(self.server, self.step_seconds)
-
-
-def price_comparison(points: list[PricePoint]) -> list[dict[str, float | str]]:
-    """Tabulate Figure 15: per-step time and price for each configuration."""
-    return [
-        {
-            "system": p.system,
-            "server": p.server.name,
-            "step_seconds": p.step_seconds,
-            "step_price_usd": p.step_price_usd,
-        }
-        for p in points
-    ]

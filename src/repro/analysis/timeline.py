@@ -93,10 +93,12 @@ def to_chrome_trace(trace: Trace) -> str:
                 "pid": span.gpu,
                 "tid": 0,
                 "ts": span.start * 1e6,
-                "dur": span.duration * 1e6,
+                "dur": (span.end - span.start) * 1e6,
             }
         )
     for span in trace.transfers:
+        duration = span.end - span.start
+        bandwidth = span.nbytes / duration if duration > 0 else 0.0
         events.append(
             {
                 "name": span.label or span.kind or "transfer",
@@ -105,10 +107,10 @@ def to_chrome_trace(trace: Trace) -> str:
                 "pid": span.gpu,
                 "tid": 1,
                 "ts": span.start * 1e6,
-                "dur": span.duration * 1e6,
+                "dur": duration * 1e6,
                 "args": {
                     "bytes": span.nbytes,
-                    "bandwidth_GBps": span.bandwidth / 1e9,
+                    "bandwidth_GBps": bandwidth / 1e9,
                 },
             }
         )

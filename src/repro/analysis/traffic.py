@@ -35,10 +35,6 @@ class TrafficEstimate:
     def total(self) -> float:
         return self.parameters + self.activations + self.gradients
 
-    def relative_to(self, model_bytes: float) -> float:
-        """Traffic as a multiple of the model size (Figure 6's y-axis)."""
-        return self.total / model_bytes
-
 
 def model_size_bytes(model: ModelSpec) -> int:
     """The "size of model parameters" reference line of Figure 6 (FP32)."""

@@ -1,6 +1,6 @@
 """Reverse-mode autodiff on numpy (convergence-experiment substrate)."""
 
-from repro.autograd.ops import cross_entropy_logits, embedding, gelu, layer_norm
+from repro.autograd.ops import cross_entropy_logits, embedding, layer_norm
 from repro.autograd.optim import Adam
 from repro.autograd.tensor import Tensor
 
@@ -9,6 +9,5 @@ __all__ = [
     "Tensor",
     "cross_entropy_logits",
     "embedding",
-    "gelu",
     "layer_norm",
 ]

@@ -1,13 +1,13 @@
 """Fused neural-network operations for the autograd engine.
 
 Each operation is one graph node with a hand-written backward: softmax
-cross-entropy, layer norm, GELU, an affine layer, embedding lookup, causal
-self-attention and a whole pre-norm transformer block.  The block and
-attention nodes are built from the same array-level kernels (``_layer_norm``,
-``_linear``, ``_gelu``, ``_attention``) as the single-layer nodes, and those
-kernels repeat the numpy expressions, evaluation order and operand layouts of
-the per-op graph they replace, so a fused block yields the same bits as one
-composed from primitive :class:`Tensor` ops (``tests/nn/composed_block.py``).
+cross-entropy, layer norm, an affine layer, embedding lookup and a whole
+pre-norm transformer block.  The block node is built from the same
+array-level kernels (``_layer_norm``, ``_linear``, ``_gelu``, ``_attention``)
+as the single-layer nodes, and those kernels repeat the numpy expressions,
+evaluation order and operand layouts of the per-op graph they replace, so a
+fused block yields the same bits as one composed from primitive
+:class:`Tensor` ops (``tests/nn/composed_block.py``).
 
 An array-level kernel returns ``(out, backward)``: ``backward(grad)``
 accumulates the kernel's parameter gradients and returns the gradient of its
@@ -24,12 +24,10 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 
 __all__ = [
-    "gelu",
     "cross_entropy_logits",
     "layer_norm",
     "linear",
     "embedding",
-    "causal_self_attention",
     "transformer_block",
 ]
 
@@ -156,12 +154,6 @@ def _attention(
     return out, backward
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation, as in GPT-2)."""
-    out, back = _gelu(x.data)
-    return _node(out, x, (), back)
-
-
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last dimension."""
     out, back = _layer_norm(x.data, weight, bias, eps)
@@ -172,14 +164,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight + bias`` as one node."""
     out, back = _linear(x.data, weight, bias)
     return _node(out, x, (weight,) if bias is None else (weight, bias), back)
-
-
-def causal_self_attention(
-    x: Tensor, qkv: tuple[Tensor, Tensor], proj: tuple[Tensor, Tensor], n_heads: int
-) -> Tensor:
-    """Masked multi-head attention; ``qkv`` and ``proj`` are (weight, bias) pairs."""
-    out, back = _attention(x.data, qkv, proj, n_heads)
-    return _node(out, x, (*qkv, *proj), back)
 
 
 def transformer_block(

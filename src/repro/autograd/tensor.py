@@ -96,9 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -203,9 +200,6 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other) + (-self)
 
     def __truediv__(self, other) -> "Tensor":
         return self * self._coerce(other).pow(-1.0)

@@ -10,12 +10,7 @@ model x topology corpus; pytest auto-sanitizes every simulated trace via the
 fixture in ``tests/conftest.py``.
 """
 
-from repro.check.analysis import (
-    AnalysisConfig,
-    LintRun,
-    analyze_tree,
-    run_lint,
-)
+from repro.check.analysis import AnalysisConfig, LintRun, run_lint
 from repro.check.corpus import CorpusCell, check_cell, default_corpus, run_corpus
 from repro.check.findings import CheckReport, Finding
 from repro.check.mapping_check import check_mapping, optimal_contention
@@ -27,7 +22,6 @@ __all__ = [
     "CheckReport",
     "Finding",
     "LintRun",
-    "analyze_tree",
     "run_lint",
     "check_plan",
     "check_mapping",

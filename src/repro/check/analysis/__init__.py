@@ -19,7 +19,6 @@ from repro.check.analysis.rules import (
     DEFAULT_ANALYSIS_CONFIG,
     AnalysisConfig,
     analyze_program,
-    analyze_tree,
 )
 from repro.check.analysis.sarif import to_sarif
 
@@ -32,7 +31,6 @@ __all__ = [
     "LintRun",
     "Program",
     "analyze_program",
-    "analyze_tree",
     "apply_baseline",
     "build_call_graph",
     "run_lint",

@@ -518,9 +518,6 @@ class Program:
                     out.setdefault(sub.methods[name].qualname, sub.methods[name])
         return list(out.values())
 
-    def function_at(self, qualname: str) -> FunctionInfo | None:
-        return self.functions.get(qualname)
-
 
 def _assigned_constructor(value: ast.expr) -> str | None:
     """Short constructor name an assignment's value instantiates, scanning

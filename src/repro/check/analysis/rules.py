@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from pathlib import Path
 
 from repro.check.analysis.callgraph import (
     DEFAULT_CALLBACK_SEAMS,
@@ -72,7 +71,7 @@ from repro.check.analysis.program import (
 from repro.check.findings import CheckReport
 from repro.core.labels import ALL_LABEL_PATTERNS
 
-__all__ = ["AnalysisConfig", "DEFAULT_ANALYSIS_CONFIG", "analyze_program", "analyze_tree"]
+__all__ = ["AnalysisConfig", "DEFAULT_ANALYSIS_CONFIG", "analyze_program"]
 
 _CHECKER = "analysis"
 
@@ -768,12 +767,3 @@ def analyze_program(
     _check_mob006(program, config, report)
     _check_mob007(program, graph, config, report)
     return report
-
-
-def analyze_tree(
-    root: Path | str,
-    subdir: str = "src/repro",
-    config: AnalysisConfig = DEFAULT_ANALYSIS_CONFIG,
-) -> CheckReport:
-    """Build the program model from disk and run every MOB rule."""
-    return analyze_program(Program.from_tree(root, subdir), config)

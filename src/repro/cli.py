@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the check corpus this many times (round 2+ hits caches)",
     )
     serve.add_argument(
-        "--deadline-nodes", type=int, default=None, metavar="N",
+        "--deadline-nodes", type=_positive_int, default=None, metavar="N",
         help="per-request deadline as a solver node budget",
     )
     serve.add_argument(
@@ -307,8 +307,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
     wanted = resolve_names(args.names)
     if not wanted:
-        print(f"no experiments match {args.names}; known: {', '.join(ALL_EXPERIMENTS)}")
-        return 1
+        raise _UsageError(
+            f"no experiments match {' '.join(args.names)}; "
+            f"known: {', '.join(ALL_EXPERIMENTS)}"
+        )
     try:
         run_suite(
             wanted,

@@ -42,7 +42,6 @@ __all__ = [
     "activation_label",
     "stash_offload_label",
     "grad_offload_label",
-    "is_valid_label",
 ]
 
 #: Forward parameter upload: ``U3`` (initial), ``U3.pre``, ``U3.rem``.
@@ -117,8 +116,3 @@ def stash_offload_label(stage: int, microbatch: int) -> str:
 def grad_offload_label(stage: int) -> str:
     """Label of a stage's FP16 gradient offload."""
     return f"Og{stage}"
-
-
-def is_valid_label(label: str) -> bool:
-    """Whether ``label`` belongs to the emitter's label grammar."""
-    return any(pattern.match(label) for pattern in ALL_LABEL_PATTERNS)

@@ -1,9 +1,10 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
-Each module exposes ``run(fast: bool = False) -> ExperimentTable`` (or a
-list of tables) and can be executed directly, e.g.::
+Each module exposes ``cells(fast: bool = False)`` and
+``run(fast: bool = False) -> ExperimentTable`` (or a list of tables).
+``python -m repro figures NAME [--full]`` prints them, e.g.::
 
-    python -m repro.experiments.fig5_overall
+    python -m repro figures fig5 --full
 """
 
 from repro.experiments.runner import ExperimentTable, SystemResult, print_tables, run_system

@@ -9,11 +9,11 @@ dominates communication).
 from __future__ import annotations
 
 from repro.core.api import MobiusConfig
-from repro.experiments.runner import ExperimentCell, ExperimentTable, print_tables
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 from repro.hardware.topology import topo_4_4
 from repro.models.zoo import gpt_8b, gpt_15b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 MICROBATCH_SWEEP = {"GPT-8B": (2, 4, 8), "GPT-15B": (1, 2, 3)}
 
@@ -66,11 +66,3 @@ def run(fast: bool = False) -> ExperimentTable:
     table.notes.append("paper: cross mapping reduces per-step time by 11.3-18.1%")
     table.notes.append("paper: the gain shrinks as microbatches/blocks grow")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

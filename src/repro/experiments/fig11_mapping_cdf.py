@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from repro.analysis.bandwidth import fraction_of_bytes_above
 from repro.experiments.fig10_mapping import MICROBATCH_SWEEP, _cell, _models
-from repro.experiments.runner import ExperimentCell, ExperimentTable, print_tables
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
@@ -52,11 +52,3 @@ def run(fast: bool = False) -> ExperimentTable:
             )
     table.notes.append("paper: with cross mapping more data is transferred at higher bandwidth")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

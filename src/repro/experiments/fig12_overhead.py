@@ -12,11 +12,11 @@ partition search's certified relative optimality gap (0 when it exhausted).
 from __future__ import annotations
 
 from repro.core.api import MobiusConfig
-from repro.experiments.runner import ExperimentCell, ExperimentTable, print_tables
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 from repro.hardware.topology import topo_1_3
 from repro.models.zoo import gpt_8b, gpt_15b, gpt_51b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def _models(fast: bool):
@@ -68,11 +68,3 @@ def run(fast: bool = False) -> ExperimentTable:
     table.notes.append("paper: overheads are negligible vs hours-to-days of fine-tuning")
     table.notes.append("paper: 8B and 15B have close profiling times (layer similarity)")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -8,11 +8,11 @@ float-summation-order wiggle from the different microbatch splits.
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentCell, ExperimentTable, print_tables
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 from repro.nn.transformer import GPTConfig
 from repro.training.convergence import run_convergence_experiment
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
@@ -50,11 +50,3 @@ def run(fast: bool = False) -> ExperimentTable:
         f"loss decreased {result.gpipe_loss[0]:.3f} -> {result.gpipe_loss[-1]:.3f}"
     )
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -13,15 +13,11 @@ computes them in parallel through the suite's cell scheduler.
 from __future__ import annotations
 
 from repro.core.api import MobiusConfig
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 from repro.hardware.topology import commodity_server
 from repro.models.zoo import gpt_15b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def _sweep(fast: bool) -> list[tuple[int, list[int]]]:
@@ -75,11 +71,3 @@ def run(fast: bool = False) -> ExperimentTable:
     table.notes.append("paper: Mobius exceeds perfect linear scaling on even GPU counts")
     table.notes.append("paper: odd counts dip from uneven root-complex contention")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

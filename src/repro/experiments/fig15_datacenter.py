@@ -14,17 +14,12 @@ server (Topo 2+2).  Expected shapes:
 from __future__ import annotations
 
 from repro.analysis.price import PricePoint
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-    run_system,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable, run_system
 from repro.hardware.pricing import COMMODITY_4X3090TI, EC2_P3_8XLARGE
 from repro.hardware.topology import datacenter_server, topo_2_2
 from repro.models.zoo import gpt_8b, gpt_15b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def _models(fast: bool):
@@ -92,11 +87,3 @@ def run(fast: bool = False) -> list[ExperimentTable]:
         "paper: Mobius-on-commodity is ~1.42x the time at ~0.57x the price of DS-on-DC"
     )
     return [time_table, price_table]
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

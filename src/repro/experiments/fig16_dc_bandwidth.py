@@ -13,15 +13,11 @@ computes them in parallel through the suite's cell scheduler.
 from __future__ import annotations
 
 from repro.analysis.bandwidth import fraction_of_bytes_above
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 from repro.hardware.topology import datacenter_server
 from repro.models.zoo import gpt_8b, gpt_15b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 #: Transfer kinds that cross the GPU-CPU (PCIe/DRAM) boundary.
 _DRAM_KINDS = (
@@ -86,11 +82,3 @@ def run(fast: bool = False) -> ExperimentTable:
         "but Mobius's GPU-CPU transfers still contend less"
     )
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

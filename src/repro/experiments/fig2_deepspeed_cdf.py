@@ -9,16 +9,11 @@ bandwidth because concurrent all-to-all transfers contend.
 from __future__ import annotations
 
 from repro.analysis.bandwidth import bandwidth_cdf, fraction_of_bytes_below
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-    run_system,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable, run_system
 from repro.hardware.topology import PCIE_EFFECTIVE_BW, topo_2_2
 from repro.models.zoo import gpt_15b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
@@ -30,8 +25,11 @@ def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
     )
 
 
-def run() -> ExperimentTable:
-    """Regenerate Figure 2 (CDF sampled at 1 GB/s resolution)."""
+def run(fast: bool = False) -> ExperimentTable:
+    """Regenerate Figure 2 (CDF sampled at 1 GB/s resolution).
+
+    ``fast`` changes nothing: the figure is one cell either way.
+    """
     topology = topo_2_2()
     result = run_system("deepspeed", gpt_15b(), topology, microbatch_size=1)
     assert result.trace is not None
@@ -49,11 +47,3 @@ def run() -> ExperimentTable:
         "(paper: most data at <= 50% of the root complex maximum)"
     )
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

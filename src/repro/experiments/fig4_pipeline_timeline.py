@@ -2,19 +2,21 @@
 
 The paper's Figure 4 is a hand-drawn schedule diagram; this harness renders
 the *simulated* equivalent as ASCII Gantt charts — forward/backward compute
-per GPU with the stage-transfer boxes — for both mapping schemes, plus a
-summary row quantifying the contention difference.
+per GPU with the stage-transfer boxes — for both mapping schemes (Fig. 4a
+sequential, Fig. 4b cross), after a summary table quantifying the contention
+difference.
 """
 
 from __future__ import annotations
 
 from repro.analysis.timeline import ascii_gantt
 from repro.core.api import MobiusConfig
-from repro.experiments.runner import ExperimentCell, ExperimentTable, print_tables
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 from repro.hardware.topology import topo_4_4
 from repro.models.zoo import gpt_15b
+from repro.sim.trace import Trace
 
-__all__ = ["cells", "run", "main", "render_timelines"]
+__all__ = ["cells", "run"]
 
 MAPPINGS = ("sequential", "cross")
 
@@ -35,23 +37,27 @@ def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
     return tuple(_cell(mapping) for mapping in MAPPINGS)
 
 
-def render_timelines(width: int = 110) -> dict[str, str]:
-    """Gantt charts for both mapping schemes (15B, 8 GPUs, Topo 4+4)."""
-    charts = {}
-    for mapping in MAPPINGS:
-        result = _cell(mapping).run()
-        assert result.trace is not None
-        charts[mapping] = ascii_gantt(result.trace, width=width)
-    return charts
+def _timeline(panel: str, mapping: str, trace: Trace) -> ExperimentTable:
+    """One mapping's simulated timeline as a table of Gantt rows."""
+    scale, *bars, legend = ascii_gantt(trace, width=110).splitlines()
+    table = ExperimentTable(
+        title=f"Figure 4{panel}: {mapping} mapping timeline (15B, Topo 4+4)",
+        columns=("timeline",),
+    )
+    for bar in bars:
+        table.add_row(bar)
+    table.notes.extend((scale, legend))
+    return table
 
 
-def run(fast: bool = False) -> ExperimentTable:
-    """Summarise the Figure 4 comparison (charts via :func:`render_timelines`)."""
+def run(fast: bool = False) -> list[ExperimentTable]:
+    """The Figure 4 summary, then one Gantt chart per mapping (Fig. 4a/4b)."""
     table = ExperimentTable(
         title="Figure 4: Mobius pipeline, sequential vs cross mapping (15B, Topo 4+4)",
         columns=("mapping", "step_s", "median_bw_GBps", "non_overlapped"),
     )
-    for mapping in MAPPINGS:
+    timelines = []
+    for panel, mapping in zip("ab", MAPPINGS):
         result = _cell(mapping).run()
         assert result.trace is not None
         table.add_row(
@@ -60,20 +66,9 @@ def run(fast: bool = False) -> ExperimentTable:
             result.trace.median_bandwidth() / 1e9,
             result.trace.non_overlapped_comm_fraction(),
         )
+        timelines.append(_timeline(panel, mapping, result.trace))
     table.notes.append(
         "paper: cross mapping removes the contention of adjacent stages' "
         "prefetches sharing a CPU root complex (the red C boxes of Fig. 4a)"
     )
-    return table
-
-
-def main() -> None:
-    print_tables(run())
-    for name, chart in render_timelines().items():
-        print(f"--- {name} mapping ---")
-        print(chart)
-        print()
-
-
-if __name__ == "__main__":
-    main()
+    return [table, *timelines]

@@ -9,16 +9,11 @@ degrades with contention.
 
 from __future__ import annotations
 
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-    run_system,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable, run_system
 from repro.hardware.topology import topo_1_3, topo_2_2, topo_4
 from repro.models.zoo import gpt_3b, gpt_8b, gpt_15b, gpt_51b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 TOPOLOGIES = (topo_2_2, topo_1_3, topo_4)
 SYSTEMS = ("gpipe", "ds-pipeline", "deepspeed", "mobius")
@@ -75,11 +70,3 @@ def run(fast: bool = False) -> ExperimentTable:
     table.notes.append("paper: Mobius reduces per-step time by 3.8-5.1x vs DeepSpeed")
     table.notes.append("paper: GPipe and DeepSpeed-pipeline OOM beyond the 3B model")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

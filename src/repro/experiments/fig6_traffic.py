@@ -8,16 +8,11 @@ Expected shape: DeepSpeed ~7.3x the model size, Mobius ~1.5-1.8x.
 from __future__ import annotations
 
 from repro.analysis.traffic import deepspeed_traffic, mobius_traffic, model_size_bytes
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-    run_system,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable, run_system
 from repro.hardware.topology import topo_2_2
 from repro.models.zoo import gpt_8b, gpt_15b, gpt_51b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 GB = 1e9
 
@@ -75,11 +70,3 @@ def run(fast: bool = False) -> ExperimentTable:
         )
     table.notes.append("paper: DeepSpeed ~7.3x model size, Mobius ~1.8x (red line = model size)")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -13,16 +13,11 @@ from repro.analysis.bandwidth import (
     fraction_of_bytes_above,
     fraction_of_bytes_below,
 )
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-    run_system,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable, run_system
 from repro.hardware.topology import topo_1_3, topo_2_2, topo_4
 from repro.models.zoo import gpt_8b, gpt_15b, gpt_51b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def _models(fast: bool):
@@ -78,11 +73,3 @@ def run(fast: bool = False) -> ExperimentTable:
         "paper: Mobius moves >50% of bytes above 12 GB/s; DeepSpeed mostly below 6 GB/s"
     )
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,16 +10,11 @@ Topo 2+2 where cross mapping has the most freedom.
 from __future__ import annotations
 
 from repro.analysis.overlap import overlap_stats
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-    run_system,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable, run_system
 from repro.hardware.topology import topo_1_3, topo_2_2, topo_4
 from repro.models.zoo import gpt_15b, gpt_51b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def _models(fast: bool):
@@ -66,11 +61,3 @@ def run(fast: bool = False) -> ExperimentTable:
             )
     table.notes.append("paper: Mobius reduces the proportion by up to 46%")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -11,11 +11,11 @@ wins outright when they are small.
 from __future__ import annotations
 
 from repro.core.api import MobiusConfig
-from repro.experiments.runner import ExperimentCell, ExperimentTable, print_tables
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 from repro.hardware.topology import topo_2_2
 from repro.models.zoo import gpt_8b, gpt_15b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 MICROBATCH_SWEEP = {"GPT-8B": (2, 4, 8), "GPT-15B": (1, 2, 3)}
 METHODS = ("mip", "max-stage", "min-stage")
@@ -69,11 +69,3 @@ def run(fast: bool = False) -> ExperimentTable:
     table.notes.append("paper: MIP cuts training time by up to 51% vs the alternatives")
     table.notes.append("paper: min-stage converges to MIP at large blocks/microbatches")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

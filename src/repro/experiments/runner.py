@@ -1,10 +1,10 @@
 """Shared experiment infrastructure: result tables and system wrappers.
 
 Each ``fig*.py`` module reproduces one table/figure of the paper's
-evaluation and exposes ``run() -> ExperimentTable`` (or a list of tables)
-plus a ``main()`` so it can be executed directly:
+evaluation and exposes ``run(fast: bool = False) -> ExperimentTable`` (or a
+list of tables); ``python -m repro figures NAME [--full]`` prints it:
 
-    python -m repro.experiments.fig5_overall
+    python -m repro figures fig5 --full
 
 The benchmark suite (``benchmarks/``) wraps the same entry points.
 """
@@ -299,7 +299,7 @@ def resolve_jobs(requested: int | None = None, *, ceiling: int | None = None) ->
 
 
 def print_tables(tables: "ExperimentTable | Sequence[ExperimentTable]") -> None:
-    """Print one or many tables (module ``main()`` helper)."""
+    """Print one or many tables, each followed by a blank line."""
     if isinstance(tables, ExperimentTable):
         tables = [tables]
     for table in tables:

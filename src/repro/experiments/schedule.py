@@ -3,7 +3,7 @@
 Four steps take the suite's figures to computed cells:
 
 1. **Enumerate** — every experiment module exposes a ``cells()`` protocol
-   beside ``run()``/``main()`` returning the :class:`~repro.experiments.
+   beside ``run()`` returning the :class:`~repro.experiments.
    runner.ExperimentCell`\\ s its ``run()`` will consume.
 2. **Deduplicate** — cells flatten into one graph keyed by their
    ``"system"`` memoize digest: Figure 10 and Figure 11 sweep identical
@@ -45,7 +45,7 @@ from pathlib import Path
 
 from repro.core.api import partition_solve_key
 from repro.experiments.runner import ExperimentCell, SystemResult, run_cell
-from repro.perf.cache import LeaseTable, get_cache, merge_stats
+from repro.perf.cache import LeaseTable, get_cache, merge_stats, stats_delta
 from repro.perf.fingerprint import fingerprint
 
 __all__ = [
@@ -65,17 +65,14 @@ LEASE_DIRNAME = "leases"
 
 
 def figure_cells(name: str, *, fast: bool = False) -> tuple[ExperimentCell, ...]:
-    """One experiment module's cell enumeration (``()`` if it has none).
+    """One experiment module's cell enumeration.
 
     Modules whose work is not cell-shaped (Table 1's spec lookup, Figure
     13's training loop) return an empty tuple and simply run during the
     assembly pass.
     """
     module = importlib.import_module(f"repro.experiments.{name}")
-    enumerate_fn = getattr(module, "cells", None)
-    if enumerate_fn is None:
-        return ()
-    return tuple(enumerate_fn(fast=fast))
+    return tuple(module.cells(fast=fast))
 
 
 def enumerate_cells(
@@ -266,20 +263,7 @@ def _cell_worker(
                 # missing result, and content-addressing keeps it safe.
                 result = run_cell(cell)
                 outcome = "computed"
-    delta = _stats_delta(before, cache.stats_snapshot())
-    return result, outcome, delta
-
-
-def _stats_delta(before: dict, after: dict) -> dict:
-    delta: dict[str, dict] = {}
-    for namespace, counters in after.items():
-        previous = before.get(namespace, {})
-        entry = {
-            key: value - previous.get(key, 0) for key, value in counters.items()
-        }
-        if any(entry.values()):
-            delta[namespace] = entry
-    return delta
+    return result, outcome, stats_delta(before, cache.stats_snapshot())
 
 
 def run_cells(

@@ -9,16 +9,11 @@ from __future__ import annotations
 
 from repro.analysis.overlap import overlap_stats
 from repro.analysis.traffic import model_size_bytes
-from repro.experiments.runner import (
-    ExperimentCell,
-    ExperimentTable,
-    print_tables,
-    run_system,
-)
+from repro.experiments.runner import ExperimentCell, ExperimentTable, run_system
 from repro.hardware.topology import topo_2_2
 from repro.models.zoo import gpt_15b
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
@@ -30,8 +25,11 @@ def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
     )
 
 
-def run() -> ExperimentTable:
-    """Regenerate the §2.3 DeepSpeed profile."""
+def run(fast: bool = False) -> ExperimentTable:
+    """Regenerate the §2.3 DeepSpeed profile.
+
+    ``fast`` changes nothing: the profile is one cell either way.
+    """
     model = gpt_15b()
     result = run_system("deepspeed", model, topo_2_2(), microbatch_size=1)
     assert result.trace is not None
@@ -47,11 +45,3 @@ def run() -> ExperimentTable:
     )
     table.add_row("traffic / model size", f"{traffic_x:.1f}x", "7.3x")
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

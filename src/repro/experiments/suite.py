@@ -42,7 +42,7 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import ExperimentTable, resolve_jobs
 from repro.experiments.schedule import run_cells
 from repro.perf.bench import Stopwatch, row
-from repro.perf.cache import cache_overridden, get_cache, merge_stats
+from repro.perf.cache import cache_overridden, get_cache, merge_stats, stats_delta
 
 __all__ = [
     "FigureRun",
@@ -155,30 +155,20 @@ def _execute_figure(name: str, fast: bool) -> FigureRun:
     from repro.experiments.runner import print_tables
 
     cache = get_cache()
-    before = {
-        namespace: stats.as_dict() for namespace, stats in cache.stats.items()
-    }
+    before = cache.stats_snapshot()
     started = time.perf_counter()
-    module = importlib.import_module(f"repro.experiments.{name}")
-    if "fast" in module.run.__code__.co_varnames:
-        tables = module.run(fast=fast)
-    else:
-        tables = module.run()
+    tables = importlib.import_module(f"repro.experiments.{name}").run(fast=fast)
     seconds = time.perf_counter() - started
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         print_tables(tables)
-
-    delta: dict[str, dict] = {}
-    for namespace, stats in cache.stats.items():
-        previous = before.get(namespace, {})
-        entry = {
-            key: value - previous.get(key, 0) for key, value in stats.as_dict().items()
-        }
-        if any(entry.values()):
-            delta[namespace] = entry
-    return FigureRun(name=name, seconds=seconds, output=buffer.getvalue(), cache_stats=delta)
+    return FigureRun(
+        name=name,
+        seconds=seconds,
+        output=buffer.getvalue(),
+        cache_stats=stats_delta(before, cache.stats_snapshot()),
+    )
 
 
 def resolve_names(requested: Sequence[str]) -> list[str]:

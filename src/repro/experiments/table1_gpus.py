@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentCell, ExperimentTable, print_tables
+from repro.experiments.runner import ExperimentCell, ExperimentTable
 from repro.hardware.gpu import A100, RTX_3090TI
 
-__all__ = ["cells", "run", "main"]
+__all__ = ["cells", "run"]
 
 
 def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
@@ -13,8 +13,11 @@ def cells(fast: bool = False) -> tuple[ExperimentCell, ...]:
     return ()
 
 
-def run() -> ExperimentTable:
-    """Regenerate Table 1 from the GPU spec database."""
+def run(fast: bool = False) -> ExperimentTable:
+    """Regenerate Table 1 from the GPU spec database.
+
+    ``fast`` changes nothing: the table simulates nothing.
+    """
     table = ExperimentTable(
         title="Table 1: 3090-Ti vs A100",
         columns=("attribute", "3090-Ti", "A100"),
@@ -44,11 +47,3 @@ def run() -> ExperimentTable:
         f"price ratio A100/3090-Ti = {A100.price_usd / RTX_3090TI.price_usd:.0f}x"
     )
     return table
-
-
-def main() -> None:
-    print_tables(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -25,8 +25,7 @@ trace fingerprint of its faulted (or recovered) step, which the bench rows
 from __future__ import annotations
 
 import dataclasses
-import json
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.check.corpus import CorpusCell, default_corpus
@@ -161,9 +160,6 @@ class ChaosCellResult:
         """A cell passes if it ran checker-clean or was typed-infeasible."""
         return self.check_errors == 0 and self.status in ("ok", "infeasible")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class ChaosReport:
@@ -172,22 +168,6 @@ class ChaosReport:
     seed: int
     n_steps: int
     results: tuple[ChaosCellResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_steps": self.n_steps,
-            "ok": self.ok,
-            "n_results": len(self.results),
-            "results": [result.to_dict() for result in self.results],
-        }
-
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _check_step(step: FaultedStep, topology) -> CheckReport:
@@ -339,7 +319,6 @@ def run_chaos(
     seed: int = 0,
     n_steps: int = 4,
     scenarios: Sequence[str] = SCENARIOS,
-    progress: Callable[[str], None] | None = None,
 ) -> ChaosReport:
     """Run the full chaos matrix and aggregate one report.
 
@@ -349,14 +328,11 @@ def run_chaos(
         seed: Fault-schedule seed; determines every flaky-transfer coin.
         n_steps: Training-window length used for goodput accounting.
         scenarios: Scenario subset to run.
-        progress: Optional per-(cell, scenario) callback for the CLI.
     """
     results = []
     for cell in cells if cells is not None else default_corpus():
         plan_report = plan_mobius(cell.model, cell.topology, cell.config)
         for scenario in scenarios:
-            if progress is not None:
-                progress(f"{cell.name} / {scenario}")
             results.append(
                 run_chaos_cell(
                     cell,

@@ -66,7 +66,9 @@ class RetryPolicy:
     :class:`FaultInjectingRunner`; the serve layer's
     :class:`repro.serve.supervisor.Supervisor` reuses it to pace
     solver-worker restarts, so the delay sequence is part of the public
-    contract: :meth:`delays` is the full deterministic schedule.
+    contract: ``backoff(1)`` … ``backoff(max_attempts - 1)`` is the full
+    deterministic schedule (the final failed attempt is never followed by a
+    wait).
     """
 
     max_attempts: int = 4
@@ -90,14 +92,6 @@ class RetryPolicy:
         if self.max_delay is not None:
             delay = min(delay, self.max_delay)
         return delay
-
-    def delays(self) -> tuple[float, ...]:
-        """Every backoff delay the budget allows, in issue order.
-
-        Length ``max_attempts - 1``: the final failed attempt is never
-        followed by a wait.
-        """
-        return tuple(self.backoff(k) for k in range(1, self.max_attempts))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -126,11 +126,6 @@ class ReplanResult:
         """Seconds from dropout detection to training resumption."""
         return self.replan_seconds + self.migration_seconds
 
-    @property
-    def solver_nodes(self) -> int:
-        """Branch & bound nodes the re-plan's partition solve explored."""
-        return self.plan_report.partition_result.nodes_explored
-
 
 def replan_after_dropout(
     model: ModelSpec,

@@ -33,7 +33,7 @@ The standard topologies of the evaluation (§4) are provided as factories:
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from repro.hardware.gpu import RTX_3090TI, V100, GPUSpec
 
@@ -230,15 +230,6 @@ class Topology:
     def bandwidth_of(self, edge: Edge) -> float:
         """Capacity of a directed edge in bytes/s."""
         return self._bandwidths[self.link_id(edge)]
-
-    def iter_links(self) -> Iterator[tuple[Edge, float]]:
-        """All directed edges with their capacities in bytes/s.
-
-        The static checkers (:mod:`repro.check.trace_check`) iterate links to
-        verify that no trace implies more bytes through an edge than its
-        capacity allows.
-        """
-        return zip(self._links, self._bandwidths)
 
     @property
     def max_link_bandwidth(self) -> float:

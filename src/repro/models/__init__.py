@@ -17,7 +17,6 @@ from repro.models.spec import (
     build_vit_like,
 )
 from repro.models.zoo import (
-    TABLE3_MODELS,
     gpt2_small,
     gpt_3b,
     gpt_8b,
@@ -38,7 +37,6 @@ __all__ = [
     "ProfileReport",
     "Profiler",
     "StageCost",
-    "TABLE3_MODELS",
     "build_gpt_like",
     "build_vit_like",
     "gpt2_small",

@@ -75,10 +75,6 @@ class StageCost:
     layer_costs: tuple[LayerCost, ...]
     input_activation_bytes: int
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_costs)
-
     @cached_property
     def param_bytes(self) -> int:
         """FP16 parameter bytes — the stage's DRAM-to-GPU upload size."""
@@ -149,10 +145,6 @@ class StageCost:
     def mem_bwd(self, m: int) -> int:
         """GPU bytes needed while this stage runs backward (Eq. 4's S_j^b)."""
         return self._mem_bwd_base + m * self.input_activation_bytes
-
-    def mem_peak(self, m: int) -> int:
-        """Maximum of the forward and backward footprints."""
-        return max(self.mem_fwd(m), self.mem_bwd(m))
 
     def resident_bytes_static(self) -> int:
         """All-in-GPU-memory footprint of the stage's *states* (GPipe-style):

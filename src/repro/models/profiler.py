@@ -46,21 +46,6 @@ class ProfileReport:
     profiling_seconds: float
     n_unique_layers: int
 
-    def stage_cost_model(self) -> "ProfiledCostModel":
-        """A cost-model-compatible view backed by the measured numbers."""
-        return ProfiledCostModel(self)
-
-
-class ProfiledCostModel:
-    """Adapter exposing measured layer costs through the CostModel API."""
-
-    def __init__(self, report: ProfileReport) -> None:
-        self._report = report
-        self._by_index = {i: c for i, c in enumerate(report.layer_costs)}
-
-    def layer_cost_at(self, index: int) -> LayerCost:
-        return self._by_index[index]
-
 
 class Profiler:
     """Simulates Mobius's profiling pass.

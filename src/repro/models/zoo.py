@@ -26,7 +26,6 @@ __all__ = [
     "gpt_15b",
     "gpt_51b",
     "gpt2_small",
-    "TABLE3_MODELS",
     "model_by_name",
 ]
 
@@ -76,11 +75,6 @@ def gpt2_small(seq_len: int = 128) -> ModelSpec:
         seq_len=seq_len,
         default_microbatch_size=4,
     )
-
-
-def TABLE3_MODELS() -> list[ModelSpec]:
-    """All four Table 3 models, smallest first."""
-    return [gpt_3b(), gpt_8b(), gpt_15b(), gpt_51b()]
 
 
 _FACTORIES = {

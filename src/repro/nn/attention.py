@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.ops import causal_self_attention
-from repro.autograd.tensor import Tensor
 from repro.nn.layers import Linear, Module
 
 __all__ = ["CausalSelfAttention"]
 
 
 class CausalSelfAttention(Module):
-    """GPT-style masked multi-head attention.
+    """GPT-style masked multi-head attention's parameters.
+
+    :class:`~repro.nn.transformer.TransformerBlock` runs them inside its
+    fused node (:func:`repro.autograd.ops.transformer_block`).
 
     Args:
         dim: Model hidden size.
@@ -29,11 +30,3 @@ class CausalSelfAttention(Module):
         self.head_dim = dim // n_heads
         self.qkv = Linear(dim, 3 * dim, rng=rng)
         self.proj = Linear(dim, dim, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return causal_self_attention(
-            x,
-            (self.qkv.weight, self.qkv.bias),
-            (self.proj.weight, self.proj.bias),
-            self.n_heads,
-        )

@@ -36,9 +36,6 @@ class Module:
                             seen.add(id(item))
                             yield item
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

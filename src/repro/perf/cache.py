@@ -53,6 +53,7 @@ __all__ = [
     "configure_cache",
     "get_cache",
     "merge_stats",
+    "stats_delta",
 ]
 
 DEFAULT_CACHE_DIR = ".mobius_cache"
@@ -90,10 +91,6 @@ class CacheStats:
     @property
     def hits(self) -> int:
         return self.memory_hits + self.store_hits
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
 
     def as_dict(self) -> dict:
         return {
@@ -176,19 +173,11 @@ class ResultCache:
 
         stats.misses += 1
         value = compute()
-        self._put(key, value)
-        return value
-
-    def store(self, namespace: str, key_obj, value) -> None:
-        """Insert a value computed elsewhere (e.g. by a worker process)."""
-        self._put((namespace, fingerprint(key_obj)), value)
-
-    def _put(self, key: tuple[str, str], value: object) -> None:
         if self.config.memory:
             self._memory[key] = value
-        store = self._durable()
         if store is not None:
             store.put(*key, value)
+        return value
 
     def adopt(self, namespace: str, key_obj, value) -> None:
         """Insert into the memory tier only.
@@ -219,15 +208,9 @@ class ResultCache:
     def clear_memory(self) -> None:
         self._memory.clear()
 
-    def reset_stats(self) -> None:
-        self.stats.clear()
-
     def stats_snapshot(self) -> dict:
         """JSON-ready ``{namespace: {hits, misses, ...}}`` mapping."""
         return {name: stats.as_dict() for name, stats in sorted(self.stats.items())}
-
-    def __len__(self) -> int:
-        return len(self._memory)
 
 
 def merge_stats(*snapshots: dict) -> dict:
@@ -246,6 +229,23 @@ def merge_stats(*snapshots: dict) -> dict:
             for key, value in counters.items():
                 into[key] = into.get(key, 0) + value
     return {namespace: merged[namespace] for namespace in sorted(merged)}
+
+
+def stats_delta(before: dict, after: dict) -> dict:
+    """Per-namespace counters of ``after`` minus ``before``.
+
+    Both are :meth:`ResultCache.stats_snapshot` mappings; namespaces whose
+    counters did not move are left out.
+    """
+    delta: dict[str, dict] = {}
+    for namespace, counters in after.items():
+        previous = before.get(namespace, {})
+        entry = {
+            key: value - previous.get(key, 0) for key, value in counters.items()
+        }
+        if any(entry.values()):
+            delta[namespace] = entry
+    return delta
 
 
 class LeaseTable:
@@ -340,13 +340,6 @@ class LeaseTable:
                 return "broken"
             self._sleep(self.poll_interval)
         return "timeout"
-
-    def clear(self) -> None:
-        """Remove every lease file (end-of-drain hygiene)."""
-        with contextlib.suppress(OSError):
-            for path in self.directory.glob("*.lease"):
-                with contextlib.suppress(OSError):
-                    path.unlink()
 
 
 _cache = ResultCache()

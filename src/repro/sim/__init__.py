@@ -14,7 +14,6 @@ from repro.sim.tasks import (
     Task,
     TaskGraphRunner,
     TransferTask,
-    chain,
 )
 from repro.sim.trace import (
     ComputeSpan,
@@ -40,7 +39,6 @@ __all__ = [
     "Trace",
     "TransferSpan",
     "TransferTask",
-    "chain",
     "merge_intervals",
     "subtract_intervals",
     "total_length",

@@ -61,10 +61,6 @@ class EventHandle:
         """Prevent the event from firing.  Idempotent."""
         self._cancelled = True
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
 
 class Simulator:
     """Event loop with a virtual clock.

@@ -89,29 +89,6 @@ class ComputeUnit:
         self.name = name
         self._queue: deque[tuple[float, Callable[[], None]]] = deque()
         self._busy = False
-        self._busy_accrued = 0.0
-        #: ``(start_time, duration)`` of the in-flight task, if any.
-        self._running: tuple[float, float] | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
-    @property
-    def busy_seconds(self) -> float:
-        """Total busy seconds, for utilisation accounting.
-
-        Completed tasks accrue their full duration; an in-flight task is
-        pro-rated to the current clock, so reading utilisation after
-        ``run(until=...)`` never counts simulated-future work.
-        """
-        total = self._busy_accrued
-        if self._running is not None:
-            started, duration = self._running
-            elapsed = self.sim.now - started
-            if elapsed > 0:
-                total += duration if elapsed >= duration else elapsed
-        return total
 
     def submit(self, seconds: float, on_done: Callable[[], None]) -> None:
         """Queue a task of length ``seconds``; ``on_done`` fires at its end."""
@@ -129,11 +106,8 @@ class ComputeUnit:
             return
         self._busy = True
         seconds, on_done = self._queue.popleft()
-        self._running = (self.sim.now, seconds)
 
         def finish() -> None:
-            self._busy_accrued += seconds
-            self._running = None
             # Run the completion callback first so dependent work enqueued by
             # it at the same timestamp is ordered behind queued tasks.
             on_done()
@@ -212,9 +186,6 @@ class FlowNetworkStats:
     #: Flushes whose live flow multiset the rate memo had already filled,
     #: answered without a walk or a fill (scalar mode only).
     memo_hits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
 
 
 class _FlowSlots:

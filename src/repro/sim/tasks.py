@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.hardware.topology import Path, Topology
 from repro.sim.engine import Simulator
@@ -35,7 +35,6 @@ __all__ = [
     "BarrierTask",
     "TaskGraphRunner",
     "DeadlockError",
-    "chain",
 ]
 
 _uid_counter = itertools.count()
@@ -274,11 +273,3 @@ class TaskGraphRunner:
             trace.add_compute(task.gpu, start, end, task.label)
         elif isinstance(task, TransferTask) and task.nbytes > 0:
             trace.add_transfer(task.gpu, start, end, task.nbytes, task.kind, task.label)
-
-
-def chain(tasks: Iterable[Task]) -> list[Task]:
-    """Link tasks sequentially (each depends on the previous); returns them."""
-    result = list(tasks)
-    for prev, nxt in zip(result, result[1:]):
-        nxt.after(prev)
-    return result

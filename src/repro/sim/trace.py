@@ -15,11 +15,10 @@ capacity-doubled numpy column buffers — transfer kinds interned as int
 codes — so the ``_compute_columns``/``_transfer_columns`` views the
 aggregate methods consume are zero-copy slices instead of O(n) rebuilds,
 and a trace of a ~1M-event datacenter scenario does not hold a million
-Python span objects.  ``trace.compute`` / ``trace.transfers`` remain
-sequence views that materialize :class:`ComputeSpan`/:class:`TransferSpan`
-records on demand, preserving the historical list API (``append``,
-indexing, iteration, ``==``) and — critically — the
-``__mobius_fingerprint__`` span-order contract byte for byte.
+Python span objects.  ``trace.compute`` / ``trace.transfers`` materialize
+:class:`ComputeSpan`/:class:`TransferSpan` records on demand as read-only
+tuples; ``__mobius_fingerprint__`` encodes the same records in recording
+order.
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ class ComputeSpan:
     end: float
     label: str = ""
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclasses.dataclass(frozen=True)
 class TransferSpan:
@@ -75,17 +70,6 @@ class TransferSpan:
     nbytes: float
     kind: str = ""
     label: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def bandwidth(self) -> float:
-        """Average achieved bandwidth in bytes/s (0 for instantaneous)."""
-        if self.duration <= 0:
-            return 0.0
-        return self.nbytes / self.duration
 
 
 def _merge_interval_arrays(
@@ -157,8 +141,9 @@ def total_length(intervals: Iterable[Interval]) -> float:
 # Columnar span storage
 # ----------------------------------------------------------------------
 
-#: Above this many rows, iterating a view does not cache the materialized
-#: span objects (a ~1M-row trace would otherwise pin ~100s of MB).
+#: Above this many rows, reading ``compute``/``transfers`` does not cache
+#: the materialized span objects (a ~1M-row trace would otherwise pin
+#: ~100s of MB).
 _MATERIALIZE_CACHE_LIMIT = 1 << 17
 
 _INITIAL_CAPACITY = 1024
@@ -188,7 +173,7 @@ class _ColumnStore:
         self._n = 0
         self.generation = 0
         self._columns_cache: tuple[int, dict] | None = None
-        self._materialized_cache: tuple[int, list] | None = None
+        self._materialized_cache: tuple[int, tuple] | None = None
 
     def __len__(self) -> int:
         return self._n
@@ -244,12 +229,12 @@ class _ColumnStore:
         lists.append(columns["label"])
         return zip(*lists)
 
-    def materialized(self) -> list:
+    def materialized(self) -> tuple:
         """All rows as span objects; cached below the size threshold."""
         cached = self._materialized_cache
         if cached is not None and cached[0] == self.generation:
             return cached[1]
-        spans = [self._make_span(row) for row in self._iter_rows()]
+        spans = tuple(self._make_span(row) for row in self._iter_rows())
         if len(spans) <= _MATERIALIZE_CACHE_LIMIT:
             self._materialized_cache = (self.generation, spans)
         return spans
@@ -277,9 +262,6 @@ class _ColumnStore:
 
 class _ComputeStore(_ColumnStore):
     numeric_fields = (("gpu", np.int64), ("start", np.float64), ("end", np.float64))
-
-    def append_span(self, span: ComputeSpan) -> None:
-        self.append_row((span.gpu, span.start, span.end), span.label)
 
     def _make_span(self, row: tuple) -> ComputeSpan:
         gpu, start, end, label = row
@@ -318,20 +300,6 @@ class _TransferStore(_ColumnStore):
             self._kinds.append(kind)
         return code
 
-    def append_span(self, span: TransferSpan) -> None:
-        nbytes = span.nbytes
-        self.append_row(
-            (
-                span.gpu,
-                span.start,
-                span.end,
-                nbytes,
-                isinstance(nbytes, int),
-                self.code_for(span.kind),
-            ),
-            span.label,
-        )
-
     def _make_span(self, row: tuple) -> TransferSpan:
         gpu, start, end, nbytes, nbytes_int, code, label = row
         if nbytes_int:
@@ -367,53 +335,6 @@ class _TransferStore(_ColumnStore):
         self._kind_codes = {kind: code for code, kind in enumerate(self._kinds)}
 
 
-class _SpanView(Sequence):
-    """List-like façade over a :class:`_ColumnStore`.
-
-    Supports the operations the historical ``list[Span]`` attributes saw
-    in the wild: ``append`` (unvalidated — the sanitizer tests inject
-    malformed spans directly), indexing, slicing, iteration, ``len`` and
-    equality against other sequences of spans.
-    """
-
-    __slots__ = ("_store",)
-
-    # Lists are unhashable; keep that property.
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, store: _ColumnStore) -> None:
-        self._store = store
-
-    def append(self, span) -> None:
-        self._store.append_span(span)
-
-    def extend(self, spans: Iterable) -> None:
-        for span in spans:
-            self._store.append_span(span)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __getitem__(self, index):
-        spans = self._store.materialized()
-        return spans[index]
-
-    def __iter__(self) -> Iterator:
-        return iter(self._store.materialized())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _SpanView):
-            other = other._store.materialized()
-        if isinstance(other, (list, tuple)):
-            if len(other) != len(self):
-                return False
-            return self._store.materialized() == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self._store.materialized())
-
-
 class Trace:
     """Recorded activity of one simulated training step.
 
@@ -427,34 +348,18 @@ class Trace:
         self.n_gpus = n_gpus
         self._compute_store = _ComputeStore()
         self._transfer_store = _TransferStore()
-        self._compute_view = _SpanView(self._compute_store)
-        self._transfer_view = _SpanView(self._transfer_store)
 
     # ------------------------------------------------------------------
-    # Span sequence views (historical list API)
+    # Span records
     # ------------------------------------------------------------------
 
     @property
-    def compute(self) -> _SpanView:
-        return self._compute_view
-
-    @compute.setter
-    def compute(self, spans: Iterable[ComputeSpan]) -> None:
-        self._compute_store = _ComputeStore()
-        self._compute_view = _SpanView(self._compute_store)
-        for span in spans:
-            self._compute_store.append_span(span)
+    def compute(self) -> tuple[ComputeSpan, ...]:
+        return self._compute_store.materialized()
 
     @property
-    def transfers(self) -> _SpanView:
-        return self._transfer_view
-
-    @transfers.setter
-    def transfers(self, spans: Iterable[TransferSpan]) -> None:
-        self._transfer_store = _TransferStore()
-        self._transfer_view = _SpanView(self._transfer_store)
-        for span in spans:
-            self._transfer_store.append_span(span)
+    def transfers(self) -> tuple[TransferSpan, ...]:
+        return self._transfer_store.materialized()
 
     def __mobius_fingerprint__(self) -> tuple:
         """Canonical content for :func:`repro.perf.fingerprint.fingerprint`.
@@ -467,8 +372,8 @@ class Trace:
         """
         return (
             self.n_gpus,
-            tuple(self._compute_store.materialized()),
-            tuple(self._transfer_store.materialized()),
+            self._compute_store.materialized(),
+            self._transfer_store.materialized(),
         )
 
     def columnar_digest(self) -> str:
@@ -650,9 +555,3 @@ class Trace:
             self.non_overlapped_comm_seconds(gpu) / step for gpu in range(self.n_gpus)
         ]
         return float(np.mean(fractions))
-
-    def compute_seconds(self, gpu: int | None = None) -> float:
-        """Total busy compute time, for one GPU or summed over all."""
-        if gpu is None:
-            return sum(total_length(self.gpu_compute_intervals(g)) for g in range(self.n_gpus))
-        return total_length(self.gpu_compute_intervals(gpu))

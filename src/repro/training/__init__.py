@@ -2,7 +2,6 @@
 
 from repro.training.convergence import ConvergenceResult, run_convergence_experiment
 from repro.training.pipeline_train import (
-    GPipeScheduleTrainer,
     MobiusScheduleTrainer,
     StagePartition,
     SwapEvent,
@@ -11,7 +10,6 @@ from repro.training.pipeline_train import (
 
 __all__ = [
     "ConvergenceResult",
-    "GPipeScheduleTrainer",
     "MobiusScheduleTrainer",
     "StagePartition",
     "SwapEvent",

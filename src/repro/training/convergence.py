@@ -1,11 +1,12 @@
 """Convergence experiment driver (§4.6, Figure 13).
 
 Fine-tunes the same GPT model with the GPipe schedule (8 virtual GPUs in
-the paper) and with the Mobius schedule (4 virtual GPUs), recording the
-training-loss curves.  Because both schedules are synchronous, the curves
-overlap; the paper attributes the residual wiggle to "variation of
-randomness caused by different numbers of GPUs", which here manifests as a
-different microbatch split (and hence float summation order) per system.
+the paper, one stage each) and with the Mobius schedule (4 virtual GPUs,
+twice as many stages), recording the training-loss curves.  Because both
+schedules are synchronous, the curves overlap; the paper attributes the
+residual wiggle to "variation of randomness caused by different numbers of
+GPUs", which here manifests as a different microbatch split (and hence
+float summation order) per system.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import dataclasses
 
 from repro.nn.data import SyntheticCorpus
 from repro.nn.transformer import GPTConfig, GPTModel
-from repro.training.pipeline_train import GPipeScheduleTrainer, MobiusScheduleTrainer
+from repro.training.pipeline_train import MobiusScheduleTrainer
 
 __all__ = ["ConvergenceResult", "run_convergence_experiment"]
 
@@ -32,9 +33,6 @@ class ConvergenceResult:
         return max(
             abs(a - b) for a, b in zip(self.gpipe_loss, self.mobius_loss)
         )
-
-    def final_losses(self) -> tuple[float, float]:
-        return self.gpipe_loss[-1], self.mobius_loss[-1]
 
 
 def run_convergence_experiment(
@@ -60,8 +58,8 @@ def run_convergence_experiment(
 
     gpipe_model = GPTModel(config, seed=seed)
     mobius_model = GPTModel(config, seed=seed)
-    gpipe = GPipeScheduleTrainer(
-        gpipe_model, gpipe_gpus, lr=lr, n_microbatches=gpipe_gpus
+    gpipe = MobiusScheduleTrainer(
+        gpipe_model, gpipe_gpus, gpipe_gpus, lr=lr, n_microbatches=gpipe_gpus
     )
     mobius = MobiusScheduleTrainer(
         mobius_model, mobius_gpus, lr=lr, n_microbatches=mobius_gpus

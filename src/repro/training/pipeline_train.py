@@ -7,15 +7,18 @@ Executes real gradient computation in the *order* the schedulers prescribe:
   detached activation and backward receives the boundary activation
   gradient from its successor, exactly like activations/activation
   gradients crossing GPUs;
-* the :class:`MobiusScheduleTrainer` additionally enforces heterogeneous
-  memory semantics: stage parameters "live in DRAM" and at most
-  ``resident_limit`` stages may be resident per virtual GPU at any moment
-  (current + prefetched), with every swap recorded.
+* stage parameters "live in DRAM" and at most ``resident_limit`` stages
+  may be resident per virtual GPU at any moment (current + prefetched),
+  with every swap recorded.
 
-Because both schedules accumulate the same averaged microbatch gradients
-and update synchronously, their parameter trajectories match plain
-accumulation bit-for-bit up to float summation order — the §3.1 convergence
-argument, which the tests assert.
+One trainer runs both systems, because the schedules differ only in their
+stage count (§3.1): GPipe is :class:`MobiusScheduleTrainer` with
+``n_stages == n_gpus`` (one resident stage per GPU, nothing swapped between
+the forward and backward passes), Mobius the same loop with more stages than
+GPUs.  Both accumulate the same averaged microbatch gradients and update
+synchronously, so their parameter trajectories match plain accumulation
+bit-for-bit up to float summation order — the §3.1 convergence argument,
+which the tests assert.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.autograd.ops import cross_entropy_logits
 from repro.autograd.optim import Adam
 from repro.autograd.tensor import Tensor
 from repro.nn.data import Batch
@@ -32,7 +36,6 @@ from repro.nn.transformer import GPTModel
 __all__ = [
     "SwapEvent",
     "StagePartition",
-    "GPipeScheduleTrainer",
     "MobiusScheduleTrainer",
     "split_batch",
 ]
@@ -85,89 +88,6 @@ class StagePartition:
         return StagePartition(boundaries, n_layers)
 
 
-class _StagedStep:
-    """Shared staged forward/backward machinery for one optimizer step."""
-
-    def __init__(self, model: GPTModel, partition: StagePartition) -> None:
-        self.model = model
-        self.partition = partition
-
-    def run_stage_forward(self, stage: int, micro_input):
-        """Forward one microbatch through one stage.
-
-        Returns ``(boundary_input, output)`` where ``boundary_input`` is the
-        detached graph root that will receive the activation gradient.
-        """
-        start, stop = self.partition.stage_range(stage)
-        if stage == 0:
-            boundary = None
-            out = micro_input  # raw token ids
-        else:
-            boundary = Tensor(micro_input.data.copy(), requires_grad=True)
-            out = boundary
-        for layer in self.model.pipeline_layers[start:stop]:
-            out = layer(out)
-        return boundary, out
-
-    def backward_stage(self, outputs, seed_grad):
-        """Backward through one stage's graph; returns the input's gradient."""
-        boundary, out = outputs
-        out.backward(seed_grad)
-        return None if boundary is None else boundary.grad
-
-
-class GPipeScheduleTrainer:
-    """GPipe: one resident stage per GPU, all-forward then all-backward."""
-
-    def __init__(
-        self,
-        model: GPTModel,
-        n_gpus: int,
-        *,
-        lr: float = 3e-4,
-        n_microbatches: int | None = None,
-    ) -> None:
-        self.model = model
-        self.n_gpus = n_gpus
-        self.n_microbatches = n_microbatches or n_gpus
-        self.partition = StagePartition.uniform(model.n_pipeline_layers, n_gpus)
-        self.optimizer = Adam(model.parameters(), lr=lr)
-
-    def step(self, batch: Batch) -> float:
-        """One synchronous GPipe step; returns the mean loss."""
-        micros = split_batch(batch, self.n_microbatches)
-        staged = _StagedStep(self.model, self.partition)
-        s, m = self.partition.n_stages, len(micros)
-        self.optimizer.zero_grad()
-
-        acts = [[None] * m for _ in range(s)]
-        for j in range(s):
-            for mb in range(m):
-                source = micros[mb].inputs if j == 0 else acts[j - 1][mb][1]
-                acts[j][mb] = staged.run_stage_forward(j, source)
-
-        total = 0.0
-        seeds = [[None] * m for _ in range(s)]
-        from repro.autograd.ops import cross_entropy_logits
-
-        for j in range(s - 1, -1, -1):
-            for mb in range(m):
-                graph = acts[j][mb]
-                if j == s - 1:
-                    boundary, out = graph
-                    loss = cross_entropy_logits(out, micros[mb].targets) * (1.0 / m)
-                    total += loss.item()
-                    loss.backward()
-                    seed = None if boundary is None else boundary.grad
-                else:
-                    seed = staged.backward_stage(graph, seeds[j + 1][mb])
-                if j:
-                    seeds[j][mb] = seed
-
-        self.optimizer.step()
-        return total
-
-
 class MobiusScheduleTrainer:
     """Mobius: more stages than GPUs, swapped through heterogeneous memory.
 
@@ -175,7 +95,9 @@ class MobiusScheduleTrainer:
     ``resident_limit`` stages are resident per GPU (the current one plus the
     prefetched next one).  Swaps are recorded in :attr:`swap_events` and the
     residency invariant is enforced, so tests can check the §3.1 schedule
-    semantics while the gradients stay identical to GPipe's.
+    semantics while the gradients stay identical to GPipe's.  With
+    ``n_stages=n_gpus`` this is the GPipe schedule: all forward, then all
+    backward, one resident stage per GPU.
     """
 
     def __init__(
@@ -220,10 +142,26 @@ class MobiusScheduleTrainer:
             self._resident[gpu].remove(stage)
             self.swap_events.append(SwapEvent("free", stage, gpu, phase))
 
+    def _stage_forward(self, stage: int, micro_input):
+        """Forward one microbatch through one stage.
+
+        Returns ``(boundary_input, output)`` where ``boundary_input`` is the
+        detached graph root that will receive the activation gradient.
+        """
+        start, stop = self.partition.stage_range(stage)
+        if stage == 0:
+            boundary = None
+            out = micro_input  # raw token ids
+        else:
+            boundary = Tensor(micro_input.data.copy(), requires_grad=True)
+            out = boundary
+        for layer in self.model.pipeline_layers[start:stop]:
+            out = layer(out)
+        return boundary, out
+
     def step(self, batch: Batch) -> float:
-        """One synchronous Mobius step; returns the mean loss."""
+        """One synchronous step; returns the mean loss."""
         micros = split_batch(batch, self.n_microbatches)
-        staged = _StagedStep(self.model, self.partition)
         s, m = self.partition.n_stages, len(micros)
         n = self.n_gpus
         self.optimizer.zero_grad()
@@ -233,26 +171,23 @@ class MobiusScheduleTrainer:
             self._upload(j, "forward")
             for mb in range(m):
                 source = micros[mb].inputs if j == 0 else acts[j - 1][mb][1]
-                acts[j][mb] = staged.run_stage_forward(j, source)
+                acts[j][mb] = self._stage_forward(j, source)
             if j < s - n:  # the top N stages stay resident for backward
                 self._free(j, "forward")
 
         total = 0.0
         seeds = [[None] * m for _ in range(s)]
-        from repro.autograd.ops import cross_entropy_logits
-
         for j in range(s - 1, -1, -1):
             self._upload(j, "backward")
             for mb in range(m):
-                graph = acts[j][mb]
+                boundary, out = acts[j][mb]
                 if j == s - 1:
-                    boundary, out = graph
                     loss = cross_entropy_logits(out, micros[mb].targets) * (1.0 / m)
                     total += loss.item()
                     loss.backward()
-                    seed = None if boundary is None else boundary.grad
                 else:
-                    seed = staged.backward_stage(graph, seeds[j + 1][mb])
+                    out.backward(seeds[j + 1][mb])
+                seed = None if boundary is None else boundary.grad
                 if j:
                     seeds[j][mb] = seed
             self._free(j, "backward")

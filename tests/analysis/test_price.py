@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.price import PricePoint, price_comparison
+from repro.analysis.price import PricePoint
 from repro.hardware.pricing import COMMODITY_4X3090TI, EC2_P3_8XLARGE
 
 
@@ -17,15 +17,3 @@ class TestPricePoints:
         mobius_c = PricePoint("Mobius", COMMODITY_4X3090TI, 14.2)
         assert mobius_c.step_seconds > ds_dc.step_seconds
         assert mobius_c.step_price_usd < ds_dc.step_price_usd
-
-    def test_comparison_table(self):
-        points = [
-            PricePoint("DeepSpeed", EC2_P3_8XLARGE, 10.0),
-            PricePoint("Mobius", COMMODITY_4X3090TI, 14.0),
-        ]
-        rows = price_comparison(points)
-        assert len(rows) == 2
-        assert rows[0]["system"] == "DeepSpeed"
-        assert rows[1]["step_price_usd"] == pytest.approx(
-            COMMODITY_4X3090TI.hourly_usd * 14.0 / 3600.0
-        )

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.autograd.ops import cross_entropy_logits, embedding, gelu, layer_norm
+from repro.autograd.ops import cross_entropy_logits, embedding, layer_norm
 from repro.autograd.tensor import Tensor
 
 from tests.autograd.test_tensor import numeric_grad
-from tests.nn.composed_block import causal_mask_fill, softmax
+from tests.nn.composed_block import causal_mask_fill, gelu, softmax
 
 
 @pytest.fixture

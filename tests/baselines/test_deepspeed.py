@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.deepspeed import DeepSpeedConfig, run_deepspeed
 from repro.hardware.topology import datacenter_server, topo_2_2, topo_4
 from repro.models.spec import FP16_BYTES
+from tests.helpers import compute_seconds
 
 
 @pytest.fixture
@@ -70,7 +71,7 @@ class TestContention:
 
 class TestConfig:
     def test_all_gpus_compute_equally(self, report, topo22):
-        times = [report.trace.compute_seconds(g) for g in range(topo22.n_gpus)]
+        times = [compute_seconds(report.trace, g) for g in range(topo22.n_gpus)]
         assert max(times) == pytest.approx(min(times), rel=1e-9)
 
     def test_lockstep_toggle_runs(self, tiny_model, topo22):
@@ -85,7 +86,7 @@ class TestConfig:
         two = run_deepspeed(
             tiny_model, topo22, DeepSpeedConfig(microbatch_size=1, microbatches_per_gpu=2)
         )
-        assert two.trace.compute_seconds() > one.trace.compute_seconds()
+        assert compute_seconds(two.trace) > compute_seconds(one.trace)
 
     def test_collective_latency_adds_time(self, tiny_model, topo22):
         fast = run_deepspeed(

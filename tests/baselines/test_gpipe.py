@@ -9,6 +9,7 @@ from repro.baselines.gpipe import (
 )
 from repro.hardware.topology import topo_2_2
 from repro.models.zoo import gpt_3b, gpt_8b
+from tests.helpers import compute_seconds
 
 
 class TestMemoryBehaviour:
@@ -44,8 +45,8 @@ class TestSchedules:
     def test_1f1b_matches_gpipe_compute(self, tiny_model, topo22):
         gpipe = run_gpipe(tiny_model, topo22, microbatch_size=1)
         onefb = run_deepspeed_pipeline(tiny_model, topo22, microbatch_size=1)
-        assert gpipe.trace.compute_seconds() == pytest.approx(
-            onefb.trace.compute_seconds(), rel=1e-9
+        assert compute_seconds(gpipe.trace) == pytest.approx(
+            compute_seconds(onefb.trace), rel=1e-9
         )
 
     def test_1f1b_not_slower_than_gpipe(self, tiny_model, topo22):
@@ -63,6 +64,6 @@ class TestSchedules:
     def test_step_exceeds_critical_path(self, tiny_model, topo22):
         report = run_gpipe(tiny_model, topo22, microbatch_size=1)
         per_gpu = max(
-            report.trace.compute_seconds(g) for g in range(topo22.n_gpus)
+            compute_seconds(report.trace, g) for g in range(topo22.n_gpus)
         )
         assert report.step_seconds >= per_gpu

@@ -7,6 +7,7 @@ from repro.baselines.zero_offload import run_zero_offload
 from repro.hardware.topology import topo_2_2
 from repro.models.spec import FP16_BYTES
 from repro.models.zoo import gpt_3b, gpt_8b, gpt_15b
+from tests.helpers import compute_seconds
 
 
 class TestMemoryBoundary:
@@ -54,7 +55,7 @@ class TestBehaviour:
             cm.layer_cost(l).fwd_seconds + cm.layer_cost(l).bwd_seconds
             for l in tiny_model.layers
         )
-        assert report.trace.compute_seconds(0) == pytest.approx(per_gpu, rel=1e-9)
+        assert compute_seconds(report.trace, 0) == pytest.approx(per_gpu, rel=1e-9)
 
     def test_faster_than_zero3_on_fitting_models(self, tiny_model, topo22):
         from repro.baselines.deepspeed import DeepSpeedConfig, run_deepspeed

@@ -10,7 +10,6 @@ from repro.check.analysis import (
     AnalysisConfig,
     Program,
     analyze_program,
-    analyze_tree,
     run_lint,
 )
 from repro.check.analysis.callgraph import build_call_graph
@@ -85,7 +84,7 @@ class TestClockAllowlist:
                 {"src/repro/faults/bench.py::Bench.report"}
             ),
         )
-        report = analyze_tree(root, config=config)
+        report = analyze_program(Program.from_tree(root), config)
         flagged_lines = [f.subject for f in report if f.code == "MOB004"]
         # Only the non-allowlisted method is flagged.
         assert len(flagged_lines) == 1

@@ -9,11 +9,25 @@ import pytest
 from repro.check.trace_check import check_task_graph, sanitize_run, sanitize_trace
 from repro.hardware.topology import topo_2_2
 from repro.sim.tasks import ComputeTask, TaskGraphRunner, TransferTask
-from repro.sim.trace import ComputeSpan, Trace, TransferSpan
+from repro.sim.trace import Trace
 
 
 def _codes(report):
     return {f.code for f in report}
+
+
+def _raw_compute(trace, gpu, start, end, label):
+    """Record a compute span past ``Trace.add_compute``'s validation."""
+    trace._compute_store.append_row((gpu, start, end), label)
+
+
+def _raw_transfer(trace, gpu, start, end, nbytes, kind, label):
+    """Record a transfer span past ``Trace.add_transfer``'s validation."""
+    store = trace._transfer_store
+    store.append_row(
+        (gpu, start, end, nbytes, isinstance(nbytes, int), store.code_for(kind)),
+        label,
+    )
 
 
 @pytest.fixture
@@ -51,24 +65,24 @@ class TestSanitizeTrace:
     def test_nan_timestamp_flagged(self, topo):
         # The Trace guards reject NaN at insertion; simulate a corrupted
         # trace (e.g. deserialized from a damaged file) by appending the
-        # span directly.
+        # row to the column store directly.
         trace = Trace(4)
-        trace.compute.append(ComputeSpan(0, float("nan"), 1.0, "F0,0"))
+        _raw_compute(trace, 0, float("nan"), 1.0, "F0,0")
         assert _codes(sanitize_trace(trace, topo)) == {"TRACE-FINITE"}
 
     def test_backwards_span_flagged(self, topo):
         trace = Trace(4)
-        trace.compute.append(ComputeSpan(0, 2.0, 1.0, "F0,0"))
+        _raw_compute(trace, 0, 2.0, 1.0, "F0,0")
         assert "TRACE-NEG-DURATION" in _codes(sanitize_trace(trace, topo))
 
     def test_gpu_out_of_range_flagged(self, topo):
         trace = Trace(4)
-        trace.compute.append(ComputeSpan(7, 0.0, 1.0, "F0,0"))
+        _raw_compute(trace, 7, 0.0, 1.0, "F0,0")
         assert "TRACE-GPU-RANGE" in _codes(sanitize_trace(trace, topo))
 
     def test_negative_bytes_flagged(self, topo):
         trace = Trace(4)
-        trace.transfers.append(TransferSpan(0, 0.0, 1.0, -5.0, "x", "x"))
+        _raw_transfer(trace, 0, 0.0, 1.0, -5.0, "x", "x")
         assert "TRACE-NEG-BYTES" in _codes(sanitize_trace(trace, topo))
 
     def test_impossible_bandwidth_flagged(self, topo):

@@ -60,6 +60,11 @@ class TestConstructorValidation:
             labels.activation_label("F", 0, 0)
 
 
+def _is_valid_label(label: str) -> bool:
+    """Whether ``label`` belongs to the emitter's label grammar."""
+    return any(pattern.match(label) for pattern in labels.ALL_LABEL_PATTERNS)
+
+
 class TestIsValidLabel:
     def test_accepts_every_constructor_output(self):
         produced = [
@@ -72,17 +77,17 @@ class TestIsValidLabel:
             labels.grad_offload_label(5),
         ]
         for label in produced:
-            assert labels.is_valid_label(label), label
+            assert _is_valid_label(label), label
 
     def test_rejects_ad_hoc_labels(self):
         for label in ("fwd-0", "U1.partial", "F0", "Ub1.pre", "S1,2", ""):
-            assert not labels.is_valid_label(label), label
+            assert not _is_valid_label(label), label
 
     def test_patterns_are_anchored(self):
         # A drifting suffix must not slip past the contract (the bug class
         # that motivated extracting it from memory_audit).
-        assert not labels.is_valid_label("U3.pre.extra")
-        assert not labels.is_valid_label("xF0,1")
+        assert not _is_valid_label("U3.pre.extra")
+        assert not _is_valid_label("xF0,1")
 
 
 class TestAuditorUsesSharedContract:

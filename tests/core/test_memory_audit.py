@@ -10,6 +10,7 @@ from repro.hardware.topology import commodity_server, topo_2_2
 from repro.models.spec import build_gpt_like
 
 from tests.core.memory_audit import audit_mobius_memory
+from tests.helpers import mem_peak
 
 
 @pytest.fixture
@@ -41,7 +42,7 @@ class TestMemoryAudit:
 
         cm = CostModel(RTX_3090TI, 2)
         biggest = max(
-            cm.stage_cost(model, i, i + 1).mem_peak(4) for i in range(model.n_layers)
+            mem_peak(cm.stage_cost(model, i, i + 1), 4) for i in range(model.n_layers)
         )
         # A GPU whose usable memory is only ~2.2x the biggest single-layer
         # stage: the plan has to run close to capacity.

@@ -9,6 +9,7 @@ from repro.hardware.gpu import RTX_3090TI
 from repro.models.costmodel import CostModel
 from repro.models.spec import build_gpt_like
 from tests.core.literal_mip import MIP, build_partition_mip, solve_partition_mip
+from tests.helpers import mem_peak
 
 BW = 13.1e9
 
@@ -61,7 +62,7 @@ class TestFormulation:
         )
         for stage in range(milp.partition.n_stages):
             start, stop = milp.partition.stage_layers(stage)
-            assert cm.stage_cost(small_model, start, stop).mem_peak(2) <= gpu_memory
+            assert mem_peak(cm.stage_cost(small_model, start, stop), 2) <= gpu_memory
 
     def test_per_stage_solutions_reported(self, small_model, cm):
         milp = solve_partition_mip(

@@ -13,6 +13,7 @@ from repro.core.partition import (
 from repro.hardware.gpu import RTX_3090TI
 from repro.models.costmodel import CostModel, StageCost
 from repro.models.spec import LayerKind, build_gpt_like
+from tests.helpers import mem_peak
 
 BW = 13.1e9
 
@@ -47,13 +48,13 @@ class TestMipPartition:
 
     def test_memory_constrained_search(self, model, cm):
         biggest_layer = max(
-            cm.stage_cost(model, i, i + 1).mem_peak(2) for i in range(model.n_layers)
+            mem_peak(cm.stage_cost(model, i, i + 1), 2) for i in range(model.n_layers)
         )
         gpu_memory = int(biggest_layer * 2.5)
         result = mip_partition(model, cm, 2, 2, BW, gpu_memory=gpu_memory, time_limit=5.0)
         for stage in range(result.partition.n_stages):
             start, stop = result.partition.stage_layers(stage)
-            assert cm.stage_cost(model, start, stop).mem_peak(2) <= gpu_memory
+            assert mem_peak(cm.stage_cost(model, start, stop), 2) <= gpu_memory
 
     def test_impossible_memory_raises(self, model, cm):
         with pytest.raises(ValueError):
@@ -73,7 +74,7 @@ class TestMipPartition:
 class TestMaxStagePartition:
     def test_greedy_packs_to_memory_limit(self, model, cm):
         biggest_layer = max(
-            cm.stage_cost(model, i, i + 1).mem_peak(2) for i in range(model.n_layers)
+            mem_peak(cm.stage_cost(model, i, i + 1), 2) for i in range(model.n_layers)
         )
         gpu_memory = int(biggest_layer * 3.2)
         result = max_stage_partition(model, cm, 2, 2, BW, gpu_memory=gpu_memory)
@@ -83,7 +84,7 @@ class TestMaxStagePartition:
         for stage in range(partition.n_stages - 1):
             start, stop = partition.stage_layers(stage)
             grown = cm.stage_cost(model, start, stop + 1)
-            assert grown.mem_peak(2) > gpu_memory
+            assert mem_peak(grown, 2) > gpu_memory
 
     def test_single_layer_too_big_raises(self, model, cm):
         with pytest.raises(ValueError):
@@ -189,7 +190,7 @@ class TestBoundAdmissibility:
         gpu_memory = cm.usable_gpu_bytes()
         if layers_per_gpu is not None:
             biggest_layer = max(
-                cm.stage_cost(model, i, i + 1).mem_peak(n_gpus) for i in range(model.n_layers)
+                mem_peak(cm.stage_cost(model, i, i + 1), n_gpus) for i in range(model.n_layers)
             )
             gpu_memory = int(biggest_layer * layers_per_gpu)
         return model, cm, n_gpus, gpu_memory
@@ -503,11 +504,11 @@ class TestSearchSpace:
         exactly the longest run of Eq. 4-feasible lengths from each start."""
         from repro.core.partition import _SearchContext
         from repro.hardware import topology as topologies
-        from repro.models.zoo import TABLE3_MODELS, gpt2_small
+        from repro.models.zoo import gpt2_small, gpt_3b, gpt_8b, gpt_15b, gpt_51b
 
         topology = getattr(topologies, topology_name)()
         n_gpus = topology.n_gpus
-        for model in (*TABLE3_MODELS(), gpt2_small()):
+        for model in (gpt_3b(), gpt_8b(), gpt_15b(), gpt_51b(), gpt2_small()):
             for microbatch_size in (1, 2, 4, 8):
                 cost_model = CostModel(topology.gpu_spec, microbatch_size)
                 gpu_memory = cost_model.usable_gpu_bytes()
@@ -517,7 +518,7 @@ class TestSearchSpace:
                 for start in range(model.n_layers):
                     run = 0
                     for stop in range(start + 1, model.n_layers + 1):
-                        if cost_model.stage_cost(model, start, stop).mem_peak(n_gpus) > gpu_memory:
+                        if mem_peak(cost_model.stage_cost(model, start, stop), n_gpus) > gpu_memory:
                             break
                         run = stop - start
                     assert ctx.max_stage_len(start) == run, (
@@ -532,12 +533,12 @@ class TestSearchSpace:
         from repro.core.partition import _SearchContext
         from repro.core.timing import _bwd_upload_bytes
         from repro.hardware import topology as topologies
-        from repro.models.zoo import TABLE3_MODELS, gpt2_small
+        from repro.models.zoo import gpt2_small, gpt_3b, gpt_8b, gpt_15b, gpt_51b
 
         topology = getattr(topologies, topology_name)()
         m = topology.n_gpus
         bandwidth = topology.pcie_bandwidth
-        for model in (*TABLE3_MODELS(), gpt2_small()):
+        for model in (gpt_3b(), gpt_8b(), gpt_15b(), gpt_51b(), gpt2_small()):
             for microbatch_size in (1, 2, 4, 8):
                 cost_model = CostModel(topology.gpu_spec, microbatch_size)
                 gpu_memory = cost_model.usable_gpu_bytes()
@@ -564,5 +565,5 @@ class TestSearchSpace:
                             cost.mem_fwd(m),
                             cost.mem_bwd(m),
                             _bwd_upload_bytes(cost, m),
-                            cost.mem_peak(m) <= gpu_memory,
+                            mem_peak(cost, m) <= gpu_memory,
                         ), (model.name, microbatch_size, start, stop)

@@ -6,6 +6,7 @@ from repro.core.api import MobiusConfig, plan_mobius, run_mobius
 from repro.core.pipeline import simulate_mobius
 from repro.hardware.topology import topo_2_2
 from repro.models.spec import FP16_BYTES
+from tests.helpers import compute_seconds
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ class TestSimulation:
         expected = sum(
             (c.fwd_seconds + c.bwd_seconds) * plan.n_microbatches for c in costs
         )
-        assert run.trace.compute_seconds() == pytest.approx(expected, rel=1e-6)
+        assert compute_seconds(run.trace) == pytest.approx(expected, rel=1e-6)
 
     def test_param_upload_traffic_near_2x(self, plan_report, topo22, tiny_model):
         """Eq. 1: parameters transferred ~2x FP16 size (minus resident tail)."""
@@ -65,7 +66,7 @@ class TestSimulation:
     def test_every_gpu_computes(self, plan_report, topo22):
         run = simulate_mobius(plan_report.plan, topo22, plan_report.cost_model)
         for gpu in range(topo22.n_gpus):
-            assert run.trace.compute_seconds(gpu) > 0
+            assert compute_seconds(run.trace, gpu) > 0
 
     def test_stage_cost_count_must_match(self, plan_report, topo22):
         from repro.core.pipeline import build_mobius_tasks

@@ -10,6 +10,7 @@ from repro.core.timing import evaluate_pipeline, prefetch_budgets
 from repro.hardware.gpu import RTX_3090TI
 from repro.models.costmodel import CostModel
 from repro.models.spec import build_gpt_like
+from tests.helpers import mem_peak
 
 BW = 13.1e9
 BIG_MEMORY = 1 << 62
@@ -116,7 +117,7 @@ class TestPrefetchBudgets:
         assert bwd[-1] == 0 and bwd[-2] == 0
 
     def test_zero_memory_headroom_forces_sync_upload(self, stage_costs):
-        gpu_memory = max(c.mem_peak(2) for c in stage_costs)
+        gpu_memory = max(mem_peak(c, 2) for c in stage_costs)
         timings_lo = evaluate_pipeline(stage_costs, 2, 2, BW, gpu_memory)
         timings_hi = evaluate_pipeline(stage_costs, 2, 2, BW, BIG_MEMORY)
         assert timings_hi.step_seconds <= timings_lo.step_seconds + 1e-12

@@ -12,12 +12,12 @@ from repro.experiments import ALL_EXPERIMENTS
 def test_experiment_module_contract(name):
     module = importlib.import_module(f"repro.experiments.{name}")
     assert callable(module.run), name
-    assert callable(module.main), name
-    # run() takes at most `fast` plus an optional `jobs` fan-out knob.
+    # The suite calls every run() the same way, run(fast=...).
     params = inspect.signature(module.run).parameters
-    assert set(params) <= {"fast", "jobs"}, name
-    for extra in set(params) - {"fast"}:
-        assert params[extra].default is None, (name, extra)
+    assert set(params) == {"fast"}, name
+    assert params["fast"].default is False, name
+    # `repro figures` is the one way to print a figure.
+    assert not hasattr(module, "main"), name
     # cells() is the scheduler's enumeration protocol: every module must
     # expose it (cell-less figures return an empty tuple) so the suite
     # drain can never silently skip a figure's work.

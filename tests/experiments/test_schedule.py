@@ -226,7 +226,7 @@ class TestDrain:
                 from repro.experiments.runner import run_cell
 
                 result = run_cell(cell)
-                cache.store("system", cell, result)
+                cache.memoize("system", cell, lambda: result)
                 holder.release("system", digest)
 
             monkeypatch.setattr(

@@ -96,30 +96,14 @@ class TestRunChaos:
         )
 
     def test_matrix_shape_and_ok(self, report):
-        assert len(report.results) == 2
-        assert report.ok
-
-    def test_json_round_trip(self, report):
-        payload = json.loads(report.to_json())
-        assert payload["ok"] is True
-        assert payload["n_results"] == 2
-        assert {r["scenario"] for r in payload["results"]} == {"clean", "flaky"}
+        assert [r.scenario for r in report.results] == ["clean", "flaky"]
+        assert all(result.ok for result in report.results)
 
     def test_reports_are_deterministic(self, report):
         again = run_chaos(
             cells=[default_corpus()[0]], scenarios=("clean", "flaky"), n_steps=2
         )
-        assert again.to_json() == report.to_json()
-
-    def test_progress_callback_sees_every_pair(self):
-        seen = []
-        run_chaos(
-            cells=[default_corpus()[0]],
-            scenarios=("clean",),
-            n_steps=1,
-            progress=seen.append,
-        )
-        assert seen == [f"{default_corpus()[0].name} / clean"]
+        assert again.results == report.results
 
 
 class TestCli:

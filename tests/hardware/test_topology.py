@@ -212,7 +212,6 @@ class TestPathTables:
         for eid, edge in enumerate(topo.links):
             assert topo.link_id(edge) == eid
             assert topo.bandwidth_of(edge) == topo.link_bandwidths[eid]
-        assert list(topo.iter_links()) == list(zip(topo.links, topo.link_bandwidths))
 
 
 def test_topology_and_simulator_import_without_networkx():

@@ -66,10 +66,6 @@ class TestStageCost:
         stage = cm.stage_cost(model, 1, 4)
         assert stage.mem_bwd(4) > stage.mem_fwd(4)
 
-    def test_mem_peak_is_max(self, model, cm):
-        stage = cm.stage_cost(model, 1, 4)
-        assert stage.mem_peak(4) == max(stage.mem_fwd(4), stage.mem_bwd(4))
-
     def test_static_residency_16_bytes_per_param(self, model, cm):
         stage = cm.stage_cost(model, 1, 4)
         n_params = stage.param_bytes // 2
@@ -88,7 +84,7 @@ class TestStageCost:
 
     def test_partition_covers_model(self, model, cm):
         stages = cm.stage_costs_for_partition(model, [2, 5])
-        assert sum(s.n_layers for s in stages) == model.n_layers
+        assert sum(len(s.layer_costs) for s in stages) == model.n_layers
 
     def test_usable_gpu_bytes(self, cm):
         assert cm.usable_gpu_bytes() == RTX_3090TI.memory_bytes - FRAMEWORK_OVERHEAD_BYTES

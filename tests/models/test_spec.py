@@ -4,7 +4,6 @@ import pytest
 
 from repro.models.spec import FP16_BYTES, FP32_BYTES, LayerKind, build_gpt_like
 from repro.models.zoo import (
-    TABLE3_MODELS,
     gpt2_small,
     gpt_3b,
     gpt_8b,
@@ -107,7 +106,7 @@ class TestTable3:
         assert model.param_count == pytest.approx(billions * 1e9, rel=0.20)
 
     def test_zoo_ordering(self):
-        sizes = [m.param_count for m in TABLE3_MODELS()]
+        sizes = [m.param_count for m in (gpt_3b(), gpt_8b(), gpt_15b(), gpt_51b())]
         assert sizes == sorted(sizes)
 
     def test_model_by_name(self):

@@ -7,7 +7,7 @@ from repro.autograd.tensor import Tensor
 from repro.nn.data import SyntheticCorpus
 from repro.nn.layers import Linear
 from repro.nn.transformer import GPTConfig, GPTModel, TransformerBlock
-from repro.training.pipeline_train import GPipeScheduleTrainer, MobiusScheduleTrainer
+from repro.training.pipeline_train import MobiusScheduleTrainer
 
 from tests.nn.composed_block import ComposedBlock, composed_model
 
@@ -43,7 +43,7 @@ def test_block_matches_composed_oracle(batch, seq, n_heads):
 @pytest.mark.parametrize(
     "make_trainer",
     [
-        lambda model: GPipeScheduleTrainer(model, 4),
+        lambda model: MobiusScheduleTrainer(model, 4, n_stages=4),
         lambda model: MobiusScheduleTrainer(model, 2, n_stages=6, n_microbatches=4),
     ],
     ids=["gpipe", "mobius"],

@@ -35,7 +35,7 @@ class TestModule:
 
     def test_n_parameters(self, rng):
         layer = Linear(4, 3, rng=rng)
-        assert layer.n_parameters() == 4 * 3 + 3
+        assert sum(p.size for p in layer.parameters()) == 4 * 3 + 3
 
 
 class TestLinear:

@@ -209,7 +209,7 @@ class TestDurableBackendTier:
         with DurableStore(tmp_path / "s.sqlite") as store:
             with cache_overridden(memory=True, disk=False) as cache:
                 cache.use_store(store)
-                cache.store("ns", ("key",), "durable-value")
+                cache.memoize("ns", ("key",), lambda: "durable-value")
                 cache.clear_memory()  # simulate a restarted process
                 calls = []
                 value = cache.memoize(
@@ -244,7 +244,7 @@ class TestDurableBackendTier:
         with DurableStore(tmp_path / "s.sqlite") as store:
             with cache_overridden(memory=True, disk=False) as cache:
                 cache.use_store(store)
-                cache.store("ns", ("key",), "durable-value")
+                cache.memoize("ns", ("key",), lambda: "durable-value")
                 cache.use_store(None)
                 cache.clear_memory()
                 assert cache.lookup("ns", ("key",)) == (None, False)

@@ -388,7 +388,7 @@ def _run_fuzz(
 
         sim.schedule_at(at, arrive)
     if with_scales:
-        edges = sorted(edge for edge, _ in topology.iter_links())
+        edges = sorted(topology.links)
         for _ in range(6):
             edge = rng.choice(edges)
             factor = rng.choice((0.25, 0.5, 0.75))
@@ -550,7 +550,7 @@ def _run_coincident_fuzz(topology, seed, network_type, mode):
 
     for _ in range(24):
         sim.schedule_at(_GRID * rng.randrange(12), lambda: launch(0))
-    edges = sorted(edge for edge, _ in topology.iter_links())
+    edges = sorted(topology.links)
     for _ in range(6):
         start = _GRID * rng.randrange(10)
         network.set_bandwidth_scale(

@@ -1,5 +1,6 @@
 """Tests for compute units and the bandwidth-shared flow network."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -41,14 +42,6 @@ class TestComputeUnit:
         sim.run()
         assert ends == [1.0, 3.0]
 
-    def test_busy_seconds_accumulate(self):
-        sim = Simulator()
-        unit = ComputeUnit(sim, "gpu0")
-        unit.submit(1.5, lambda: None)
-        unit.submit(0.5, lambda: None)
-        sim.run()
-        assert unit.busy_seconds == pytest.approx(2.0)
-
     def test_zero_length_task(self):
         sim = Simulator()
         unit = ComputeUnit(sim, "gpu0")
@@ -70,7 +63,6 @@ class TestComputeUnit:
         unit = ComputeUnit(sim, "gpu0")
         with pytest.raises(ValueError):
             unit.submit(seconds, lambda: None)
-        assert not unit.busy
         ends = []
         unit.submit(1.0, lambda: ends.append(sim.now))
         sim.run()
@@ -383,39 +375,6 @@ class TestOverlappingScaleWindows:
         assert done[0] == pytest.approx(2.125, rel=1e-6)
 
 
-class TestBusySecondsAccrual:
-    """Regression: ``busy_seconds`` was credited in full when a task
-    *started*, so a paused simulation over-reported utilisation.  It now
-    accrues on completion and pro-rates the in-flight task at ``run(until=)``.
-    """
-
-    def test_in_flight_task_pro_rated_at_pause(self):
-        sim = Simulator()
-        unit = ComputeUnit(sim, "gpu0")
-        unit.submit(2.0, lambda: None)
-        sim.run(until=0.75)
-        assert unit.busy_seconds == pytest.approx(0.75)
-        sim.run()
-        assert unit.busy_seconds == pytest.approx(2.0)
-
-    def test_not_credited_before_work_happens(self):
-        sim = Simulator()
-        unit = ComputeUnit(sim, "gpu0")
-        unit.submit(5.0, lambda: None)
-        assert unit.busy_seconds == 0.0
-        sim.run(until=0.0)
-        assert unit.busy_seconds == 0.0
-
-    def test_queued_tasks_not_counted_while_waiting(self):
-        sim = Simulator()
-        unit = ComputeUnit(sim, "gpu0")
-        unit.submit(1.0, lambda: None)
-        unit.submit(1.0, lambda: None)
-        sim.run(until=1.5)
-        # First task finished (1.0), second is half-way (0.5).
-        assert unit.busy_seconds == pytest.approx(1.5)
-
-
 class RecordingNetwork(FlowNetwork):
     """Records the live flows and their rates after every flush."""
 
@@ -456,7 +415,7 @@ class TestRateMemo:
         assert not network._rate_memo
         assert not network._class_ids
         # The counters the allocator produced before the memo existed.
-        assert network.stats.as_dict() == {
+        assert dataclasses.asdict(network.stats) == {
             "reallocations": 91,
             "flows_touched": 140,
             "components_filled": 94,

@@ -11,6 +11,7 @@ from repro.sim.trace import (
     subtract_intervals,
     total_length,
 )
+from tests.helpers import compute_seconds
 
 GB = 1e9
 
@@ -131,8 +132,8 @@ class TestTrace:
 
     def test_compute_seconds(self):
         trace = self.make_trace()
-        assert trace.compute_seconds(0) == pytest.approx(2.0)
-        assert trace.compute_seconds() == pytest.approx(4.0)
+        assert compute_seconds(trace, 0) == pytest.approx(2.0)
+        assert compute_seconds(trace) == pytest.approx(4.0)
 
     def test_invalid_gpu_count(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,10 @@
 """Columnar trace storage: cache tokens, kind interning, pickling.
 
 The storage rewrite (DESIGN.md §12) must be invisible through the public
-``Trace`` API: the ``compute``/``transfers`` views behave like the
-historical span lists, ``__mobius_fingerprint__`` is byte-identical
-(including the Python numeric type of transfer byte counts), and every
-derived cache invalidates on mutation via the store's generation counter —
-never via the ``(id, len)`` token whose collisions these tests pin down.
+``Trace`` API: ``compute``/``transfers`` materialize the recorded spans as
+tuples, ``__mobius_fingerprint__`` is byte-identical (including the Python
+numeric type of transfer byte counts), and every derived cache invalidates
+on mutation via the store's generation counter.
 """
 
 import pickle
@@ -39,32 +38,18 @@ class TestGenerationToken:
         assert len(after["nbytes"]) == 4
         assert after["nbytes"][-1] == 500
 
-    def test_same_length_replacement_not_served_stale(self):
-        """The ``(id(list), len(list))`` collision the old token allowed:
-        replacing the spans with a same-length set must refresh every view.
-        """
-        trace = make_trace()
-        assert trace.total_transfer_bytes() == 7_000_000
-        trace.transfers = [
-            TransferSpan(0, 0.0, 1.0, 10.0, "param-upload"),
-            TransferSpan(0, 1.0, 2.0, 20.0, "param-upload"),
-            TransferSpan(0, 2.0, 3.0, 30.0, "param-upload"),
-        ]
-        assert trace.total_transfer_bytes() == 60.0
-        assert trace.total_transfer_bytes(kinds=("param-upload",)) == 60.0
-
     def test_view_append_invalidates_kind_masks(self):
         trace = make_trace()
         assert trace.total_transfer_bytes(kinds=("grad-offload",)) == 2_000_000
-        trace.transfers.append(TransferSpan(0, 3.0, 4.0, 8, "grad-offload"))
+        trace.add_transfer(0, 3.0, 4.0, 8, "grad-offload")
         assert trace.total_transfer_bytes(kinds=("grad-offload",)) == 2_000_008
 
     def test_materialized_spans_refresh_after_append(self):
         trace = make_trace()
-        assert len(list(trace.transfers)) == 3
-        trace.transfers.append(TransferSpan(0, 3.0, 4.0, 8, "x"))
-        assert len(list(trace.transfers)) == 4
-        assert trace.transfers[-1].nbytes == 8
+        assert len(trace.transfers) == 3
+        trace.add_transfer(0, 3.0, 4.0, 8, "x")
+        assert len(trace.transfers) == 4
+        assert trace.transfers[-1] == TransferSpan(0, 3.0, 4.0, 8, "x")
 
 
 class TestKindInterning:
@@ -151,14 +136,14 @@ class TestColumnarDigest:
 
 
 class TestViewListBehavior:
-    """The historical list API the rest of the codebase (and tests) use."""
+    """``compute``/``transfers`` are read-only tuples of span records."""
 
     def test_equality_against_lists_and_views(self):
         trace = make_trace()
-        spans = [
+        spans = (
             ComputeSpan(0, 0.0, 1.0, "fwd0"),
             ComputeSpan(1, 0.5, 2.0, "fwd1"),
-        ]
+        )
         assert trace.compute == spans
         assert trace.compute == make_trace().compute
         assert not (trace.compute == spans[:1])
@@ -167,16 +152,6 @@ class TestViewListBehavior:
         trace = make_trace()
         assert trace.transfers[0].kind == "param-upload"
         assert [s.label for s in trace.transfers[1:]] == ["g1", "w2"]
-
-    def test_setter_replaces_contents(self):
-        trace = make_trace()
-        trace.compute = [ComputeSpan(0, 0.0, 0.5)]
-        assert len(trace.compute) == 1
-        assert trace.makespan == 2.5  # transfers untouched
-
-    def test_views_unhashable_like_lists(self):
-        with pytest.raises(TypeError):
-            hash(make_trace().compute)
 
     def test_invalid_spans_rejected(self):
         trace = Trace(1)

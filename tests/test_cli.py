@@ -60,7 +60,11 @@ class TestCommands:
 
     def test_figures_unknown_name(self, capsys):
         code = main(["figures", "fig99"])
-        assert code == 1
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no experiments match fig99; known: table1_gpus")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_failed_cell_is_one_error_line(self, monkeypatch, tmp_path, capsys):
         from repro.serve import supervisor as supervisor_mod
@@ -122,6 +126,7 @@ class TestNumericArguments:
             ["bench", "suite", "--jobs", "0"],
             ["serve", "--workers", "0"],
             ["serve", "--rounds", "0"],
+            ["serve", "--deadline-nodes", "0"],
             ["plan", "--microbatch", "-1"],
             ["plan", "--microbatch", "0"],
             ["compare", "--microbatch", "two"],

@@ -13,6 +13,7 @@ from repro.core.pipeline import simulate_mobius
 from repro.hardware.gpu import RTX_3090TI
 from repro.hardware.topology import commodity_server
 from repro.models.spec import build_gpt_like
+from tests.helpers import compute_seconds
 
 
 def small_model(n_blocks=6, hidden=1024):
@@ -26,6 +27,11 @@ def small_model(n_blocks=6, hidden=1024):
 
 
 CONFIG = MobiusConfig(partition_time_limit=0.5)
+
+
+def _bandwidth(span):
+    """Average achieved bandwidth of a transfer span, in bytes/s."""
+    return span.nbytes / (span.end - span.start)
 
 
 class TestPlanSimulateConsistency:
@@ -98,7 +104,7 @@ def test_any_plan_simulates_cleanly(n_blocks, groups):
     expected_compute = sum(
         (c.fwd_seconds + c.bwd_seconds) * report.plan.n_microbatches for c in costs
     )
-    assert run.trace.compute_seconds() == pytest.approx(expected_compute, rel=1e-6)
+    assert compute_seconds(run.trace) == pytest.approx(expected_compute, rel=1e-6)
     assert run.step_seconds > 0
 
 
@@ -114,6 +120,6 @@ class TestDataCenterPath:
         acts = [t for t in report.trace.transfers if t.kind == "activation"]
         uploads = [t for t in report.trace.transfers if t.kind == "param-upload"]
         assert acts and uploads
-        assert max(t.bandwidth for t in acts) > PCIE_EFFECTIVE_BW * 1.5
-        assert max(t.bandwidth for t in uploads) <= PCIE_EFFECTIVE_BW * 1.001
-        assert max(t.bandwidth for t in acts) <= NVLINK_BW * 1.001
+        assert max(map(_bandwidth, acts)) > PCIE_EFFECTIVE_BW * 1.5
+        assert max(map(_bandwidth, uploads)) <= PCIE_EFFECTIVE_BW * 1.001
+        assert max(map(_bandwidth, acts)) <= NVLINK_BW * 1.001

@@ -6,7 +6,6 @@ import pytest
 from repro.nn.data import SyntheticCorpus
 from repro.nn.transformer import GPTConfig, GPTModel
 from repro.training.pipeline_train import (
-    GPipeScheduleTrainer,
     MobiusScheduleTrainer,
     StagePartition,
     split_batch,
@@ -51,7 +50,7 @@ class TestGradientEquivalence:
         ref_model = GPTModel(CONFIG, seed=7)
         gpipe_model = GPTModel(CONFIG, seed=7)
         ref_loss = ReferenceTrainer(ref_model, n_microbatches=4).step(batch)
-        gpipe_loss = GPipeScheduleTrainer(gpipe_model, 4).step(batch)
+        gpipe_loss = MobiusScheduleTrainer(gpipe_model, 4, n_stages=4).step(batch)
         assert gpipe_loss == ref_loss
         for a, b in zip(ref_model.parameters(), gpipe_model.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
@@ -78,7 +77,7 @@ class TestGradientEquivalence:
     def test_multi_step_trajectories_stay_together(self, batch):
         gpipe_model = GPTModel(CONFIG, seed=7)
         mobius_model = GPTModel(CONFIG, seed=7)
-        gpipe = GPipeScheduleTrainer(gpipe_model, 4)
+        gpipe = MobiusScheduleTrainer(gpipe_model, 4, n_stages=4)
         mobius = MobiusScheduleTrainer(mobius_model, 4)
         corpus = SyntheticCorpus(vocab_size=64, n_tokens=4000, seed=1)
         for step, fresh in zip(range(5), corpus.batches(8, 16, seed=3)):
@@ -100,6 +99,17 @@ class TestMobiusSwapSemantics:
             else:
                 resident[event.gpu].discard(event.stage)
             assert len(resident[event.gpu]) <= 2
+
+    def test_gpipe_case_swaps_nothing(self, batch):
+        """With one stage per GPU (GPipe), each stage is uploaded once and
+        stays resident from its forward pass through its backward pass."""
+        trainer = MobiusScheduleTrainer(GPTModel(CONFIG, seed=0), 4, n_stages=4)
+        trainer.step(batch)
+        uploads = [e for e in trainer.swap_events if e.kind == "upload"]
+        assert [(e.stage, e.phase) for e in uploads] == [
+            (stage, "forward") for stage in range(4)
+        ]
+        assert all(e.phase == "backward" for e in trainer.swap_events if e.kind == "free")
 
     def test_resident_limit_below_one_rejected(self):
         with pytest.raises(ValueError, match="resident_limit"):
