@@ -5,12 +5,13 @@ optimality, a step-time objective — and the simulator (:mod:`repro.sim`)
 claims to realise them.  :mod:`repro.check` is the independent referee: it
 replays those promises from first principles without trusting either side,
 and lints the source contracts (:mod:`repro.check.analysis`) that keep the
-measurement pipeline honest.  ``repro check`` runs everything over a fixed
-model x topology corpus; pytest auto-sanitizes every simulated trace via the
+measurement pipeline honest.  ``repro check`` runs the plan, mapping and
+trace checkers over a fixed model x topology corpus and ``repro lint`` runs
+the source rules; pytest auto-sanitizes every simulated trace via the
 fixture in ``tests/conftest.py``.
 """
 
-from repro.check.analysis import AnalysisConfig, LintRun, run_lint
+from repro.check.analysis import AnalysisConfig, run_lint
 from repro.check.corpus import CorpusCell, check_cell, default_corpus, run_corpus
 from repro.check.findings import CheckReport, Finding
 from repro.check.mapping_check import check_mapping, optimal_contention
@@ -21,7 +22,6 @@ __all__ = [
     "AnalysisConfig",
     "CheckReport",
     "Finding",
-    "LintRun",
     "run_lint",
     "check_plan",
     "check_mapping",

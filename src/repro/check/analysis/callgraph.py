@@ -331,9 +331,7 @@ def _constructed_class(value: ast.expr) -> str | None:
     return None
 
 
-def build_call_graph(
-    program: Program, *, callback_seams: frozenset[str] = DEFAULT_CALLBACK_SEAMS
-) -> CallGraph:
+def build_call_graph(program: Program) -> CallGraph:
     """Resolve every call and callable reference in ``program``."""
     graph = CallGraph(program)
     for info in program.functions.values():
@@ -345,7 +343,7 @@ def build_call_graph(
                 graph.add_edge(info.qualname, callee.qualname)
             # Function-valued arguments.
             target_name = _call_target_name(node)
-            is_seam = target_name in callback_seams
+            is_seam = target_name in DEFAULT_CALLBACK_SEAMS
             for arg in [*node.args, *[kw.value for kw in node.keywords]]:
                 callables = resolver.resolve_callable(arg)
                 for callee in callables:

@@ -40,8 +40,7 @@ regardless of which directory the helper lives in.
 * **MOB007 — shared-state race.**  Module-level mutable state written from
   a function reachable from the parallel workers (the suite drain's
   ``_cell_worker``, the serve daemon's dispatch loop, and the supervised
-  worker children's ``_process_worker_main``) or from any function touching a
-  registered race registry (``race_registries``) must go through a
+  worker children's ``_process_worker_main``) must go through a
   documented synchronization seam (``sync_seams``).  Reads
   are fine; writes — including ``next()`` on a shared ``itertools.count``
   and mutating-method calls — are not.
@@ -56,11 +55,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 
-from repro.check.analysis.callgraph import (
-    DEFAULT_CALLBACK_SEAMS,
-    CallGraph,
-    build_call_graph,
-)
+from repro.check.analysis.callgraph import CallGraph, build_call_graph
 from repro.check.analysis.program import (
     FunctionInfo,
     Program,
@@ -80,6 +75,9 @@ _LABEL_MODULE = "src/repro/core/pipeline.py"
 
 #: The module whose constructors satisfy MOB003 by construction.
 _LABELS_MODULE = "repro.core.labels"
+
+#: The module whose functions take content-address hashes (MOB006 sources).
+_FINGERPRINT_MODULE = "repro.perf.fingerprint"
 
 #: Task constructors whose ``label`` MOB003 checks.
 _TASK_CONSTRUCTORS = frozenset({"Task", "ComputeTask", "TransferTask", "BarrierTask"})
@@ -182,8 +180,9 @@ class AnalysisConfig:
     All names are program qualnames (``repro.sim.engine.Simulator.run``)
     or, in ``entry_points`` only, package/module names; except
     ``clock_allowlist``, whose keys are ``path::Class.method`` sites
-    (:attr:`FunctionInfo.site`), and ``callback_seams``, which are bare
-    method names whose callable arguments cross the event loop.
+    (:attr:`FunctionInfo.site`).  ``sync_seams`` and ``clock_allowlist``
+    are the one way to say a finding is fine; each entry carries its
+    reason as a comment.
     """
 
     #: MOB004/MOB005 roots.  A package or module root stands for every
@@ -204,7 +203,6 @@ class AnalysisConfig:
         # builders included.
         "repro.experiments.schedule._cell_worker",
     )
-    callback_seams: frozenset[str] = DEFAULT_CALLBACK_SEAMS
     #: MOB007 roots: the parallel-worker surface.
     worker_entry_points: tuple[str, ...] = (
         # The suite drain's cell task, run inline and on supervised
@@ -217,8 +215,6 @@ class AnalysisConfig:
         "repro.serve.daemon.PlanService._dispatch_loop",
         "repro.serve.supervisor._process_worker_main",
     )
-    #: Module globals whose *touching* functions join the MOB007 frontier.
-    race_registries: tuple[str, ...] = ()
     #: Documented synchronization seams: writes inside these are sanctioned.
     sync_seams: frozenset[str] = frozenset(
         {
@@ -227,6 +223,12 @@ class AnalysisConfig:
             # The fingerprint memo: writes are idempotent (equal bytes per
             # instance), and dict and weakref-callback ops are GIL-atomic.
             "repro.perf.fingerprint._memo_write",
+            # Process-lifecycle seam: the supervised worker child calls it
+            # once, on entry, to adopt the parent's cache config before it
+            # reads its first task, so the rebind never runs beside readers.
+            # A lock here would tax every get_cache() read for one write
+            # per spawned worker.
+            "repro.perf.cache.configure_cache",
         }
     )
     #: Functions that may read monotonic clocks (MOB004), one reason each.
@@ -248,8 +250,6 @@ class AnalysisConfig:
             "src/repro/perf/bench.py::Stopwatch.seconds",
         }
     )
-    #: Module whose functions take content-address hashes (MOB006 sources).
-    fingerprint_module: str = "repro.perf.fingerprint"
 
 
 DEFAULT_ANALYSIS_CONFIG = AnalysisConfig()
@@ -546,9 +546,7 @@ def _order_sink_in(body: list[ast.stmt]) -> str | None:
 # ----------------------------------------------------------------------
 
 
-def _check_mob006(
-    program: Program, config: AnalysisConfig, report: CheckReport
-) -> None:
+def _check_mob006(program: Program, report: CheckReport) -> None:
     for qualname in sorted(program.functions):
         info = program.functions[qualname]
         module = program.modules[info.module]
@@ -556,7 +554,7 @@ def _check_mob006(
         events: list[tuple[int, str, str]] = []  # (lineno, kind, name)
         for node in ast.walk(info.node):
             if isinstance(node, ast.Call) and _is_fingerprint_call(
-                node, module.imports, config.fingerprint_module
+                node, module.imports
             ):
                 for arg in node.args:
                     if isinstance(arg, ast.Name):
@@ -588,26 +586,24 @@ def _check_mob006(
                 )
 
 
-def _is_fingerprint_call(
-    node: ast.Call, imports: dict[str, str], fingerprint_module: str
-) -> bool:
+def _is_fingerprint_call(node: ast.Call, imports: dict[str, str]) -> bool:
     func = node.func
     if isinstance(func, ast.Name):
         target = imports.get(func.id, "")
-        return target.startswith(fingerprint_module) or "fingerprint" in func.id
+        return target.startswith(_FINGERPRINT_MODULE) or "fingerprint" in func.id
     if isinstance(func, ast.Attribute):
         chain = attr_chain(func)
         if not chain:
             return False
         base_target = imports.get(chain[0], "")
-        if base_target.startswith(fingerprint_module):
+        if base_target.startswith(_FINGERPRINT_MODULE):
             return True
         return "fingerprint" in chain[-1]
     return False
 
 
 # ----------------------------------------------------------------------
-# MOB007 — shared mutable state written off the worker/registry frontier
+# MOB007 — shared mutable state written off the worker frontier
 # ----------------------------------------------------------------------
 
 
@@ -617,23 +613,9 @@ def _check_mob007(
     config: AnalysisConfig,
     report: CheckReport,
 ) -> None:
-    registry_short = {q.rsplit(".", 1)[1]: q for q in config.race_registries}
-    entries = [q for q in config.worker_entry_points if q in program.functions]
-    # Any function referencing a race registry joins the frontier.
-    for qualname in sorted(program.functions):
-        info = program.functions[qualname]
-        registry_names = {
-            short
-            for short, full in registry_short.items()
-            if full.rsplit(".", 1)[0] == info.module
-        }
-        if not registry_names:
-            continue
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Name) and node.id in registry_names:
-                entries.append(qualname)
-                break
-    parents = graph.reachable(entries)
+    parents = graph.reachable(
+        [q for q in config.worker_entry_points if q in program.functions]
+    )
     for qualname in sorted(parents):
         info = program.functions.get(qualname)
         if info is None or qualname in config.sync_seams:
@@ -752,7 +734,7 @@ def analyze_program(
 ) -> CheckReport:
     """Run MOB003-MOB007 over an already-built program model, plus MOB000
     for each file the model could not load."""
-    graph = build_call_graph(program, callback_seams=config.callback_seams)
+    graph = build_call_graph(program)
     report = CheckReport()
     for rel_path, (lineno, reason) in sorted(program.broken.items()):
         report.add(
@@ -764,6 +746,6 @@ def analyze_program(
     _check_mob003(program, report)
     _check_mob004(program, graph, config, report)
     _check_mob005(program, graph, config, report)
-    _check_mob006(program, config, report)
+    _check_mob006(program, report)
     _check_mob007(program, graph, config, report)
     return report

@@ -34,9 +34,8 @@ class Finding:
         slack: For quantitative constraints, ``limit - actual`` in the
             constraint's unit; negative means violated by that much.
         symbol: For source findings, the qualified name of the function or
-            class the finding anchors to (``repro.core.api.plan_mobius``).
-            Baseline suppressions match on ``(code, path, symbol)`` so they
-            survive line-number drift.
+            class the finding anchors to (``repro.core.api.plan_mobius``);
+            unlike ``subject``, it does not move when lines do.
     """
 
     checker: str

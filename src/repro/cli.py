@@ -7,11 +7,13 @@ Subcommands:
   ZeRO-Offload, ZeRO-3 heterogeneous memory, Mobius) on one configuration;
 * ``advise``   — sweep microbatch sizes for the best throughput;
 * ``figures``  — regenerate paper figures by name (or ``all``);
-* ``lint``     — run the MOB source rules standalone: the MOB003-007
-  whole-program analysis (:mod:`repro.check.analysis`);
-  ``--json`` / ``--sarif`` for CI, ``--baseline`` for suppressions;
-* ``check``    — verify planner output, traces and source contracts
-  (:mod:`repro.check`); exits non-zero on findings, ``--json`` for CI;
+* ``lint``     — run the MOB source rules, the MOB003-007 whole-program
+  analysis (:mod:`repro.check.analysis`); ``--json`` for CI.  A finding
+  is fine only where ``AnalysisConfig`` says so (a seam or an allowlisted
+  clock site, each with its reason); there is no suppression file;
+* ``check``    — verify planner output and traces over the fixed
+  model x topology corpus (:mod:`repro.check`); exits non-zero on
+  findings, ``--json`` for CI;
 * ``serve``    — run the planning daemon (:mod:`repro.serve`) over a
   scripted corpus session: admission control, request coalescing,
   supervised workers and a durable sqlite result store;
@@ -26,7 +28,7 @@ Examples:
     python -m repro advise --model 8B --topology 2+2
     python -m repro figures fig5 fig6
     python -m repro lint --json
-    python -m repro lint src/repro/sim --sarif lint.sarif
+    python -m repro lint src/repro/sim
     python -m repro check --json
     python -m repro serve --store .mobius_serve.sqlite --rounds 2
     python -m repro bench sim --check-against BENCH_sim.json
@@ -154,41 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable report for CI"
     )
     lint.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="write a SARIF 2.1.0 report to PATH ('-' for stdout)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="suppression baseline (default: <root>/LINT_BASELINE.json)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0 "
-        "(whole program only: takes no PATH)",
-    )
-    lint.add_argument(
         "--root", default=None, metavar="DIR",
         help="repo root (default: auto-detected)",
     )
 
     check = sub.add_parser(
         "check",
-        help="verify planner output, traces and source contracts",
+        help="verify planner output and traces over the check corpus",
     )
     check.add_argument(
         "--json", action="store_true", help="machine-readable report for CI"
-    )
-    check.add_argument(
-        "--no-corpus", action="store_true",
-        help="skip the plan/mapping/trace corpus (lint only)",
-    )
-    check.add_argument(
-        "--no-lint", action="store_true",
-        help="skip the MOB0xx source lint (corpus only)",
-    )
-    check.add_argument(
-        "--root", default=None, metavar="DIR",
-        help="repo root for the source lint (default: auto-detected)",
     )
 
     serve = sub.add_parser(
@@ -324,101 +301,40 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_root(root_arg: str | None):
+def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    return (
-        Path(root_arg)
-        if root_arg is not None
+    from repro.check.analysis import run_lint
+
+    root = (
+        Path(args.root)
+        if args.root is not None
         else Path(__file__).resolve().parents[2]
     )
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.check.analysis import Baseline, run_lint, to_sarif
-    from repro.check.analysis.baseline import DEFAULT_BASELINE_PATH
-
-    root = _lint_root(args.root)
     if not (root / "src" / "repro").is_dir():
         print(f"error: no src/repro under {root}", file=sys.stderr)
         return 2
-    if args.write_baseline and args.paths:
-        # A baseline written from a path-filtered run would drop every entry
-        # outside the paths.
-        print("error: --write-baseline takes no PATH", file=sys.stderr)
-        return 2
-
-    baseline_path = (
-        args.baseline if args.baseline is not None else root / DEFAULT_BASELINE_PATH
-    )
     try:
-        run = run_lint(root, args.paths or None, baseline_path=baseline_path)
+        report = run_lint(root, args.paths or None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        findings = run.report
-        findings.extend(run.suppressed)
-        Baseline.from_report(findings).save(baseline_path)
-        print(f"baseline with {len(findings)} finding(s) written to {baseline_path}")
-        return 0
-
-    if args.sarif is not None:
-        sarif = to_sarif(run.report)
-        if args.sarif == "-":
-            print(sarif)
-        else:
-            with open(args.sarif, "w", encoding="utf-8") as f:
-                f.write(sarif + "\n")
-            if not args.json:
-                print(f"SARIF report written to {args.sarif}")
-
-    if args.json:
-        print(_json_dumps(run.to_dict()))
-    elif args.sarif != "-":
-        print(run.report.render())
-        if run.suppressed:
-            print(f"{len(run.suppressed)} finding(s) suppressed by baseline")
-        for entry in run.unused_entries:
-            print(
-                f"warning: stale baseline entry {entry.code} "
-                f"{entry.path}::{entry.symbol} matched nothing"
-            )
-    return 0 if run.ok else 1
-
-
-def _json_dumps(payload: dict) -> str:
-    import json
-
-    return json.dumps(payload, indent=2)
+    print(report.to_json() if args.json else report.render())
+    return 0 if report.ok else 1
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import CheckReport, run_corpus
-    from repro.check.analysis import run_lint
+    from repro.check import run_corpus
 
-    report = CheckReport()
-
-    if not args.no_lint:
-        root = _lint_root(args.root)
-        if (root / "src" / "repro").is_dir():
-            report.extend(run_lint(root).report)
-        elif not args.json:
-            print(f"note: no src/repro under {root}; skipping source lint")
-
-    if not args.no_corpus:
-        progress = None if args.json else lambda name: print(f"checking {name} ...")
-        report.extend(run_corpus(progress=progress))
-
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
+    progress = None if args.json else lambda name: print(f"checking {name} ...")
+    report = run_corpus(progress=progress)
+    print(report.to_json() if args.json else report.render())
     return 0 if report.ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import json
+
     from repro.check.corpus import default_corpus
     from repro.serve import Deadline, PlanRequest, PlanService, ServiceConfig
 
@@ -453,7 +369,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
         stats = service.stats()
     if args.json:
-        print(_json_dumps(stats))
+        print(json.dumps(stats, indent=2))
     else:
         print(
             f"served {stats['completed']} solve(s), "

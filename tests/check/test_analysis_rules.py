@@ -425,20 +425,6 @@ class TestMob007:
         assert len(mob007) == 1
         assert "next() on shared counter" in mob007[0].message
 
-    def test_registry_touching_function_joins_the_frontier(self):
-        report = _analyze(
-            AnalysisConfig(race_registries=("repro.core.api._REGISTRY",)),
-            src__repro__core__api="""
-            _REGISTRY = {}
-
-            def plan(key, value):
-                _REGISTRY[key] = value
-            """,
-        )
-        mob007 = [f for f in report if f.code == "MOB007"]
-        assert len(mob007) == 1
-        assert mob007[0].symbol == "repro.core.api.plan"
-
     def test_reads_and_local_shadows_are_fine(self):
         report = _analyze(
             src__repro__perf__cache="""

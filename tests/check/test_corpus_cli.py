@@ -52,17 +52,20 @@ class TestCorpus:
 
 
 class TestCheckCli:
-    def test_lint_only_run_passes(self, capsys):
-        # Corpus planning is covered by the (slow) integration test below;
-        # the lint half runs in milliseconds and must be clean.
-        assert main(["check", "--no-corpus"]) == 0
-        assert "no findings" in capsys.readouterr().out
+    def test_check_surfaces_corpus_findings(self, monkeypatch, capsys):
+        # check reports what the corpus checkers find: every cell's
+        # findings reach the report and fail the exit code.
+        def check_cell(cell):
+            report = CheckReport()
+            report.add("plan", "PLAN-EQ4", "seeded", subject=cell.name)
+            return report
 
-    def test_json_output_is_machine_readable(self, capsys):
-        assert main(["check", "--no-corpus", "--json"]) == 0
+        monkeypatch.setattr("repro.check.corpus.check_cell", check_cell)
+        assert main(["check", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["findings"] == []
+        assert [f["subject"] for f in payload["findings"]] == [
+            cell.name for cell in default_corpus()
+        ]
 
     @pytest.mark.slow
     def test_full_corpus_gate_passes(self, capsys):

@@ -46,9 +46,8 @@ HOT_MODULE = "src/repro/core/synthetic.py"
 LABEL_MODULE = "src/repro/core/pipeline.py"
 
 
-class TestMob002HotPathDeterminism:
-    """Named for the retired MOB002 rule; its fixtures are now MOB004
-    findings in a root package."""
+class TestMob004HotPathDeterminism:
+    """Clock reads and process-global RNG draws in a root package."""
 
     def test_wall_clock_call_flagged(self):
         report = _lint(
@@ -144,7 +143,7 @@ class TestMob002HotPathDeterminism:
         assert not report.findings
 
 
-class TestMob002StrictClock:
+class TestMob004StrictClock:
     """Monotonic clocks are banned in every root package too, outside
     allowlisted functions, so fault injection stays clock-free and
     simulator results virtual-clock-only."""
@@ -279,7 +278,7 @@ class TestMob002StrictClock:
         assert _codes(report) == ["MOB004"]
 
 
-class TestMob002ServeClockDiscipline:
+class TestMob004ServeClockDiscipline:
     """The serve layer is a root: deadlines are node budgets, and no serve
     function reads a clock."""
 
@@ -351,7 +350,7 @@ class TestMob002ServeClockDiscipline:
             _assert_real_module_clean(rel)
 
 
-class TestMob002DurableStore:
+class TestMob004DurableStore:
     """The result cache's durable store is a root module; the rest of
     ``perf/`` is checked only where a root reaches it."""
 
@@ -390,7 +389,7 @@ class TestMob002DurableStore:
         module = tmp_path / self.STORE_MODULE
         module.parent.mkdir(parents=True)
         module.write_text("import time\n\ndef stamp():\n    return time.time()\n")
-        assert "MOB004" in _codes(run_lint(tmp_path).report)
+        assert "MOB004" in _codes(run_lint(tmp_path))
 
 
 class TestMob003TaskLabels:
@@ -498,5 +497,5 @@ class TestInfrastructure:
         assert _codes(report) == ["MOB000"]
 
     def test_lint_tree_on_repo_is_clean(self):
-        report = run_lint(REPO_ROOT).report
+        report = run_lint(REPO_ROOT)
         assert report.ok, report.render()

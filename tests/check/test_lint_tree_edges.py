@@ -38,20 +38,20 @@ class TestBrokenFiles:
                 "src/repro/sim/fine.py": b"import time\nt = time.time()\n",
             },
         )
-        report = run_lint(root).report
+        report = run_lint(root)
         codes = _codes(report)
         assert codes.count("MOB000") == 1  # the broken file
         assert "MOB004" in codes  # the fine file was still linted
 
     def test_empty_file_is_clean(self, tmp_path):
         root = _make_tree(tmp_path, {"src/repro/sim/empty.py": b""})
-        assert _codes(run_lint(root).report) == []
+        assert _codes(run_lint(root)) == []
 
     def test_non_utf8_file_reports_mob000_instead_of_raising(self, tmp_path):
         root = _make_tree(
             tmp_path, {"src/repro/sim/binary.py": b"\xff\xfe\x00garbage"}
         )
-        report = run_lint(root).report
+        report = run_lint(root)
         assert _codes(report) == ["MOB000"]
         assert "not valid UTF-8" in report.findings[0].message
 
