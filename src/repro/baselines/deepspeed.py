@@ -31,7 +31,7 @@ import dataclasses
 from repro.hardware.topology import Topology
 from repro.models.costmodel import CostModel
 from repro.models.spec import ModelSpec
-from repro.sim.tasks import BarrierTask, ComputeTask, Task, TaskGraphRunner, TransferTask
+from repro.sim.tasks import TaskGraphRunner, TaskTable
 from repro.sim.trace import Trace
 
 __all__ = ["DeepSpeedConfig", "DeepSpeedReport", "run_deepspeed", "build_deepspeed_tasks"]
@@ -87,79 +87,70 @@ def build_deepspeed_tasks(
     topology: Topology,
     cost_model: CostModel,
     config: DeepSpeedConfig = DeepSpeedConfig(),
-) -> list[Task]:
+) -> TaskTable:
     """Emit one ZeRO-3 heterogeneous-memory training step as a task graph."""
     n = topology.n_gpus
     n_layers = model.n_layers
     mbs_per_gpu = config.microbatches_per_gpu
-    tasks: list[Task] = []
+    table = TaskTable()
+    transfer = table.transfer
     layer_costs = [cost_model.layer_cost(layer) for layer in model.layers]
     latency = (
         config.collective_latency_p2p if topology.has_p2p else config.collective_latency
     )
 
-    gathers: list[Task | None] = [None] * n  # rolling, per GPU
-    compute: list[Task | None] = [None] * n  # last compute per GPU
-    barriers: dict[tuple[str, int], Task] = {}
+    compute: list[int | None] = [None] * n  # last compute per GPU
+    barriers: dict[tuple[str, int], int] = {}
 
-    def emit_gather(direction: str, position: int, layer: int, extra_deps: list[Task]) -> list[Task]:
+    def emit_gather(direction: str, position: int, layer: int, extra_deps: list[int]) -> list[int]:
         """One layer's collective gather on every GPU (Eq. 2 decomposition:
         own-shard restore from DRAM + N-1 inter-GPU bounced shards)."""
         layer_bytes = layer_costs[layer].param_bytes * config.traffic_overhead
         shard = layer_bytes / n
-        done: list[Task] = []
+        deps = list(extra_deps)
+        if position >= config.prefetch_depth:
+            deps.append(barriers[(direction, position - config.prefetch_depth)])
+        done: list[int] = []
         for g in range(n):
-            deps = list(extra_deps)
-            if position >= config.prefetch_depth:
-                behind = (direction, position - config.prefetch_depth)
-                deps.append(barriers[behind])
-            parts: list[Task] = []
-            restore = TransferTask(
+            restore = transfer(
+                topology.path_from_dram(g),
+                shard,
+                g,
+                "shard-restore",
                 label=f"ag-{direction}{layer}@{g}.own",
-                path=topology.path_from_dram(g),
-                nbytes=shard,
-                gpu=g,
-                kind="shard-restore",
-            ).after(*deps)
-            parts.append(restore)
+                after=deps,
+            )
+            parts = [restore]
             # Ring-style all-gather: the N-1 remote shards arrive as
             # *sequential* steps (NCCL serialises ring chunks), each
             # bounced through DRAM on commodity servers.
-            previous: Task = restore
+            previous = restore
             for peer in range(n):
                 if peer == g:
                     continue
-                recv = TransferTask(
+                previous = transfer(
+                    topology.gpu_to_gpu_path(peer, g),
+                    shard,
+                    g,
+                    "allgather",
                     label=f"ag-{direction}{layer}@{g}<-{peer}",
-                    path=topology.gpu_to_gpu_path(peer, g),
-                    nbytes=shard,
-                    gpu=g,
-                    kind="allgather",
-                ).after(previous)
-                parts.append(recv)
-                previous = recv
-            tasks.extend(parts)
-            gather_done = BarrierTask(label=f"ag-{direction}{layer}@{g}.done")
-            gather_done.after(*parts)
-            tasks.append(gather_done)
-            done.append(gather_done)
-        barrier = BarrierTask(label=f"bar-{direction}{position}")
-        barrier.after(*(done if config.lockstep else []))
-        if not config.lockstep:
-            barrier.after(done[0])  # degenerate: keep graph connected
-        barriers[(direction, position)] = barrier
-        tasks.append(barrier)
+                    after=(previous,),
+                )
+                parts.append(previous)
+            done.append(
+                table.barrier(f"ag-{direction}{layer}@{g}.done", after=parts)
+            )
+        # Without lockstep the barrier waits on GPU 0 only, which keeps the
+        # graph connected.
+        barriers[(direction, position)] = table.barrier(
+            f"bar-{direction}{position}",
+            after=done if config.lockstep else done[:1],
+        )
         return done
 
-    def emit_compute(
-        gather_done: Task, g: int, seconds: float, label: str
-    ) -> Task:
-        sync = ComputeTask(
-            label=f"sync-{label}", gpu=g, seconds=latency
-        ).after(gather_done)
-        work = ComputeTask(label=label, gpu=g, seconds=seconds).after(sync, compute[g])
-        tasks.extend((sync, work))
-        compute[g] = work
+    def emit_compute(gather_done: int, g: int, seconds: float, label: str) -> int:
+        sync = table.compute(g, latency, f"sync-{label}", after=(gather_done,))
+        work = compute[g] = table.compute(g, seconds, label, after=(sync, compute[g]))
         return work
 
     # Forward traversal.
@@ -174,7 +165,7 @@ def build_deepspeed_tasks(
 
     # Backward traversal: gather again, compute, push FP16 grads to the CPU.
     for position, layer in enumerate(range(n_layers - 1, -1, -1)):
-        done = emit_gather("b", position, layer, list(fwd_tail))
+        done = emit_gather("b", position, layer, fwd_tail)
         for g in range(n):
             work = emit_compute(
                 done[g], g, layer_costs[layer].bwd_seconds * mbs_per_gpu, f"B{layer}@{g}"
@@ -187,27 +178,25 @@ def build_deepspeed_tasks(
             for peer in range(n):
                 if peer == g:
                     continue
-                tasks.append(
-                    TransferTask(
-                        label=f"rs{layer}@{g}->{peer}",
-                        path=topology.gpu_to_gpu_path(g, peer),
-                        nbytes=shard,
-                        gpu=g,
-                        kind="reduce-scatter",
-                    ).after(work)
+                transfer(
+                    topology.gpu_to_gpu_path(g, peer),
+                    shard,
+                    g,
+                    "reduce-scatter",
+                    label=f"rs{layer}@{g}->{peer}",
+                    after=(work,),
                 )
-            tasks.append(
-                TransferTask(
-                    label=f"gu{layer}@{g}",
-                    path=topology.path_to_dram(g),
-                    nbytes=shard,
-                    gpu=g,
-                    kind="grad-offload",
-                    priority=_OFFLOAD_PRIORITY,
-                ).after(work)
+            transfer(
+                topology.path_to_dram(g),
+                shard,
+                g,
+                "grad-offload",
+                _OFFLOAD_PRIORITY,
+                label=f"gu{layer}@{g}",
+                after=(work,),
             )
 
-    return tasks
+    return table
 
 
 def run_deepspeed(

@@ -24,7 +24,7 @@ from repro.core.timing import evaluate_pipeline
 from repro.hardware.topology import Topology
 from repro.models.costmodel import CostModel, StageCost
 from repro.models.spec import ModelSpec
-from repro.sim.tasks import ComputeTask, Task, TaskGraphRunner, TransferTask
+from repro.sim.tasks import TaskGraphRunner, TaskTable
 from repro.sim.trace import Trace
 
 __all__ = ["OutOfMemoryError", "PipelineBaselineReport", "run_gpipe", "run_deepspeed_pipeline"]
@@ -128,28 +128,27 @@ def _build_tasks(
     stage_costs: list[StageCost],
     n_microbatches: int,
     schedule: str,
-) -> list[Task]:
+) -> TaskTable:
     s = partition.n_stages
     m = n_microbatches
     gpu = [mapping.gpu_of_stage(j) for j in range(s)]
-    tasks: list[Task] = []
+    table = TaskTable()
 
-    fwd: dict[tuple[int, int], ComputeTask] = {}
-    bwd: dict[tuple[int, int], ComputeTask] = {}
-    act: dict[tuple[int, int], Task] = {}
-    grad: dict[tuple[int, int], Task] = {}
+    fwd: dict[tuple[int, int], int] = {}
+    bwd: dict[tuple[int, int], int] = {}
+    act: dict[tuple[int, int], int] = {}
+    grad: dict[tuple[int, int], int] = {}
 
-    def make_transfer(src: int, dst: int, nbytes: int, label: str) -> Task:
-        task = TransferTask(
-            label=label,
-            path=topology.gpu_to_gpu_path(gpu[src], gpu[dst]),
-            nbytes=nbytes,
-            gpu=gpu[dst],
-            kind="activation",
-            priority=_ACT_PRIORITY,
+    def make_transfer(src: int, dst: int, nbytes: int, label: str, after: int) -> int:
+        return table.transfer(
+            topology.gpu_to_gpu_path(gpu[src], gpu[dst]),
+            nbytes,
+            gpu[dst],
+            "activation",
+            _ACT_PRIORITY,
+            label,
+            after=(after,),
         )
-        tasks.append(task)
-        return task
 
     # Per-GPU execution order enforced by chaining compute tasks.
     order: list[list[tuple[str, int, int]]] = [[] for _ in range(s)]
@@ -171,18 +170,16 @@ def _build_tasks(
     # Pass 1: create compute tasks with per-GPU serial chaining only.
     for j in range(s):
         cost = stage_costs[j]
-        prev: ComputeTask | None = None
+        prev: int | None = None
         for phase, _, mb in order[j]:
             if phase == "f":
-                task = ComputeTask(label=f"F{j},{mb}", gpu=gpu[j], seconds=cost.fwd_seconds)
-                fwd[(j, mb)] = task
+                prev = fwd[(j, mb)] = table.compute(
+                    gpu[j], cost.fwd_seconds, f"F{j},{mb}", after=(prev,)
+                )
             else:
-                task = ComputeTask(label=f"B{j},{mb}", gpu=gpu[j], seconds=cost.bwd_seconds)
-                bwd[(j, mb)] = task
-            if prev is not None:
-                task.after(prev)
-            prev = task
-            tasks.append(task)
+                prev = bwd[(j, mb)] = table.compute(
+                    gpu[j], cost.bwd_seconds, f"B{j},{mb}", after=(prev,)
+                )
 
     # Pass 2: inter-stage transfers and cross-stage dependencies.
     for j in range(s):
@@ -190,24 +187,24 @@ def _build_tasks(
         for mb in range(m):
             if j + 1 < s and gpu[j] != gpu[j + 1]:
                 act[(j, mb)] = make_transfer(
-                    j, j + 1, cost.output_activation_bytes, f"A{j},{mb}"
-                ).after(fwd[(j, mb)])
+                    j, j + 1, cost.output_activation_bytes, f"A{j},{mb}", fwd[(j, mb)]
+                )
             if j and gpu[j] != gpu[j - 1]:
                 grad[(j, mb)] = make_transfer(
-                    j, j - 1, cost.input_activation_bytes, f"G{j},{mb}"
-                ).after(bwd[(j, mb)])
+                    j, j - 1, cost.input_activation_bytes, f"G{j},{mb}", bwd[(j, mb)]
+                )
     for j in range(s):
         for mb in range(m):
             if j:
-                fwd[(j, mb)].after(act.get((j - 1, mb), fwd[(j - 1, mb)]))
+                table.after(fwd[(j, mb)], act.get((j - 1, mb), fwd[(j - 1, mb)]))
             if j + 1 < s:
-                bwd[(j, mb)].after(grad.get((j + 1, mb), bwd[(j + 1, mb)]))
+                table.after(bwd[(j, mb)], grad.get((j + 1, mb), bwd[(j + 1, mb)]))
             else:
                 # The per-GPU order chain already places the last stage's
                 # backwards after the right forwards for each schedule.
-                bwd[(j, mb)].after(fwd[(j, mb)])
+                table.after(bwd[(j, mb)], fwd[(j, mb)])
 
-    return tasks
+    return table
 
 
 def _run_resident_pipeline(

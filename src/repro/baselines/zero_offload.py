@@ -22,7 +22,7 @@ from repro.baselines.gpipe import OutOfMemoryError
 from repro.hardware.topology import Topology
 from repro.models.costmodel import CostModel
 from repro.models.spec import FP16_BYTES, ModelSpec
-from repro.sim.tasks import ComputeTask, Task, TaskGraphRunner, TransferTask
+from repro.sim.tasks import TaskGraphRunner, TaskTable
 from repro.sim.trace import Trace
 
 __all__ = ["ZeroOffloadReport", "run_zero_offload"]
@@ -84,59 +84,48 @@ def run_zero_offload(
 
     n = topology.n_gpus
     layer_costs = [cost_model.layer_cost(layer) for layer in model.layers]
-    tasks: list[Task] = []
-    last_compute: list[Task | None] = [None] * n
-    bwd_of: dict[tuple[int, int], Task] = {}
+    table = TaskTable()
+    bwd_of: dict[tuple[int, int], int] = {}
 
     for g in range(n):
+        last: int | None = None
         for index, cost in enumerate(layer_costs):
-            work = ComputeTask(
-                label=f"F{index}@{g}",
-                gpu=g,
-                seconds=cost.fwd_seconds * microbatches_per_gpu,
-            ).after(last_compute[g])
-            last_compute[g] = work
-            tasks.append(work)
+            last = table.compute(
+                g, cost.fwd_seconds * microbatches_per_gpu, f"F{index}@{g}", after=(last,)
+            )
         for index in range(len(layer_costs) - 1, -1, -1):
             cost = layer_costs[index]
-            work = ComputeTask(
-                label=f"B{index}@{g}",
-                gpu=g,
-                seconds=cost.bwd_seconds * microbatches_per_gpu,
-            ).after(last_compute[g])
-            last_compute[g] = work
-            bwd_of[(g, index)] = work
-            tasks.append(work)
+            last = bwd_of[(g, index)] = table.compute(
+                g, cost.bwd_seconds * microbatches_per_gpu, f"B{index}@{g}", after=(last,)
+            )
 
     # Gradient path: ring all-reduce across GPUs (bounced on commodity
     # servers) then the reduced shard streams to the CPU optimizer.
     for index, cost in enumerate(layer_costs):
         shard = cost.param_bytes / n
         for g in range(n):
-            previous: Task = bwd_of[(g, index)]
+            previous = bwd_of[(g, index)]
             for peer in range(n):
                 if peer == g:
                     continue
-                hop = TransferTask(
-                    label=f"ar{index}@{g}->{peer}",
-                    path=topology.gpu_to_gpu_path(g, peer),
-                    nbytes=shard,
-                    gpu=g,
-                    kind="reduce-scatter",
-                    priority=_OFFLOAD_PRIORITY,
-                ).after(previous)
-                previous = hop
-                tasks.append(hop)
-            tasks.append(
-                TransferTask(
-                    label=f"gu{index}@{g}",
-                    path=topology.path_to_dram(g),
-                    nbytes=shard,
-                    gpu=g,
-                    kind="grad-offload",
-                    priority=_OFFLOAD_PRIORITY,
-                ).after(previous)
+                previous = table.transfer(
+                    topology.gpu_to_gpu_path(g, peer),
+                    shard,
+                    g,
+                    "reduce-scatter",
+                    _OFFLOAD_PRIORITY,
+                    f"ar{index}@{g}->{peer}",
+                    after=(previous,),
+                )
+            table.transfer(
+                topology.path_to_dram(g),
+                shard,
+                g,
+                "grad-offload",
+                _OFFLOAD_PRIORITY,
+                f"gu{index}@{g}",
+                after=(previous,),
             )
 
-    trace = TaskGraphRunner(topology).execute(tasks)
+    trace = TaskGraphRunner(topology).execute(table)
     return ZeroOffloadReport(model=model, trace=trace)

@@ -7,7 +7,7 @@ Resolution strategy (DESIGN.md §13 documents the approximations):
   folded encloser.
 * ``self.m(...)`` — resolved in the enclosing class, its program-known
   ancestors, **and** descendants' overrides (a base-typed call may
-  dispatch to any subclass — the ``TaskGraphRunner._dispatch_task`` →
+  dispatch to any subclass — the ``TaskGraphRunner.execute`` dispatch →
   ``FaultInjectingRunner._submit_compute`` seam depends on this).
 * ``self.attr.m(...)`` — through the class's instance-attribute types
   (``self.network = FlowNetwork(...)`` types ``self.network``).

@@ -4,7 +4,8 @@ MOB003 checks one named file.  The others scope by *reachability*: a clock
 read is a determinism violation because a root can transitively call it,
 regardless of which directory the helper lives in.
 
-* **MOB003 — task-label contract.**  Task labels built in
+* **MOB003 — task-label contract.**  Task labels passed to the task
+  table's emit methods (``compute``, ``transfer``, ``barrier``) in
   ``src/repro/core/pipeline.py`` must come from the :mod:`repro.core.labels`
   constructors, or be literals matching its compiled patterns, the one
   grammar every label reader parses.  A drifting label format makes a
@@ -79,8 +80,9 @@ _LABELS_MODULE = "repro.core.labels"
 #: The module whose functions take content-address hashes (MOB006 sources).
 _FINGERPRINT_MODULE = "repro.perf.fingerprint"
 
-#: Task constructors whose ``label`` MOB003 checks.
-_TASK_CONSTRUCTORS = frozenset({"Task", "ComputeTask", "TransferTask", "BarrierTask"})
+#: ``TaskTable`` emit methods whose ``label`` MOB003 checks, each with the
+#: label's positional index.
+_TASK_EMITTERS = {"compute": 2, "transfer": 5, "barrier": 0}
 
 #: Calls that consume loop-order on a hot path: heap pushes, trace appends,
 #: fingerprints, and plain accumulation.
@@ -218,8 +220,6 @@ class AnalysisConfig:
     #: Documented synchronization seams: writes inside these are sanctioned.
     sync_seams: frozenset[str] = frozenset(
         {
-            # next() on an itertools.count is one GIL-atomic C call.
-            "repro.sim.tasks._next_task_uid",
             # The fingerprint memo: writes are idempotent (equal bytes per
             # instance), and dict and weakref-callback ops are GIL-atomic.
             "repro.perf.fingerprint._memo_write",
@@ -393,15 +393,18 @@ def _check_mob003(program: Program, report: CheckReport) -> None:
     # Every import in the file, function-local ones too.
     bindings = import_bindings(ast.walk(module.tree))
     for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call) or _call_name(node) not in _TASK_CONSTRUCTORS:
+        if not isinstance(node, ast.Call):
+            continue
+        label_index = _TASK_EMITTERS.get(_call_name(node))
+        if label_index is None:
             continue
 
         label_expr: ast.expr | None = None
         for kw in node.keywords:
             if kw.arg == "label":
                 label_expr = kw.value
-        if label_expr is None and node.args:
-            label_expr = node.args[0]  # Task's first positional field
+        if label_expr is None and len(node.args) > label_index:
+            label_expr = node.args[label_index]
         if label_expr is None:
             continue
 

@@ -120,7 +120,7 @@ def check_cell(cell: CorpusCell) -> CheckReport:
     )
     runner = TaskGraphRunner(cell.topology)
     trace = runner.execute(tasks)
-    report.extend(sanitize_run(tasks, trace, cell.topology))
+    report.extend(sanitize_run(tasks, runner.last_times, trace, cell.topology))
 
     return report.prefixed(cell.name)
 

@@ -16,20 +16,20 @@ invariants any valid execution must satisfy:
 
 Two entry points exist because traces outlive task graphs: a
 :class:`~repro.sim.trace.Trace` alone supports the span-level checks
-(:func:`sanitize_trace`), while an executed task list adds dependency edges
-and transfer paths for the causality and per-link checks
-(:func:`check_task_graph`).  :func:`sanitize_run` combines both and is what
-the pytest auto-sanitizer and the ``repro check`` corpus gate call.
+(:func:`sanitize_trace`), while an executed task table and the runner's
+realised times add dependency edges and transfer paths for the causality
+and per-link checks (:func:`check_task_graph`).  :func:`sanitize_run`
+combines both and is what the pytest auto-sanitizer and the
+``repro check`` corpus gate call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from repro.check.findings import CheckReport
 from repro.hardware.topology import Edge, Topology
-from repro.sim.tasks import BarrierTask, ComputeTask, Task, TransferTask
+from repro.sim.tasks import COMPUTE, TRANSFER, TaskTable, TaskTimes
 from repro.sim.trace import Trace, total_length
 
 __all__ = ["sanitize_trace", "check_task_graph", "sanitize_run"]
@@ -153,88 +153,99 @@ def sanitize_trace(trace: Trace, topology: Topology | None = None) -> CheckRepor
     return report
 
 
-def check_task_graph(tasks: Sequence[Task], topology: Topology) -> CheckReport:
-    """Dependency- and link-level invariants of an executed task graph.
+def check_task_graph(
+    tasks: TaskTable, times: TaskTimes, topology: Topology
+) -> CheckReport:
+    """Dependency- and link-level invariants of an executed task table.
 
     Args:
-        tasks: Tasks after :meth:`~repro.sim.tasks.TaskGraphRunner.execute`
-            (every task carries realised start/end times).
+        tasks: The table :meth:`~repro.sim.tasks.TaskGraphRunner.execute`
+            ran.
+        times: The runner's realised times for that execution
+            (:attr:`~repro.sim.tasks.TaskGraphRunner.last_times`).
         topology: Supplies per-link capacities and path bottlenecks.
     """
     report = CheckReport()
-    horizon = max(
-        (t.end_time for t in tasks if t.end_time is not None), default=0.0
-    )
+    start = times.start.tolist()
+    end = times.end.tolist()
+    seconds = times.seconds.tolist()
+    label = tasks.label
+    finished = [not (math.isnan(a) or math.isnan(b)) for a, b in zip(start, end)]
+    horizon = max((b for b, ok in zip(end, finished) if ok), default=0.0)
     eps = _time_eps(horizon)
+
+    def subject(row: int) -> str:
+        return label[row] or f"task#{row}"
+
+    deps: list[list[int]] = [[] for _ in range(len(tasks))]
+    for dep, row in zip(*(column.tolist() for column in tasks.edges())):
+        deps[row].append(dep)
 
     link_usage: dict[Edge, list[tuple[float, float, float]]] = {}
 
-    for task in tasks:
-        subject = task.label or f"task#{task.uid}"
-        if not task.done or task.start_time is None or task.end_time is None:
+    for row, op in enumerate(tasks.op):
+        if not finished[row]:
             report.add(
                 _CHECKER,
                 "TASK-INCOMPLETE",
                 "task never completed or carries no realised times",
-                subject=subject,
+                subject=subject(row),
             )
             continue
 
-        for dep in task.deps:
-            if dep.end_time is None:
+        for dep in deps[row]:
+            if math.isnan(end[dep]):
                 continue  # reported above for the dependency itself
-            if task.start_time < dep.end_time - eps:
+            if start[row] < end[dep] - eps:
                 report.add(
                     _CHECKER,
                     "TASK-CAUSALITY",
-                    f"starts at {task.start_time:.6f}s before dependency "
-                    f"{dep.label or f'task#{dep.uid}'} ends at "
-                    f"{dep.end_time:.6f}s",
-                    subject=subject,
-                    slack=float(task.start_time - dep.end_time),
+                    f"starts at {start[row]:.6f}s before dependency "
+                    f"{subject(dep)} ends at {end[dep]:.6f}s",
+                    subject=subject(row),
+                    slack=float(start[row] - end[dep]),
                 )
 
-        duration = task.end_time - task.start_time
-        if isinstance(task, ComputeTask):
-            drift = abs(duration - task.seconds)
-            if drift > eps + 1e-9 * task.seconds:
+        duration = end[row] - start[row]
+        if op == COMPUTE:
+            drift = abs(duration - seconds[row])
+            if drift > eps + 1e-9 * seconds[row]:
                 report.add(
                     _CHECKER,
                     "TASK-DURATION",
                     f"compute ran for {duration:.9f}s but declares "
-                    f"{task.seconds:.9f}s",
-                    subject=subject,
+                    f"{seconds[row]:.9f}s",
+                    subject=subject(row),
                     slack=float(-drift),
                 )
-        elif isinstance(task, TransferTask):
-            if task.nbytes <= 0 or not task.path:
+        elif op == TRANSFER:
+            nbytes = tasks.nbytes[row]
+            path = tasks.paths[tasks.path_id[row]]
+            if nbytes <= 0 or not path:
                 continue
-            bottleneck = topology.path_bandwidth(task.path)
-            budget = bottleneck * duration + _residue_slack(task.nbytes)
-            if task.nbytes > budget:
-                implied = task.nbytes / duration if duration > 0 else math.inf
+            bottleneck = topology.path_bandwidth(path)
+            budget = bottleneck * duration + _residue_slack(nbytes)
+            if nbytes > budget:
+                implied = nbytes / duration if duration > 0 else math.inf
                 report.add(
                     _CHECKER,
                     "TASK-BW-PATH",
-                    f"{task.nbytes / 1e9:.3f}GB in {duration:.6f}s implies "
+                    f"{nbytes / 1e9:.3f}GB in {duration:.6f}s implies "
                     f"{implied / 1e9:.1f}GB/s through a path whose bottleneck "
                     f"is {bottleneck / 1e9:.1f}GB/s",
-                    subject=subject,
-                    slack=float(budget - task.nbytes),
+                    subject=subject(row),
+                    slack=float(budget - nbytes),
                 )
-            for edge in task.path:
-                link_usage.setdefault(edge, []).append(
-                    (task.start_time, task.end_time, task.nbytes)
-                )
-        elif isinstance(task, BarrierTask):
-            if duration > eps:
-                report.add(
-                    _CHECKER,
-                    "TASK-DURATION",
-                    f"barrier took {duration:.9f}s; barriers are zero-cost",
-                    subject=subject,
-                    slack=float(-duration),
-                )
+            for edge in path:
+                link_usage.setdefault(edge, []).append((start[row], end[row], nbytes))
+        elif duration > eps:
+            report.add(
+                _CHECKER,
+                "TASK-DURATION",
+                f"barrier took {duration:.9f}s; barriers are zero-cost",
+                subject=subject(row),
+                slack=float(-duration),
+            )
 
     # Conservation per directed link: the bytes every flow pushed through a
     # link fit inside capacity x (time the link had any flow).  This holds
@@ -261,9 +272,9 @@ def check_task_graph(tasks: Sequence[Task], topology: Topology) -> CheckReport:
 
 
 def sanitize_run(
-    tasks: Sequence[Task], trace: Trace, topology: Topology
+    tasks: TaskTable, times: TaskTimes, trace: Trace, topology: Topology
 ) -> CheckReport:
     """Full post-run verification: span, dependency and link invariants."""
     report = sanitize_trace(trace, topology)
-    report.extend(check_task_graph(tasks, topology))
+    report.extend(check_task_graph(tasks, times, topology))
     return report

@@ -26,7 +26,7 @@ from repro.core.pipeline import build_mobius_tasks, simulate_mobius
 from repro.hardware.topology import Topology
 from repro.models.costmodel import CostModel
 from repro.models.spec import ModelSpec
-from repro.sim.tasks import Task, TaskGraphRunner
+from repro.sim.tasks import TaskGraphRunner, TaskTable
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -131,26 +131,29 @@ def simulate_mobius_steps(
     cost_model: CostModel = report.cost_model
     stage_costs = report.plan.partition.stage_costs(cost_model)
 
-    all_tasks: list[Task] = []
-    previous_grads: list[Task] = []
+    table = TaskTable()
+    previous_grads: list[int] = []
     for _ in range(n_steps):
-        tasks = build_mobius_tasks(report.plan, topology, stage_costs)
+        first = len(table)
+        build_mobius_tasks(report.plan, topology, stage_costs, table=table)
+        rows = range(first, len(table))
         # Chain: this step's roots wait for the previous step's gradient
         # offloads (parameter update dependency).
         if previous_grads:
-            for task in tasks:
-                if not task.deps:
-                    task.after(*previous_grads)
-        previous_grads = [t for t in tasks if t.label.startswith("Og")]
-        all_tasks.extend(tasks)
+            has_deps = set(table.edges()[1].tolist())
+            for row in rows:
+                if row not in has_deps:
+                    table.after(row, *previous_grads)
+        previous_grads = [row for row in rows if table.label[row].startswith("Og")]
 
-    trace = TaskGraphRunner(topology).execute(all_tasks)
-    boundaries = []
-    for step in range(n_steps):
-        step_tasks = all_tasks[
-            step * (len(all_tasks) // n_steps) : (step + 1) * (len(all_tasks) // n_steps)
-        ]
-        boundaries.append(max(t.end_time for t in step_tasks if t.end_time is not None))
+    runner = TaskGraphRunner(topology)
+    trace = runner.execute(table)
+    ends = runner.last_times.end
+    per_step = len(table) // n_steps
+    boundaries = [
+        float(ends[step * per_step : (step + 1) * per_step].max())
+        for step in range(n_steps)
+    ]
     return MultiStepRun(
         trace=trace,
         n_steps=n_steps,

@@ -34,7 +34,7 @@ from repro.core.labels import (
 from repro.core.plan import ExecutionPlan
 from repro.hardware.topology import Topology
 from repro.models.costmodel import CostModel, StageCost
-from repro.sim.tasks import ComputeTask, Task, TaskGraphRunner, TransferTask
+from repro.sim.tasks import TaskGraphRunner, TaskTable
 from repro.sim.trace import Trace
 
 __all__ = ["MobiusRun", "build_mobius_tasks", "simulate_mobius"]
@@ -64,7 +64,8 @@ def build_mobius_tasks(
     *,
     prefetch: bool = True,
     use_priorities: bool = True,
-) -> list[Task]:
+    table: TaskTable | None = None,
+) -> TaskTable:
     """Emit the task graph of one Mobius training step.
 
     Args:
@@ -75,6 +76,8 @@ def build_mobius_tasks(
             stage to finish (the no-overlap ablation).
         use_priorities: Disable the §3.3 prefetch priorities (all prefetch
             flows share bandwidth equally).
+        table: Append the step's rows to this table (a fresh one by
+            default); the step's rows are contiguous.
     """
     s = plan.n_stages
     n = plan.n_gpus
@@ -82,11 +85,10 @@ def build_mobius_tasks(
     if len(stage_costs) != s:
         raise ValueError(f"need {s} stage costs, got {len(stage_costs)}")
 
-    tasks: list[Task] = []
-
-    def add(task: Task) -> Task:
-        tasks.append(task)
-        return task
+    if table is None:
+        table = TaskTable()
+    compute = table.compute
+    transfer = table.transfer
 
     def fwd_prefetch_priority(stage: int) -> int:
         return (s - stage) if use_priorities else 0
@@ -96,13 +98,14 @@ def build_mobius_tasks(
 
     gpu = [plan.mapping.gpu_of_stage(j) for j in range(s)]
     resident = lambda j: j >= s - n  # stays on GPU between fwd and bwd
+    activation_priority = ACTIVATION_PRIORITY if use_priorities else 0
 
     # ------------------------------------------------------------------
     # Forward sweep
     # ------------------------------------------------------------------
-    upload_done_fwd: list[Task] = [None] * s  # type: ignore[list-item]
-    fwd: list[list[ComputeTask]] = [[None] * m for _ in range(s)]  # type: ignore[list-item]
-    act_out: list[list[Task]] = [[None] * m for _ in range(s)]  # type: ignore[list-item]
+    upload_done_fwd = [0] * s
+    fwd = [[0] * m for _ in range(s)]
+    act_out = [[0] * m for _ in range(s)]
 
     for j in range(s):
         cost = stage_costs[j]
@@ -110,15 +113,13 @@ def build_mobius_tasks(
         priority = fwd_prefetch_priority(j)
         if j < n:
             # Initial stages: uploaded before the pipeline starts.
-            upload_done_fwd[j] = add(
-                TransferTask(
-                    label=fwd_upload_label(j),
-                    path=path,
-                    nbytes=cost.param_bytes,
-                    gpu=gpu[j],
-                    kind="param-upload",
-                    priority=priority,
-                )
+            upload_done_fwd[j] = transfer(
+                path,
+                cost.param_bytes,
+                gpu[j],
+                "param-upload",
+                priority,
+                label=fwd_upload_label(j),
             )
         else:
             budget = plan.prefetch_fwd_bytes[j] if prefetch else 0
@@ -126,75 +127,67 @@ def build_mobius_tasks(
             rem_bytes = cost.param_bytes - pre_bytes
             # Eq. 6 / Figure 4: the prefetch window is stage j-N's execution
             # on this GPU — it opens once that stage starts computing.
-            pre = add(
-                TransferTask(
-                    label=fwd_upload_label(j, "pre"),
-                    path=path,
-                    nbytes=pre_bytes,
-                    gpu=gpu[j],
-                    kind="param-upload",
-                    priority=priority,
-                ).after(fwd[j - n][0])
+            pre = transfer(
+                path,
+                pre_bytes,
+                gpu[j],
+                "param-upload",
+                priority,
+                label=fwd_upload_label(j, "pre"),
+                after=(fwd[j - n][0],),
             )
             # The remainder needs stage j-n's memory, free after its last
             # forward microbatch.
-            upload_done_fwd[j] = add(
-                TransferTask(
-                    label=fwd_upload_label(j, "rem"),
-                    path=path,
-                    nbytes=rem_bytes,
-                    gpu=gpu[j],
-                    kind="param-upload",
-                    priority=priority,
-                ).after(pre, fwd[j - n][m - 1])
+            upload_done_fwd[j] = transfer(
+                path,
+                rem_bytes,
+                gpu[j],
+                "param-upload",
+                priority,
+                label=fwd_upload_label(j, "rem"),
+                after=(pre, fwd[j - n][m - 1]),
             )
 
         for mb in range(m):
-            deps: list[Task] = [upload_done_fwd[j]]
+            deps = [upload_done_fwd[j]]
             if mb:
                 deps.append(fwd[j][mb - 1])
             if j:
                 deps.append(act_out[j - 1][mb])
-            fwd[j][mb] = add(
-                ComputeTask(
-                    label=compute_label("F", j, mb),
-                    gpu=gpu[j],
-                    seconds=cost.fwd_seconds,
-                ).after(*deps)
+            fwd[j][mb] = work = compute(
+                gpu[j], cost.fwd_seconds, label=compute_label("F", j, mb), after=deps
             )
             # Ship the output activation to the next stage's GPU.
             if j + 1 < s and gpu[j] != gpu[j + 1]:
-                act_out[j][mb] = add(
-                    TransferTask(
-                        label=activation_label("A", j, mb),
-                        path=topology.gpu_to_gpu_path(gpu[j], gpu[j + 1]),
-                        nbytes=cost.output_activation_bytes,
-                        gpu=gpu[j + 1],
-                        kind="activation",
-                        priority=ACTIVATION_PRIORITY if use_priorities else 0,
-                    ).after(fwd[j][mb])
+                act_out[j][mb] = transfer(
+                    topology.gpu_to_gpu_path(gpu[j], gpu[j + 1]),
+                    cost.output_activation_bytes,
+                    gpu[j + 1],
+                    "activation",
+                    activation_priority,
+                    label=activation_label("A", j, mb),
+                    after=(work,),
                 )
             else:
-                act_out[j][mb] = fwd[j][mb]
+                act_out[j][mb] = work
             # Offload the recompute checkpoint for swapped-out stages.
             if not resident(j):
-                add(
-                    TransferTask(
-                        label=stash_offload_label(j, mb),
-                        path=topology.path_to_dram(gpu[j]),
-                        nbytes=cost.input_activation_bytes,
-                        gpu=gpu[j],
-                        kind="act-offload",
-                        priority=OFFLOAD_PRIORITY,
-                    ).after(fwd[j][mb])
+                transfer(
+                    topology.path_to_dram(gpu[j]),
+                    cost.input_activation_bytes,
+                    gpu[j],
+                    "act-offload",
+                    OFFLOAD_PRIORITY,
+                    label=stash_offload_label(j, mb),
+                    after=(work,),
                 )
 
     # ------------------------------------------------------------------
     # Backward sweep
     # ------------------------------------------------------------------
-    upload_done_bwd: list[Task] = [None] * s  # type: ignore[list-item]
-    bwd: list[list[ComputeTask]] = [[None] * m for _ in range(s)]  # type: ignore[list-item]
-    grad_in: list[list[Task]] = [[None] * m for _ in range(s)]  # type: ignore[list-item]
+    upload_done_bwd = [0] * s
+    bwd = [[0] * m for _ in range(s)]
+    grad_in = [[0] * m for _ in range(s)]
 
     for j in range(s - 1, -1, -1):
         cost = stage_costs[j]
@@ -215,35 +208,32 @@ def build_mobius_tasks(
             rem_stash = stash_bytes - pre_stash
             # Backward prefetch window: stage j+N's backward execution.
             prev_done = bwd[j + n][0]
-            pre_tasks: list[Task] = []
+            pre_rows: list[int] = []
             for nbytes, kind in ((pre_param, "param-upload"), (pre_stash, "act-upload")):
                 if nbytes:
-                    pre_tasks.append(
-                        add(
-                            TransferTask(
-                                label=bwd_upload_label(j, "pre", kind),
-                                path=path,
-                                nbytes=nbytes,
-                                gpu=gpu[j],
-                                kind=kind,
-                                priority=priority,
-                            ).after(prev_done)
+                    pre_rows.append(
+                        transfer(
+                            path,
+                            nbytes,
+                            gpu[j],
+                            kind,
+                            priority,
+                            label=bwd_upload_label(j, "pre", kind),
+                            after=(prev_done,),
                         )
                     )
-            rem_deps: list[Task] = list(pre_tasks) + [bwd[j + n][m - 1]]
-            last: Task | None = None
+            rem_deps = [*pre_rows, bwd[j + n][m - 1]]
+            last: int | None = None
             for nbytes, kind in ((rem_param, "param-upload"), (rem_stash, "act-upload")):
-                task = add(
-                    TransferTask(
-                        label=bwd_upload_label(j, "rem", kind),
-                        path=path,
-                        nbytes=nbytes,
-                        gpu=gpu[j],
-                        kind=kind,
-                        priority=priority,
-                    ).after(*(rem_deps if last is None else [last]))
+                last = transfer(
+                    path,
+                    nbytes,
+                    gpu[j],
+                    kind,
+                    priority,
+                    label=bwd_upload_label(j, "rem", kind),
+                    after=rem_deps if last is None else (last,),
                 )
-                last = task
             upload_done_bwd[j] = last if last is not None else prev_done
 
         for mb in range(m):
@@ -254,40 +244,34 @@ def build_mobius_tasks(
                 deps.append(grad_in[j + 1][mb])
             else:
                 deps.append(fwd[j][m - 1])  # Eq. 11: backward after forward
-            bwd[j][mb] = add(
-                ComputeTask(
-                    label=compute_label("B", j, mb),
-                    gpu=gpu[j],
-                    seconds=cost.bwd_seconds,
-                ).after(*deps)
+            bwd[j][mb] = work = compute(
+                gpu[j], cost.bwd_seconds, label=compute_label("B", j, mb), after=deps
             )
             if j and gpu[j] != gpu[j - 1]:
-                grad_in[j][mb] = add(
-                    TransferTask(
-                        label=activation_label("G", j, mb),
-                        path=topology.gpu_to_gpu_path(gpu[j], gpu[j - 1]),
-                        nbytes=cost.input_activation_bytes,
-                        gpu=gpu[j - 1],
-                        kind="activation",
-                        priority=ACTIVATION_PRIORITY if use_priorities else 0,
-                    ).after(bwd[j][mb])
+                grad_in[j][mb] = transfer(
+                    topology.gpu_to_gpu_path(gpu[j], gpu[j - 1]),
+                    cost.input_activation_bytes,
+                    gpu[j - 1],
+                    "activation",
+                    activation_priority,
+                    label=activation_label("G", j, mb),
+                    after=(work,),
                 )
             else:
-                grad_in[j][mb] = bwd[j][mb]
+                grad_in[j][mb] = work
 
         # Offload this stage's FP16 gradients for the CPU optimizer.
-        add(
-            TransferTask(
-                label=grad_offload_label(j),
-                path=topology.path_to_dram(gpu[j]),
-                nbytes=cost.grad_bytes,
-                gpu=gpu[j],
-                kind="grad-offload",
-                priority=OFFLOAD_PRIORITY,
-            ).after(bwd[j][m - 1])
+        transfer(
+            topology.path_to_dram(gpu[j]),
+            cost.grad_bytes,
+            gpu[j],
+            "grad-offload",
+            OFFLOAD_PRIORITY,
+            label=grad_offload_label(j),
+            after=(bwd[j][m - 1],),
         )
 
-    return tasks
+    return table
 
 
 def simulate_mobius(

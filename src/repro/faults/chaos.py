@@ -172,7 +172,7 @@ class ChaosReport:
 
 def _check_step(step: FaultedStep, topology) -> CheckReport:
     report = CheckReport()
-    report.extend(sanitize_run(list(step.tasks), step.trace, topology))
+    report.extend(sanitize_run(step.tasks, step.times, step.trace, topology))
     return report
 
 

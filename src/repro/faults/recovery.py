@@ -40,7 +40,7 @@ from repro.hardware.topology import Topology
 from repro.models.costmodel import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.resources import ComputeUnit
-from repro.sim.tasks import ComputeTask, Task, TaskGraphRunner, TransferTask
+from repro.sim.tasks import TaskGraphRunner, TaskTable, TaskTimes
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -151,51 +151,56 @@ class FaultInjectingRunner(TaskGraphRunner):
                 fault.edge, fault.factor, start=fault.start, end=fault.end
             )
 
-    def _submit_compute(self, unit: ComputeUnit, task: ComputeTask, on_done) -> None:
-        scale = self.schedule.compute_scale(task.gpu, self.sim.now)
+    def _submit_compute(self, unit: ComputeUnit, row: int, on_done) -> None:
+        scale = self.schedule.compute_scale(self._table.gpu[row], self.sim.now)
         if scale != 1.0:
-            # Stretch the task itself (not the unit) so the recorded span
-            # matches task.seconds and the TASK-DURATION check still holds.
-            task.seconds *= scale
-        super()._submit_compute(unit, task, on_done)
+            # Stretch the run's copy of the row's seconds (not the unit, and
+            # not the table) so the recorded span matches the submitted
+            # duration and the TASK-DURATION check still holds.
+            self._seconds[row] *= scale
+        super()._submit_compute(unit, row, on_done)
 
-    def _start_transfer(self, task: TransferTask, complete) -> None:
-        if task.nbytes <= 0 or not task.path:
-            super()._start_transfer(task, complete)
+    def _start_transfer(self, row: int, complete) -> None:
+        table = self._table
+        if table.nbytes[row] <= 0 or not table.paths[table.path_id[row]]:
+            super()._start_transfer(row, complete)
             return
-        task.start_time = self.sim.now
-        self._attempt_transfer(task, complete, attempt=1)
+        self._start[row] = self.sim.now
+        self._attempt_transfer(row, complete, attempt=1)
 
-    def _attempt_transfer(self, task: TransferTask, complete, attempt: int) -> None:
+    def _attempt_transfer(self, row: int, complete, attempt: int) -> None:
         """Issue one attempt; decide success/failure when the flow lands."""
-        rate = self.schedule.failure_probability(task.kind, self.sim.now)
+        table = self._table
+        label = table.label[row]
+        rate = self.schedule.failure_probability(
+            table.kinds[table.trace_kind[row]], self.sim.now
+        )
 
         def on_flow_done() -> None:
-            if rate > 0 and failure_coin(
-                self.schedule.seed, task.label, attempt
-            ) < rate:
-                self._on_attempt_failed(task, complete, attempt)
+            if rate > 0 and failure_coin(self.schedule.seed, label, attempt) < rate:
+                self._on_attempt_failed(row, complete, attempt)
             else:
-                complete(task)
+                complete(row)
 
         self.network.start_flow(
-            task.path,
-            task.nbytes,
+            table.paths[table.path_id[row]],
+            table.nbytes[row],
             on_flow_done,
-            priority=task.priority,
-            label=task.label,
+            priority=table.priority[row],
+            label=label,
         )
 
-    def _on_attempt_failed(self, task: TransferTask, complete, attempt: int) -> None:
+    def _on_attempt_failed(self, row: int, complete, attempt: int) -> None:
+        label = self._table.label[row]
         retried = attempt < self.retry_policy.max_attempts
         self.failed_attempts.append(
-            FailedAttempt(task.label, attempt, self.sim.now, retried)
+            FailedAttempt(label, attempt, self.sim.now, retried)
         )
         if not retried:
-            raise UnrecoverableTransferError(task.label, self.sim.now, attempt)
+            raise UnrecoverableTransferError(label, self.sim.now, attempt)
         self.sim.schedule(
             self.retry_policy.backoff(attempt),
-            lambda: self._attempt_transfer(task, complete, attempt + 1),
+            lambda: self._attempt_transfer(row, complete, attempt + 1),
         )
 
 
@@ -206,8 +211,8 @@ class FaultedStep:
     Attributes:
         trace: The trace of the *successful* execution (degraded-mode
             re-execution when ``degraded``); always checker-clean.
-        tasks: The task graph that produced ``trace`` (for
-            :func:`repro.check.trace_check.sanitize_run`).
+        tasks: The task table that produced ``trace``, and ``times`` its
+            realised times (for :func:`repro.check.trace_check.sanitize_run`).
         step_seconds: Wall time charged to the step, including the aborted
             attempt when degraded mode kicked in.
         degraded: Whether the step fell back to no-prefetch execution.
@@ -218,7 +223,8 @@ class FaultedStep:
     """
 
     trace: Trace
-    tasks: tuple[Task, ...]
+    tasks: TaskTable
+    times: TaskTimes
     step_seconds: float
     degraded: bool
     abort_seconds: float
@@ -253,9 +259,8 @@ def run_step(
     try:
         trace = runner.execute(tasks)
     except UnrecoverableTransferError as err:
-        # Degraded mode: rebuild a fresh graph (the aborted one holds
-        # partially-executed tasks) and re-run without prefetch overlap.
-        # Fault windows are re-entered from t=0 of the re-execution.
+        # Degraded mode: re-run the step without prefetch overlap.  Fault
+        # windows are re-entered from t=0 of the re-execution.
         degraded_tasks = build_mobius_tasks(
             plan, topology, stage_costs, prefetch=False, use_priorities=use_priorities
         )
@@ -265,7 +270,8 @@ def run_step(
         trace = degraded_runner.execute(degraded_tasks)
         return FaultedStep(
             trace=trace,
-            tasks=tuple(degraded_tasks),
+            tasks=degraded_tasks,
+            times=degraded_runner.last_times,
             step_seconds=err.seconds + trace.makespan,
             degraded=True,
             abort_seconds=err.seconds,
@@ -275,7 +281,8 @@ def run_step(
         )
     return FaultedStep(
         trace=trace,
-        tasks=tuple(tasks),
+        tasks=tasks,
+        times=runner.last_times,
         step_seconds=trace.makespan,
         degraded=False,
         abort_seconds=0.0,

@@ -7,14 +7,7 @@ task-graph runner that executes scheduler-emitted graphs into traces.
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.resources import ComputeUnit, Flow, FlowNetwork
-from repro.sim.tasks import (
-    BarrierTask,
-    ComputeTask,
-    DeadlockError,
-    Task,
-    TaskGraphRunner,
-    TransferTask,
-)
+from repro.sim.tasks import DeadlockError, TaskGraphRunner, TaskTable, TaskTimes
 from repro.sim.trace import (
     ComputeSpan,
     Trace,
@@ -25,20 +18,18 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "BarrierTask",
     "ComputeSpan",
-    "ComputeTask",
     "ComputeUnit",
     "DeadlockError",
     "EventHandle",
     "Flow",
     "FlowNetwork",
     "Simulator",
-    "Task",
     "TaskGraphRunner",
+    "TaskTable",
+    "TaskTimes",
     "Trace",
     "TransferSpan",
-    "TransferTask",
     "merge_intervals",
     "subtract_intervals",
     "total_length",

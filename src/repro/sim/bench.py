@@ -42,7 +42,7 @@ from repro.models.costmodel import CostModel
 from repro.perf.bench import Stopwatch, row
 from repro.perf.fingerprint import fingerprint
 from repro.sim.resources import FlowNetworkStats
-from repro.sim.tasks import Task, TaskGraphRunner
+from repro.sim.tasks import TaskGraphRunner, TaskTable
 from repro.sim.workloads import run_cluster_workload
 
 __all__ = ["bench_rows", "GATED_COUNTERS", "LargeCell", "LARGE_CELLS"]
@@ -73,7 +73,7 @@ def _work_counters(events: int, stats: FlowNetworkStats) -> dict[str, int]:
     }
 
 
-def _corpus_task_graphs() -> Iterator[tuple[str, Topology, list[Task]]]:
+def _corpus_task_graphs() -> Iterator[tuple[str, Topology, TaskTable]]:
     """``(row name, topology, tasks)`` for each corpus row, built lazily."""
     for cell in default_corpus():
         report = plan_mobius(cell.model, cell.topology, cell.config)

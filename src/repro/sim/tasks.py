@@ -1,27 +1,33 @@
 """Task-graph execution on top of the simulator.
 
 Schedulers (Mobius, GPipe, DeepSpeed) do not drive the event loop directly;
-they emit a *task graph*:
+they emit rows into one :class:`TaskTable`:
 
-* :class:`ComputeTask` — runs for a fixed duration on one GPU's
+* :meth:`TaskTable.compute` — runs for a fixed duration on one GPU's
   :class:`~repro.sim.resources.ComputeUnit` (FIFO per GPU, like a CUDA
   stream);
-* :class:`TransferTask` — a flow over a topology path, bandwidth-shared with
-  all concurrent flows;
-* :class:`BarrierTask` — zero-cost synchronisation point.
+* :meth:`TaskTable.transfer` — a flow over a topology path,
+  bandwidth-shared with all concurrent flows;
+* :meth:`TaskTable.barrier` — zero-cost synchronisation point.
 
-A task becomes *ready* when all its dependencies complete; ready compute
-tasks queue on their GPU, ready transfers enter the
+Each emit returns the row's integer handle, and dependencies are declared
+by handle.  A row becomes *ready* when all its dependencies complete;
+ready compute rows queue on their GPU, ready transfers enter the
 :class:`~repro.sim.resources.FlowNetwork`.  The :class:`TaskGraphRunner`
-executes the whole graph and records a :class:`~repro.sim.trace.Trace`.
+executes the whole table by row id and records a
+:class:`~repro.sim.trace.Trace`; the realised times live on the runner
+(:class:`TaskTimes`), never on the table, so one table can be executed any
+number of times.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
-import itertools
-from collections.abc import Sequence
+import math
+from collections.abc import Iterable
+from functools import partial
+
+import numpy as np
 
 from repro.hardware.topology import Path, Topology
 from repro.sim.engine import Simulator
@@ -29,109 +35,218 @@ from repro.sim.resources import ComputeUnit, FlowNetwork
 from repro.sim.trace import Trace
 
 __all__ = [
-    "Task",
-    "ComputeTask",
-    "TransferTask",
-    "BarrierTask",
+    "COMPUTE",
+    "TRANSFER",
+    "BARRIER",
+    "TaskTable",
+    "TaskTimes",
     "TaskGraphRunner",
     "DeadlockError",
 ]
 
-_uid_counter = itertools.count()
-
-
-def _next_task_uid() -> int:
-    """Synchronization seam: allocate a task uid (MOB007-sanctioned).
-
-    ``next()`` on :func:`itertools.count` is atomic under the GIL (a single
-    C-level call), so concurrent graph builders get distinct uids.  Uids
-    order heap ties *within* one graph; across processes each worker's
-    counter restarts, which is fine — task graphs never cross processes.
-    """
-    return next(_uid_counter)
-
-
-class _State(enum.Enum):
-    WAITING = "waiting"
-    READY = "ready"
-    DONE = "done"
+#: Row kinds (the ``op`` column).
+COMPUTE, TRANSFER, BARRIER = 0, 1, 2
 
 
 class DeadlockError(RuntimeError):
     """Raised when a task graph cannot make progress (cyclic dependencies)."""
 
 
-@dataclasses.dataclass(eq=False, slots=True)
-class Task:
-    """Base task-graph node; use the concrete subclasses.
+class TaskTable:
+    """One task graph as parallel columns, one row per task.
 
-    Slotted: a 1024-GPU scenario executes ~10^6 task nodes, and per-node
-    ``__dict__`` overhead dominated graph memory before anything ran.
+    Columns (plain lists, indexed by row handle): ``op`` (:data:`COMPUTE`,
+    :data:`TRANSFER` or :data:`BARRIER`), ``gpu``, ``seconds``, ``nbytes``
+    (the Python number as given, so an ``int`` byte count stays an ``int``
+    in the trace), ``path_id`` into :attr:`paths`, ``priority``,
+    ``trace_kind`` into :attr:`kinds` and ``label``.  Dependency edges are
+    kept in declaration order; a duplicate edge counts twice.
+
+    Example:
+        >>> table = TaskTable()
+        >>> a = table.compute(0, 1.0, "F0,0")
+        >>> b = table.barrier("sync", after=(a, None))
+        >>> table.after(b, a)
+        1
+        >>> len(table), [column.tolist() for column in table.edges()]
+        (2, [[0, 0], [1, 1]])
     """
 
-    label: str = ""
-    deps: list["Task"] = dataclasses.field(default_factory=list)
-    uid: int = dataclasses.field(init=False, repr=False, default=0)
-    state: _State = dataclasses.field(init=False, repr=False, default=_State.WAITING)
-    start_time: float | None = dataclasses.field(init=False, repr=False, default=None)
-    end_time: float | None = dataclasses.field(init=False, repr=False, default=None)
+    def __init__(self) -> None:
+        self.op: list[int] = []
+        self.gpu: list[int] = []
+        self.seconds: list[float] = []
+        self.nbytes: list[float] = []
+        self.path_id: list[int] = []
+        self.priority: list[int] = []
+        self.trace_kind: list[int] = []
+        self.label: list[str] = []
+        #: Interned transfer paths and trace kinds, in first-emit order.
+        self.paths: list[Path] = []
+        self.kinds: list[str] = []
+        self._path_ids: dict[int, int] = {}
+        self._kind_codes: dict[str, int] = {}
+        self._dep_src: list[int] = []
+        self._dep_dst: list[int] = []
 
-    def __post_init__(self) -> None:
-        self.uid = _next_task_uid()
+    def __len__(self) -> int:
+        return len(self.op)
 
-    def after(self, *tasks: "Task | None") -> "Task":
-        """Add dependencies (``None`` entries are skipped); returns self."""
-        for task in tasks:
-            if task is not None:
-                self.deps.append(task)
-        return self
+    # ------------------------------------------------------------------
+    # Emitting rows
+    # ------------------------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        return self.state is _State.DONE
+    def compute(
+        self,
+        gpu: int,
+        seconds: float,
+        label: str = "",
+        *,
+        after: Iterable[int | None] = (),
+    ) -> int:
+        """A kernel of ``seconds`` on ``gpu``; returns its row handle."""
+        return self._emit(COMPUTE, gpu, seconds, 0, -1, 0, -1, label, after)
+
+    def transfer(
+        self,
+        path: Path,
+        nbytes: float,
+        gpu: int = 0,
+        kind: str = "",
+        priority: int = 0,
+        label: str = "",
+        *,
+        after: Iterable[int | None] = (),
+    ) -> int:
+        """A transfer of ``nbytes`` along ``path``; returns its row handle.
+
+        Args:
+            gpu: Owner GPU for trace/overlap accounting (usually the GPU
+                whose execution depends on the transferred bytes).
+            kind: Trace category (``"param-upload"``, ``"allgather"``, ...).
+            priority: Flow priority; higher preempts lower (§3.3 prefetch
+                priorities).
+        """
+        # Interned by identity: the topology hands out shared path tuples,
+        # and the table keeps each interned one alive.
+        path_id = self._path_ids.get(id(path))
+        if path_id is None:
+            path_id = self._path_ids[id(path)] = len(self.paths)
+            self.paths.append(path)
+        code = self._kind_codes.get(kind)
+        if code is None:
+            code = self._kind_codes[kind] = len(self.kinds)
+            self.kinds.append(kind)
+        return self._emit(TRANSFER, gpu, 0.0, nbytes, path_id, priority, code, label, after)
+
+    def barrier(self, label: str = "", *, after: Iterable[int | None] = ()) -> int:
+        """A zero-duration synchronisation row; returns its handle."""
+        return self._emit(BARRIER, 0, 0.0, 0, -1, 0, -1, label, after)
+
+    def after(self, row: int, *deps: int | None) -> int:
+        """Add dependencies to an emitted ``row`` (``None`` is skipped)."""
+        n = len(self.op)
+        if not (isinstance(row, int) and 0 <= row < n):
+            raise ValueError(f"task handle {row!r} is not a row of this table ({n} rows)")
+        self._link(row, deps, n)
+        return row
+
+    def _emit(self, op, gpu, seconds, nbytes, path_id, priority, trace_kind, label, after) -> int:
+        """Append one row to every column; all three emitters end here."""
+        row = len(self.op)
+        if after:
+            self._link(row, after, row)
+        self.op.append(op)
+        self.gpu.append(gpu)
+        self.seconds.append(seconds)
+        self.nbytes.append(nbytes)
+        self.path_id.append(path_id)
+        self.priority.append(priority)
+        self.trace_kind.append(trace_kind)
+        self.label.append(label)
+        return row
+
+    def _link(self, row: int, deps: Iterable[int | None], limit: int) -> None:
+        """Record ``row``'s dependencies; each must be a row below ``limit``.
+
+        A rejected call leaves the table as it was.
+        """
+        src, dst = self._dep_src, self._dep_dst
+        recorded = len(src)
+        for dep in deps:
+            if dep is None:
+                continue
+            if not (isinstance(dep, int) and 0 <= dep < limit):
+                del src[recorded:], dst[recorded:]
+                raise ValueError(
+                    f"dependency handle {dep!r} is not a row of this table "
+                    f"({limit} rows)"
+                )
+            src.append(dep)
+            dst.append(row)
+
+    # ------------------------------------------------------------------
+    # Reading the graph
+    # ------------------------------------------------------------------
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dependency, dependent)`` row arrays in declaration order."""
+        return (
+            np.array(self._dep_src, dtype=np.int64),
+            np.array(self._dep_dst, dtype=np.int64),
+        )
+
+    def successors(self) -> tuple[list[int], list[int], list[int]]:
+        """The successor CSR: ``(offsets, successors, indegree)``.
+
+        Row ``r``'s successors are ``successors[offsets[r]:offsets[r + 1]]``,
+        ordered by dependent row and then by declaration — the order a
+        walk over the rows and each row's dependencies appends them in.  A
+        dependency declared twice appears twice and counts twice in the
+        dependent's indegree.
+        """
+        n = len(self.op)
+        src, dst = self.edges()
+        order = np.lexsort((dst, src))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        return (
+            offsets.tolist(),
+            dst[order].tolist(),
+            np.bincount(dst, minlength=n).tolist(),
+        )
 
 
-@dataclasses.dataclass(eq=False, slots=True)
-class ComputeTask(Task):
-    """A kernel of fixed duration on one GPU."""
-
-    gpu: int = 0
-    seconds: float = 0.0
-
-
-@dataclasses.dataclass(eq=False, slots=True)
-class TransferTask(Task):
-    """A data transfer along a topology path.
+@dataclasses.dataclass(frozen=True)
+class TaskTimes:
+    """Realised per-row times of one execution of a :class:`TaskTable`.
 
     Attributes:
-        gpu: Owner GPU for trace/overlap accounting (usually the GPU whose
-            execution depends on the transferred bytes).
-        kind: Trace category (``"stage-upload"``, ``"allgather"``, ...).
-        priority: Flow priority; higher preempts lower (§3.3 prefetch
-            priorities).
+        start: When each row began work (NaN: never started).
+        end: When each row completed (NaN: never completed).
+        seconds: Each compute row's duration as submitted to its GPU — the
+            table's value, stretched when a fault runner slowed the GPU.
     """
 
-    path: Path = ()
-    nbytes: float = 0.0
-    gpu: int = 0
-    kind: str = ""
-    priority: int = 0
+    start: np.ndarray
+    end: np.ndarray
+    seconds: np.ndarray
 
 
-@dataclasses.dataclass(eq=False, slots=True)
-class BarrierTask(Task):
-    """Zero-duration synchronisation node."""
+def _stamp(times: list[float], sim: Simulator, row: int) -> None:
+    times[row] = sim.now
 
 
 class TaskGraphRunner:
-    """Executes a task graph on a topology, producing a trace.
+    """Executes a task table on a topology, producing a trace.
 
     Example:
         >>> from repro.hardware.topology import topo_2_2
         >>> topo = topo_2_2()
-        >>> up = TransferTask(path=topo.path_from_dram(0), nbytes=1e9, gpu=0)
-        >>> work = ComputeTask(gpu=0, seconds=0.5).after(up)
-        >>> trace = TaskGraphRunner(topo).execute([up, work])
+        >>> table = TaskTable()
+        >>> up = table.transfer(topo.path_from_dram(0), 1e9, gpu=0)
+        >>> work = table.compute(0, 0.5, after=(up,))
+        >>> trace = TaskGraphRunner(topo).execute(table)
         >>> round(trace.makespan, 3)
         0.576
     """
@@ -152,124 +267,140 @@ class TaskGraphRunner:
         self.compute_units = [
             ComputeUnit(self.sim, f"gpu{i}") for i in range(topology.n_gpus)
         ]
-        #: Introspection hooks for post-run verification: the task list and
-        #: trace of the most recent :meth:`execute` call (``None`` before).
-        #: :mod:`repro.check.trace_check` replays these against the
-        #: topology's causality and link-capacity invariants.
-        self.last_tasks: list[Task] | None = None
-        self.last_trace: Trace | None = None
+        #: Introspection hooks for post-run verification: the table and
+        #: realised times of the most recent :meth:`execute` call (``None``
+        #: before).  :mod:`repro.check.trace_check` replays these against
+        #: the topology's causality and link-capacity invariants.
+        self.last_tasks: TaskTable | None = None
+        self.last_times: TaskTimes | None = None
+        # Per-execution state the dispatch seams read: the table being run,
+        # its realised start times so far, and the run's copy of its
+        # seconds column.
+        self._table = TaskTable()
+        self._start: list[float] = []
+        self._seconds: list[float] = []
 
-    def execute(self, tasks: Sequence[Task]) -> Trace:
-        """Run all ``tasks`` to completion and return the recorded trace.
+    def execute(self, tasks: TaskTable) -> Trace:
+        """Run every row of ``tasks`` to completion; return the trace.
+
+        Trace spans are recorded in completion order: compute rows with
+        positive seconds and transfer rows with positive bytes.
 
         Raises:
-            DeadlockError: If some tasks never become ready (dependency
-                cycle, or dependency on a task not in ``tasks``).
+            DeadlockError: If some rows never become ready (dependency
+                cycle).
         """
-        tasks = list(tasks)
-        trace = Trace(self.topology.n_gpus)
-        children: dict[int, list[Task]] = {}
-        pending: dict[int, int] = {}
-        task_set = {t.uid for t in tasks}
-        remaining = len(tasks)
+        table = tasks
+        n = len(table)
+        offsets, successors, pending = table.successors()
+        op, gpu = table.op, table.gpu
+        units = self.compute_units
+        sim = self.sim
+        start = [math.nan] * n
+        end = [math.nan] * n
+        done: list[int] = []
+        self._table = table
+        self._start = start
+        self._seconds = list(table.seconds)
 
-        for task in tasks:
-            for dep in task.deps:
-                if dep.uid not in task_set:
-                    raise DeadlockError(
-                        f"task {task.label!r} depends on {dep.label!r}, "
-                        "which is not part of the executed graph"
-                    )
-            pending[task.uid] = len(task.deps)
-            for dep in task.deps:
-                children.setdefault(dep.uid, []).append(task)
-
-        def complete(task: Task) -> None:
-            nonlocal remaining
-            task.state = _State.DONE
-            task.end_time = self.sim.now
-            remaining -= 1
-            self._record(task, trace)
-            for child in children.get(task.uid, ()):
-                pending[child.uid] -= 1
-                if pending[child.uid] == 0:
+        def complete(row: int) -> None:
+            end[row] = sim.now
+            done.append(row)
+            for child in successors[offsets[row] : offsets[row + 1]]:
+                left = pending[child] - 1
+                pending[child] = left
+                if not left:
                     dispatch(child)
 
-        def dispatch(task: Task) -> None:
-            task.state = _State.READY
-            self._dispatch_task(task, complete)
+        def dispatch(row: int) -> None:
+            kind = op[row]
+            if kind == TRANSFER:
+                self._start_transfer(row, complete)
+            elif kind == COMPUTE:
+                self._submit_compute(units[gpu[row]], row, partial(complete, row))
+            else:
+                start[row] = sim.now
+                sim.schedule_call(0.0, partial(complete, row))
 
-        for task in tasks:
-            if pending[task.uid] == 0:
-                dispatch(task)
+        for row in range(n):
+            if not pending[row]:
+                dispatch(row)
 
-        self.sim.run()
+        sim.run()
 
-        if remaining:
-            stuck = [t.label or f"task#{t.uid}" for t in tasks if not t.done]
+        if len(done) < n:
+            stuck = [
+                table.label[row] or f"task#{row}"
+                for row in range(n)
+                if math.isnan(end[row])
+            ]
             raise DeadlockError(
-                f"{remaining} tasks never completed (cycle?): {stuck[:10]}"
+                f"{n - len(done)} tasks never completed (cycle?): {stuck[:10]}"
             )
-        self.last_tasks = tasks
-        self.last_trace = trace
-        return trace
+        times = TaskTimes(
+            start=np.array(start, dtype=np.float64),
+            end=np.array(end, dtype=np.float64),
+            seconds=np.array(self._seconds, dtype=np.float64),
+        )
+        self.last_tasks = table
+        self.last_times = times
+        return self._trace(table, times, done)
 
-    def _dispatch_task(self, task: Task, complete) -> None:
-        """Route a ready task to its resource.
-
-        ``complete`` is the graph-progress callback: call it with ``task``
-        exactly once, when the task's work is done.  Subclasses (the fault
-        runner in :mod:`repro.faults.recovery`) override the per-type hooks
-        below rather than this router.
-        """
-        if isinstance(task, ComputeTask):
-            unit = self.compute_units[task.gpu]
-
-            def on_start_wrapper() -> None:
-                complete(task)
-
-            # Record the queuing moment separately from execution: the
-            # compute unit may be busy.  We capture the real start by
-            # submitting a closure that stamps time when the unit picks
-            # the task up.
-            self._submit_compute(unit, task, on_start_wrapper)
-        elif isinstance(task, TransferTask):
-            self._start_transfer(task, complete)
-        elif isinstance(task, BarrierTask):
-            task.start_time = self.sim.now
-            self.sim.schedule_call(0.0, lambda: complete(task))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown task type: {type(task).__name__}")
-
-    def _start_transfer(self, task: TransferTask, complete) -> None:
-        """Issue one transfer as a flow; the seam for retry/fault wrappers."""
-        task.start_time = self.sim.now
+    def _start_transfer(self, row: int, complete) -> None:
+        """Issue one transfer row as a flow; the seam for retry/fault
+        wrappers.  Call ``complete(row)`` exactly once, when it is done."""
+        table = self._table
+        self._start[row] = self.sim.now
         self.network.start_flow(
-            task.path,
-            task.nbytes,
-            lambda: complete(task),
-            priority=task.priority,
-            label=task.label,
+            table.paths[table.path_id[row]],
+            table.nbytes[row],
+            partial(complete, row),
+            priority=table.priority[row],
+            label=table.label[row],
         )
 
-    def _submit_compute(self, unit: ComputeUnit, task: ComputeTask, on_done) -> None:
-        def timed_done() -> None:
-            on_done()
+    def _submit_compute(self, unit: ComputeUnit, row: int, on_done) -> None:
+        """Queue one compute row on ``unit``; the seam for fault wrappers.
 
-        # The ComputeUnit handles FIFO queuing; stamp the actual start time
-        # by wrapping submission in a zero-length preamble.
-        def begin() -> None:
-            task.start_time = self.sim.now
+        A zero-length preamble stamps the row's real start when the unit
+        picks it up (the unit may be busy).  The row then runs for this
+        run's copy of its seconds, which a fault runner may stretch.
+        """
+        unit.submit(0.0, partial(_stamp, self._start, self.sim, row))
+        unit.submit(self._seconds[row], on_done)
 
-        unit.submit(0.0, begin)
-        unit.submit(task.seconds, timed_done)
+    def _trace(self, table: TaskTable, times: TaskTimes, done: list[int]) -> Trace:
+        """The trace of one execution, gathered from the columns at once."""
+        order = np.array(done, dtype=np.int64)
+        op = np.array(table.op)[order]
+        nbytes = np.array(table.nbytes, dtype=np.float64)
+        compute = order[(op == COMPUTE) & (times.seconds[order] > 0)]
+        transfer = order[(op == TRANSFER) & (nbytes[order] > 0)]
+        spans = {
+            "gpu": np.array(table.gpu, dtype=np.int64),
+            "start": np.where(np.isnan(times.start), times.end, times.start),
+            "end": times.end,
+        }
 
-    @staticmethod
-    def _record(task: Task, trace: Trace) -> None:
-        start = task.start_time if task.start_time is not None else task.end_time
-        end = task.end_time
-        assert end is not None
-        if isinstance(task, ComputeTask) and task.seconds > 0:
-            trace.add_compute(task.gpu, start, end, task.label)
-        elif isinstance(task, TransferTask) and task.nbytes > 0:
-            trace.add_transfer(task.gpu, start, end, task.nbytes, task.kind, task.label)
+        def gather(rows: np.ndarray) -> dict:
+            columns = {name: column[rows] for name, column in spans.items()}
+            columns["label"] = [table.label[row] for row in rows.tolist()]
+            return columns
+
+        # Trace kind codes count from the first *recorded* span, not from
+        # the table's emit order.
+        codes = np.array(table.trace_kind, dtype=np.int64)[transfer]
+        kinds, first = np.unique(codes, return_index=True)
+        kinds = kinds[np.argsort(first)]
+        remap = np.zeros(len(table.kinds), dtype=np.int32)
+        remap[kinds] = np.arange(len(kinds))
+        transfers = gather(transfer)
+        transfers.update(
+            nbytes=nbytes[transfer],
+            nbytes_int=[isinstance(table.nbytes[row], int) for row in transfer.tolist()],
+            kind_code=remap[codes],
+            kinds=[table.kinds[code] for code in kinds.tolist()],
+        )
+        return Trace.from_columns(
+            self.topology.n_gpus, compute=gather(compute), transfers=transfers
+        )

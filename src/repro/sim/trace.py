@@ -10,9 +10,10 @@ The analyses of §4.2 are all derived from traces:
 * **non-overlapped communication time** (Figure 8) — per-GPU communication
   intervals minus that GPU's compute intervals.
 
-Storage is columnar (DESIGN.md §12): spans land directly in append-only,
-capacity-doubled numpy column buffers — transfer kinds interned as int
-codes — so the ``_compute_columns``/``_transfer_columns`` views the
+Storage is columnar (DESIGN.md §12): spans live in numpy column buffers —
+transfer kinds interned as int codes — that the task runner fills at once
+with :meth:`Trace.from_columns` and hand-built traces grow one span at a
+time, so the ``_compute_columns``/``_transfer_columns`` views the
 aggregate methods consume are zero-copy slices instead of O(n) rebuilds,
 and a trace of a ~1M-event datacenter scenario does not hold a million
 Python span objects.  ``trace.compute`` / ``trace.transfers`` materialize
@@ -406,6 +407,41 @@ class Trace:
                 f"{what} span {label!r} ends before it starts: [{start}, {end}]"
             )
 
+    @classmethod
+    def from_columns(cls, n_gpus: int, *, compute: dict, transfers: dict) -> "Trace":
+        """A trace bulk-loaded from whole columns, in recording order.
+
+        ``compute`` maps ``gpu``/``start``/``end``/``label`` to parallel
+        columns; ``transfers`` adds ``nbytes``, ``nbytes_int``,
+        ``kind_code`` and ``kinds`` (the kind of each code, in first-use
+        order).  Every row passes the same checks as :meth:`add_compute`
+        and :meth:`add_transfer`; the first row that fails raises their
+        error.
+        """
+        trace = cls(n_gpus)
+        for what, columns in (("compute", compute), ("transfer", transfers)):
+            start = np.asarray(columns["start"], dtype=np.float64)
+            end = np.asarray(columns["end"], dtype=np.float64)
+            ok = np.isfinite(start) & np.isfinite(end) & (end >= start)
+            nbytes = np.asarray(columns.get("nbytes", ()), dtype=np.float64)
+            if nbytes.size:
+                ok &= np.isfinite(nbytes) & (nbytes >= 0)
+            if not ok.all():
+                row = int(np.argmin(ok))
+                label = columns["label"][row]
+                cls._check_span(what, float(start[row]), float(end[row]), label)
+                cls._check_bytes(float(nbytes[row]), label)
+        trace._compute_store.load_state(compute)
+        trace._transfer_store.load_state(transfers)
+        return trace
+
+    @staticmethod
+    def _check_bytes(nbytes: float, label: str) -> None:
+        if not math.isfinite(nbytes) or nbytes < 0:
+            raise ValueError(
+                f"transfer span {label!r} has invalid byte count {nbytes!r}"
+            )
+
     def add_compute(self, gpu: int, start: float, end: float, label: str = "") -> None:
         self._check_span("compute", start, end, label)
         self._compute_store.append_row((gpu, start, end), label)
@@ -414,10 +450,7 @@ class Trace:
         self, gpu: int, start: float, end: float, nbytes: float, kind: str = "", label: str = ""
     ) -> None:
         self._check_span("transfer", start, end, label)
-        if not math.isfinite(nbytes) or nbytes < 0:
-            raise ValueError(
-                f"transfer span {label!r} has invalid byte count {nbytes!r}"
-            )
+        self._check_bytes(nbytes, label)
         store = self._transfer_store
         store.append_row(
             (gpu, start, end, nbytes, isinstance(nbytes, int), store.code_for(kind)),

@@ -28,7 +28,7 @@ import dataclasses
 
 from repro.hardware.topology import Topology
 from repro.sim.resources import FlowNetworkStats
-from repro.sim.tasks import ComputeTask, Task, TaskGraphRunner, TransferTask
+from repro.sim.tasks import TaskGraphRunner, TaskTable
 from repro.sim.trace import Trace
 
 __all__ = [
@@ -57,7 +57,7 @@ def build_cluster_workload(
     rounds: int,
     base_bytes: int = 50_000_000,
     base_compute_seconds: float = 0.02,
-) -> list[Task]:
+) -> TaskTable:
     """Task graph for ``rounds`` upload/compute/offload rounds per GPU.
 
     Per (gpu, round) the byte counts, compute durations and a sprinkling
@@ -65,38 +65,39 @@ def build_cluster_workload(
     integer hash, so concurrent flows have distinct completion instants
     and the allocator sees realistic arrival/departure churn.
 
-    Returns ``3 * n_gpus * rounds`` tasks; executing them dispatches
+    Returns a table of ``3 * n_gpus * rounds`` rows; executing it dispatches
     roughly ``4 * n_gpus * rounds`` simulator events (two per compute,
     one per transfer completion, minus coalesced same-instant finishes).
     """
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")
-    tasks: list[Task] = []
+    table = TaskTable()
     for gpu in range(topology.n_gpus):
         upload_path = topology.path_from_dram(gpu)
         offload_path = topology.path_to_dram(gpu)
-        prev: Task | None = None
+        prev: int | None = None
         for rnd in range(rounds):
-            upload = TransferTask(
-                path=upload_path,
-                nbytes=base_bytes * (1 + _vary(gpu, rnd, 1, 7)),
-                gpu=gpu,
-                kind="param-upload",
-                priority=1 if _vary(gpu, rnd, 2, 5) == 0 else 0,
-            ).after(prev)
-            compute = ComputeTask(
-                gpu=gpu,
-                seconds=base_compute_seconds * (1 + _vary(gpu, rnd, 3, 4)),
-            ).after(upload)
-            offload = TransferTask(
-                path=offload_path,
-                nbytes=base_bytes * (1 + _vary(gpu, rnd, 4, 7)),
-                gpu=gpu,
-                kind="grad-offload",
-            ).after(compute)
-            tasks.extend((upload, compute, offload))
-            prev = offload
-    return tasks
+            upload = table.transfer(
+                upload_path,
+                base_bytes * (1 + _vary(gpu, rnd, 1, 7)),
+                gpu,
+                "param-upload",
+                1 if _vary(gpu, rnd, 2, 5) == 0 else 0,
+                after=(prev,),
+            )
+            compute = table.compute(
+                gpu,
+                base_compute_seconds * (1 + _vary(gpu, rnd, 3, 4)),
+                after=(upload,),
+            )
+            prev = table.transfer(
+                offload_path,
+                base_bytes * (1 + _vary(gpu, rnd, 4, 7)),
+                gpu,
+                "grad-offload",
+                after=(compute,),
+            )
+    return table
 
 
 @dataclasses.dataclass(frozen=True)

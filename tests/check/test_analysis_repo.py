@@ -61,9 +61,6 @@ class TestSelfCheck:
         assert "repro.core.api.partition_solve_key" in graph.callees(
             "repro.core.api._plan_mobius_uncached"
         )
-        assert "repro.sim.tasks._next_task_uid" in graph.callees(
-            "repro.sim.tasks.Task.__post_init__"
-        )
 
     def test_real_tree_seam_callbacks_cross_the_event_loop(self):
         program = Program.from_tree(REPO_ROOT)

@@ -397,9 +397,9 @@ class TestMob003TaskLabels:
         report = _lint(
             """
             from repro.core.labels import compute_label
-            from repro.sim.tasks import ComputeTask
+            from repro.sim.tasks import TaskTable
 
-            task = ComputeTask(label=compute_label("F", 0, 1), gpu=0, seconds=1.0)
+            task = TaskTable().compute(0, 1.0, label=compute_label("F", 0, 1))
             """,
             LABEL_MODULE,
         )
@@ -409,9 +409,9 @@ class TestMob003TaskLabels:
         report = _lint(
             """
             import repro.core.labels as labels
-            from repro.sim.tasks import ComputeTask
+            from repro.sim.tasks import TaskTable
 
-            task = ComputeTask(label=labels.compute_label("F", 0, 1), gpu=0, seconds=1.0)
+            task = TaskTable().compute(0, 1.0, labels.compute_label("F", 0, 1))
             """,
             LABEL_MODULE,
         )
@@ -420,9 +420,9 @@ class TestMob003TaskLabels:
     def test_contract_matching_literal_passes(self):
         report = _lint(
             """
-            from repro.sim.tasks import ComputeTask
+            from repro.sim.tasks import TaskTable
 
-            task = ComputeTask(label="F0,1", gpu=0, seconds=1.0)
+            task = TaskTable().compute(0, 1.0, label="F0,1")
             """,
             LABEL_MODULE,
         )
@@ -431,9 +431,9 @@ class TestMob003TaskLabels:
     def test_ad_hoc_literal_flagged(self):
         report = _lint(
             """
-            from repro.sim.tasks import ComputeTask
+            from repro.sim.tasks import TaskTable
 
-            task = ComputeTask(label="fwd-stage-0-mb-1", gpu=0, seconds=1.0)
+            task = TaskTable().compute(0, 1.0, label="fwd-stage-0-mb-1")
             """,
             LABEL_MODULE,
         )
@@ -442,10 +442,8 @@ class TestMob003TaskLabels:
     def test_ad_hoc_fstring_flagged(self):
         report = _lint(
             """
-            from repro.sim.tasks import TransferTask
-
-            def emit(j, kind):
-                return TransferTask(label=f"Ub{j}.pre.{kind}", nbytes=1.0)
+            def emit(table, path, j, kind):
+                return table.transfer(path, 1.0, 0, kind, 0, f"Ub{j}.pre.{kind}")
             """,
             LABEL_MODULE,
         )
@@ -456,10 +454,8 @@ class TestMob003TaskLabels:
     def test_fstring_with_blessed_skeleton_passes(self):
         report = _lint(
             """
-            from repro.sim.tasks import ComputeTask
-
-            def emit(j, mb):
-                return ComputeTask(label=f"F{j},{mb}", gpu=0, seconds=1.0)
+            def emit(table, j, mb):
+                return table.compute(0, 1.0, label=f"F{j},{mb}")
             """,
             LABEL_MODULE,
         )
@@ -468,10 +464,8 @@ class TestMob003TaskLabels:
     def test_dynamic_expression_is_warning(self):
         report = _lint(
             """
-            from repro.sim.tasks import ComputeTask
-
-            def emit(name):
-                return ComputeTask(label=name.upper(), gpu=0, seconds=1.0)
+            def emit(table, name):
+                return table.barrier(name.upper())
             """,
             LABEL_MODULE,
         )
@@ -482,9 +476,9 @@ class TestMob003TaskLabels:
     def test_rule_scoped_to_pipeline_module(self):
         report = _lint(
             """
-            from repro.sim.tasks import ComputeTask
+            from repro.sim.tasks import TaskTable
 
-            task = ComputeTask(label="whatever", gpu=0, seconds=1.0)
+            task = TaskTable().compute(0, 1.0, label="whatever")
             """,
             "src/repro/baselines/gpipe.py",
         )

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.check.trace_check import check_task_graph, sanitize_run, sanitize_trace
 from repro.hardware.topology import topo_2_2
-from repro.sim.tasks import ComputeTask, TaskGraphRunner, TransferTask
+from repro.sim.tasks import TaskGraphRunner, TaskTable, TaskTimes
 from repro.sim.trace import Trace
 
 
@@ -106,48 +107,55 @@ class TestSanitizeTrace:
 
 class TestCheckTaskGraph:
     def test_simulated_graph_is_clean(self, topo):
-        upload = TransferTask(path=topo.path_from_dram(0), nbytes=1e9, gpu=0)
-        work = ComputeTask(gpu=0, seconds=0.5).after(upload)
+        table = TaskTable()
+        upload = table.transfer(topo.path_from_dram(0), 1e9, gpu=0)
+        table.compute(0, 0.5, after=(upload,))
         runner = TaskGraphRunner(topo)
-        trace = runner.execute([upload, work])
-        report = sanitize_run([upload, work], trace, topo)
+        trace = runner.execute(table)
+        report = sanitize_run(table, runner.last_times, trace, topo)
         assert report.ok, report.render()
 
     def test_causality_violation_flagged(self, topo):
-        dep = ComputeTask(label="first", gpu=0, seconds=1.0)
-        child = ComputeTask(label="second", gpu=1, seconds=1.0).after(dep)
+        table = TaskTable()
+        dep = table.compute(0, 1.0, "first")
+        child = table.compute(1, 1.0, "second", after=(dep,))
         runner = TaskGraphRunner(topo)
-        runner.execute([dep, child])
-        child.start_time = 0.25  # corrupt: starts before dep ends
-        child.end_time = 1.25
-        report = check_task_graph([dep, child], topo)
+        runner.execute(table)
+        times = runner.last_times
+        times.start[child] = 0.25  # corrupt: starts before dep ends
+        times.end[child] = 1.25
+        report = check_task_graph(table, times, topo)
         assert "TASK-CAUSALITY" in _codes(report)
         finding = next(f for f in report if f.code == "TASK-CAUSALITY")
         assert finding.subject == "second"
         assert finding.slack == pytest.approx(-0.75)
 
     def test_duration_mismatch_flagged(self, topo):
-        task = ComputeTask(label="k", gpu=0, seconds=1.0)
+        table = TaskTable()
+        task = table.compute(0, 1.0, "k")
         runner = TaskGraphRunner(topo)
-        runner.execute([task])
-        task.end_time = task.start_time + 0.5  # corrupt the realised time
-        report = check_task_graph([task], topo)
+        runner.execute(table)
+        times = runner.last_times
+        times.end[task] = times.start[task] + 0.5  # corrupt the realised time
+        report = check_task_graph(table, times, topo)
         assert "TASK-DURATION" in _codes(report)
 
     def test_incomplete_task_flagged(self, topo):
-        task = ComputeTask(label="never-ran", gpu=0, seconds=1.0)
-        report = check_task_graph([task], topo)
+        table = TaskTable()
+        table.compute(0, 1.0, "never-ran")
+        never = np.full(1, np.nan)
+        times = TaskTimes(start=never, end=never, seconds=np.array([1.0]))
+        report = check_task_graph(table, times, topo)
         assert _codes(report) == {"TASK-INCOMPLETE"}
 
     def test_path_bandwidth_violation_flagged(self, topo):
-        transfer = TransferTask(
-            label="U0", path=topo.path_from_dram(0), nbytes=1e9, gpu=0
-        )
+        table = TaskTable()
+        transfer = table.transfer(topo.path_from_dram(0), 1e9, gpu=0, label="U0")
         runner = TaskGraphRunner(topo)
-        runner.execute([transfer])
-        assert transfer.start_time is not None
-        transfer.end_time = transfer.start_time + 1e-6  # impossibly fast
-        report = check_task_graph([transfer], topo)
+        runner.execute(table)
+        times = runner.last_times
+        times.end[transfer] = times.start[transfer] + 1e-6  # impossibly fast
+        report = check_task_graph(table, times, topo)
         assert "TASK-BW-PATH" in _codes(report)
         # The link-conservation law is violated by the same corruption.
         assert "TASK-LINK-CAP" in _codes(report)
@@ -155,18 +163,19 @@ class TestCheckTaskGraph:
     def test_shared_link_conservation_holds_in_sim(self, topo):
         # Two concurrent uploads to GPUs 0 and 1 share the root-complex
         # link; the fluid model must keep their sum within capacity.
-        transfers = [
-            TransferTask(label=f"U{g}", path=topo.path_from_dram(g), nbytes=2e9, gpu=g)
-            for g in (0, 1)
-        ]
+        table = TaskTable()
+        for g in (0, 1):
+            table.transfer(topo.path_from_dram(g), 2e9, gpu=g, label=f"U{g}")
         runner = TaskGraphRunner(topo)
-        trace = runner.execute(transfers)
-        report = sanitize_run(transfers, trace, topo)
+        trace = runner.execute(table)
+        times = runner.last_times
+        report = sanitize_run(table, times, trace, topo)
         assert report.ok, report.render()
         # Sharing really happened: neither transfer got the full link.
-        for t in transfers:
-            implied = t.nbytes / (t.end_time - t.start_time)
-            assert implied < topo.path_bandwidth(t.path) * 0.75
+        for row in range(len(table)):
+            implied = table.nbytes[row] / (times.end[row] - times.start[row])
+            path = table.paths[table.path_id[row]]
+            assert implied < topo.path_bandwidth(path) * 0.75
 
 
 class TestTraceGuards:
@@ -196,6 +205,36 @@ class TestTraceGuards:
         trace = Trace(2)
         with pytest.raises(ValueError, match="byte count"):
             trace.add_transfer(0, 0.0, 1.0, -1.0, "k", "l")
+
+    @pytest.mark.parametrize(
+        "compute,transfer,match",
+        [
+            ((1.0, 0.5), (0.0, 1.0, 1.0), "ends before it starts"),
+            ((0.0, 1.0), (0.0, math.inf, 1.0), "finite"),
+            ((0.0, 1.0), (0.0, 1.0, -1.0), "byte count"),
+        ],
+    )
+    def test_from_columns_applies_the_same_checks(self, compute, transfer, match):
+        with pytest.raises(ValueError, match=match):
+            Trace.from_columns(
+                2,
+                compute={
+                    "gpu": [0, 1],
+                    "start": [0.0, compute[0]],
+                    "end": [1.0, compute[1]],
+                    "label": ["ok", "c"],
+                },
+                transfers={
+                    "gpu": [0],
+                    "start": [transfer[0]],
+                    "end": [transfer[1]],
+                    "nbytes": [transfer[2]],
+                    "nbytes_int": [False],
+                    "kind_code": [0],
+                    "label": ["t"],
+                    "kinds": ["k"],
+                },
+            )
 
     def test_zero_duration_span_is_legal(self):
         trace = Trace(2)

@@ -56,7 +56,7 @@ def _auto_sanitize_traces(monkeypatch):
 
     def execute_and_sanitize(self, tasks, **kwargs):
         trace = original(self, tasks, **kwargs)
-        report = sanitize_run(self.last_tasks, trace, self.topology)
+        report = sanitize_run(self.last_tasks, self.last_times, trace, self.topology)
         assert report.ok, f"simulated trace failed sanitization:\n{report.render()}"
         return trace
 

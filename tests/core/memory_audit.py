@@ -31,7 +31,7 @@ from repro.core.pipeline import build_mobius_tasks
 from repro.core.plan import ExecutionPlan
 from repro.hardware.topology import Topology
 from repro.models.costmodel import CostModel, StageCost
-from repro.sim.tasks import Task, TaskGraphRunner
+from repro.sim.tasks import TaskGraphRunner, TaskTable, TaskTimes
 
 __all__ = ["MemoryAudit", "audit_mobius_memory"]
 
@@ -73,8 +73,9 @@ def audit_mobius_memory(
     tasks = build_mobius_tasks(
         plan, topology, stage_costs, prefetch=prefetch, use_priorities=use_priorities
     )
-    TaskGraphRunner(topology).execute(tasks)
-    events = _ledger_events(tasks, plan, stage_costs)
+    runner = TaskGraphRunner(topology)
+    runner.execute(tasks)
+    events = _ledger_events(tasks, runner.last_times, plan, stage_costs)
 
     n_gpus = plan.n_gpus
     timelines: list[list[tuple[float, int]]] = [[] for _ in range(n_gpus)]
@@ -92,7 +93,10 @@ def audit_mobius_memory(
 
 
 def _ledger_events(
-    tasks: list[Task], plan: ExecutionPlan, stage_costs: list[StageCost]
+    tasks: TaskTable,
+    times: TaskTimes,
+    plan: ExecutionPlan,
+    stage_costs: list[StageCost],
 ) -> list[tuple[float, int, int]]:
     """Convert executed tasks into (time, gpu, delta_bytes) ledger events."""
     s = plan.n_stages
@@ -106,20 +110,18 @@ def _ledger_events(
         if time is not None and delta:
             events.append((time, gpu, int(delta)))
 
-    for task in tasks:
-        label = task.label
-        start, end = task.start_time, task.end_time
-
+    for label, nbytes, start, end in zip(
+        tasks.label, tasks.nbytes, times.start.tolist(), times.end.tolist()
+    ):
         if match := _UPLOAD_RE.match(label):
             stage = int(match.group(1))
             # Memory is reserved when the transfer begins.
-            nbytes = getattr(task, "nbytes", 0)
             emit(start, gpu_of[stage], nbytes)
             continue
 
         if match := _BWD_UPLOAD_RE.match(label):
             stage = int(match.group(1))
-            emit(start, gpu_of[stage], getattr(task, "nbytes", 0))
+            emit(start, gpu_of[stage], nbytes)
             continue
 
         if match := _COMPUTE_RE.match(label):

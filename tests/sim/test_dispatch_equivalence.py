@@ -215,17 +215,16 @@ class TestWorkloadEquivalence:
             ),
         )
 
+        # One table for both runs: executing it leaves it unchanged.
+        tasks = build_mobius_tasks(
+            report.plan,
+            cell.topology,
+            stage_costs,
+            prefetch=cell.config.prefetch,
+            use_priorities=cell.config.use_priorities,
+        )
         outcomes = {}
         for mode in ("single", "batched"):
-            # Fresh tasks per run: the fault runner mutates task state
-            # (straggler stretch, retry bookkeeping).
-            tasks = build_mobius_tasks(
-                report.plan,
-                cell.topology,
-                stage_costs,
-                prefetch=cell.config.prefetch,
-                use_priorities=cell.config.use_priorities,
-            )
             runner = FaultInjectingRunner(
                 cell.topology, schedule, simulator=SIMULATORS[mode]()
             )

@@ -5,11 +5,12 @@ import doctest
 import pytest
 
 import repro.sim.engine
+import repro.sim.tasks
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro.sim.engine],
+    [repro.sim.engine, repro.sim.tasks],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):
@@ -21,10 +22,11 @@ def test_module_doctests(module):
 def test_task_graph_runner_docstring_example():
     """The TaskGraphRunner class docstring's worked example is accurate."""
     from repro.hardware.topology import topo_2_2
-    from repro.sim.tasks import ComputeTask, TaskGraphRunner, TransferTask
+    from repro.sim.tasks import TaskGraphRunner, TaskTable
 
     topo = topo_2_2()
-    up = TransferTask(path=topo.path_from_dram(0), nbytes=1e9, gpu=0)
-    work = ComputeTask(gpu=0, seconds=0.5).after(up)
-    trace = TaskGraphRunner(topo).execute([up, work])
+    table = TaskTable()
+    up = table.transfer(topo.path_from_dram(0), 1e9, gpu=0)
+    table.compute(0, 0.5, after=(up,))
+    trace = TaskGraphRunner(topo).execute(table)
     assert round(trace.makespan, 3) == 0.576
