@@ -84,15 +84,13 @@ _FINGERPRINT_MODULE = "repro.perf.fingerprint"
 #: label's positional index.
 _TASK_EMITTERS = {"compute": 2, "transfer": 5, "barrier": 0}
 
-#: Calls that consume loop-order on a hot path: heap pushes, trace appends,
+#: Calls that consume loop-order on a hot path: heap pushes, event appends,
 #: fingerprints, and plain accumulation.
 _MOB005_SINKS = frozenset(
     {
         "heappush",
         "heappushpop",
         "heapreplace",
-        "add_compute",
-        "add_transfer",
         "add_event",
         "append",
         "appendleft",

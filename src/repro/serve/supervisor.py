@@ -172,7 +172,7 @@ def _process_worker_main(
     Runs in a fresh interpreter (spawn start method).  The child takes the
     parent's cache tiers and directory, so drain workers share the disk
     store and lease table; opening ``store_path`` is what gives a
-    brand-new serve worker the previous generation's cached plans.
+    brand-new serve worker the plans its predecessors cached.
     """
     configure_cache(
         memory=cache_config.memory,

@@ -401,6 +401,4 @@ class TaskGraphRunner:
             kind_code=remap[codes],
             kinds=[table.kinds[code] for code in kinds.tolist()],
         )
-        return Trace.from_columns(
-            self.topology.n_gpus, compute=gather(compute), transfers=transfers
-        )
+        return Trace(self.topology.n_gpus, compute=gather(compute), transfers=transfers)

@@ -10,13 +10,14 @@ The analyses of §4.2 are all derived from traces:
 * **non-overlapped communication time** (Figure 8) — per-GPU communication
   intervals minus that GPU's compute intervals.
 
-Storage is columnar (DESIGN.md §12): spans live in numpy column buffers —
-transfer kinds interned as int codes — that the task runner fills at once
-with :meth:`Trace.from_columns` and hand-built traces grow one span at a
-time, so the ``_compute_columns``/``_transfer_columns`` views the
-aggregate methods consume are zero-copy slices instead of O(n) rebuilds,
-and a trace of a ~1M-event datacenter scenario does not hold a million
-Python span objects.  ``trace.compute`` / ``trace.transfers`` materialize
+Storage is columnar (DESIGN.md §12): a trace is built once, from whole
+columns, and never changes.  The task runner hands each execution's spans
+to the :class:`Trace` constructor as parallel numpy columns — transfer kinds
+interned as int codes — which it checks in one vectorized pass and keeps
+read-only, so the ``_compute_columns``/``_transfer_columns`` views the
+aggregate methods consume are the stored arrays themselves, and a trace of
+a ~1M-event datacenter scenario does not hold a million Python span
+objects.  ``trace.compute`` / ``trace.transfers`` materialize
 :class:`ComputeSpan`/:class:`TransferSpan` records on demand as read-only
 tuples; ``__mobius_fingerprint__`` encodes the same records in recording
 order.
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -147,61 +147,62 @@ def total_length(intervals: Iterable[Interval]) -> float:
 #: ~100s of MB).
 _MATERIALIZE_CACHE_LIMIT = 1 << 17
 
-_INITIAL_CAPACITY = 1024
+
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only numpy column; an array of ``dtype`` is not copied."""
+    column = np.asarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
 
 class _ColumnStore:
-    """Append-only columnar buffer for one span family.
+    """The columns of one span family, fixed when the trace is built.
 
-    Rows live in capacity-doubled numpy arrays plus a parallel Python list
-    of labels.  A monotonically increasing *generation* counter stamps
-    every mutation; all derived caches (column views, materialized spans,
-    per-kind masks) are keyed on it, so stale reads are impossible even if
-    a buffer is swapped for an identically-sized one — the collision the
-    old ``(id(list), len(list))`` token allowed.
+    Each numeric column is an exact-length, read-only numpy array, and the
+    labels are a tuple, so the derived values (materialized spans, per-kind
+    masks) are computed at most once and never go stale.
     """
 
     #: (name, dtype) pairs for the numeric columns, in storage order.
     numeric_fields: tuple[tuple[str, object], ...] = ()
+    #: The span family, as the validation errors name it.
+    what = ""
 
-    def __init__(self) -> None:
-        self._capacity = _INITIAL_CAPACITY
-        self._arrays = {
-            name: np.empty(self._capacity, dtype=dtype)
-            for name, dtype in self.numeric_fields
+    def __init__(self, columns: dict) -> None:
+        #: Parallel read-only numpy columns over all rows, plus ``label``.
+        self.columns = {
+            name: _read_only(columns[name], dtype) for name, dtype in self.numeric_fields
         }
-        self._labels: list[str] = []
-        self._n = 0
-        self.generation = 0
-        self._columns_cache: tuple[int, dict] | None = None
-        self._materialized_cache: tuple[int, tuple] | None = None
+        self.columns["label"] = tuple(columns["label"])
+        self._spans: tuple | None = None
 
-    def __len__(self) -> int:
-        return self._n
+    def check(self) -> None:
+        """Reject rows that would silently corrupt the columnar analyses.
 
-    def append_row(self, values: tuple, label: str) -> None:
-        n = self._n
-        if n == self._capacity:
-            self._capacity *= 2
-            for name in self._arrays:
-                grown = np.empty(self._capacity, dtype=self._arrays[name].dtype)
-                grown[:n] = self._arrays[name]
-                self._arrays[name] = grown
-        for (name, _), value in zip(self.numeric_fields, values):
-            self._arrays[name][n] = value
-        self._labels.append(label)
-        self._n = n + 1
-        self.generation += 1
-
-    def columns(self) -> dict:
-        """Parallel zero-copy numpy views over all rows, cached."""
-        cached = self._columns_cache
-        if cached is not None and cached[0] == self.generation:
-            return cached[1]
-        columns = {name: arr[: self._n] for name, arr in self._arrays.items()}
-        columns["label"] = self._labels
-        self._columns_cache = (self.generation, columns)
-        return columns
+        One vectorized pass over every row; the first row that fails raises.
+        """
+        columns = self.columns
+        start, end = columns["start"], columns["end"]
+        finite = np.isfinite(start) & np.isfinite(end)
+        ok = finite & (end >= start)
+        nbytes = columns.get("nbytes")
+        if nbytes is not None:
+            ok &= np.isfinite(nbytes) & (nbytes >= 0)
+        if ok.all():
+            return
+        row = int(np.argmin(ok))
+        label, first, last = columns["label"][row], float(start[row]), float(end[row])
+        if not finite[row]:
+            raise ValueError(
+                f"{self.what} span {label!r} has non-finite times: [{first}, {last}]"
+            )
+        if last < first:
+            raise ValueError(
+                f"{self.what} span {label!r} ends before it starts: [{first}, {last}]"
+            )
+        raise ValueError(
+            f"transfer span {label!r} has invalid byte count {float(nbytes[row])!r}"
+        )
 
     def digest(self) -> str:
         """SHA-256 over the raw column bytes — a cheap bit-exact identity.
@@ -211,7 +212,7 @@ class _ColumnStore:
         directly, so it scales to ~1M-row traces; used by the large-cell
         bench rows and the dispatch-equivalence tests.
         """
-        columns = self.columns()
+        columns = self.columns
         sha = hashlib.sha256()
         for name, _ in self.numeric_fields:
             sha.update(name.encode())
@@ -221,48 +222,29 @@ class _ColumnStore:
             sha.update(label.encode())
         return sha.hexdigest()
 
-    def _make_span(self, row: tuple):
-        raise NotImplementedError
-
-    def _iter_rows(self) -> Iterator[tuple]:
-        columns = self.columns()
-        lists = [columns[name].tolist() for name, _ in self.numeric_fields]
-        lists.append(columns["label"])
-        return zip(*lists)
-
     def materialized(self) -> tuple:
         """All rows as span objects; cached below the size threshold."""
-        cached = self._materialized_cache
-        if cached is not None and cached[0] == self.generation:
-            return cached[1]
-        spans = tuple(self._make_span(row) for row in self._iter_rows())
+        if self._spans is not None:
+            return self._spans
+        columns = self.columns
+        rows = zip(
+            *(columns[name].tolist() for name, _ in self.numeric_fields), columns["label"]
+        )
+        spans = tuple(self._make_span(row) for row in rows)
         if len(spans) <= _MATERIALIZE_CACHE_LIMIT:
-            self._materialized_cache = (self.generation, spans)
+            self._spans = spans
         return spans
 
     def export_state(self) -> dict:
-        """Pickle payload: trimmed column copies covering every row."""
-        columns = self.columns()
-        state = {
-            name: np.array(columns[name]) for name, _ in self.numeric_fields
-        }
-        state["label"] = list(columns["label"])
+        """Pickle payload: the numeric columns and a list of labels."""
+        state = {name: self.columns[name] for name, _ in self.numeric_fields}
+        state["label"] = list(self.columns["label"])
         return state
-
-    def load_state(self, state: dict) -> None:
-        labels = state["label"]
-        n = len(labels)
-        self._capacity = max(_INITIAL_CAPACITY, n)
-        for name, dtype in self.numeric_fields:
-            arr = np.empty(self._capacity, dtype=dtype)
-            arr[:n] = state[name]
-            self._arrays[name] = arr
-        self._labels = list(labels)
-        self._n = n
 
 
 class _ComputeStore(_ColumnStore):
     numeric_fields = (("gpu", np.int64), ("start", np.float64), ("end", np.float64))
+    what = "compute"
 
     def _make_span(self, row: tuple) -> ComputeSpan:
         gpu, start, end, label = row
@@ -283,23 +265,16 @@ class _TransferStore(_ColumnStore):
         ("nbytes_int", np.bool_),
         ("kind_code", np.int32),
     )
+    what = "transfer"
 
-    def __init__(self) -> None:
-        super().__init__()
-        # Transfer kinds are drawn from a handful of categories; intern
-        # them as int codes so kind filters are integer compares, not
-        # string membership tests over an object array.
-        self._kind_codes: dict[str, int] = {}
-        self._kinds: list[str] = []
-        self._mask_cache: dict[int, tuple[int, np.ndarray]] = {}
-
-    def code_for(self, kind: str) -> int:
-        code = self._kind_codes.get(kind)
-        if code is None:
-            code = len(self._kinds)
-            self._kind_codes[kind] = code
-            self._kinds.append(kind)
-        return code
+    def __init__(self, columns: dict) -> None:
+        super().__init__(columns)
+        # Transfer kinds are drawn from a handful of categories, interned
+        # as int codes so kind filters are integer compares, not string
+        # membership tests over an object array.
+        self._kinds = tuple(columns["kinds"])
+        self._kind_codes = {kind: code for code, kind in enumerate(self._kinds)}
+        self._masks: dict[int, np.ndarray] = {}
 
     def _make_span(self, row: tuple) -> TransferSpan:
         gpu, start, end, nbytes, nbytes_int, code, label = row
@@ -314,15 +289,14 @@ class _TransferStore(_ColumnStore):
             code = self._kind_codes.get(kind)
             if code is None:
                 continue  # kind never recorded: selects nothing
-            cached = self._mask_cache.get(code)
-            if cached is None or cached[0] != self.generation:
-                mask = self.columns()["kind_code"] == code
-                self._mask_cache[code] = (self.generation, mask)
-            else:
-                mask = cached[1]
+            mask = self._masks.get(code)
+            if mask is None:
+                mask = self._masks[code] = _read_only(
+                    self.columns["kind_code"] == code, bool
+                )
             selected = mask if selected is None else (selected | mask)
         if selected is None:
-            return np.zeros(len(self), dtype=bool)
+            return np.zeros(len(self.columns["label"]), dtype=bool)
         return selected
 
     def export_state(self) -> dict:
@@ -330,25 +304,34 @@ class _TransferStore(_ColumnStore):
         state["kinds"] = list(self._kinds)
         return state
 
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._kinds = list(state["kinds"])
-        self._kind_codes = {kind: code for code, kind in enumerate(self._kinds)}
-
 
 class Trace:
-    """Recorded activity of one simulated training step.
+    """Recorded activity of one simulated training step, fixed once built.
 
     Args:
         n_gpus: Number of GPUs the trace covers.
+        compute: Parallel ``gpu``/``start``/``end``/``label`` columns of
+            the compute spans, in recording order.
+        transfers: The same columns for the transfer spans plus ``nbytes``,
+            ``nbytes_int`` (whether each byte count was a Python int),
+            ``kind_code`` and ``kinds`` (the kind of each code, in
+            first-use order).  A column that is already a numpy array of
+            the stored dtype is kept, not copied, and made read-only.
+
+    Raises:
+        ValueError: ``n_gpus`` is not positive, or a span has non-finite
+            times, ends before it starts, or moves an invalid byte count;
+            the first such row raises.
     """
 
-    def __init__(self, n_gpus: int) -> None:
+    def __init__(self, n_gpus: int, *, compute: dict, transfers: dict) -> None:
         if n_gpus <= 0:
             raise ValueError(f"n_gpus must be positive, got {n_gpus}")
         self.n_gpus = n_gpus
-        self._compute_store = _ComputeStore()
-        self._transfer_store = _TransferStore()
+        self._compute_store = _ComputeStore(compute)
+        self._transfer_store = _TransferStore(transfers)
+        self._compute_store.check()
+        self._transfer_store.check()
 
     # ------------------------------------------------------------------
     # Span records
@@ -392,72 +375,6 @@ class Trace:
         return sha.hexdigest()
 
     # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _check_span(what: str, start: float, end: float, label: str) -> None:
-        """Reject spans that would silently corrupt the columnar views."""
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise ValueError(
-                f"{what} span {label!r} has non-finite times: [{start}, {end}]"
-            )
-        if end < start:
-            raise ValueError(
-                f"{what} span {label!r} ends before it starts: [{start}, {end}]"
-            )
-
-    @classmethod
-    def from_columns(cls, n_gpus: int, *, compute: dict, transfers: dict) -> "Trace":
-        """A trace bulk-loaded from whole columns, in recording order.
-
-        ``compute`` maps ``gpu``/``start``/``end``/``label`` to parallel
-        columns; ``transfers`` adds ``nbytes``, ``nbytes_int``,
-        ``kind_code`` and ``kinds`` (the kind of each code, in first-use
-        order).  Every row passes the same checks as :meth:`add_compute`
-        and :meth:`add_transfer`; the first row that fails raises their
-        error.
-        """
-        trace = cls(n_gpus)
-        for what, columns in (("compute", compute), ("transfer", transfers)):
-            start = np.asarray(columns["start"], dtype=np.float64)
-            end = np.asarray(columns["end"], dtype=np.float64)
-            ok = np.isfinite(start) & np.isfinite(end) & (end >= start)
-            nbytes = np.asarray(columns.get("nbytes", ()), dtype=np.float64)
-            if nbytes.size:
-                ok &= np.isfinite(nbytes) & (nbytes >= 0)
-            if not ok.all():
-                row = int(np.argmin(ok))
-                label = columns["label"][row]
-                cls._check_span(what, float(start[row]), float(end[row]), label)
-                cls._check_bytes(float(nbytes[row]), label)
-        trace._compute_store.load_state(compute)
-        trace._transfer_store.load_state(transfers)
-        return trace
-
-    @staticmethod
-    def _check_bytes(nbytes: float, label: str) -> None:
-        if not math.isfinite(nbytes) or nbytes < 0:
-            raise ValueError(
-                f"transfer span {label!r} has invalid byte count {nbytes!r}"
-            )
-
-    def add_compute(self, gpu: int, start: float, end: float, label: str = "") -> None:
-        self._check_span("compute", start, end, label)
-        self._compute_store.append_row((gpu, start, end), label)
-
-    def add_transfer(
-        self, gpu: int, start: float, end: float, nbytes: float, kind: str = "", label: str = ""
-    ) -> None:
-        self._check_span("transfer", start, end, label)
-        self._check_bytes(nbytes, label)
-        store = self._transfer_store
-        store.append_row(
-            (gpu, start, end, nbytes, isinstance(nbytes, int), store.code_for(kind)),
-            label,
-        )
-
-    # ------------------------------------------------------------------
     # Pickling (content-addressed cache payloads)
     # ------------------------------------------------------------------
 
@@ -469,21 +386,21 @@ class Trace:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(state["n_gpus"])
-        self._compute_store.load_state(state["compute"])
-        self._transfer_store.load_state(state["transfers"])
+        self.__init__(
+            state["n_gpus"], compute=state["compute"], transfers=state["transfers"]
+        )
 
     # ------------------------------------------------------------------
     # Columnar views
     # ------------------------------------------------------------------
 
     def _transfer_columns(self) -> dict:
-        """Parallel numpy arrays over the transfer spans (cached views)."""
-        return self._transfer_store.columns()
+        """Parallel read-only numpy columns over the transfer spans."""
+        return self._transfer_store.columns
 
     def _compute_columns(self) -> dict:
-        """Parallel numpy arrays over the compute spans (cached views)."""
-        return self._compute_store.columns()
+        """Parallel read-only numpy columns over the compute spans."""
+        return self._compute_store.columns
 
     def _kind_mask(self, kinds: Iterable[str]) -> np.ndarray:
         return self._transfer_store.kind_mask(kinds)

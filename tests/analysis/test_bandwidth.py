@@ -8,18 +8,21 @@ from repro.analysis.bandwidth import (
     fraction_of_bytes_above,
     fraction_of_bytes_below,
 )
-from repro.sim.trace import Trace
+from tests.helpers import make_trace
 
 GB = 1e9
 
 
 @pytest.fixture
 def trace():
-    trace = Trace(2)
-    trace.add_transfer(0, 0.0, 1.0, 2 * GB, "a")  # 2 GB/s
-    trace.add_transfer(0, 0.0, 1.0, 6 * GB, "a")  # 6 GB/s
-    trace.add_transfer(1, 0.0, 1.0, 12 * GB, "b")  # 12 GB/s
-    return trace
+    return make_trace(
+        2,
+        transfers=[
+            (0, 0.0, 1.0, 2 * GB, "a"),  # 2 GB/s
+            (0, 0.0, 1.0, 6 * GB, "a"),  # 6 GB/s
+            (1, 0.0, 1.0, 12 * GB, "b"),  # 12 GB/s
+        ],
+    )
 
 
 class TestCDF:
@@ -59,6 +62,6 @@ class TestFractions:
         assert below + above == pytest.approx(1.0)
 
     def test_empty_trace(self):
-        empty = Trace(1)
+        empty = make_trace(1)
         assert fraction_of_bytes_below(empty, 5.0) == 0.0
         assert fraction_of_bytes_above(empty, 5.0) == 0.0

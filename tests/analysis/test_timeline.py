@@ -5,19 +5,18 @@ import json
 import pytest
 
 from repro.analysis.timeline import ascii_gantt, to_chrome_trace
-from repro.sim.trace import Trace
+from tests.helpers import make_trace
 
 GB = 1e9
 
 
 @pytest.fixture
 def trace():
-    trace = Trace(2)
-    trace.add_compute(0, 0.0, 1.0, "F0")
-    trace.add_compute(1, 0.5, 1.5, "F1")
-    trace.add_transfer(0, 0.0, 0.5, GB, "param-upload", "U0")
-    trace.add_transfer(1, 1.0, 1.5, GB, "grad-offload", "G1")
-    return trace
+    return make_trace(
+        2,
+        [(0, 0.0, 1.0, "F0"), (1, 0.5, 1.5, "F1")],
+        [(0, 0.0, 0.5, GB, "param-upload", "U0"), (1, 1.0, 1.5, GB, "grad-offload", "G1")],
+    )
 
 
 class TestAsciiGantt:
@@ -45,7 +44,7 @@ class TestAsciiGantt:
         assert len(bar) == 25
 
     def test_empty_trace(self):
-        assert ascii_gantt(Trace(1)) == "(empty trace)"
+        assert ascii_gantt(make_trace(1)) == "(empty trace)"
 
     def test_legend_toggle(self, trace):
         assert "legend" in ascii_gantt(trace)

@@ -10,25 +10,22 @@ import pytest
 from repro.check.trace_check import check_task_graph, sanitize_run, sanitize_trace
 from repro.hardware.topology import topo_2_2
 from repro.sim.tasks import TaskGraphRunner, TaskTable, TaskTimes
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, _ComputeStore, _TransferStore
+from tests.helpers import make_trace, span_columns
 
 
 def _codes(report):
     return {f.code for f in report}
 
 
-def _raw_compute(trace, gpu, start, end, label):
-    """Record a compute span past ``Trace.add_compute``'s validation."""
-    trace._compute_store.append_row((gpu, start, end), label)
-
-
-def _raw_transfer(trace, gpu, start, end, nbytes, kind, label):
-    """Record a transfer span past ``Trace.add_transfer``'s validation."""
-    store = trace._transfer_store
-    store.append_row(
-        (gpu, start, end, nbytes, isinstance(nbytes, int), store.code_for(kind)),
-        label,
-    )
+def _raw_trace(n_gpus, compute=(), transfers=()):
+    """A trace whose stores are built past the constructor's validation."""
+    compute, transfers = span_columns(compute, transfers)
+    trace = Trace.__new__(Trace)
+    trace.n_gpus = n_gpus
+    trace._compute_store = _ComputeStore(compute)
+    trace._transfer_store = _TransferStore(transfers)
+    return trace
 
 
 @pytest.fixture
@@ -38,19 +35,18 @@ def topo():
 
 class TestSanitizeTrace:
     def test_empty_trace_is_clean(self, topo):
-        assert sanitize_trace(Trace(4), topo).ok
+        assert sanitize_trace(make_trace(4), topo).ok
 
     def test_clean_trace(self, topo):
-        trace = Trace(4)
-        trace.add_compute(0, 0.0, 1.0, "F0,0")
-        trace.add_compute(0, 1.0, 2.0, "F0,1")  # back-to-back is legal
-        trace.add_transfer(1, 0.0, 1.0, 1e9, "stage-upload", "U1")
+        trace = make_trace(
+            4,
+            [(0, 0.0, 1.0, "F0,0"), (0, 1.0, 2.0, "F0,1")],  # back-to-back is legal
+            [(1, 0.0, 1.0, 1e9, "stage-upload", "U1")],
+        )
         assert sanitize_trace(trace, topo).ok
 
     def test_overlapping_compute_flagged(self, topo):
-        trace = Trace(4)
-        trace.add_compute(2, 0.0, 1.0, "F0,0")
-        trace.add_compute(2, 0.5, 1.5, "F0,1")
+        trace = make_trace(4, [(2, 0.0, 1.0, "F0,0"), (2, 0.5, 1.5, "F0,1")])
         report = sanitize_trace(trace, topo)
         assert _codes(report) == {"TRACE-COMPUTE-OVERLAP"}
         finding = report.findings[0]
@@ -58,50 +54,40 @@ class TestSanitizeTrace:
         assert finding.slack == pytest.approx(-0.5)
 
     def test_overlap_on_different_gpus_is_fine(self, topo):
-        trace = Trace(4)
-        trace.add_compute(0, 0.0, 1.0, "F0,0")
-        trace.add_compute(1, 0.5, 1.5, "F1,0")
+        trace = make_trace(4, [(0, 0.0, 1.0, "F0,0"), (1, 0.5, 1.5, "F1,0")])
         assert sanitize_trace(trace, topo).ok
 
     def test_nan_timestamp_flagged(self, topo):
-        # The Trace guards reject NaN at insertion; simulate a corrupted
-        # trace (e.g. deserialized from a damaged file) by appending the
-        # row to the column store directly.
-        trace = Trace(4)
-        _raw_compute(trace, 0, float("nan"), 1.0, "F0,0")
+        # The Trace constructor rejects NaN; simulate a corrupted trace by
+        # building its column stores directly.
+        trace = _raw_trace(4, [(0, float("nan"), 1.0, "F0,0")])
         assert _codes(sanitize_trace(trace, topo)) == {"TRACE-FINITE"}
 
     def test_backwards_span_flagged(self, topo):
-        trace = Trace(4)
-        _raw_compute(trace, 0, 2.0, 1.0, "F0,0")
+        trace = _raw_trace(4, [(0, 2.0, 1.0, "F0,0")])
         assert "TRACE-NEG-DURATION" in _codes(sanitize_trace(trace, topo))
 
     def test_gpu_out_of_range_flagged(self, topo):
-        trace = Trace(4)
-        _raw_compute(trace, 7, 0.0, 1.0, "F0,0")
+        trace = _raw_trace(4, [(7, 0.0, 1.0, "F0,0")])
         assert "TRACE-GPU-RANGE" in _codes(sanitize_trace(trace, topo))
 
     def test_negative_bytes_flagged(self, topo):
-        trace = Trace(4)
-        _raw_transfer(trace, 0, 0.0, 1.0, -5.0, "x", "x")
+        trace = _raw_trace(4, transfers=[(0, 0.0, 1.0, -5.0, "x", "x")])
         assert "TRACE-NEG-BYTES" in _codes(sanitize_trace(trace, topo))
 
     def test_impossible_bandwidth_flagged(self, topo):
-        trace = Trace(4)
         # 1 TB in a microsecond: far beyond any PCIe link.
-        trace.add_transfer(0, 0.0, 1e-6, 1e12, "stage-upload", "U0")
+        trace = make_trace(4, transfers=[(0, 0.0, 1e-6, 1e12, "stage-upload", "U0")])
         report = sanitize_trace(trace, topo)
         assert _codes(report) == {"TRACE-BW-SPEC"}
 
     def test_bandwidth_at_spec_passes(self, topo):
-        trace = Trace(4)
         nbytes = topo.max_link_bandwidth * 2.0  # exactly the fastest link
-        trace.add_transfer(0, 0.0, 2.0, nbytes, "stage-upload", "U0")
+        trace = make_trace(4, transfers=[(0, 0.0, 2.0, nbytes, "stage-upload", "U0")])
         assert sanitize_trace(trace, topo).ok
 
     def test_without_topology_bandwidth_is_not_checked(self):
-        trace = Trace(4)
-        trace.add_transfer(0, 0.0, 1e-6, 1e12, "stage-upload", "U0")
+        trace = make_trace(4, transfers=[(0, 0.0, 1e-6, 1e12, "stage-upload", "U0")])
         assert sanitize_trace(trace).ok
 
 
@@ -179,32 +165,27 @@ class TestCheckTaskGraph:
 
 
 class TestTraceGuards:
-    """The Trace.add_* ValueError guards (satellite #2)."""
+    """The ``Trace`` constructor's ValueError guards."""
 
     def test_rejects_end_before_start(self):
-        trace = Trace(2)
         with pytest.raises(ValueError, match="ends before it starts"):
-            trace.add_compute(0, 1.0, 0.5, "F0,0")
+            make_trace(2, [(0, 1.0, 0.5, "F0,0")])
 
     def test_rejects_nan_start(self):
-        trace = Trace(2)
         with pytest.raises(ValueError, match="finite"):
-            trace.add_compute(0, float("nan"), 1.0, "F0,0")
+            make_trace(2, [(0, float("nan"), 1.0, "F0,0")])
 
     def test_rejects_inf_end(self):
-        trace = Trace(2)
         with pytest.raises(ValueError, match="finite"):
-            trace.add_transfer(0, 0.0, math.inf, 10.0, "k", "l")
+            make_trace(2, transfers=[(0, 0.0, math.inf, 10.0, "k", "l")])
 
     def test_rejects_nan_bytes(self):
-        trace = Trace(2)
         with pytest.raises(ValueError, match="byte count"):
-            trace.add_transfer(0, 0.0, 1.0, float("nan"), "k", "l")
+            make_trace(2, transfers=[(0, 0.0, 1.0, float("nan"), "k", "l")])
 
     def test_rejects_negative_bytes(self):
-        trace = Trace(2)
         with pytest.raises(ValueError, match="byte count"):
-            trace.add_transfer(0, 0.0, 1.0, -1.0, "k", "l")
+            make_trace(2, transfers=[(0, 0.0, 1.0, -1.0, "k", "l")])
 
     @pytest.mark.parametrize(
         "compute,transfer,match",
@@ -215,8 +196,9 @@ class TestTraceGuards:
         ],
     )
     def test_from_columns_applies_the_same_checks(self, compute, transfer, match):
+        """Built from whole columns, the first failing row raises its error."""
         with pytest.raises(ValueError, match=match):
-            Trace.from_columns(
+            Trace(
                 2,
                 compute={
                     "gpu": [0, 1],
@@ -237,6 +219,5 @@ class TestTraceGuards:
             )
 
     def test_zero_duration_span_is_legal(self):
-        trace = Trace(2)
-        trace.add_compute(0, 1.0, 1.0, "F0,0")
+        trace = make_trace(2, [(0, 1.0, 1.0, "F0,0")])
         assert trace.compute[0].start == trace.compute[0].end

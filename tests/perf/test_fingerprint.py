@@ -18,7 +18,7 @@ from repro.hardware.topology import topo_1_3, topo_2_2, datacenter_server
 from repro.models.spec import build_gpt_like
 from repro.models.zoo import gpt_8b
 from repro.perf.fingerprint import canonical_bytes, fingerprint
-from repro.sim.trace import Trace
+from tests.helpers import make_trace
 
 # ``repro.perf`` re-exports the function under the module's name.
 fingerprint_module = importlib.import_module("repro.perf.fingerprint")
@@ -232,13 +232,13 @@ class TestMemo:
         assert _memo_entry(box) is not None
 
     def test_trace_rehashed_after_one_more_span(self):
-        trace = Trace(2)
-        trace.add_compute(0, 0.0, 1.0, "fwd")
+        trace = make_trace(2, [(0, 0.0, 1.0, "fwd")])
         before = fingerprint(trace)
         assert fingerprint(trace) == before
-        trace.add_compute(1, 1.0, 2.0, "bwd")
-        assert fingerprint(trace) != before
+        longer = make_trace(2, [(0, 0.0, 1.0, "fwd"), (1, 1.0, 2.0, "bwd")])
+        assert fingerprint(longer) != before
         assert _memo_entry(trace.compute[0]) is None
+        assert _memo_entry(longer.compute[0]) is None
 
     def test_pickle_and_repr_unchanged_by_hashing(self):
         model = build_gpt_like("m", n_blocks=2, hidden_dim=64, n_heads=2)

@@ -6,12 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.trace import (
-    Trace,
     merge_intervals,
     subtract_intervals,
     total_length,
 )
-from tests.helpers import compute_seconds
+from tests.helpers import compute_seconds, make_trace
 
 GB = 1e9
 
@@ -73,19 +72,21 @@ class TestIntervalAlgebra:
 
 class TestTrace:
     def make_trace(self):
-        trace = Trace(2)
-        trace.add_compute(0, 0.0, 2.0, "F")
-        trace.add_compute(1, 1.0, 3.0, "F")
-        trace.add_transfer(0, 0.0, 1.0, 1 * GB, "param-upload")
-        trace.add_transfer(0, 1.5, 3.5, 1 * GB, "grad-offload")
-        trace.add_transfer(1, 0.0, 0.5, 2 * GB, "activation")
-        return trace
+        return make_trace(
+            2,
+            compute=[(0, 0.0, 2.0, "F"), (1, 1.0, 3.0, "F")],
+            transfers=[
+                (0, 0.0, 1.0, 1 * GB, "param-upload"),
+                (0, 1.5, 3.5, 1 * GB, "grad-offload"),
+                (1, 0.0, 0.5, 2 * GB, "activation"),
+            ],
+        )
 
     def test_makespan(self):
         assert self.make_trace().makespan == pytest.approx(3.5)
 
     def test_makespan_empty(self):
-        assert Trace(1).makespan == 0.0
+        assert make_trace(1).makespan == 0.0
 
     def test_total_bytes(self):
         assert self.make_trace().total_transfer_bytes() == pytest.approx(4 * GB)
@@ -110,12 +111,16 @@ class TestTrace:
         assert cdf[-1] == pytest.approx(1.0)
 
     def test_bandwidth_cdf_empty_trace(self):
-        assert list(Trace(1).bandwidth_cdf([0.0, 1.0])) == [0.0, 0.0]
+        assert list(make_trace(1).bandwidth_cdf([0.0, 1.0])) == [0.0, 0.0]
 
     def test_median_bandwidth(self):
-        trace = Trace(1)
-        trace.add_transfer(0, 0.0, 1.0, 1 * GB)  # 1 GB/s
-        trace.add_transfer(0, 0.0, 1.0, 3 * GB)  # 3 GB/s with 3x weight
+        trace = make_trace(
+            1,
+            transfers=[
+                (0, 0.0, 1.0, 1 * GB),  # 1 GB/s
+                (0, 0.0, 1.0, 3 * GB),  # 3 GB/s with 3x weight
+            ],
+        )
         assert trace.median_bandwidth() == pytest.approx(3 * GB)
 
     def test_non_overlapped_comm(self):
@@ -137,4 +142,4 @@ class TestTrace:
 
     def test_invalid_gpu_count(self):
         with pytest.raises(ValueError):
-            Trace(0)
+            make_trace(0)

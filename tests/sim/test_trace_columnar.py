@@ -1,10 +1,9 @@
-"""Columnar trace storage: cache tokens, kind interning, pickling.
+"""Columnar trace storage: kind interning, read-only columns, pickling.
 
-The storage rewrite (DESIGN.md §12) must be invisible through the public
-``Trace`` API: ``compute``/``transfers`` materialize the recorded spans as
-tuples, ``__mobius_fingerprint__`` is byte-identical (including the Python
-numeric type of transfer byte counts), and every derived cache invalidates
-on mutation via the store's generation counter.
+The storage (DESIGN.md §12) must be invisible through the public ``Trace``
+API: ``compute``/``transfers`` materialize the recorded spans as tuples,
+``__mobius_fingerprint__`` is byte-identical (including the Python numeric
+type of transfer byte counts), and a built trace cannot be written to.
 """
 
 import pickle
@@ -13,43 +12,29 @@ import numpy as np
 import pytest
 
 from repro.perf.fingerprint import fingerprint
-from repro.sim.trace import ComputeSpan, Trace, TransferSpan
+from repro.sim.trace import ComputeSpan, Trace
+from tests import helpers
+
+COMPUTE = [(0, 0.0, 1.0, "fwd0"), (1, 0.5, 2.0, "fwd1")]
+TRANSFERS = [
+    (0, 0.0, 0.5, 4_000_000, "param-upload", "w0"),
+    (1, 1.0, 1.5, 2_000_000, "grad-offload", "g1"),
+    (0, 1.5, 2.5, 1_000_000, "param-upload", "w2"),
+]
 
 
 def make_trace() -> Trace:
-    trace = Trace(2)
-    trace.add_compute(0, 0.0, 1.0, "fwd0")
-    trace.add_compute(1, 0.5, 2.0, "fwd1")
-    trace.add_transfer(0, 0.0, 0.5, 4_000_000, "param-upload", "w0")
-    trace.add_transfer(1, 1.0, 1.5, 2_000_000, "grad-offload", "g1")
-    trace.add_transfer(0, 1.5, 2.5, 1_000_000, "param-upload", "w2")
-    return trace
+    return helpers.make_trace(2, COMPUTE, TRANSFERS)
 
 
-class TestGenerationToken:
-    """Satellite: caches key on a generation counter, not ``(id, len)``."""
+class _Pickled:
+    """Pickles as a ``Trace`` carrying ``state``, as a cache payload would."""
 
-    def test_append_invalidates_columns(self):
-        trace = make_trace()
-        before = trace._transfer_columns()
-        assert len(before["nbytes"]) == 3
-        trace.add_transfer(1, 2.0, 3.0, 500, "param-upload")
-        after = trace._transfer_columns()
-        assert len(after["nbytes"]) == 4
-        assert after["nbytes"][-1] == 500
+    def __init__(self, state: dict) -> None:
+        self.state = state
 
-    def test_view_append_invalidates_kind_masks(self):
-        trace = make_trace()
-        assert trace.total_transfer_bytes(kinds=("grad-offload",)) == 2_000_000
-        trace.add_transfer(0, 3.0, 4.0, 8, "grad-offload")
-        assert trace.total_transfer_bytes(kinds=("grad-offload",)) == 2_000_008
-
-    def test_materialized_spans_refresh_after_append(self):
-        trace = make_trace()
-        assert len(trace.transfers) == 3
-        trace.add_transfer(0, 3.0, 4.0, 8, "x")
-        assert len(trace.transfers) == 4
-        assert trace.transfers[-1] == TransferSpan(0, 3.0, 4.0, 8, "x")
+    def __reduce__(self):
+        return Trace.__new__, (Trace,), self.state
 
 
 class TestKindInterning:
@@ -91,27 +76,24 @@ class TestNumericTypePreservation:
     """
 
     def test_int_nbytes_materializes_as_int(self):
-        trace = Trace(1)
-        trace.add_transfer(0, 0.0, 1.0, 12345, "k")
+        trace = helpers.make_trace(1, transfers=[(0, 0.0, 1.0, 12345, "k")])
         span = trace.transfers[0]
         assert type(span.nbytes) is int and span.nbytes == 12345
 
     def test_float_nbytes_materializes_as_float(self):
-        trace = Trace(1)
-        trace.add_transfer(0, 0.0, 1.0, 12345.0, "k")
+        trace = helpers.make_trace(1, transfers=[(0, 0.0, 1.0, 12345.0, "k")])
         span = trace.transfers[0]
         assert type(span.nbytes) is float
 
     def test_fingerprint_distinguishes_int_from_float_bytes(self):
-        int_trace, float_trace = Trace(1), Trace(1)
-        int_trace.add_transfer(0, 0.0, 1.0, 7, "k")
-        float_trace.add_transfer(0, 0.0, 1.0, 7.0, "k")
+        int_trace = helpers.make_trace(1, transfers=[(0, 0.0, 1.0, 7, "k")])
+        float_trace = helpers.make_trace(1, transfers=[(0, 0.0, 1.0, 7.0, "k")])
         assert fingerprint(int_trace) != fingerprint(float_trace)
 
     def test_pickle_preserves_numeric_type(self):
-        trace = Trace(1)
-        trace.add_transfer(0, 0.0, 1.0, 7, "k")
-        trace.add_transfer(0, 1.0, 2.0, 7.5, "k")
+        trace = helpers.make_trace(
+            1, transfers=[(0, 0.0, 1.0, 7, "k"), (0, 1.0, 2.0, 7.5, "k")]
+        )
         clone = pickle.loads(pickle.dumps(trace))
         assert fingerprint(clone) == fingerprint(trace)
         assert type(clone.transfers[0].nbytes) is int
@@ -124,14 +106,12 @@ class TestColumnarDigest:
 
     def test_any_field_changes_digest(self):
         base = make_trace().columnar_digest()
-        changed = make_trace()
-        changed.add_compute(0, 5.0, 6.0)
+        changed = helpers.make_trace(2, [*COMPUTE, (0, 5.0, 6.0)], TRANSFERS)
         assert changed.columnar_digest() != base
 
     def test_label_changes_digest(self):
-        a, b = Trace(1), Trace(1)
-        a.add_compute(0, 0.0, 1.0, "x")
-        b.add_compute(0, 0.0, 1.0, "y")
+        a = helpers.make_trace(1, [(0, 0.0, 1.0, "x")])
+        b = helpers.make_trace(1, [(0, 0.0, 1.0, "y")])
         assert a.columnar_digest() != b.columnar_digest()
 
 
@@ -154,10 +134,68 @@ class TestViewListBehavior:
         assert [s.label for s in trace.transfers[1:]] == ["g1", "w2"]
 
     def test_invalid_spans_rejected(self):
-        trace = Trace(1)
         with pytest.raises(ValueError, match="ends before"):
-            trace.add_compute(0, 2.0, 1.0)
+            helpers.make_trace(1, [(0, 2.0, 1.0)])
         with pytest.raises(ValueError, match="non-finite"):
-            trace.add_compute(0, float("nan"), 1.0)
+            helpers.make_trace(1, [(0, float("nan"), 1.0)])
         with pytest.raises(ValueError, match="byte count"):
-            trace.add_transfer(0, 0.0, 1.0, -5, "k")
+            helpers.make_trace(1, transfers=[(0, 0.0, 1.0, -5, "k")])
+
+
+class TestBuiltOnce:
+    """A built trace is fixed: its columns are read-only, and unpickling
+    goes through the constructor and its checks."""
+
+    def test_columns_are_read_only(self):
+        columns = make_trace()._transfer_columns()
+        with pytest.raises(ValueError, match="read-only"):
+            columns["nbytes"][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            columns["kind_code"][:] = 0
+
+    @pytest.mark.parametrize(
+        "family,column,value,match",
+        [
+            ("compute", "end", float("nan"), "non-finite times"),
+            ("transfers", "end", float("nan"), "non-finite times"),
+            ("transfers", "nbytes", -1.0, "invalid byte count"),
+        ],
+    )
+    def test_unpickling_a_bad_state_raises(self, family, column, value, match):
+        state = make_trace().__getstate__()
+        bad = np.array(state[family][column])
+        bad[0] = value
+        state[family] = {**state[family], column: bad}
+        with pytest.raises(ValueError, match=match):
+            pickle.loads(pickle.dumps(_Pickled(state)))
+
+    def test_parent_state_shape_loads_and_fingerprints_the_same(self):
+        trace = make_trace()
+        # The layout pickled cache payloads carry: writable numpy columns,
+        # and lists for the labels and kinds.
+        state = {
+            "n_gpus": 2,
+            "compute": {
+                "gpu": np.array([0, 1], dtype=np.int64),
+                "start": np.array([0.0, 0.5]),
+                "end": np.array([1.0, 2.0]),
+                "label": ["fwd0", "fwd1"],
+            },
+            "transfers": {
+                "gpu": np.array([0, 1, 0], dtype=np.int64),
+                "start": np.array([0.0, 1.0, 1.5]),
+                "end": np.array([0.5, 1.5, 2.5]),
+                "nbytes": np.array([4e6, 2e6, 1e6]),
+                "nbytes_int": np.array([True, True, True]),
+                "kind_code": np.array([0, 1, 0], dtype=np.int32),
+                "label": ["w0", "g1", "w2"],
+                "kinds": ["param-upload", "grad-offload"],
+            },
+        }
+        clone = pickle.loads(pickle.dumps(_Pickled(state)))
+        assert fingerprint(clone) == fingerprint(trace)
+        assert clone.columnar_digest() == trace.columnar_digest()
+        own = trace.__getstate__()
+        assert own.keys() == state.keys()
+        for family in ("compute", "transfers"):
+            assert own[family].keys() == state[family].keys()
