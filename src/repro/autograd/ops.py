@@ -6,8 +6,9 @@ pre-norm transformer block.  The block node is built from the same
 array-level kernels (``_layer_norm``, ``_linear``, ``_gelu``, ``_attention``)
 as the single-layer nodes, and those kernels repeat the numpy expressions,
 evaluation order and operand layouts of the per-op graph they replace, so a
-fused block yields the same bits as one composed from primitive
-:class:`Tensor` ops (``tests/nn/composed_block.py``).
+fused block yields the same bits as one composed from the per-op test
+oracle's primitives (``tests/autograd/per_op.py``, composed into a block by
+``tests/nn/composed_block.py``).
 
 An array-level kernel returns ``(out, backward)``: ``backward(grad)``
 accumulates the kernel's parameter gradients and returns the gradient of its

@@ -10,6 +10,12 @@ Design: a :class:`Tensor` wraps an ``ndarray`` and records, when gradients
 are required, a backward closure over its parents.  ``backward()`` runs a
 topological sweep accumulating ``grad`` arrays.  Broadcasting is supported
 by summing gradients back over broadcast dimensions.
+
+The only arithmetic here is ``+`` (the token and position embeddings'
+broadcast sum) and ``*`` (the trainer's ``loss * (1.0 / m)``); every other
+node is one of :mod:`repro.autograd.ops`'s fused operations.  The per-op
+graph those are checked against lives with the tests
+(``tests/autograd/per_op.py``).
 """
 
 from __future__ import annotations
@@ -34,22 +40,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _is_basic_index(index) -> bool:
-    """True for numpy basic indices: ints, slices, ``None``, ``...`` or tuples of these.
-
-    A basic index selects each element at most once, so its gradient can be
-    scattered with ``+=`` instead of the slower, duplicate-safe ``np.add.at``.
-    """
-    items = index if isinstance(index, tuple) else (index,)
-    return all(
-        item is None
-        or item is Ellipsis
-        or isinstance(item, slice)
-        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
-        for item in items
-    )
-
-
 class Tensor:
     """A differentiable array.
 
@@ -59,7 +49,7 @@ class Tensor:
         requires_grad: Whether this tensor participates in autodiff.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(
         self,
@@ -68,14 +58,12 @@ class Tensor:
         requires_grad: bool = False,
         _parents: Sequence["Tensor"] = (),
         _backward: Callable[[np.ndarray], None] | None = None,
-        name: str = "",
     ) -> None:
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = tuple(_parents) if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
-        self.name = name
 
     # ------------------------------------------------------------------
     # Introspection
@@ -85,19 +73,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", grad" if self.requires_grad else ""
@@ -194,134 +171,3 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-self._coerce(other))
-
-    def __truediv__(self, other) -> "Tensor":
-        return self * self._coerce(other).pow(-1.0)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return self._coerce(other) * self.pow(-1.0)
-
-    def pow(self, exponent: float) -> "Tensor":
-        out_data = self.data**exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1.0))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        return self.pow(exponent)
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        other = self._coerce(other)
-        out_data = self.data @ other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
-            if other.requires_grad:
-                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    __matmul__ = matmul
-
-    # ------------------------------------------------------------------
-    # Shape ops
-    # ------------------------------------------------------------------
-
-    def reshape(self, *shape: int) -> "Tensor":
-        out_data = self.data.reshape(shape)
-        original = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.reshape(original))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def transpose(self, *axes: int) -> "Tensor":
-        axes = axes or tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(axes)
-        inverse = np.argsort(axes)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-        basic = _is_basic_index(index)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                if basic:
-                    full[index] += grad
-                else:
-                    np.add.at(full, index, grad)
-                self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    # ------------------------------------------------------------------
-    # Reductions and elementwise functions
-    # ------------------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        shape = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = np.asarray(grad)
-            if axis is not None and not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                for ax in sorted(a % len(shape) for a in axes):
-                    g = np.expand_dims(g, ax)
-            self._accumulate(np.broadcast_to(g, shape))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.size if axis is None else np.prod(
-            [self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - out_data**2))
-
-        return Tensor._make(out_data, (self,), backward)

@@ -13,6 +13,9 @@ from repro.autograd.tensor import Tensor
 
 __all__ = ["Module", "Linear", "LayerNorm", "Embedding"]
 
+#: GPT-2's embedding initialisation: ``N(0, 0.02^2)``.
+_EMBEDDING_STD = 0.02
+
 
 class Module:
     """Base class: recursive parameter discovery."""
@@ -52,10 +55,9 @@ class Linear(Module):
         self.weight = Tensor(
             rng.normal(0.0, std, size=(in_dim, out_dim)).astype(np.float32),
             requires_grad=True,
-            name="weight",
         )
         self.bias = (
-            Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True, name="bias")
+            Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
             if bias
             else None
         )
@@ -67,11 +69,13 @@ class Linear(Module):
 class LayerNorm(Module):
     """Layer normalisation with learnable scale and shift."""
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    #: Added to the variance before the square root (GPT-2's value).
+    eps = 1e-5
+
+    def __init__(self, dim: int) -> None:
         super().__init__()
         self.weight = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.weight, self.bias, self.eps)
@@ -80,10 +84,10 @@ class LayerNorm(Module):
 class Embedding(Module):
     """Token (or position) embedding table."""
 
-    def __init__(self, n_rows: int, dim: int, *, rng: np.random.Generator, std: float = 0.02) -> None:
+    def __init__(self, n_rows: int, dim: int, *, rng: np.random.Generator) -> None:
         super().__init__()
         self.weight = Tensor(
-            rng.normal(0.0, std, size=(n_rows, dim)).astype(np.float32),
+            rng.normal(0.0, _EMBEDDING_STD, size=(n_rows, dim)).astype(np.float32),
             requires_grad=True,
         )
 

@@ -12,12 +12,15 @@ import dataclasses
 
 import numpy as np
 
-from repro.autograd.ops import cross_entropy_logits, transformer_block
+from repro.autograd.ops import transformer_block
 from repro.autograd.tensor import Tensor
 from repro.nn.attention import CausalSelfAttention
 from repro.nn.layers import Embedding, LayerNorm, Linear, Module
 
 __all__ = ["GPTConfig", "TransformerBlock", "EmbeddingLayer", "HeadLayer", "GPTModel"]
+
+#: GPT-2's MLP expansion: the hidden layer is four times the model width.
+_MLP_RATIO = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,7 +33,6 @@ class GPTConfig:
         dim: Hidden dimension.
         n_heads: Attention heads.
         n_blocks: Transformer blocks.
-        mlp_ratio: MLP expansion factor.
     """
 
     vocab_size: int = 256
@@ -38,7 +40,6 @@ class GPTConfig:
     dim: int = 64
     n_heads: int = 4
     n_blocks: int = 2
-    mlp_ratio: int = 4
 
 
 class EmbeddingLayer(Module):
@@ -62,8 +63,8 @@ class TransformerBlock(Module):
         self.ln1 = LayerNorm(config.dim)
         self.attn = CausalSelfAttention(config.dim, config.n_heads, rng=rng)
         self.ln2 = LayerNorm(config.dim)
-        self.fc_in = Linear(config.dim, config.mlp_ratio * config.dim, rng=rng)
-        self.fc_out = Linear(config.mlp_ratio * config.dim, config.dim, rng=rng)
+        self.fc_in = Linear(config.dim, _MLP_RATIO * config.dim, rng=rng)
+        self.fc_out = Linear(_MLP_RATIO * config.dim, config.dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         attn = self.attn
@@ -92,7 +93,11 @@ class HeadLayer(Module):
 
 
 class GPTModel(Module):
-    """The full language model as an ordered layer list."""
+    """The full language model as an ordered layer list.
+
+    It has no whole-model forward: the trainers run its layers stage by
+    stage, with the loss on the last stage's output.
+    """
 
     def __init__(self, config: GPTConfig, *, seed: int = 0) -> None:
         super().__init__()
@@ -107,13 +112,3 @@ class GPTModel(Module):
     @property
     def n_pipeline_layers(self) -> int:
         return len(self.pipeline_layers)
-
-    def forward(self, token_ids: np.ndarray) -> Tensor:
-        out: Tensor | np.ndarray = token_ids
-        for layer in self.pipeline_layers:
-            out = layer(out)
-        return out
-
-    def loss(self, token_ids: np.ndarray, targets: np.ndarray) -> Tensor:
-        """Mean next-token cross entropy."""
-        return cross_entropy_logits(self.forward(token_ids), targets)

@@ -35,9 +35,10 @@ memoizes canonical bytes per instance.  The rule:
   that qualify themselves is memoized.  ``frozen`` is shallow, so a frozen
   dataclass holding a list, dict, set, array or ``bytearray`` is encoded
   afresh every time, and so is everything a ``__mobius_fingerprint__``
-  hook returns (a :class:`~repro.sim.trace.Trace` is appendable).  The
-  encoder learns which case applies while it walks the fields the first
-  time.
+  hook returns: a hook object is not a frozen dataclass with deeply
+  immutable fields (a :class:`~repro.hardware.topology.Topology`'s
+  attributes can be rebound).  The encoder learns which case applies
+  while it walks the fields the first time.
 * **Identity keying.**  The memo is a side table keyed by ``id`` whose
   entries are verified through a weak reference, never by equality
   (``1 == 1.0 == True`` encode differently), and never stored on the

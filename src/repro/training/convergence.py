@@ -19,6 +19,11 @@ from repro.training.pipeline_train import MobiusScheduleTrainer
 
 __all__ = ["ConvergenceResult", "run_convergence_experiment"]
 
+#: Fine-tuning learning rate, and the seed of the corpus, the sampling
+#: stream (``_SEED + 1``) and both models' initialisation.
+_LR = 3e-4
+_SEED = 0
+
 
 @dataclasses.dataclass
 class ConvergenceResult:
@@ -37,13 +42,11 @@ class ConvergenceResult:
 
 def run_convergence_experiment(
     *,
-    n_steps: int = 60,
-    config: GPTConfig | None = None,
-    batch_size: int = 8,
-    gpipe_gpus: int = 8,
-    mobius_gpus: int = 4,
-    lr: float = 3e-4,
-    seed: int = 0,
+    n_steps: int,
+    config: GPTConfig,
+    batch_size: int,
+    gpipe_gpus: int,
+    mobius_gpus: int,
 ) -> ConvergenceResult:
     """Run the Figure 13 comparison.
 
@@ -53,22 +56,21 @@ def run_convergence_experiment(
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    config = config or GPTConfig(vocab_size=128, seq_len=32, dim=64, n_heads=4, n_blocks=6)
-    corpus = SyntheticCorpus(vocab_size=config.vocab_size, n_tokens=50_000, seed=seed)
+    corpus = SyntheticCorpus(vocab_size=config.vocab_size, n_tokens=50_000, seed=_SEED)
 
-    gpipe_model = GPTModel(config, seed=seed)
-    mobius_model = GPTModel(config, seed=seed)
+    gpipe_model = GPTModel(config, seed=_SEED)
+    mobius_model = GPTModel(config, seed=_SEED)
     gpipe = MobiusScheduleTrainer(
-        gpipe_model, gpipe_gpus, gpipe_gpus, lr=lr, n_microbatches=gpipe_gpus
+        gpipe_model, gpipe_gpus, gpipe_gpus, lr=_LR, n_microbatches=gpipe_gpus
     )
     mobius = MobiusScheduleTrainer(
-        mobius_model, mobius_gpus, lr=lr, n_microbatches=mobius_gpus
+        mobius_model, mobius_gpus, lr=_LR, n_microbatches=mobius_gpus
     )
 
     steps: list[int] = []
     gpipe_losses: list[float] = []
     mobius_losses: list[float] = []
-    stream = corpus.batches(batch_size, config.seq_len, seed=seed + 1)
+    stream = corpus.batches(batch_size, config.seq_len, seed=_SEED + 1)
     for step, batch in zip(range(n_steps), stream):
         gpipe_losses.append(gpipe.step(batch))
         mobius_losses.append(mobius.step(batch))

@@ -6,6 +6,7 @@ import pytest
 from repro.autograd.ops import cross_entropy_logits, embedding, layer_norm
 from repro.autograd.tensor import Tensor
 
+from tests.autograd import per_op
 from tests.autograd.test_tensor import numeric_grad
 from tests.nn.composed_block import causal_mask_fill, gelu, softmax
 
@@ -24,8 +25,8 @@ class TestGelu:
 
     def test_numeric_grad(self, rng):
         x = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
-        gelu(x).sum().backward()
-        ng = numeric_grad(lambda: float(gelu(Tensor(x.data)).sum().data), x)
+        per_op.sum(gelu(x)).backward()
+        ng = numeric_grad(lambda: float(per_op.sum(gelu(Tensor(x.data))).data), x)
         np.testing.assert_allclose(x.grad, ng, atol=2e-2)
 
     def test_matches_float64_formula(self):
@@ -67,9 +68,9 @@ class TestSoftmax:
     def test_numeric_grad(self, rng):
         x = Tensor(rng.normal(size=(2, 4)).astype(np.float32), requires_grad=True)
         w = rng.normal(size=(2, 4)).astype(np.float32)
-        (softmax(x) * Tensor(w)).sum().backward()
+        per_op.sum(softmax(x) * Tensor(w)).backward()
         ng = numeric_grad(
-            lambda: float((softmax(Tensor(x.data)) * Tensor(w)).sum().data), x
+            lambda: float(per_op.sum(softmax(Tensor(x.data)) * Tensor(w)).data), x
         )
         np.testing.assert_allclose(x.grad, ng, atol=2e-2)
 
@@ -133,14 +134,11 @@ class TestLayerNorm:
         w = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
         mix = rng.normal(size=(2, 6)).astype(np.float32)
-        (layer_norm(x, w, b) * Tensor(mix)).sum().backward()
+        per_op.sum(layer_norm(x, w, b) * Tensor(mix)).backward()
 
         def value():
-            return float(
-                (layer_norm(Tensor(x.data), Tensor(w.data), Tensor(b.data)) * Tensor(mix))
-                .sum()
-                .data
-            )
+            out = layer_norm(Tensor(x.data), Tensor(w.data), Tensor(b.data)) * Tensor(mix)
+            return float(per_op.sum(out).data)
 
         np.testing.assert_allclose(x.grad, numeric_grad(value, x), atol=3e-2)
         np.testing.assert_allclose(w.grad, numeric_grad(value, w), atol=3e-2)
@@ -155,7 +153,7 @@ class TestEmbedding:
 
     def test_repeated_indices_accumulate(self):
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
-        embedding(table, np.array([1, 1, 1])).sum().backward()
+        per_op.sum(embedding(table, np.array([1, 1, 1]))).backward()
         np.testing.assert_allclose(table.grad, [[0, 0], [3, 3], [0, 0]])
 
     @pytest.mark.parametrize("index", [-1, 4])
@@ -175,7 +173,7 @@ class TestCausalMask:
 
     def test_grad_zero_on_masked(self):
         scores = Tensor(np.zeros((2, 2)).astype(np.float32), requires_grad=True)
-        causal_mask_fill(scores).sum().backward()
+        per_op.sum(causal_mask_fill(scores)).backward()
         np.testing.assert_allclose(scores.grad, [[1, 0], [1, 1]])
 
     def test_non_square_rejected(self):

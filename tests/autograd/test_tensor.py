@@ -1,4 +1,4 @@
-"""Tests for the autograd tensor core: arithmetic, shapes, backward."""
+"""Tests for the autograd tensor core and the per-op oracle graph built on it."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd.tensor import Tensor
+
+from tests.autograd import per_op
 
 
 def numeric_grad(f, x, eps=1e-3):
@@ -30,54 +32,56 @@ class TestArithmetic:
     def test_add_backward(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
-        (x + y).sum().backward()
+        (x + y).backward(np.ones(2))
         np.testing.assert_allclose(x.grad, [1, 1])
         np.testing.assert_allclose(y.grad, [1, 1])
 
     def test_mul_backward(self):
         x = Tensor([2.0, 3.0], requires_grad=True)
         y = Tensor([5.0, 7.0], requires_grad=True)
-        (x * y).sum().backward()
+        (x * y).backward(np.ones(2))
         np.testing.assert_allclose(x.grad, [5, 7])
         np.testing.assert_allclose(y.grad, [2, 3])
 
     def test_broadcast_add_unbroadcasts_grad(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        (x + b).sum().backward()
+        (x + b).backward(np.ones((2, 3)))
         np.testing.assert_allclose(b.grad, [2, 2, 2])
 
     def test_scalar_operations(self):
         x = Tensor([2.0], requires_grad=True)
-        y = 3 * x + 1 - x / 2
+        y = per_op.sub(3 * x + 1, per_op.div(x, 2))
         y.backward(np.array([1.0]))
         np.testing.assert_allclose(x.grad, [2.5])
 
     def test_pow_backward(self):
         x = Tensor([3.0], requires_grad=True)
-        (x**2).backward(np.array([1.0]))
+        per_op.pow(x, 2).backward(np.array([1.0]))
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_div_backward(self):
         x = Tensor([4.0], requires_grad=True)
-        (1.0 / x).backward(np.array([1.0]))
+        per_op.div(1.0, x).backward(np.array([1.0]))
         np.testing.assert_allclose(x.grad, [-1 / 16])
 
     def test_matmul_backward_numeric(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        (x @ w).sum().backward()
-        ng = numeric_grad(lambda: float((Tensor(x.data) @ Tensor(w.data)).sum().data), x)
+        per_op.sum(per_op.matmul(x, w)).backward()
+        ng = numeric_grad(
+            lambda: float(per_op.sum(per_op.matmul(Tensor(x.data), Tensor(w.data))).data), x
+        )
         np.testing.assert_allclose(x.grad, ng, atol=1e-2)
 
     def test_batched_matmul(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
-        out = x @ w
+        out = per_op.matmul(x, w)
         assert out.shape == (2, 3, 5)
-        out.sum().backward()
+        per_op.sum(out).backward()
         assert x.grad.shape == x.shape
         assert w.grad.shape == w.shape
 
@@ -85,28 +89,28 @@ class TestArithmetic:
 class TestShapes:
     def test_reshape_roundtrip_grad(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
-        x.reshape(2, 3).sum().backward()
+        per_op.sum(per_op.reshape(x, 2, 3)).backward()
         np.testing.assert_allclose(x.grad, np.ones(6))
 
     def test_transpose_grad(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        y = x.transpose(1, 0)
+        y = per_op.transpose(x, 1, 0)
         assert y.shape == (3, 2)
-        (y * Tensor(np.arange(6.0).reshape(3, 2))).sum().backward()
+        per_op.sum(y * Tensor(np.arange(6.0).reshape(3, 2))).backward()
         assert x.grad.shape == (2, 3)
 
     def test_default_transpose_reverses(self):
         x = Tensor(np.zeros((2, 3, 4)))
-        assert x.transpose().shape == (4, 3, 2)
+        assert per_op.transpose(x).shape == (4, 3, 2)
 
     def test_getitem_grad_scatter(self):
         x = Tensor(np.arange(5.0), requires_grad=True)
-        x[np.array([1, 1, 3])].sum().backward()
+        per_op.sum(per_op.getitem(x, np.array([1, 1, 3]))).backward()
         np.testing.assert_allclose(x.grad, [0, 2, 0, 1, 0])
 
     def test_slice_grad(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x[0].sum().backward()
+        per_op.sum(per_op.getitem(x, 0)).backward()
         np.testing.assert_allclose(x.grad, [[1, 1, 1], [0, 0, 0]])
 
     @pytest.mark.parametrize(
@@ -128,7 +132,7 @@ class TestShapes:
     def test_basic_index_grad_matches_add_at(self, index):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(3, 4, 5)).astype(np.float32), requires_grad=True)
-        out = x[index]
+        out = per_op.getitem(x, index)
         upstream = rng.normal(size=out.shape).astype(np.float32)
         out.backward(upstream)
         expected = np.zeros_like(x.data)
@@ -138,43 +142,41 @@ class TestShapes:
 
     def test_advanced_index_with_duplicates_accumulates(self):
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
-        x[(np.array([0, 2, 0]), slice(None))].backward(np.ones((3, 2)))
+        per_op.getitem(x, (np.array([0, 2, 0]), slice(None))).backward(np.ones((3, 2)))
         np.testing.assert_allclose(x.grad, [[2, 2], [0, 0], [1, 1]])
 
     def test_boolean_mask_grad(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         mask = np.array([[True, False, True], [False, True, False]])
-        x[mask].backward(np.array([1.0, 2.0, 3.0]))
+        per_op.getitem(x, mask).backward(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(x.grad, [[1, 0, 2], [0, 3, 0]])
 
 
 class TestReductions:
     def test_sum_axis_keepdims(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        y = x.sum(axis=1, keepdims=True)
+        y = per_op.sum(x, axis=1, keepdims=True)
         assert y.shape == (2, 1)
-        y.sum().backward()
+        per_op.sum(y).backward()
         np.testing.assert_allclose(x.grad, np.ones((2, 3)))
 
     def test_sum_negative_axis(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        x.sum(axis=-1).sum().backward()
+        per_op.sum(per_op.sum(x, axis=-1)).backward()
         np.testing.assert_allclose(x.grad, np.ones((2, 3)))
 
     def test_mean_scales_grad(self):
         x = Tensor(np.ones(4), requires_grad=True)
-        x.mean().backward()
+        per_op.mean(x).backward()
         np.testing.assert_allclose(x.grad, np.full(4, 0.25))
 
     def test_exp_log_tanh_numeric(self):
         rng = np.random.default_rng(2)
-        for op in ("exp", "log", "tanh"):
+        for op in (per_op.exp, per_op.log, per_op.tanh):
             data = np.abs(rng.normal(size=4)) + 0.5
             x = Tensor(data, requires_grad=True)
-            getattr(x, op)().sum().backward()
-            ng = numeric_grad(
-                lambda op=op, x=x: float(getattr(Tensor(x.data), op)().sum().data), x
-            )
+            per_op.sum(op(x)).backward()
+            ng = numeric_grad(lambda op=op, x=x: float(per_op.sum(op(Tensor(x.data))).data), x)
             np.testing.assert_allclose(x.grad, ng, atol=1e-2)
 
 
@@ -194,10 +196,6 @@ class TestAutogradMechanics:
         x = Tensor([1.0])
         with pytest.raises(RuntimeError):
             x.backward()
-
-    def test_detach(self):
-        x = Tensor([1.0], requires_grad=True)
-        assert not x.detach().requires_grad
 
     def test_zero_grad(self):
         x = Tensor([1.0], requires_grad=True)
@@ -227,5 +225,5 @@ class TestAutogradMechanics:
 def test_sum_grad_is_ones(data):
     """Property: d(sum(x))/dx == 1 for any shape."""
     x = Tensor(data, requires_grad=True)
-    x.sum().backward()
+    per_op.sum(x).backward()
     np.testing.assert_allclose(x.grad, np.ones_like(data))

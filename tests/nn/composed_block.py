@@ -2,9 +2,9 @@
 
 :func:`repro.autograd.ops.transformer_block` runs a whole pre-norm block as
 one graph node with a hand-written backward.  Its contract is bit identity
-with the graph below, which composes the block from primitive
-:class:`Tensor` ops (27 nodes per block) and the single-op kernels as they
-were before fusion: a layer norm that takes ``mean`` and then ``var``, a
+with the graph below, which composes the block from the primitive ops of
+``tests/autograd/per_op.py`` (27 nodes per block) and the single-op kernels
+as they were before fusion: a layer norm that takes ``mean`` and then ``var``, a
 GELU node, an affine layer as a matmul node plus a bias node, and the
 ``softmax`` and ``causal_mask_fill`` nodes that only this graph uses.  The
 equivalence tests (``tests/nn/test_fused_block.py``) compare outputs,
@@ -20,6 +20,8 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import Module
 from repro.nn.transformer import GPTConfig, GPTModel, HeadLayer, TransformerBlock
+
+from tests.autograd.per_op import getitem, matmul, reshape, transpose
 
 __all__ = [
     "ComposedBlock",
@@ -103,7 +105,7 @@ def causal_mask_fill(scores: Tensor, fill: float = -1e9) -> Tensor:
 
 
 def _linear(layer, x: Tensor) -> Tensor:
-    out = x @ layer.weight
+    out = matmul(x, layer.weight)
     if layer.bias is not None:
         out = out + layer.bias
     return out
@@ -116,15 +118,15 @@ def _layer_norm(layer, x: Tensor) -> Tensor:
 def _attention(attn, x: Tensor) -> Tensor:
     batch, seq, dim = x.shape
     qkv = _linear(attn.qkv, x)  # (B, S, 3D)
-    qkv = qkv.reshape(batch, seq, 3, attn.n_heads, attn.head_dim)
-    qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, S, hd)
-    q, k, v = qkv[0], qkv[1], qkv[2]
+    qkv = reshape(qkv, batch, seq, 3, attn.n_heads, attn.head_dim)
+    qkv = transpose(qkv, 2, 0, 3, 1, 4)  # (3, B, H, S, hd)
+    q, k, v = getitem(qkv, 0), getitem(qkv, 1), getitem(qkv, 2)
 
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(attn.head_dim))
+    scores = matmul(q, transpose(k, 0, 1, 3, 2)) * (1.0 / math.sqrt(attn.head_dim))
     scores = causal_mask_fill(scores)
     weights = softmax(scores, axis=-1)
-    context = weights @ v  # (B, H, S, hd)
-    context = context.transpose(0, 2, 1, 3).reshape(batch, seq, dim)
+    context = matmul(weights, v)  # (B, H, S, hd)
+    context = reshape(transpose(context, 0, 2, 1, 3), batch, seq, dim)
     return _linear(attn.proj, context)
 
 

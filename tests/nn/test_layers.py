@@ -6,6 +6,8 @@ import pytest
 from repro.autograd.tensor import Tensor
 from repro.nn.layers import Embedding, LayerNorm, Linear, Module
 
+from tests.autograd import per_op
+
 
 @pytest.fixture
 def rng():
@@ -35,7 +37,7 @@ class TestModule:
 
     def test_n_parameters(self, rng):
         layer = Linear(4, 3, rng=rng)
-        assert sum(p.size for p in layer.parameters()) == 4 * 3 + 3
+        assert sum(p.data.size for p in layer.parameters()) == 4 * 3 + 3
 
 
 class TestLinear:
@@ -51,7 +53,7 @@ class TestLinear:
 
     def test_gradients_reach_weights(self, rng):
         layer = Linear(4, 2, rng=rng)
-        layer(Tensor(np.ones((3, 4)))).sum().backward()
+        per_op.sum(layer(Tensor(np.ones((3, 4))))).backward()
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
         np.testing.assert_allclose(layer.bias.grad, [3.0, 3.0])
@@ -75,5 +77,5 @@ class TestEmbedding:
         assert out.shape == (2, 5, 16)
 
     def test_init_std(self, rng):
-        table = Embedding(10_000, 64, rng=rng, std=0.02)
+        table = Embedding(10_000, 64, rng=rng)
         assert table.weight.data.std() == pytest.approx(0.02, rel=0.1)

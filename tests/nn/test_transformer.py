@@ -7,6 +7,8 @@ from repro.autograd.optim import Adam
 from repro.nn.data import SyntheticCorpus
 from repro.nn.transformer import GPTConfig, GPTModel
 
+from tests.autograd.per_op import forward, loss
+
 
 @pytest.fixture
 def config():
@@ -17,7 +19,7 @@ class TestGPTModel:
     def test_logits_shape(self, config):
         model = GPTModel(config)
         tokens = np.zeros((3, 16), dtype=np.int64)
-        assert model(tokens).shape == (3, 16, 64)
+        assert forward(model, tokens).shape == (3, 16, 64)
 
     def test_pipeline_layer_count(self, config):
         model = GPTModel(config)
@@ -28,13 +30,12 @@ class TestGPTModel:
         rng = np.random.default_rng(0)
         tokens = rng.integers(0, 64, size=(4, 16))
         targets = rng.integers(0, 64, size=(4, 16))
-        loss = model.loss(tokens, targets)
-        assert loss.item() == pytest.approx(np.log(64), rel=0.15)
+        assert loss(model, tokens, targets).item() == pytest.approx(np.log(64), rel=0.15)
 
     def test_sequence_longer_than_seq_len_rejected(self, config):
         tokens = np.zeros((1, config.seq_len + 1), dtype=np.int64)
         with pytest.raises(ValueError, match=r"index 16 .*\[0, 16\)"):
-            GPTModel(config)(tokens)
+            forward(GPTModel(config), tokens)
 
     def test_deterministic_init(self, config):
         a, b = GPTModel(config, seed=3), GPTModel(config, seed=3)
@@ -51,12 +52,12 @@ class TestGPTModel:
         first = None
         for _ in range(30):
             opt.zero_grad()
-            loss = model.loss(tokens, targets)
+            value = loss(model, tokens, targets)
             if first is None:
-                first = loss.item()
-            loss.backward()
+                first = value.item()
+            value.backward()
             opt.step()
-        assert loss.item() < first * 0.5
+        assert value.item() < first * 0.5
 
 
 class TestSyntheticCorpus:

@@ -15,6 +15,8 @@ from repro.nn.data import Batch
 from repro.nn.transformer import GPTModel
 from repro.training.pipeline_train import split_batch
 
+from tests.autograd.per_op import loss as model_loss
+
 __all__ = ["accumulate_gradients", "ReferenceTrainer"]
 
 
@@ -23,7 +25,7 @@ def accumulate_gradients(model: GPTModel, microbatches: list[Batch]) -> float:
     scale = 1.0 / len(microbatches)
     total = 0.0
     for micro in microbatches:
-        loss = model.loss(micro.inputs, micro.targets) * scale
+        loss = model_loss(model, micro.inputs, micro.targets) * scale
         loss.backward()
         total += loss.item()
     return total

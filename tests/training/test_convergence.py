@@ -41,4 +41,6 @@ class TestConvergence:
 
 def test_zero_steps_rejected():
     with pytest.raises(ValueError, match="n_steps"):
-        run_convergence_experiment(n_steps=0, config=SMALL)
+        run_convergence_experiment(
+            n_steps=0, config=SMALL, batch_size=8, gpipe_gpus=4, mobius_gpus=2
+        )
