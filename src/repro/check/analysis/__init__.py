@@ -3,14 +3,12 @@
 Layers (each its own module, composable in tests):
 
 * :mod:`~repro.check.analysis.program` — pure-``ast`` symbol tables.
-* :mod:`~repro.check.analysis.callgraph` — conservative call graph +
-  reachability.
-* :mod:`~repro.check.analysis.rules` — MOB003-MOB007 and the one place
-  a finding is declared fine, :class:`AnalysisConfig`.
+* :mod:`~repro.check.analysis.rules` — MOB003-MOB007, each over every
+  function of the program, and the one place a finding is declared fine,
+  :class:`AnalysisConfig`.
 * :mod:`~repro.check.analysis.driver` — the ``repro lint`` entry point.
 """
 
-from repro.check.analysis.callgraph import CallGraph, build_call_graph
 from repro.check.analysis.driver import run_lint
 from repro.check.analysis.program import Program
 from repro.check.analysis.rules import (
@@ -21,10 +19,8 @@ from repro.check.analysis.rules import (
 
 __all__ = [
     "AnalysisConfig",
-    "CallGraph",
     "DEFAULT_ANALYSIS_CONFIG",
     "Program",
     "analyze_program",
-    "build_call_graph",
     "run_lint",
 ]

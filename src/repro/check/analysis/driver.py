@@ -3,9 +3,10 @@
 One entry point, :func:`run_lint`, runs the MOB003-007 rules
 (:mod:`repro.check.analysis.rules`) over the whole ``src/repro`` program
 model, plus MOB000 for each file the model could not load.  The analysis
-is whole-program even when specific paths are requested, because
-reachability cannot be computed file-locally; the findings are then
-*filtered* to the requested paths.  A finding is fine only if
+is whole-program even when specific paths are requested, because whether
+a module-level instance is shared mutable state depends on a class that
+may be defined in another file; the findings are then *filtered* to the
+requested paths.  A finding is fine only if
 :class:`~repro.check.analysis.rules.AnalysisConfig` says so: a seam or an
 allowlist entry, with its reason beside it.
 

@@ -1,11 +1,10 @@
-"""Whole-program symbol table for the interprocedural MOB rules.
+"""Whole-program symbol table for the MOB rules.
 
 A :class:`Program` is a parsed view of every module under ``src/repro`` (or
 of an in-memory ``{rel_path: source}`` mapping in tests): per-module
-functions, classes with their methods and instance-attribute types, import
-aliases, and module-level mutable state.  It is the substrate the call
-graph (:mod:`repro.check.analysis.callgraph`) and the MOB003-007 rules
-(:mod:`repro.check.analysis.rules`) resolve names against.
+functions, classes with their methods, import aliases, and module-level
+mutable state.  The MOB003-007 rules (:mod:`repro.check.analysis.rules`)
+run over it.
 
 Everything here is a pure :mod:`ast` pass — the analyzed code is never
 imported, so a syntactically valid module with missing dependencies (or a
@@ -14,16 +13,13 @@ deliberately hostile test fixture) is still analyzable.
 Scope decisions (documented in DESIGN.md §13):
 
 * **Nested functions and lambdas are folded into their enclosing top-level
-  function or method.**  Closures execute over the encloser's state and are
-  registered as callbacks by the encloser, so for reachability purposes a
-  reference to a nested ``def`` *is* a reference to the encloser.  This
-  over-approximates (a defined-but-never-called closure still contributes
-  its calls) but never loses an edge through a callback seam.
+  function or method**: a rule walks the encloser's whole subtree, so a
+  closure's clock read or global write is reported against the function
+  that defines it.
 * **Module-level code is one more function**, ``<module>``
   (:data:`MODULE_BODY`): top-level statements, class-body statements, and
   the decorators and default arguments of every ``def``, which all run at
-  import time.  It lets a root package's import-time code be analyzed like
-  any function body.
+  import time.  The rules check it like any function body.
 * **Module-level mutable state** is any top-level binding of a ``dict`` /
   ``list`` / ``set`` display or comprehension, a call to a known
   mutable-container constructor (``dict``, ``list``, ``set``,
@@ -52,7 +48,7 @@ __all__ = [
 ]
 
 #: Name of the pseudo-function holding a module's import-time code; not an
-#: identifier, so no call or reference can resolve to it.
+#: identifier, so it cannot clash with a real function's name.
 MODULE_BODY = "<module>"
 
 #: Call targets whose result is a shared mutable container when bound at
@@ -157,7 +153,6 @@ class FunctionInfo:
             (``Outer.Inner``), or ``None`` for module functions.
         node: The ``ast`` definition node; analysis walks its whole subtree,
             which includes any nested defs and lambdas.
-        lineno: Definition line (for findings).
     """
 
     qualname: str
@@ -166,7 +161,6 @@ class FunctionInfo:
     name: str
     class_name: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    lineno: int
 
     @property
     def site(self) -> str:
@@ -177,22 +171,10 @@ class FunctionInfo:
 
 @dataclasses.dataclass
 class ClassInfo:
-    """One class definition: methods, base names, instance-attribute types.
-
-    ``attr_types`` maps instance attributes to the *short* class name they
-    are assigned from (``self.network = FlowNetwork(...)`` records
-    ``network -> FlowNetwork``), resolved lazily through imports by the
-    call graph.
-    """
+    """One class definition and its methods."""
 
     name: str
-    qualname: str
-    module: str
-    rel_path: str
-    lineno: int
-    base_names: list[str] = dataclasses.field(default_factory=list)
     methods: dict[str, FunctionInfo] = dataclasses.field(default_factory=dict)
-    attr_types: dict[str, str] = dataclasses.field(default_factory=dict)
     #: ``@dataclass(frozen=True)`` — instances are immutable, so a
     #: module-level instance is not shared *mutable* state.
     frozen: bool = False
@@ -253,7 +235,7 @@ def _is_mutable_binding(value: ast.expr, program_classes: set[str]) -> bool:
 
 
 class Program:
-    """Symbol tables for a set of modules, indexed for call resolution."""
+    """Symbol tables for a set of modules."""
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
@@ -263,14 +245,6 @@ class Program:
         self._pending_globals: dict[tuple[str, str], ast.expr] = {}
         #: qualname -> FunctionInfo, every function and method.
         self.functions: dict[str, FunctionInfo] = {}
-        #: qualname -> ClassInfo.
-        self.classes: dict[str, ClassInfo] = {}
-        #: Short class name -> ClassInfo list (for import-free resolution).
-        self.classes_by_name: dict[str, list[ClassInfo]] = {}
-        #: Method name -> defining FunctionInfo list (name-match fallback).
-        self.methods_by_name: dict[str, list[FunctionInfo]] = {}
-        #: class qualname -> direct subclass qualnames.
-        self.subclasses: dict[str, list[str]] = {}
         #: Files that could not be loaded: rel_path -> (line, reason).
         self.broken: dict[str, tuple[int, str]] = {}
 
@@ -341,7 +315,6 @@ class Program:
             name=MODULE_BODY,
             class_name=None,
             node=body,
-            lineno=1,
         )
 
         for node in tree.body:
@@ -353,7 +326,6 @@ class Program:
                     name=node.name,
                     class_name=None,
                     node=node,
-                    lineno=node.lineno,
                 )
                 module.functions[node.name] = info
             elif isinstance(node, ast.ClassDef):
@@ -387,51 +359,25 @@ class Program:
     ) -> None:
         """Register ``node`` and, under dotted names, the classes nested in it."""
         local = f"{outer}.{node.name}" if outer else node.name
-        info = ClassInfo(
-            name=node.name,
-            qualname=f"{module.name}.{local}",
-            module=module.name,
-            rel_path=module.rel_path,
-            lineno=node.lineno,
-            frozen=_is_frozen_dataclass(node),
-        )
-        for base in node.bases:
-            chain = attr_chain(base)
-            if chain:
-                info.base_names.append(chain[-1])
+        info = ClassInfo(name=node.name, frozen=_is_frozen_dataclass(node))
         for child in node.body:
             if isinstance(child, ast.ClassDef):
                 self._add_class(module, child, local)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 method = FunctionInfo(
-                    qualname=f"{info.qualname}.{child.name}",
+                    qualname=f"{module.name}.{local}.{child.name}",
                     module=module.name,
                     rel_path=module.rel_path,
                     name=child.name,
                     class_name=local,
                     node=child,
-                    lineno=child.lineno,
                 )
                 info.methods[child.name] = method
-                # Instance-attribute types: self.x = ClassName(...) in any
-                # method body (``a or ClassName()`` scans BoolOp operands).
-                for stmt in ast.walk(child):
-                    if not isinstance(stmt, ast.Assign):
-                        continue
-                    ctor = _assigned_constructor(stmt.value)
-                    if ctor is None:
-                        continue
-                    for target in stmt.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            info.attr_types.setdefault(target.attr, ctor)
         module.classes[local] = info
 
     def _link(self) -> None:
-        """Build the cross-module indexes once every module is loaded."""
+        """Index every function and settle mutable globals once every module
+        is loaded."""
         # A module-level instance is mutable shared state only when the
         # class is not a frozen dataclass (conservative on name collisions:
         # any non-frozen definition of the name keeps it mutable).
@@ -445,11 +391,8 @@ class Program:
             for info in module.functions.values():
                 self.functions[info.qualname] = info
             for cls_info in module.classes.values():
-                self.classes[cls_info.qualname] = cls_info
-                self.classes_by_name.setdefault(cls_info.name, []).append(cls_info)
                 for method in cls_info.methods.values():
                     self.functions[method.qualname] = method
-                    self.methods_by_name.setdefault(method.name, []).append(method)
             # Re-filter mutable globals now that program classes are known.
             keep: dict[str, int] = {}
             for name, lineno in module.mutable_globals.items():
@@ -457,82 +400,4 @@ class Program:
                 if value is None or _is_mutable_binding(value, program_class_names):
                     keep[name] = lineno
             module.mutable_globals = keep
-        # Subclass map: resolve base names through imports or same module.
-        for module in self.modules.values():
-            for cls_info in module.classes.values():
-                for base_name in cls_info.base_names:
-                    base = self.resolve_class(module, base_name)
-                    if base is not None:
-                        self.subclasses.setdefault(base.qualname, []).append(
-                            cls_info.qualname
-                        )
         self._pending_globals.clear()
-
-    # ------------------------------------------------------------------
-    # Resolution helpers
-    # ------------------------------------------------------------------
-
-    def resolve_class(self, module: ModuleInfo, name: str) -> ClassInfo | None:
-        """Resolve a short class name seen in ``module`` to its ClassInfo."""
-        if name in module.classes:
-            return module.classes[name]
-        target = module.imports.get(name)
-        if target is not None and target in self.classes:
-            return self.classes[target]
-        candidates = self.classes_by_name.get(name, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
-    def resolve_method(self, cls_info: ClassInfo, name: str) -> list[FunctionInfo]:
-        """A method by name on ``cls_info``: own def, inherited defs from
-        program-known ancestors, and overrides in program-known descendants
-        (a call through a base-typed reference may dispatch to any)."""
-        out: dict[str, FunctionInfo] = {}
-        # Own + ancestors.
-        stack = [cls_info]
-        seen = {cls_info.qualname}
-        while stack:
-            current = stack.pop()
-            if name in current.methods:
-                out.setdefault(current.methods[name].qualname, current.methods[name])
-            module = self.modules.get(current.module)
-            if module is None:
-                continue
-            for base_name in current.base_names:
-                base = self.resolve_class(module, base_name)
-                if base is not None and base.qualname not in seen:
-                    seen.add(base.qualname)
-                    stack.append(base)
-        # Descendants (overrides).
-        stack = [cls_info.qualname]
-        seen = {cls_info.qualname}
-        while stack:
-            for sub_qualname in self.subclasses.get(stack.pop(), ()):  # noqa: B909
-                if sub_qualname in seen:
-                    continue
-                seen.add(sub_qualname)
-                stack.append(sub_qualname)
-                sub = self.classes[sub_qualname]
-                if name in sub.methods:
-                    out.setdefault(sub.methods[name].qualname, sub.methods[name])
-        return list(out.values())
-
-
-def _assigned_constructor(value: ast.expr) -> str | None:
-    """Short constructor name an assignment's value instantiates, scanning
-    through ``a or B()`` / ``a if c else B()`` shapes."""
-    if isinstance(value, ast.BoolOp):
-        for operand in value.values:
-            ctor = _assigned_constructor(operand)
-            if ctor is not None:
-                return ctor
-        return None
-    if isinstance(value, ast.IfExp):
-        return _assigned_constructor(value.body) or _assigned_constructor(value.orelse)
-    name = _constructor_name(value)
-    if name is None:
-        return None
-    # Class-like: Uppercase-first, allowing private classes (_SearchState).
-    return name if name.lstrip("_")[:1].isupper() else None
-

@@ -1,8 +1,8 @@
 """The MOB rules (MOB003-MOB007) over the whole-program model.
 
-MOB003 checks one named file.  The others scope by *reachability*: a clock
-read is a determinism violation because a root can transitively call it,
-regardless of which directory the helper lives in.
+MOB003 checks one named file.  The others check every function of the
+program, module bodies (import-time code) included: a clock read is a
+determinism violation wherever it sits and whoever calls it.
 
 * **MOB003 — task-label contract.**  Task labels passed to the task
   table's emit methods (``compute``, ``transfer``, ``barrier``) in
@@ -11,25 +11,21 @@ regardless of which directory the helper lives in.
   grammar every label reader parses.  A drifting label format makes a
   reader silently skip events.
 
-* **MOB004 — determinism.**  No function reachable from a root
-  (``AnalysisConfig.entry_points``) may read a clock or draw from
+* **MOB004 — determinism.**  No function may read a clock or draw from
   process-global randomness: ``time.*`` clocks (monotonic ones included),
-  ``datetime`` "now" reads, stdlib ``random`` and legacy ``numpy.random``
-  calls, however they are imported (``import time as t``, ``from random
-  import choice``, ``import numpy.random as npr``, function-local imports
-  too).  A root is a function, or a package or module, meaning every
-  function defined there plus its import-time code.  The roots are the
-  simulator, the planner, fault injection, the serve daemon, the durable
-  store, and the suite's cell worker (so every cached cell, baseline
-  task-graph builders included).  A function in ``clock_allowlist`` may
+  ``datetime`` "now" reads, stdlib ``random``, every ``numpy.random``
+  attribute but the seeded-generator constructors, and a constructor
+  called with no seed, however they are imported (``import time as t``,
+  ``from random import choice``, ``import numpy.random as npr``,
+  function-local imports too).  A function in ``clock_allowlist`` may
   read monotonic clocks for reporting; wall clocks and RNG draws are
   flagged there too.  Bench walls go through
   :class:`repro.perf.bench.Stopwatch`, the one allowlisted timer.
 
 * **MOB005 — unordered-iteration hazard.**  Iterating a ``set`` /
-  ``frozenset`` on a hot path with the loop feeding a heap push, trace
-  append, fingerprint, or plain accumulation is order-nondeterministic
-  under hash randomization.  ``dict`` iteration is insertion-ordered in
+  ``frozenset`` with the loop feeding a heap push, trace append,
+  fingerprint, or plain accumulation is order-nondeterministic under
+  hash randomization.  ``dict`` iteration is insertion-ordered in
   CPython and deliberately *not* flagged (DESIGN.md §13); wrapping the
   iterable in ``sorted(...)`` resolves the finding.
 
@@ -38,13 +34,12 @@ regardless of which directory the helper lives in.
   invalidates the content address already taken.  Intra-procedural on
   purpose: cross-function escapes are the (documented) under-approximation.
 
-* **MOB007 — shared-state race.**  Module-level mutable state written from
-  a function reachable from the parallel workers (the suite drain's
-  ``_cell_worker``, the serve daemon's dispatch loop, and the supervised
-  worker children's ``_process_worker_main``) must go through a
-  documented synchronization seam (``sync_seams``).  Reads
-  are fine; writes — including ``next()`` on a shared ``itertools.count``
-  and mutating-method calls — are not.
+* **MOB007 — shared-state race.**  Module-level mutable state is written
+  only inside a documented synchronization seam (``sync_seams``): the
+  suite drain, the serve daemon's dispatch threads and the supervised
+  worker children run program code concurrently.  Reads are fine;
+  writes — including ``next()`` on a shared ``itertools.count`` and
+  mutating-method calls — are not.
 
 Files the program model could not load are reported as MOB000.  That
 cached values stay immutable is not a rule here: the fingerprint encoder
@@ -56,7 +51,6 @@ from __future__ import annotations
 import ast
 import dataclasses
 
-from repro.check.analysis.callgraph import CallGraph, build_call_graph
 from repro.check.analysis.program import (
     FunctionInfo,
     Program,
@@ -84,7 +78,7 @@ _FINGERPRINT_MODULE = "repro.perf.fingerprint"
 #: label's positional index.
 _TASK_EMITTERS = {"compute": 2, "transfer": 5, "barrier": 0}
 
-#: Calls that consume loop-order on a hot path: heap pushes, event appends,
+#: Calls that consume loop order: heap pushes, event appends,
 #: fingerprints, and plain accumulation.
 _MOB005_SINKS = frozenset(
     {
@@ -151,70 +145,36 @@ _WALL_CLOCKS = frozenset(
     }
 )
 
-#: Legacy ``numpy.random`` entry points that draw from hidden global state.
-_NUMPY_LEGACY_RANDOM = frozenset(
+#: ``numpy.random`` constructors of explicitly seeded generators: every
+#: other ``numpy.random`` attribute draws from, or reads or reseeds, the
+#: hidden global ``RandomState``.  Called with no argument, a constructor
+#: seeds from OS entropy, which is flagged too.
+_NUMPY_SEEDED_CONSTRUCTORS = frozenset(
     {
-        "rand",
-        "randn",
-        "random",
-        "random_sample",
-        "ranf",
-        "sample",
-        "seed",
-        "randint",
-        "random_integers",
-        "choice",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "standard_normal",
+        "default_rng",
+        "Generator",
+        "RandomState",
+        "SeedSequence",
+        "BitGenerator",
+        "MT19937",
+        "PCG64",
+        "PCG64DXSM",
+        "Philox",
+        "SFC64",
     }
 )
 
 
 @dataclasses.dataclass(frozen=True)
 class AnalysisConfig:
-    """Roots and seams for the interprocedural rules.
+    """The one place a MOB004 or MOB007 finding is declared fine.
 
-    All names are program qualnames (``repro.sim.engine.Simulator.run``)
-    or, in ``entry_points`` only, package/module names; except
-    ``clock_allowlist``, whose keys are ``path::Class.method`` sites
-    (:attr:`FunctionInfo.site`).  ``sync_seams`` and ``clock_allowlist``
-    are the one way to say a finding is fine; each entry carries its
-    reason as a comment.
+    ``sync_seams`` holds program qualnames
+    (``repro.perf.cache.configure_cache``); ``clock_allowlist`` holds
+    ``path::Class.method`` sites (:attr:`FunctionInfo.site`).  Each entry
+    carries its reason as a comment.
     """
 
-    #: MOB004/MOB005 roots.  A package or module root stands for every
-    #: function defined there plus its import-time code.
-    entry_points: tuple[str, ...] = (
-        # The simulator's only time source is the virtual clock.
-        "repro.sim",
-        # Plans are cached and served by content address.
-        "repro.core",
-        # Failure coins come from content hashes, never RNGs.
-        "repro.faults",
-        # Serve deadlines are node budgets, and responses are content-
-        # addressed.  (time.sleep for restart pacing waits, it reads nothing.)
-        "repro.serve",
-        # The durable store behind the result cache and the daemon.
-        "repro.perf.store",
-        # Everything a cached suite cell computes, baseline task-graph
-        # builders included.
-        "repro.experiments.schedule._cell_worker",
-    )
-    #: MOB007 roots: the parallel-worker surface.
-    worker_entry_points: tuple[str, ...] = (
-        # The suite drain's cell task, run inline and on supervised
-        # workers: its global writes follow the same seam discipline.
-        "repro.experiments.schedule._cell_worker",
-        # The serve daemon's dispatch thread and the supervised worker
-        # children (plan and cell tasks, after adopting the parent cache
-        # config) run concurrently with client threads: every module
-        # global they can write must be a documented seam.
-        "repro.serve.daemon.PlanService._dispatch_loop",
-        "repro.serve.supervisor._process_worker_main",
-    )
     #: Documented synchronization seams: writes inside these are sanctioned.
     sync_seams: frozenset[str] = frozenset(
         {
@@ -227,6 +187,12 @@ class AnalysisConfig:
             # A lock here would tax every get_cache() read for one write
             # per spawned worker.
             "repro.perf.cache.configure_cache",
+            # Controlling-thread seam: every caller (serve bench, serve
+            # chaos, the suite) enters it before it starts a PlanService or
+            # a drain and leaves it after they have stopped, so no thread
+            # reads the cache across either rebind.  Process workers hold
+            # their own module globals.
+            "repro.perf.cache.cache_overridden",
         }
     )
     #: Functions that may read monotonic clocks (MOB004), one reason each.
@@ -258,22 +224,6 @@ DEFAULT_ANALYSIS_CONFIG = AnalysisConfig()
 # ----------------------------------------------------------------------
 
 
-def _roots(program: Program, names: tuple[str, ...]) -> list[str]:
-    """Function qualnames named by ``names``: functions as-is, packages and
-    modules expanded to every function in them (import-time code too)."""
-    roots: list[str] = []
-    for name in names:
-        if name in program.functions:
-            roots.append(name)
-            continue
-        roots.extend(
-            qualname
-            for qualname, info in program.functions.items()
-            if info.module == name or info.module.startswith(name + ".")
-        )
-    return roots
-
-
 def _clock_rng_sites(
     info: FunctionInfo, bindings: dict[str, str], monotonic_ok: bool
 ) -> list[tuple[int, str]]:
@@ -283,18 +233,32 @@ def _clock_rng_sites(
     the function's own imports; a name bound by no import is not a module.
     """
     bindings = {**bindings, **import_bindings(ast.walk(info.node))}
-    sites: list[tuple[int, str]] = []
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.Name):
-            chain = [node.id]
-        elif isinstance(node, ast.Attribute):
-            chain = attr_chain(node)
-        else:
-            continue
+
+    def resolve(node: ast.expr) -> tuple[str, str]:
+        """``(module, attr)`` a reference names; ``("", "")`` if none."""
+        chain = [node.id] if isinstance(node, ast.Name) else attr_chain(node)
         target = bindings.get(chain[0]) if chain else None
         if target is None:
-            continue
+            return "", ""
         module, _, attr = ".".join([target, *chain[1:]]).rpartition(".")
+        return module, attr
+
+    sites: list[tuple[int, str]] = []
+    for node in ast.walk(info.node):
+        if isinstance(node, ast.Call):
+            module, attr = resolve(node.func)
+            if (
+                module == "numpy.random"
+                and attr in _NUMPY_SEEDED_CONSTRUCTORS
+                and not (node.args or node.keywords)
+            ):
+                sites.append(
+                    (node.lineno, f"numpy.random.{attr}() seeded from OS entropy")
+                )
+            continue
+        if not isinstance(node, (ast.Name, ast.Attribute)):
+            continue
+        module, attr = resolve(node)
         if module == "time" and attr in _MONOTONIC_CLOCKS:
             if not monotonic_ok:
                 sites.append((node.lineno, f"clock read time.{attr}"))
@@ -302,8 +266,8 @@ def _clock_rng_sites(
             sites.append((node.lineno, f"wall-clock read {module}.{attr}"))
         elif module == "random":
             sites.append((node.lineno, f"stdlib random.{attr} draw"))
-        elif module == "numpy.random" and attr in _NUMPY_LEGACY_RANDOM:
-            sites.append((node.lineno, f"legacy numpy.random.{attr} draw"))
+        elif module == "numpy.random" and attr not in _NUMPY_SEEDED_CONSTRUCTORS:
+            sites.append((node.lineno, f"global-state numpy.random.{attr} use"))
     return sites
 
 
@@ -441,37 +405,25 @@ def _check_mob003(program: Program, report: CheckReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# MOB004 — transitive hot-path determinism
+# MOB004 — determinism
 # ----------------------------------------------------------------------
 
 
 def _check_mob004(
-    program: Program,
-    graph: CallGraph,
-    config: AnalysisConfig,
-    report: CheckReport,
+    program: Program, config: AnalysisConfig, report: CheckReport
 ) -> None:
-    # Callbacks registered at a seam are called by the event loop through
-    # a heap entry or hook list, which no call edge records.
-    parents = graph.reachable(
-        _roots(program, config.entry_points) + sorted(graph.seam_callbacks)
-    )
-    for qualname in sorted(parents):
-        info = program.functions.get(qualname)
-        if info is None:
-            continue
+    for qualname in sorted(program.functions):
+        info = program.functions[qualname]
         sites = _clock_rng_sites(
             info,
             program.modules[info.module].imports,
             monotonic_ok=info.site in config.clock_allowlist,
         )
         for lineno, description in sites:
-            chain = " -> ".join(graph.chain(parents, qualname))
             report.add(
                 _CHECKER,
                 "MOB004",
-                f"{description} in {qualname}, which is reachable from a "
-                f"determinism root ({chain}); cached and served results "
+                f"{description} in {qualname}; cached and served results "
                 "must not depend on clocks or process-global RNG state",
                 subject=f"{info.rel_path}:{lineno}",
                 symbol=qualname,
@@ -479,21 +431,13 @@ def _check_mob004(
 
 
 # ----------------------------------------------------------------------
-# MOB005 — unordered-iteration hazards on hot paths
+# MOB005 — unordered-iteration hazards
 # ----------------------------------------------------------------------
 
 
-def _check_mob005(
-    program: Program,
-    graph: CallGraph,
-    config: AnalysisConfig,
-    report: CheckReport,
-) -> None:
-    parents = graph.reachable(_roots(program, config.entry_points))
-    for qualname in sorted(parents):
-        info = program.functions.get(qualname)
-        if info is None:
-            continue
+def _check_mob005(program: Program, report: CheckReport) -> None:
+    for qualname in sorted(program.functions):
+        info = program.functions[qualname]
         set_locals = _set_typed_locals(info)
         set_attrs = _set_typed_attrs(program, info)
         for node in ast.walk(info.node):
@@ -508,9 +452,8 @@ def _check_mob005(
                 _CHECKER,
                 "MOB005",
                 f"iteration over an unordered set feeds {sink}(...) in "
-                f"{qualname} on a hot path; wrap the iterable in sorted(...) "
-                "with a total key so the result is independent of hash "
-                "randomization",
+                f"{qualname}; wrap the iterable in sorted(...) with a total "
+                "key so the result is independent of hash randomization",
                 subject=f"{info.rel_path}:{node.lineno}",
                 symbol=qualname,
             )
@@ -604,36 +547,26 @@ def _is_fingerprint_call(node: ast.Call, imports: dict[str, str]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# MOB007 — shared mutable state written off the worker frontier
+# MOB007 — shared mutable state written outside a seam
 # ----------------------------------------------------------------------
 
 
 def _check_mob007(
-    program: Program,
-    graph: CallGraph,
-    config: AnalysisConfig,
-    report: CheckReport,
+    program: Program, config: AnalysisConfig, report: CheckReport
 ) -> None:
-    parents = graph.reachable(
-        [q for q in config.worker_entry_points if q in program.functions]
-    )
-    for qualname in sorted(parents):
-        info = program.functions.get(qualname)
-        if info is None or qualname in config.sync_seams:
-            continue
+    for qualname in sorted(program.functions):
+        info = program.functions[qualname]
         module = program.modules[info.module]
-        if not module.mutable_globals:
+        if qualname in config.sync_seams or not module.mutable_globals:
             continue
         local_names = _locally_bound_names(info)
         for lineno, global_name, how in _global_writes(
             info, set(module.mutable_globals) - local_names
         ):
-            chain = " -> ".join(graph.chain(parents, qualname))
             report.add(
                 _CHECKER,
                 "MOB007",
-                f"{how} module-level mutable {global_name!r} in {qualname}, "
-                f"reachable from the parallel-worker frontier ({chain}), "
+                f"{how} module-level mutable {global_name!r} in {qualname} "
                 "without a documented synchronization seam; route the "
                 "access through a seam registered in "
                 "AnalysisConfig.sync_seams",
@@ -735,7 +668,6 @@ def analyze_program(
 ) -> CheckReport:
     """Run MOB003-MOB007 over an already-built program model, plus MOB000
     for each file the model could not load."""
-    graph = build_call_graph(program)
     report = CheckReport()
     for rel_path, (lineno, reason) in sorted(program.broken.items()):
         report.add(
@@ -745,8 +677,8 @@ def analyze_program(
             subject=f"{rel_path}:{lineno}",
         )
     _check_mob003(program, report)
-    _check_mob004(program, graph, config, report)
-    _check_mob005(program, graph, config, report)
+    _check_mob004(program, config, report)
+    _check_mob005(program, report)
     _check_mob006(program, report)
-    _check_mob007(program, graph, config, report)
+    _check_mob007(program, config, report)
     return report

@@ -34,7 +34,6 @@ import io
 import os
 import sys
 import tempfile
-import time
 from collections.abc import Sequence
 from typing import Any
 
@@ -156,9 +155,9 @@ def _execute_figure(name: str, fast: bool) -> FigureRun:
 
     cache = get_cache()
     before = cache.stats_snapshot()
-    started = time.perf_counter()
+    watch = Stopwatch()
     tables = importlib.import_module(f"repro.experiments.{name}").run(fast=fast)
-    seconds = time.perf_counter() - started
+    seconds = watch.seconds
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -215,13 +214,13 @@ def run_suite(
         "disk": use_cache,
         "directory": cache_dir,
     }
-    started = time.perf_counter()
+    watch = Stopwatch()
     with cache_overridden(**override):
         schedule_report = None
         if use_cache:
             schedule_report = run_cells(names, fast=fast, jobs=jobs)
         figures = [_execute_figure(name, fast) for name in names]
-    total = time.perf_counter() - started
+    total = watch.seconds
 
     report = SuiteReport(
         figures=figures,

@@ -1,4 +1,4 @@
-"""Program model: symbol tables, imports, mutable globals, resolution."""
+"""Program model: symbol tables, imports, mutable globals."""
 
 import textwrap
 
@@ -33,13 +33,7 @@ class TestSymbolTables:
         )
         assert "repro.a.helper" in program.functions
         assert "repro.a.Widget.spin" in program.functions
-        assert "repro.a.Widget" in program.classes
-        assert [c.qualname for c in program.classes_by_name["Widget"]] == [
-            "repro.a.Widget"
-        ]
-        assert [m.qualname for m in program.methods_by_name["spin"]] == [
-            "repro.a.Widget.spin"
-        ]
+        assert "Widget" in program.modules["repro.a"].classes
 
     def test_site_key_matches_clock_allowlist_format(self):
         program = _program(
@@ -114,86 +108,6 @@ class TestMutableGlobals:
             """
         )
         assert program.modules["repro.a"].mutable_globals == {}
-
-
-class TestInstanceAttrTypes:
-    def test_self_assignments_record_constructor_types(self):
-        program = _program(
-            src__repro__a="""
-            class Engine:
-                def __init__(self):
-                    self.network = FlowNetwork()
-                    self.fallback = existing or FlowNetwork()
-                    self.count = 0
-
-            class FlowNetwork:
-                def start_flow(self):
-                    pass
-            """
-        )
-        attr_types = program.modules["repro.a"].classes["Engine"].attr_types
-        assert attr_types["network"] == "FlowNetwork"
-        assert attr_types["fallback"] == "FlowNetwork"
-        assert "count" not in attr_types
-
-    def test_private_class_names_count_as_constructors(self):
-        program = _program(
-            src__repro__a="""
-            class Holder:
-                def __init__(self):
-                    self.state = _SearchState()
-
-            class _SearchState:
-                def run(self):
-                    pass
-            """
-        )
-        attr_types = program.modules["repro.a"].classes["Holder"].attr_types
-        assert attr_types["state"] == "_SearchState"
-
-
-class TestResolution:
-    def test_resolve_class_through_imports(self):
-        program = _program(
-            src__repro__a="""
-            from repro.b import Widget
-
-            def use():
-                pass
-            """,
-            src__repro__b="""
-            class Widget:
-                def spin(self):
-                    pass
-            """,
-        )
-        module = program.modules["repro.a"]
-        cls = program.resolve_class(module, "Widget")
-        assert cls is not None and cls.qualname == "repro.b.Widget"
-
-    def test_resolve_method_includes_ancestors_and_overrides(self):
-        program = _program(
-            src__repro__a="""
-            class Base:
-                def emit(self):
-                    pass
-
-                def shared(self):
-                    pass
-
-            class Child(Base):
-                def emit(self):
-                    pass
-            """
-        )
-        base = program.classes["repro.a.Base"]
-        child = program.classes["repro.a.Child"]
-        # Through the base, a call may dispatch to the override too.
-        emitted = {m.qualname for m in program.resolve_method(base, "emit")}
-        assert emitted == {"repro.a.Base.emit", "repro.a.Child.emit"}
-        # Through the child, inherited methods resolve upward.
-        shared = {m.qualname for m in program.resolve_method(child, "shared")}
-        assert shared == {"repro.a.Base.shared"}
 
 
 class TestFromTree:

