@@ -22,7 +22,7 @@ import dataclasses
 from repro.core.plan import Mapping, Partition
 from repro.core.timing import evaluate_pipeline
 from repro.hardware.topology import Topology
-from repro.models.costmodel import CostModel, StageCost
+from repro.models.costmodel import STATE_BYTES_PER_PARAM, CostModel, StageCost
 from repro.models.spec import ModelSpec
 from repro.sim.tasks import TaskGraphRunner, TaskTable
 from repro.sim.trace import Trace
@@ -77,6 +77,26 @@ def _check_memory(
                 f"{model_name} stage {index} needs {needed / 1e9:.1f}GB resident "
                 f"({schedule}), GPU has {gpu_memory / 1e9:.1f}GB"
             )
+
+
+def _check_total_memory(
+    model: ModelSpec, cost_model: CostModel, n_stages: int, schedule: str
+) -> None:
+    """Fail before the partition search when no ``n_stages`` split can fit.
+
+    The whole model's resident states are the sum of every stage's
+    :meth:`StageCost.resident_bytes_static`, a lower bound on the stages'
+    summed :func:`_static_stage_bytes`, so when they exceed ``n_stages``
+    GPUs' worth of memory some stage of every partition fails
+    :func:`_check_memory` (pigeonhole).
+    """
+    gpu_memory = cost_model.usable_gpu_bytes()
+    needed = model.param_count * STATE_BYTES_PER_PARAM
+    if needed > n_stages * gpu_memory:
+        raise OutOfMemoryError(
+            f"{model.name} needs {needed / 1e9:.1f}GB of resident states "
+            f"({schedule}), {n_stages} GPUs have {n_stages * gpu_memory / 1e9:.1f}GB"
+        )
 
 
 def _balanced_partition(
@@ -219,6 +239,7 @@ def _run_resident_pipeline(
     n = topology.n_gpus
     m = n_microbatches or n
     cost_model = CostModel(topology.gpu_spec, mbs)
+    _check_total_memory(model, cost_model, n, schedule)
     partition = _balanced_partition(model, cost_model, n, topology.pcie_bandwidth)
     stage_costs = partition.stage_costs(cost_model)
     _check_memory(stage_costs, cost_model.usable_gpu_bytes(), m, schedule, model.name)

@@ -24,7 +24,19 @@ from functools import cached_property
 from repro.hardware.gpu import GPUSpec, Precision
 from repro.models.spec import FP16_BYTES, LayerSpec, ModelSpec
 
-__all__ = ["LayerCost", "StageCost", "CostModel", "FRAMEWORK_OVERHEAD_BYTES", "ordered_sum"]
+__all__ = [
+    "LayerCost",
+    "StageCost",
+    "CostModel",
+    "FRAMEWORK_OVERHEAD_BYTES",
+    "STATE_BYTES_PER_PARAM",
+    "ordered_sum",
+]
+
+#: GPU bytes per parameter of a stage that keeps all its training states
+#: resident (GPipe-style): FP16 params + FP16 grads + FP32 master weights
+#: and Adam moments.
+STATE_BYTES_PER_PARAM = 16
 
 #: Constant per-GPU memory claimed by the framework (CUDA context, NCCL
 #: buffers, allocator slack) and unavailable to stage data.
@@ -147,11 +159,9 @@ class StageCost:
         return self._mem_bwd_base + m * self.input_activation_bytes
 
     def resident_bytes_static(self) -> int:
-        """All-in-GPU-memory footprint of the stage's *states* (GPipe-style):
-        FP16 params + FP16 grads + FP32 master & Adam state (16 bytes/param
-        total)."""
-        n_params = self.param_bytes // FP16_BYTES
-        return n_params * 16
+        """All-in-GPU-memory footprint of the stage's *states* (GPipe-style,
+        :data:`STATE_BYTES_PER_PARAM`)."""
+        return self.param_bytes // FP16_BYTES * STATE_BYTES_PER_PARAM
 
 
 class CostModel:

@@ -18,7 +18,8 @@ rows in the :mod:`repro.perf.bench` shape:
 Each row's counters are the incremental allocator's deterministic work
 (:data:`GATED_COUNTERS`): events processed, reallocation flushes,
 components and rounds of progressive filling, flows touched, and
-edge-member entries scanned by the flush's walk.  Fingerprints and
+edge-member entries scanned by the vector-mode flush's walk (zero on rows
+that stay in scalar mode, which keeps no link index).  Fingerprints and
 counters are event-sequence determined, so equal code produces equal rows
 on every machine; a trace-fingerprint divergence breaks the allocator's
 bit-identical equivalence contract (DESIGN.md §11).  Wall seconds and the
@@ -49,8 +50,11 @@ __all__ = ["bench_rows", "GATED_COUNTERS", "LargeCell", "LARGE_CELLS"]
 
 #: The allocator work counters every row carries, all gated
 #: (``flows_touched`` is the incremental allocator's headline number — a
-#: from-scratch refill regression shows up there first, and a return to
-#: per-flow rescans of shared edges shows up in ``member_scans``).
+#: from-scratch refill regression shows up there first).  ``member_scans``
+#: counts only the vector-mode index walk, so a return to per-flow rescans
+#: of shared edges shows up on the large row; the corpus rows stay in
+#: scalar mode, where ``flows_touched`` and ``fill_rounds`` guard the
+#: refill set and no counter measures the bitmask closure's own passes.
 GATED_COUNTERS = (
     "events",
     "reallocations",
@@ -127,7 +131,7 @@ class LargeCell:
 
 
 #: The committed large-scale workload set: 1024 GPUs in groups of four,
-#: 256 upload/compute/offload rounds per GPU — ~1.04M simulator events.
+#: 256 upload/compute/offload rounds per GPU — ~0.78M simulator events.
 LARGE_CELLS: tuple[LargeCell, ...] = (
     LargeCell(name="dc-1024x4-r256", n_gpus=1024, group_size=4, rounds=256),
 )

@@ -13,20 +13,35 @@ Two resource types drive every experiment:
   complex each see half its bandwidth (Figure 2), and prefetches issued with
   ``cudaStreamCreateWithPriority`` (§3.3) preempt lower-priority flows.
 
-The allocator is *incremental* (DESIGN.md §11): a per-``(link, priority)``
-membership index records which flows share which links, and a flow
-arrival/departure/scale event marks its links dirty.  Links are the
-topology's dense integer ids (:meth:`Topology.link_id`): each distinct path
-is mapped to its id tuple once (:attr:`Flow.eids`), and the index, the
-capacities, the dirty set and the fill's rows are all keyed by id.  Once
-per simulated timestamp — from the simulator's end-of-timestamp hook — one
-walk over links, scanning each reached member map once, collects the
-same-priority components reachable from the dirty links, and progressive
-filling re-runs over them.  Max-min rates depend only on the flow set, paths, priorities
-and link capacities — never on transfer progress, nor on the order in
-which the walk lists the flows — so flows outside the affected components
-provably keep their rates, and the resulting traces are bit-identical to a
-from-scratch refill at every change (asserted by the fuzz oracle in
+The allocator is *incremental* (DESIGN.md §11): a flow
+arrival/departure/scale event marks its links dirty, and once per
+simulated timestamp — from the simulator's end-of-timestamp hook — the
+flush refills only the same-priority components reachable from the dirty
+links.  Links are the topology's dense integer ids
+(:meth:`Topology.link_id`): each distinct path is mapped once to its id
+tuple (:attr:`Flow.eids`) and its link bitmask (:attr:`Flow.mask`), and the
+capacities, the dirty links and the fill's rows are all keyed by id.  How
+the flush finds the components depends on the live flow count:
+
+* **scalar mode** (at most :attr:`FlowNetwork.vector_threshold` live
+  flows) keeps no index.  Changes OR their links into one dirty bitmask,
+  and the flush grows the refill set by passes over the live flows
+  (``flow.mask & mask``), then splits it into components by merging flows
+  whose masks meet (:meth:`FlowNetwork._affected_scalar`).  With a handful
+  of live flows, this costs less than keeping an index current at every
+  start and finish;
+* **vector mode** keeps a per-``(link, priority)`` membership index, built
+  when the network switches, and one walk over links, scanning each
+  reached member map once, collects the components
+  (:meth:`FlowNetwork._affected`), so a flush among thousands of live
+  flows costs O(component).
+
+Both find the same set and the same components.  Max-min rates depend
+only on the flow set, paths, priorities and link capacities — never on
+transfer progress, nor on the order in which the components are listed —
+so flows outside the affected components provably keep their rates, and
+the resulting traces are bit-identical to a from-scratch refill at every
+change (asserted by the fuzz oracle in
 ``tests/sim/test_allocator_equivalence.py`` and the ``repro bench sim``
 fingerprint gate).
 
@@ -87,16 +102,27 @@ class ComputeUnit:
     def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self._queue: deque[tuple[float, Callable[[], None]]] = deque()
+        self._queue: deque[
+            tuple[float, Callable[[], None], Callable[[], None]]
+        ] = deque()
         self._busy = False
 
-    def submit(self, seconds: float, on_done: Callable[[], None]) -> None:
-        """Queue a task of length ``seconds``; ``on_done`` fires at its end."""
+    def submit(
+        self,
+        seconds: float,
+        on_done: Callable[[], None],
+        on_start: Callable[[], None],
+    ) -> None:
+        """Queue a task of length ``seconds``; ``on_done`` fires at its end.
+
+        ``on_start`` is called when the unit picks the task up (at once if
+        the unit is idle), without an event of its own.
+        """
         if not (0 <= seconds < _INF):  # also rejects NaN
             raise ValueError(
                 f"task duration must be finite and non-negative, got {seconds}"
             )
-        self._queue.append((seconds, on_done))
+        self._queue.append((seconds, on_done, on_start))
         if not self._busy:
             self._start_next()
 
@@ -105,7 +131,8 @@ class ComputeUnit:
             self._busy = False
             return
         self._busy = True
-        seconds, on_done = self._queue.popleft()
+        seconds, on_done, on_start = self._queue.popleft()
+        on_start()
 
         def finish() -> None:
             # Run the completion callback first so dependent work enqueued by
@@ -124,6 +151,7 @@ class Flow:
     Attributes:
         path: Directed edges the flow occupies (all simultaneously).
         eids: The topology's link ids of ``path``, in path order.
+        mask: ``eids`` as an int bitmask (bit ``eid`` set per link).
         total_bytes: Transfer size.
         priority: Larger values are served first; flows at the same priority
             max-min share leftover bandwidth.
@@ -133,6 +161,8 @@ class Flow:
             owning network is in scalar mode; once it switches to the
             columnar slot arrays (:attr:`FlowNetwork.vector_threshold`)
             progress lives there instead.
+        threshold: The residue at or under which the flow counts as
+            finished, ``max(1e-9 * total_bytes, 1.0)``.
         class_id: The owning network's interned id of ``(eids, priority)``,
             the rate memo's class (scalar mode only).
     """
@@ -143,17 +173,21 @@ class Flow:
     on_done: Callable[[], None]
     label: str
     eids: tuple[int, ...] = ()
+    mask: int = 0
     uid: int = 0
     remaining: float = 0.0
+    threshold: float = 1.0
     rate: float = 0.0
     start_time: float = 0.0
     class_id: int = 0
 
 
 #: ``(priority, flows, edges)``: one same-priority component and the member
-#: map of each link id it crosses (see :meth:`FlowNetwork._affected`).  The
-#: maps are the live index's own, valid until the flow set next changes.
-_Component = tuple[int, list[Flow], dict[int, dict[int, Flow]]]
+#: map of each link id it crosses (see :meth:`FlowNetwork._affected`), or
+#: ``None`` for a one-flow component, which fills without rows.  The vector
+#: walk hands out the live index's own maps, valid until the flow set next
+#: changes.
+_Component = tuple[int, list[Flow], dict[int, dict[int, Flow]] | None]
 _priority_of = operator.itemgetter(0)
 
 
@@ -179,9 +213,10 @@ class FlowNetworkStats:
     fill_rounds: int = 0
     #: Bandwidth-scale window boundaries applied (epoch changes).
     scale_epochs: int = 0
-    #: Edge-member entries scanned by the flush's walk
+    #: Edge-member entries scanned by the vector-mode flush's walk
     #: (:meth:`FlowNetwork._affected`), which reads each reached
-    #: ``(link, priority)`` member map once.
+    #: ``(link, priority)`` member map once.  Scalar mode keeps no index
+    #: and scans none.
     member_scans: int = 0
     #: Flushes whose live flow multiset the rate memo had already filled,
     #: answered without a walk or a fill (scalar mode only).
@@ -219,9 +254,7 @@ class _FlowSlots:
         capacity = max(256, 2 * len(flows))
         self.remaining = np.zeros(capacity)
         self.rate = np.zeros(capacity)
-        # Per-flow finished threshold max(1e-9 * total_bytes, 1.0) — a flow
-        # constant, so it is computed once at slot assignment instead of on
-        # every completion event.
+        # Per-flow finished threshold (`Flow.threshold`).
         self.threshold = np.zeros(capacity)
         self.uid = np.full(capacity, -1, dtype=np.int64)
         self.active = np.zeros(capacity, dtype=bool)
@@ -247,8 +280,7 @@ class _FlowSlots:
             self.high = slot + 1
         self.remaining[slot] = flow.remaining
         self.rate[slot] = flow.rate
-        threshold = 1e-9 * flow.total_bytes
-        self.threshold[slot] = threshold if threshold >= 1.0 else 1.0
+        self.threshold[slot] = flow.threshold
         self.uid[slot] = flow.uid
         self.active[slot] = True
         self.slot_of[flow.uid] = slot
@@ -340,20 +372,23 @@ class FlowNetwork:
         self._uid = itertools.count()
         self._last_update = 0.0
         self._next_event: EventHandle | None = None
-        #: Link ids of each distinct path started so far (validated once).
-        self._path_eids: dict[Path, tuple[int, ...]] = {}
-        #: Link ids whose flow set or capacity changed since the last flush.
+        #: Link ids and link bitmask of each distinct path started so far
+        #: (validated once).
+        self._path_links: dict[Path, tuple[tuple[int, ...], int]] = {}
+        #: Links whose flow set or capacity changed since the last flush:
+        #: a bitmask in scalar mode, an insertion-ordered dict of link ids
+        #: in vector mode.
+        self._dirty_mask = 0
         self._dirty: dict[int, None] = {}
         #: Insertion counter reserved at the latest change for the next
         #: completion event; ``None`` while no flow is live.
         self._reserved_seq: int | None = None
         self._flush_pending = False
         #: Live flows crossing each link, by priority (link id -> priority
-        #: -> uid -> Flow): the sharing index the flush walks, so that it
-        #: costs O(component), not O(F·E).  Empty priority maps are deleted.
-        self._edge_members: list[dict[int, dict[int, Flow]]] = [
-            {} for _ in topology.links
-        ]
+        #: -> uid -> Flow): the sharing index the vector-mode flush walks,
+        #: so that it costs O(component), not O(F·E).  Empty priority maps
+        #: are deleted.  Built when the network switches to vector mode.
+        self._edge_members: list[dict[int, dict[int, Flow]]] = []
         #: Stack of active scale factors per link id (overlapping windows
         #: compose multiplicatively; each window removes its own factor).
         self._scale_factors: dict[int, list[float]] = {}
@@ -469,9 +504,11 @@ class FlowNetwork:
         """
         if not (0 <= nbytes < _INF):  # also rejects NaN
             raise ValueError(f"nbytes must be finite and non-negative, got {nbytes}")
-        eids = self._path_eids.get(path)
-        if eids is None:
-            eids = self._path_eids[path] = self._checked_eids(path)
+        links = self._path_links.get(path)
+        if links is None:
+            links = self._path_links[path] = self._checked_links(path)
+        eids, mask = links
+        threshold = 1e-9 * nbytes
         flow = Flow(
             path=path,
             total_bytes=nbytes,
@@ -479,51 +516,46 @@ class FlowNetwork:
             on_done=on_done,
             label=label,
             eids=eids,
+            mask=mask,
             uid=next(self._uid),
             remaining=nbytes,
+            threshold=threshold if threshold >= 1.0 else 1.0,
             start_time=self.sim.now,
         )
         if nbytes == 0 or not path:
             self.sim.schedule_call(0.0, on_done)
             return flow
         self._advance()
-        uid = flow.uid
-        self._flows[uid] = flow
-        edge_members = self._edge_members
-        for eid in eids:
-            groups = edge_members[eid]
-            members = groups.get(priority)
-            if members is None:
-                groups[priority] = {uid: flow}
-            else:
-                members[uid] = flow
+        flows = self._flows
+        flows[flow.uid] = flow
         if self._slots is not None:
             self._slots.add(flow)
-        elif len(self._flows) > self.vector_threshold:
-            # Scalar mode kept every flow's `remaining` current through the
-            # `_advance` above, so the columnar mirror is exact here.  The
-            # switch is permanent for this network; from now on the slot
-            # arrays are authoritative for progress, and the rate memo and
-            # its class counts are no longer kept.
-            self._slots = _FlowSlots(self._flows)
-            self._rate_memo.clear()
+            self._index(flow)
+            dirty = self._dirty
+            for eid in eids:
+                dirty[eid] = None
         else:
-            key = (eids, priority)
-            class_id = self._class_ids.get(key)
-            if class_id is None:
-                class_id = self._class_ids[key] = len(self._class_counts)
-                self._class_counts.append(0)
-            flow.class_id = class_id
-            self._class_counts[class_id] += 1
-        self._invalidate(eids)
+            self._dirty_mask |= mask
+            if len(flows) > self.vector_threshold:
+                self._enter_vector_mode()
+            else:
+                key = (eids, priority)
+                class_id = self._class_ids.get(key)
+                if class_id is None:
+                    class_id = self._class_ids[key] = len(self._class_counts)
+                    self._class_counts.append(0)
+                flow.class_id = class_id
+                self._class_counts[class_id] += 1
+        self._invalidate()
         return flow
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _checked_eids(self, path: Path) -> tuple[int, ...]:
-        """The link ids of ``path``, which must cross each edge at most once."""
+    def _checked_links(self, path: Path) -> tuple[tuple[int, ...], int]:
+        """The link ids and link bitmask of ``path``, which must cross each
+        edge at most once."""
         eids = tuple(map(self.topology.link_id, path))
         if len(set(eids)) < len(eids):
             seen: set[int] = set()
@@ -531,7 +563,47 @@ class FlowNetwork:
                 if eid in seen:
                     raise ValueError(f"path crosses edge {edge!r} more than once: {path!r}")
                 seen.add(eid)
-        return eids
+        mask = 0
+        for eid in eids:
+            mask |= 1 << eid
+        return eids, mask
+
+    def _enter_vector_mode(self) -> None:
+        """Switch to the slot arrays and the link index, for good.
+
+        Scalar mode kept every flow's ``remaining`` current through the
+        last :meth:`_advance`, so the columnar mirror is exact here.  The
+        index is built over the live flows, and the links scalar mode
+        marked dirty in this timestamp move into the dirty dict, so the
+        flush still reaches the changes made before the switch.  The rate
+        memo and its class counts are no longer kept.
+        """
+        flows = self._flows
+        self._slots = _FlowSlots(flows)
+        self._rate_memo.clear()
+        self._edge_members = [{} for _ in self.topology.links]
+        for flow in flows.values():
+            self._index(flow)
+        mask = self._dirty_mask
+        self._dirty_mask = 0
+        dirty = self._dirty
+        while mask:
+            low = mask & -mask
+            dirty[low.bit_length() - 1] = None
+            mask ^= low
+
+    def _index(self, flow: Flow) -> None:
+        """Add a live flow to the vector-mode link index."""
+        uid = flow.uid
+        priority = flow.priority
+        edge_members = self._edge_members
+        for eid in flow.eids:
+            groups = edge_members[eid]
+            members = groups.get(priority)
+            if members is None:
+                groups[priority] = {uid: flow}
+            else:
+                members[uid] = flow
 
     def _rescale(self, eid: int) -> None:
         """Apply a scale epoch on link ``eid``: recompute its capacity."""
@@ -541,7 +613,11 @@ class FlowNetwork:
         self._capacity[eid] = bandwidth
         self.stats.scale_epochs += 1
         self._rate_memo.clear()  # its rates were filled at the old capacity
-        self._invalidate((eid,))
+        if self._slots is None:
+            self._dirty_mask |= 1 << eid
+        else:
+            self._dirty[eid] = None
+        self._invalidate()
 
     def _advance(self) -> None:
         """Progress all flows from the last update time to ``sim.now``.
@@ -561,19 +637,17 @@ class FlowNetwork:
                     flow.remaining = remaining if remaining > 0.0 else 0.0
         self._last_update = self.sim.now
 
-    def _invalidate(self, eids: Iterable[int]) -> None:
-        """Record a flow-set or capacity change on links ``eids`` at ``sim.now``.
+    def _invalidate(self) -> None:
+        """Record a flow-set or capacity change at ``sim.now``.
 
-        Cancels the pending completion event and reserves the insertion
-        counter an immediate reschedule would take at this point;
-        :meth:`_reallocate` runs once the timestamp closes.
+        The caller has marked the changed links dirty.  Cancels the pending
+        completion event and reserves the insertion counter an immediate
+        reschedule would take at this point; :meth:`_reallocate` runs once
+        the timestamp closes.
         """
         if self._next_event is not None:
             self._next_event.cancel()
             self._next_event = None
-        dirty = self._dirty
-        for eid in eids:
-            dirty[eid] = None
         self._reserved_seq = self.sim.reserve_seq() if self._flows else None
         if not self._flush_pending:
             self._flush_pending = True
@@ -599,23 +673,28 @@ class FlowNetwork:
           heap breaks time ties by that counter, and a changed tie-break is
           what made the lazy deadline heap diverge (DESIGN.md §11).
 
-        The refilled flows are :meth:`_affected`'s components; the order
-        in which the walk lists them is irrelevant, because :meth:`_fill`
+        The refilled flows are :meth:`_affected`'s components (in scalar
+        mode, the same components from :meth:`_affected_scalar`); the
+        order in which they are listed is irrelevant, because :meth:`_fill`
         depends only on the set it is given.  In scalar mode a live flow
         multiset filled before is answered from the rate memo instead
         (:meth:`_refill_scalar`).
         """
         self._flush_pending = False
-        dirty = self._dirty
-        self._dirty = {}
+        slots = self._slots
+        if slots is None:
+            mask = self._dirty_mask
+            self._dirty_mask = 0
+        else:
+            dirty = self._dirty
+            self._dirty = {}
         seq = self._reserved_seq
         self._reserved_seq = None
         if seq is None:
             return
         self.stats.reallocations += 1
-        slots = self._slots
         if slots is None:
-            self._refill_scalar(dirty)
+            self._refill_scalar(mask)
         else:
             components = self._affected(dirty)
             if components:
@@ -647,13 +726,14 @@ class FlowNetwork:
             sim.now + horizon, seq, self._on_completion_event
         )
 
-    def _refill_scalar(self, dirty: dict[int, None]) -> None:
+    def _refill_scalar(self, mask: int) -> None:
         """Set every live flow's rate, from the rate memo if it can.
 
         A live class multiset filled before at the current capacities
         copies the recorded per-class rates onto the live flows (exact by
         the module docstring's "Rate memo" argument).  A miss refills the
-        affected components and records the rate of each live class.
+        components reachable from the dirty links ``mask`` and records the
+        rate of each live class.
         """
         flows = self._flows
         counts = self._class_counts
@@ -664,7 +744,7 @@ class FlowNetwork:
             for flow in flows.values():
                 flow.rate = rates[flow.class_id]
             return
-        components = self._affected(dirty)
+        components = self._affected_scalar(mask)
         if components:
             self._fill(components)
         # Class ids past the key's last nonzero count have no live flow.
@@ -672,6 +752,62 @@ class FlowNetwork:
         rates = self._rate_memo[key] = array("d", bytes(8 * width))
         for flow in flows.values():
             rates[flow.class_id] = flow.rate
+
+    def _affected_scalar(self, mask: int) -> list[_Component]:
+        """:meth:`_affected` in scalar mode, from link bitmasks, no index.
+
+        The same flows split into the same components.  Passes over the
+        live flows add each flow whose links meet ``mask`` (the dirty
+        links, grown by the links of every flow added) until a pass adds
+        none, which closes the set under link sharing at any priority.
+        The set is then split into same-priority components by merging
+        flows whose masks meet.  A one-flow component carries no edge map.
+        """
+        pending = list(self._flows.values())
+        reached: list[Flow] = []
+        grew = True
+        while grew and pending:
+            grew = False
+            rest = []
+            for flow in pending:
+                if flow.mask & mask:
+                    mask |= flow.mask
+                    reached.append(flow)
+                    grew = True
+                else:
+                    rest.append(flow)
+            pending = rest
+        # priority -> [(links, flows)], pairwise link-disjoint per priority.
+        parts: dict[int, list[tuple[int, list[Flow]]]] = {}
+        for flow in reached:
+            links = flow.mask
+            flows = [flow]
+            kept = []
+            for part in parts.get(flow.priority, ()):
+                if part[0] & links:
+                    links |= part[0]
+                    flows += part[1]
+                else:
+                    kept.append(part)
+            kept.append((links, flows))
+            parts[flow.priority] = kept
+        components: list[_Component] = []
+        for priority, group in parts.items():
+            for _, flows in group:
+                if len(flows) == 1:
+                    components.append((priority, flows, None))
+                    continue
+                edges: dict[int, dict[int, Flow]] = {}
+                for flow in flows:
+                    uid = flow.uid
+                    for eid in flow.eids:
+                        members = edges.get(eid)
+                        if members is None:
+                            edges[eid] = {uid: flow}
+                        else:
+                            members[uid] = flow
+                components.append((priority, flows, edges))
+        return components
 
     def _affected(self, dirty: dict[int, None]) -> list[_Component]:
         """The live flows edge-connected (transitively) to ``dirty`` links.
@@ -862,7 +998,6 @@ class FlowNetwork:
 
     def _on_completion_event(self) -> None:
         self._next_event = None
-        self._advance()
         flows = self._flows
         slots = self._slots
         # Sub-byte residues are numerical noise (floating-point advance can
@@ -871,34 +1006,50 @@ class FlowNetwork:
         # vector scan visits finished flows in ascending uid order, which
         # is exactly the dict insertion order the scalar loop sees (uids
         # are allocated monotonically and re-insertion cannot occur).
-        if slots is not None:
-            finished = [flows[uid] for uid in slots.finished_uids()]
-        else:
-            finished = []
-            for flow in flows.values():
-                threshold = 1e-9 * flow.total_bytes
-                if threshold < 1.0:
-                    threshold = 1.0
-                if flow.remaining <= threshold:
-                    finished.append(flow)
-        edge_members = self._edge_members
-        counts = self._class_counts
-        for flow in finished:
-            uid = flow.uid
-            priority = flow.priority
-            del flows[uid]
-            if slots is not None:
-                slots.remove(flow)
-            else:
-                counts[flow.class_id] -= 1
-            for eid in flow.eids:
-                groups = edge_members[eid]
-                members = groups[priority]
-                del members[uid]
-                if not members:
-                    del groups[priority]
         # Live flows that shared a link with a finished flow seed the flush.
-        self._invalidate(eid for flow in finished for eid in flow.eids)
+        if slots is not None:
+            self._advance()
+            finished = [flows[uid] for uid in slots.finished_uids()]
+            edge_members = self._edge_members
+            dirty = self._dirty
+            for flow in finished:
+                uid = flow.uid
+                priority = flow.priority
+                del flows[uid]
+                slots.remove(flow)
+                for eid in flow.eids:
+                    dirty[eid] = None
+                    groups = edge_members[eid]
+                    members = groups[priority]
+                    del members[uid]
+                    if not members:
+                        del groups[priority]
+        else:
+            # `_advance` and the finished scan in one pass.  The threshold
+            # is at least 1.0, so comparing the unclamped residue decides
+            # exactly as comparing the clamped one would.
+            now = self.sim.now
+            elapsed = now - self._last_update
+            self._last_update = now
+            finished = []
+            if elapsed > 0:
+                for flow in flows.values():
+                    remaining = flow.remaining - flow.rate * elapsed
+                    flow.remaining = remaining if remaining > 0.0 else 0.0
+                    if remaining <= flow.threshold:
+                        finished.append(flow)
+            else:
+                for flow in flows.values():
+                    if flow.remaining <= flow.threshold:
+                        finished.append(flow)
+            counts = self._class_counts
+            mask = self._dirty_mask
+            for flow in finished:
+                del flows[flow.uid]
+                counts[flow.class_id] -= 1
+                mask |= flow.mask
+            self._dirty_mask = mask
+        self._invalidate()
         for flow in finished:
             flow.on_done()
 

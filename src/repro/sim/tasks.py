@@ -362,12 +362,13 @@ class TaskGraphRunner:
     def _submit_compute(self, unit: ComputeUnit, row: int, on_done) -> None:
         """Queue one compute row on ``unit``; the seam for fault wrappers.
 
-        A zero-length preamble stamps the row's real start when the unit
-        picks it up (the unit may be busy).  The row then runs for this
-        run's copy of its seconds, which a fault runner may stretch.
+        The row's start is stamped when the unit picks it up (the unit may
+        be busy).  It runs for this run's copy of its seconds, which a
+        fault runner may stretch.
         """
-        unit.submit(0.0, partial(_stamp, self._start, self.sim, row))
-        unit.submit(self._seconds[row], on_done)
+        unit.submit(
+            self._seconds[row], on_done, partial(_stamp, self._start, self.sim, row)
+        )
 
     def _trace(self, table: TaskTable, times: TaskTimes, done: list[int]) -> Trace:
         """The trace of one execution, gathered from the columns at once."""

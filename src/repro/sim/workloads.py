@@ -66,8 +66,8 @@ def build_cluster_workload(
     and the allocator sees realistic arrival/departure churn.
 
     Returns a table of ``3 * n_gpus * rounds`` rows; executing it dispatches
-    roughly ``4 * n_gpus * rounds`` simulator events (two per compute,
-    one per transfer completion, minus coalesced same-instant finishes).
+    roughly ``3 * n_gpus * rounds`` simulator events (one per compute, one
+    per transfer completion, minus coalesced same-instant finishes).
     """
     if rounds <= 0:
         raise ValueError(f"rounds must be positive, got {rounds}")

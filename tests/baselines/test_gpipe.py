@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.baselines import gpipe
 from repro.baselines.gpipe import (
     OutOfMemoryError,
     run_deepspeed_pipeline,
     run_gpipe,
 )
-from repro.hardware.topology import topo_2_2
+from repro.hardware.topology import topo_1_3, topo_2_2, topo_4, topo_4_4
+from repro.models import zoo
 from repro.models.zoo import gpt_3b, gpt_8b
 from tests.helpers import compute_seconds
 
@@ -29,6 +31,26 @@ class TestMemoryBehaviour:
     def test_oom_message_names_model(self):
         with pytest.raises(OutOfMemoryError, match="GPT-8B"):
             run_gpipe(gpt_8b(), topo_2_2(), microbatch_size=1)
+
+
+def _status(run, model, topology) -> str:
+    try:
+        run(model, topology)
+    except OutOfMemoryError:
+        return "oom"
+    return "ok"
+
+
+@pytest.mark.parametrize("run", [run_gpipe, run_deepspeed_pipeline])
+@pytest.mark.parametrize("topology", [topo_2_2, topo_1_3, topo_4, topo_4_4])
+@pytest.mark.parametrize("model", sorted(zoo._FACTORIES))
+def test_total_memory_precheck_keeps_every_status(model, topology, run, monkeypatch):
+    """The precheck before the partition search only short-cuts an
+    out-of-memory result the full path would reach too."""
+    model, topology = zoo.model_by_name(model), topology()
+    status = _status(run, model, topology)
+    monkeypatch.setattr(gpipe, "_check_total_memory", lambda *args: None)
+    assert _status(run, model, topology) == status
 
 
 class TestSchedules:

@@ -12,9 +12,13 @@ optimization contract is bit-identical traces).
 
 The flush's closure is pinned the same way: the old flow-level BFS
 ``_closure`` is kept verbatim below, over a membership map rebuilt from
-scratch, and at every flush the production edge-level walk must reach
-exactly its set, split into exactly the from-scratch components, scanning
-each member map once.  A property test refills shuffled copies of every
+scratch, and at every flush that fills, the production closure must reach
+exactly its set, split into exactly the from-scratch components.  Both
+closures are checked: the scalar-mode passes over link bitmasks, whose
+dirty links are decoded from the mask, and the vector-mode edge-level
+walk, which must also scan each member map once.  A network that crosses
+``vector_threshold`` in a timestamp that already saw scalar-mode changes
+must still refill them.  A property test refills shuffled copies of every
 affected set and requires bit-identical rates and ``used`` maps, which is
 the order-independence the walk relies on.
 
@@ -149,6 +153,11 @@ def oracle_affected(network: FlowNetwork, dirty) -> set[int]:
     return {flow.uid for flow in _oracle_closure(edge_members, seeds.values())}
 
 
+def mask_links(mask: int) -> list[int]:
+    """The link ids set in a scalar-mode dirty bitmask, ascending."""
+    return [eid for eid in range(mask.bit_length()) if mask >> eid & 1]
+
+
 def _split_components(records):
     """Edge-connected components of ``[(uid, path), ...]``, from scratch."""
     components = []
@@ -211,18 +220,34 @@ class CheckedFlowNetwork(FlowNetwork):
         self.misses_after_epoch = 0
         self._epoch_since_flush = False
 
-    def _invalidate(self, edges):
+    def _invalidate(self):
         self.changes += 1
-        super()._invalidate(edges)
+        super()._invalidate()
 
     def _rescale(self, eid):
         self._epoch_since_flush = True
         super()._rescale(eid)
 
+    def _affected_scalar(self, mask):
+        expected = oracle_affected(self, mask_links(mask))
+        scans_before = self.stats.member_scans
+        components = super()._affected_scalar(mask)
+        self._check_components(components, expected)
+        assert self.stats.member_scans == scans_before, "scalar mode scanned"
+        return components
+
     def _affected(self, dirty):
         expected = oracle_affected(self, dirty)
         scans_before = self.stats.member_scans
         components = super()._affected(dirty)
+        self._check_components(components, expected)
+        # The walk scans each member map once.
+        scanned = self.stats.member_scans - scans_before
+        assert scanned == sum(len(flow.path) for flow in self.active_flows
+                              if flow.uid in expected)
+        return components
+
+    def _check_components(self, components, expected):
         uids = [flow.uid for _, flows, _ in components for flow in flows]
         assert len(uids) == len(set(uids)), "a flow placed in two components"
         assert set(uids) == expected, (
@@ -244,9 +269,12 @@ class CheckedFlowNetwork(FlowNetwork):
             for priority, flows, _ in components
         }
         assert parts == oracle_parts
-        # ... each with its edges' member maps ...
+        # ... each with its edges' member maps (none for one flow).
         links = self.topology.links
         for priority, flows, edges in components:
+            if edges is None:
+                assert len(flows) == 1
+                continue
             crossing: dict = defaultdict(set)
             for flow in flows:
                 for edge in flow.path:
@@ -257,11 +285,6 @@ class CheckedFlowNetwork(FlowNetwork):
                 for members in edges.values()
                 for flow in members.values()
             )
-        # ... found by scanning each member map once.
-        scanned = self.stats.member_scans - scans_before
-        assert scanned == sum(len(flow.path) for flow in self.active_flows
-                              if flow.uid in expected)
-        return components
 
     def _reallocate(self):
         hits = self.stats.memo_hits
@@ -299,8 +322,8 @@ class EagerFlowNetwork(CheckedFlowNetwork):
     behind then finds nothing reserved and returns.
     """
 
-    def _invalidate(self, edges):
-        super()._invalidate(edges)
+    def _invalidate(self):
+        super()._invalidate()
         self._reallocate()
 
 
@@ -325,8 +348,9 @@ class ShuffledFillNetwork(CheckedFlowNetwork):
     """Refills shuffled copies of every affected set; results must not move.
 
     The copies reorder the components, each component's flows, its edges
-    and every edge's member map.  ``Flow.rate`` values and the returned
-    ``used`` map must be bit-identical to the production fill's.
+    and every edge's member map (a one-flow component may carry none).
+    ``Flow.rate`` values and the returned ``used`` map must be
+    bit-identical to the production fill's.
     """
 
     def __init__(self, sim, topology, seed=0):
@@ -348,7 +372,9 @@ class ShuffledFillNetwork(CheckedFlowNetwork):
                 (
                     priority,
                     self._shuffled(members),
-                    {
+                    None
+                    if edges is None
+                    else {
                         edge: dict(self._shuffled(sharers.items()))
                         for edge, sharers in self._shuffled(edges.items())
                     },
@@ -364,11 +390,17 @@ class ShuffledFillNetwork(CheckedFlowNetwork):
 
 
 def _run_fuzz(
-    topology, seed, n_arrivals=40, with_scales=True, network_type=CheckedFlowNetwork
+    topology,
+    seed,
+    n_arrivals=40,
+    with_scales=True,
+    network_type=CheckedFlowNetwork,
+    vector_threshold=FlowNetwork.vector_threshold,
 ):
     rng = random.Random(seed)
     sim = Simulator()
     network = network_type(sim, topology)
+    network.vector_threshold = vector_threshold
     completed = []
     for _ in range(n_arrivals):
         at = rng.uniform(0.0, 3.0)
@@ -489,6 +521,61 @@ class TestIncrementalMatchesOracle:
         assert network.stats.memo_hits > 0
         assert network.stats.scale_epochs > 0
         assert network.misses_after_epoch >= 1
+
+    @pytest.mark.parametrize("topology", _fuzz_topologies(), ids=["2+2", "4", "4+4"])
+    def test_fuzz_vector_mode(self, topology):
+        # Threshold 0: the first flow switches the network to the slot
+        # arrays, so every flush walks the link index.
+        for seed in range(3):
+            network = _run_fuzz(topology, seed, vector_threshold=0)
+            assert network._slots is not None
+            assert network.stats.member_scans > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzz_crossing_the_threshold(self, seed):
+        # A threshold of 4 live flows is crossed and recrossed at random
+        # instants; a network stays in vector mode once it switches.
+        network = _run_fuzz(topo_4_4(), seed, vector_threshold=4)
+        assert network._slots is not None
+
+    def test_switch_keeps_the_dirty_links_of_its_timestamp(self):
+        """Scalar-mode changes in the timestamp that crosses the threshold.
+
+        At t=1 a scale epoch and a flow start change links of group 0 while
+        the network is still in scalar mode; two starts in group 1 then
+        cross ``vector_threshold``.  The flush after the switch must refill
+        group 0 as well, or its flows keep the rates filled at t=0.
+        """
+        topology = topo_4_4()
+        sim = Simulator()
+        network = CheckedFlowNetwork(sim, topology)
+        network.vector_threshold = 3
+        edge = ("sw0", "rc0")
+
+        def start(gpu):
+            return network.start_flow(topology.path_to_dram(gpu), 100 * GB, lambda: None)
+
+        first = [start(0), start(1)]
+        sim.run(until=0.0)
+        before = first[0].rate
+
+        def crossing():
+            network.set_bandwidth_scale(edge, 0.5)
+            first.append(start(2))
+            assert network._slots is None
+            start(4)
+            assert network._slots is not None
+            start(5)
+
+        sim.schedule_at(1.0, crossing)
+        sim.run(until=1.0)
+        bandwidth = topology.bandwidth_of(edge)
+        assert before == bandwidth / 2
+        assert [flow.rate for flow in first] == [0.5 * bandwidth / 3] * 3
+        assert {flow.uid: flow.rate for flow in network.active_flows} == oracle_rates(
+            network, decompose=True
+        )
+        assert network.checked_reallocations == 2
 
     def test_reallocations_all_checked(self):
         network = _run_fuzz(topo_2_2(), seed=7, n_arrivals=12)

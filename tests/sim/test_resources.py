@@ -32,13 +32,17 @@ def run_flows(topology, flows):
     return done
 
 
+def _idle() -> None:
+    """A task's ``on_start`` that does nothing."""
+
+
 class TestComputeUnit:
     def test_serial_fifo(self):
         sim = Simulator()
         unit = ComputeUnit(sim, "gpu0")
         ends = []
-        unit.submit(1.0, lambda: ends.append(sim.now))
-        unit.submit(2.0, lambda: ends.append(sim.now))
+        unit.submit(1.0, lambda: ends.append(sim.now), _idle)
+        unit.submit(2.0, lambda: ends.append(sim.now), _idle)
         sim.run()
         assert ends == [1.0, 3.0]
 
@@ -46,14 +50,14 @@ class TestComputeUnit:
         sim = Simulator()
         unit = ComputeUnit(sim, "gpu0")
         fired = []
-        unit.submit(0.0, lambda: fired.append(sim.now))
+        unit.submit(0.0, lambda: fired.append(sim.now), _idle)
         sim.run()
         assert fired == [0.0]
 
     def test_negative_duration_rejected(self):
         unit = ComputeUnit(Simulator(), "gpu0")
         with pytest.raises(ValueError):
-            unit.submit(-1.0, lambda: None)
+            unit.submit(-1.0, lambda: None, _idle)
 
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
     def test_non_finite_duration_rejected(self, seconds):
@@ -62,9 +66,9 @@ class TestComputeUnit:
         sim = Simulator()
         unit = ComputeUnit(sim, "gpu0")
         with pytest.raises(ValueError):
-            unit.submit(seconds, lambda: None)
+            unit.submit(seconds, lambda: None, _idle)
         ends = []
-        unit.submit(1.0, lambda: ends.append(sim.now))
+        unit.submit(1.0, lambda: ends.append(sim.now), _idle)
         sim.run()
         assert ends == [1.0]
 
@@ -75,11 +79,21 @@ class TestComputeUnit:
 
         def first_done():
             ends.append(sim.now)
-            unit.submit(1.0, lambda: ends.append(sim.now))
+            unit.submit(1.0, lambda: ends.append(sim.now), _idle)
 
-        unit.submit(1.0, first_done)
+        unit.submit(1.0, first_done, _idle)
         sim.run()
         assert ends == [1.0, 2.0]
+
+    def test_on_start_fires_at_pickup(self):
+        sim = Simulator()
+        unit = ComputeUnit(sim, "gpu0")
+        starts = []
+        unit.submit(1.0, lambda: None, lambda: starts.append(("a", sim.now)))
+        unit.submit(2.0, lambda: None, lambda: starts.append(("b", sim.now)))
+        assert starts == [("a", 0.0)]
+        sim.run()
+        assert starts == [("a", 0.0), ("b", 1.0)]
 
 
 class TestFlowTiming:

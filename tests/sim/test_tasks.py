@@ -83,6 +83,24 @@ class TestExecution:
         assert trace.makespan == pytest.approx(4.0)
 
 
+    def test_compute_finish_wins_exact_tie_with_earlier_flow(self):
+        # A compute row's completion takes its heap counter when its unit
+        # picks it up, so a compute dispatched before a flow starts
+        # completes first when both end at the same instant.  The order
+        # shows on GPU 1, which runs each one's successor FIFO.
+        topo = topo_2_2()
+        path = topo.path_from_dram(0)
+        nbytes = min(topo.link_bandwidths[topo.link_id(edge)] for edge in path)
+        table = TaskTable()
+        kernel = table.compute(0, 1.0)
+        upload = table.transfer(path, nbytes, gpu=0)
+        table.compute(1, 1.0, "after-kernel", after=(kernel,))
+        table.compute(1, 1.0, "after-upload", after=(upload,))
+        trace = TaskGraphRunner(topo).execute(table)
+        starts = {span.label: span.start for span in trace.compute if span.gpu == 1}
+        assert starts == {"after-kernel": 1.0, "after-upload": 2.0}
+
+
 class TestTable:
     def test_handles_are_row_ids(self):
         topo = topo_2_2()

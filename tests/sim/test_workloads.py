@@ -54,10 +54,12 @@ class TestRunClusterWorkload:
         topology = large_cluster(8, 4)
         small = run_cluster_workload(topology, rounds=2)
         big = run_cluster_workload(topology, rounds=4)
-        # ~3.9 events per (gpu, round): upload + 2 compute + offload minus
-        # same-instant coalescing; exact values pinned by the digest gate.
+        # ~2.9 events per (gpu, round): upload + compute + offload minus
+        # same-instant coalescing of flow completions.  Each compute row is
+        # exactly one event, and the floor allows each flow-completion
+        # event to retire two flows; exact values pinned by the digest gate.
         assert big.events_processed > small.events_processed
-        assert small.events_processed >= 3 * 8 * 2
+        assert small.events_processed >= 2 * 8 * 2
 
     def test_vector_and_scalar_flow_paths_agree(self, monkeypatch):
         """Forcing the SoA flow arrays on (threshold 0) or off (huge
