@@ -47,6 +47,7 @@ from repro.core.api import partition_solve_key
 from repro.experiments.runner import ExperimentCell, SystemResult, run_cell
 from repro.perf.cache import LeaseTable, get_cache, merge_stats, stats_delta
 from repro.perf.fingerprint import fingerprint
+from repro.perf.store import source_digest
 
 __all__ = [
     "CellNode",
@@ -62,6 +63,15 @@ __all__ = [
 
 #: Subdirectory of the cache directory holding lease files.
 LEASE_DIRNAME = "leases"
+
+
+def _lease_namespace() -> str:
+    """The lease namespace of this code revision's ``"system"`` cells.
+
+    Keyed on the source digest like the store rows a lease holder writes,
+    so a drain never waits on a process running other code.
+    """
+    return f"system.{source_digest()}"
 
 
 def figure_cells(name: str, *, fast: bool = False) -> tuple[ExperimentCell, ...]:
@@ -243,17 +253,18 @@ def _cell_worker(
         outcome = "computed"
     else:
         leases = LeaseTable(lease_dir)
+        namespace = _lease_namespace()
         value, found = cache.lookup("system", cell)
         if found:
             result, outcome = value, "shared"
-        elif leases.acquire("system", digest):
+        elif leases.acquire(namespace, digest):
             try:
                 result = run_cell(cell)
             finally:
-                leases.release("system", digest)
+                leases.release(namespace, digest)
             outcome = "computed"
         else:
-            verdict = leases.wait("system", digest)
+            verdict = leases.wait(namespace, digest)
             value, found = cache.lookup("system", cell)
             if found and verdict == "released":
                 result, outcome = value, "coalesced"
@@ -425,10 +436,11 @@ def drain(
             # Live leases of other processes are left alone (their PIDs
             # are alive), so this only drops our own.
             table = LeaseTable(lease_dir)
+            namespace = _lease_namespace()
             for node in schedule.nodes:
-                holder = table.holder("system", node.digest)
+                holder = table.holder(namespace, node.digest)
                 if holder is not None and not table._alive(holder):
-                    table.release("system", node.digest)
+                    table.release(namespace, node.digest)
     if failures:
         raise DrainFailed(failures)
 

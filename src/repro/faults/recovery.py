@@ -160,15 +160,11 @@ class FaultInjectingRunner(TaskGraphRunner):
             self._seconds[row] *= scale
         super()._submit_compute(unit, row, on_done)
 
-    def _start_transfer(self, row: int, complete) -> None:
-        table = self._table
-        if table.nbytes[row] <= 0 or not table.paths[table.path_id[row]]:
-            super()._start_transfer(row, complete)
-            return
+    def _start_transfer(self, row: int, on_done) -> None:
         self._start[row] = self.sim.now
-        self._attempt_transfer(row, complete, attempt=1)
+        self._attempt_transfer(row, on_done, attempt=1)
 
-    def _attempt_transfer(self, row: int, complete, attempt: int) -> None:
+    def _attempt_transfer(self, row: int, on_done, attempt: int) -> None:
         """Issue one attempt; decide success/failure when the flow lands."""
         table = self._table
         label = table.label[row]
@@ -178,19 +174,18 @@ class FaultInjectingRunner(TaskGraphRunner):
 
         def on_flow_done() -> None:
             if rate > 0 and failure_coin(self.schedule.seed, label, attempt) < rate:
-                self._on_attempt_failed(row, complete, attempt)
+                self._on_attempt_failed(row, on_done, attempt)
             else:
-                complete(row)
+                on_done()
 
         self.network.start_flow(
             table.paths[table.path_id[row]],
             table.nbytes[row],
             on_flow_done,
             priority=table.priority[row],
-            label=label,
         )
 
-    def _on_attempt_failed(self, row: int, complete, attempt: int) -> None:
+    def _on_attempt_failed(self, row: int, on_done, attempt: int) -> None:
         label = self._table.label[row]
         retried = attempt < self.retry_policy.max_attempts
         self.failed_attempts.append(
@@ -200,7 +195,7 @@ class FaultInjectingRunner(TaskGraphRunner):
             raise UnrecoverableTransferError(label, self.sim.now, attempt)
         self.sim.schedule(
             self.retry_policy.backoff(attempt),
-            lambda: self._attempt_transfer(row, complete, attempt + 1),
+            lambda: self._attempt_transfer(row, on_done, attempt + 1),
         )
 
 

@@ -12,7 +12,8 @@ each cell once:
 * :mod:`repro.perf.cache` — a two-tier result cache keyed by those
   fingerprints: an in-memory dict plus at most one durable store;
 * :mod:`repro.perf.store` — that store, a crash-safe sqlite file whose rows
-  are versioned by ``CACHE_VERSION``; the cache directory is safe to delete.
+  are keyed on the code (``source_digest``); the cache directory is safe
+  to delete.
 
 :mod:`repro.perf.bench` is the benchmark harness behind ``repro bench``:
 one document shape and one gate for the ``sim``, ``serve``, ``suite`` and
@@ -25,7 +26,6 @@ across processes that share the store.
 """
 
 from repro.perf.cache import (
-    CACHE_VERSION,
     CacheConfig,
     CacheStats,
     ResultCache,
@@ -36,7 +36,6 @@ from repro.perf.cache import (
 from repro.perf.fingerprint import canonical_bytes, fingerprint
 
 __all__ = [
-    "CACHE_VERSION",
     "CacheConfig",
     "CacheStats",
     "ResultCache",

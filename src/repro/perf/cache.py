@@ -20,10 +20,11 @@ Layout and lifecycle:
   the next run's tests.  The whole directory is safe to delete at any
   time.  The serve daemon hands its own store to the same slot
   (:meth:`ResultCache.use_store`).
-* :data:`~repro.perf.store.CACHE_VERSION` names the entry format.  The
-  store writes every row under a versioned namespace, so bumping it makes
-  every older entry invisible and stale-format entries can never be
-  returned.
+* :func:`~repro.perf.store.source_digest` names the code.  The store
+  writes every row under a namespace that starts with it, so a result
+  computed by other code (or pickled in another entry format) is never
+  returned.  The memory tier needs no digest: it never outlives its
+  process.
 
 Environment overrides (read at import): ``MOBIUS_CACHE=0`` disables both
 tiers, ``MOBIUS_CACHE_DISK=1`` enables the disk tier, ``MOBIUS_CACHE_DIR``
@@ -41,10 +42,9 @@ from pathlib import Path
 from typing import Callable
 
 from repro.perf.fingerprint import fingerprint
-from repro.perf.store import CACHE_VERSION, DurableStore
+from repro.perf.store import DurableStore, adopt_source_digest
 
 __all__ = [
-    "CACHE_VERSION",
     "CacheConfig",
     "CacheStats",
     "LeaseTable",
@@ -369,14 +369,19 @@ def configure_cache(
     memory: bool | None = None,
     disk: bool | None = None,
     directory: str | None = None,
+    source_digest: str | None = None,
 ) -> ResultCache:
     """Replace the global cache with one using the given configuration.
 
-    Unspecified fields keep their current values.  The replaced cache's
-    own store is closed.  Returns the new cache (with empty memory tier
-    and fresh stats).
+    Unspecified fields keep their current values.  A ``source_digest``
+    (a parent process's :func:`~repro.perf.store.source_digest`) becomes
+    this process's, so its store rows are the parent's.  The replaced
+    cache's own store is closed.  Returns the new cache (with empty memory
+    tier and fresh stats).
     """
     global _cache
+    if source_digest is not None:
+        adopt_source_digest(source_digest)
     previous = _cache
     _cache = _derived_cache(memory, disk, directory)
     previous.close()

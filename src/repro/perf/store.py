@@ -13,10 +13,13 @@ digest)``.  Two kinds of process open one:
   its ``lkg`` (last-known-good) plans here, served when a deadline is
   missed.
 
-Namespaces are versioned by the store itself: every row is written under
-``v<CACHE_VERSION>/<namespace>``.  Bumping :data:`CACHE_VERSION` makes
-every older row invisible — never returned, never deleted — so a process
-of one code revision can never unpickle another revision's entry format.
+Namespaces are keyed on the code by the store itself: every row is
+written under ``<source digest>/<namespace>``, where the digest
+(:func:`source_digest`) hashes every ``.py`` file of the ``repro``
+package.  Any source edit makes every older row invisible — never
+returned, never deleted — so a process of one code revision can neither
+unpickle another revision's entry format nor return a result another
+revision's code computed.
 
 Durability model (the store must survive anything the chaos harnesses
 throw at it):
@@ -57,26 +60,14 @@ import time
 from pathlib import Path
 from typing import Callable, TypeVar
 
-__all__ = ["CACHE_VERSION", "DurableStore"]
+__all__ = ["DurableStore", "adopt_source_digest", "source_digest"]
 
-#: Entry format version; bump to make every persisted entry invisible.
-#: v2: the fast-MIP solver overhaul — PartitionResult/MIPSolution grew
-#: fields (a warm-start flag, pivot and cut counts) and the partition
-#: search moved to a deterministic node budget, so v1 entries describe a
-#: different search and must never be returned.
-#: v3: Trace moved to columnar span storage — its pickle payload is now
-#: exported column arrays, so v2 entries (list-of-spans layout) cannot be
-#: loaded into the new class.
-#: v4: PartitionResult and MobiusConfig lost their racing-portfolio
-#: fields, so v3 pickles of either no longer match the classes they
-#: unpickle into.
-#: v5: the partition search gained the pipeline-bubble bound, so v4
-#: entries hold the old ``optimal``/``nodes_explored`` and lack
-#: ``lower_bound``/``gap``.
-#: v6: PartitionResult lost its warm-start flag with the partition
-#: warm-start hint, so v5 pickles no longer match the class they unpickle
-#: into.
-CACHE_VERSION = 6
+#: The ``repro`` package directory whose sources key the store's rows.
+_PACKAGE_DIR = Path(__file__).parent.parent
+
+#: This process's source digest: computed on first use, or adopted from
+#: the parent process (:func:`adopt_source_digest`).
+_source_digest: str | None = None
 
 _T = TypeVar("_T")
 
@@ -99,9 +90,43 @@ def _is_busy_error(err: sqlite3.Error) -> bool:
     return "database is locked" in message or "database table is locked" in message
 
 
+def source_digest() -> str:
+    """sha256 over the sorted ``(relative path, bytes)`` pairs of every
+    ``.py`` file in the ``repro`` package, computed once per process.
+
+    A result computed by other code is stored under another digest, so it
+    is never returned: the cache is keyed on the code as well as on the
+    inputs.
+    """
+    global _source_digest
+    digest = _source_digest
+    if digest is None:
+        sha = hashlib.sha256()
+        files = sorted(
+            (path.relative_to(_PACKAGE_DIR).as_posix(), path)
+            for path in _PACKAGE_DIR.rglob("*.py")
+        )
+        for name, path in files:
+            data = path.read_bytes()
+            sha.update(f"{name}\0{len(data)}\0".encode())
+            sha.update(data)
+        digest = _source_digest = sha.hexdigest()
+    return digest
+
+
+def adopt_source_digest(digest: str) -> None:
+    """Use ``digest`` as this process's source digest.
+
+    Supervised workers adopt their parent's, so a file edited during a
+    drain cannot split one run across two digests.
+    """
+    global _source_digest
+    _source_digest = digest
+
+
 def _versioned(namespace: str) -> str:
     """The row namespace this code revision reads and writes."""
-    return f"v{CACHE_VERSION}/{namespace}"
+    return f"{source_digest()}/{namespace}"
 
 
 _SCHEMA = (

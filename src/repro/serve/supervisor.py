@@ -48,7 +48,7 @@ import time
 from repro.core.api import plan_mobius
 from repro.faults.recovery import RetryPolicy
 from repro.perf.cache import CacheConfig, configure_cache, get_cache
-from repro.perf.store import DurableStore
+from repro.perf.store import DurableStore, source_digest
 from repro.serve.requests import ServeError
 
 __all__ = [
@@ -165,19 +165,20 @@ class InlineWorker:
 
 
 def _process_worker_main(
-    conn, store_path: str | None, cache_config: CacheConfig
+    conn, store_path: str | None, cache_config: CacheConfig, digest: str
 ) -> None:
     """Child-process loop: adopt the parent's cache, then run tasks until EOF.
 
     Runs in a fresh interpreter (spawn start method).  The child takes the
-    parent's cache tiers and directory, so drain workers share the disk
-    store and lease table; opening ``store_path`` is what gives a
-    brand-new serve worker the plans its predecessors cached.
+    parent's cache tiers, directory and source digest, so drain workers
+    share the disk store and lease table; opening ``store_path`` is what
+    gives a brand-new serve worker the plans its predecessors cached.
     """
     configure_cache(
         memory=cache_config.memory,
         disk=cache_config.disk,
         directory=cache_config.directory,
+        source_digest=digest,
     )
     store = None
     if store_path is not None:
@@ -229,7 +230,7 @@ class ProcessWorker:
         self._conn, child_conn = context.Pipe()
         self._process = context.Process(
             target=_process_worker_main,
-            args=(child_conn, self.store_path, get_cache().config),
+            args=(child_conn, self.store_path, get_cache().config, source_digest()),
             name="repro-worker",
             daemon=True,
         )

@@ -18,10 +18,12 @@ arrival/departure/scale event marks its links dirty, and once per
 simulated timestamp — from the simulator's end-of-timestamp hook — the
 flush refills only the same-priority components reachable from the dirty
 links.  Links are the topology's dense integer ids
-(:meth:`Topology.link_id`): each distinct path is mapped once to its id
-tuple (:attr:`Flow.eids`) and its link bitmask (:attr:`Flow.mask`), and the
-capacities, the dirty links and the fill's rows are all keyed by id.  How
-the flush finds the components depends on the live flow count:
+(:meth:`Topology.link_id`).  Each distinct ``(path, priority)`` is resolved
+once into a *route*: its id tuple (:attr:`Flow.eids`), its link bitmask
+(:attr:`Flow.mask`) and its rate-memo class id, so :meth:`start_flow`
+does one lookup per flow.  The capacities, the dirty links and the fill's
+rows are all keyed by id.  How the flush finds the components depends on
+the live flow count:
 
 * **scalar mode** (at most :attr:`FlowNetwork.vector_threshold` live
   flows) keeps no index.  Changes OR their links into one dirty bitmask,
@@ -47,7 +49,7 @@ fingerprint gate).
 
 Rate memo.  A training step repeats one layer's traffic pattern, so a
 flush often sees a live flow set this network has filled before.  Live
-flows are counted per *class*, an interned ``(Flow.eids, priority)`` pair,
+flows are counted per *class*, a route (one ``(Flow.eids, priority)``),
 and a flush whose class multiset was filled before copies the recorded
 per-class rates onto the live flows instead of walking and filling.  This
 is exact because rates are component-canonical (DESIGN.md §11): each
@@ -150,36 +152,32 @@ class Flow:
 
     Attributes:
         path: Directed edges the flow occupies (all simultaneously).
-        eids: The topology's link ids of ``path``, in path order.
-        mask: ``eids`` as an int bitmask (bit ``eid`` set per link).
-        total_bytes: Transfer size.
         priority: Larger values are served first; flows at the same priority
             max-min share leftover bandwidth.
         on_done: Completion callback.
-        label: Free-form tag used by the trace.
+        eids: The topology's link ids of ``path``, in path order.
+        mask: ``eids`` as an int bitmask (bit ``eid`` set per link).
+        class_id: The owning network's interned id of ``(path, priority)``,
+            the rate memo's class (counted in scalar mode only).
+        uid: The owning network's start counter.
         remaining: Internal progress bookkeeping.  Only current while the
             owning network is in scalar mode; once it switches to the
             columnar slot arrays (:attr:`FlowNetwork.vector_threshold`)
             progress lives there instead.
         threshold: The residue at or under which the flow counts as
-            finished, ``max(1e-9 * total_bytes, 1.0)``.
-        class_id: The owning network's interned id of ``(eids, priority)``,
-            the rate memo's class (scalar mode only).
+            finished, ``max(1e-9 * nbytes, 1.0)``.
     """
 
     path: Path
-    total_bytes: float
     priority: int
     on_done: Callable[[], None]
-    label: str
-    eids: tuple[int, ...] = ()
-    mask: int = 0
-    uid: int = 0
-    remaining: float = 0.0
-    threshold: float = 1.0
+    eids: tuple[int, ...]
+    mask: int
+    class_id: int
+    uid: int
+    remaining: float
+    threshold: float
     rate: float = 0.0
-    start_time: float = 0.0
-    class_id: int = 0
 
 
 #: ``(priority, flows, edges)``: one same-priority component and the member
@@ -372,9 +370,10 @@ class FlowNetwork:
         self._uid = itertools.count()
         self._last_update = 0.0
         self._next_event: EventHandle | None = None
-        #: Link ids and link bitmask of each distinct path started so far
-        #: (validated once).
-        self._path_links: dict[Path, tuple[tuple[int, ...], int]] = {}
+        #: Each distinct ``(path, priority)`` started so far, validated and
+        #: resolved once into its route: link ids, link bitmask and
+        #: rate-memo class id.
+        self._routes: dict[tuple[Path, int], tuple[tuple[int, ...], int, int]] = {}
         #: Links whose flow set or capacity changed since the last flush:
         #: a bitmask in scalar mode, an insertion-ordered dict of link ids
         #: in vector mode.
@@ -399,15 +398,13 @@ class FlowNetwork:
         #: Columnar mirror of the live flow set; ``None`` until the flow
         #: count first exceeds :attr:`vector_threshold`.
         self._slots: _FlowSlots | None = None
-        #: Rate memo (scalar mode only).  Each distinct ``(eids, priority)``
-        #: pair started is interned as a class id; ``_class_counts`` holds
-        #: the live flows per class in unsigned 32-bit counters, exact for
-        #: any flow count a process can hold (2**32 live flows would take
-        #: hundreds of GB), and an array raises rather than wraps.
-        #: ``_rate_memo`` maps a live multiset, the counts' bytes with
-        #: trailing zero bytes stripped, to the per-class rates its fill
-        #: produced.  Cleared at scale epochs.
-        self._class_ids: dict[tuple[tuple[int, ...], int], int] = {}
+        #: Rate memo (scalar mode only).  Each route is a class;
+        #: ``_class_counts`` holds the live flows per class id in unsigned
+        #: 32-bit counters, exact for any flow count a process can hold
+        #: (2**32 live flows would take hundreds of GB), and an array raises
+        #: rather than wraps.  ``_rate_memo`` maps a live multiset, the
+        #: counts' bytes with trailing zero bytes stripped, to the per-class
+        #: rates its fill produced.  Cleared at scale epochs.
         self._class_counts = array("I")
         self._rate_memo: dict[bytes, array] = {}
         self.stats = FlowNetworkStats()
@@ -490,12 +487,12 @@ class FlowNetwork:
         on_done: Callable[[], None],
         *,
         priority: int = 0,
-        label: str = "",
     ) -> Flow:
         """Begin a transfer of ``nbytes`` along ``path``.
 
         A zero-byte transfer, or one with an empty path (same-device copy),
-        completes immediately via a zero-delay event.
+        completes immediately via a zero-delay event (the task runner
+        completes such rows itself, without calling this).
 
         Raises:
             KeyError: ``path`` has an edge the topology lacks.
@@ -504,23 +501,21 @@ class FlowNetwork:
         """
         if not (0 <= nbytes < _INF):  # also rejects NaN
             raise ValueError(f"nbytes must be finite and non-negative, got {nbytes}")
-        links = self._path_links.get(path)
-        if links is None:
-            links = self._path_links[path] = self._checked_links(path)
-        eids, mask = links
+        route = self._routes.get((path, priority))
+        if route is None:
+            route = self._route(path, priority)
+        eids, mask, class_id = route
         threshold = 1e-9 * nbytes
         flow = Flow(
-            path=path,
-            total_bytes=nbytes,
-            priority=priority,
-            on_done=on_done,
-            label=label,
-            eids=eids,
-            mask=mask,
-            uid=next(self._uid),
-            remaining=nbytes,
-            threshold=threshold if threshold >= 1.0 else 1.0,
-            start_time=self.sim.now,
+            path,
+            priority,
+            on_done,
+            eids,
+            mask,
+            class_id,
+            next(self._uid),
+            nbytes,
+            threshold if threshold >= 1.0 else 1.0,
         )
         if nbytes == 0 or not path:
             self.sim.schedule_call(0.0, on_done)
@@ -539,12 +534,6 @@ class FlowNetwork:
             if len(flows) > self.vector_threshold:
                 self._enter_vector_mode()
             else:
-                key = (eids, priority)
-                class_id = self._class_ids.get(key)
-                if class_id is None:
-                    class_id = self._class_ids[key] = len(self._class_counts)
-                    self._class_counts.append(0)
-                flow.class_id = class_id
                 self._class_counts[class_id] += 1
         self._invalidate()
         return flow
@@ -553,9 +542,10 @@ class FlowNetwork:
     # Internals
     # ------------------------------------------------------------------
 
-    def _checked_links(self, path: Path) -> tuple[tuple[int, ...], int]:
-        """The link ids and link bitmask of ``path``, which must cross each
-        edge at most once."""
+    def _route(self, path: Path, priority: int) -> tuple[tuple[int, ...], int, int]:
+        """Resolve and intern a new ``(path, priority)``: its link ids, its
+        link bitmask and a fresh rate-memo class id.  ``path`` must cross
+        each edge at most once."""
         eids = tuple(map(self.topology.link_id, path))
         if len(set(eids)) < len(eids):
             seen: set[int] = set()
@@ -566,7 +556,9 @@ class FlowNetwork:
         mask = 0
         for eid in eids:
             mask |= 1 << eid
-        return eids, mask
+        route = self._routes[path, priority] = (eids, mask, len(self._class_counts))
+        self._class_counts.append(0)
+        return route
 
     def _enter_vector_mode(self) -> None:
         """Switch to the slot arrays and the link index, for good.
@@ -693,30 +685,22 @@ class FlowNetwork:
         if seq is None:
             return
         self.stats.reallocations += 1
+        # Completion horizon.  Per-flow deadlines must be recomputed from the
+        # advanced ``remaining`` for trace byte-identity (a lazily-invalidated
+        # deadline heap measurably diverges — DESIGN.md §11), so this stays
+        # an eager scan over the flow set: in scalar mode, the refill's own
+        # pass that sets the rates; at scale, vectorized over the slot
+        # arrays (the quotients and the min are the same IEEE operations
+        # the scalar loop performs).
         if slots is None:
-            self._refill_scalar(mask)
+            horizon = self._refill_scalar(mask)
         else:
             components = self._affected(dirty)
             if components:
                 self._fill(components)
                 for _, flows, _ in components:
                     slots.sync_rates(flows)
-        # Completion horizon.  Per-flow deadlines must be recomputed from the
-        # advanced ``remaining`` for trace byte-identity (a lazily-invalidated
-        # deadline heap measurably diverges — DESIGN.md §11), so this stays
-        # an eager scan over the flow set — vectorized over the slot arrays
-        # at scale (the quotients and the min are the same IEEE operations
-        # the scalar loop performs).
-        if slots is not None:
             horizon = slots.horizon()
-        else:
-            horizon = _INF
-            for flow in self._flows.values():
-                rate = flow.rate
-                if rate > _EPS:
-                    quotient = flow.remaining / rate
-                    if quotient < horizon:
-                        horizon = quotient
         if horizon == _INF:
             raise RuntimeError(
                 "flow network deadlock: active flows received zero bandwidth"
@@ -726,8 +710,10 @@ class FlowNetwork:
             sim.now + horizon, seq, self._on_completion_event
         )
 
-    def _refill_scalar(self, mask: int) -> None:
-        """Set every live flow's rate, from the rate memo if it can.
+    def _refill_scalar(self, mask: int) -> float:
+        """Set every live flow's rate, from the rate memo if it can, and
+        return the completion horizon: the least ``remaining / rate`` over
+        flows with bandwidth (``inf`` if none has any).
 
         A live class multiset filled before at the current capacities
         copies the recorded per-class rates onto the live flows (exact by
@@ -735,23 +721,33 @@ class FlowNetwork:
         components reachable from the dirty links ``mask`` and records the
         rate of each live class.
         """
-        flows = self._flows
+        flows = self._flows.values()
         counts = self._class_counts
         key = counts.tobytes().rstrip(b"\0")
         rates = self._rate_memo.get(key)
+        horizon = _INF
         if rates is not None:
             self.stats.memo_hits += 1
-            for flow in flows.values():
-                flow.rate = rates[flow.class_id]
-            return
+            for flow in flows:
+                rate = flow.rate = rates[flow.class_id]
+                if rate > _EPS:
+                    quotient = flow.remaining / rate
+                    if quotient < horizon:
+                        horizon = quotient
+            return horizon
         components = self._affected_scalar(mask)
         if components:
             self._fill(components)
         # Class ids past the key's last nonzero count have no live flow.
         width = -(-len(key) // counts.itemsize)
         rates = self._rate_memo[key] = array("d", bytes(8 * width))
-        for flow in flows.values():
-            rates[flow.class_id] = flow.rate
+        for flow in flows:
+            rate = rates[flow.class_id] = flow.rate
+            if rate > _EPS:
+                quotient = flow.remaining / rate
+                if quotient < horizon:
+                    horizon = quotient
+        return horizon
 
     def _affected_scalar(self, mask: int) -> list[_Component]:
         """:meth:`_affected` in scalar mode, from link bitmasks, no index.
@@ -763,8 +759,8 @@ class FlowNetwork:
         The set is then split into same-priority components by merging
         flows whose masks meet.  A one-flow component carries no edge map.
         """
-        pending = list(self._flows.values())
         reached: list[Flow] = []
+        pending: Iterable[Flow] = self._flows.values()
         grew = True
         while grew and pending:
             grew = False
@@ -777,6 +773,8 @@ class FlowNetwork:
                 else:
                     rest.append(flow)
             pending = rest
+        if len(reached) == 1:
+            return [(reached[0].priority, reached, None)]
         # priority -> [(links, flows)], pairwise link-disjoint per priority.
         parts: dict[int, list[tuple[int, list[Flow]]]] = {}
         for flow in reached:
@@ -877,40 +875,38 @@ class FlowNetwork:
         are edge-disjoint, so they touch disjoint ``used`` entries; and
         priorities fill in sorted order.
         """
-        stats = self.stats
         used: dict[int, float] = {}
         if len(components) > 1:
             components = sorted(components, key=_priority_of, reverse=True)
-        for _, flows, edges in components:
-            stats.flows_touched += len(flows)
-            stats.components_filled += 1
-            if len(flows) == 1:
-                stats.fill_rounds += 1
-                self._fill_flow(flows[0], used)
-            else:
-                stats.fill_rounds += self._fill_component(flows, edges, used)
-        return used
-
-    def _fill_flow(self, flow: Flow, used: dict[int, float]) -> None:
-        """Fill a component of one flow: one round of :meth:`_fill_component`.
-
-        The same ``max(headroom, 0.0) / live`` (``live == 1``) arithmetic,
-        without building rows.
-        """
         capacity = self._capacity
-        bottleneck = _INF
-        for eid in flow.eids:
-            headroom = capacity[eid] - used.get(eid, 0.0)
-            if headroom < 0.0:
-                headroom = 0.0
-            if headroom < bottleneck:
-                bottleneck = headroom
-        if bottleneck == _INF:
-            flow.rate = 0.0  # no edges (defensive; not expected)
-            return
-        flow.rate = 0.0 + bottleneck
-        for eid in flow.eids:
-            used[eid] = used.get(eid, 0.0) + bottleneck
+        touched = rounds = 0
+        for _, flows, edges in components:
+            touched += len(flows)
+            if len(flows) > 1:
+                rounds += self._fill_component(flows, edges, used)
+                continue
+            # One flow: one round of `_fill_component`'s arithmetic
+            # (`max(headroom, 0.0) / live` with `live == 1`), without rows.
+            rounds += 1
+            flow = flows[0]
+            bottleneck = _INF
+            for eid in flow.eids:
+                headroom = capacity[eid] - used.get(eid, 0.0)
+                if headroom < 0.0:
+                    headroom = 0.0
+                if headroom < bottleneck:
+                    bottleneck = headroom
+            if bottleneck == _INF:
+                flow.rate = 0.0  # no edges (defensive; not expected)
+                continue
+            flow.rate = 0.0 + bottleneck
+            for eid in flow.eids:
+                used[eid] = used.get(eid, 0.0) + bottleneck
+        stats = self.stats
+        stats.flows_touched += touched
+        stats.components_filled += len(components)
+        stats.fill_rounds += rounds
+        return used
 
     def _fill_component(
         self,

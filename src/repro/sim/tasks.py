@@ -13,7 +13,11 @@ they emit rows into one :class:`TaskTable`:
 Each emit returns the row's integer handle, and dependencies are declared
 by handle.  A row becomes *ready* when all its dependencies complete;
 ready compute rows queue on their GPU, ready transfers enter the
-:class:`~repro.sim.resources.FlowNetwork`.  The :class:`TaskGraphRunner`
+:class:`~repro.sim.resources.FlowNetwork`.  Zero-time rows (barriers, and
+transfers with zero bytes or an empty path) take no simulator event: they
+complete at the instant they become ready, ahead of any other event at
+that time, through a FIFO worklist rather than recursion, so a chain of
+barriers cannot deepen the stack.  The :class:`TaskGraphRunner`
 executes the whole table by row id and records a
 :class:`~repro.sim.trace.Trace`; the realised times live on the runner
 (:class:`TaskTimes`), never on the table, so one table can be executed any
@@ -293,7 +297,8 @@ class TaskGraphRunner:
         table = tasks
         n = len(table)
         offsets, successors, pending = table.successors()
-        op, gpu = table.op, table.gpu
+        op, gpu, nbytes = table.op, table.gpu, table.nbytes
+        paths, path_id = table.paths, table.path_id
         units = self.compute_units
         sim = self.sim
         start = [math.nan] * n
@@ -302,29 +307,42 @@ class TaskGraphRunner:
         self._table = table
         self._start = start
         self._seconds = list(table.seconds)
+        submit_compute = self._submit_compute
+        start_transfer = self._start_transfer
 
-        def complete(row: int) -> None:
-            end[row] = sim.now
-            done.append(row)
-            for child in successors[offsets[row] : offsets[row + 1]]:
-                left = pending[child] - 1
-                pending[child] = left
-                if not left:
-                    dispatch(child)
-
-        def dispatch(row: int) -> None:
+        def release(row: int, now_rows: list[int]) -> None:
+            # Dispatch a row whose dependencies are all complete.  A
+            # zero-time row (barrier, zero-byte or empty-path transfer)
+            # joins `now_rows`, the rows completing at this instant; any
+            # other row completes through `finish([row])`.
             kind = op[row]
-            if kind == TRANSFER:
-                self._start_transfer(row, complete)
-            elif kind == COMPUTE:
-                self._submit_compute(units[gpu[row]], row, partial(complete, row))
+            if kind == COMPUTE:
+                submit_compute(units[gpu[row]], row, partial(finish, [row]))
+            elif kind == TRANSFER and nbytes[row] and paths[path_id[row]]:
+                start_transfer(row, partial(finish, [row]))
             else:
                 start[row] = sim.now
-                sim.schedule_call(0.0, partial(complete, row))
+                now_rows.append(row)
 
+        def finish(now_rows: list[int]) -> None:
+            # Complete `now_rows` at this instant.  A worklist, not
+            # recursion, so a chain of zero-time rows cannot deepen the
+            # stack; rows complete in FIFO order.
+            now = sim.now
+            for row in now_rows:  # grows while it is walked
+                end[row] = now
+                done.append(row)
+                for child in successors[offsets[row] : offsets[row + 1]]:
+                    left = pending[child] - 1
+                    pending[child] = left
+                    if not left:
+                        release(child, now_rows)
+
+        roots: list[int] = []
         for row in range(n):
             if not pending[row]:
-                dispatch(row)
+                release(row, roots)
+        finish(roots)
 
         sim.run()
 
@@ -346,17 +364,17 @@ class TaskGraphRunner:
         self.last_times = times
         return self._trace(table, times, done)
 
-    def _start_transfer(self, row: int, complete) -> None:
-        """Issue one transfer row as a flow; the seam for retry/fault
-        wrappers.  Call ``complete(row)`` exactly once, when it is done."""
+    def _start_transfer(self, row: int, on_done) -> None:
+        """Issue one transfer row, with bytes and a path, as a flow; the
+        seam for retry/fault wrappers.  Call ``on_done()`` exactly once,
+        when it is done."""
         table = self._table
         self._start[row] = self.sim.now
         self.network.start_flow(
             table.paths[table.path_id[row]],
             table.nbytes[row],
-            partial(complete, row),
+            on_done,
             priority=table.priority[row],
-            label=table.label[row],
         )
 
     def _submit_compute(self, unit: ComputeUnit, row: int, on_done) -> None:

@@ -22,6 +22,7 @@ from repro.experiments.schedule import (
 from repro.hardware.topology import commodity_server
 from repro.models.zoo import gpt_8b
 from repro.perf.cache import LeaseTable, cache_overridden, get_cache
+from repro.perf.store import source_digest
 from repro.perf.fingerprint import fingerprint
 from repro.serve.supervisor import RequestQuarantined, WorkerSolveError
 
@@ -217,7 +218,9 @@ class TestDrain:
             cache = get_cache()
             lease_dir = str(tmp_path / LEASE_DIRNAME)
             holder = LeaseTable(lease_dir)
-            assert holder.acquire("system", digest)
+            namespace = schedule_mod._lease_namespace()
+            assert namespace == f"system.{source_digest()}"
+            assert holder.acquire(namespace, digest)
 
             # While "another process" (this test, same live PID) holds the
             # lease, it computes and publishes the result; our waiter polls,
@@ -227,7 +230,7 @@ class TestDrain:
 
                 result = run_cell(cell)
                 cache.memoize("system", cell, lambda: result)
-                holder.release("system", digest)
+                holder.release(namespace, digest)
 
             monkeypatch.setattr(
                 schedule_mod,
@@ -287,6 +290,7 @@ class TestDrainWorkerCrashes:
         assert report.cells_fingerprint == calm.cells_fingerprint
 
     def test_dead_lease_holder_is_broken_at_once(self, tmp_path, sabotage, monkeypatch):
+        from repro.experiments import schedule as schedule_mod
         from repro.serve import supervisor as supervisor_mod
 
         class LeaseHoldingWorker(supervisor_mod.ProcessWorker):
@@ -296,7 +300,9 @@ class TestDrainWorkerCrashes:
                 if sabotage == "crash":
                     self._ensure_started()
                     _cell, digest, lease_dir = args
-                    holder = LeaseTable(lease_dir)._path("system", digest)
+                    holder = LeaseTable(lease_dir)._path(
+                        schedule_mod._lease_namespace(), digest
+                    )
                     holder.parent.mkdir(parents=True, exist_ok=True)
                     holder.write_text(str(self._process.pid))
                 return super().solve(task, args, sabotage)

@@ -67,8 +67,14 @@ class TestResultCache:
 
     def test_version_bump_invalidates_stale_entries(self, tmp_path, monkeypatch):
         config = CacheConfig(memory=False, disk=True, directory=str(tmp_path))
-        ResultCache(config).memoize("ns", ("key",), lambda: "v1-result")
-        monkeypatch.setattr(store_module, "CACHE_VERSION", store_module.CACHE_VERSION + 1)
+        first = ResultCache(config)
+        first.memoize("ns", ("key",), lambda: "v1-result")
+        first.close()
+        hit = ResultCache(config)
+        assert hit.memoize("ns", ("key",), lambda: pytest.fail("should hit")) == "v1-result"
+        hit.close()
+        # Edited code has another source digest: the hit becomes a miss.
+        monkeypatch.setattr(store_module, "_source_digest", "edited-code")
         calls = []
         value = ResultCache(config).memoize(
             "ns", ("key",), lambda: calls.append(1) or "recomputed"

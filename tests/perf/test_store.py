@@ -125,10 +125,10 @@ class TestVersionedNamespaces:
             [(namespace,)] = conn.execute("SELECT namespace FROM entries").fetchall()
         finally:
             conn.close()
-        assert namespace == f"v{store_module.CACHE_VERSION}/plan"
-        # Another version neither returns nor deletes the row, and counts
-        # only its own.
-        monkeypatch.setattr(store_module, "CACHE_VERSION", store_module.CACHE_VERSION + 1)
+        assert namespace == f"{store_module.source_digest()}/plan"
+        # Other code neither returns nor deletes the row, and counts only
+        # its own.
+        monkeypatch.setattr(store_module, "_source_digest", "other-code")
         with DurableStore(path) as store:
             assert store.get("plan", "digest") == (None, False)
             assert store.counts() == {}
@@ -276,3 +276,60 @@ class TestTwoWriterContention:
         assert reader.counts()["ns"] == 100
         for store in stores:
             store.close()
+
+
+class TestSourceDigest:
+    """The store's rows are keyed on the ``repro`` sources."""
+
+    @staticmethod
+    def _digest(monkeypatch, package):
+        monkeypatch.setattr(store_module, "_PACKAGE_DIR", package)
+        monkeypatch.setattr(store_module, "_source_digest", None)
+        return store_module.source_digest()
+
+    def test_digest_follows_every_source_file(self, tmp_path, monkeypatch):
+        package = tmp_path / "repro"
+        (package / "sim").mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "sim" / "costs.py").write_text("OVERHEAD = 1.5\n")
+        (package / "notes.txt").write_text("not a source file")
+        first = self._digest(monkeypatch, package)
+        assert len(first) == 64
+        assert self._digest(monkeypatch, package) == first
+        (package / "notes.txt").write_text("still not a source file")
+        assert self._digest(monkeypatch, package) == first
+        (package / "sim" / "costs.py").write_text("OVERHEAD = 6.0\n")
+        edited = self._digest(monkeypatch, package)
+        assert edited != first
+        (package / "sim" / "costs.py").rename(package / "costs.py")
+        assert self._digest(monkeypatch, package) not in (first, edited)
+
+    def test_computed_once_per_process(self, tmp_path, monkeypatch):
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "a.py").write_text("A = 1\n")
+        first = self._digest(monkeypatch, package)
+        # A file edited after the first use does not split the process
+        # across two digests.
+        (package / "a.py").write_text("A = 2\n")
+        assert store_module.source_digest() == first
+
+    def test_adopted_digest_keys_the_rows(self, tmp_path, monkeypatch):
+        from repro.perf.cache import cache_overridden, configure_cache, get_cache
+
+        monkeypatch.setattr(store_module, "_source_digest", store_module.source_digest())
+        with cache_overridden():
+            configure_cache(
+                memory=False, disk=True, directory=str(tmp_path), source_digest="parent"
+            )
+            try:
+                get_cache().memoize("ns", ("key",), lambda: "value")
+            finally:
+                get_cache().close()
+        assert store_module.source_digest() == "parent"
+        conn = sqlite3.connect(str(tmp_path / "cache.sqlite"))
+        try:
+            rows = conn.execute("SELECT namespace FROM entries").fetchall()
+        finally:
+            conn.close()
+        assert rows == [("parent/ns",)]

@@ -184,13 +184,13 @@ class TestDurability:
     def test_restart_on_another_cache_version_starts_cold(
         self, tiny_model, topo22, tmp_path, monkeypatch
     ):
-        """Rows of another entry format are never served: not the cached
-        plan, not the last-known-good one."""
+        """Rows other code wrote are never served: not the cached plan,
+        not the last-known-good one."""
         store = str(tmp_path / "serve.sqlite")
         with cache_overridden():
             with _service(store_path=store) as service:
                 service.plan(_request(tiny_model, topo22))
-        monkeypatch.setattr(store_module, "CACHE_VERSION", store_module.CACHE_VERSION + 1)
+        monkeypatch.setattr(store_module, "_source_digest", "other-code")
         with cache_overridden():
             with _service(store_path=store) as service:
                 tight = _request(tiny_model, topo22, deadline=Deadline(max_nodes=1))

@@ -415,7 +415,6 @@ def _run_fuzz(
                 nbytes,
                 lambda: completed.append(label),
                 priority=priority,
-                label=label,
             )
 
         sim.schedule_at(at, arrive)
@@ -633,7 +632,7 @@ def _run_coincident_fuzz(topology, seed, network_type, mode):
                 delay = _GRID * rng.choice((0, 0, 1, 2))
                 sim.schedule_call(delay, lambda: launch(generation + 1))
 
-        network.start_flow(path, nbytes, done, priority=priority, label=label)
+        network.start_flow(path, nbytes, done, priority=priority)
 
     for _ in range(24):
         sim.schedule_at(_GRID * rng.randrange(12), lambda: launch(0))

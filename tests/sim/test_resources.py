@@ -389,6 +389,41 @@ class TestOverlappingScaleWindows:
         assert done[0] == pytest.approx(2.125, rel=1e-6)
 
 
+class TestRoutes:
+    """Each distinct ``(path, priority)`` resolves once into a route."""
+
+    def test_a_rejected_path_is_rejected_at_every_use(self):
+        topo = topo_2_2()
+        sim = Simulator()
+        network = FlowNetwork(sim, topo)
+        for _ in range(2):
+            with pytest.raises(KeyError, match="not part of topology"):
+                network.start_flow((("gpu0", "dram"),), PCIE, lambda: None)
+            with pytest.raises(ValueError, match="more than once"):
+                network.start_flow(topo.path_to_dram(0) * 2, PCIE, lambda: None)
+        assert not network._routes
+        assert not network.active_flows
+        sim.run()
+
+    def test_one_path_at_two_priorities_is_two_memo_classes(self):
+        topo = topo_2_2()
+        path = topo.path_to_dram(0)
+        sim = Simulator()
+        network = FlowNetwork(sim, topo)
+        low = network.start_flow(path, PCIE, lambda: None)
+        high = network.start_flow(path, PCIE, lambda: None, priority=1)
+        again = network.start_flow(tuple(path), PCIE, lambda: None, priority=1)
+        assert low.class_id != high.class_id == again.class_id
+        assert (low.eids, low.mask) == (high.eids, high.mask)
+        assert sorted(network._routes) == [(path, 0), (path, 1)]
+        assert list(network._class_counts) == [1, 2]
+        sim.run(until=0.0)
+        # The high-priority pair takes the link; the low flow waits.
+        assert (low.rate, high.rate, again.rate) == (0.0, PCIE / 2, PCIE / 2)
+        sim.run()
+        assert list(network._class_counts) == [0, 0]
+
+
 class RecordingNetwork(FlowNetwork):
     """Records the live flows and their rates after every flush."""
 
@@ -427,7 +462,7 @@ class TestRateMemo:
         network = runner.network
         assert network._slots is not None
         assert not network._rate_memo
-        assert not network._class_ids
+        assert not any(network._class_counts)
         # The counters the allocator produced before the memo existed.
         assert dataclasses.asdict(network.stats) == {
             "reallocations": 91,

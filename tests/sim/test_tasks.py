@@ -101,6 +101,53 @@ class TestExecution:
         assert starts == {"after-kernel": 1.0, "after-upload": 2.0}
 
 
+    def test_zero_time_rows_take_no_event(self):
+        # Barriers and zero-byte transfers complete at their dispatch
+        # instant: only the two kernels' completions are events.
+        topo = topo_2_2()
+        table = TaskTable()
+        first = table.compute(0, 1.0, "first")
+        sync = table.barrier("sync", after=(first,))
+        empty = table.transfer(topo.path_from_dram(0), 0, gpu=0, after=(sync,))
+        local = table.transfer((), 0.0, gpu=0, after=(empty,))
+        table.compute(0, 1.0, "second", after=(local,))
+        runner = TaskGraphRunner(topo)
+        trace = runner.execute(table)
+        assert runner.sim.events_processed == 2
+        assert [(span.label, span.start) for span in trace.compute] == [
+            ("first", 0.0),
+            ("second", 1.0),
+        ]
+        assert runner.last_times.start.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert runner.last_times.end.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0]
+
+    def test_long_barrier_chain_does_not_deepen_the_stack(self):
+        table = TaskTable()
+        row = table.compute(0, 1.0)
+        for _ in range(20_000):
+            row = table.barrier(after=(row,))
+        table.compute(0, 1.0, "last", after=(row,))
+        runner = TaskGraphRunner(topo_2_2())
+        trace = runner.execute(table)
+        assert trace.makespan == 2.0
+        assert runner.sim.events_processed == 2
+
+    def test_barrier_releases_its_successors_before_later_same_time_events(self):
+        # Both kernels end at t=1.  The barrier behind the first completes
+        # at once, so its successor reaches GPU 2 before the second
+        # kernel's successor; a zero-delay barrier event would have fired
+        # after the second kernel's completion and queued it behind.
+        table = TaskTable()
+        first = table.compute(0, 1.0, "first")
+        second = table.compute(1, 1.0, "second")
+        sync = table.barrier(after=(first,))
+        table.compute(2, 1.0, "after-barrier", after=(sync,))
+        table.compute(2, 1.0, "after-second", after=(second,))
+        trace = TaskGraphRunner(topo_2_2()).execute(table)
+        starts = {span.label: span.start for span in trace.compute if span.gpu == 2}
+        assert starts == {"after-barrier": 1.0, "after-second": 2.0}
+
+
 class TestTable:
     def test_handles_are_row_ids(self):
         topo = topo_2_2()
