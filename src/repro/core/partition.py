@@ -194,11 +194,10 @@ class _SearchContext:
             self.fwd_suffix[i] = self.fwd_suffix[i + 1] + layer_costs[i].fwd_seconds
         self.total_bwd = ordered_sum(c.bwd_seconds for c in layer_costs)
         self.max_layer_bwd = max((c.bwd_seconds for c in layer_costs), default=0.0)
-        # score()'s forward stack and the stops of the stages on it.  The
-        # stack holds the table, not this context, so the two form no
+        # score()'s two forward stacks, each with the stops of the stages on
+        # it.  A stack holds the table, not this context, so the two form no
         # reference cycle and a context dies with its last reference.
-        self._score_stack = _ForwardStack(self)
-        self._score_stops: list[int] = []
+        self._score_stacks = tuple((_ForwardStack(self), []) for _ in range(2))
 
     def max_stage_len(self, start: int) -> int:
         """Longest memory-feasible stage beginning at layer ``start``: the
@@ -231,7 +230,9 @@ class _SearchContext:
         cached = self._children_cache[start] = tuple(children)
         return cached
 
-    def score(self, boundaries: Sequence[int]) -> float:
+    def score(
+        self, boundaries: Sequence[int], cutoff: float = math.inf, stack: int = 0
+    ) -> float:
         """Step seconds of a full boundary set, ``inf`` if a stage overflows.
 
         The one scoring kernel of the warm start and the hill-climb.  It
@@ -242,20 +243,29 @@ class _SearchContext:
         to ``evaluate(boundaries).step_seconds`` without building the
         timing table.
 
-        One stack serves every call.  It keeps the stages the candidate
-        shares with the previous feasible one (a stage's forward state
-        depends only on the stages before it), so only the differing suffix
-        is checked, popped and pushed: a hill-climb move of boundary ``i``
-        re-pushes stages ``i`` on, not the whole plan.  Memoised per
-        boundary tuple, since a hill-climb revisits the tuples its undone
-        moves left behind.
+        A caller that only asks whether the step is below ``cutoff`` gets a
+        cut answer: pushing stops at the first prefix whose push bound is
+        at least ``cutoff + 1e-12`` (the DFS's prune test), and that bound
+        is returned.  It is at least the cutoff, and the step is at least
+        the bound less a few ulps (proof in :meth:`_ForwardStack.push`), so
+        the step is at least the cutoff too.  Any score below the cutoff
+        is exact.  Eq. 4 is checked before any push, so an infeasible set
+        is exactly ``inf`` whatever the cutoff.
+
+        ``stack`` picks one of two forward stacks.  A stack keeps the stages
+        the candidate shares with the previous one scored on it (a stage's
+        forward state depends only on the stages before it), so only the
+        differing suffix is checked, popped and pushed: a hill-climb move
+        of boundary ``i`` re-pushes stages ``i`` on, not the whole plan.
+        Exact scores are memoised per boundary tuple, since a hill-climb
+        revisits the tuples its undone moves left behind; cut ones are not.
         """
         key = tuple(boundaries)
         cached = self._score_cache.get(key)
         if cached is not None:
             return cached
+        forward, kept = self._score_stacks[stack]
         stops = (*key, self.model.n_layers)
-        kept = self._score_stops
         keep = 0
         limit = min(len(kept), len(stops))
         while keep < limit and kept[keep] == stops[keep]:
@@ -263,17 +273,19 @@ class _SearchContext:
         # Stages on the stack passed the Eq. 4 check (field 8) when pushed.
         table = self.table
         starts = (0, *key)
-        step = math.inf
-        if all(table[a][b][8] for a, b in zip(starts[keep:], stops[keep:])):
-            stack = self._score_stack
-            for _ in range(len(kept) - keep):
-                stack.pop()
-            del kept[keep:]
-            for a, b in zip(starts[keep:], stops[keep:]):
-                stack.push(a, b)
-                kept.append(b)
-            step = stack.step_time()
-        self._score_cache[key] = step
+        if not all(table[a][b][8] for a, b in zip(starts[keep:], stops[keep:])):
+            self._score_cache[key] = math.inf
+            return math.inf
+        for _ in range(len(kept) - keep):
+            forward.pop()
+        del kept[keep:]
+        prune = cutoff + 1e-12
+        for a, b in zip(starts[keep:], stops[keep:]):
+            bound = forward.push(a, b)
+            kept.append(b)
+            if bound >= prune:
+                return bound
+        step = self._score_cache[key] = forward.step_time()
         return step
 
     def evaluate(self, boundaries: Sequence[int]) -> PipelineTimings:
@@ -499,6 +511,11 @@ class _ForwardStack:
         return end_bwd[0]
 
 
+# score()'s stack for the balanced candidates; the derived candidates and
+# the hill-climb share the default stack 0.
+_BALANCED_STACK = 1
+
+
 def _balanced_boundaries(n_layers: int, n_stages: int) -> list[int]:
     return [round(n_layers * i / n_stages) for i in range(1, n_stages)]
 
@@ -506,7 +523,11 @@ def _balanced_boundaries(n_layers: int, n_stages: int) -> list[int]:
 def _local_search(
     ctx: _SearchContext, boundaries: list[int], best_time: float
 ) -> tuple[list[int], float]:
-    """Hill-climb by moving single boundaries; returns the local optimum."""
+    """Hill-climb by moving single boundaries; returns the local optimum.
+
+    A move is scored with the threshold it must beat as its cutoff, so a
+    move that cannot win stops at the first prefix that shows it.
+    """
     improved = True
     current = list(boundaries)
     while improved:
@@ -519,7 +540,7 @@ def _local_search(
                 hi = candidate[index + 1] if index + 1 < len(candidate) else ctx.model.n_layers
                 if not lo < candidate[index] < hi:
                     continue
-                step = ctx.score(candidate)
+                step = ctx.score(candidate, best_time - 1e-12)
                 if step < best_time - 1e-12:
                     current, best_time, improved = candidate, step, True
     return current, best_time
@@ -543,24 +564,38 @@ def _warm_start(ctx: _SearchContext) -> tuple[list[int] | None, float]:
     balanced split, each count also tries the previous best with its longest
     stage halved, so a good ``n``-stage plan seeds the ``n+1``-stage
     candidate instead of every count starting from scratch.
+
+    Only a score that can change the answer is computed exactly (the cutoff
+    of :meth:`_SearchContext.score`).  A round with both candidates scores
+    the derived one first, exactly, on the default stack, where it shares
+    its prefix with the previous round's derived candidate.  The balanced
+    split follows on its own stack, cut at the derived score: it wins only
+    if its step is at most that score (ties go to it).  A round with one
+    candidate is cut at ``best_time``, since only a lower score changes
+    ``best`` and ``previous`` keeps only the boundaries.  Every comparison
+    thus has the outcome it has on exact scores, and the incumbent is the
+    same, bit for bit.
     """
     n_layers = ctx.model.n_layers
     best: list[int] | None = None
     best_time = math.inf
     previous: list[int] | None = None
     for n_stages in range(max(1, ctx.n_gpus), n_layers + 1):
-        candidates = [_balanced_boundaries(n_layers, n_stages)]
+        balanced = _balanced_boundaries(n_layers, n_stages)
+        derived = None
         if previous is not None and len(previous) == n_stages - 2:
             derived = _split_longest_stage(previous, n_layers)
-            if derived is not None:
-                candidates.append(derived)
-        round_best: list[int] | None = None
-        round_time = math.inf
-        for boundaries in candidates:
-            step = ctx.score(boundaries)
-            if step < round_time:
-                round_best, round_time = boundaries, step
-        if round_best is not None:
+        if derived is None:
+            round_best = balanced
+            round_time = ctx.score(balanced, best_time, _BALANCED_STACK)
+        else:
+            derived_time = ctx.score(derived)
+            balanced_time = ctx.score(balanced, derived_time, _BALANCED_STACK)
+            if derived_time < balanced_time:
+                round_best, round_time = derived, derived_time
+            else:
+                round_best, round_time = balanced, balanced_time
+        if round_time < math.inf:
             previous = round_best
             if round_time < best_time:
                 best, best_time = round_best, round_time

@@ -165,6 +165,17 @@ class TestDeterministicBudgets:
         assert fast.nodes_explored == slow.nodes_explored
 
 
+def _assert_warm_start_matches_oracle(*context_args):
+    """The warm start returns the oracle's boundaries and step bits."""
+    from repro.core.partition import _SearchContext, _warm_start
+    from tests.core import warm_start_oracle
+
+    boundaries, step = _warm_start(_SearchContext(*context_args))
+    expected, expected_step = warm_start_oracle._warm_start(_SearchContext(*context_args))
+    assert boundaries == expected
+    assert step.hex() == expected_step.hex()
+
+
 def _compositions(n_layers):
     """Every boundary tuple of an ``n_layers`` model, in lexicographic order."""
     import itertools
@@ -296,6 +307,43 @@ class TestBoundAdmissibility:
             for boundaries in order:
                 assert ctx.score(boundaries).hex() == expected[boundaries], (seed, boundaries)
 
+    def test_cut_score_contract(self, instance):
+        """A score with a cutoff is exact below the cutoff; otherwise the
+        step is at least the cutoff.  A cut score is not memoised, and two
+        stacks interleaved in any order keep every answer to that contract."""
+        import math
+        import random
+
+        from repro.core.partition import _SearchContext
+
+        model, cm, n_gpus, gpu_memory = instance
+        args = (model, cm, n_gpus, n_gpus, BW, gpu_memory)
+        reference = _SearchContext(*args)
+        candidates = list(_compositions(model.n_layers))
+        steps = {b: reference.evaluate(b).step_seconds for b in candidates}
+        finite = sorted(step for step in steps.values() if step < math.inf)
+        cutoffs = [*finite[:: max(1, len(finite) // 8)], finite[-1], math.inf]
+        cut = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            ctx = _SearchContext(*args)
+            for boundaries in rng.sample(candidates, len(candidates)):
+                cutoff = rng.choice(cutoffs)
+                got = ctx.score(boundaries, cutoff, rng.randrange(2))
+                step = steps[boundaries]
+                if got < cutoff:
+                    assert got.hex() == step.hex(), (seed, boundaries, cutoff)
+                    continue
+                assert step >= cutoff, (seed, boundaries, cutoff)
+                if got != step:
+                    cut += 1
+                    assert ctx.score(boundaries).hex() == step.hex(), (seed, boundaries)
+        assert cut > 10
+
+    def test_warm_start_matches_oracle(self, instance):
+        model, cm, n_gpus, gpu_memory = instance
+        _assert_warm_start_matches_oracle(model, cm, n_gpus, n_gpus, BW, gpu_memory)
+
     def test_exhausted_search_returns_brute_force_canonical_optimum(self, instance):
         model, cm, n_gpus, gpu_memory = instance
         steps, _ = self._brute_force(model, cm, n_gpus, gpu_memory)
@@ -411,6 +459,33 @@ class TestGoldenIdentity:
         assert got == {key: case[key] for key in got}
 
 
+class TestWarmStartOracle:
+    """The cut warm start returns the incumbent of the one that scores every
+    candidate exactly (``tests/core/warm_start_oracle.py``), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "config",
+        sorted({
+            (case["model"], case["topology"], case["bandwidth_scale"])
+            for case in json.loads(_GOLDEN.read_text())
+        }),
+        ids=lambda c: f"{c[0]}-{c[1]}-x{c[2]}",
+    )
+    def test_golden_configuration(self, config):
+        from repro.hardware import topology as topologies
+        from repro.models.zoo import model_by_name
+
+        model_name, topology_name, bandwidth_scale = config
+        model = model_by_name(model_name)
+        topology = getattr(topologies, topology_name)()
+        cost_model = CostModel(topology.gpu_spec, model.default_microbatch_size)
+        n_gpus = topology.n_gpus
+        _assert_warm_start_matches_oracle(
+            model, cost_model, n_gpus, n_gpus,
+            topology.pcie_bandwidth * bandwidth_scale, cost_model.usable_gpu_bytes(),
+        )
+
+
 class TestSearchWork:
     """Work counts of one solve, counted by wrappers installed here only."""
 
@@ -418,9 +493,13 @@ class TestSearchWork:
     def counted(self, monkeypatch):
         from repro.core import partition
 
-        counts = {"push": 0, "warm_push": 0, "evaluate": 0, "stage_cost": 0}
-        push, warm_start, evaluate, stage_cost = (
+        counts = {
+            "push": 0, "warm_push": 0, "sweep": 0, "warm_sweep": 0,
+            "evaluate": 0, "stage_cost": 0,
+        }
+        push, step_time, warm_start, evaluate, stage_cost = (
             partition._ForwardStack.push,
+            partition._ForwardStack.step_time,
             partition._warm_start,
             partition.evaluate_pipeline,
             partition.StageCost,
@@ -430,9 +509,14 @@ class TestSearchWork:
             counts["push"] += 1
             return push(self, start, stop)
 
+        def counted_step_time(self):
+            counts["sweep"] += 1
+            return step_time(self)
+
         def counted_warm_start(ctx):
             out = warm_start(ctx)
             counts["warm_push"] = counts["push"]
+            counts["warm_sweep"] = counts["sweep"]
             return out
 
         def counted_evaluate(*args, **kwargs):
@@ -444,6 +528,7 @@ class TestSearchWork:
             return stage_cost(*args, **kwargs)
 
         monkeypatch.setattr(partition._ForwardStack, "push", counted_push)
+        monkeypatch.setattr(partition._ForwardStack, "step_time", counted_step_time)
         monkeypatch.setattr(partition, "_warm_start", counted_warm_start)
         monkeypatch.setattr(partition, "evaluate_pipeline", counted_evaluate)
         monkeypatch.setattr(partition, "StageCost", counted_stage_cost)
@@ -458,9 +543,13 @@ class TestSearchWork:
 
     def test_gpt_3b_warm_start_reuses_its_forward_prefix(self, counted):
         _solve("GPT-3B")
-        # 6,006 pushes when every score re-pushed the whole plan; the shared
-        # stack re-pushes only the stages after the common prefix.
-        assert counted["warm_push"] <= 4_500
+        # 6,006 pushes when every score re-pushed the whole plan, and 4,425
+        # pushes with 149 backward sweeps when a shared stack re-pushed only
+        # the stages after the common prefix but scored every candidate
+        # exactly.  Cutting each candidate that cannot win at its push bound
+        # leaves these.
+        assert counted["warm_push"] == 2_127
+        assert counted["warm_sweep"] == 85
 
     @pytest.mark.parametrize("name", ["GPT-3B", "GPT-8B", "GPT-15B", "GPT-51B"])
     def test_one_timing_table_per_solve(self, counted, name):
