@@ -106,17 +106,6 @@ class CheckReport:
             self.findings.extend(other)
         return self
 
-    def prefixed(self, prefix: str) -> "CheckReport":
-        """A copy with ``prefix`` prepended to every subject (corpus cells)."""
-        return CheckReport(
-            [
-                dataclasses.replace(
-                    f, subject=f"{prefix}: {f.subject}" if f.subject else prefix
-                )
-                for f in self.findings
-            ]
-        )
-
     def __iter__(self) -> Iterator[Finding]:
         return iter(self.findings)
 

@@ -7,6 +7,9 @@ for servers small enough to search exactly (the paper's sizes, N <= 8),
 compares it against the true optimum.  A mapping is flagged when a strictly
 lower-contention assignment exists, with the adjacent stage pairs that share
 a CPU root complex — the collisions Figure 4a shows — named explicitly.
+
+The mapping must permute the topology's GPUs; a plan that leaves a GPU out
+fails tier-1's every-GPU-computes test (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -75,17 +78,6 @@ def check_mapping(
         over the optimum as negative slack.
     """
     report = CheckReport()
-
-    if mapping.n_gpus != topology.n_gpus:
-        report.add(
-            _CHECKER,
-            "MAP-GPUS",
-            f"mapping permutes {mapping.n_gpus} GPUs but topology "
-            f"{topology.name!r} has {topology.n_gpus}",
-            subject=f"perm {mapping.perm}",
-        )
-        return report
-
     actual = contention_degree(topology, mapping, n_stages)
 
     if topology.n_gpus <= _EXACT_SEARCH_LIMIT:

@@ -11,9 +11,6 @@ Subcommands:
   analysis (:mod:`repro.check.analysis`); ``--json`` for CI.  A finding
   is fine only where ``AnalysisConfig`` says so (a seam or an allowlisted
   clock site, each with its reason); there is no suppression file;
-* ``check``    — verify planner output and traces over the fixed
-  model x topology corpus (:mod:`repro.check`); exits non-zero on
-  findings, ``--json`` for CI;
 * ``serve``    — run the planning daemon (:mod:`repro.serve`) over a
   scripted corpus session: admission control, request coalescing,
   supervised workers and a durable sqlite result store;
@@ -29,7 +26,6 @@ Examples:
     python -m repro figures fig5 fig6
     python -m repro lint --json
     python -m repro lint src/repro/sim
-    python -m repro check --json
     python -m repro serve --store .mobius_serve.sqlite --rounds 2
     python -m repro bench sim --check-against BENCH_sim.json
 """
@@ -158,14 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--root", default=None, metavar="DIR",
         help="repo root (default: auto-detected)",
-    )
-
-    check = sub.add_parser(
-        "check",
-        help="verify planner output and traces over the check corpus",
-    )
-    check.add_argument(
-        "--json", action="store_true", help="machine-readable report for CI"
     )
 
     serve = sub.add_parser(
@@ -323,15 +311,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import run_corpus
-
-    progress = None if args.json else lambda name: print(f"checking {name} ...")
-    report = run_corpus(progress=progress)
-    print(report.to_json() if args.json else report.render())
-    return 0 if report.ok else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
@@ -407,7 +386,6 @@ _COMMANDS = {
     "advise": _cmd_advise,
     "figures": _cmd_figures,
     "lint": _cmd_lint,
-    "check": _cmd_check,
     "serve": _cmd_serve,
     "bench": _cmd_bench,
 }

@@ -43,7 +43,7 @@ from repro.faults.models import (
     LinkDegradation,
     StragglerGpu,
 )
-from repro.faults.recovery import FaultedStep, RetryPolicy, run_step
+from repro.faults.recovery import RetryPolicy, run_step
 from repro.faults.replan import ReplanCostModel, replan_after_dropout
 from repro.perf.bench import row
 from repro.perf.fingerprint import fingerprint
@@ -170,12 +170,6 @@ class ChaosReport:
     results: tuple[ChaosCellResult, ...]
 
 
-def _check_step(step: FaultedStep, topology) -> CheckReport:
-    report = CheckReport()
-    report.extend(sanitize_run(step.tasks, step.times, step.trace, topology))
-    return report
-
-
 def run_chaos_cell(
     cell: CorpusCell,
     scenario: str,
@@ -209,7 +203,7 @@ def run_chaos_cell(
 
     if not schedule.dropouts:
         step = run_step(plan, cell.topology, cost_model, schedule, **exec_kwargs)
-        checks.extend(_check_step(step, cell.topology))
+        checks.extend(sanitize_run(step.tasks, step.times))
         samples = float(n_steps * samples_per_step)
         total = n_steps * step.step_seconds
         return ChaosCellResult(
@@ -267,14 +261,7 @@ def run_chaos_cell(
 
     new_report = replan.plan_report
     new_plan = new_report.plan
-    bandwidth = (
-        cell.config.bandwidth
-        if cell.config.bandwidth is not None
-        else replan.topology.pcie_bandwidth
-    )
-    checks.extend(
-        check_plan(new_plan, replan.topology, new_report.cost_model, bandwidth=bandwidth)
-    )
+    checks.extend(check_plan(new_plan, new_report.cost_model))
     checks.extend(check_mapping(new_plan.mapping, replan.topology, new_plan.n_stages))
 
     recovered = run_step(
@@ -284,7 +271,7 @@ def run_chaos_cell(
         schedule.without_dropouts(),
         **exec_kwargs,
     )
-    checks.extend(_check_step(recovered, replan.topology))
+    checks.extend(sanitize_run(recovered.tasks, recovered.times))
 
     new_samples_per_step = new_plan.n_microbatches * new_plan.microbatch_size
     samples = float(

@@ -274,7 +274,7 @@ class TaskGraphRunner:
         #: Introspection hooks for post-run verification: the table and
         #: realised times of the most recent :meth:`execute` call (``None``
         #: before).  :mod:`repro.check.trace_check` replays these against
-        #: the topology's causality and link-capacity invariants.
+        #: the causality and duration invariants.
         self.last_tasks: TaskTable | None = None
         self.last_times: TaskTimes | None = None
         # Per-execution state the dispatch seams read: the table being run,
@@ -293,6 +293,9 @@ class TaskGraphRunner:
         Raises:
             DeadlockError: If some rows never become ready (dependency
                 cycle).
+            ValueError: If a recorded row has no realised start (a dispatch
+                seam that did not stamp it) or is otherwise a span the
+                :class:`~repro.sim.trace.Trace` constructor rejects.
         """
         table = tasks
         n = len(table)
@@ -397,7 +400,7 @@ class TaskGraphRunner:
         transfer = order[(op == TRANSFER) & (nbytes[order] > 0)]
         spans = {
             "gpu": np.array(table.gpu, dtype=np.int64),
-            "start": np.where(np.isnan(times.start), times.end, times.start),
+            "start": times.start,
             "end": times.end,
         }
 

@@ -176,15 +176,16 @@ class _ColumnStore:
         self.columns["label"] = tuple(columns["label"])
         self._spans: tuple | None = None
 
-    def check(self) -> None:
+    def check(self, n_gpus: int) -> None:
         """Reject rows that would silently corrupt the columnar analyses.
 
         One vectorized pass over every row; the first row that fails raises.
         """
         columns = self.columns
-        start, end = columns["start"], columns["end"]
+        gpu, start, end = columns["gpu"], columns["start"], columns["end"]
+        in_range = (gpu >= 0) & (gpu < n_gpus)
         finite = np.isfinite(start) & np.isfinite(end)
-        ok = finite & (end >= start)
+        ok = in_range & finite & (end >= start)
         nbytes = columns.get("nbytes")
         if nbytes is not None:
             ok &= np.isfinite(nbytes) & (nbytes >= 0)
@@ -192,6 +193,11 @@ class _ColumnStore:
             return
         row = int(np.argmin(ok))
         label, first, last = columns["label"][row], float(start[row]), float(end[row])
+        if not in_range[row]:
+            raise ValueError(
+                f"{self.what} span {label!r} is on gpu {int(gpu[row])}, "
+                f"outside [0, {n_gpus})"
+            )
         if not finite[row]:
             raise ValueError(
                 f"{self.what} span {label!r} has non-finite times: [{first}, {last}]"
@@ -319,9 +325,10 @@ class Trace:
             the stored dtype is kept, not copied, and made read-only.
 
     Raises:
-        ValueError: ``n_gpus`` is not positive, or a span has non-finite
-            times, ends before it starts, or moves an invalid byte count;
-            the first such row raises.
+        ValueError: ``n_gpus`` is not positive, or a span is on a GPU
+            outside ``[0, n_gpus)``, has non-finite times, ends before it
+            starts, or moves an invalid byte count; the first such row
+            raises.
     """
 
     def __init__(self, n_gpus: int, *, compute: dict, transfers: dict) -> None:
@@ -330,8 +337,8 @@ class Trace:
         self.n_gpus = n_gpus
         self._compute_store = _ComputeStore(compute)
         self._transfer_store = _TransferStore(transfers)
-        self._compute_store.check()
-        self._transfer_store.check()
+        self._compute_store.check(n_gpus)
+        self._transfer_store.check(n_gpus)
 
     # ------------------------------------------------------------------
     # Span records

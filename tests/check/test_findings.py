@@ -73,15 +73,6 @@ class TestCheckReport:
         report.extend([Finding("x", "C9", "raw")])
         assert [f.code for f in report] == ["C9"]
 
-    def test_prefixed_rewrites_subjects(self):
-        report = CheckReport()
-        report.add("a", "C1", "one", subject="gpu 0")
-        report.add("a", "C2", "two")
-        prefixed = report.prefixed("cell-7")
-        assert [f.subject for f in prefixed] == ["cell-7: gpu 0", "cell-7"]
-        # The original is untouched.
-        assert [f.subject for f in report] == ["gpu 0", ""]
-
     def test_to_json_counts_by_severity(self):
         report = CheckReport()
         report.add("a", "C1", "one")

@@ -1,94 +1,39 @@
-"""Tests for the trace/task-graph sanitizer (repro.check.trace_check)."""
+"""Tests for the task-graph sanitizer (repro.check.trace_check) and the
+``Trace`` constructor's span guards it relies on."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.check.trace_check import check_task_graph, sanitize_run, sanitize_trace
+from repro.check.trace_check import sanitize_run
 from repro.hardware.topology import topo_2_2
-from repro.sim.tasks import TaskGraphRunner, TaskTable, TaskTimes
-from repro.sim.trace import Trace, _ComputeStore, _TransferStore
-from tests.helpers import make_trace, span_columns
+from repro.sim.tasks import TaskGraphRunner, TaskTable
+from repro.sim.trace import Trace
+from tests.helpers import make_trace
+
+
+def _restored(trace, family, column, row, value):
+    """Rebuild ``trace`` from its pickled state with one stored value corrupted."""
+    state = trace.__getstate__()
+    columns = dict(state[family])
+    corrupted = columns[column].copy()
+    corrupted[row] = value
+    columns[column] = corrupted
+    state[family] = columns
+    restored = Trace.__new__(Trace)
+    restored.__setstate__(state)
+    return restored
 
 
 def _codes(report):
     return {f.code for f in report}
 
 
-def _raw_trace(n_gpus, compute=(), transfers=()):
-    """A trace whose stores are built past the constructor's validation."""
-    compute, transfers = span_columns(compute, transfers)
-    trace = Trace.__new__(Trace)
-    trace.n_gpus = n_gpus
-    trace._compute_store = _ComputeStore(compute)
-    trace._transfer_store = _TransferStore(transfers)
-    return trace
-
-
 @pytest.fixture
 def topo():
     return topo_2_2()
-
-
-class TestSanitizeTrace:
-    def test_empty_trace_is_clean(self, topo):
-        assert sanitize_trace(make_trace(4), topo).ok
-
-    def test_clean_trace(self, topo):
-        trace = make_trace(
-            4,
-            [(0, 0.0, 1.0, "F0,0"), (0, 1.0, 2.0, "F0,1")],  # back-to-back is legal
-            [(1, 0.0, 1.0, 1e9, "stage-upload", "U1")],
-        )
-        assert sanitize_trace(trace, topo).ok
-
-    def test_overlapping_compute_flagged(self, topo):
-        trace = make_trace(4, [(2, 0.0, 1.0, "F0,0"), (2, 0.5, 1.5, "F0,1")])
-        report = sanitize_trace(trace, topo)
-        assert _codes(report) == {"TRACE-COMPUTE-OVERLAP"}
-        finding = report.findings[0]
-        assert finding.subject == "gpu 2"
-        assert finding.slack == pytest.approx(-0.5)
-
-    def test_overlap_on_different_gpus_is_fine(self, topo):
-        trace = make_trace(4, [(0, 0.0, 1.0, "F0,0"), (1, 0.5, 1.5, "F1,0")])
-        assert sanitize_trace(trace, topo).ok
-
-    def test_nan_timestamp_flagged(self, topo):
-        # The Trace constructor rejects NaN; simulate a corrupted trace by
-        # building its column stores directly.
-        trace = _raw_trace(4, [(0, float("nan"), 1.0, "F0,0")])
-        assert _codes(sanitize_trace(trace, topo)) == {"TRACE-FINITE"}
-
-    def test_backwards_span_flagged(self, topo):
-        trace = _raw_trace(4, [(0, 2.0, 1.0, "F0,0")])
-        assert "TRACE-NEG-DURATION" in _codes(sanitize_trace(trace, topo))
-
-    def test_gpu_out_of_range_flagged(self, topo):
-        trace = _raw_trace(4, [(7, 0.0, 1.0, "F0,0")])
-        assert "TRACE-GPU-RANGE" in _codes(sanitize_trace(trace, topo))
-
-    def test_negative_bytes_flagged(self, topo):
-        trace = _raw_trace(4, transfers=[(0, 0.0, 1.0, -5.0, "x", "x")])
-        assert "TRACE-NEG-BYTES" in _codes(sanitize_trace(trace, topo))
-
-    def test_impossible_bandwidth_flagged(self, topo):
-        # 1 TB in a microsecond: far beyond any PCIe link.
-        trace = make_trace(4, transfers=[(0, 0.0, 1e-6, 1e12, "stage-upload", "U0")])
-        report = sanitize_trace(trace, topo)
-        assert _codes(report) == {"TRACE-BW-SPEC"}
-
-    def test_bandwidth_at_spec_passes(self, topo):
-        nbytes = topo.max_link_bandwidth * 2.0  # exactly the fastest link
-        trace = make_trace(4, transfers=[(0, 0.0, 2.0, nbytes, "stage-upload", "U0")])
-        assert sanitize_trace(trace, topo).ok
-
-    def test_without_topology_bandwidth_is_not_checked(self):
-        trace = make_trace(4, transfers=[(0, 0.0, 1e-6, 1e12, "stage-upload", "U0")])
-        assert sanitize_trace(trace).ok
 
 
 class TestCheckTaskGraph:
@@ -97,8 +42,8 @@ class TestCheckTaskGraph:
         upload = table.transfer(topo.path_from_dram(0), 1e9, gpu=0)
         table.compute(0, 0.5, after=(upload,))
         runner = TaskGraphRunner(topo)
-        trace = runner.execute(table)
-        report = sanitize_run(table, runner.last_times, trace, topo)
+        runner.execute(table)
+        report = sanitize_run(table, runner.last_times)
         assert report.ok, report.render()
 
     def test_causality_violation_flagged(self, topo):
@@ -110,7 +55,7 @@ class TestCheckTaskGraph:
         times = runner.last_times
         times.start[child] = 0.25  # corrupt: starts before dep ends
         times.end[child] = 1.25
-        report = check_task_graph(table, times, topo)
+        report = sanitize_run(table, times)
         assert "TASK-CAUSALITY" in _codes(report)
         finding = next(f for f in report if f.code == "TASK-CAUSALITY")
         assert finding.subject == "second"
@@ -123,45 +68,61 @@ class TestCheckTaskGraph:
         runner.execute(table)
         times = runner.last_times
         times.end[task] = times.start[task] + 0.5  # corrupt the realised time
-        report = check_task_graph(table, times, topo)
+        report = sanitize_run(table, times)
         assert "TASK-DURATION" in _codes(report)
 
-    def test_incomplete_task_flagged(self, topo):
+    def test_barrier_that_takes_time_flagged(self, topo):
         table = TaskTable()
-        table.compute(0, 1.0, "never-ran")
-        never = np.full(1, np.nan)
-        times = TaskTimes(start=never, end=never, seconds=np.array([1.0]))
-        report = check_task_graph(table, times, topo)
-        assert _codes(report) == {"TASK-INCOMPLETE"}
-
-    def test_path_bandwidth_violation_flagged(self, topo):
-        table = TaskTable()
-        transfer = table.transfer(topo.path_from_dram(0), 1e9, gpu=0, label="U0")
+        first = table.compute(0, 1.0, "first")
+        sync = table.barrier("sync", after=(first,))
         runner = TaskGraphRunner(topo)
         runner.execute(table)
         times = runner.last_times
-        times.end[transfer] = times.start[transfer] + 1e-6  # impossibly fast
-        report = check_task_graph(table, times, topo)
-        assert "TASK-BW-PATH" in _codes(report)
-        # The link-conservation law is violated by the same corruption.
-        assert "TASK-LINK-CAP" in _codes(report)
+        times.end[sync] = times.start[sync] + 0.5  # barriers are zero-cost
+        report = sanitize_run(table, times)
+        assert _codes(report) == {"TASK-DURATION"}
+        assert report.findings[0].subject == "sync"
 
     def test_shared_link_conservation_holds_in_sim(self, topo):
         # Two concurrent uploads to GPUs 0 and 1 share the root-complex
-        # link; the fluid model must keep their sum within capacity.
+        # link; the fluid model must split it between them.
         table = TaskTable()
         for g in (0, 1):
             table.transfer(topo.path_from_dram(g), 2e9, gpu=g, label=f"U{g}")
         runner = TaskGraphRunner(topo)
-        trace = runner.execute(table)
+        runner.execute(table)
         times = runner.last_times
-        report = sanitize_run(table, times, trace, topo)
+        report = sanitize_run(table, times)
         assert report.ok, report.render()
         # Sharing really happened: neither transfer got the full link.
         for row in range(len(table)):
             implied = table.nbytes[row] / (times.end[row] - times.start[row])
             path = table.paths[table.path_id[row]]
             assert implied < topo.path_bandwidth(path) * 0.75
+
+
+class TestSanitizeTrace:
+    """A trace rebuilt from a pickled cache payload passes the same guards."""
+
+    @pytest.fixture
+    def trace(self):
+        return make_trace(
+            4,
+            [(0, 0.0, 1.0, "F0,0")],
+            [(1, 0.0, 1.0, 1e9, "stage-upload", "U1")],
+        )
+
+    def test_nan_timestamp_flagged(self, trace):
+        with pytest.raises(ValueError, match="non-finite times"):
+            _restored(trace, "compute", "start", 0, float("nan"))
+
+    def test_backwards_span_flagged(self, trace):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            _restored(trace, "compute", "start", 0, 2.0)
+
+    def test_negative_bytes_flagged(self, trace):
+        with pytest.raises(ValueError, match="invalid byte count"):
+            _restored(trace, "transfers", "nbytes", 0, -5.0)
 
 
 class TestTraceGuards:
@@ -190,9 +151,11 @@ class TestTraceGuards:
     @pytest.mark.parametrize(
         "compute,transfer,match",
         [
-            ((1.0, 0.5), (0.0, 1.0, 1.0), "ends before it starts"),
-            ((0.0, 1.0), (0.0, math.inf, 1.0), "finite"),
-            ((0.0, 1.0), (0.0, 1.0, -1.0), "byte count"),
+            ((1, 1.0, 0.5), (0.0, 1.0, 1.0), "ends before it starts"),
+            ((1, 0.0, 1.0), (0.0, math.inf, 1.0), "finite"),
+            ((1, 0.0, 1.0), (0.0, 1.0, -1.0), "byte count"),
+            ((2, 0.0, 1.0), (0.0, 1.0, 1.0), "is on gpu 2,"),
+            ((-1, 0.0, 1.0), (0.0, 1.0, 1.0), "is on gpu -1,"),
         ],
     )
     def test_from_columns_applies_the_same_checks(self, compute, transfer, match):
@@ -201,9 +164,9 @@ class TestTraceGuards:
             Trace(
                 2,
                 compute={
-                    "gpu": [0, 1],
-                    "start": [0.0, compute[0]],
-                    "end": [1.0, compute[1]],
+                    "gpu": [0, compute[0]],
+                    "start": [0.0, compute[1]],
+                    "end": [1.0, compute[2]],
                     "label": ["ok", "c"],
                 },
                 transfers={

@@ -41,13 +41,12 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def _auto_sanitize_traces(monkeypatch):
-    """Run the repro.check trace sanitizer on every simulated execution.
+    """Run the repro.check sanitizer on every simulated execution.
 
-    Every trace any test produces through ``TaskGraphRunner.execute`` —
-    Mobius, the baselines, the memory audit — is checked for causality,
-    compute-exclusivity and bandwidth violations for free.  Tests exercising
-    deliberately broken traces bypass this by building ``Trace`` objects
-    directly instead of executing a task graph.
+    Every task table any test executes through ``TaskGraphRunner.execute``
+    — Mobius, the baselines, the memory audit — is checked for causality
+    and duration violations for free.  Tests exercising deliberately broken
+    runs call the checker on hand-edited times instead.
     """
     from repro.check.trace_check import sanitize_run
     from repro.sim.tasks import TaskGraphRunner
@@ -56,7 +55,7 @@ def _auto_sanitize_traces(monkeypatch):
 
     def execute_and_sanitize(self, tasks, **kwargs):
         trace = original(self, tasks, **kwargs)
-        report = sanitize_run(self.last_tasks, self.last_times, trace, self.topology)
+        report = sanitize_run(self.last_tasks, self.last_times)
         assert report.ok, f"simulated trace failed sanitization:\n{report.render()}"
         return trace
 

@@ -72,12 +72,7 @@ class TestReplanAfterDropout:
     def test_replan_passes_the_checkers(self, replanned):
         cell, _, result = replanned
         plan = result.plan_report.plan
-        report = check_plan(
-            plan,
-            result.topology,
-            result.plan_report.cost_model,
-            bandwidth=result.topology.pcie_bandwidth,
-        )
+        report = check_plan(plan, result.plan_report.cost_model)
         report.extend(check_mapping(plan.mapping, result.topology, plan.n_stages))
         assert report.ok, report.render()
 

@@ -241,6 +241,25 @@ class TestErrors:
         with pytest.raises(ValueError, match="not a row of this table"):
             table.compute(0, 1.0, after=(ghost,))
 
+    def test_unstamped_start_fails_trace_construction(self):
+        # A dispatch seam that forgets to stamp its row's start leaves a
+        # NaN the trace refuses, in every run, sanitized or not.
+        class Unstamped(TaskGraphRunner):
+            def _start_transfer(self, row, on_done):
+                table = self._table
+                self.network.start_flow(
+                    table.paths[table.path_id[row]],
+                    table.nbytes[row],
+                    on_done,
+                    priority=table.priority[row],
+                )
+
+        topo = topo_2_2()
+        table = TaskTable()
+        table.transfer(topo.path_from_dram(0), 1e9, gpu=0, label="U0")
+        with pytest.raises(ValueError, match="'U0' has non-finite times"):
+            Unstamped(topo).execute(table)
+
 
 class TestTraceRecording:
     def test_compute_spans_recorded(self):
