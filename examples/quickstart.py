@@ -28,12 +28,12 @@ def main() -> None:
     report = run_mobius(model, topology, MobiusConfig(partition_time_limit=5.0))
     plan_report = report.plan_report
     plan = plan_report.plan
-    print(f"  profiling:     {plan_report.profiling_seconds:6.1f} s "
+    partition_result = plan_report.partition_result
+    print(f"  profiling:     {plan_report.profile_report.profiling_seconds:6.1f} s simulated "
           f"({plan_report.profile_report.n_unique_layers} unique layers measured)")
-    print(f"  MIP solve:     {plan_report.mip_solve_seconds:6.1f} s "
-          f"({plan_report.partition_result.nodes_explored} nodes)")
-    print(f"  cross mapping: {plan_report.mapping_seconds:6.3f} s "
-          f"(best of {plan_report.mapping_result.schemes_evaluated} schemes)")
+    print(f"  MIP solve:     {partition_result.nodes_explored:6d} nodes "
+          f"(gap {partition_result.gap:.3f})")
+    print(f"  cross mapping: {plan_report.mapping_result.schemes_evaluated:6d} schemes scored")
     print(f"  partition: {plan.n_stages} stages, "
           f"GPU permutation {plan.mapping.perm}")
     print()

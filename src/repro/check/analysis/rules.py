@@ -198,16 +198,9 @@ class AnalysisConfig:
     #: Functions that may read monotonic clocks (MOB004), one reason each.
     clock_allowlist: frozenset[str] = frozenset(
         {
-            # search_seconds metadata; the search is exhaustive over a
-            # fixed permutation space.
-            "src/repro/core/mapping.py::cross_mapping",
             # Its time_limit cutoff steers the DFS; ROADMAP item 2 removes
             # the clock and this entry together with the fingerprint re-pin.
             "src/repro/core/partition.py::mip_partition",
-            # solve_seconds metadata of the greedy max-stage heuristic.
-            "src/repro/core/partition.py::max_stage_partition",
-            # solve_seconds metadata of the block-per-stage heuristic.
-            "src/repro/core/partition.py::min_stage_partition",
             # The bench timer starts: walls sit beside results, never in them.
             "src/repro/perf/bench.py::Stopwatch.__init__",
             # The bench timer reads: same.

@@ -207,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.api import MobiusConfig, plan_mobius
+    from repro.perf.bench import Stopwatch
 
     model, topology = _model_and_topology(args)
+    watch = Stopwatch()
     report = plan_mobius(
         model,
         topology,
@@ -217,11 +219,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             partition_time_limit=args.time_limit,
         ),
     )
+    seconds = watch.seconds
+    partition = report.partition_result
     print(report.plan.describe())
     print(
-        f"planning overhead: profile {report.profiling_seconds:.1f}s, "
-        f"MIP {report.mip_solve_seconds:.1f}s, mapping {report.mapping_seconds:.3f}s"
+        f"planning work: profile {report.profile_report.profiling_seconds:.1f}s "
+        f"(simulated), MIP {partition.nodes_explored} nodes (gap {partition.gap:.3f}), "
+        f"mapping {report.mapping_result.schemes_evaluated} schemes"
     )
+    print(f"planned in {seconds:.3f}s")
     print(f"estimated step time: {report.plan.estimated_step_seconds:.2f}s")
     return 0
 

@@ -3,7 +3,7 @@
 :func:`plan_mobius` runs the full planning pipeline of the paper —
 similarity-compressed profiling (§3.2), the MIP partition search (§3.2) and
 cross mapping (§3.3) — and returns an :class:`~repro.core.plan.ExecutionPlan`
-plus all planning overheads (Figure 12).  :func:`run_mobius` additionally
+plus the planning work behind it (Figure 12).  :func:`run_mobius` additionally
 simulates one training step on the given server topology.  Planning is a
 pure function of ``(model, topology, config)``: one solve path, no state
 carried between calls beyond the content-addressed result cache.
@@ -128,25 +128,18 @@ class MobiusConfig:
 
 @dataclasses.dataclass
 class MobiusPlanReport:
-    """Planning output plus overhead breakdown (Figure 12)."""
+    """Planning output plus the work behind it (Figure 12).
+
+    A pure function of the model, topology and config: it holds search
+    work counters and the profiler's simulated seconds, never a wall
+    reading, so a cached report prints the same as a fresh one.
+    """
 
     plan: ExecutionPlan
     partition_result: PartitionResult
     mapping_result: MappingResult
     profile_report: ProfileReport
     cost_model: CostModel
-
-    @property
-    def profiling_seconds(self) -> float:
-        return self.profile_report.profiling_seconds
-
-    @property
-    def mip_solve_seconds(self) -> float:
-        return self.partition_result.solve_seconds
-
-    @property
-    def mapping_seconds(self) -> float:
-        return self.mapping_result.search_seconds
 
 
 @dataclasses.dataclass

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 
 import numpy as np
 
@@ -54,14 +53,12 @@ class MappingResult:
     Attributes:
         mapping: The chosen stage-to-GPU permutation.
         contention: Its Eq. 13 objective value.
-        search_seconds: Wall time of the search (Figure 12's overhead).
         schemes_evaluated: Number of candidate permutations scored (one
             per root-complex class).
     """
 
     mapping: Mapping
     contention: float
-    search_seconds: float
     schemes_evaluated: int
 
 
@@ -148,7 +145,6 @@ def sequential_mapping(topology: Topology) -> MappingResult:
     return MappingResult(
         mapping=mapping,
         contention=math.nan,
-        search_seconds=0.0,
         schemes_evaluated=1,
     )
 
@@ -162,7 +158,6 @@ def cross_mapping(topology: Topology, n_stages: int) -> MappingResult:
     score (see the module docstring).  Beyond that a root-complex
     round-robin heuristic is used.
     """
-    started = time.perf_counter()
     n = topology.n_gpus
     weights = _residue_weights(n_stages, n)
     shared = _shared_matrix(topology)
@@ -197,7 +192,6 @@ def cross_mapping(topology: Topology, n_stages: int) -> MappingResult:
     return MappingResult(
         mapping=mapping,
         contention=full_score,
-        search_seconds=time.perf_counter() - started,
         schemes_evaluated=count,
     )
 

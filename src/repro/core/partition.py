@@ -61,7 +61,6 @@ class PartitionResult:
     Attributes:
         partition: The chosen partition.
         timings: Analytic timings of the chosen partition.
-        solve_seconds: Wall time spent searching.
         nodes_explored: Branch-and-bound nodes (0 for baselines).
         optimal: Whether the search ran to completion (exact optimum) or
             stopped on the budget with the best incumbent.
@@ -77,7 +76,6 @@ class PartitionResult:
 
     partition: Partition
     timings: PipelineTimings
-    solve_seconds: float
     nodes_explored: int
     optimal: bool
     method: str
@@ -775,7 +773,6 @@ def mip_partition(
     return PartitionResult(
         partition=partition,
         timings=timings,
-        solve_seconds=time.perf_counter() - started,
         nodes_explored=nodes,
         optimal=exhausted,
         method="mip",
@@ -797,7 +794,6 @@ def max_stage_partition(
     if gpu_memory is None:
         gpu_memory = cost_model.usable_gpu_bytes()
     ctx = _SearchContext(model, cost_model, n_gpus, n_microbatches, bandwidth, gpu_memory)
-    started = time.perf_counter()
     boundaries: list[int] = []
     position = 0
     while position < model.n_layers:
@@ -813,7 +809,6 @@ def max_stage_partition(
     return PartitionResult(
         partition=partition,
         timings=ctx.evaluate(boundaries),
-        solve_seconds=time.perf_counter() - started,
         nodes_explored=0,
         optimal=True,
         method="max-stage",
@@ -838,7 +833,6 @@ def min_stage_partition(
     if gpu_memory is None:
         gpu_memory = cost_model.usable_gpu_bytes()
     ctx = _SearchContext(model, cost_model, n_gpus, n_microbatches, bandwidth, gpu_memory)
-    started = time.perf_counter()
     boundaries = []
     seen_block = False
     for index, layer in enumerate(model.layers):
@@ -857,7 +851,6 @@ def min_stage_partition(
     return PartitionResult(
         partition=partition,
         timings=timings,
-        solve_seconds=time.perf_counter() - started,
         nodes_explored=0,
         optimal=True,
         method="min-stage",

@@ -30,7 +30,7 @@ Determinism: completion order and lease waits affect only *when* work
 happens, never *what* any cell returns — a cell's result is a function of
 the cell alone.  :func:`cell_result_fingerprint` pins exactly the
 deterministic face of a result (status, simulated step time, trace digest,
-execution plan), excluding wall-clock metadata like ``solve_seconds``.
+execution plan), excluding search metadata like ``nodes_explored``.
 """
 
 from __future__ import annotations
@@ -182,8 +182,9 @@ def cell_result_fingerprint(result: SystemResult) -> str:
     """Digest of a result's deterministic face.
 
     Includes the simulated step time, the trace's columnar digest and the
-    execution plan; excludes wall-clock metadata (``solve_seconds``,
-    ``profiling_seconds``) and search metadata (``nodes_explored``).
+    execution plan.  The rest of the plan report is search metadata
+    (``nodes_explored``) and the profile, whose ``profiling_seconds`` is
+    the profiler's simulated time; none of it is a wall reading.
     """
     plan_report = result.extras.get("plan_report")
     return fingerprint(

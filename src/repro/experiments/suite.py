@@ -17,8 +17,9 @@ any subset of :data:`repro.experiments.ALL_EXPERIMENTS` in two passes:
 The timing report records per-figure wall time and cache counters, the
 schedule's dedup/coalescing counters, and two determinism fingerprints:
 ``cells_fingerprint`` (the deterministic faces of every unique cell's
-result — identical across ``jobs`` values and across machines) and
-``output_fingerprint`` (the exact figure text assembled from one cache).
+result) and ``output_fingerprint`` (the exact figure text).  Both are
+identical across ``jobs`` values, caches and machines: no cached value
+holds a wall reading, so the figure text is a function of the cells alone.
 
 ``repro figures`` runs the suite; ``repro bench suite`` gates it
 (:func:`bench_rows`).
@@ -111,10 +112,8 @@ class SuiteReport:
     def output_fingerprint(self) -> str:
         """Digest of the exact figure text, in order.
 
-        Byte-identity of assembly over one warm cache; cross-cache
-        comparisons go through the schedule's ``cells_fingerprint``
-        instead (Figure 12's table prints wall-clock planning overheads,
-        which legitimately differ between independent cold caches).
+        Comparable across caches and worker counts: the figures print no
+        wall reading, so a warm run's text equals a cold run's.
         """
         digest = hashlib.sha256()
         for figure in self.figures:
@@ -236,50 +235,31 @@ def run_suite(
     return report
 
 
-def check_identity(
-    report: SuiteReport,
-    names: Sequence[str],
-    *,
-    fast: bool = False,
-    cache_dir: str | None = None,
-) -> dict:
-    """The jobs=N vs jobs=1 identity gate.
+def check_identity(report: SuiteReport, names: Sequence[str], *, fast: bool = False) -> dict:
+    """The jobs=N vs jobs=1 identity gate: one cold solo suite run.
 
-    Two comparisons, both of which must hold:
+    The figures are run again at ``jobs=1`` on an empty scratch cache, and
+    both of that run's fingerprints must equal ``report``'s:
 
-    * **solo drain** — every cell is re-solved serially in a scratch cache;
-      its ``cells_fingerprint`` (deterministic result faces) must equal the
-      pool drain's.  This is the cross-process determinism claim: worker
-      count, completion order and lease waits never change what a cell
-      returns.
-    * **replay assembly** — the figures are re-assembled at ``jobs=1`` over
-      the same warm cache as ``report``; the output text must be
-      byte-identical.  (Byte-identity *across* caches is deliberately not
-      required: Figure 12 prints wall-clock planning overheads, which are
-      properties of the run that populated the cache.)
+    * ``cells_fingerprint`` (deterministic result faces): worker count,
+      completion order and lease waits never change what a cell returns;
+    * ``output_fingerprint``: the figure text is byte-identical across two
+      cold caches and two worker counts.
     """
     if report.schedule is None:
         raise ValueError("identity check needs a scheduled (use_cache=True) report")
     with tempfile.TemporaryDirectory(prefix="repro-identity-") as scratch:
-        with cache_overridden(memory=True, disk=True, directory=scratch):
-            solo = run_cells(names, fast=fast, jobs=1)
-    replay = run_suite(
-        names,
-        fast=fast,
-        jobs=1,
-        use_cache=True,
-        cache_dir=cache_dir,
-        stream=io.StringIO(),
-    )
-    cells_match = solo.cells_fingerprint == report.schedule["cells_fingerprint"]
-    outputs_match = replay.output_fingerprint == report.output_fingerprint
+        solo = run_suite(names, fast=fast, jobs=1, cache_dir=scratch, stream=io.StringIO())
+    assert solo.schedule is not None  # use_cache=True always schedules
+    cells_match = solo.schedule["cells_fingerprint"] == report.schedule["cells_fingerprint"]
+    outputs_match = solo.output_fingerprint == report.output_fingerprint
     return {
         "jobs": report.jobs,
         "cells_fingerprint_pool": report.schedule["cells_fingerprint"],
-        "cells_fingerprint_solo": solo.cells_fingerprint,
+        "cells_fingerprint_solo": solo.schedule["cells_fingerprint"],
         "cells_match": cells_match,
-        "output_fingerprint": report.output_fingerprint,
-        "output_fingerprint_replay": replay.output_fingerprint,
+        "output_fingerprint_pool": report.output_fingerprint,
+        "output_fingerprint_solo": solo.output_fingerprint,
         "outputs_match": outputs_match,
         "ok": cells_match and outputs_match,
     }
@@ -291,9 +271,9 @@ def suite_row(
     """The ``suite`` bench row of one cold drain and its identity verdict.
 
     The fingerprint is the drain's ``cells_fingerprint``; the checks are
-    cross-figure reuse, zero duplicate solves and both identity
-    comparisons; the ``unique_cells_per_s`` rate is recorded only on hosts
-    with at least :data:`_RATE_MIN_CPUS` CPUs.
+    cross-figure reuse, zero duplicate solves and both fingerprints of
+    :func:`check_identity`; the ``unique_cells_per_s`` rate is recorded
+    only on hosts with at least :data:`_RATE_MIN_CPUS` CPUs.
     """
     reuse = (
         schedule["cells_deduped"]
@@ -348,7 +328,7 @@ def bench_rows(jobs: int | None = None) -> list[dict[str, Any]]:
             stream=io.StringIO(),
         )
         seconds = watch.seconds
-        identity = check_identity(report, names, fast=True, cache_dir=cache_dir)
+    identity = check_identity(report, names, fast=True)
     assert report.schedule is not None  # use_cache=True always schedules
     return [
         suite_row(

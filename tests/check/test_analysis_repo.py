@@ -74,12 +74,15 @@ SEEDED = (
         'label=f"upload-{j}",',
     ),
     # A CPU-time cutoff in the mapping search: it never binds on a short
-    # run, so it changes no plan today.
+    # run, so it changes no plan today.  The module imports no clock, so
+    # the defect brings its own import.
     Seeded(
         "MOB004",
         "src/repro/core/mapping.py",
         "    def extend() -> None:\n",
         "    def extend() -> None:\n"
+        "        import time\n"
+        "\n"
         "        if time.process_time() > 3600.0:\n"
         "            return\n",
         "repro.core.mapping._class_representatives",

@@ -73,16 +73,16 @@ class TestMob004:
     def test_clock_allowlist_site_is_honored(self):
         report = _analyze(
             src__repro__serve__daemon="""
-            from repro.core.mapping import cross_mapping
+            from repro.core.partition import mip_partition
 
             class PlanService:
                 def _answer(self):
-                    return cross_mapping()
+                    return mip_partition()
             """,
-            src__repro__core__mapping="""
+            src__repro__core__partition="""
             import time
 
-            def cross_mapping():
+            def mip_partition():
                 return time.perf_counter()
             """,
         )
@@ -91,16 +91,16 @@ class TestMob004:
     def test_wall_clock_in_allowlisted_function_is_flagged(self):
         # The allowlist admits monotonic clocks only.
         report = _analyze(
-            src__repro__core__mapping="""
+            src__repro__core__partition="""
             import time
 
-            def cross_mapping():
+            def mip_partition():
                 started = time.perf_counter()
                 return time.time() - started
             """,
         )
         mob004 = [f for f in report if f.code == "MOB004"]
-        assert [f.subject for f in mob004] == ["src/repro/core/mapping.py:6"]
+        assert [f.subject for f in mob004] == ["src/repro/core/partition.py:6"]
         assert "time.time" in mob004[0].message
 
     def test_module_alias_is_resolved(self):

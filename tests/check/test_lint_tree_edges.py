@@ -86,12 +86,6 @@ class TestClockAllowlist:
         assert len(flagged_lines) == 1
         assert flagged_lines[0].endswith(":9")
 
-    def test_default_allowlist_covers_repo_reporting_sites(self):
-        assert (
-            "src/repro/core/mapping.py::cross_mapping"
-            in DEFAULT_ANALYSIS_CONFIG.clock_allowlist
-        )
-
     def test_every_allowlist_entry_is_a_clock_site(self):
         # No stale entries: with the allowlist emptied, the repo's MOB004
         # findings sit in exactly the allowlisted functions.

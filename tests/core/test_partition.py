@@ -67,7 +67,6 @@ class TestMipPartition:
 
     def test_solve_time_recorded(self, model, cm):
         result = mip_partition(model, cm, 2, 2, BW, time_limit=1.0)
-        assert 0 < result.solve_seconds < 5.0
         assert result.nodes_explored > 0
 
 

@@ -110,6 +110,6 @@ class TestEndToEndApi:
         assert report.plan_report.plan.mapping.perm == (0, 1, 2, 3)
 
     def test_overheads_populated(self, plan_report):
-        assert plan_report.profiling_seconds > 0
-        assert plan_report.mip_solve_seconds > 0
-        assert plan_report.mapping_seconds > 0
+        assert plan_report.profile_report.profiling_seconds > 0
+        assert plan_report.partition_result.nodes_explored > 0
+        assert plan_report.mapping_result.schemes_evaluated > 0

@@ -111,21 +111,32 @@ class TestScheduledSuite:
             == reports[2].schedule["cells_fingerprint"]
         )
 
+    def test_figure_text_is_identical_across_cold_caches(self, tmp_path):
+        """Figure 12 prints planning work, not walls, so two cold runs on
+        two fresh caches print the same bytes."""
+        reports = [
+            run_suite(
+                ["fig12_overhead"],
+                fast=True,
+                jobs=1,
+                cache_dir=str(tmp_path / f"cache{index}"),
+                stream=io.StringIO(),
+            )
+            for index in range(2)
+        ]
+        assert reports[0].output_fingerprint == reports[1].output_fingerprint
+
     def test_check_identity_passes(self, tmp_path):
+        names = ["fig2_deepspeed_cdf", "fig12_overhead"]
         report = run_suite(
-            ["fig2_deepspeed_cdf"],
+            names,
             fast=True,
             jobs=2,
             use_cache=True,
             cache_dir=str(tmp_path / "cache"),
             stream=io.StringIO(),
         )
-        verdict = check_identity(
-            report,
-            ["fig2_deepspeed_cdf"],
-            fast=True,
-            cache_dir=str(tmp_path / "cache"),
-        )
+        verdict = check_identity(report, names, fast=True)
         assert verdict["ok"]
         assert verdict["cells_match"] and verdict["outputs_match"]
 

@@ -43,6 +43,8 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "stages" in out and "estimated step time" in out
+        assert "nodes (gap " in out and "schemes" in out and "(simulated)" in out
+        assert "planned in " in out
 
     def test_compare_command(self, capsys):
         code = main(
