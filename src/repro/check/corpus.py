@@ -61,13 +61,9 @@ def _gpt_b() -> ModelSpec:
 def default_corpus() -> list[CorpusCell]:
     """The default cells: two models crossed with the paper's servers.
 
-    Datacenter-scale coverage deliberately lives elsewhere: every corpus
-    cell also feeds the literal Eq. 3-11 partition MIP to HiGHS in the
-    DFS-vs-HiGHS parity test, so cells must stay small enough for a dense
-    MILP cross-check at every stage count.  The 1024-GPU regime is
-    exercised by the simulator bench's ``large`` section
-    (:mod:`repro.sim.workloads`), which simulates a synthetic task graph
-    without planning it.
+    Every corpus cell also feeds the literal Eq. 3-11 partition MIP to
+    HiGHS in the DFS-vs-HiGHS parity test, so cells must stay small enough
+    for a dense MILP cross-check at every stage count.
     """
     gpt_a = _gpt_a()
     gpt_b = _gpt_b()

@@ -43,7 +43,6 @@ __all__ = [
     "Topology",
     "commodity_server",
     "datacenter_server",
-    "large_cluster",
     "topo_4",
     "topo_2_2",
     "topo_1_3",
@@ -339,30 +338,6 @@ def topo_1_3(gpu_spec: GPUSpec = RTX_3090TI) -> Topology:
 def topo_4_4(gpu_spec: GPUSpec = RTX_3090TI) -> Topology:
     """The 8-GPU server of §4.4: four GPUs per root complex."""
     return commodity_server([4, 4], gpu_spec, name="Topo 4+4")
-
-
-def large_cluster(
-    n_gpus: int = 1024, group_size: int = 4, gpu_spec: GPUSpec = RTX_3090TI
-) -> Topology:
-    """A datacenter-scale fleet of commodity PCIe servers (no P2P).
-
-    Models the paper's "thousands of commodity GPUs" setting as one large
-    PCIe forest: ``n_gpus / group_size`` root complexes, each with
-    ``group_size`` GPUs behind a switch, all sharing DRAM.  Cross-group
-    traffic bounces through DRAM exactly as on the small topologies, so
-    flow components stay bounded by the per-root-complex fan-in and the
-    incremental allocator's O(component) property carries to 1024 GPUs.
-    """
-    if n_gpus <= 0 or group_size <= 0 or n_gpus % group_size:
-        raise ValueError(
-            f"n_gpus ({n_gpus}) must be a positive multiple of "
-            f"group_size ({group_size})"
-        )
-    return commodity_server(
-        [group_size] * (n_gpus // group_size),
-        gpu_spec,
-        name=f"Cluster {n_gpus // group_size}x{group_size}",
-    )
 
 
 def datacenter_server(n_gpus: int = 4, gpu_spec: GPUSpec = V100) -> Topology:

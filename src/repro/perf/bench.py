@@ -3,8 +3,8 @@
 ``python -m repro bench KIND`` runs one of four row producers and gates the
 result against a committed document:
 
-* ``sim`` (:mod:`repro.sim.bench`) — simulator traces of the check corpus,
-  one ZeRO-3 step and the 1024-GPU synthetic workload;
+* ``sim`` (:mod:`repro.sim.bench`) — simulator traces of the check corpus
+  and one ZeRO-3 step;
 * ``serve`` (:mod:`repro.serve.bench`) — the planning daemon's plans,
   throughput regimes, worker scaling and recovery scenarios;
 * ``suite`` (:mod:`repro.experiments.suite`) — the fast figure suite from an

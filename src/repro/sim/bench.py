@@ -1,36 +1,24 @@
 """Simulator bench rows: the ``repro bench sim`` producer.
 
-Runs the discrete-event simulator over deterministic workloads and returns
-rows in the :mod:`repro.perf.bench` shape:
-
-* **corpus rows** — each check-corpus cell's (:mod:`repro.check.corpus`)
-  Mobius plan simulated end to end, plus one DeepSpeed ZeRO-3 step
-  (:data:`ZERO3_CELL`), whose all-to-all offload traffic puts many flows on
-  each shared edge.  The fingerprint is :mod:`repro.perf.fingerprint` over
-  the trace;
-* **large rows** — the datacenter-scale synthetic workload
-  (:mod:`repro.sim.workloads` on
-  :func:`~repro.hardware.topology.large_cluster`): ~10^6 heap events at
-  1024 GPUs, identified by the bit-exact columnar trace digest
-  (``Trace.columnar_digest``) instead of the span-object fingerprint —
-  hashing a million materialised span tuples would dominate the run.
+Runs the discrete-event simulator over the check corpus and returns rows
+in the :mod:`repro.perf.bench` shape: each corpus cell's
+(:mod:`repro.check.corpus`) Mobius plan simulated end to end, plus one
+DeepSpeed ZeRO-3 step (:data:`ZERO3_CELL`), whose all-to-all offload
+traffic puts many flows on each shared edge.  The fingerprint is
+:mod:`repro.perf.fingerprint` over the trace.
 
 Each row's counters are the incremental allocator's deterministic work
 (:data:`GATED_COUNTERS`): events processed, reallocation flushes,
-components and rounds of progressive filling, flows touched, and
-edge-member entries scanned by the vector-mode flush's walk (zero on rows
-that stay in scalar mode, which keeps no link index).  Fingerprints and
-counters are event-sequence determined, so equal code produces equal rows
-on every machine; a trace-fingerprint divergence breaks the allocator's
-bit-identical equivalence contract (DESIGN.md §11).  Wall seconds and the
-large rows' peak RSS are informational.  (The fault-scenario traces are
+components and rounds of progressive filling, and flows touched.
+Fingerprints and counters are event-sequence determined, so equal code
+produces equal rows on every machine; a trace-fingerprint divergence
+breaks the allocator's bit-identical equivalence contract (DESIGN.md
+§11).  Wall seconds are informational.  (The fault-scenario traces are
 the ``chaos`` bench's rows, :mod:`repro.faults.chaos`.)
 """
 
 from __future__ import annotations
 
-import dataclasses
-import resource
 from collections.abc import Iterator
 from typing import Any
 
@@ -38,30 +26,25 @@ from repro.baselines.deepspeed import DeepSpeedConfig, build_deepspeed_tasks
 from repro.check.corpus import default_corpus
 from repro.core.api import plan_mobius
 from repro.core.pipeline import build_mobius_tasks
-from repro.hardware.topology import Topology, large_cluster
+from repro.hardware.topology import Topology
 from repro.models.costmodel import CostModel
 from repro.perf.bench import Stopwatch, row
 from repro.perf.fingerprint import fingerprint
 from repro.sim.resources import FlowNetworkStats
 from repro.sim.tasks import TaskGraphRunner, TaskTable
-from repro.sim.workloads import run_cluster_workload
 
-__all__ = ["bench_rows", "GATED_COUNTERS", "LargeCell", "LARGE_CELLS"]
+__all__ = ["bench_rows", "GATED_COUNTERS"]
 
 #: The allocator work counters every row carries, all gated
 #: (``flows_touched`` is the incremental allocator's headline number — a
-#: from-scratch refill regression shows up there first).  ``member_scans``
-#: counts only the vector-mode index walk, so a return to per-flow rescans
-#: of shared edges shows up on the large row; the corpus rows stay in
-#: scalar mode, where ``flows_touched`` and ``fill_rounds`` guard the
-#: refill set and no counter measures the bitmask closure's own passes.
+#: from-scratch refill regression shows up there first).  No counter
+#: measures the bitmask component search's own passes over the live flows.
 GATED_COUNTERS = (
     "events",
     "reallocations",
     "components_filled",
     "fill_rounds",
     "flows_touched",
-    "member_scans",
 )
 
 #: The corpus cell whose DeepSpeed ZeRO-3 step is also a corpus row: about
@@ -100,7 +83,8 @@ def _corpus_task_graphs() -> Iterator[tuple[str, Topology, TaskTable]]:
             )
 
 
-def _corpus_rows() -> list[dict[str, Any]]:
+def bench_rows(jobs: int | None = None) -> list[dict[str, Any]]:
+    """The ``sim`` bench rows; ``jobs`` is unused (rows run in-process)."""
     rows = []
     for name, topology, tasks in _corpus_task_graphs():
         runner = TaskGraphRunner(topology)
@@ -118,49 +102,3 @@ def _corpus_rows() -> list[dict[str, Any]]:
             )
         )
     return rows
-
-
-@dataclasses.dataclass(frozen=True)
-class LargeCell:
-    """One datacenter-scale bench scenario (see :mod:`repro.sim.workloads`)."""
-
-    name: str
-    n_gpus: int
-    group_size: int
-    rounds: int
-
-
-#: The committed large-scale workload set: 1024 GPUs in groups of four,
-#: 256 upload/compute/offload rounds per GPU — ~0.78M simulator events.
-LARGE_CELLS: tuple[LargeCell, ...] = (
-    LargeCell(name="dc-1024x4-r256", n_gpus=1024, group_size=4, rounds=256),
-)
-
-
-def _large_rows(cells: tuple[LargeCell, ...] = LARGE_CELLS) -> list[dict[str, Any]]:
-    rows = []
-    for cell in cells:
-        topology = large_cluster(cell.n_gpus, cell.group_size)
-        watch = Stopwatch()
-        result = run_cluster_workload(topology, rounds=cell.rounds)
-        seconds = watch.seconds
-        rows.append(
-            row(
-                cell.name,
-                fingerprint=result.digest,
-                counters=_work_counters(result.events_processed, result.stats),
-                walls={
-                    "seconds": round(seconds, 4),
-                    # ru_maxrss is process-wide (KB on Linux).
-                    "peak_rss_mb": (
-                        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
-                    ),
-                },
-            )
-        )
-    return rows
-
-
-def bench_rows(jobs: int | None = None) -> list[dict[str, Any]]:
-    """The ``sim`` bench rows; ``jobs`` is unused (rows run in-process)."""
-    return _corpus_rows() + _large_rows()

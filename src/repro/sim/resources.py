@@ -22,28 +22,19 @@ links.  Links are the topology's dense integer ids
 once into a *route*: its id tuple (:attr:`Flow.eids`), its link bitmask
 (:attr:`Flow.mask`) and its rate-memo class id, so :meth:`start_flow`
 does one lookup per flow.  The capacities, the dirty links and the fill's
-rows are all keyed by id.  How the flush finds the components depends on
-the live flow count:
+rows are all keyed by id.  The network keeps no link index: changes OR
+their links into one dirty bitmask, and the flush grows the refill set by
+passes over the live flows (``flow.mask & mask``), then splits it into
+components by merging flows whose masks meet
+(:meth:`FlowNetwork._affected`).  With the few dozen live flows of a
+commodity server, this costs less than keeping an index current at every
+start and finish.
 
-* **scalar mode** (at most :attr:`FlowNetwork.vector_threshold` live
-  flows) keeps no index.  Changes OR their links into one dirty bitmask,
-  and the flush grows the refill set by passes over the live flows
-  (``flow.mask & mask``), then splits it into components by merging flows
-  whose masks meet (:meth:`FlowNetwork._affected_scalar`).  With a handful
-  of live flows, this costs less than keeping an index current at every
-  start and finish;
-* **vector mode** keeps a per-``(link, priority)`` membership index, built
-  when the network switches, and one walk over links, scanning each
-  reached member map once, collects the components
-  (:meth:`FlowNetwork._affected`), so a flush among thousands of live
-  flows costs O(component).
-
-Both find the same set and the same components.  Max-min rates depend
-only on the flow set, paths, priorities and link capacities — never on
-transfer progress, nor on the order in which the components are listed —
-so flows outside the affected components provably keep their rates, and
-the resulting traces are bit-identical to a from-scratch refill at every
-change (asserted by the fuzz oracle in
+Max-min rates depend only on the flow set, paths, priorities and link
+capacities — never on transfer progress, nor on the order in which the
+components are listed — so flows outside the affected components provably
+keep their rates, and the resulting traces are bit-identical to a
+from-scratch refill at every change (asserted by the fuzz oracle in
 ``tests/sim/test_allocator_equivalence.py`` and the ``repro bench sim``
 fingerprint gate).
 
@@ -51,26 +42,14 @@ Rate memo.  A training step repeats one layer's traffic pattern, so a
 flush often sees a live flow set this network has filled before.  Live
 flows are counted per *class*, a route (one ``(Flow.eids, priority)``),
 and a flush whose class multiset was filled before copies the recorded
-per-class rates onto the live flows instead of walking and filling.  This
-is exact because rates are component-canonical (DESIGN.md §11): each
+per-class rates onto the live flows instead of searching and filling.
+This is exact because rates are component-canonical (DESIGN.md §11): each
 component's rates are a function of its flow set, of higher-priority use
 of its links and of the capacities, so the whole rate vector is a function
 of the live multiset and the capacities, and flows of one class freeze in
-the same round at the same level.  Each scale epoch clears the memo.  It
-is kept in scalar mode only; vector mode (below) skips it.  On perfbench
-``sim-4gpu`` it answers 86–90% of the DeepSpeed flushes and 24–42% of the
-Mobius ones.
-
-Per-event work that is still proportional to the number of *live* flows —
-progress advancement, the completion horizon, the finished-flow scan — is
-columnar at datacenter scale (DESIGN.md §12): once the concurrent flow
-count crosses :attr:`FlowNetwork.vector_threshold`, the network mirrors
-``remaining``/``rate`` into numpy slot arrays and those three scans become
-vector expressions.  The arithmetic is elementwise-identical to the scalar
-loops (same multiply/subtract/compare per flow, finished flows visited in
-uid order — exactly the dict insertion order the scalar scan sees), so
-traces stay bit-identical across the threshold; the fuzz harness runs both
-representations against each other.
+the same round at the same level.  Each scale epoch clears the memo.  On
+perfbench ``sim-4gpu`` it answers 86–90% of the DeepSpeed flushes and
+24–42% of the Mobius ones.
 """
 
 from __future__ import annotations
@@ -82,8 +61,6 @@ import operator
 from array import array
 from collections import deque
 from collections.abc import Callable, Iterable
-
-import numpy as np
 
 from repro.hardware.topology import Edge, Path, Topology
 from repro.sim.engine import EventHandle, Simulator
@@ -158,12 +135,9 @@ class Flow:
         eids: The topology's link ids of ``path``, in path order.
         mask: ``eids`` as an int bitmask (bit ``eid`` set per link).
         class_id: The owning network's interned id of ``(path, priority)``,
-            the rate memo's class (counted in scalar mode only).
+            the rate memo's class.
         uid: The owning network's start counter.
-        remaining: Internal progress bookkeeping.  Only current while the
-            owning network is in scalar mode; once it switches to the
-            columnar slot arrays (:attr:`FlowNetwork.vector_threshold`)
-            progress lives there instead.
+        remaining: Bytes left, advanced to the network's last update.
         threshold: The residue at or under which the flow counts as
             finished, ``max(1e-9 * nbytes, 1.0)``.
     """
@@ -182,9 +156,7 @@ class Flow:
 
 #: ``(priority, flows, edges)``: one same-priority component and the member
 #: map of each link id it crosses (see :meth:`FlowNetwork._affected`), or
-#: ``None`` for a one-flow component, which fills without rows.  The vector
-#: walk hands out the live index's own maps, valid until the flow set next
-#: changes.
+#: ``None`` for a one-flow component, which fills without rows.
 _Component = tuple[int, list[Flow], dict[int, dict[int, Flow]] | None]
 _priority_of = operator.itemgetter(0)
 
@@ -211,131 +183,9 @@ class FlowNetworkStats:
     fill_rounds: int = 0
     #: Bandwidth-scale window boundaries applied (epoch changes).
     scale_epochs: int = 0
-    #: Edge-member entries scanned by the vector-mode flush's walk
-    #: (:meth:`FlowNetwork._affected`), which reads each reached
-    #: ``(link, priority)`` member map once.  Scalar mode keeps no index
-    #: and scans none.
-    member_scans: int = 0
     #: Flushes whose live flow multiset the rate memo had already filled,
-    #: answered without a walk or a fill (scalar mode only).
+    #: answered without a search or a fill.
     memo_hits: int = 0
-
-
-class _FlowSlots:
-    """Structure-of-arrays mirror of a network's live flow set.
-
-    Each live flow owns a slot in parallel ``remaining``/``rate``/``total``
-    numpy arrays (capacity-doubled, slots recycled through a free list), so
-    the three per-event scans the event loop performs — advance, horizon,
-    finished detection — are single vector expressions instead of Python
-    loops over ``Flow`` objects.
-
-    Once a network enters vector mode these arrays are authoritative for
-    transfer progress; ``Flow.remaining`` on the objects is no longer
-    advanced (``Flow.rate`` stays authoritative on the objects, written by
-    progressive filling and mirrored in via :meth:`sync_rates`).
-    """
-
-    __slots__ = (
-        "remaining",
-        "rate",
-        "threshold",
-        "uid",
-        "active",
-        "scratch",
-        "slot_of",
-        "free",
-        "high",
-    )
-
-    def __init__(self, flows: dict[int, Flow]) -> None:
-        capacity = max(256, 2 * len(flows))
-        self.remaining = np.zeros(capacity)
-        self.rate = np.zeros(capacity)
-        # Per-flow finished threshold (`Flow.threshold`).
-        self.threshold = np.zeros(capacity)
-        self.uid = np.full(capacity, -1, dtype=np.int64)
-        self.active = np.zeros(capacity, dtype=bool)
-        self.scratch = np.zeros(capacity)
-        self.slot_of: dict[int, int] = {}
-        self.free: list[int] = []
-        self.high = 0  # high-water slot index
-        for flow in flows.values():
-            self.add(flow)
-
-    def add(self, flow: Flow) -> None:
-        if self.free:
-            slot = self.free.pop()
-        else:
-            slot = self.high
-            if slot == len(self.rate):
-                for name in ("remaining", "rate", "threshold", "uid", "active", "scratch"):
-                    old = getattr(self, name)
-                    grown = np.zeros(2 * len(old), dtype=old.dtype)
-                    grown[: len(old)] = old
-                    setattr(self, name, grown)
-                self.uid[slot:] = -1
-            self.high = slot + 1
-        self.remaining[slot] = flow.remaining
-        self.rate[slot] = flow.rate
-        self.threshold[slot] = flow.threshold
-        self.uid[slot] = flow.uid
-        self.active[slot] = True
-        self.slot_of[flow.uid] = slot
-
-    def remove(self, flow: Flow) -> None:
-        slot = self.slot_of.pop(flow.uid)
-        self.remaining[slot] = 0.0
-        self.rate[slot] = 0.0
-        self.threshold[slot] = 0.0
-        self.uid[slot] = -1
-        self.active[slot] = False
-        self.free.append(slot)
-
-    def sync_rates(self, flows: Iterable[Flow]) -> None:
-        """Mirror freshly-filled ``Flow.rate`` values into the rate column."""
-        rate = self.rate
-        slot_of = self.slot_of
-        for flow in flows:
-            rate[slot_of[flow.uid]] = flow.rate
-
-    def advance(self, elapsed: float) -> None:
-        """``remaining -= rate * elapsed``, clamped at zero, across slots.
-
-        Inactive slots have zero rate and zero remaining, so including
-        them is a no-op.
-        """
-        n = self.high
-        remaining = self.remaining[:n]
-        scratch = self.scratch[:n]
-        np.multiply(self.rate[:n], elapsed, out=scratch)
-        remaining -= scratch
-        np.maximum(remaining, 0.0, out=remaining)
-
-    def horizon(self) -> float:
-        """Earliest completion deadline, ``inf`` if no slot has bandwidth."""
-        n = self.high
-        if n == 0:
-            return _INF
-        rate = self.rate[:n]
-        scratch = self.scratch[:n]
-        scratch.fill(_INF)
-        # Rate-less slots keep their inf fill, so the min over the scratch
-        # buffer equals the masked min — without fancy-index allocations.
-        np.divide(self.remaining[:n], rate, out=scratch, where=rate > _EPS)
-        return float(scratch.min())
-
-    def finished_uids(self) -> list[int]:
-        """Uids of flows at or under the sub-byte residue threshold.
-
-        Returned in ascending uid order — identical to the insertion order
-        of the network's flow dict, since uids increase monotonically.
-        """
-        n = self.high
-        mask = self.active[:n] & (self.remaining[:n] <= self.threshold[:n])
-        uids = self.uid[:n][mask]
-        uids.sort()
-        return uids.tolist()
 
 
 class FlowNetwork:
@@ -355,14 +205,6 @@ class FlowNetwork:
     by higher-priority groups is subtracted before lower groups fill.
     """
 
-    #: Live-flow count above which the per-event O(flows) scans (progress
-    #: advance, completion horizon, finished detection) switch to the
-    #: columnar slot arrays.  Small corpus workloads never cross it and keep
-    #: the allocation-free scalar loops; a 1024-GPU scenario crosses it in
-    #: the first simulated round.  Class attribute so tests can force either
-    #: representation (``network.vector_threshold = 0``).
-    vector_threshold: int = 128
-
     def __init__(self, sim: Simulator, topology: Topology) -> None:
         self.sim = sim
         self.topology = topology
@@ -374,20 +216,13 @@ class FlowNetwork:
         #: resolved once into its route: link ids, link bitmask and
         #: rate-memo class id.
         self._routes: dict[tuple[Path, int], tuple[tuple[int, ...], int, int]] = {}
-        #: Links whose flow set or capacity changed since the last flush:
-        #: a bitmask in scalar mode, an insertion-ordered dict of link ids
-        #: in vector mode.
+        #: Links whose flow set or capacity changed since the last flush,
+        #: as a bitmask of link ids.
         self._dirty_mask = 0
-        self._dirty: dict[int, None] = {}
         #: Insertion counter reserved at the latest change for the next
         #: completion event; ``None`` while no flow is live.
         self._reserved_seq: int | None = None
         self._flush_pending = False
-        #: Live flows crossing each link, by priority (link id -> priority
-        #: -> uid -> Flow): the sharing index the vector-mode flush walks,
-        #: so that it costs O(component), not O(F·E).  Empty priority maps
-        #: are deleted.  Built when the network switches to vector mode.
-        self._edge_members: list[dict[int, dict[int, Flow]]] = []
         #: Stack of active scale factors per link id (overlapping windows
         #: compose multiplicatively; each window removes its own factor).
         self._scale_factors: dict[int, list[float]] = {}
@@ -395,16 +230,13 @@ class FlowNetwork:
         #: scale stack, recomputed for the link at each scale epoch.
         self._nominal = topology.link_bandwidths
         self._capacity: list[float] = list(self._nominal)
-        #: Columnar mirror of the live flow set; ``None`` until the flow
-        #: count first exceeds :attr:`vector_threshold`.
-        self._slots: _FlowSlots | None = None
-        #: Rate memo (scalar mode only).  Each route is a class;
-        #: ``_class_counts`` holds the live flows per class id in unsigned
-        #: 32-bit counters, exact for any flow count a process can hold
-        #: (2**32 live flows would take hundreds of GB), and an array raises
-        #: rather than wraps.  ``_rate_memo`` maps a live multiset, the
-        #: counts' bytes with trailing zero bytes stripped, to the per-class
-        #: rates its fill produced.  Cleared at scale epochs.
+        #: Rate memo.  Each route is a class; ``_class_counts`` holds the
+        #: live flows per class id in unsigned 32-bit counters, exact for
+        #: any flow count a process can hold (2**32 live flows would take
+        #: hundreds of GB), and an array raises rather than wraps.
+        #: ``_rate_memo`` maps a live multiset, the counts' bytes with
+        #: trailing zero bytes stripped, to the per-class rates its fill
+        #: produced.  Cleared at scale epochs.
         self._class_counts = array("I")
         self._rate_memo: dict[bytes, array] = {}
         self.stats = FlowNetworkStats()
@@ -521,20 +353,9 @@ class FlowNetwork:
             self.sim.schedule_call(0.0, on_done)
             return flow
         self._advance()
-        flows = self._flows
-        flows[flow.uid] = flow
-        if self._slots is not None:
-            self._slots.add(flow)
-            self._index(flow)
-            dirty = self._dirty
-            for eid in eids:
-                dirty[eid] = None
-        else:
-            self._dirty_mask |= mask
-            if len(flows) > self.vector_threshold:
-                self._enter_vector_mode()
-            else:
-                self._class_counts[class_id] += 1
+        self._flows[flow.uid] = flow
+        self._dirty_mask |= mask
+        self._class_counts[class_id] += 1
         self._invalidate()
         return flow
 
@@ -560,43 +381,6 @@ class FlowNetwork:
         self._class_counts.append(0)
         return route
 
-    def _enter_vector_mode(self) -> None:
-        """Switch to the slot arrays and the link index, for good.
-
-        Scalar mode kept every flow's ``remaining`` current through the
-        last :meth:`_advance`, so the columnar mirror is exact here.  The
-        index is built over the live flows, and the links scalar mode
-        marked dirty in this timestamp move into the dirty dict, so the
-        flush still reaches the changes made before the switch.  The rate
-        memo and its class counts are no longer kept.
-        """
-        flows = self._flows
-        self._slots = _FlowSlots(flows)
-        self._rate_memo.clear()
-        self._edge_members = [{} for _ in self.topology.links]
-        for flow in flows.values():
-            self._index(flow)
-        mask = self._dirty_mask
-        self._dirty_mask = 0
-        dirty = self._dirty
-        while mask:
-            low = mask & -mask
-            dirty[low.bit_length() - 1] = None
-            mask ^= low
-
-    def _index(self, flow: Flow) -> None:
-        """Add a live flow to the vector-mode link index."""
-        uid = flow.uid
-        priority = flow.priority
-        edge_members = self._edge_members
-        for eid in flow.eids:
-            groups = edge_members[eid]
-            members = groups.get(priority)
-            if members is None:
-                groups[priority] = {uid: flow}
-            else:
-                members[uid] = flow
-
     def _rescale(self, eid: int) -> None:
         """Apply a scale epoch on link ``eid``: recompute its capacity."""
         bandwidth = self._nominal[eid]
@@ -605,28 +389,16 @@ class FlowNetwork:
         self._capacity[eid] = bandwidth
         self.stats.scale_epochs += 1
         self._rate_memo.clear()  # its rates were filled at the old capacity
-        if self._slots is None:
-            self._dirty_mask |= 1 << eid
-        else:
-            self._dirty[eid] = None
+        self._dirty_mask |= 1 << eid
         self._invalidate()
 
     def _advance(self) -> None:
-        """Progress all flows from the last update time to ``sim.now``.
-
-        Vector mode performs the same per-flow ``remaining - rate*elapsed``
-        (one multiply, one subtract, clamp at zero) on the slot arrays;
-        the elementwise IEEE results are identical to the scalar loop.
-        """
+        """Progress all flows from the last update time to ``sim.now``."""
         elapsed = self.sim.now - self._last_update
         if elapsed > 0:
-            slots = self._slots
-            if slots is not None:
-                slots.advance(elapsed)
-            else:
-                for flow in self._flows.values():
-                    remaining = flow.remaining - flow.rate * elapsed
-                    flow.remaining = remaining if remaining > 0.0 else 0.0
+            for flow in self._flows.values():
+                remaining = flow.remaining - flow.rate * elapsed
+                flow.remaining = remaining if remaining > 0.0 else 0.0
         self._last_update = self.sim.now
 
     def _invalidate(self) -> None:
@@ -665,21 +437,14 @@ class FlowNetwork:
           heap breaks time ties by that counter, and a changed tie-break is
           what made the lazy deadline heap diverge (DESIGN.md §11).
 
-        The refilled flows are :meth:`_affected`'s components (in scalar
-        mode, the same components from :meth:`_affected_scalar`); the
-        order in which they are listed is irrelevant, because :meth:`_fill`
-        depends only on the set it is given.  In scalar mode a live flow
-        multiset filled before is answered from the rate memo instead
-        (:meth:`_refill_scalar`).
+        The refilled flows are :meth:`_affected`'s components; the order in
+        which they are listed is irrelevant, because :meth:`_fill` depends
+        only on the set it is given.  A live flow multiset filled before is
+        answered from the rate memo instead (:meth:`_refill`).
         """
         self._flush_pending = False
-        slots = self._slots
-        if slots is None:
-            mask = self._dirty_mask
-            self._dirty_mask = 0
-        else:
-            dirty = self._dirty
-            self._dirty = {}
+        mask = self._dirty_mask
+        self._dirty_mask = 0
         seq = self._reserved_seq
         self._reserved_seq = None
         if seq is None:
@@ -688,19 +453,9 @@ class FlowNetwork:
         # Completion horizon.  Per-flow deadlines must be recomputed from the
         # advanced ``remaining`` for trace byte-identity (a lazily-invalidated
         # deadline heap measurably diverges — DESIGN.md §11), so this stays
-        # an eager scan over the flow set: in scalar mode, the refill's own
-        # pass that sets the rates; at scale, vectorized over the slot
-        # arrays (the quotients and the min are the same IEEE operations
-        # the scalar loop performs).
-        if slots is None:
-            horizon = self._refill_scalar(mask)
-        else:
-            components = self._affected(dirty)
-            if components:
-                self._fill(components)
-                for _, flows, _ in components:
-                    slots.sync_rates(flows)
-            horizon = slots.horizon()
+        # an eager scan over the flow set: the refill's own pass that sets
+        # the rates.
+        horizon = self._refill(mask)
         if horizon == _INF:
             raise RuntimeError(
                 "flow network deadlock: active flows received zero bandwidth"
@@ -710,7 +465,7 @@ class FlowNetwork:
             sim.now + horizon, seq, self._on_completion_event
         )
 
-    def _refill_scalar(self, mask: int) -> float:
+    def _refill(self, mask: int) -> float:
         """Set every live flow's rate, from the rate memo if it can, and
         return the completion horizon: the least ``remaining / rate`` over
         flows with bandwidth (``inf`` if none has any).
@@ -735,7 +490,7 @@ class FlowNetwork:
                     if quotient < horizon:
                         horizon = quotient
             return horizon
-        components = self._affected_scalar(mask)
+        components = self._affected(mask)
         if components:
             self._fill(components)
         # Class ids past the key's last nonzero count have no live flow.
@@ -749,15 +504,22 @@ class FlowNetwork:
                     horizon = quotient
         return horizon
 
-    def _affected_scalar(self, mask: int) -> list[_Component]:
-        """:meth:`_affected` in scalar mode, from link bitmasks, no index.
+    def _affected(self, mask: int) -> list[_Component]:
+        """The live flows edge-connected (transitively) to the links in ``mask``.
 
-        The same flows split into the same components.  Passes over the
-        live flows add each flow whose links meet ``mask`` (the dirty
-        links, grown by the links of every flow added) until a pass adds
-        none, which closes the set under link sharing at any priority.
-        The set is then split into same-priority components by merging
-        flows whose masks meet.  A one-flow component carries no edge map.
+        Returned as the components progressive filling works on: maximal
+        sets of same-priority flows connected through shared links, each as
+        ``(priority, flows, edges)``, where ``edges`` pairs the id of every
+        link the component crosses with the component's flows there.
+        Their union is the closure over all priorities, a union of whole
+        components.
+
+        Passes over the live flows add each flow whose links meet ``mask``
+        (the dirty links, grown by the links of every flow added) until a
+        pass adds none, which closes the set under link sharing at any
+        priority.  The set is then split into same-priority components by
+        merging flows whose masks meet.  A one-flow component carries no
+        edge map.
         """
         reached: list[Flow] = []
         pending: Iterable[Flow] = self._flows.values()
@@ -805,59 +567,6 @@ class FlowNetwork:
                         else:
                             members[uid] = flow
                 components.append((priority, flows, edges))
-        return components
-
-    def _affected(self, dirty: dict[int, None]) -> list[_Component]:
-        """The live flows edge-connected (transitively) to ``dirty`` links.
-
-        Returned as the components progressive filling works on: maximal
-        sets of same-priority flows connected through shared links, each as
-        ``(priority, flows, edges)``, where ``edges`` pairs the id of every
-        link the component crosses with its member map at that priority
-        (exactly the component's flows there, since a component is closed
-        under same-priority sharing).  Their union is the closure over all
-        priorities, a union of whole components.
-
-        A walk over the ``(link, priority)`` index: a component is grown
-        from one member, scanning each reached ``(link, priority)`` member
-        map exactly once.  Links shared by several priorities are queued,
-        together with the dirty links, as the frontier from which the
-        other priorities' components are grown (``dirty`` records the
-        queued links, so the flush hands it over); one member of a map
-        tells whether its component is already placed.  Lists come out in
-        a deterministic order.
-        """
-        edge_members = self._edge_members
-        placed: dict[int, None] = {}
-        components: list[_Component] = []
-        frontier = list(dirty)
-        scans = 0
-        while frontier:
-            groups = edge_members[frontier.pop()]
-            for priority, members in groups.items():
-                for first in members:  # any member: a map lies in one component
-                    break
-                if first in placed:
-                    continue
-                placed[first] = None
-                flows = [members[first]]
-                edges: dict[int, dict[int, Flow]] = {}
-                for flow in flows:  # grows while it is walked
-                    for eid in flow.eids:
-                        if eid in edges:
-                            continue
-                        shared = edge_members[eid]
-                        sharers = edges[eid] = shared[priority]
-                        scans += len(sharers)
-                        for uid, other in sharers.items():
-                            if uid not in placed:
-                                placed[uid] = None
-                                flows.append(other)
-                        if len(shared) > 1 and eid not in dirty:
-                            dirty[eid] = None
-                            frontier.append(eid)
-                components.append((priority, flows, edges))
-        self.stats.member_scans += scans
         return components
 
     def _fill(self, components: list[_Component]) -> dict[int, float]:
@@ -995,56 +704,34 @@ class FlowNetwork:
     def _on_completion_event(self) -> None:
         self._next_event = None
         flows = self._flows
-        slots = self._slots
         # Sub-byte residues are numerical noise (floating-point advance can
         # leave a remainder too small to represent as a future event time,
-        # which would livelock the loop) — treat them as finished.  The
-        # vector scan visits finished flows in ascending uid order, which
-        # is exactly the dict insertion order the scalar loop sees (uids
-        # are allocated monotonically and re-insertion cannot occur).
-        # Live flows that shared a link with a finished flow seed the flush.
-        if slots is not None:
-            self._advance()
-            finished = [flows[uid] for uid in slots.finished_uids()]
-            edge_members = self._edge_members
-            dirty = self._dirty
-            for flow in finished:
-                uid = flow.uid
-                priority = flow.priority
-                del flows[uid]
-                slots.remove(flow)
-                for eid in flow.eids:
-                    dirty[eid] = None
-                    groups = edge_members[eid]
-                    members = groups[priority]
-                    del members[uid]
-                    if not members:
-                        del groups[priority]
+        # which would livelock the loop) — treat them as finished.  Live
+        # flows that shared a link with a finished flow seed the flush.
+        # `_advance` and the finished scan run in one pass.  The threshold
+        # is at least 1.0, so comparing the unclamped residue decides
+        # exactly as comparing the clamped one would.
+        now = self.sim.now
+        elapsed = now - self._last_update
+        self._last_update = now
+        finished = []
+        if elapsed > 0:
+            for flow in flows.values():
+                remaining = flow.remaining - flow.rate * elapsed
+                flow.remaining = remaining if remaining > 0.0 else 0.0
+                if remaining <= flow.threshold:
+                    finished.append(flow)
         else:
-            # `_advance` and the finished scan in one pass.  The threshold
-            # is at least 1.0, so comparing the unclamped residue decides
-            # exactly as comparing the clamped one would.
-            now = self.sim.now
-            elapsed = now - self._last_update
-            self._last_update = now
-            finished = []
-            if elapsed > 0:
-                for flow in flows.values():
-                    remaining = flow.remaining - flow.rate * elapsed
-                    flow.remaining = remaining if remaining > 0.0 else 0.0
-                    if remaining <= flow.threshold:
-                        finished.append(flow)
-            else:
-                for flow in flows.values():
-                    if flow.remaining <= flow.threshold:
-                        finished.append(flow)
-            counts = self._class_counts
-            mask = self._dirty_mask
-            for flow in finished:
-                del flows[flow.uid]
-                counts[flow.class_id] -= 1
-                mask |= flow.mask
-            self._dirty_mask = mask
+            for flow in flows.values():
+                if flow.remaining <= flow.threshold:
+                    finished.append(flow)
+        counts = self._class_counts
+        mask = self._dirty_mask
+        for flow in finished:
+            del flows[flow.uid]
+            counts[flow.class_id] -= 1
+            mask |= flow.mask
+        self._dirty_mask = mask
         self._invalidate()
         for flow in finished:
             flow.on_done()

@@ -215,8 +215,8 @@ class _ColumnStore:
 
         Unlike ``__mobius_fingerprint__`` (which materializes span objects
         and is the pinned corpus contract), this hashes the columns
-        directly, so it scales to ~1M-row traces; used by the large-cell
-        bench rows and the dispatch-equivalence tests.
+        directly, so it scales to ~1M-row traces; the parts of
+        :meth:`Trace.columnar_digest`.
         """
         columns = self.columns
         sha = hashlib.sha256()
@@ -371,9 +371,9 @@ class Trace:
         """Bit-exact trace identity that never materializes span objects.
 
         Hashes the raw column buffers; O(bytes) with no per-span Python
-        work, so it stays cheap at ~1M spans.  Used for the large-topology
-        bench rows; the pinned corpus/chaos rows keep the span-object
-        fingerprint above.
+        work, so it stays cheap at ~1M spans.  Used by the suite's cell
+        result fingerprint and the dispatch-equivalence tests; the pinned
+        corpus/chaos rows keep the span-object fingerprint above.
         """
         sha = hashlib.sha256()
         sha.update(f"trace/{self.n_gpus}".encode())

@@ -87,15 +87,14 @@ SEEDED = (
         "            return\n",
         "repro.core.mapping._class_representatives",
     ),
-    # The flow network's dirty-link frontier built from a set, not the
-    # insertion-ordered dict.
+    # The flow network's component list built by walking a set of
+    # priorities, not the insertion-ordered dict.
     Seeded(
         "MOB005",
         "src/repro/sim/resources.py",
-        "        frontier = list(dirty)\n",
-        "        frontier = []\n"
-        "        for eid in set(dirty):\n"
-        "            frontier.append(eid)\n",
+        "        for priority, group in parts.items():\n",
+        "        for priority in set(parts):\n"
+        "            group = parts[priority]\n",
         "repro.sim.resources.FlowNetwork._affected",
     ),
     # A write to a cell after its memo digest is taken.

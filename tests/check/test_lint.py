@@ -300,15 +300,13 @@ class TestMob004StrictClock:
 
     def test_dispatch_and_streaming_modules_stay_clock_free(self):
         # The batched-dispatch / columnar-streaming hot paths (DESIGN.md
-        # §12) must never read a clock: the large-bench fingerprints are
-        # pinned across machines.  Nor may the cross-mapping search, whose
-        # result every cached plan holds.  Lint the real modules, not
-        # fixtures.
+        # §12) must never read a clock: the bench fingerprints are pinned
+        # across machines.  Nor may the cross-mapping search, whose result
+        # every cached plan holds.  Lint the real modules, not fixtures.
         for rel in (
             "src/repro/core/mapping.py",
             "src/repro/sim/engine.py",
             "src/repro/sim/trace.py",
-            "src/repro/sim/workloads.py",
             "src/repro/sim/resources.py",
         ):
             _assert_real_module_clean(rel)

@@ -17,7 +17,6 @@ from repro.core.plan import Mapping
 from repro.hardware.topology import (
     commodity_server,
     datacenter_server,
-    large_cluster,
     topo_1_3,
     topo_2_2,
     topo_4,
@@ -83,7 +82,7 @@ class TestCrossMapping:
             (topo_2_2, 6),
             (topo_1_3, 4),
             (topo_4_4, 70),
-            (lambda: large_cluster(8, 4), 70),
+            (lambda: commodity_server([4, 4]), 70),
             (lambda: datacenter_server(2), 1),
             (lambda: datacenter_server(4), 6),
             (lambda: datacenter_server(6), 90),
@@ -167,7 +166,7 @@ class TestHoistedLoopsAreBitIdentical:
             topo_2_2,
             topo_1_3,
             topo_4_4,
-            lambda: large_cluster(8, 4),
+            lambda: commodity_server([4, 4]),
             lambda: datacenter_server(8),
         ],
         ids=["4", "2+2", "1+3", "4+4", "cluster-2x4", "dc8"],

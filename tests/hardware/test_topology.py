@@ -15,7 +15,6 @@ from repro.hardware.topology import (
     Topology,
     commodity_server,
     datacenter_server,
-    large_cluster,
     topo_1_3,
     topo_2_2,
     topo_4,
@@ -207,7 +206,7 @@ class TestPathTables:
             topo.path_from_dram(bad)
 
     def test_link_table_is_dense(self):
-        topo = large_cluster(16, 4)
+        topo = commodity_server([4] * 4)
         assert len(topo.links) == len(topo.link_bandwidths) == len(set(topo.links))
         for eid, edge in enumerate(topo.links):
             assert topo.link_id(edge) == eid

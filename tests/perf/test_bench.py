@@ -57,18 +57,19 @@ SIM = _doc(
         fingerprint="aaaa1111",
         counters=dict(
             events=100, reallocations=40, components_filled=40,
-            fill_rounds=60, flows_touched=60, member_scans=180,
+            fill_rounds=60, flows_touched=60,
         ),
         walls={"seconds": 0.05},
     ),
+    # The largest row: the ZeRO-3 step, with multi-flow fills.
     row(
-        "dc-1024x4-r256",
+        "zero3:gpt-a/topo_2_2",
         fingerprint="dddd4444",
         counters=dict(
-            events=1_041_935, reallocations=1_041_924, components_filled=824_962,
-            fill_rounds=824_962, flows_touched=1_242_966, member_scans=3_728_898,
+            events=265, reallocations=135, components_filled=113,
+            fill_rounds=130, flows_touched=670,
         ),
-        walls={"seconds": 70.0, "peak_rss_mb": 520},
+        walls={"seconds": 0.01},
     ),
 )
 
@@ -147,8 +148,8 @@ CASES = [
         SIM,
         _edit(
             _edit(SIM, "gpt-a/topo_2_2", walls={"seconds": 999.0}),
-            "dc-1024x4-r256",
-            walls={"seconds": 9999.0, "peak_rss_mb": 99999},
+            "zero3:gpt-a/topo_2_2",
+            walls={"seconds": 9999.0},
         ),
     ),
     _case(
@@ -195,20 +196,20 @@ CASES = [
     _case(
         "sim-large-fingerprint",
         SIM,
-        _edit(SIM, "dc-1024x4-r256", fingerprint="eeee5555"),
-        "dc-1024x4-r256: fingerprint diverged",
+        _edit(SIM, "zero3:gpt-a/topo_2_2", fingerprint="eeee5555"),
+        "zero3:gpt-a/topo_2_2: fingerprint diverged",
     ),
     _case(
         "sim-large-counter",
         SIM,
-        _edit(SIM, "dc-1024x4-r256", counters={"events": 1_400_000}),
-        "dc-1024x4-r256: events regressed",
+        _edit(SIM, "zero3:gpt-a/topo_2_2", counters={"events": 400}),
+        "zero3:gpt-a/topo_2_2: events regressed",
     ),
     _case(
         "sim-large-missing",
         SIM,
-        _drop(SIM, "dc-1024x4-r256"),
-        "dc-1024x4-r256: row missing from current run",
+        _drop(SIM, "zero3:gpt-a/topo_2_2"),
+        "zero3:gpt-a/topo_2_2: row missing from current run",
     ),
     # -- chaos: trace fingerprints, every result ok --
     _case("chaos-identical", CHAOS, CHAOS),

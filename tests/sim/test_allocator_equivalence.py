@@ -13,14 +13,10 @@ optimization contract is bit-identical traces).
 The flush's closure is pinned the same way: the old flow-level BFS
 ``_closure`` is kept verbatim below, over a membership map rebuilt from
 scratch, and at every flush that fills, the production closure must reach
-exactly its set, split into exactly the from-scratch components.  Both
-closures are checked: the scalar-mode passes over link bitmasks, whose
-dirty links are decoded from the mask, and the vector-mode edge-level
-walk, which must also scan each member map once.  A network that crosses
-``vector_threshold`` in a timestamp that already saw scalar-mode changes
-must still refill them.  A property test refills shuffled copies of every
-affected set and requires bit-identical rates and ``used`` maps, which is
-the order-independence the walk relies on.
+exactly its set, split into exactly the from-scratch components, with the
+dirty links decoded from the flush's bitmask.  A property test refills
+shuffled copies of every affected set and requires bit-identical rates and
+``used`` maps, which is the order-independence the fill relies on.
 
 The recurring-cohort fuzz replays one arrival cohort over a fixed path
 pool, so flow sets recur and the rate memo answers flushes; each hit is
@@ -57,8 +53,8 @@ from collections import defaultdict
 import pytest
 
 from repro.hardware.topology import (
+    commodity_server,
     datacenter_server,
-    large_cluster,
     topo_2_2,
     topo_4,
     topo_4_4,
@@ -154,7 +150,7 @@ def oracle_affected(network: FlowNetwork, dirty) -> set[int]:
 
 
 def mask_links(mask: int) -> list[int]:
-    """The link ids set in a scalar-mode dirty bitmask, ascending."""
+    """The link ids set in a dirty bitmask, ascending."""
     return [eid for eid in range(mask.bit_length()) if mask >> eid & 1]
 
 
@@ -219,6 +215,8 @@ class CheckedFlowNetwork(FlowNetwork):
         #: rate memo (the epoch clears it).
         self.misses_after_epoch = 0
         self._epoch_since_flush = False
+        #: Most live flows seen at a flush.
+        self.peak_flows = 0
 
     def _invalidate(self):
         self.changes += 1
@@ -228,23 +226,10 @@ class CheckedFlowNetwork(FlowNetwork):
         self._epoch_since_flush = True
         super()._rescale(eid)
 
-    def _affected_scalar(self, mask):
+    def _affected(self, mask):
         expected = oracle_affected(self, mask_links(mask))
-        scans_before = self.stats.member_scans
-        components = super()._affected_scalar(mask)
+        components = super()._affected(mask)
         self._check_components(components, expected)
-        assert self.stats.member_scans == scans_before, "scalar mode scanned"
-        return components
-
-    def _affected(self, dirty):
-        expected = oracle_affected(self, dirty)
-        scans_before = self.stats.member_scans
-        components = super()._affected(dirty)
-        self._check_components(components, expected)
-        # The walk scans each member map once.
-        scanned = self.stats.member_scans - scans_before
-        assert scanned == sum(len(flow.path) for flow in self.active_flows
-                              if flow.uid in expected)
         return components
 
     def _check_components(self, components, expected):
@@ -288,6 +273,7 @@ class CheckedFlowNetwork(FlowNetwork):
 
     def _reallocate(self):
         hits = self.stats.memo_hits
+        self.peak_flows = max(self.peak_flows, len(self._flows))
         super()._reallocate()
         if self._flows and self._epoch_since_flush:
             assert self.stats.memo_hits == hits, "a memo hit across a scale epoch"
@@ -395,12 +381,10 @@ def _run_fuzz(
     n_arrivals=40,
     with_scales=True,
     network_type=CheckedFlowNetwork,
-    vector_threshold=FlowNetwork.vector_threshold,
 ):
     rng = random.Random(seed)
     sim = Simulator()
     network = network_type(sim, topology)
-    network.vector_threshold = vector_threshold
     completed = []
     for _ in range(n_arrivals):
         at = rng.uniform(0.0, 3.0)
@@ -498,9 +482,13 @@ class TestIncrementalMatchesOracle:
         for seed in range(3):
             _run_fuzz(datacenter_server(4), seed)
 
-    def test_fuzz_large_cluster(self):
+    def test_fuzz_topo_4_4_4_4(self):
+        topology = commodity_server([4] * 4)
         for seed in range(3):
-            _run_fuzz(large_cluster(16, 4), seed)
+            _run_fuzz(topology, seed)
+        # A crowded network: the paper's cells peak at 44 live flows.
+        network = _run_fuzz(topology, seed=0, n_arrivals=300)
+        assert network.peak_flows > 128
 
     def test_fuzz_without_scale_events(self):
         for topology in _fuzz_topologies():
@@ -520,61 +508,6 @@ class TestIncrementalMatchesOracle:
         assert network.stats.memo_hits > 0
         assert network.stats.scale_epochs > 0
         assert network.misses_after_epoch >= 1
-
-    @pytest.mark.parametrize("topology", _fuzz_topologies(), ids=["2+2", "4", "4+4"])
-    def test_fuzz_vector_mode(self, topology):
-        # Threshold 0: the first flow switches the network to the slot
-        # arrays, so every flush walks the link index.
-        for seed in range(3):
-            network = _run_fuzz(topology, seed, vector_threshold=0)
-            assert network._slots is not None
-            assert network.stats.member_scans > 0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_fuzz_crossing_the_threshold(self, seed):
-        # A threshold of 4 live flows is crossed and recrossed at random
-        # instants; a network stays in vector mode once it switches.
-        network = _run_fuzz(topo_4_4(), seed, vector_threshold=4)
-        assert network._slots is not None
-
-    def test_switch_keeps_the_dirty_links_of_its_timestamp(self):
-        """Scalar-mode changes in the timestamp that crosses the threshold.
-
-        At t=1 a scale epoch and a flow start change links of group 0 while
-        the network is still in scalar mode; two starts in group 1 then
-        cross ``vector_threshold``.  The flush after the switch must refill
-        group 0 as well, or its flows keep the rates filled at t=0.
-        """
-        topology = topo_4_4()
-        sim = Simulator()
-        network = CheckedFlowNetwork(sim, topology)
-        network.vector_threshold = 3
-        edge = ("sw0", "rc0")
-
-        def start(gpu):
-            return network.start_flow(topology.path_to_dram(gpu), 100 * GB, lambda: None)
-
-        first = [start(0), start(1)]
-        sim.run(until=0.0)
-        before = first[0].rate
-
-        def crossing():
-            network.set_bandwidth_scale(edge, 0.5)
-            first.append(start(2))
-            assert network._slots is None
-            start(4)
-            assert network._slots is not None
-            start(5)
-
-        sim.schedule_at(1.0, crossing)
-        sim.run(until=1.0)
-        bandwidth = topology.bandwidth_of(edge)
-        assert before == bandwidth / 2
-        assert [flow.rate for flow in first] == [0.5 * bandwidth / 3] * 3
-        assert {flow.uid: flow.rate for flow in network.active_flows} == oracle_rates(
-            network, decompose=True
-        )
-        assert network.checked_reallocations == 2
 
     def test_reallocations_all_checked(self):
         network = _run_fuzz(topo_2_2(), seed=7, n_arrivals=12)

@@ -40,6 +40,7 @@ class TestCompareBenchmarks:
         check_case("sim-row-missing-baseline")
 
     def test_large_section_gated_like_the_others(self):
+        # The largest row, the ZeRO-3 step, is gated like the first.
         check_case("sim-large-fingerprint")
         check_case("sim-large-counter")
 
@@ -52,9 +53,9 @@ class TestSimbenchCli:
         assert main(["bench", "sim"]) == 0
         out = capsys.readouterr().out
         assert "gpt-a/topo_2_2" in out
-        assert "member_scans=180" in out
-        assert "dc-1024x4-r256" in out
-        assert "peak_rss_mb=" in out
+        assert "flows_touched=60" in out
+        assert "zero3:gpt-a/topo_2_2" in out
+        assert "seconds=" in out
 
     def test_json_to_file_and_gate(self, fake_bench, tmp_path, capsys):
         out_path = tmp_path / "BENCH_sim.json"
@@ -78,10 +79,9 @@ class TestSimbenchCli:
         repo_root = pathlib.Path(__file__).resolve().parents[2]
         committed = json.loads((repo_root / "BENCH_sim.json").read_text())
         assert committed["schema"] == SCHEMA
-        rows = {entry["name"]: entry for entry in committed["rows"]}
-        large = rows.pop("dc-1024x4-r256")
+        rows = committed["rows"]
         assert len(rows) >= 5  # four corpus cells and the ZeRO-3 step
-        for entry in rows.values():
+        for entry in rows:
             assert entry["fingerprint"]
             counters = entry["counters"]
             assert tuple(counters) == GATED_COUNTERS
@@ -91,10 +91,3 @@ class TestSimbenchCli:
             assert counters["flows_touched"] < 10 * counters["reallocations"]
             # And it runs once per timestamp, not once per flow change.
             assert counters["reallocations"] < counters["events"]
-        # The datacenter row: ~0.78M events, identified by the columnar
-        # digest.  1024 GPUs x 256 rounds, each one compute event plus at
-        # least one flow-completion event (as in test_workloads.py).
-        assert large["counters"]["events"] >= 2 * 1024 * 256
-        assert large["fingerprint"] and len(large["fingerprint"]) == 64
-        assert large["counters"]["flows_touched"] < 10 * large["counters"]["reallocations"]
-        assert large["walls"]["seconds"] > 0 and large["walls"]["peak_rss_mb"] > 0

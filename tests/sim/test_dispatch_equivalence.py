@@ -10,8 +10,7 @@ drive both loops with
 * a seeded fuzz harness generating adversarial schedules (timestamp ties,
   nested same-time scheduling, cancellations from inside cohorts, ``until``
   boundaries, handle-free ``schedule_call`` entries), and
-* the real workloads: every corpus cell, a faulted chaos execution, and
-  the synthetic datacenter workload.
+* the real workloads: every corpus cell and a faulted chaos execution.
 """
 
 import random
@@ -235,16 +234,3 @@ class TestWorkloadEquivalence:
                 len(runner.failed_attempts),
             )
         assert outcomes["single"] == outcomes["batched"]
-
-    def test_cluster_workload_identical_digests(self):
-        from repro.hardware.topology import large_cluster
-        from repro.sim.tasks import TaskGraphRunner
-        from repro.sim.workloads import build_cluster_workload, run_cluster_workload
-
-        topology = large_cluster(16, 4)
-        batched = run_cluster_workload(topology, rounds=6)
-        runner = TaskGraphRunner(topology, simulator=SingleDispatchSimulator())
-        single = runner.execute(build_cluster_workload(topology, rounds=6))
-        assert single.columnar_digest() == batched.digest
-        assert runner.sim.events_processed == batched.events_processed
-        assert fingerprint(single) == fingerprint(batched.trace)

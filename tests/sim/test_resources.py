@@ -1,6 +1,5 @@
 """Tests for compute units and the bandwidth-shared flow network."""
 
-import dataclasses
 import gc
 import weakref
 
@@ -8,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.topology import commodity_server, large_cluster, topo_2_2, topo_4
+from repro.hardware.topology import topo_2_2, topo_4
 from repro.sim import resources
 from repro.sim.engine import Simulator
 from repro.sim.resources import ComputeUnit, FlowNetwork
-from repro.sim.tasks import TaskGraphRunner
-from repro.sim.workloads import build_cluster_workload
 
 GB = 1e9
 PCIE = 13.1 * GB
@@ -454,30 +451,9 @@ def fresh_rates(topology, flows):
 class TestRateMemo:
     """A live ``(eids, priority)`` multiset filled before copies its rates."""
 
-    def test_vector_mode_keeps_no_memo(self, monkeypatch):
-        monkeypatch.setattr(FlowNetwork, "vector_threshold", 0)
-        topology = large_cluster(8, 4)
-        runner = TaskGraphRunner(topology)
-        runner.execute(build_cluster_workload(topology, rounds=4))
-        network = runner.network
-        assert network._slots is not None
-        assert not network._rate_memo
-        assert not any(network._class_counts)
-        # The counters the allocator produced before the memo existed.
-        assert dataclasses.asdict(network.stats) == {
-            "reallocations": 91,
-            "flows_touched": 140,
-            "components_filled": 94,
-            "fill_rounds": 94,
-            "scale_epochs": 0,
-            "member_scans": 420,
-            "memo_hits": 0,
-        }
-
-    def test_class_counts_past_one_byte_stay_exact(self, monkeypatch):
+    def test_class_counts_past_one_byte_stay_exact(self):
         # 300 = 44 (mod 256): a one-byte counter would wrap and answer the
         # 300-flow set with the 44-flow set's rates.
-        monkeypatch.setattr(FlowNetwork, "vector_threshold", 1 << 30)
         topo = topo_4()
         path, other = topo.path_to_dram(0), topo.path_to_dram(1)
         sim = Simulator()
@@ -496,7 +472,6 @@ class TestRateMemo:
         )
         sim.run()
         assert len(done) == 344
-        assert network._slots is None
         assert network.stats.memo_hits == 1
         assert [len(flows) for flows, _ in network.flushes] == [44, 300, 301, 300]
         for flows, rates in network.flushes:
