@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.plan import Mapping, Partition
-from repro.core.timing import evaluate_pipeline
+from repro.core.timing import evaluate_pipeline, stage_record
 from repro.hardware.topology import Topology
 from repro.models.costmodel import STATE_BYTES_PER_PARAM, CostModel, StageCost
 from repro.models.spec import ModelSpec
@@ -111,14 +111,19 @@ def _balanced_partition(
     partition = Partition.uniform(model, n_stages)
     boundaries = list(partition.boundaries)
 
+    gpu_memory = 1 << 62  # resident stages: memory is _check_memory's job
+
     def score(bounds: list[int]) -> float:
-        costs = cost_model.stage_costs_for_partition(model, bounds)
+        stages = [
+            stage_record(cost, n_stages, bandwidth, gpu_memory)
+            for cost in cost_model.stage_costs_for_partition(model, bounds)
+        ]
         timings = evaluate_pipeline(
-            costs,
+            stages,
             n_stages,
             n_stages,
             bandwidth,
-            gpu_memory=1 << 62,
+            gpu_memory,
             include_initial_upload=False,
         )
         return timings.step_seconds

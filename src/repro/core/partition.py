@@ -29,17 +29,22 @@ import time
 from collections.abc import Sequence
 
 from repro.core.plan import Partition
-from repro.core.timing import PipelineTimings, evaluate_pipeline
-from repro.models.costmodel import CostModel, LayerCost, StageCost, ordered_sum
+from repro.core.timing import PipelineTimings, StageRecord, evaluate_pipeline
+from repro.models.costmodel import CostModel, LayerCost, ordered_sum
 from repro.models.spec import LayerKind, ModelSpec
 
 __all__ = [
+    "DEFAULT_MAX_NODES",
     "PartitionResult",
     "PlanInfeasibleError",
     "mip_partition",
     "max_stage_partition",
     "min_stage_partition",
 ]
+
+
+#: :func:`mip_partition`'s node budget when the caller sets none.
+DEFAULT_MAX_NODES = 20_000
 
 
 class PlanInfeasibleError(ValueError):
@@ -83,38 +88,22 @@ class PartitionResult:
     gap: float = math.nan
 
 
-# One stage record of the search's stage table: the aggregates of stage
-# ``[start, stop)`` that the search reads, in this field order.
-#
-#   0 fwd_seconds      per-microbatch forward seconds
-#   1 bwd_seconds      per-microbatch backward seconds
-#   2 param_bytes      FP16 parameter (upload) bytes
-#   3 param_latency    param_bytes / B
-#   4 out_latency      output activation bytes / B
-#   5 mem_fwd          Eq. 4's forward footprint S^f at M microbatches
-#   6 mem_bwd          Eq. 4's backward footprint S^b at M microbatches
-#   7 upload_bwd       bytes re-uploaded before a swapped-out backward
-#   8 feasible         max(mem_fwd, mem_bwd) <= G
-#
-# Plain tuples, because the hot loops unpack them (a tuple unpack is one
-# bytecode; attribute reads on a record class cost one lookup per field).
-_StageRecord = tuple[float, float, int, float, float, int, int, int, bool]
-
 # Fills each row below its start, so ``row[stop]`` indexes by stop directly.
-_PAD: _StageRecord = (math.nan, math.nan, 0, math.nan, math.nan, 0, 0, 0, False)
+_PAD: StageRecord = (math.nan, math.nan, 0, math.nan, math.nan, 0, 0, 0, False)
 
 
 def _stage_rows(
     layer_costs: Sequence[LayerCost], m: int, bandwidth: float, gpu_memory: int
-) -> tuple[list[list[_StageRecord]], list[int]]:
+) -> tuple[list[list[StageRecord]], list[int]]:
     """The stage table and the longest memory-feasible stage per start.
 
-    ``rows[start][stop]`` is the :data:`_StageRecord` of ``[start, stop)``
-    for every ``stop`` in ``start+1..L`` (lower entries are padding).  Each
-    row is one scan that grows the stage a layer at a time with running
-    aggregates, in the order and arithmetic of :class:`StageCost`: left-fold
-    float sums (:func:`ordered_sum`) and exact integer memory terms, so a
-    record equals its StageCost's aggregates bit for bit.
+    ``rows[start][stop]`` is the :data:`~repro.core.timing.StageRecord` of
+    ``[start, stop)`` for every ``stop`` in ``start+1..L`` (lower entries
+    are padding).  Each row is one scan that grows the stage a layer at a
+    time with running aggregates, in the order and arithmetic of
+    :class:`~repro.models.costmodel.StageCost`: left-fold float sums
+    (:func:`ordered_sum`) and exact integer memory terms, so a record equals
+    :func:`~repro.core.timing.stage_record` of its StageCost bit for bit.
     """
     n_layers = len(layer_costs)
     fwds = [c.fwd_seconds for c in layer_costs]
@@ -122,7 +111,7 @@ def _stage_rows(
     params = [c.param_bytes for c in layer_costs]
     acts = [c.activation_bytes for c in layer_costs]
     works = [c.working_bytes for c in layer_costs]
-    rows: list[list[_StageRecord]] = []
+    rows: list[list[StageRecord]] = []
     max_len: list[int] = []
     for start in range(n_layers):
         input_act = acts[start - 1] if start > 0 else acts[0]
@@ -131,7 +120,7 @@ def _stage_rows(
         fwd = bwd = 0.0
         param = intra = max_work = rolling = 0
         length = 0
-        row: list[_StageRecord] = [_PAD] * (start + 1)
+        row: list[StageRecord] = [_PAD] * (start + 1)
         for j in range(start, n_layers):
             act, work = acts[j], works[j]
             fwd += fwds[j]
@@ -161,9 +150,9 @@ def _stage_rows(
 class _SearchContext:
     """Shared state for the boundary branch-and-bound.
 
-    The search reads stages only through the stage table
-    (:func:`_stage_rows`), built once per context; :class:`StageCost`
-    objects are built by :meth:`evaluate` alone, for the plan it times.
+    The search, and :meth:`evaluate` after it, read stages only through
+    the stage table (:func:`_stage_rows`), built once per context, so a
+    solve builds no :class:`~repro.models.costmodel.StageCost`.
     """
 
     def __init__(
@@ -183,7 +172,6 @@ class _SearchContext:
         self._score_cache: dict[tuple[int, ...], float] = {}
         self._children_cache: dict[int, tuple[tuple[int, float, float], ...]] = {}
         layer_costs = tuple(cost_model.layer_cost(layer) for layer in model.layers)
-        self._layer_costs = layer_costs
         self.table, self._max_len = _stage_rows(
             layer_costs, n_microbatches, bandwidth, gpu_memory
         )
@@ -287,20 +275,20 @@ class _SearchContext:
         return step
 
     def evaluate(self, boundaries: Sequence[int]) -> PipelineTimings:
-        """The full Eq. 4-11 timing table of one boundary set.
+        """The full Eq. 4-11 timing table of one boundary set, over its
+        stage-table records.
 
         Not memoised: the search ranks candidates with :meth:`score`, so
         :func:`mip_partition` builds this table once per solve, for the
         partition it returns (the baselines likewise build one each).
-        These are the only :class:`StageCost` objects a solve builds.
         """
-        layer_costs = self._layer_costs
-        costs = [
-            StageCost(layer_costs[a:b], layer_costs[a - 1 if a else 0].activation_bytes)
+        table = self.table
+        stages = [
+            table[a][b]
             for a, b in zip((0, *boundaries), (*boundaries, self.model.n_layers))
         ]
         return evaluate_pipeline(
-            costs, self.n_gpus, self.n_microbatches, self.bandwidth, self.gpu_memory
+            stages, self.n_gpus, self.n_microbatches, self.bandwidth, self.gpu_memory
         )
 
 
@@ -334,7 +322,7 @@ class _ForwardStack:
         # The bubble term of push()'s bound is seeded with the largest single
         # layer's bwd_seconds.
         self._max_layer_bwd = ctx.max_layer_bwd
-        self._frames: list[tuple[_StageRecord, list[float], float, float, float]] = []
+        self._frames: list[tuple[StageRecord, list[float], float, float, float]] = []
         # Rolling row buffers for step_time(): the backward sweep only ever
         # reads rows j and j+1, so leaves reuse two fixed buffers instead of
         # allocating an S x M matrix per leaf.
@@ -611,7 +599,7 @@ def mip_partition(
     *,
     gpu_memory: int | None = None,
     time_limit: float = 10.0,
-    max_nodes: int = 20_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> PartitionResult:
     """The MIP partition algorithm (§3.2).
 

@@ -1,6 +1,6 @@
 """Analytic Mobius pipeline timing — the MIP objective (Eqs. 3-11).
 
-Given a candidate partition's stage costs, this module computes the exact
+Given a candidate partition's stage records, this module computes the exact
 earliest-start schedule of the Mobius pipeline under an *average bandwidth*
 assumption (the constant ``B`` of Table 2): forward/backward start times per
 stage and microbatch, prefetch-limited stage readiness, and the resulting
@@ -33,7 +33,54 @@ from collections.abc import Sequence
 
 from repro.models.costmodel import StageCost
 
-__all__ = ["PipelineTimings", "evaluate_pipeline", "prefetch_budgets"]
+__all__ = [
+    "PipelineTimings",
+    "StageRecord",
+    "evaluate_pipeline",
+    "prefetch_budgets",
+    "stage_record",
+]
+
+# One stage record: the aggregates of one stage that the timing kernel
+# reads, in this field order.  ``B``, ``M`` and ``G`` are the bandwidth,
+# microbatch count and GPU memory the record was built for.
+#
+#   0 fwd_seconds      per-microbatch forward seconds
+#   1 bwd_seconds      per-microbatch backward seconds
+#   2 param_bytes      FP16 parameter (upload) bytes
+#   3 param_latency    param_bytes / B
+#   4 out_latency      output activation bytes / B
+#   5 mem_fwd          Eq. 4's forward footprint S^f at M microbatches
+#   6 mem_bwd          Eq. 4's backward footprint S^b at M microbatches
+#   7 upload_bwd       bytes re-uploaded before a swapped-out backward:
+#                      FP16 params plus M stashed input activations
+#   8 feasible         max(mem_fwd, mem_bwd) <= G
+#
+# Plain tuples, because the hot loops unpack them (a tuple unpack is one
+# bytecode; attribute reads on a record class cost one lookup per field).
+StageRecord = tuple[float, float, int, float, float, int, int, int, bool]
+
+
+def stage_record(
+    cost: StageCost, n_microbatches: int, bandwidth: float, gpu_memory: int
+) -> StageRecord:
+    """The :data:`StageRecord` of one :class:`StageCost`, for callers that
+    hold stage costs rather than the partition search's stage table."""
+    m = n_microbatches
+    param_bytes = cost.param_bytes
+    mem_fwd = cost.mem_fwd(m)
+    mem_bwd = cost.mem_bwd(m)
+    return (
+        cost.fwd_seconds,
+        cost.bwd_seconds,
+        param_bytes,
+        param_bytes / bandwidth,
+        cost.output_activation_bytes / bandwidth,
+        mem_fwd,
+        mem_bwd,
+        param_bytes + m * cost.input_activation_bytes,
+        mem_fwd <= gpu_memory and mem_bwd <= gpu_memory,
+    )
 
 
 @dataclasses.dataclass
@@ -65,10 +112,7 @@ def _infeasible(reason: str) -> PipelineTimings:
 
 
 def prefetch_budgets(
-    stage_costs: Sequence[StageCost],
-    n_gpus: int,
-    n_microbatches: int,
-    gpu_memory: int,
+    stages: Sequence[StageRecord], n_gpus: int, gpu_memory: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Memory-capped prefetch budgets (Eq. 5) for forward and backward.
 
@@ -77,32 +121,25 @@ def prefetch_budgets(
     backward footprint.  The top ``N`` stages stay resident between forward
     and backward, so their backward budget is irrelevant (set to 0).
     """
-    s = len(stage_costs)
-    m = n_microbatches
+    s = len(stages)
     fwd = [0] * s
     bwd = [0] * s
     for j in range(s):
-        upload_fwd = stage_costs[j].param_bytes
+        upload_fwd = stages[j][2]  # param_bytes
         if j >= n_gpus:
-            room = gpu_memory - stage_costs[j - n_gpus].mem_fwd(m)
+            room = gpu_memory - stages[j - n_gpus][5]  # mem_fwd
             fwd[j] = max(0, min(upload_fwd, room))
         else:
             fwd[j] = upload_fwd  # uploaded before the pipeline starts
         if j < s - n_gpus:
-            upload_bwd = _bwd_upload_bytes(stage_costs[j], m)
-            room = gpu_memory - stage_costs[j + n_gpus].mem_bwd(m)
+            upload_bwd = stages[j][7]  # upload_bwd
+            room = gpu_memory - stages[j + n_gpus][6]  # mem_bwd
             bwd[j] = max(0, min(upload_bwd, room))
     return tuple(fwd), tuple(bwd)
 
 
-def _bwd_upload_bytes(cost: StageCost, n_microbatches: int) -> int:
-    """Bytes re-uploaded before a swapped-out stage's backward: FP16 params
-    plus the stashed input activations (recompute checkpoints)."""
-    return cost.param_bytes + n_microbatches * cost.input_activation_bytes
-
-
 def evaluate_pipeline(
-    stage_costs: Sequence[StageCost],
+    stages: Sequence[StageRecord],
     n_gpus: int,
     n_microbatches: int,
     bandwidth: float,
@@ -113,7 +150,9 @@ def evaluate_pipeline(
     """Evaluate the Mobius pipeline schedule for one candidate plan.
 
     Args:
-        stage_costs: Per-stage aggregates, forward order.
+        stages: Per-stage records, forward order, built for this
+            ``n_microbatches`` and ``bandwidth`` (the partition search's
+            stage table, or :func:`stage_record` of each stage cost).
         n_gpus: ``N``; stage ``j`` runs on the GPU owning residue ``j % N``.
         n_microbatches: ``M`` (Mobius uses M = N).
         bandwidth: Average per-GPU communication bandwidth ``B`` in bytes/s.
@@ -125,7 +164,7 @@ def evaluate_pipeline(
     Returns:
         The timing table; ``step_seconds`` is ``inf`` when infeasible.
     """
-    s = len(stage_costs)
+    s = len(stages)
     m = n_microbatches
     if s == 0:
         return _infeasible("no stages")
@@ -133,34 +172,36 @@ def evaluate_pipeline(
         raise ValueError("n_gpus, n_microbatches, bandwidth, gpu_memory must be positive")
 
     # Eq. 4: every stage must fit while executing.
-    for j, cost in enumerate(stage_costs):
-        for phase, needed in (("fwd", cost.mem_fwd(m)), ("bwd", cost.mem_bwd(m))):
+    for j, stage in enumerate(stages):
+        for phase, needed in (("fwd", stage[5]), ("bwd", stage[6])):
             if needed > gpu_memory:
                 return _infeasible(
                     f"stage {j} {phase} footprint {needed / 1e9:.2f}GB exceeds "
                     f"GPU memory {gpu_memory / 1e9:.2f}GB"
                 )
 
-    pf_fwd, pf_bwd = prefetch_budgets(stage_costs, n_gpus, m, gpu_memory)
+    pf_fwd, pf_bwd = prefetch_budgets(stages, n_gpus, gpu_memory)
 
     t_fwd = [[0.0] * m for _ in range(s)]
     d_fwd = [0.0] * s  # Eq. 7 execution windows
     end_fwd = [0.0] * s
 
     for j in range(s):
-        cost = stage_costs[j]
-        fwd_seconds = cost.fwd_seconds
-        t_prev = stage_costs[j - 1].fwd_seconds if j else 0.0
-        act_latency = (stage_costs[j - 1].output_activation_bytes / bandwidth) if j else 0.0
+        fwd_seconds, _, param_bytes, param_latency, _, _, _, _, _ = stages[j]
+        if j:
+            t_prev = stages[j - 1][0]  # fwd_seconds
+            act_latency = stages[j - 1][4]  # out_latency
+        else:
+            t_prev = act_latency = 0.0
 
         # Readiness: stage data present in GPU memory (Eqs. 5, 6, 9).
         if j < n_gpus:
-            ready = cost.param_bytes / bandwidth if include_initial_upload else 0.0
+            ready = param_latency if include_initial_upload else 0.0
             gpu_free = 0.0
         else:
             window = d_fwd[j - n_gpus]
             prefetched = min(pf_fwd[j], bandwidth * window)
-            remaining = cost.param_bytes - prefetched
+            remaining = param_bytes - prefetched
             gpu_free = end_fwd[j - n_gpus]
             ready = gpu_free + max(0.0, remaining) / bandwidth
 
@@ -181,12 +222,12 @@ def evaluate_pipeline(
     end_bwd = [0.0] * s
 
     for j in range(s - 1, -1, -1):
-        cost = stage_costs[j]
-        bwd_seconds = cost.bwd_seconds
-        t_next = stage_costs[j + 1].bwd_seconds if j < s - 1 else 0.0
-        grad_latency = (
-            (cost.output_activation_bytes / bandwidth) if j < s - 1 else 0.0
-        )
+        _, bwd_seconds, _, _, out_latency, _, _, upload_bwd, _ = stages[j]
+        if j < s - 1:
+            t_next = stages[j + 1][1]  # bwd_seconds
+            grad_latency = out_latency
+        else:
+            t_next = grad_latency = 0.0
 
         if j >= s - n_gpus:
             # Resident tail: stayed in GPU memory after its forward (Eq. 11).
@@ -195,7 +236,7 @@ def evaluate_pipeline(
         else:
             window = d_bwd[j + n_gpus]
             prefetched = min(pf_bwd[j], bandwidth * window)
-            remaining = _bwd_upload_bytes(cost, m) - prefetched
+            remaining = upload_bwd - prefetched
             gpu_free = end_bwd[j + n_gpus]
             ready = gpu_free + max(0.0, remaining) / bandwidth
 
@@ -213,7 +254,7 @@ def evaluate_pipeline(
 
     # Objective (Eq. 3): start of first stage's backward on the last
     # microbatch plus its backward duration.
-    step = t_bwd[0][m - 1] + stage_costs[0].bwd_seconds
+    step = t_bwd[0][m - 1] + stages[0][1]
     return PipelineTimings(
         feasible=True,
         step_seconds=step,

@@ -20,6 +20,13 @@ Layout and lifecycle:
   the next run's tests.  The whole directory is safe to delete at any
   time.  The serve daemon hands its own store to the same slot
   (:meth:`ResultCache.use_store`).
+* One store transaction per outermost :meth:`ResultCache.memoize`: a
+  memoize nested in another's compute on the same store (a suite cell's
+  ``system`` over ``plan`` over ``partition``) hands its row to the
+  outermost call, which writes every row in one
+  :meth:`~repro.perf.store.DurableStore.put` when its compute returns or
+  raises.  The pending rows live in a context variable, so each thread
+  collects its own.
 * :func:`~repro.perf.store.source_digest` names the code.  The store
   writes every row under a namespace that starts with it, so a result
   computed by other code (or pickled in another entry format) is never
@@ -34,6 +41,7 @@ relocates it.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import os
 import sqlite3
@@ -60,6 +68,12 @@ DEFAULT_CACHE_DIR = ".mobius_cache"
 
 #: The disk tier's sqlite file inside the cache directory.
 STORE_FILENAME = "cache.sqlite"
+
+#: ``(store, rows)`` of the outermost :meth:`ResultCache.memoize` running
+#: in this context: the rows its nested calls computed for that store.
+_pending_rows: contextvars.ContextVar[tuple[DurableStore, list] | None] = (
+    contextvars.ContextVar("repro_cache_pending_rows", default=None)
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +165,8 @@ class ResultCache:
 
         ``key_obj`` is any fingerprintable value describing the *complete*
         input of ``compute`` — over-keying costs a miss, under-keying would
-        return wrong results, so include everything.
+        return wrong results, so include everything.  A miss reaches the
+        store in the outermost memoize's one transaction (module docstring).
         """
         store = self._durable()
         if not self.config.memory and store is None:
@@ -172,11 +187,29 @@ class ResultCache:
                 return value
 
         stats.misses += 1
-        value = compute()
+        if store is None:
+            return self._remember(key, compute())
+        pending = _pending_rows.get()
+        if pending is not None and pending[0] is store:
+            # Nested in a memoize on the same store: the outermost call writes.
+            value = self._remember(key, compute())
+            pending[1].append((*key, value))
+            return value
+        rows: list = []
+        token = _pending_rows.set((store, rows))
+        try:
+            value = self._remember(key, compute())
+            rows.append((*key, value))
+        finally:
+            # Also when compute raised: the rows nested calls finished stand.
+            _pending_rows.reset(token)
+            if rows:
+                store.put(rows)
+        return value
+
+    def _remember(self, key: tuple[str, str], value):
         if self.config.memory:
             self._memory[key] = value
-        if store is not None:
-            store.put(*key, value)
         return value
 
     def adopt(self, namespace: str, key_obj, value) -> None:

@@ -9,9 +9,7 @@ digest)``.  Two kinds of process open one:
   each other and with the next run;
 * the serve daemon and its solver workers, which open their ``store_path``
   and hand it to the cache, so a restarted daemon (and every fresh worker)
-  inherits every plan its predecessors computed.  The daemon also keeps
-  its ``lkg`` (last-known-good) plans here, served when a deadline is
-  missed.
+  inherits every plan its predecessors computed.
 
 Namespaces are keyed on the code by the store itself: every row is
 written under ``<source digest>/<namespace>``, where the digest
@@ -24,9 +22,10 @@ revision's code computed.
 Durability model (the store must survive anything the chaos harnesses
 throw at it):
 
-* **atomic writes** — sqlite WAL journaling; a write either commits or
-  leaves the previous state intact, and concurrent processes are
-  serialized by sqlite's own locking (``busy_timeout``);
+* **atomic writes** — sqlite WAL journaling; one :meth:`DurableStore.put`
+  is one transaction over all its rows, which either commits or leaves the
+  previous state intact, and concurrent processes are serialized by
+  sqlite's own locking (``busy_timeout``);
 * **bounded busy retries** — ``SQLITE_BUSY``/``SQLITE_LOCKED`` from a
   concurrent writer (N workers share one WAL file) is *contention, not
   corruption*: the operation is retried ``busy_retries`` times with a
@@ -57,6 +56,7 @@ import pickle
 import sqlite3
 import threading
 import time
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -183,6 +183,8 @@ class DurableStore:
         self.recovered_files = 0
         #: SQLITE_BUSY/SQLITE_LOCKED collisions absorbed by retry.
         self.busy_events = 0
+        #: Write transactions committed by this instance.
+        self.writes = 0
         with self._lock:
             self._open_locked()
 
@@ -301,22 +303,31 @@ class DurableStore:
                 self._sleep(_BUSY_RETRY_DELAY * (attempt + 1))
         return None, False  # contention outlasted the budget: miss, not recovery
 
-    def put(self, namespace: str, digest: str, value: object) -> None:
-        """Atomically persist ``value``; best-effort, never raises."""
-        key = _versioned(namespace)
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
+    def put(self, rows: Sequence[tuple[str, str, object]]) -> None:
+        """Atomically persist ``(namespace, digest, value)`` rows in one
+        transaction; best-effort, never raises.
+
+        A value that cannot be pickled is left out; the others still commit.
+        """
+        entries = []
+        for namespace, digest, value in rows:
+            try:
+                payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                continue
+            checksum = hashlib.sha256(payload).hexdigest()
+            entries.append((_versioned(namespace), digest, payload, checksum))
+        if not entries:
             return
 
         def operation(conn: sqlite3.Connection) -> None:
             with conn:  # one transaction: commit or nothing
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)",
-                    (key, digest, payload, checksum),
-                )
+                for entry in entries:
+                    conn.execute(
+                        "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)", entry
+                    )
+            self.writes += 1  # under the instance lock, after the commit
 
-        checksum = hashlib.sha256(payload).hexdigest()
         self._run(operation)
 
     def get(self, namespace: str, digest: str) -> tuple[object, bool]:

@@ -9,7 +9,10 @@ corpus (:mod:`repro.check.corpus`) and returns rows in the
   ``restart-warm`` (fresh process-level cache, answers served from the
   durable sqlite store — the crash-recovery fast path) and ``coalesced``
   (8 tenants submitting identical bursts, amortized over shared solves).
-  The ``plans_per_s`` rate is gated on every host;
+  The ``plans_per_s`` rate is gated on every host.  ``cold`` and
+  ``restart-warm`` also count the store's committed write transactions
+  (``store_writes``, one per fresh plan; a store hit writes nothing, the
+  ``no_store_writes`` check);
 * ``plan:<cell>`` — each corpus cell's plan fingerprint, with the check
   that all four regimes returned it (``consistent``): caching, durability
   and coalescing must be invisible in results;
@@ -101,6 +104,7 @@ def _throughput_rows(workdir: Path) -> list[dict[str, Any]]:
     fingerprints: dict[str, list[str]] = {name: [] for name, _ in requests}
     walls: dict[str, list[float]] = {}
     plan_counts: dict[str, int] = {}
+    store_writes: dict[str, int] = {}
 
     def record(phase: str, plans: int, wall: float) -> None:
         walls.setdefault(phase, []).append(wall)
@@ -118,6 +122,7 @@ def _throughput_rows(workdir: Path) -> list[dict[str, Any]]:
                         service.plan(request).plan_fingerprint
                     )
                 record("cold", len(requests), watch.seconds)
+                store_writes["cold"] = service.store.writes
 
                 watch = Stopwatch()
                 for _pass in range(_WARM_PASSES):
@@ -142,6 +147,7 @@ def _throughput_rows(workdir: Path) -> list[dict[str, Any]]:
                 record(
                     "restart-warm", len(requests) * _RESTART_PASSES, watch.seconds
                 )
+                store_writes["restart-warm"] = service.store.writes
 
         # Coalesced: fresh store and cache per burst, every solve cold but
         # shared by _COALESCE_FANOUT tenants submitting identical requests.
@@ -182,12 +188,19 @@ def _throughput_rows(workdir: Path) -> list[dict[str, Any]]:
     for phase in ("cold", "warm", "restart-warm", "coalesced"):
         wall = min(walls[phase])
         plans = plan_counts[phase]
+        counters = {"plans": plans}
+        checks = {}
+        if phase in store_writes:
+            counters["store_writes"] = store_writes[phase]
+        if phase == "restart-warm":
+            checks["no_store_writes"] = store_writes[phase] == 0
         rows.append(
             row(
                 f"throughput:{phase}",
-                counters={"plans": plans},
+                counters=counters,
                 rates={"plans_per_s": round(plans / wall, 2)} if wall > 0 else {},
                 walls={"seconds": round(wall, 4)},
+                checks=checks,
             )
         )
     rows.extend(

@@ -151,7 +151,6 @@ class PlanService:
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
         self._inflight: dict[str, _Job] = {}
-        self._lkg: dict[str, object] = {}
         self._threads: list[threading.Thread] = []
         self._closed = False
 
@@ -344,8 +343,10 @@ class PlanService:
         attempts: int = 0, restarts: int = 0,
     ) -> PlanResponse:
         optimal = report.partition_result.optimal
-        if optimal:
-            self._publish_lkg(request, report)
+        if optimal and source == "solver" and request.settles_quality_key():
+            # The budgeted solve completed: it is also the full-quality
+            # plan, which later deadline misses are served from.
+            get_cache().memoize("plan", request.quality_key(), lambda: report)
         if not optimal and request.deadline is not None:
             with self._lock:
                 self.deadline_misses += 1
@@ -422,36 +423,20 @@ class PlanService:
             source="heuristic",
             report=report,
             plan_fingerprint=fingerprint(report.plan),
-            optimal=True,
+            optimal=False,
             degraded=True,
             reason=f"{reason}; serving max-stage heuristic plan",
         )
 
     # ------------------------------------------------------------------
-    # Last-known-good registry
+    # Last-known-good plans
     # ------------------------------------------------------------------
 
-    def _publish_lkg(self, request: PlanRequest, report) -> None:
-        key = request.quality_key()
-        with self._lock:
-            if key in self._lkg:
-                return
-            self._lkg[key] = report
-        # The durable write stays outside the lock (sqlite I/O must not
-        # stall the other dispatch threads); first-writer-wins above makes
-        # a duplicate store write impossible.
-        if self.store is not None:
-            self.store.put("lkg", key, report)
-
     def _lookup_lkg(self, request: PlanRequest):
-        key = request.quality_key()
-        with self._lock:
-            report = self._lkg.get(key)
-        if report is None and self.store is not None:
-            report, found = self.store.get("lkg", key)
-            if found:
-                with self._lock:
-                    self._lkg.setdefault(key, report)
-            else:
-                report = None
-        return report
+        """The full-quality plan of the request's problem, or ``None``: the
+        ``plan`` row of its :meth:`~PlanRequest.quality_key`, if that
+        plan's search completed (memory tier first, then the store)."""
+        report, found = get_cache().lookup("plan", request.quality_key())
+        if found and report.partition_result.optimal:
+            return report
+        return None

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.api import MobiusConfig, MobiusPlanReport
+from repro.core.partition import DEFAULT_MAX_NODES
 from repro.hardware.topology import Topology
 from repro.models.spec import ModelSpec
 from repro.perf.fingerprint import fingerprint
@@ -109,14 +110,27 @@ class PlanRequest:
         """
         return fingerprint(self.memo_key())
 
-    def quality_key(self) -> str:
-        """Content address ignoring the deadline (the last-known-good key).
+    def quality_key(self) -> tuple:
+        """The memoization key of this request without a node budget: the
+        last-known-good key.
 
-        A deadline-missed request looks up the best *full-quality* plan
-        ever computed for the same planning problem under this key.
+        A deadline-missed request is answered from this key's ``plan`` row
+        when that plan's search completed (``optimal``).
         """
         config = dataclasses.replace(self.effective_config(), partition_max_nodes=None)
-        return fingerprint(("serve-lkg", self.model, self.topology, config))
+        return ("plan_mobius", self.model, self.topology, config)
+
+    def settles_quality_key(self) -> bool:
+        """Whether a completed search for this request is also the value of
+        :meth:`quality_key`, bit for bit.
+
+        True for a node budget no larger than the default one: a search
+        that exhausts under it saw fewer nodes than its budget at every
+        budget test, so the unbudgeted search passes the same tests, makes
+        the same decisions and returns the same plan, node count and gap.
+        """
+        budget = self.effective_config().partition_max_nodes
+        return budget is not None and budget <= DEFAULT_MAX_NODES
 
 
 @dataclasses.dataclass(frozen=True)

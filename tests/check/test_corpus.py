@@ -15,8 +15,8 @@ from repro.check.plan_check import check_plan
 from repro.check.trace_check import sanitize_run
 from repro.core.api import plan_mobius
 from repro.core.pipeline import build_mobius_tasks
-from repro.core.timing import evaluate_pipeline
 from repro.sim.tasks import TaskGraphRunner
+from tests.helpers import evaluate_costs
 
 
 def test_default_corpus_has_at_least_four_cells():
@@ -51,7 +51,7 @@ def test_cell_has_no_findings(cell):
     # The search's incremental scoring agrees bit for bit with the full
     # Eq. 3 evaluation of the stage costs the plan itself reports.
     bandwidth = cell.config.bandwidth or cell.topology.pcie_bandwidth
-    timings = evaluate_pipeline(
+    timings = evaluate_costs(
         stage_costs,
         plan.n_gpus,
         plan.n_microbatches,

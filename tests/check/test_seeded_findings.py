@@ -98,7 +98,7 @@ SEEDED = (
         cell="gpt-a/0.4GB",
     ),
     # Forward budgets are capped by the room beside the running stage but
-    # not by the upload itself.
+    # not by the upload itself (the record kernel's ``param_bytes`` field).
     Seeded(
         "PLAN-PF-RANGE",
         "repro.core.timing:prefetch_budgets",
@@ -106,7 +106,8 @@ SEEDED = (
         "fwd[j] = max(0, room)",
         cell="gpt-b/topo_2_2",
     ),
-    # Backward budgets ignore the room beside the running stage.
+    # Backward budgets ignore the room beside the running stage (the
+    # record kernel's ``mem_bwd`` field of stage ``j + N``).
     Seeded(
         "PLAN-EQ5-BWD",
         "repro.core.timing:prefetch_budgets",

@@ -4,12 +4,11 @@ import pytest
 
 from repro.check.corpus import default_corpus
 from repro.core.partition import PlanInfeasibleError, mip_partition
-from repro.core.timing import evaluate_pipeline
 from repro.hardware.gpu import RTX_3090TI
 from repro.models.costmodel import CostModel
 from repro.models.spec import build_gpt_like
 from tests.core.literal_mip import MIP, build_partition_mip, solve_partition_mip
-from tests.helpers import mem_peak
+from tests.helpers import evaluate_costs, mem_peak
 
 BW = 13.1e9
 
@@ -51,7 +50,7 @@ class TestFormulation:
         costs = cm.stage_costs_for_partition(
             small_model, list(milp.partition.boundaries)
         )
-        timings = evaluate_pipeline(costs, 2, 2, BW, gpu_memory)
+        timings = evaluate_costs(costs, 2, 2, BW, gpu_memory)
         assert timings.feasible
         assert timings.step_seconds == pytest.approx(milp.step_seconds, rel=1e-3)
 

@@ -1,5 +1,6 @@
 """Small sums over traces and stage costs, and hand-built traces, shared by the tests."""
 
+from repro.core.timing import PipelineTimings, evaluate_pipeline, stage_record
 from repro.models.costmodel import StageCost
 from repro.sim.trace import ComputeSpan, Trace, TransferSpan, total_length
 
@@ -13,6 +14,19 @@ def compute_seconds(trace: Trace, gpu: int | None = None) -> float:
 def mem_peak(stage: StageCost, m: int) -> int:
     """The larger of a stage's forward and backward footprints (Eq. 4)."""
     return max(stage.mem_fwd(m), stage.mem_bwd(m))
+
+
+def stage_records(stages, m: int, bandwidth: float, gpu_memory: int) -> list:
+    """:func:`stage_record` of each stage cost."""
+    return [stage_record(stage, m, bandwidth, gpu_memory) for stage in stages]
+
+
+def evaluate_costs(
+    stages, n_gpus: int, m: int, bandwidth: float, gpu_memory: int, **kwargs
+) -> PipelineTimings:
+    """:func:`evaluate_pipeline` of stage costs, through their records."""
+    records = stage_records(stages, m, bandwidth, gpu_memory)
+    return evaluate_pipeline(records, n_gpus, m, bandwidth, gpu_memory, **kwargs)
 
 
 def span_columns(compute=(), transfers=()) -> tuple[dict, dict]:

@@ -85,8 +85,18 @@ def _scaling(consistent=True, speedup=2.5, top=4, cpus=8) -> dict:
 
 SERVE = _doc(
     "serve",
-    row("throughput:cold", counters={"plans": 4}, rates={"plans_per_s": 100.0}),
+    row(
+        "throughput:cold",
+        counters={"plans": 4, "store_writes": 4},
+        rates={"plans_per_s": 100.0},
+    ),
     row("throughput:warm", counters={"plans": 4}, rates={"plans_per_s": 1000.0}),
+    row(
+        "throughput:restart-warm",
+        counters={"plans": 80, "store_writes": 0},
+        rates={"plans_per_s": 700.0},
+        checks={"no_store_writes": True},
+    ),
     row("plan:gpt-a/topo_2_2", fingerprint="aaaa1111", checks={"consistent": True}),
     row("plan:gpt-b/topo_2_2", fingerprint="bbbb2222", checks={"consistent": True}),
     _scaling(),
@@ -242,6 +252,31 @@ CASES = [
         SERVE,
         _edit(SERVE, "throughput:cold", rates={"plans_per_s": 79.0}),  # < 100/1.25
         "throughput:cold: plans_per_s regressed",
+    ),
+    # A fresh plan's rows written one transaction per namespace (partition,
+    # plan and a separate last-known-good row) instead of one in all.
+    _case(
+        "serve-store-writes-regressed",
+        SERVE,
+        _edit(SERVE, "throughput:cold", counters={"store_writes": 12}),
+        "throughput:cold: store_writes regressed",
+    ),
+    _case(
+        "serve-store-writes-within-ratio",
+        SERVE,
+        _edit(SERVE, "throughput:cold", counters={"store_writes": 5}),  # exactly 1.25x
+    ),
+    # A store hit rewrites a row: zero baseline, so the check catches it.
+    _case(
+        "serve-store-hit-writes",
+        SERVE,
+        _edit(
+            SERVE,
+            "throughput:restart-warm",
+            counters={"store_writes": 4},
+            checks={"no_store_writes": False},
+        ),
+        "throughput:restart-warm: check no_store_writes failed",
     ),
     _case(
         "serve-fingerprint",

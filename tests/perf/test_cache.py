@@ -266,6 +266,73 @@ class TestDurableBackendTier:
         assert cache._store is None
 
 
+class TestOneTransaction:
+    """Nested memoize calls reach the store in their outermost call's put."""
+
+    @pytest.fixture
+    def puts(self, monkeypatch):
+        calls = []
+        original_put = DurableStore.put
+
+        def counting_put(self, rows):
+            calls.append(sorted(namespace for namespace, _, _ in rows))
+            original_put(self, rows)
+
+        monkeypatch.setattr(DurableStore, "put", counting_put)
+        return calls
+
+    def test_suite_mobius_cell_commits_once(self, tiny_model, topo22, disk_cache, puts):
+        result = run_system("mobius", tiny_model, topo22)
+        assert result.status == "ok"
+        assert puts == [["partition", "plan", "system"]]
+        assert disk_cache._store.writes == 1
+
+    def test_finished_inner_rows_persist_when_the_outer_compute_raises(
+        self, disk_cache, puts
+    ):
+        def outer():
+            disk_cache.memoize("inner", ("key",), lambda: "inner-value")
+            raise RuntimeError("outer failed")
+
+        with pytest.raises(RuntimeError, match="outer failed"):
+            disk_cache.memoize("outer", ("key",), outer)
+        assert puts == [["inner"]]
+        disk_cache.clear_memory()
+        assert disk_cache.lookup("inner", ("key",)) == ("inner-value", True)
+        assert disk_cache.lookup("outer", ("key",)) == (None, False)
+
+    def test_each_thread_commits_its_own_rows(self, disk_cache, puts):
+        ready = threading.Barrier(2)
+
+        def solve(name):
+            def inner():
+                ready.wait(timeout=10)  # both outer calls are open now
+                return name
+
+            disk_cache.memoize(
+                "outer", (name,), lambda: disk_cache.memoize("inner", (name,), inner)
+            )
+
+        threads = [threading.Thread(target=solve, args=(name,)) for name in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert puts == [["inner", "outer"], ["inner", "outer"]]
+
+    def test_a_memoize_on_another_store_commits_its_own(self, tmp_path, puts):
+        with DurableStore(tmp_path / "other.sqlite") as other:
+            inner_cache = ResultCache(CacheConfig(memory=False))
+            inner_cache.use_store(other)
+            with cache_overridden(memory=False, disk=True, directory=str(tmp_path)) as cache:
+                cache.memoize(
+                    "outer", ("key",),
+                    lambda: inner_cache.memoize("inner", ("key",), lambda: 1),
+                )
+            assert other.counts() == {"inner": 1}
+        assert puts == [["inner"], ["outer"]]
+
+
 class TestGlobalConfiguration:
     def test_get_cache_returns_singleton(self):
         assert get_cache() is get_cache()

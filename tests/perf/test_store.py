@@ -20,7 +20,7 @@ def _flip_payload(path, garbage=b"\x00\x01\x02"):
 class TestRoundTrip:
     def test_put_get(self, tmp_path):
         with DurableStore(tmp_path / "s.sqlite") as store:
-            store.put("ns", "digest-1", {"answer": 42})
+            store.put([("ns", "digest-1", {"answer": 42})])
             value, found = store.get("ns", "digest-1")
             assert found and value == {"answer": 42}
 
@@ -31,34 +31,45 @@ class TestRoundTrip:
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "s.sqlite"
         with DurableStore(path) as store:
-            store.put("ns", "digest-1", ("tuple", 1))
+            store.put([("ns", "digest-1", ("tuple", 1))])
         with DurableStore(path) as store:
             assert store.get("ns", "digest-1") == (("tuple", 1), True)
 
     def test_overwrite_replaces(self, tmp_path):
         with DurableStore(tmp_path / "s.sqlite") as store:
-            store.put("ns", "d", "old")
-            store.put("ns", "d", "new")
+            store.put([("ns", "d", "old")])
+            store.put([("ns", "d", "new")])
             assert store.get("ns", "d") == ("new", True)
 
     def test_counts(self, tmp_path):
         with DurableStore(tmp_path / "s.sqlite") as store:
-            store.put("a", "1", 1)
-            store.put("a", "2", 2)
-            store.put("b", "1", 3)
+            store.put([("a", "1", 1)])
+            store.put([("a", "2", 2)])
+            store.put([("b", "1", 3)])
             assert store.counts() == {"a": 2, "b": 1}
 
     def test_unpicklable_value_is_a_noop(self, tmp_path):
         with DurableStore(tmp_path / "s.sqlite") as store:
-            store.put("ns", "d", lambda: None)  # functions cannot pickle
+            store.put([("ns", "d", lambda: None)])  # functions cannot pickle
             assert store.get("ns", "d") == (None, False)
+            assert store.writes == 0
+
+    def test_one_put_is_one_transaction(self, tmp_path):
+        with DurableStore(tmp_path / "s.sqlite") as store:
+            store.put([("a", "1", 1), ("b", "1", lambda: None), ("b", "2", 2)])
+            assert store.writes == 1
+            # The unpicklable row is left out; the others commit together.
+            assert store.counts() == {"a": 1, "b": 1}
+            assert store.get("b", "2") == (2, True)
+            store.put([])
+            assert store.writes == 1
 
 
 class TestEntryQuarantine:
     def test_checksum_mismatch_reads_as_miss(self, tmp_path):
         path = tmp_path / "s.sqlite"
         with DurableStore(path) as store:
-            store.put("ns", "d", "value")
+            store.put([("ns", "d", "value")])
         assert _flip_payload(path) == 1
         with DurableStore(path) as store:
             assert store.get("ns", "d") == (None, False)
@@ -66,13 +77,13 @@ class TestEntryQuarantine:
             # The entry moved to the quarantine table — not silently lost.
             assert store.counts() == {"quarantine": 1}
             # And the recomputed value can be stored again and read back.
-            store.put("ns", "d", "recomputed")
+            store.put([("ns", "d", "recomputed")])
             assert store.get("ns", "d") == ("recomputed", True)
 
     def test_unpicklable_payload_quarantined(self, tmp_path):
         path = tmp_path / "s.sqlite"
         with DurableStore(path) as store:
-            store.put("ns", "d", "value")
+            store.put([("ns", "d", "value")])
         # Valid checksum over garbage bytes: passes verification, fails
         # unpickling — the second line of defence.
         import hashlib
@@ -96,12 +107,12 @@ class TestFileRecovery:
     def test_garbage_file_set_aside_and_recreated(self, tmp_path):
         path = tmp_path / "s.sqlite"
         with DurableStore(path) as store:
-            store.put("ns", "d", "value")
+            store.put([("ns", "d", "value")])
         path.write_bytes(b"definitely not a sqlite database")
         with DurableStore(path) as store:
             assert store.recovered_files == 1
             assert store.get("ns", "d") == (None, False)  # cold, not crashed
-            store.put("ns", "d", "fresh")
+            store.put([("ns", "d", "fresh")])
             assert store.get("ns", "d") == ("fresh", True)
         corpses = list(tmp_path.glob("s.sqlite.corrupt.*"))
         assert len(corpses) == 1  # preserved for diagnosis
@@ -119,7 +130,7 @@ class TestVersionedNamespaces:
     def test_rows_carry_the_cache_version(self, tmp_path, monkeypatch):
         path = tmp_path / "s.sqlite"
         with DurableStore(path) as store:
-            store.put("plan", "digest", "report")
+            store.put([("plan", "digest", "report")])
         conn = sqlite3.connect(str(path))
         try:
             [(namespace,)] = conn.execute("SELECT namespace FROM entries").fetchall()
@@ -174,7 +185,7 @@ class TestBusyRetries:
 
     def test_transient_contention_is_absorbed(self, tmp_path):
         store, sleeps = self._flaky_store(tmp_path, failures=2)
-        store.put("ns", "k", {"v": 1})
+        store.put([("ns", "k", {"v": 1})])
         assert store.get("ns", "k") == ({"v": 1}, True)
         assert store.busy_events == 2
         assert store.recovered_files == 0  # the file was never touched
@@ -186,13 +197,34 @@ class TestBusyRetries:
         self, tmp_path
     ):
         store, _ = self._flaky_store(tmp_path, failures=99, busy_retries=3)
-        store.put("ns", "k", "value")  # all 4 attempts busy: no-op, no raise
+        store.put([("ns", "k", "value")])  # all 4 attempts busy: no-op, no raise
         assert store.busy_events == 4
         assert store.recovered_files == 0
+        assert store.writes == 0
         # The store stays usable once the contention clears.
         store._conn.failures = 0
-        store.put("ns", "k", "value")
+        store.put([("ns", "k", "value")])
         assert store.get("ns", "k") == ("value", True)
+        store.close()
+
+    def test_busy_row_rolls_back_the_whole_transaction(self, tmp_path):
+        class BusyOnSecondInsert(_FlakyConnection):
+            inserts = 0
+
+            def execute(self, sql, *args):
+                if sql.startswith("INSERT"):
+                    self.inserts += 1
+                    if self.inserts == 2:
+                        raise sqlite3.OperationalError(self.message)
+                return self._conn.execute(sql, *args)
+
+        store = DurableStore(tmp_path / "s.db", sleeper=lambda _s: None, busy_retries=0)
+        store._conn = BusyOnSecondInsert(store._conn, 0)
+        # The first row is inserted, the second hits contention: neither
+        # commits, and the put counts no write.
+        store.put([("ns", "k1", 1), ("ns", "k2", 2)])
+        assert (store.busy_events, store.writes) == (1, 0)
+        assert store.get("ns", "k1") == (None, False)
         store.close()
 
     def test_sqlite_locked_variant_is_also_retryable(self, tmp_path):
@@ -200,7 +232,7 @@ class TestBusyRetries:
         store._conn = _FlakyConnection(
             store._conn, 1, message="database table is locked"
         )
-        store.put("ns", "k", 7)
+        store.put([("ns", "k", 7)])
         assert store.busy_events == 1
         assert store.recovered_files == 0
         assert store.get("ns", "k") == (7, True)
@@ -208,7 +240,7 @@ class TestBusyRetries:
 
     def test_genuine_database_error_still_recovers_the_file(self, tmp_path):
         store = DurableStore(tmp_path / "s.db", sleeper=lambda _s: None)
-        store.put("ns", "k", 1)
+        store.put([("ns", "k", 1)])
 
         class _Corrupt:
             def __enter__(self):
@@ -224,12 +256,12 @@ class TestBusyRetries:
                 pass
 
         store._conn = _Corrupt()
-        store.put("ns", "k2", 2)
+        store.put([("ns", "k2", 2)])
         assert store.busy_events == 0
         assert store.recovered_files == 1  # recovery, not retry
         # Recovery swapped in a fresh database: old entries are gone,
         # new writes land.
-        store.put("ns", "k3", 3)
+        store.put([("ns", "k3", 3)])
         assert store.get("ns", "k3") == (3, True)
         assert store.get("ns", "k") == (None, False)
         store.close()
@@ -255,7 +287,7 @@ class TestTwoWriterContention:
         def hammer(store, who):
             try:
                 for i in range(50):
-                    store.put("ns", f"{who}-{i}", (who, i))
+                    store.put([("ns", f"{who}-{i}", (who, i))])
             except Exception as err:  # pragma: no cover - the assertion
                 errors.append(err)
 

@@ -16,6 +16,9 @@ class TestGatePasses:
     def test_small_slowdown_within_tolerance(self):
         check_case("serve-slowdown-within-ratio")
 
+    def test_store_writes_within_ratio(self):
+        check_case("serve-store-writes-within-ratio")
+
 
 class TestGateFails:
     def test_fingerprint_divergence(self):
@@ -29,6 +32,10 @@ class TestGateFails:
 
     def test_throughput_regression_beyond_ratio(self):
         check_case("serve-throughput-regressed")
+
+    def test_store_writes_regression_beyond_ratio(self):
+        check_case("serve-store-writes-regressed")
+        check_case("serve-store-hit-writes")
 
     def test_scaling_fingerprint_divergence_fails_on_any_host(self):
         check_case("serve-scaling-inconsistent-any-host")

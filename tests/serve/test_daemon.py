@@ -2,6 +2,7 @@
 
 import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,8 @@ class TestDeadWorkerDegrade:
             resp = service.plan(_request(tiny_model, topo22))
         assert resp.status == "degraded" and resp.ok
         assert resp.source == "heuristic"
+        # Max-stage searches nothing: the answer is not the search's optimum.
+        assert not resp.optimal and resp.report.partition_result.method == "max-stage"
         assert "max-stage heuristic" in resp.reason
         assert service.degraded_fallbacks == 1
 
@@ -193,9 +196,9 @@ class TestDurability:
         monkeypatch.setattr(store_module, "_source_digest", "other-code")
         with cache_overridden():
             with _service(store_path=store) as service:
+                assert service.stats()["store"] == {}
                 tight = _request(tiny_model, topo22, deadline=Deadline(max_nodes=1))
                 resp = service.plan(tight)
-                assert "lkg" not in service.stats()["store"]
         # Without the old last-known-good plan, the tight request gets its
         # own budget-truncated incumbent instead of a stale answer.
         assert resp.source == "solver" and not resp.stale
@@ -213,27 +216,73 @@ class TestMemoCoupling:
         assert report is not None
 
 
+def _wal_commits(path) -> int:
+    """Committed transactions in a store's write-ahead log.
+
+    A WAL frame whose header holds a nonzero database size ends a commit
+    (the sqlite WAL format), so this counts every transaction since the
+    log was last checkpointed, whichever process wrote it.
+    """
+    wal = Path(f"{path}-wal").read_bytes()
+    if len(wal) < 32:
+        return 0
+    page_size = int.from_bytes(wal[8:12], "big")
+    salt = wal[16:24]
+    commits = 0
+    for offset in range(32, len(wal) - 24 + 1, 24 + page_size):
+        frame = wal[offset:offset + 24]
+        if frame[8:16] != salt:
+            break  # left over from before the log restarted
+        commits += int.from_bytes(frame[4:8], "big") != 0
+    return commits
+
+
 class TestOneWrite:
-    def test_fresh_inline_request_writes_each_row_once(
-        self, tiny_model, topo22, tmp_path, monkeypatch
-    ):
-        puts = []
+    """A fresh plan is stored in one transaction; the LKG is its plan row."""
+
+    @pytest.fixture
+    def puts(self, monkeypatch):
+        calls = []
         original_put = store_module.DurableStore.put
 
-        def counting_put(self, namespace, digest, value):
-            puts.append(namespace)
-            original_put(self, namespace, digest, value)
+        def counting_put(self, rows):
+            calls.append(sorted(namespace for namespace, _, _ in rows))
+            original_put(self, rows)
 
         monkeypatch.setattr(store_module.DurableStore, "put", counting_put)
+        return calls
+
+    def test_fresh_inline_request_writes_each_row_once(
+        self, tiny_model, topo22, tmp_path, puts
+    ):
         store = str(tmp_path / "serve.sqlite")
         with cache_overridden(), _service(store_path=store) as service:
+            before = _wal_commits(store)
             fresh = service.plan(_request(tiny_model, topo22))
+            committed = _wal_commits(store) - before
             written = list(puts)
             again = service.plan(_request(tiny_model, topo22))
-        assert (written.count("plan"), written.count("lkg")) == (1, 1)
+            assert service.stats()["store"] == {"partition": 1, "plan": 1}
+            assert service.store.writes == 1
+        assert written == [["partition", "plan"]] and committed == 1
         assert puts == written  # the cache hit writes nothing
         assert (fresh.source, again.source) == ("solver", "cache")
         assert again.plan_fingerprint == fresh.plan_fingerprint
+
+    def test_fresh_process_worker_solve_commits_one_transaction(
+        self, tiny_model, topo22, tmp_path
+    ):
+        store = str(tmp_path / "serve.sqlite")
+        with cache_overridden(), _service(store_path=store, worker="process") as service:
+            # Start the worker (it opens the store) before counting.
+            service.plan(_request(tiny_model, topo22, deadline=Deadline(max_nodes=1)))
+            before = _wal_commits(store)
+            fresh = service.plan(_request(tiny_model, topo22))
+            committed = _wal_commits(store) - before
+            counts = service.stats()["store"]
+        assert fresh.source == "solver" and committed == 1
+        # Two solves, a row each in two namespaces; no separate LKG row.
+        assert counts == {"partition": 2, "plan": 2}
 
     def test_process_worker_solve_is_published_to_memory(
         self, tiny_model, topo22, tmp_path
@@ -249,6 +298,48 @@ class TestOneWrite:
             again = service.plan(_request(tiny_model, topo22))
         assert (fresh.source, again.source) == ("solver", "cache")
         assert again.plan_fingerprint == fresh.plan_fingerprint
+
+    def test_truncated_plan_row_is_never_served_as_stale(self, tmp_path):
+        """GPT-3B on 4+4 spends the default node budget: its plan row sits
+        under the LKG key of every deadline on the same problem, but it is
+        not a full-quality plan."""
+        from repro.hardware.topology import topo_4_4
+        from repro.models.zoo import gpt_3b
+
+        model, topology = gpt_3b(), topo_4_4()
+        full = PlanRequest(model=model, topology=topology)
+        tight = PlanRequest(model=model, topology=topology, deadline=Deadline(max_nodes=1))
+        store = str(tmp_path / "serve.sqlite")
+        with cache_overridden(), _service(store_path=store) as service:
+            unbudgeted = service.plan(full)
+            miss = service.plan(tight)
+        assert unbudgeted.status == "ok" and not unbudgeted.optimal
+        assert full.quality_key() == full.memo_key()
+        assert miss.status == "degraded" and not miss.stale
+        assert "budget-truncated incumbent" in miss.reason
+
+    def test_deadline_solve_that_completes_serves_later_misses(
+        self, tiny_model, topo22, tmp_path
+    ):
+        roomy = _request(tiny_model, topo22, deadline=Deadline(max_nodes=10_000))
+        store = str(tmp_path / "serve.sqlite")
+        with cache_overridden(), _service(store_path=store) as service:
+            solved = service.plan(roomy)
+            before = service.plan(
+                _request(tiny_model, topo22, deadline=Deadline(max_nodes=1))
+            )
+        with cache_overridden(), _service(store_path=store) as service:
+            after = service.plan(
+                _request(tiny_model, topo22, deadline=Deadline(max_nodes=2))
+            )
+            unbudgeted = service.plan(_request(tiny_model, topo22))
+        assert solved.status == "ok" and solved.optimal
+        for miss in (before, after):
+            assert miss.status == "degraded" and miss.stale
+            assert miss.plan_fingerprint == solved.plan_fingerprint
+        # The budgeted solve's report is the unbudgeted key's value.
+        assert unbudgeted.source == "cache"
+        assert unbudgeted.plan_fingerprint == solved.plan_fingerprint
 
 
 class TestHashEachInputOnce:

@@ -48,7 +48,19 @@ class TestSolveKey:
         full = _request(tiny_model, topo22)
         tight = _request(tiny_model, topo22, deadline=Deadline(max_nodes=1))
         assert full.quality_key() == tight.quality_key()
-        assert full.quality_key() != full.solve_key()  # distinct namespaces
+        # The last-known-good key is the unbudgeted request's plan key.
+        assert full.quality_key() == full.memo_key() != tight.memo_key()
+
+    def test_only_a_budget_within_the_default_settles_the_quality_key(
+        self, tiny_model, topo22
+    ):
+        from repro.core.partition import DEFAULT_MAX_NODES
+
+        assert not _request(tiny_model, topo22).settles_quality_key()
+        for budget, settles in ((1, True), (DEFAULT_MAX_NODES, True),
+                                (DEFAULT_MAX_NODES + 1, False)):
+            request = _request(tiny_model, topo22, deadline=Deadline(max_nodes=budget))
+            assert request.settles_quality_key() is settles
 
     def test_real_config_changes_separate_keys(self, tiny_model, topo22):
         base = _request(tiny_model, topo22)
