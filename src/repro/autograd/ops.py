@@ -12,7 +12,11 @@ oracle's primitives (``tests/autograd/per_op.py``, composed into a block by
 
 An array-level kernel returns ``(out, backward)``: ``backward(grad)``
 accumulates the kernel's parameter gradients and returns the gradient of its
-input array.
+input array.  Kernels take the number ``m`` of microbatches stacked along
+the input's axis 0 and hand it to each parameter's ``_accumulate``, which
+sums within each microbatch and then over them in order (see
+:mod:`repro.autograd.tensor`); everything else in a kernel works per sample
+or per row, so its bits do not depend on ``m``.
 """
 
 from __future__ import annotations
@@ -52,11 +56,11 @@ def _node(out: np.ndarray, x: Tensor, params: tuple[Tensor, ...], back: _Backwar
         if x.requires_grad:
             x._accumulate(dx)
 
-    return Tensor._make(out, (x, *params), backward)
+    return Tensor._make(out, (x, *params), backward, x.microbatches)
 
 
 def _layer_norm(
-    x: np.ndarray, weight: Tensor, bias: Tensor, eps: float
+    x: np.ndarray, weight: Tensor, bias: Tensor, eps: float, m: int
 ) -> tuple[np.ndarray, _Backward]:
     """Layer normalisation over the last dimension, statistics computed once."""
     # The same sums and divisions as ``x.mean`` then ``x.var``, which
@@ -69,11 +73,10 @@ def _layer_norm(
     out = normed * weight.data + bias.data
 
     def backward(grad: np.ndarray) -> np.ndarray:
-        axes = tuple(range(grad.ndim - 1))
         if weight.requires_grad:
-            weight._accumulate((grad * normed).sum(axis=axes))
+            weight._accumulate(grad * normed, m)
         if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=axes))
+            bias._accumulate(grad, m)
         d = grad * weight.data
         return (
             d - d.mean(axis=-1, keepdims=True)
@@ -84,7 +87,7 @@ def _layer_norm(
 
 
 def _linear(
-    x: np.ndarray, weight: Tensor, bias: Tensor | None
+    x: np.ndarray, weight: Tensor, bias: Tensor | None, m: int
 ) -> tuple[np.ndarray, _Backward]:
     """``x @ W + b`` with stacked (not flattened 2-D) matmuls."""
     out = x @ weight.data
@@ -93,9 +96,9 @@ def _linear(
 
     def backward(grad: np.ndarray) -> np.ndarray:
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad)
+            bias._accumulate(grad, m)
         if weight.requires_grad:
-            weight._accumulate(np.swapaxes(x, -1, -2) @ grad)
+            weight._accumulate(np.swapaxes(x, -1, -2) @ grad, m)
         return grad @ np.swapaxes(weight.data, -1, -2)
 
     return out, backward
@@ -121,11 +124,12 @@ def _attention(
     qkv: tuple[Tensor, Tensor],
     proj: tuple[Tensor, Tensor],
     n_heads: int,
+    m: int,
 ) -> tuple[np.ndarray, _Backward]:
     """GPT-style masked multi-head attention over ``(batch, seq, dim)``."""
     batch, seq, dim = x.shape
     head_dim = dim // n_heads
-    fused, qkv_backward = _linear(x, *qkv)
+    fused, qkv_backward = _linear(x, *qkv, m)
     # (3, B, H, S, hd) views into the projection, one per q, k, v.
     q, k, v = fused.reshape(batch, seq, 3, n_heads, head_dim).transpose(2, 0, 3, 1, 4)
     scale = np.float32(1.0 / math.sqrt(head_dim))
@@ -136,7 +140,7 @@ def _attention(
     weights = exp / exp.sum(axis=-1, keepdims=True)
     context = weights @ v  # (B, H, S, hd)
     out, proj_backward = _linear(
-        context.transpose(0, 2, 1, 3).reshape(batch, seq, dim), *proj
+        context.transpose(0, 2, 1, 3).reshape(batch, seq, dim), *proj, m
     )
 
     def backward(grad: np.ndarray) -> np.ndarray:
@@ -157,13 +161,13 @@ def _attention(
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last dimension."""
-    out, back = _layer_norm(x.data, weight, bias, eps)
+    out, back = _layer_norm(x.data, weight, bias, eps, x.microbatches)
     return _node(out, x, (weight, bias), back)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight + bias`` as one node."""
-    out, back = _linear(x.data, weight, bias)
+    out, back = _linear(x.data, weight, bias, x.microbatches)
     return _node(out, x, (weight,) if bias is None else (weight, bias), back)
 
 
@@ -185,13 +189,14 @@ def transformer_block(
     Inside the block each gradient array has at most two contributions (the
     residual and the branch), so their sum is the same whichever comes first.
     """
-    h1, ln1_backward = _layer_norm(x.data, *ln1)
-    a, attn_backward = _attention(h1, qkv, proj, n_heads)
+    m = x.microbatches
+    h1, ln1_backward = _layer_norm(x.data, *ln1, m)
+    a, attn_backward = _attention(h1, qkv, proj, n_heads, m)
     x1 = x.data + a
-    h2, ln2_backward = _layer_norm(x1, *ln2)
-    f1, fc_in_backward = _linear(h2, *fc_in)
+    h2, ln2_backward = _layer_norm(x1, *ln2, m)
+    f1, fc_in_backward = _linear(h2, *fc_in, m)
     g, gelu_backward = _gelu(f1)
-    f2, fc_out_backward = _linear(g, *fc_out)
+    f2, fc_out_backward = _linear(g, *fc_out, m)
 
     def back(grad: np.ndarray) -> np.ndarray:
         d_x1 = grad + ln2_backward(fc_in_backward(gelu_backward(fc_out_backward(grad))))
@@ -204,6 +209,9 @@ def transformer_block(
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy between logits and integer targets.
 
+    The mean is taken per microbatch: a scalar for unstacked ``logits``, one
+    value per microbatch (shape ``(m,)``) when they stack ``m``.
+
     Args:
         logits: ``(..., vocab)`` unnormalised scores.
         targets: Integer array matching the leading dims of ``logits``, each
@@ -215,34 +223,49 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
             f"targets shape {targets.shape} does not match logits {logits.shape[:-1]}"
         )
     _check_ids(targets, logits.shape[-1], "target")
+    m = logits.microbatches
     flat_logits = logits.data.reshape(-1, logits.shape[-1])
     flat_targets = targets.reshape(-1)
+    rows = np.arange(len(flat_targets))
+    per_micro = len(flat_targets) // m
     shifted = flat_logits - flat_logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(len(flat_targets)), flat_targets]
-    losses = logsumexp - picked
-    out_data = np.array(losses.mean(), dtype=np.float32)
+    picked = shifted[rows, flat_targets]
+    means = (logsumexp - picked).reshape(m, per_micro).mean(axis=1)
+    out_data = means if m > 1 else means[0]
 
     def backward(grad: np.ndarray) -> None:
         if logits.requires_grad:
             probs = np.exp(shifted - logsumexp[:, None])
-            probs[np.arange(len(flat_targets)), flat_targets] -= 1.0
-            probs *= float(grad) / len(flat_targets)
+            probs[rows, flat_targets] -= 1.0
+            # Each microbatch's seed over its own row count, divided in
+            # float64 and applied in float32.
+            scale = (np.asarray(grad, dtype=np.float64) / per_micro).astype(np.float32)
+            probs = probs.reshape(m, per_micro, -1)
+            probs *= scale.reshape(m, 1, 1)
             logits._accumulate(probs.reshape(logits.shape))
 
-    return Tensor._make(out_data, (logits,), backward)
+    return Tensor._make(out_data, (logits,), backward, m)
 
 
-def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``table[indices]`` with scatter-add backward."""
+def embedding(table: Tensor, indices: np.ndarray, microbatches: int = 1) -> Tensor:
+    """Row lookup ``table[indices]`` with scatter-add backward.
+
+    ``indices`` stack ``microbatches`` microbatches along axis 0; each one
+    scatters into its own copy of the table's gradient, and the copies add
+    in order.
+    """
     indices = np.asarray(indices)
     _check_ids(indices, table.shape[0], "embedding index")
     out_data = table.data[indices]
 
     def backward(grad: np.ndarray) -> None:
         if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, indices.reshape(-1), grad.reshape(-1, table.shape[-1]))
-            table._accumulate(full)
+            n_rows, dim = table.shape
+            full = np.zeros((microbatches * n_rows, dim), dtype=np.float32)
+            offsets = np.arange(microbatches)[:, None] * n_rows
+            rows = indices.reshape(microbatches, -1) + offsets
+            np.add.at(full, rows.reshape(-1), grad.reshape(-1, dim))
+            table._accumulate(full.reshape(microbatches, n_rows, dim), microbatches)
 
-    return Tensor._make(out_data, (table,), backward)
+    return Tensor._make(out_data, (table,), backward, microbatches)

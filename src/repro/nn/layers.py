@@ -91,5 +91,5 @@ class Embedding(Module):
             requires_grad=True,
         )
 
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return embedding_op(self.weight, indices)
+    def forward(self, indices: np.ndarray, microbatches: int = 1) -> Tensor:
+        return embedding_op(self.weight, indices, microbatches)

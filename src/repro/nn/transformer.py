@@ -50,9 +50,10 @@ class EmbeddingLayer(Module):
         self.tokens = Embedding(config.vocab_size, config.dim, rng=rng)
         self.positions = Embedding(config.seq_len, config.dim, rng=rng)
 
-    def forward(self, token_ids: np.ndarray) -> Tensor:
+    def forward(self, token_ids: np.ndarray, microbatches: int = 1) -> Tensor:
+        """Embed ``(batch, seq)`` ids that stack ``microbatches`` microbatches."""
         _, seq = token_ids.shape
-        return self.tokens(token_ids) + self.positions(np.arange(seq))
+        return self.tokens(token_ids, microbatches) + self.positions(np.arange(seq))
 
 
 class TransformerBlock(Module):

@@ -5,7 +5,6 @@ from repro.training.pipeline_train import (
     MobiusScheduleTrainer,
     StagePartition,
     SwapEvent,
-    split_batch,
 )
 
 __all__ = [
@@ -14,5 +13,4 @@ __all__ = [
     "StagePartition",
     "SwapEvent",
     "run_convergence_experiment",
-    "split_batch",
 ]

@@ -19,6 +19,16 @@ GPUs.  Both accumulate the same averaged microbatch gradients and update
 synchronously, so their parameter trajectories match plain accumulation
 bit-for-bit up to float summation order — the §3.1 convergence argument,
 which the tests assert.
+
+A step runs each stage's forward and backward once, over the whole batch
+with its microbatches stacked along axis 0 (the activations carry the
+microbatch count, :attr:`Tensor.microbatches`).  Per sample, the forward
+values and activation gradients do not depend on that grouping: matmuls
+run one gemm per sample, layer norm and softmax reduce along each row, and
+attention runs per sample and head.  Only the reductions into parameter
+gradients and the loss see the split, and they reduce within each
+microbatch and then add the microbatches in order, so every parameter gets
+the bits of running the microbatches one at a time.
 """
 
 from __future__ import annotations
@@ -37,20 +47,7 @@ __all__ = [
     "SwapEvent",
     "StagePartition",
     "MobiusScheduleTrainer",
-    "split_batch",
 ]
-
-
-def split_batch(batch: Batch, n_microbatches: int) -> list[Batch]:
-    """Split a global batch into equal microbatches."""
-    if batch.inputs.shape[0] % n_microbatches:
-        raise ValueError(
-            f"batch size {batch.inputs.shape[0]} not divisible by "
-            f"{n_microbatches} microbatches"
-        )
-    inputs = np.array_split(batch.inputs, n_microbatches)
-    targets = np.array_split(batch.targets, n_microbatches)
-    return [Batch(i, t) for i, t in zip(inputs, targets)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,11 +107,17 @@ class MobiusScheduleTrainer:
         n_microbatches: int | None = None,
         resident_limit: int = 2,
     ) -> None:
+        if n_gpus < 1:
+            raise ValueError(f"n_gpus must be at least 1, got {n_gpus}")
+        if n_microbatches is None:
+            n_microbatches = n_gpus
+        if n_microbatches < 1:
+            raise ValueError(f"n_microbatches must be at least 1, got {n_microbatches}")
         if resident_limit < 1:
             raise ValueError(f"resident_limit must be at least 1, got {resident_limit}")
         self.model = model
         self.n_gpus = n_gpus
-        self.n_microbatches = n_microbatches or n_gpus
+        self.n_microbatches = n_microbatches
         stages = n_stages or min(2 * n_gpus, model.n_pipeline_layers)
         self.partition = StagePartition.uniform(model.n_pipeline_layers, stages)
         self.optimizer = Adam(model.parameters(), lr=lr)
@@ -142,54 +145,59 @@ class MobiusScheduleTrainer:
             self._resident[gpu].remove(stage)
             self.swap_events.append(SwapEvent("free", stage, gpu, phase))
 
-    def _stage_forward(self, stage: int, micro_input):
-        """Forward one microbatch through one stage.
+    def _stage_forward(self, stage: int, source):
+        """Forward the stacked microbatches through one stage.
 
-        Returns ``(boundary_input, output)`` where ``boundary_input`` is the
-        detached graph root that will receive the activation gradient.
+        ``source`` is the batch's token ids for stage 0 and the previous
+        stage's output otherwise.  Returns ``(boundary_input, output)``
+        where ``boundary_input`` is the detached graph root that will
+        receive the activation gradient.
         """
         start, stop = self.partition.stage_range(stage)
+        layers = self.model.pipeline_layers[start:stop]
         if stage == 0:
             boundary = None
-            out = micro_input  # raw token ids
+            out = layers[0](source, microbatches=self.n_microbatches)
+            layers = layers[1:]
         else:
-            boundary = Tensor(micro_input.data.copy(), requires_grad=True)
+            boundary = Tensor(
+                source.data.copy(), requires_grad=True, microbatches=source.microbatches
+            )
             out = boundary
-        for layer in self.model.pipeline_layers[start:stop]:
+        for layer in layers:
             out = layer(out)
         return boundary, out
 
     def step(self, batch: Batch) -> float:
         """One synchronous step; returns the mean loss."""
-        micros = split_batch(batch, self.n_microbatches)
-        s, m = self.partition.n_stages, len(micros)
-        n = self.n_gpus
+        if batch.inputs.shape[0] % self.n_microbatches:
+            raise ValueError(
+                f"batch size {batch.inputs.shape[0]} not divisible by "
+                f"{self.n_microbatches} microbatches"
+            )
+        s, n = self.partition.n_stages, self.n_gpus
         self.optimizer.zero_grad()
 
-        acts = [[None] * m for _ in range(s)]
+        acts = []
         for j in range(s):
             self._upload(j, "forward")
-            for mb in range(m):
-                source = micros[mb].inputs if j == 0 else acts[j - 1][mb][1]
-                acts[j][mb] = self._stage_forward(j, source)
+            acts.append(self._stage_forward(j, batch.inputs if j == 0 else acts[-1][1]))
             if j < s - n:  # the top N stages stay resident for backward
                 self._free(j, "forward")
 
         total = 0.0
-        seeds = [[None] * m for _ in range(s)]
+        seed = None
         for j in range(s - 1, -1, -1):
             self._upload(j, "backward")
-            for mb in range(m):
-                boundary, out = acts[j][mb]
-                if j == s - 1:
-                    loss = cross_entropy_logits(out, micros[mb].targets) * (1.0 / m)
-                    total += loss.item()
-                    loss.backward()
-                else:
-                    out.backward(seeds[j + 1][mb])
-                seed = None if boundary is None else boundary.grad
-                if j:
-                    seeds[j][mb] = seed
+            boundary, out = acts[j]
+            if j == s - 1:
+                loss = cross_entropy_logits(out, batch.targets) * (1.0 / self.n_microbatches)
+                for value in loss.data.reshape(-1).tolist():  # microbatch order
+                    total += value
+                loss.backward(np.ones_like(loss.data))
+            else:
+                out.backward(seed)
+            seed = None if boundary is None else boundary.grad
             self._free(j, "backward")
 
         self.optimizer.step()

@@ -120,6 +120,25 @@ class TestCrossEntropy:
         assert logits.grad.shape == (2, 3, 5)
 
 
+class TestStackedCrossEntropy:
+    def test_one_mean_and_one_gradient_per_microbatch(self, rng):
+        """Stacked logits give each microbatch's mean and the gradient of
+        each slice's own loss, bit for bit."""
+        logits = rng.normal(size=(4, 3, 5)).astype(np.float32)
+        targets = rng.integers(0, 5, size=(4, 3))
+        seed = np.array([0.5, 0.25], dtype=np.float32)
+        stacked = Tensor(logits, requires_grad=True, microbatches=2)
+        loss = cross_entropy_logits(stacked, targets)
+        assert loss.shape == (2,) and loss.microbatches == 2
+        loss.backward(seed)
+        for mb, rows in enumerate((slice(0, 2), slice(2, 4))):
+            part = Tensor(logits[rows], requires_grad=True)
+            single = cross_entropy_logits(part, targets[rows])
+            (single * seed[mb]).backward()
+            assert single.data == loss.data[mb]
+            np.testing.assert_array_equal(part.grad, stacked.grad[rows])
+
+
 class TestLayerNorm:
     def test_normalises(self, rng):
         x = Tensor(rng.normal(size=(4, 8)) * 5 + 3)
@@ -155,6 +174,21 @@ class TestEmbedding:
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
         per_op.sum(embedding(table, np.array([1, 1, 1]))).backward()
         np.testing.assert_allclose(table.grad, [[0, 0], [3, 3], [0, 0]])
+
+    def test_stacked_microbatches_scatter_separately(self, rng):
+        """Each microbatch scatters into its own table copy, and the copies
+        add in order: the bits of one lookup per microbatch."""
+        weights = rng.normal(size=(5, 3)).astype(np.float32)
+        ids = rng.integers(0, 5, size=(6, 4))
+        grad = rng.normal(size=(6, 4, 3)).astype(np.float32)
+        stacked = Tensor(weights, requires_grad=True)
+        out = embedding(stacked, ids, microbatches=3)
+        assert out.microbatches == 3
+        out.backward(grad)
+        sliced = Tensor(weights, requires_grad=True)
+        for rows in np.split(np.arange(6), 3):
+            embedding(sliced, ids[rows]).backward(grad[rows])
+        np.testing.assert_array_equal(stacked.grad, sliced.grad)
 
     @pytest.mark.parametrize("index", [-1, 4])
     def test_out_of_range_index_rejected(self, index):

@@ -213,6 +213,49 @@ class TestAutogradMechanics:
     def test_float32_storage(self):
         assert Tensor([1.0]).data.dtype == np.float32
 
+    def test_seed_with_extra_dims_rejected(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"seed shape \(5, 2, 3\)"):
+            (x * 2).backward(np.ones((5, 2, 3)))
+        assert x.grad is None
+
+    def test_seed_of_broadcastable_shape_rejected(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"seed shape \(3,\)"):
+            x.backward(np.ones(3))
+        assert x.grad is None
+
+
+class TestStackedMicrobatches:
+    @pytest.mark.parametrize(("m", "b"), [(8, 1), (4, 2), (2, 4), (3, 5)])
+    @pytest.mark.parametrize("shape", [(6,), (4, 6), (1, 6)])
+    def test_reduction_matches_in_order_slices(self, m, b, shape):
+        """A stacked gradient reduces within each microbatch, then adds the
+        microbatches in order: the bits of one ``_accumulate`` per slice."""
+        rng = np.random.default_rng(m * 10 + b)
+        grad = rng.normal(size=(m * b, 4, 6)).astype(np.float32)
+        stacked = Tensor(np.zeros(shape), requires_grad=True)
+        sliced = Tensor(np.zeros(shape), requires_grad=True)
+        stacked._accumulate(grad, m)
+        for part in np.split(grad, m):
+            sliced._accumulate(part)
+        assert stacked.grad.shape == shape
+        np.testing.assert_array_equal(stacked.grad, sliced.grad)
+
+    def test_same_shape_gradient_passes_through(self):
+        x = Tensor(np.zeros((4, 3)), requires_grad=True, microbatches=2)
+        grad = np.arange(12, dtype=np.float32).reshape(4, 3)
+        x._accumulate(grad, 2)
+        np.testing.assert_array_equal(x.grad, grad)
+
+    def test_arithmetic_carries_the_count(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True, microbatches=2)
+        b = Tensor(np.ones(3), requires_grad=True)
+        out = x * 2 + b
+        assert out.microbatches == 2
+        out.backward(np.ones((4, 3)))
+        np.testing.assert_array_equal(b.grad, [4, 4, 4])
+
 
 @settings(max_examples=20, deadline=None)
 @given(

@@ -10,6 +10,7 @@ from repro.nn.transformer import GPTConfig, GPTModel, TransformerBlock
 from repro.training.pipeline_train import MobiusScheduleTrainer
 
 from tests.nn.composed_block import ComposedBlock, composed_model
+from tests.training.reference import ReferenceTrainer
 
 
 def _run_block(block, x_data, upstream):
@@ -41,18 +42,20 @@ def test_block_matches_composed_oracle(batch, seq, n_heads):
 
 
 @pytest.mark.parametrize(
-    "make_trainer",
-    [
-        lambda model: MobiusScheduleTrainer(model, 4, n_stages=4),
-        lambda model: MobiusScheduleTrainer(model, 2, n_stages=6, n_microbatches=4),
-    ],
+    ("n_gpus", "n_stages", "n_microbatches"),
+    [(4, 4, 4), (2, 6, 4)],
     ids=["gpipe", "mobius"],
 )
-def test_training_steps_match_oracle(make_trainer):
+def test_training_steps_match_oracle(n_gpus, n_stages, n_microbatches):
+    """The fused model on the stacked pipeline trainer against the per-op
+    oracle model run one microbatch at a time."""
     config = GPTConfig(vocab_size=64, seq_len=16, dim=32, n_heads=4, n_blocks=4)
     fused_model = GPTModel(config, seed=7)
     oracle_model = composed_model(config, seed=7)
-    fused, oracle = make_trainer(fused_model), make_trainer(oracle_model)
+    fused = MobiusScheduleTrainer(
+        fused_model, n_gpus, n_stages=n_stages, n_microbatches=n_microbatches
+    )
+    oracle = ReferenceTrainer(oracle_model, n_microbatches=n_microbatches)
     corpus = SyntheticCorpus(vocab_size=64, n_tokens=4000, seed=1)
     for _, batch in zip(range(3), corpus.batches(8, 16, seed=3)):
         assert fused.step(batch) == oracle.step(batch)

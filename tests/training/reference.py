@@ -10,14 +10,27 @@ trains this way, so the oracle lives with the tests that use it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.autograd.optim import Adam
 from repro.nn.data import Batch
 from repro.nn.transformer import GPTModel
-from repro.training.pipeline_train import split_batch
 
 from tests.autograd.per_op import loss as model_loss
 
-__all__ = ["accumulate_gradients", "ReferenceTrainer"]
+__all__ = ["accumulate_gradients", "ReferenceTrainer", "split_batch"]
+
+
+def split_batch(batch: Batch, n_microbatches: int) -> list[Batch]:
+    """Split a global batch into equal microbatches."""
+    if batch.inputs.shape[0] % n_microbatches:
+        raise ValueError(
+            f"batch size {batch.inputs.shape[0]} not divisible by "
+            f"{n_microbatches} microbatches"
+        )
+    inputs = np.array_split(batch.inputs, n_microbatches)
+    targets = np.array_split(batch.targets, n_microbatches)
+    return [Batch(i, t) for i, t in zip(inputs, targets)]
 
 
 def accumulate_gradients(model: GPTModel, microbatches: list[Batch]) -> float:

@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.autograd.tensor import Tensor
 from repro.nn.data import SyntheticCorpus
 from repro.nn.transformer import GPTConfig, GPTModel
-from repro.training.pipeline_train import (
-    MobiusScheduleTrainer,
-    StagePartition,
-    split_batch,
-)
+from repro.training.pipeline_train import MobiusScheduleTrainer, StagePartition
 
-from tests.training.reference import ReferenceTrainer
+from tests.training.reference import ReferenceTrainer, split_batch
 
 CONFIG = GPTConfig(vocab_size=64, seq_len=16, dim=32, n_heads=4, n_blocks=4)
 
@@ -115,6 +112,24 @@ class TestMobiusSwapSemantics:
         with pytest.raises(ValueError, match="resident_limit"):
             MobiusScheduleTrainer(GPTModel(CONFIG, seed=0), 2, resident_limit=0)
 
+    def test_no_gpus_rejected(self):
+        with pytest.raises(ValueError, match="n_gpus must be at least 1, got 0"):
+            MobiusScheduleTrainer(GPTModel(CONFIG, seed=0), 0)
+
+    def test_no_microbatches_rejected(self):
+        with pytest.raises(ValueError, match="n_microbatches must be at least 1, got 0"):
+            MobiusScheduleTrainer(GPTModel(CONFIG, seed=0), 2, n_microbatches=0)
+
+    def test_indivisible_batch_rejected(self, batch):
+        trainer = MobiusScheduleTrainer(GPTModel(CONFIG, seed=0), 2, n_microbatches=3)
+        with pytest.raises(ValueError, match="batch size 8 not divisible by 3"):
+            trainer.step(batch)
+        assert trainer.swap_events == []
+
+    def test_microbatches_default_to_gpu_count(self):
+        trainer = MobiusScheduleTrainer(GPTModel(CONFIG, seed=0), 2)
+        assert trainer.n_microbatches == 2
+
     def test_stages_map_round_robin(self, batch):
         trainer = MobiusScheduleTrainer(
             GPTModel(CONFIG, seed=0), 2, n_stages=6, n_microbatches=4
@@ -138,3 +153,59 @@ class TestMobiusSwapSemantics:
             assert uploads[stage] == 2
         for stage in (4, 5):  # resident tail
             assert uploads[stage] == 1
+
+
+class TestStackedStages:
+    """A step runs each stage once over the stacked microbatches, with the
+    bits of the per-microbatch reference loop."""
+
+    @pytest.mark.parametrize(("n_microbatches", "micro_size"), [(8, 1), (4, 2), (2, 4), (1, 8)])
+    def test_matches_reference_for_every_split(self, batch, n_microbatches, micro_size):
+        assert batch.inputs.shape[0] == n_microbatches * micro_size
+        ref_model = GPTModel(CONFIG, seed=7)
+        model = GPTModel(CONFIG, seed=7)
+        reference = ReferenceTrainer(ref_model, n_microbatches=n_microbatches)
+        trainer = MobiusScheduleTrainer(model, 2, n_stages=3, n_microbatches=n_microbatches)
+        corpus = SyntheticCorpus(vocab_size=64, n_tokens=4000, seed=1)
+        for _, fresh in zip(range(2), corpus.batches(8, 16, seed=3)):
+            assert trainer.step(fresh) == reference.step(fresh)
+        for a, b in zip(ref_model.parameters(), model.parameters(), strict=True):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_figure13_configuration(self):
+        """Figure 13's model and batch, GPipe on 8 GPUs and Mobius on 4."""
+        config = GPTConfig(vocab_size=128, seq_len=32, dim=64, n_heads=4, n_blocks=6)
+        corpus = SyntheticCorpus(vocab_size=128, n_tokens=50_000, seed=0)
+        batches = list(zip(range(2), corpus.batches(8, 32, seed=1)))
+        for n_gpus, n_stages in ((8, 8), (4, None)):
+            ref_model = GPTModel(config, seed=0)
+            model = GPTModel(config, seed=0)
+            reference = ReferenceTrainer(ref_model, n_microbatches=n_gpus)
+            trainer = MobiusScheduleTrainer(model, n_gpus, n_stages, n_microbatches=n_gpus)
+            assert trainer.partition.n_stages == 8
+            for _, fresh in batches:
+                assert trainer.step(fresh) == reference.step(fresh)
+            for a, b in zip(ref_model.parameters(), model.parameters(), strict=True):
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_graph_size_independent_of_microbatch_count(self, batch, monkeypatch):
+        """One step builds the same number of graph nodes for any split, so
+        no stage runs once per microbatch."""
+        built = 0
+        original = Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            nonlocal built
+            built += 1
+            original(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        counts = []
+        for n_microbatches in (1, 2, 4, 8):
+            trainer = MobiusScheduleTrainer(
+                GPTModel(CONFIG, seed=0), 2, n_stages=6, n_microbatches=n_microbatches
+            )
+            built = 0
+            trainer.step(batch)
+            counts.append(built)
+        assert counts == [counts[0]] * 4
