@@ -33,6 +33,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -66,6 +67,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """The argparse type of budgets that must be above 0 (``nan`` is not)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
 
 
@@ -113,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="run the Mobius planner and print the plan")
     add_common(plan)
     plan.add_argument(
-        "--time-limit", type=float, default=5.0, help="MIP search budget (s)"
+        "--time-limit", type=_positive_float, default=5.0, help="MIP search budget (s)"
     )
 
     compare = sub.add_parser("compare", help="simulate every system on one config")

@@ -19,6 +19,7 @@ Example:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.core.mapping import MappingResult, cross_mapping, sequential_mapping
 from repro.core.partition import (
@@ -107,6 +108,11 @@ class MobiusConfig:
         use_priorities: Prefetch priority streams (§3.3).
         bandwidth: Average bandwidth ``B`` for the MIP; defaults to the
             topology's PCIe link bandwidth.
+
+    ``None`` selects a default; a count must otherwise be at least 1, a
+    bandwidth finite and positive, and the time limit positive, or
+    construction raises ``ValueError`` naming the field: a 0 is never read
+    as "the default".
     """
 
     microbatch_size: int | None = None
@@ -124,6 +130,19 @@ class MobiusConfig:
     #: so content digests of configs, and of the suite cells carrying
     #: them, stay what they were before the removal.
     __mobius_retired_fields__ = (("solver_mode", "solo"),)
+
+    def __post_init__(self) -> None:
+        for name in ("microbatch_size", "n_microbatches", "partition_max_nodes"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be None or >= 1, got {value}")
+        bandwidth = self.bandwidth
+        if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(f"bandwidth must be None or finite and > 0, got {bandwidth}")
+        if not self.partition_time_limit > 0:
+            raise ValueError(
+                f"partition_time_limit must be > 0, got {self.partition_time_limit}"
+            )
 
 
 @dataclasses.dataclass

@@ -147,12 +147,20 @@ def _stage_rows(
     return rows, max_len
 
 
+# One child of a DFS node (:meth:`_SearchContext.children`):
+# ``(stop, fwd_seconds, bwd_seconds, fwd_suffix[stop], (M-1) * bwd_seconds)``.
+_Child = tuple[int, float, float, float, float]
+
+
 class _SearchContext:
     """Shared state for the boundary branch-and-bound.
 
     The search, and :meth:`evaluate` after it, read stages only through
     the stage table (:func:`_stage_rows`), built once per context, so a
-    solve builds no :class:`~repro.models.costmodel.StageCost`.
+    solve builds no :class:`~repro.models.costmodel.StageCost`.  It rejects
+    counts below 1, a bandwidth that is not finite and positive, and a GPU
+    memory that is not positive with a ``ValueError`` naming the argument,
+    before any search.
     """
 
     def __init__(
@@ -164,13 +172,21 @@ class _SearchContext:
         bandwidth: float,
         gpu_memory: int,
     ) -> None:
+        if n_gpus < 1:
+            raise ValueError(f"n_gpus must be >= 1, got {n_gpus}")
+        if n_microbatches < 1:
+            raise ValueError(f"n_microbatches must be >= 1, got {n_microbatches}")
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
+        if not gpu_memory > 0:
+            raise ValueError(f"gpu_memory must be > 0, got {gpu_memory}")
         self.model = model
         self.n_gpus = n_gpus
         self.n_microbatches = n_microbatches
         self.bandwidth = bandwidth
         self.gpu_memory = gpu_memory
         self._score_cache: dict[tuple[int, ...], float] = {}
-        self._children_cache: dict[int, tuple[tuple[int, float, float], ...]] = {}
+        self._children_cache: dict[int, tuple[_Child, ...]] = {}
         layer_costs = tuple(cost_model.layer_cost(layer) for layer in model.layers)
         self.table, self._max_len = _stage_rows(
             layer_costs, n_microbatches, bandwidth, gpu_memory
@@ -190,13 +206,15 @@ class _SearchContext:
         run of Eq. 4-feasible records from ``start+1`` on."""
         return self._max_len[start]
 
-    def children(self, start: int) -> tuple[tuple[int, float, float], ...]:
+    def children(self, start: int) -> tuple[_Child, ...]:
         """The DFS's children of a prefix ending at ``start``, in visit order.
 
-        One ``(stop, fwd_seconds, bwd_seconds)`` triple per memory-feasible
-        next stage ``[start, stop)``, balanced sizes first for early good
-        incumbents.  The order depends on ``start`` only, so it is built
-        once per start and shared by every prefix that ends there.
+        One ``(stop, fwd_seconds, bwd_seconds, fwd_suffix[stop], (M-1) *
+        bwd_seconds)`` entry per memory-feasible next stage ``[start,
+        stop)``, balanced sizes first for early good incumbents: the stage's
+        terms of the DFS's O(1) relaxation, with its one product taken
+        here.  The order depends on ``start`` only, so it is built once per
+        start and shared by every prefix that ends there.
         """
         cached = self._children_cache.get(start)
         if cached is not None:
@@ -209,10 +227,13 @@ class _SearchContext:
             key=lambda k: abs(k - preferred),
         )
         row = self.table[start]
+        fwd_suffix = self.fwd_suffix
+        bubble = self.n_microbatches - 1
         children = []
         for size in sizes:
-            stage = row[start + size]
-            children.append((start + size, stage[0], stage[1]))  # fwd, bwd
+            stop = start + size
+            fwd, bwd = row[stop][0], row[stop][1]
+            children.append((stop, fwd, bwd, fwd_suffix[stop], bubble * bwd))
         cached = self._children_cache[start] = tuple(children)
         return cached
 
@@ -304,11 +325,23 @@ class _ForwardStack:
     Bounds are therefore bit-identical to the full re-evaluation, and every
     pruning decision is unchanged.
 
-    Each stage is one frame ``(record, row, end_fwd, d_fwd, max_bwd)``: its
-    stage-table record, its forward start times per microbatch, its forward
-    finish on the last microbatch, its Eq. 7 window, and the running
-    maximum of stage ``bwd_seconds`` over the prefix.  The stack copies the
-    context's scalars and table rather than referring to the context.
+    Each stage is one frame ``(record, ends, end, window, max_bwd)``: its
+    stage-table record, its forward finish per microbatch, its forward
+    finish on the last microbatch (``ends[M-1]``), its Eq. 7 window, and the
+    running maximum of stage ``bwd_seconds`` over the prefix.  A finish
+    ``ends[mb]`` is the float ``row[mb] + fwd_seconds`` that
+    :func:`evaluate_pipeline` adds, both as the next microbatch's chained
+    start and inside the next stage's activation arrival
+    ``(row[mb] + T_prev) + latency``, so the next stage's arrival is
+    ``ends[mb] + latency``, one addition.  The window ``T + row[M-1] -
+    row[0]`` is ``end - first`` (``first`` the start of microbatch 0),
+    because ``fl(a + b) == fl(b + a)``.  The stack copies the context's
+    scalars and table rather than referring to the context.
+
+    The prefetch windows (Eqs. 5, 6 and 9) are written as comparisons with
+    the builtins' tie rule: ``min(a, b)`` keeps ``a`` unless ``b < a`` and
+    ``max(a, b)`` keeps ``a`` unless ``b > a``, so every result, an integer
+    byte count included, is the builtin's.
     """
 
     def __init__(self, ctx: _SearchContext) -> None:
@@ -323,11 +356,14 @@ class _ForwardStack:
         # layer's bwd_seconds.
         self._max_layer_bwd = ctx.max_layer_bwd
         self._frames: list[tuple[StageRecord, list[float], float, float, float]] = []
-        # Rolling row buffers for step_time(): the backward sweep only ever
-        # reads rows j and j+1, so leaves reuse two fixed buffers instead of
-        # allocating an S x M matrix per leaf.
-        self._row_a = [0.0] * ctx.n_microbatches
-        self._row_b = [0.0] * ctx.n_microbatches
+        # Drops the top stage: the frame list's own pop, so a pop costs no
+        # Python call frame.
+        self.pop = self._frames.pop
+        # Rolling buffers for step_time(): the backward sweep only ever reads
+        # the finishes of stages j and j+1, so leaves reuse two fixed buffers
+        # instead of allocating an S x M matrix per leaf.
+        self._ends_a = [0.0] * ctx.n_microbatches
+        self._ends_b = [0.0] * ctx.n_microbatches
 
     def push(self, start: int, stop: int) -> float:
         """Append stage ``[start, stop)``; return the new prefix bound.
@@ -370,12 +406,11 @@ class _ForwardStack:
         frames = self._frames
         k = len(frames)
         if k:
-            prev_record, prev_row, _, _, max_bwd = frames[-1]
-            t_prev = prev_record[0]  # fwd_seconds
+            prev_record, prev_ends, _, _, max_bwd = frames[-1]
             act_latency = prev_record[4]  # out_latency
         else:
             max_bwd = self._max_layer_bwd
-            prev_row = None
+            prev_ends = None
         if k < n_gpus:
             ready = param_latency
             gpu_free = 0.0
@@ -383,37 +418,44 @@ class _ForwardStack:
             bandwidth = self._bandwidth
             resident, _, gpu_free, window, _ = frames[k - n_gpus]
             room = self._gpu_memory - resident[5]  # mem_fwd
-            prefetch = max(0, min(param_bytes, room))
-            prefetched = min(prefetch, bandwidth * window)
+            # max(0, min(param_bytes, room)), min(prefetch, B * window) and
+            # max(0.0, remaining), with the builtins' tie rule.
+            prefetch = room if room < param_bytes else param_bytes
+            if not prefetch > 0:
+                prefetch = 0
+            deliverable = bandwidth * window
+            prefetched = deliverable if deliverable < prefetch else prefetch
             remaining = param_bytes - prefetched
-            ready = gpu_free + max(0.0, remaining) / bandwidth
+            if not remaining > 0.0:
+                remaining = 0.0
+            ready = gpu_free + remaining / bandwidth
 
         # The mb loop is the search's hottest arithmetic; max() is unrolled
         # into comparisons (bit-identical, including ties) and the mb == 0
         # special case is peeled out of the loop.
-        row = [0.0] * m
-        start_t = ready
-        if gpu_free > start_t:
-            start_t = gpu_free
-        if prev_row is not None:
-            arrival = prev_row[0] + t_prev + act_latency
-            if arrival > start_t:
-                start_t = arrival
-            row[0] = start_t
+        ends = [0.0] * m
+        first = ready
+        if gpu_free > first:
+            first = gpu_free
+        if prev_ends is not None:
+            arrival = prev_ends[0] + act_latency
+            if arrival > first:
+                first = arrival
+            end = first + fwd_seconds
+            ends[0] = end
             for mb in range(1, m):
-                chained = start_t + fwd_seconds
-                arrival = prev_row[mb] + t_prev + act_latency
-                start_t = arrival if arrival > chained else chained
-                row[mb] = start_t
+                arrival = prev_ends[mb] + act_latency
+                end = (arrival if arrival > end else end) + fwd_seconds
+                ends[mb] = end
         else:
-            row[0] = start_t
+            end = first + fwd_seconds
+            ends[0] = end
             for mb in range(1, m):
-                start_t = start_t + fwd_seconds
-                row[mb] = start_t
-        end = start_t + fwd_seconds
+                end = end + fwd_seconds
+                ends[mb] = end
         if bwd_seconds > max_bwd:
             max_bwd = bwd_seconds
-        frames.append((record, row, end, fwd_seconds + row[m - 1] - row[0], max_bwd))
+        frames.append((record, ends, end, end - first, max_bwd))
         return end + self._fwd_suffix[stop] + self._total_bwd + (m - 1) * max_bwd
 
     def tail(self) -> tuple[float, float]:
@@ -422,14 +464,10 @@ class _ForwardStack:
         non-empty).
 
         ``arrival`` is computed exactly as :meth:`push` computes the
-        mb = M-1 activation arrival, ``(row[M-1] + T_prev) + latency``,
-        because ``end_fwd`` of the last stage is ``row[M-1] + T_prev``.
+        mb = M-1 activation arrival, ``ends[M-1] + latency``.
         """
         record, _, end, _, max_bwd = self._frames[-1]
         return end + record[4], max_bwd  # out_latency
-
-    def pop(self) -> None:
-        self._frames.pop()
 
     def step_time(self) -> float:
         """Exact step time of the *complete* partition on the stack.
@@ -438,7 +476,8 @@ class _ForwardStack:
         already accumulated push by push — so a DFS leaf costs O(S*M)
         instead of a full :func:`evaluate_pipeline` over the whole plan.
         Bit-identical to ``evaluate_pipeline(...).step_seconds`` (same
-        arithmetic in the same order on the same forward state).
+        arithmetic in the same order on the same forward state; backward
+        finishes and windows are kept as in :meth:`push`).
         """
         frames = self._frames
         s = len(frames)
@@ -448,14 +487,13 @@ class _ForwardStack:
         gpu_memory = self._gpu_memory
         d_bwd = [0.0] * s
         end_bwd = [0.0] * s
-        # Only rows j and j+1 are ever live, so two reusable buffers replace
-        # the S x M matrix; max() is unrolled into comparisons and mb == 0
-        # peeled, exactly as in push() — ties and operation order preserved.
-        row = self._row_a
-        next_row = self._row_b
+        # Only the finishes of stages j and j+1 are ever live, so two
+        # reusable buffers replace the S x M matrix; max() and min() are
+        # unrolled into comparisons and mb == 0 peeled, exactly as in push().
+        ends = self._ends_a
+        next_ends = self._ends_b
         boundary = s - n_gpus
         last = s - 1
-        t_next = 0.0
         for j in range(last, -1, -1):
             record, _, end_fwd, _, _ = frames[j]
             _, bwd_seconds, _, _, grad_latency, _, _, upload, _ = record
@@ -465,35 +503,38 @@ class _ForwardStack:
             else:
                 window = d_bwd[j + n_gpus]
                 room = gpu_memory - frames[j + n_gpus][0][6]  # mem_bwd
-                prefetch = max(0, min(upload, room))
-                prefetched = min(prefetch, bandwidth * window)
+                prefetch = room if room < upload else upload
+                if not prefetch > 0:
+                    prefetch = 0
+                deliverable = bandwidth * window
+                prefetched = deliverable if deliverable < prefetch else prefetch
                 remaining = upload - prefetched
+                if not remaining > 0.0:
+                    remaining = 0.0
                 gpu_free = end_bwd[j + n_gpus]
-                ready = gpu_free + max(0.0, remaining) / bandwidth
-            start_t = ready
-            if gpu_free > start_t:
-                start_t = gpu_free
+                ready = gpu_free + remaining / bandwidth
+            first = ready
+            if gpu_free > first:
+                first = gpu_free
             if j < last:
-                arrival = next_row[0] + t_next + grad_latency
-                if arrival > start_t:
-                    start_t = arrival
-                first = start_t
-                row[0] = first
+                arrival = next_ends[0] + grad_latency
+                if arrival > first:
+                    first = arrival
+                end = first + bwd_seconds
+                ends[0] = end
                 for mb in range(1, m):
-                    chained = start_t + bwd_seconds
-                    arrival = next_row[mb] + t_next + grad_latency
-                    start_t = arrival if arrival > chained else chained
-                    row[mb] = start_t
+                    arrival = next_ends[mb] + grad_latency
+                    end = (arrival if arrival > end else end) + bwd_seconds
+                    ends[mb] = end
             else:
-                first = start_t
-                row[0] = first
+                end = first + bwd_seconds
+                ends[0] = end
                 for mb in range(1, m):
-                    start_t = start_t + bwd_seconds
-                    row[mb] = start_t
-            end_bwd[j] = start_t + bwd_seconds
-            d_bwd[j] = bwd_seconds + start_t - first
-            row, next_row = next_row, row
-            t_next = bwd_seconds
+                    end = end + bwd_seconds
+                    ends[mb] = end
+            end_bwd[j] = end
+            d_bwd[j] = end - first
+            ends, next_ends = next_ends, ends
         return end_bwd[0]
 
 
@@ -590,6 +631,25 @@ def _warm_start(ctx: _SearchContext) -> tuple[list[int] | None, float]:
     return best, best_time
 
 
+def _improves(
+    step_seconds: float,
+    boundaries: Sequence[int],
+    incumbent: Sequence[int] | None,
+    incumbent_time: float,
+) -> bool:
+    """Canonical incumbent comparison: step time, then boundary tuple.
+
+    Ties (within 1e-12) prefer the lexicographically smaller boundary
+    tuple, which makes an exhausted search's optimum independent of which
+    tie :func:`_warm_start` seeded as the incumbent.
+    """
+    if step_seconds < incumbent_time - 1e-12:
+        return True
+    if step_seconds < incumbent_time + 1e-12:
+        return incumbent is None or tuple(boundaries) < tuple(incumbent)
+    return False
+
+
 def mip_partition(
     model: ModelSpec,
     cost_model: CostModel,
@@ -620,6 +680,15 @@ def mip_partition(
     relaxation therefore prunes only children the push bound prunes, and
     the search visits the same nodes as one that pushes every child.
 
+    The search is one loop over an explicit list of open nodes, each with
+    its child iterator, its last stop and its relaxation terms, so a child
+    costs no call frame.  Each child takes the same steps in the same
+    order: leaf handling, then the node-budget and clock check, then the
+    node count, then the relaxed prune, then the push.  A child whose push
+    bound stays open is descended into before its next sibling, exactly
+    as a recursive depth-first search would, and the prune threshold,
+    ``incumbent + 1e-12``, is recomputed whenever the incumbent improves.
+
     This is the partition search behind every plan.  The test suite's
     oracle (``tests/core/literal_mip.py``) solves the same problem as the
     paper's literal MIP with HiGHS and requires both to return the same
@@ -647,7 +716,12 @@ def mip_partition(
 
     Raises:
         PlanInfeasibleError: If no memory-feasible partition exists.
+        ValueError: If ``n_gpus``, ``n_microbatches`` or ``max_nodes`` is
+            below 1, ``bandwidth`` is not finite and positive, or
+            ``gpu_memory`` is not positive.
     """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     if gpu_memory is None:
         gpu_memory = cost_model.usable_gpu_bytes()
     ctx = _SearchContext(model, cost_model, n_gpus, n_microbatches, bandwidth, gpu_memory)
@@ -658,48 +732,36 @@ def mip_partition(
     nodes = 0
     exhausted = True
     cut_bound = math.inf  # smallest bound of a subtree the budget cut off
+    threshold = incumbent_time + 1e-12  # a bound at least this is pruned
     n_layers = model.n_layers
-    fwd_suffix = ctx.fwd_suffix
     total_bwd = ctx.total_bwd
     bubble = n_microbatches - 1
+    children = ctx.children
     stack = _ForwardStack(ctx)
+    push, pop, step_time, tail = stack.push, stack.pop, stack.step_time, stack.tail
 
-    def better(step_seconds: float, boundaries: Sequence[int]) -> bool:
-        """Canonical incumbent comparison: step time, then boundary tuple.
-
-        Ties (within 1e-12) prefer the lexicographically smaller boundary
-        tuple, which makes an exhausted search's optimum independent of
-        which tie :func:`_warm_start` seeded as the incumbent.
-        """
-        if step_seconds < incumbent_time - 1e-12:
-            return True
-        if step_seconds < incumbent_time + 1e-12:
-            return incumbent is None or tuple(boundaries) < tuple(incumbent)
-        return False
-
-    def expand(cuts: list[int]) -> None:
-        """Search the children of a counted node whose bound is still open.
-
-        A child is entered inline: the budget and clock checks, the node
-        count, then the prune.  Tied subtrees (bound within 1e-12 of the
-        incumbent) stay open so the canonical optimum survives regardless
-        of which tie was the incumbent first.  Below the root, the O(1)
-        relaxation ``relaxed`` prunes most children before their O(M)
-        push; it is at most the push bound bit for bit, so it prunes only
-        children the push bound would prune (argument in the docstring of
-        :func:`mip_partition`).
-        """
-        nonlocal incumbent, incumbent_time, nodes, exhausted, cut_bound
-        start = cuts[-1]
-        depth = len(cuts) - 1
-        if depth:
-            arrival, max_bwd = stack.tail()
-        for stop, fwd, bwd in ctx.children(start):
-            if depth:
-                relaxed = (
-                    arrival + fwd + fwd_suffix[stop] + total_bwd
-                    + bubble * (bwd if bwd > max_bwd else max_bwd)
-                )
+    # The open nodes, root first: ``(children, start, arrival, max_bwd,
+    # bubble * max_bwd)``, the node's child iterator, its last stop and
+    # the per-node terms of the O(1) relaxation (from its stack frame's
+    # tail).  The root has no frame, so its arrival is -inf: the
+    # relaxation never prunes a child of the root.
+    open_nodes: list[tuple] = []
+    root_bound = ctx.fwd_suffix[0] + total_bwd + bubble * ctx.max_layer_bwd
+    if nodes >= max_nodes or time.perf_counter() - started > time_limit:
+        exhausted = False
+        cut_bound = root_bound
+    else:
+        nodes += 1
+        if root_bound < threshold:
+            max_bwd = ctx.max_layer_bwd
+            open_nodes.append((iter(children(0)), 0, -math.inf, max_bwd, bubble * max_bwd))
+    while open_nodes:
+        kids, start, arrival, max_bwd, bubble_max = open_nodes[-1]
+        for stop, fwd, bwd, fwd_suffix, bubbled in kids:
+            relaxed = (
+                arrival + fwd + fwd_suffix + total_bwd
+                + (bubbled if bwd > max_bwd else bubble_max)
+            )
             if stop == n_layers:
                 # Leaf: the forward sweep is already on the stack, so the
                 # exact step time only needs the backward half (O(S*M)
@@ -709,15 +771,17 @@ def mip_partition(
                 # lower bound on this completed partition's step, so leaves
                 # that cannot beat (or tie) the incumbent skip the backward
                 # sweep entirely.
-                if depth and relaxed >= incumbent_time + 1e-12:
+                if relaxed >= threshold:
                     continue
-                if stack.push(start, stop) < incumbent_time + 1e-12:
-                    step = stack.step_time()
-                    boundaries = cuts[1:]
-                    if better(step, boundaries):
-                        incumbent = list(boundaries)
-                        incumbent_time = min(incumbent_time, step)
-                stack.pop()
+                if push(start, stop) < threshold:
+                    step = step_time()
+                    boundaries = [node[1] for node in open_nodes[1:]]
+                    if _improves(step, boundaries, incumbent, incumbent_time):
+                        incumbent = boundaries
+                        if step < incumbent_time:
+                            incumbent_time = step
+                        threshold = incumbent_time + 1e-12
+                pop()
                 continue
             # The node budget is the primary (deterministic) work limit; the
             # wall-clock check is a safety ceiling that under the default
@@ -725,30 +789,25 @@ def mip_partition(
             # A cut child is still pushed: its exact bound certifies the gap.
             if nodes >= max_nodes or time.perf_counter() - started > time_limit:
                 exhausted = False
-                cut_bound = min(cut_bound, stack.push(start, stop))
-                stack.pop()
+                bound = push(start, stop)
+                if bound < cut_bound:
+                    cut_bound = bound
+                pop()
                 continue
             nodes += 1
-            if depth and relaxed >= incumbent_time + 1e-12:
+            if relaxed >= threshold:
                 continue
-            if stack.push(start, stop) < incumbent_time + 1e-12:
-                cuts.append(stop)
-                expand(cuts)
-                cuts.pop()
-            stack.pop()
-
-    root_bound = ctx.fwd_suffix[0] + total_bwd + bubble * ctx.max_layer_bwd
-    if nodes >= max_nodes or time.perf_counter() - started > time_limit:
-        exhausted = False
-        cut_bound = root_bound
-    else:
-        nodes += 1
-        if root_bound < incumbent_time + 1e-12:
-            expand([0])
-    # expand() reaches itself through its closure cell: a reference cycle
-    # that would keep the context and its stage table alive until the
-    # cyclic collector runs.  Unbinding it frees them when the solve returns.
-    del expand
+            if push(start, stop) < threshold:
+                # Descend: the child's subtree runs before its next sibling.
+                arrival, max_bwd = tail()
+                open_nodes.append((iter(children(stop)), stop, arrival, max_bwd, bubble * max_bwd))
+                break
+            pop()
+        else:
+            # Every child is done: the node's subtree closes.
+            open_nodes.pop()
+            if open_nodes:
+                pop()
 
     if incumbent is None:
         raise PlanInfeasibleError(

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.partition import (
+    PlanInfeasibleError,
     max_stage_partition,
     min_stage_partition,
     mip_partition,
@@ -112,6 +113,44 @@ class TestMinStagePartition:
             min_stage_partition(model, cm, 2, 2, BW, gpu_memory=1000)
 
 
+class TestInputValidation:
+    """Every partitioner rejects a numeric input it cannot search with a
+    ValueError naming the argument, not an IndexError, a division by zero,
+    a PlanInfeasibleError or a whole search."""
+
+    @pytest.mark.parametrize(
+        "partitioner", [mip_partition, max_stage_partition, min_stage_partition]
+    )
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("n_gpus", 0),
+            ("n_gpus", -1),
+            ("n_microbatches", 0),
+            ("n_microbatches", -2),
+            ("bandwidth", float("nan")),
+            ("bandwidth", float("inf")),
+            ("bandwidth", 0.0),
+            ("bandwidth", -BW),
+            ("gpu_memory", 0),
+            ("gpu_memory", -1),
+        ],
+    )
+    def test_bad_input_raises_naming_it(self, model, cm, partitioner, argument, value):
+        args = {"n_gpus": 2, "n_microbatches": 2, "bandwidth": BW, argument: value}
+        with pytest.raises(ValueError, match=argument) as exc:
+            partitioner(
+                model, cm, args.pop("n_gpus"), args.pop("n_microbatches"),
+                args.pop("bandwidth"), **args,
+            )
+        assert not isinstance(exc.value, PlanInfeasibleError)
+
+    @pytest.mark.parametrize("max_nodes", [0, -1])
+    def test_node_budget_below_one_rejected(self, model, cm, max_nodes):
+        with pytest.raises(ValueError, match="max_nodes"):
+            mip_partition(model, cm, 2, 2, BW, max_nodes=max_nodes)
+
+
 class TestForwardStackStepTime:
     """The incremental backward sweep must be bit-identical to the full
     pipeline evaluation it replaces on the DFS leaf path."""
@@ -146,6 +185,128 @@ class TestForwardStackStepTime:
                 if checked >= 40:
                     break
             assert checked > 0
+
+    def test_prefetch_windows_bind_under_tight_memory_and_low_bandwidth(self):
+        """At the tightest memory that holds every one-layer stage, and a
+        low bandwidth, both sweeps take each branch of the prefetch window:
+        the room cap binds, the bandwidth window binds, and a stage is
+        prefetched whole.  Every step is evaluate_pipeline's float."""
+        from repro.core.partition import _SearchContext
+
+        model, cm = _mixed_model(), CostModel(RTX_3090TI, 1)
+        n_gpus, bandwidth = 2, 1e8
+        probe = _SearchContext(model, cm, n_gpus, n_gpus, bandwidth, 10**15)
+        gpu_memory = max(_footprint(probe.table[a][a + 1]) for a in range(model.n_layers))
+        ctx = _SearchContext(model, cm, n_gpus, n_gpus, bandwidth, gpu_memory)
+        seen, checked = set(), 0
+        for boundaries in _compositions(model.n_layers):
+            cases = _check_step_time(ctx, boundaries)
+            if cases is not None:
+                seen |= cases
+                checked += 1
+        assert checked > 4
+        assert seen >= {
+            (sweep, case)
+            for sweep in ("fwd", "bwd")
+            for case in ("room < upload", "window binds", "remaining <= 0")
+        }
+
+    @pytest.mark.parametrize("sweep", ["fwd", "bwd"])
+    def test_exact_room_tie(self, sweep):
+        """A memory of exactly a resident footprint plus an upload makes the
+        room equal the upload (memory terms are integers, so the tie is
+        exact); the windows still give evaluate_pipeline's float."""
+        from repro.core.partition import _SearchContext
+
+        model, cm = _mixed_model(), CostModel(RTX_3090TI, 1)
+        n_gpus, bandwidth = 2, 1e8
+        probe = _SearchContext(model, cm, n_gpus, n_gpus, bandwidth, 10**15)
+        ties = 0
+        for boundaries in _compositions(model.n_layers):
+            cuts = (0, *boundaries, model.n_layers)
+            stages = [probe.table[a][b] for a, b in zip(cuts, cuts[1:])]
+            if len(stages) <= n_gpus:
+                continue
+            need = max(_footprint(record) for record in stages)
+            if sweep == "fwd":  # room G - mem_fwd(j - N) against param_bytes(j)
+                tied = [stages[j - n_gpus][5] + stages[j][2] for j in range(n_gpus, len(stages))]
+            else:  # room G - mem_bwd(j + N) against upload_bwd(j)
+                tied = [stages[j + n_gpus][6] + stages[j][7] for j in range(len(stages) - n_gpus)]
+            for gpu_memory in tied:
+                if gpu_memory < need:
+                    continue
+                ctx = _SearchContext(model, cm, n_gpus, n_gpus, bandwidth, gpu_memory)
+                assert (sweep, "room == upload") in _check_step_time(ctx, boundaries)
+                ties += 1
+            if ties >= 8:
+                break
+        assert ties >= 8
+
+
+def _mixed_model():
+    """Wide layers (large activations) alternating with narrow ones (large
+    parameters).  Under a tight memory a narrow stage's upload outgrows
+    the room beside a wide stage, which no GPT-like model's stages do."""
+    from repro.models.spec import LayerSpec, ModelSpec
+
+    layers = []
+    for i in range(4):
+        layers.append(LayerSpec(f"wide{i}", "wide", 1_000_000, 2e12, 50_000_000, 1_000_000))
+        layers.append(LayerSpec(f"narrow{i}", "narrow", 60_000_000, 1e12, 100_000, 100_000))
+    return ModelSpec("mixed", tuple(layers), 1024, 8, 512, 1000)
+
+
+def _footprint(record):
+    return max(record[5], record[6])  # mem_fwd, mem_bwd
+
+
+def _check_step_time(ctx, boundaries):
+    """Push a partition on a fresh stack and check ``step_time()`` against
+    evaluate_pipeline's step by ``hex``; return the prefetch-window cases
+    its records and start times show, or None if Eq. 4 rejects it or it
+    has no swapped stage.
+
+    A case is ``(sweep, name)``: ``room < upload`` or ``room == upload``
+    (Eq. 5's cap), ``window binds`` (Eq. 6's ``B * D`` below the capped
+    prefetch) and ``remaining <= 0`` (the whole upload prefetched).
+    """
+    from repro.core.partition import _ForwardStack
+
+    n_gpus, m = ctx.n_gpus, ctx.n_microbatches
+    bandwidth, gpu_memory = ctx.bandwidth, ctx.gpu_memory
+    cuts = (0, *boundaries, ctx.model.n_layers)
+    stages = [ctx.table[a][b] for a, b in zip(cuts, cuts[1:])]
+    if len(stages) <= n_gpus or not all(record[8] for record in stages):
+        return None
+    stack = _ForwardStack(ctx)
+    for a, b in zip(cuts, cuts[1:]):
+        stack.push(a, b)
+    timings = ctx.evaluate(boundaries)
+    assert stack.step_time().hex() == timings.step_seconds.hex(), boundaries
+
+    cases = set()
+
+    def classify(sweep, upload, room, window):
+        if room < upload:
+            cases.add((sweep, "room < upload"))
+        if room == upload:
+            cases.add((sweep, "room == upload"))
+        prefetch = max(0, min(upload, room))
+        if bandwidth * window < prefetch:
+            cases.add((sweep, "window binds"))
+        if upload - min(prefetch, bandwidth * window) <= 0:
+            cases.add((sweep, "remaining <= 0"))
+
+    t_fwd, t_bwd = timings.t_fwd, timings.t_bwd
+    for j in range(n_gpus, len(stages)):
+        k = j - n_gpus
+        window = stages[k][0] + t_fwd[k][m - 1] - t_fwd[k][0]  # Eq. 7
+        classify("fwd", stages[j][2], gpu_memory - stages[k][5], window)
+    for j in range(len(stages) - n_gpus):
+        k = j + n_gpus
+        window = stages[k][1] + t_bwd[k][m - 1] - t_bwd[k][0]
+        classify("bwd", stages[j][7], gpu_memory - stages[k][6], window)
+    return cases
 
 
 class TestDeterministicBudgets:
@@ -236,24 +397,31 @@ class TestBoundAdmissibility:
         """The DFS's O(1) pre-push prune is exact: for every prefix it can
         reach and every child it tries, the relaxation is at most the push
         bound under plain ``<=`` — no epsilon — so it prunes only children
-        the push bound prunes."""
+        the push bound prunes.  The relaxation is the DFS's expression over
+        the constants each child carries, which are the stage table's."""
         from repro.core.partition import _ForwardStack, _SearchContext
 
         model, cm, n_gpus, gpu_memory = instance
         ctx = _SearchContext(model, cm, n_gpus, n_gpus, BW, gpu_memory)
         stack = _ForwardStack(ctx)
+        bubble = n_gpus - 1
         checked = 0
 
         def visit(start):
             nonlocal checked
             if start:
                 arrival, max_bwd = stack.tail()
-            for stop, fwd, bwd in ctx.children(start):
+                bubble_max = bubble * max_bwd
+            for stop, fwd, bwd, fwd_suffix, bubbled in ctx.children(start):
+                record = ctx.table[start][stop]
+                assert (fwd, bwd) == (record[0], record[1])
+                assert fwd_suffix == ctx.fwd_suffix[stop]
+                assert bubbled == bubble * bwd
                 bound = stack.push(start, stop)
                 if start:
                     relaxed = (
-                        arrival + fwd + ctx.fwd_suffix[stop] + ctx.total_bwd
-                        + (n_gpus - 1) * max(max_bwd, bwd)
+                        arrival + fwd + fwd_suffix + ctx.total_bwd
+                        + (bubbled if bwd > max_bwd else bubble_max)
                     )
                     assert relaxed <= bound, (start, stop)
                     checked += 1
@@ -431,9 +599,11 @@ class TestGoldenIdentity:
     """Searches pinned field by field, floats by ``hex()``.
 
     The values were recorded before the pre-push prune and the scoring
-    kernel went in: both must leave every search visiting the same nodes
-    and returning the same bits.  The ``max_nodes`` cuts of GPT-3B cover
-    the path where a cut child is still pushed for its exact bound.
+    kernel went in, and the GPT-8B cuts on 2+2 before the search became
+    one loop: each must leave every search visiting the same nodes and
+    returning the same bits.  The ``max_nodes`` cuts of GPT-3B on 4+4 and
+    of GPT-8B on 2+2 (whose search exhausts at 1,554 nodes) cover the path
+    where a cut child is still pushed for its exact bound.
     """
 
     @pytest.mark.parametrize(
@@ -549,6 +719,33 @@ class TestSearchWork:
         # leaves these.
         assert counted["warm_push"] == 2_127
         assert counted["warm_sweep"] == 85
+
+    def test_gpt_8b_on_2_plus_2_work(self, counted):
+        # The exhausting solve that serve-mixed repeats.
+        result = _solve("GPT-8B", "topo_2_2")
+        assert result.optimal
+        assert result.nodes_explored == 1_554
+        assert counted["warm_push"] == 902
+        assert counted["warm_sweep"] == 59
+        assert counted["push"] - counted["warm_push"] == 108
+
+    def test_dfs_incumbent_tightens_the_prune(self):
+        """A search whose DFS beats the warm start prunes against the new
+        incumbent from then on: a prune left at the warm start's threshold
+        visits 242 nodes here, not 237."""
+        from repro.core.partition import _SearchContext, _warm_start
+
+        model = build_gpt_like(
+            "x", n_blocks=6, hidden_dim=1024, n_heads=8, seq_len=256, vocab_size=50257
+        )
+        cm = CostModel(RTX_3090TI, 1)
+        warm, _ = _warm_start(_SearchContext(model, cm, 3, 3, BW, cm.usable_gpu_bytes()))
+        result = mip_partition(model, cm, 3, 3, BW)
+        assert warm == [1, 2, 3, 5, 8]
+        assert result.partition.boundaries == (3, 7)
+        assert result.optimal
+        assert result.nodes_explored == 237
+        assert result.timings.step_seconds.hex() == "0x1.7344be04939fap-5"
 
     @pytest.mark.parametrize("name", ["GPT-3B", "GPT-8B", "GPT-15B", "GPT-51B"])
     def test_one_timing_table_per_solve(self, counted, name):

@@ -113,3 +113,43 @@ class TestEndToEndApi:
         assert plan_report.profile_report.profiling_seconds > 0
         assert plan_report.partition_result.nodes_explored > 0
         assert plan_report.mapping_result.schemes_evaluated > 0
+
+
+class TestConfigValidation:
+    """A field value that would silently mean something else is rejected
+    at construction, with the field's name."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("microbatch_size", 0),
+            ("microbatch_size", -1),
+            ("n_microbatches", 0),
+            ("n_microbatches", -2),
+            ("partition_max_nodes", 0),
+            ("bandwidth", 0),
+            ("bandwidth", -1e9),
+            ("bandwidth", float("inf")),
+            ("bandwidth", float("nan")),
+            ("partition_time_limit", 0),
+            ("partition_time_limit", -1.0),
+            ("partition_time_limit", float("nan")),
+        ],
+    )
+    def test_bad_field_raises_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MobiusConfig(**{field: value})
+
+    def test_defaults_and_valid_values_accepted(self):
+        import dataclasses
+
+        MobiusConfig()
+        config = MobiusConfig(
+            microbatch_size=1,
+            n_microbatches=1,
+            partition_max_nodes=1,
+            bandwidth=1e9,
+            partition_time_limit=float("inf"),
+        )
+        with pytest.raises(ValueError, match="partition_max_nodes"):
+            dataclasses.replace(config, partition_max_nodes=0)

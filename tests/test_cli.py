@@ -147,6 +147,18 @@ class TestNumericArguments:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "soon"])
+    def test_non_positive_time_limit_is_one_error_line(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--time-limit", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: argument --time-limit: must be a positive number"
+        )
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestModelHelp:
     def test_help_lists_every_accepted_model(self):
